@@ -36,8 +36,7 @@
 #                        BENCH_snapshot.json, BENCH_recovery.json,
 #                        BENCH_rpc.json, and BENCH_chaos.json (the
 #                        perf-trajectory data points), and gate on the
-#                        group-commit speedup (TROPIC_BENCH_MIN_SPEEDUP,
-#                        default 1.65), the delta-snapshot size ratio at
+#                        delta-snapshot size ratio at
 #                        5%-dirty (TROPIC_BENCH_MAX_DELTA_RATIO, default
 #                        0.25), the pipelined-fsync speedup on the 16k-node
 #                        store (TROPIC_BENCH_MIN_PIPELINE_SPEEDUP, default
@@ -151,17 +150,15 @@ bench_snapshot() {
     if [[ -n "${COMMIT_TSV:-}" ]]; then
         cp "$tsv" "$COMMIT_TSV"
     fi
-    local min_speedup="${TROPIC_BENCH_MIN_SPEEDUP:-1.65}"
-    awk -F'\t' -v min_speedup="$min_speedup" '
+    # Recorded, not gated: the per-record path the old ratio gate compared
+    # against is gone, and absolute means are host-dependent.
+    awk -F'\t' '
         { names[++n] = $1; means[$1] = $2; iter_count[$1] = $3 }
         END {
-            before = means["commit_path/per_record"]
-            after = means["commit_path/group_commit"]
-            if (before == 0 || after == 0) {
+            if (means["commit_path/group_commit"] == 0) {
                 print "bench snapshot missing commit_path results" > "/dev/stderr"
                 exit 1
             }
-            speedup = before / after
             printf "{\n  \"bench\": \"commit_path\",\n  \"mode\": \"quick\",\n"
             printf "  \"results\": [\n"
             for (i = 1; i <= n; i++) {
@@ -169,25 +166,13 @@ bench_snapshot() {
                 printf "    {\"name\": \"%s\", \"mean_ns\": %d, \"iterations\": %d, \"throughput_per_sec\": %.2f}%s\n", \
                     name, means[name], iter_count[name], 1e9 / means[name], (i < n ? "," : "")
             }
-            printf "  ],\n"
-            printf "  \"group_commit\": {\n"
-            printf "    \"per_record_mean_ns\": %d,\n", before
-            printf "    \"group_commit_mean_ns\": %d,\n", after
-            printf "    \"speedup\": %.3f,\n", speedup
-            printf "    \"min_speedup\": %.2f\n", min_speedup
-            printf "  }\n}\n"
-            if (speedup < min_speedup) {
-                printf "perf gate FAILED: group-commit speedup %.3f < %.2f\n", speedup, min_speedup > "/dev/stderr"
-                exit 2
-            }
+            printf "  ]\n}\n"
         }
     ' "$tsv" > "$out" || { cat "$out"; exit 1; }
 
     echo
     echo "=== $out ==="
     cat "$out"
-    echo
-    echo "Perf gate passed."
 }
 
 # Snapshot-format gates: a delta at 5%-dirty must stay a small fraction of
@@ -867,6 +852,11 @@ run cargo build --release
 run cargo test -q
 run cargo bench --no-run
 run cargo build --examples
+# The end-to-end benchmark driver (BENCHMARK.json) is a separate package the
+# pipeline builds from this checkout: a public-API removal that breaks it
+# must fail here, not there.
+run cargo build --release --manifest-path benchmark/Cargo.toml
+run cargo test -q --manifest-path benchmark/Cargo.toml
 test_bench_parser
 check_markdown_links
 analyze_gate

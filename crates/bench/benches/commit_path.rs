@@ -3,19 +3,15 @@
 //! result → cleanup), in logical-only mode — the per-transaction cost
 //! underlying the Figure 4/5 runs.
 //!
-//! Two variants measure the group-commit payoff under a modeled
-//! coordination-log write latency (the ZooKeeper I/O the paper identifies
-//! as the dominant per-transaction overhead, §6.1):
-//!
-//! * `per_record`  — every controller/worker state transition is its own
-//!   quorum write (the pre-group-commit commit path).
-//! * `group_commit` — each scheduling round flushes as one atomic multi.
+//! `group_commit` measures the commit path — each scheduling round flushes
+//! as one atomic multi — under a modeled coordination-log write latency
+//! (the ZooKeeper I/O the paper identifies as the dominant per-transaction
+//! overhead, §6.1).
 //!
 //! Every variant drives a pipelined window of `WINDOW` concurrent
-//! transactions per wave (spawns, then destroys), because group commit's
-//! payoff is amortizing the round flush across the transactions sharing
-//! it — a single submit→wait pair caps the apparent speedup at the
-//! per-txn write count and mostly measures scheduling-round alignment.
+//! transactions per wave (spawns, then destroys), because the round flush
+//! is amortized across the transactions sharing it — a single submit→wait
+//! pair mostly measures scheduling-round alignment.
 //!
 //! Four more run the *real* durability layer (replica WALs on disk, a
 //! modeled per-fsync device latency) across a store-size dimension, so the
@@ -27,10 +23,10 @@
 //! * `pipelined_fsync_1k` / `pipelined_fsync_16k` — `SyncPolicy::Pipelined`:
 //!   per-replica sync threads overlap fsyncs across replicas and batches.
 //!
-//! `ci.sh --bench-snapshot` records the modeled-latency means in
-//! `BENCH_commit_path.json` and gates on their ratio; the durable-variant
-//! means feed `BENCH_snapshot.json`, gated on
-//! `serial_fsync_16k / pipelined_fsync_16k`.
+//! `ci.sh --bench-snapshot` records all five means in
+//! `BENCH_commit_path.json` (ungated: the per-record path the old ratio
+//! gate compared against no longer exists); the durable-variant means feed
+//! `BENCH_snapshot.json`, gated on `serial_fsync_16k / pipelined_fsync_16k`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -40,15 +36,14 @@ use tropic_model::Path;
 use tropic_tcloud::TopologySpec;
 
 /// Simulated replicated-log write latency (a disk-era ZooKeeper forced log
-/// write, §6.1). Every quorum write pays it; group commit amortizes it
+/// write, §6.1). Every quorum write pays it; the round flush amortizes it
 /// across a whole round.
 const WRITE_LATENCY: Duration = Duration::from_millis(2);
 
-/// Concurrent transactions in flight per wave. Group commit's payoff is
-/// amortization *across* transactions sharing a scheduling round, so the
-/// bench drives a pipelined window rather than one lonely txn — a single
-/// submit→wait pair mostly measured round alignment and capped the
-/// apparent speedup near the per-txn write count.
+/// Concurrent transactions in flight per wave. The round flush amortizes
+/// *across* transactions sharing a scheduling round, so the bench drives a
+/// pipelined window rather than one lonely txn — a single submit→wait pair
+/// mostly measures round alignment.
 const WINDOW: u64 = 8;
 
 /// Modeled device flush for the durable variants (an enterprise-SSD-class
@@ -67,13 +62,12 @@ fn spec() -> TopologySpec {
     }
 }
 
-fn platform(group_commit: bool) -> Tropic {
+fn platform() -> Tropic {
     Tropic::start(
         PlatformConfig {
             controllers: 1,
             workers: 1,
             checkpoint_every: 0,
-            group_commit,
             coord: CoordConfig {
                 write_latency: WRITE_LATENCY,
                 ..CoordConfig::default()
@@ -91,7 +85,6 @@ fn durable_platform(dir: &std::path::Path, sync_policy: SyncPolicy) -> Tropic {
             controllers: 1,
             workers: 1,
             checkpoint_every: 0,
-            group_commit: true,
             coord: CoordConfig {
                 durability: DurabilityOptions {
                     sync_policy,
@@ -187,12 +180,6 @@ fn run_commit_loop(c: &mut Criterion, name: &str, platform: &Tropic) {
     group.finish();
 }
 
-fn bench_variant(c: &mut Criterion, name: &str, group_commit: bool) {
-    let platform = platform(group_commit);
-    run_commit_loop(c, name, &platform);
-    platform.shutdown();
-}
-
 fn bench_durable_variant(
     c: &mut Criterion,
     name: &str,
@@ -209,9 +196,9 @@ fn bench_durable_variant(
 }
 
 fn bench(c: &mut Criterion) {
-    // The baseline first, so a snapshot always has the "before" number.
-    bench_variant(c, "per_record", false);
-    bench_variant(c, "group_commit", true);
+    let platform = platform();
+    run_commit_loop(c, "group_commit", &platform);
+    platform.shutdown();
     bench_durable_variant(c, "serial_fsync_1k", SyncPolicy::EveryBatch, 1_024);
     bench_durable_variant(
         c,

@@ -55,9 +55,11 @@ use crate::wal::{Durability, DurabilityOptions};
 /// entries are dropped and laggards fall back to snapshot transfer.
 const DEFAULT_MEMORY_LOG_CAP: usize = 4_096;
 
-/// Default observer lease, in milliseconds of the caller-supplied clock
-/// (see [`Ensemble::tick_observers`]). Chosen to match the default client
-/// session timeout: an observer goes stale no later than a dead client.
+/// Observer lease, in milliseconds of the caller-supplied clock (see
+/// [`Ensemble::tick_observers`]): renewals extend an observer's horizon by
+/// this much past the last observed time. Chosen to match the default
+/// client session timeout: an observer goes stale no later than a dead
+/// client.
 pub const DEFAULT_OBSERVER_LEASE_MS: u64 = 2_000;
 
 /// A single ensemble replica: an op log plus the store it materializes.
@@ -241,9 +243,6 @@ pub struct Ensemble {
     counter: u64,
     stats: EnsembleStats,
     memory_log_cap: usize,
-    /// Observer lease duration; renewals extend `lease_until_ms` by this
-    /// much past the last observed `now_ms`.
-    observer_lease_ms: u64,
     /// Latest caller-reported wall-clock, advanced by
     /// [`Ensemble::tick_observers`]. The ensemble owns no clock of its
     /// own — determinism under simulation requires the time to be fed in.
@@ -294,7 +293,6 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             memory_log_cap: DEFAULT_MEMORY_LOG_CAP,
-            observer_lease_ms: DEFAULT_OBSERVER_LEASE_MS,
             now_ms: 0,
             last_committed_zxid: 0,
         };
@@ -353,7 +351,6 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             memory_log_cap: DEFAULT_MEMORY_LOG_CAP,
-            observer_lease_ms: DEFAULT_OBSERVER_LEASE_MS,
             now_ms: 0,
             last_committed_zxid: max_zxid,
         };
@@ -427,9 +424,9 @@ impl Ensemble {
     }
 
     /// Sets the modeled per-fsync device latency on every durable replica
-    /// (see [`DurabilityOptions::simulated_fsync_latency`]). Benches use
-    /// this to populate a store at full speed and then measure commit
-    /// policies against a realistic device.
+    /// (zero, the initial value, adds nothing). Benches use this to populate
+    /// a store at full speed and then measure commit policies against a
+    /// realistic device.
     pub fn set_simulated_fsync_latency(&mut self, latency: std::time::Duration) {
         for r in &mut self.replicas {
             if let Some(d) = r.durability.as_mut() {
@@ -656,7 +653,7 @@ impl Ensemble {
     /// Extends observer `id`'s lease iff it has replayed everything the
     /// ensemble has committed — a lagging observer keeps its old horizon.
     fn renew_lease(&mut self, id: NodeId) {
-        let lease_until = self.now_ms.saturating_add(self.observer_lease_ms);
+        let lease_until = self.now_ms.saturating_add(DEFAULT_OBSERVER_LEASE_MS);
         let committed = self.last_committed_zxid;
         if let Some(r) = self.replicas.get_mut(id) {
             if r.observer && r.alive && r.last_zxid == committed {
@@ -723,12 +720,6 @@ impl Ensemble {
         self.replicas.get(id).is_some_and(|r| r.observer)
     }
 
-    /// Sets the observer lease duration (milliseconds of the clock fed to
-    /// [`Ensemble::tick_observers`]).
-    pub fn set_observer_lease_ms(&mut self, ms: u64) {
-        self.observer_lease_ms = ms.max(1);
-    }
-
     /// Advances the ensemble's notion of time and, while a leader holds a
     /// quorum, catches reachable observers up and renews the lease of each
     /// one that reaches the last committed zxid. Drive this from the
@@ -740,13 +731,12 @@ impl Ensemble {
     /// use tropic_coord::ensemble::Ensemble;
     ///
     /// let mut e = Ensemble::new(3, 1);
-    /// e.set_observer_lease_ms(100);
     /// let obs = e.add_observer();
-    /// e.tick_observers(50); // leader has quorum: lease renewed to 150
+    /// e.tick_observers(50); // leader has quorum: lease renewed to 2 050
     /// assert!(e.observer_lease_valid(obs));
     /// e.crash_replica(1);
     /// e.crash_replica(2); // quorum lost: no more renewals
-    /// e.tick_observers(500);
+    /// e.tick_observers(2_500);
     /// assert!(!e.observer_lease_valid(obs));
     /// ```
     pub fn tick_observers(&mut self, now_ms: u64) {
@@ -1046,7 +1036,6 @@ mod tests {
     #[test]
     fn observer_lease_expires_without_quorum_and_recovers_after_heal() {
         let mut e = Ensemble::new(3, 1);
-        e.set_observer_lease_ms(100);
         let obs = e.add_observer();
         e.submit(create_op("/a")).0.unwrap();
         e.tick_observers(10);
@@ -1054,7 +1043,7 @@ mod tests {
         // Quorum gone: leases stop renewing; time passes; reads reject.
         e.crash_replica(1);
         e.crash_replica(2);
-        e.tick_observers(500);
+        e.tick_observers(2_500);
         let res = e.observer_read(obs, |s| s.node_count());
         assert!(matches!(
             res,
@@ -1063,7 +1052,7 @@ mod tests {
         assert_eq!(e.stats().observer_lease_expiries, 1);
         // Quorum back: the next tick re-leases the observer.
         e.restart_replica(1);
-        e.tick_observers(510);
+        e.tick_observers(2_510);
         assert!(e.observer_read(obs, |s| s.exists(&p("/a"))).unwrap());
     }
 
@@ -1084,7 +1073,6 @@ mod tests {
     #[test]
     fn partitioned_observer_lags_then_catches_up_on_tick() {
         let mut e = Ensemble::new(3, 1);
-        e.set_observer_lease_ms(1_000);
         let obs = e.add_observer();
         e.net().partition(vec![vec![0, 1, 2], vec![obs]]);
         e.submit(create_op("/a")).0.unwrap(); // commits without the observer

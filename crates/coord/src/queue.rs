@@ -59,17 +59,6 @@ impl<'a> DistributedQueue<'a> {
         )
     }
 
-    /// Appends several items as one atomic batch (one replicated write);
-    /// either every item lands, in order, or none does.
-    pub fn enqueue_many(
-        &self,
-        items: impl IntoIterator<Item = impl Into<Bytes>>,
-    ) -> CoordResult<()> {
-        let ops: Vec<Op> = items.into_iter().map(|d| self.enqueue_op(d)).collect();
-        self.client.multi(ops)?;
-        Ok(())
-    }
-
     /// The [`Op`] that [`DistributedQueue::enqueue`] would submit, for
     /// inclusion in a caller-assembled atomic batch.
     pub fn enqueue_op(&self, data: impl Into<Bytes>) -> Op {
@@ -82,9 +71,9 @@ impl<'a> DistributedQueue<'a> {
     }
 
     /// The [`Op`] that removes the named item, for inclusion in a
-    /// caller-assembled atomic batch. Unlike [`DistributedQueue::remove`],
-    /// a missing item fails the whole batch — callers batch removals only
-    /// for items they exclusively own (the leader's peeked inputs).
+    /// caller-assembled atomic batch. A missing item fails the whole batch
+    /// — callers batch removals only for items they exclusively own, or
+    /// retry on the lost race ([`DistributedQueue::try_dequeue_batch`]).
     pub fn remove_op(&self, name: &str) -> Op {
         Op::Delete {
             path: self.base.join(name),
@@ -272,29 +261,6 @@ impl<'a> DistributedQueue<'a> {
             let _ = self.client.wait_event(deadline - now);
         }
     }
-
-    /// Removes a specific item by name. Used by peek-process-remove
-    /// consumers (the controller), where the side effects of processing are
-    /// persisted *before* the item disappears, making a crash in between
-    /// recoverable (the successor re-reads the item and skips idempotently).
-    pub fn remove(&self, name: &str) -> CoordResult<()> {
-        match self.client.delete(&self.base.join(name), None) {
-            Ok(()) | Err(CoordError::NoNode(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Reads the head item without claiming it.
-    pub fn peek(&self) -> CoordResult<Option<(String, Bytes)>> {
-        let Some(head) = self.item_names()?.into_iter().min() else {
-            return Ok(None);
-        };
-        let item_path = self.base.join(&head);
-        Ok(self
-            .client
-            .get_data(&item_path)?
-            .map(|(data, _)| (head, data)))
-    }
 }
 
 #[cfg(test)]
@@ -329,16 +295,6 @@ mod tests {
             (&b"a"[..], &b"b"[..], &b"c"[..])
         );
         assert!(q.try_dequeue().unwrap().is_none());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let svc = svc();
-        let c = svc.connect("q");
-        let q = DistributedQueue::new(&c, p("/q")).unwrap();
-        q.enqueue(Bytes::from_static(b"x")).unwrap();
-        assert_eq!(&q.peek().unwrap().unwrap().1[..], b"x");
-        assert_eq!(q.len().unwrap(), 1);
     }
 
     #[test]
@@ -402,24 +358,6 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(start.elapsed() >= Duration::from_millis(90));
-    }
-
-    #[test]
-    fn enqueue_many_is_fifo_and_atomic() {
-        let svc = svc();
-        let c = svc.connect("q");
-        let q = DistributedQueue::new(&c, p("/q")).unwrap();
-        let writes_before = svc.stats().writes;
-        q.enqueue_many([&b"a"[..], &b"b"[..], &b"c"[..]]).unwrap();
-        assert_eq!(
-            svc.stats().writes,
-            writes_before + 1,
-            "batch enqueue is one write"
-        );
-        let items = q.try_dequeue_batch(10).unwrap();
-        let datas: Vec<&[u8]> = items.iter().map(|(_, d)| &d[..]).collect();
-        assert_eq!(datas, vec![&b"a"[..], &b"b"[..], &b"c"[..]]);
-        assert!(q.is_empty().unwrap());
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub struct CoordConfig {
     /// dominant overhead (§6.1); writes serialize behind it, bounding global
     /// write throughput at roughly `1 / write_latency`.
     pub write_latency: Duration,
-    /// Seed for fault-injection randomness.
-    pub seed: u64,
     /// On-disk durability root. `None` keeps the ensemble in memory; with a
     /// directory, every replica write-ahead-logs and snapshots under
     /// `<data_dir>/replica-<id>`, and [`CoordService::recover`] can rebuild
@@ -59,10 +57,6 @@ pub struct CoordConfig {
     /// writes. More can be attached at runtime with
     /// [`CoordService::attach_observer`].
     pub observers: usize,
-    /// Observer staleness lease. The expiry tick renews leases of caught-up
-    /// observers while the leader holds a quorum; an observer whose lease
-    /// lapses rejects reads with [`CoordError::LeaseExpired`].
-    pub observer_lease_ms: u64,
 }
 
 impl Default for CoordConfig {
@@ -72,11 +66,9 @@ impl Default for CoordConfig {
             session_timeout_ms: 2_000,
             tick_ms: 50,
             write_latency: Duration::ZERO,
-            seed: 0,
             data_dir: None,
             durability: DurabilityOptions::default(),
             observers: 0,
-            observer_lease_ms: crate::ensemble::DEFAULT_OBSERVER_LEASE_MS,
         }
     }
 }
@@ -267,15 +259,18 @@ impl CoordService {
     }
 
     fn build_ensemble(config: &CoordConfig, recover: bool) -> Ensemble {
+        // The service exposes partitions but never probabilistic message
+        // drops, so the simulated network's RNG seed is inert here.
+        const NET_SEED: u64 = 0;
         match &config.data_dir {
-            None => Ensemble::new(config.replicas, config.seed),
+            None => Ensemble::new(config.replicas, NET_SEED),
             Some(dir) => {
                 let opts = config.durability.clone();
                 if recover {
-                    Ensemble::recover(config.replicas, config.seed, dir, opts)
+                    Ensemble::recover(config.replicas, NET_SEED, dir, opts)
                         .expect("recover coordination state from data_dir")
                 } else {
-                    Ensemble::with_durability(config.replicas, config.seed, dir, opts)
+                    Ensemble::with_durability(config.replicas, NET_SEED, dir, opts)
                         .expect("initialize durable coordination state in data_dir")
                 }
             }
@@ -284,7 +279,6 @@ impl CoordService {
 
     fn boot_with_clock(config: CoordConfig, clock: SharedClock, recover: bool) -> Self {
         let mut ensemble = Self::build_ensemble(&config, recover);
-        ensemble.set_observer_lease_ms(config.observer_lease_ms);
         for _ in 0..config.observers {
             ensemble.add_observer();
         }
@@ -393,7 +387,7 @@ impl CoordService {
     }
 
     /// Changes the modeled per-fsync device latency on every durable
-    /// replica (see [`DurabilityOptions::simulated_fsync_latency`]).
+    /// replica (zero, the initial value, adds nothing).
     /// Benches populate their stores at full speed, then dial in a
     /// realistic device before measuring. A no-op without a `data_dir`.
     pub fn set_simulated_fsync_latency(&self, latency: Duration) {
@@ -878,7 +872,6 @@ mod tests {
         let svc = CoordService::start_with_clock(
             CoordConfig {
                 observers: 1,
-                observer_lease_ms: 400,
                 tick_ms: 50,
                 ..CoordConfig::default()
             },
@@ -897,7 +890,7 @@ mod tests {
         // observer rejects with the typed error instead of serving stale.
         svc.crash_replica(1);
         svc.crash_replica(2);
-        clock.advance(1_000);
+        clock.advance(3_000);
         assert!(!svc.observer_lease_valid(obs));
         assert!(matches!(
             svc.observer_read(obs, |s| s.node_count()),

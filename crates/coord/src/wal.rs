@@ -119,19 +119,11 @@ pub struct DurabilityOptions {
     pub snapshot_max_wal_bytes: u64,
     /// Rotate to a new segment file once the current one exceeds this size.
     pub segment_max_bytes: u64,
-    /// Write incremental (delta) snapshots when the dirty set is small
-    /// relative to the store, chaining off the previous snapshot. Disable
-    /// to force every snapshot full.
-    pub delta_snapshots: bool,
-    /// Max deltas chained onto one full snapshot before the next snapshot
-    /// is forced full (compaction). `0` behaves like
-    /// `delta_snapshots: false`.
+    /// Max incremental (delta) snapshots chained onto one full snapshot
+    /// before the next snapshot is forced full (compaction). A delta is
+    /// written when the dirty set is small relative to the store; `0`
+    /// forces every snapshot full.
     pub delta_chain_max: u64,
-    /// Modeled device latency added to every fsync (including each sync
-    /// round of the pipelined policy). Zero — the default — adds nothing;
-    /// benches set it so policy comparisons measure the protocol, not the
-    /// host's page cache.
-    pub simulated_fsync_latency: Duration,
 }
 
 impl Default for DurabilityOptions {
@@ -141,9 +133,7 @@ impl Default for DurabilityOptions {
             snapshot_every_ops: 1_024,
             snapshot_max_wal_bytes: 4 << 20,
             segment_max_bytes: 1 << 20,
-            delta_snapshots: true,
             delta_chain_max: 8,
-            simulated_fsync_latency: Duration::ZERO,
         }
     }
 }
@@ -594,9 +584,6 @@ impl std::fmt::Debug for Durability {
 impl Durability {
     fn fresh(dir: &StdPath, opts: DurabilityOptions) -> Self {
         let wal = Wal::new(dir, opts.segment_max_bytes);
-        let latency = Arc::new(AtomicU64::new(
-            u64::try_from(opts.simulated_fsync_latency.as_nanos()).unwrap_or(u64::MAX),
-        ));
         Durability {
             dir: dir.to_path_buf(),
             opts,
@@ -606,7 +593,7 @@ impl Durability {
             wal_bytes_since_snapshot: 0,
             appends_since_sync: 0,
             unsynced_bytes: 0,
-            simulated_fsync_latency_ns: latency,
+            simulated_fsync_latency_ns: Arc::new(AtomicU64::new(0)),
             syncer: None,
             submitted_tickets: 0,
             chain_tip: None,
@@ -788,7 +775,6 @@ impl Durability {
         // A delta records dirty paths with their full path strings; past
         // half the store it stops being the cheaper encoding.
         let delta_base = if !force_full
-            && self.opts.delta_snapshots
             && self.chain_len < self.opts.delta_chain_max
             && store.dirty_count().saturating_mul(2) < store.node_count()
         {
@@ -848,10 +834,11 @@ impl Durability {
         Ok(())
     }
 
-    /// Changes the modeled per-fsync device latency. Takes effect on the
-    /// next sync (serial policies and the sync thread both read it per
-    /// round), so benches can populate a store quickly and then measure
-    /// with a realistic device model.
+    /// Changes the modeled device latency added to every fsync (zero — the
+    /// initial value — adds nothing). Takes effect on the next sync (serial
+    /// policies and the sync thread both read it per round), so benches can
+    /// populate a store quickly and then measure with a realistic device
+    /// model.
     pub fn set_simulated_fsync_latency(&mut self, latency: Duration) {
         self.simulated_fsync_latency_ns.store(
             u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),

@@ -369,7 +369,7 @@ impl TxnRequest {
     /// Attaches an idempotency key: a resubmission carrying a key the
     /// controller has already admitted resolves to the *original*
     /// transaction's outcome instead of executing again. The dedup window
-    /// is the record-retention window (`gc_grace_ms`).
+    /// is the record-retention window (at least 10 s past finalization).
     pub fn idempotency_key(mut self, key: impl Into<String>) -> Self {
         self.idempotency_key = Some(key.into());
         self

@@ -33,29 +33,12 @@ pub struct RpcConfig {
     /// Socket address the listener binds; port `0` picks an ephemeral port
     /// (read the real one from [`crate::rpc::RpcServer::addr`]).
     pub addr: String,
-    /// Hard cap on one frame's payload bytes. A larger length prefix is
-    /// rejected typed at the frame boundary and the connection closed.
-    pub max_frame_bytes: u32,
-    /// Upper bound on the reactor's readiness-poll timeout: the event loop
-    /// wakes at least this often to re-check the shutdown flag and the
-    /// observer lease even when no socket is ready.
-    pub poll_ms: u64,
-    /// Size of the dispatch pool the reactor hands non-blocking requests
-    /// to. Each worker owns one coordination session; blocking calls
-    /// (`Wait`, `Repair`, `Reload`) run on transient threads instead so
-    /// they can never starve the pool. Small is right: the pool bounds
-    /// *concurrency*, not connections — 10k idle connections still cost
-    /// zero threads.
-    pub dispatch_threads: usize,
 }
 
 impl Default for RpcConfig {
     fn default() -> Self {
         RpcConfig {
             addr: "127.0.0.1:0".into(),
-            max_frame_bytes: tropic_coord::DEFAULT_MAX_FRAME_BYTES,
-            poll_ms: 20,
-            dispatch_threads: 4,
         }
     }
 }
@@ -82,9 +65,6 @@ pub struct TwinConfig {
     /// Repair attempts against the same drift fingerprint before the
     /// resource escalates to `Degraded`.
     pub max_attempts: u32,
-    /// Path prefixes whose corrective transactions are submitted on the
-    /// high-priority lane instead of the default batch lane.
-    pub critical_paths: Vec<String>,
 }
 
 impl Default for TwinConfig {
@@ -96,7 +76,6 @@ impl Default for TwinConfig {
             backoff_base_ms: 100,
             backoff_cap_ms: 5_000,
             max_attempts: 5,
-            critical_paths: Vec::new(),
         }
     }
 }
@@ -123,25 +102,11 @@ pub struct PlatformConfig {
     /// Finalized transactions between logical-layer checkpoints
     /// (0 disables checkpointing after bootstrap).
     pub checkpoint_every: u64,
-    /// How long finalized transaction records linger before garbage
-    /// collection, so waiting clients can still read the outcome.
-    pub gc_grace_ms: u64,
     /// Send TERM to transactions running longer than this (paper §4).
     pub term_timeout_ms: Option<u64>,
     /// KILL transactions running longer than this (must exceed the TERM
     /// timeout to give graceful abort a chance).
     pub kill_timeout_ms: Option<u64>,
-    /// Controller idle-wait granularity.
-    pub poll_ms: u64,
-    /// Group commit: the controller flushes each scheduling round's writes
-    /// as one atomic coordination-store multi, and workers claim/report in
-    /// batches. Disable to fall back to per-record writes (the
-    /// `commit_path` bench measures both).
-    pub group_commit: bool,
-    /// Maximum input-queue messages the controller admits per scheduling
-    /// round, spread across the priority lanes in strict `hi` → `norm` →
-    /// `batch` → legacy order.
-    pub input_batch: usize,
     /// Network RPC frontend settings, used by [`crate::Tropic::serve_rpc`].
     pub rpc: RpcConfig,
     /// Digital-twin reconciliation settings (disabled by default).
@@ -155,12 +120,8 @@ impl Default for PlatformConfig {
             workers: 1,
             coord: CoordConfig::default(),
             checkpoint_every: 256,
-            gc_grace_ms: 10_000,
             term_timeout_ms: None,
             kill_timeout_ms: None,
-            poll_ms: 25,
-            group_commit: true,
-            input_batch: 64,
             rpc: RpcConfig::default(),
             twin: TwinConfig::default(),
         }
@@ -185,10 +146,12 @@ mod tests {
     fn defaults_mirror_paper_deployment() {
         let cfg = PlatformConfig::default();
         assert_eq!(cfg.controllers, 3);
+        assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.coord.replicas, 3);
+        assert_eq!(cfg.coord.observers, 0);
         assert!(cfg.checkpoint_every > 0);
         assert!(cfg.term_timeout_ms.is_none());
-        assert!(cfg.group_commit, "group commit is the default commit path");
+        assert!(cfg.kill_timeout_ms.is_none());
     }
 
     #[test]
@@ -206,8 +169,6 @@ mod tests {
     fn rpc_defaults_bind_loopback_ephemeral() {
         let cfg = RpcConfig::default();
         assert_eq!(cfg.addr, "127.0.0.1:0");
-        assert!(cfg.max_frame_bytes >= 1 << 20);
-        assert!(cfg.poll_ms > 0);
     }
 
     #[test]

@@ -8,22 +8,20 @@
 //! state alone — the controller's in-memory tree, lock table, and queues are
 //! a cache (paper §2.3).
 //!
-//! ## Group commit
+//! ## The commit path
 //!
-//! With [`ControllerConfig::group_commit`] enabled (the default), the hot
-//! path's writes — transaction records, `inputQ` removals, `phyQ` moves —
-//! accumulate in a round batch over one scheduling round and flush as a
-//! single atomic coordination-store multi. A follower resuming from
+//! The hot path's writes — transaction records, `inputQ` removals, `phyQ`
+//! moves — accumulate in a round batch over one scheduling round and flush
+//! as a single atomic coordination-store multi. A follower resuming from
 //! persistent state therefore sees either the whole round or none of it,
-//! which is strictly stronger than the record-at-a-time window, and the
-//! replicated log pays its (dominant, §6.1) per-write cost once per round
-//! instead of once per record.
+//! and the replicated log pays its (dominant, §6.1) per-write cost once per
+//! round instead of once per record.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tropic_coord::{CoordClient, CoordError, CreateMode, DistributedQueue, Op};
+use tropic_coord::{CoordClient, CoordError, DistributedQueue, Op};
 use tropic_model::{Path, SharedClock, Tree, Value};
 
 use tropic_devices::StateReport;
@@ -48,6 +46,15 @@ use crate::txn::{LogRecord, TxnAlias, TxnId, TxnRecord, TxnState};
 /// disjoint from client-assigned ids.
 pub(crate) const ADMIN_TXN_BASE: TxnId = 1 << 62;
 
+/// How long finalized transaction records linger before garbage collection,
+/// so waiting clients can still read the outcome.
+const GC_GRACE_MS: u64 = 10_000;
+
+/// Maximum input-queue messages the controller admits per scheduling round,
+/// spread across the priority lanes in strict `hi` → `norm` → legacy →
+/// `batch` order.
+const INPUT_BATCH: usize = 64;
+
 /// The persisted logical-layer checkpoint.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Checkpoint {
@@ -65,51 +72,30 @@ pub struct ControllerConfig {
     pub name: String,
     /// Finalized transactions between checkpoints (0 = bootstrap only).
     pub checkpoint_every: u64,
-    /// Grace period before finalized records are garbage collected.
-    pub gc_grace_ms: u64,
     /// TERM stalled transactions after this long.
     pub term_timeout_ms: Option<u64>,
     /// KILL stalled transactions after this long.
     pub kill_timeout_ms: Option<u64>,
-    /// Idle-wait granularity.
-    pub poll_ms: u64,
-    /// Accumulate each scheduling round's writes and flush them as one
-    /// atomic multi (group commit) instead of per-record writes.
-    pub group_commit: bool,
-    /// Input-queue messages admitted per scheduling round, across lanes.
-    pub input_batch: usize,
     /// Digital-twin reconciliation settings ([`crate::twin`]).
     pub twin: TwinConfig,
     /// Platform-shared twin event hub; phase transitions publish here.
     pub twin_feed: TwinFeed,
 }
 
-/// The group-commit write buffer: one scheduling round's record puts, queue
+/// The round's write buffer: one scheduling round's record puts, queue
 /// removals, and queue appends, flushed as a single atomic multi. Repeated
 /// puts to the same path coalesce (a record accepted and started in the
 /// same round persists once, already `Started`); within a round the
 /// controller's in-memory state is authoritative, and a crash before the
 /// flush simply re-runs the round from the pre-round persistent state.
+#[derive(Default)]
 struct RoundBatch {
-    enabled: bool,
     ops: Vec<Op>,
     /// Index into `ops` of the coalescible put for a path.
     puts: HashMap<Path, usize>,
 }
 
 impl RoundBatch {
-    fn new(enabled: bool) -> Self {
-        RoundBatch {
-            enabled,
-            ops: Vec::new(),
-            puts: HashMap::new(),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Buffers a full-data write. `exists` picks create vs. set for the
     /// first put of a path; later puts in the round overwrite its payload.
     fn put(&mut self, path: Path, data: Vec<u8>, exists: bool) {
@@ -227,7 +213,6 @@ impl<'a> Controller<'a> {
     ) -> Self {
         let mut actions = service.actions.clone();
         register_builtin_actions(&mut actions);
-        let group_commit = cfg.group_commit;
         let twin = TwinTracker::new(&cfg.twin);
         // The twin's corrective procedure: diff the logical tree against
         // *fresh* physical state (never the possibly-stale report that
@@ -265,7 +250,7 @@ impl<'a> Controller<'a> {
             next_lsn: 1,
             finalized_since_ckpt: 0,
             gc_queue: VecDeque::new(),
-            batch: RoundBatch::new(group_commit),
+            batch: RoundBatch::default(),
             persisted: HashSet::new(),
             inconsistent_persisted: false,
             idemp: HashMap::new(),
@@ -476,11 +461,11 @@ impl<'a> Controller<'a> {
     /// timeouts, and checkpoints when due. Returns `true` if any message was
     /// processed or transaction scheduled (callers idle-wait when `false`).
     pub fn step(&mut self) -> Result<bool, PlatformError> {
-        let processed = self.process_input(self.cfg.input_batch.max(1))?;
-        let scheduled = self.schedule()?;
+        let processed = self.process_input(INPUT_BATCH)?;
+        let scheduled = self.schedule();
         let reconciled = self.twin_tick()?;
         self.check_timeouts()?;
-        // The group-commit flush: everything the round decided becomes
+        // The round flush: everything the round decided becomes
         // durable — and visible to workers and clients — atomically, before
         // any step it enables (checkpointing covers only flushed state).
         self.flush_round()?;
@@ -533,9 +518,9 @@ impl<'a> Controller<'a> {
                 break;
             }
             let q = DistributedQueue::bind(self.client, base);
-            // One listing per lane per round: under group commit the
-            // removals are buffered until the flush, so a peek loop would
-            // re-serve the same head forever.
+            // One listing per lane per round: the removals are buffered
+            // until the flush, so a peek loop would re-serve the same head
+            // forever.
             let mut names = q.item_names()?;
             names.truncate(max - handled);
             for name in names {
@@ -552,11 +537,7 @@ impl<'a> Controller<'a> {
                         );
                     }
                 }
-                if self.batch.enabled() {
-                    self.batch.delete(q.item_path(&name));
-                } else {
-                    q.remove(&name)?;
-                }
+                self.batch.delete(q.item_path(&name));
                 handled += 1;
             }
         }
@@ -580,9 +561,13 @@ impl<'a> Controller<'a> {
                 rec.deadline_ms = deadline_ms;
                 rec.idempotency_key = idempotency_key;
                 rec.labels = labels;
-                self.handle_submit(rec)
+                self.handle_submit(rec);
+                Ok(())
             }
-            InputMsg::Result { id, outcome } => self.handle_result(id, outcome),
+            InputMsg::Result { id, outcome } => {
+                self.handle_result(id, outcome);
+                Ok(())
+            }
             InputMsg::Signal { id, signal } => self.handle_signal(id, signal),
             InputMsg::Repair { scope, admin_id } => self.handle_repair(scope, admin_id),
             InputMsg::Reload { scope, admin_id } => self.handle_reload(scope, admin_id),
@@ -592,12 +577,12 @@ impl<'a> Controller<'a> {
     /// Step 2 of the paper's Figure 2, extended with the admission gate:
     /// idempotency-key dedup first, then the deadline check, then
     /// acceptance into the priority's `todoQ` lane.
-    fn handle_submit(&mut self, mut rec: TxnRecord) -> Result<(), PlatformError> {
+    fn handle_submit(&mut self, mut rec: TxnRecord) {
         let id = rec.id;
         if self.records.contains_key(&id) || self.alias_targets.contains_key(&id) {
             // Duplicate delivery after a crash between persist and queue
             // removal: already accepted (or already aliased).
-            return Ok(());
+            return;
         }
         if let Some(key) = &rec.idempotency_key {
             if let Some(&original) = self.idemp.get(key) {
@@ -605,8 +590,8 @@ impl<'a> Controller<'a> {
                 // the submitter's handle resolves to the original
                 // transaction's outcome.
                 self.metrics.record_idempotent_hit();
-                self.persist_alias(id, original)?;
-                return Ok(());
+                self.persist_alias(id, original);
+                return;
             }
         }
         let now = self.clock.now_ms();
@@ -626,8 +611,8 @@ impl<'a> Controller<'a> {
                         "deadline ({deadline} ms) expired before admission (now {now} ms)"
                     )),
                     Some(AbortCode::DeadlineExpired),
-                )?;
-                return Ok(());
+                );
+                return;
             }
         }
         if let Some(key) = &rec.idempotency_key {
@@ -635,37 +620,35 @@ impl<'a> Controller<'a> {
         }
         rec.state = TxnState::Accepted;
         let priority = rec.priority;
-        self.persist_record(&rec)?;
+        self.persist_record(&rec);
         self.records.insert(id, rec);
         self.metrics.record_admission(priority);
         self.todo[priority.index()].push_back(id);
-        Ok(())
     }
 
     /// Persists an idempotency redirect (`alias` → `original`) at the
     /// alias id's record path and indexes it for GC.
-    fn persist_alias(&mut self, alias: TxnId, original: TxnId) -> Result<(), PlatformError> {
+    fn persist_alias(&mut self, alias: TxnId, original: TxnId) {
         let data =
             serde_json::to_vec(&TxnAlias { alias_of: original }).expect("serializable alias");
-        self.write_znode(layout::txn(alias), data, false)?;
+        self.batch.put(layout::txn(alias), data, false);
         self.alias_targets.insert(alias, original);
         self.aliases_of.entry(original).or_default().push(alias);
-        Ok(())
     }
 
     /// Step 5 of Figure 2: clean up after physical execution.
-    fn handle_result(&mut self, id: TxnId, outcome: PhysicalOutcome) -> Result<(), PlatformError> {
+    fn handle_result(&mut self, id: TxnId, outcome: PhysicalOutcome) {
         let Some(rec) = self.records.get(&id) else {
-            return Ok(());
+            return;
         };
         if rec.state != TxnState::Started {
             // Already finalized (e.g. by KILL); drop the stale result.
-            return Ok(());
+            return;
         }
         let log = rec.log.clone();
         match outcome {
             PhysicalOutcome::Committed => {
-                self.finalize(id, TxnState::Committed, None)?;
+                self.finalize(id, TxnState::Committed, None);
             }
             PhysicalOutcome::Aborted { failed_seq, error } => {
                 self.rollback_in_logical(&log);
@@ -673,7 +656,7 @@ impl<'a> Controller<'a> {
                     id,
                     TxnState::Aborted,
                     Some(format!("physical action #{failed_seq} failed: {error}")),
-                )?;
+                );
             }
             PhysicalOutcome::Failed {
                 failed_seq,
@@ -683,23 +666,22 @@ impl<'a> Controller<'a> {
                 inconsistent_object,
             } => {
                 self.rollback_in_logical(&log);
-                self.mark_inconsistent(&inconsistent_object)?;
+                self.mark_inconsistent(&inconsistent_object);
                 self.finalize(
                     id,
                     TxnState::Failed,
                     Some(format!(
                         "action #{failed_seq} failed ({error}); undo #{undo_failed_seq} also failed ({undo_error})"
                     )),
-                )?;
+                );
             }
             PhysicalOutcome::Killed { .. } => {
                 // The controller killed this transaction already; if we get
                 // here the record is somehow still Started, so abort it the
                 // KILL way for safety.
-                self.kill_logically(id, "worker abandoned after KILL")?;
+                self.kill_logically(id, "worker abandoned after KILL");
             }
         }
-        Ok(())
     }
 
     fn handle_signal(&mut self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
@@ -716,7 +698,7 @@ impl<'a> Controller<'a> {
             }
             Signal::Kill => {
                 self.client.put_json(&layout::signal(id), &Signal::Kill)?;
-                self.kill_logically(id, "killed by operator")?;
+                self.kill_logically(id, "killed by operator");
             }
         }
         Ok(())
@@ -725,16 +707,16 @@ impl<'a> Controller<'a> {
     /// The KILL semantics of §4: abort immediately in the logical layer
     /// only; physical state may now diverge, so every object the execution
     /// log touches is marked inconsistent pending `repair`.
-    fn kill_logically(&mut self, id: TxnId, reason: &str) -> Result<(), PlatformError> {
+    fn kill_logically(&mut self, id: TxnId, reason: &str) {
         let Some(rec) = self.records.get(&id) else {
-            return Ok(());
+            return;
         };
         let log = rec.log.clone();
         self.rollback_in_logical(&log);
         let mut objects: Vec<Path> = log.iter().map(|r| r.object.clone()).collect();
         objects.dedup();
         for object in objects {
-            self.mark_inconsistent(&object)?;
+            self.mark_inconsistent(&object);
         }
         self.finalize_coded(
             id,
@@ -750,7 +732,7 @@ impl<'a> Controller<'a> {
             // A logical undo that cannot apply means the cached tree is
             // unreliable; quarantine the affected subtree.
             if let Some(first) = log.first() {
-                let _ = self.mark_inconsistent(&first.object.clone());
+                self.mark_inconsistent(&first.object.clone());
             }
             self.metrics.record_event(
                 self.clock.now_ms(),
@@ -766,15 +748,15 @@ impl<'a> Controller<'a> {
     /// conflict. Head-of-line blocking is per lane, so a deferred batch
     /// transaction never holds up the high lane. Returns the number of
     /// transactions moved to the physical layer or finalized.
-    fn schedule(&mut self) -> Result<usize, PlatformError> {
+    fn schedule(&mut self) -> usize {
         let mut moved = 0;
         for lane in 0..self.todo.len() {
-            moved += self.schedule_lane(lane)?;
+            moved += self.schedule_lane(lane);
         }
-        Ok(moved)
+        moved
     }
 
-    fn schedule_lane(&mut self, lane: usize) -> Result<usize, PlatformError> {
+    fn schedule_lane(&mut self, lane: usize) -> usize {
         let mut moved = 0;
         while let Some(&id) = self.todo[lane].front() {
             let Some(mut rec) = self.records.get(&id).cloned() else {
@@ -785,9 +767,8 @@ impl<'a> Controller<'a> {
             // that aged out while queued behind the lane is aborted, not
             // started.
             let now = self.clock.now_ms();
-            if rec.deadline_ms.map(|d| now > d).unwrap_or(false) {
+            if let Some(deadline) = rec.deadline_ms.filter(|&d| now > d) {
                 self.todo[lane].pop_front();
-                let deadline = rec.deadline_ms.expect("checked");
                 // Unregister the idempotency key (and strip it from the
                 // persisted record, so recovery does not re-register it):
                 // as at the admission gate, a retry with a fresh deadline
@@ -806,7 +787,7 @@ impl<'a> Controller<'a> {
                         "deadline ({deadline} ms) expired in todoQ (now {now} ms)"
                     )),
                     Some(AbortCode::DeadlineExpired),
-                )?;
+                );
                 moved += 1;
                 continue;
             }
@@ -831,7 +812,7 @@ impl<'a> Controller<'a> {
                     TxnState::Aborted,
                     Some(format!("unknown procedure `{proc_name}`")),
                     Some(AbortCode::UnknownProcedure),
-                )?;
+                );
                 moved += 1;
                 continue;
             };
@@ -852,19 +833,15 @@ impl<'a> Controller<'a> {
                     rec.lsn = Some(self.next_lsn);
                     self.next_lsn += 1;
                     rec.locks = self.locks.locks_of(id);
-                    self.persist_record(&rec)?;
+                    self.persist_record(&rec);
                     self.records.insert(id, rec);
                     self.running.insert(id);
                     self.started_at.insert(id, self.clock.now_ms());
                     let task = serde_json::to_vec(&PhyTask { id }).expect("serializable");
                     let q = DistributedQueue::bind(self.client, layout::phy_q());
-                    if self.batch.enabled() {
-                        // The task becomes visible to workers atomically
-                        // with the Started record at the round flush.
-                        self.batch.push(q.enqueue_op(task));
-                    } else {
-                        q.enqueue(task)?;
-                    }
+                    // The task becomes visible to workers atomically with
+                    // the Started record at the round flush.
+                    self.batch.push(q.enqueue_op(task));
                     moved += 1;
                 }
                 LogicalOutcome::Deferred { .. } => {
@@ -880,23 +857,18 @@ impl<'a> Controller<'a> {
                     self.todo[lane].pop_front();
                     self.records.insert(id, rec);
                     self.metrics.record_violation();
-                    self.finalize(id, TxnState::Aborted, Some(reason))?;
+                    self.finalize(id, TxnState::Aborted, Some(reason));
                     moved += 1;
                 }
             }
         }
-        Ok(moved)
+        moved
     }
 
     /// Finalizes a transaction: persist the terminal state, release locks,
     /// record metrics, and queue the record for GC.
-    fn finalize(
-        &mut self,
-        id: TxnId,
-        state: TxnState,
-        error: Option<String>,
-    ) -> Result<(), PlatformError> {
-        self.finalize_coded(id, state, error, None)
+    fn finalize(&mut self, id: TxnId, state: TxnState, error: Option<String>) {
+        self.finalize_coded(id, state, error, None);
     }
 
     /// [`Controller::finalize`] carrying a machine-readable abort code for
@@ -907,17 +879,17 @@ impl<'a> Controller<'a> {
         state: TxnState,
         error: Option<String>,
         abort_code: Option<AbortCode>,
-    ) -> Result<(), PlatformError> {
+    ) {
         let now = self.clock.now_ms();
         let Some(rec) = self.records.get_mut(&id) else {
-            return Ok(());
+            return;
         };
         rec.state = state;
         rec.error = error;
         rec.abort_code = abort_code;
         rec.finished_ms = Some(now);
         let rec_clone = rec.clone();
-        self.persist_record(&rec_clone)?;
+        self.persist_record(&rec_clone);
         self.locks.release_all(id);
         self.running.remove(&id);
         self.started_at.remove(&id);
@@ -931,7 +903,6 @@ impl<'a> Controller<'a> {
         });
         self.finalized_since_ckpt += 1;
         self.gc_queue.push_back((id, now));
-        Ok(())
     }
 
     /// TERM, then KILL, transactions stuck in physical execution (paper §4).
@@ -950,7 +921,7 @@ impl<'a> Controller<'a> {
             if let Some(kill_ms) = self.cfg.kill_timeout_ms {
                 if elapsed > kill_ms {
                     self.client.put_json(&layout::signal(id), &Signal::Kill)?;
-                    self.kill_logically(id, "killed after stall timeout")?;
+                    self.kill_logically(id, "killed after stall timeout");
                     continue;
                 }
             }
@@ -988,7 +959,7 @@ impl<'a> Controller<'a> {
         // than the grace period (clients may still be reading outcomes).
         let now = self.clock.now_ms();
         while let Some(&(id, finalized_at)) = self.gc_queue.front() {
-            if now.saturating_sub(finalized_at) < self.cfg.gc_grace_ms {
+            if now.saturating_sub(finalized_at) < GC_GRACE_MS {
                 break;
             }
             self.gc_queue.pop_front();
@@ -1128,18 +1099,8 @@ impl<'a> Controller<'a> {
             if let Some(attempt) = obs.submit_attempt {
                 let id = TWIN_TXN_BASE + self.twin_next_seq;
                 self.twin_next_seq += 1;
-                let mount_str = mount.to_string();
-                let priority = if self
-                    .cfg
-                    .twin
-                    .critical_paths
-                    .iter()
-                    .any(|p| mount_str.starts_with(p.as_str()))
-                {
-                    Priority::High
-                } else {
-                    Priority::Batch
-                };
+                // Best-effort background work: never ahead of clients.
+                let priority = Priority::Batch;
                 // Keyed by (mount, drift fingerprint, attempt): crash
                 // redelivery dedups, while a genuine retry after backoff
                 // mints a fresh attempt number and runs.
@@ -1147,7 +1108,7 @@ impl<'a> Controller<'a> {
                 let msg = InputMsg::Submit {
                     id,
                     proc_name: TWIN_REPAIR_PROC.to_owned(),
-                    args: vec![Value::from(mount_str)],
+                    args: vec![Value::from(mount.to_string())],
                     submitted_ms: now,
                     priority,
                     deadline_ms: None,
@@ -1155,12 +1116,7 @@ impl<'a> Controller<'a> {
                     labels: vec![("origin".to_owned(), "twin".to_owned())],
                 };
                 let q = DistributedQueue::bind(self.client, layout::input_lane(priority));
-                let data = encode_input(msg);
-                if self.batch.enabled() {
-                    self.batch.push(q.enqueue_op(data));
-                } else {
-                    q.enqueue(data)?;
-                }
+                self.batch.push(q.enqueue_op(encode_input(msg)));
                 self.twin_inflight.insert(mount.clone(), id);
                 if self.twin.phase_of(&mount) == Some(TwinPhase::Reconciling) {
                     self.publish_twin(
@@ -1235,16 +1191,15 @@ impl<'a> Controller<'a> {
 
     fn do_repair(&mut self, scope: &Path) -> AdminResult {
         let Some(registry) = self.mode.registry().cloned() else {
-            return AdminResult {
-                ok: false,
-                message: "repair requires physical mode".into(),
-                actions: 0,
-                drifted: 0,
-            };
+            return admin_refused("repair requires physical mode");
         };
-        // The one-shot operator repair is the same diff → plan → invoke
-        // fixpoint the twin reconciler converges with ([`repair_fixpoint`]),
-        // so the two paths cannot diverge in behavior.
+        // `self.tree` already holds the logical effects of every `Started`
+        // transaction; without the lock, repair would push a not-yet-executed
+        // action onto the devices and the worker's own call would then fail.
+        let repair_txn = match self.lock_admin_scope("repair", scope) {
+            Ok(id) => id,
+            Err(conflict) => return conflict,
+        };
         let out = repair_fixpoint(
             &self.tree,
             registry.as_ref(),
@@ -1252,6 +1207,7 @@ impl<'a> Controller<'a> {
             &self.service.repair_rules,
             3,
         );
+        self.locks.release_all(repair_txn);
         if out.ok {
             self.clear_inconsistent_under(scope);
         }
@@ -1275,6 +1231,22 @@ impl<'a> Controller<'a> {
         }
     }
 
+    /// `repair` and `reload` behave like transactions: they take a W lock on
+    /// the scope under an [`ADMIN_TXN_BASE`] id so they cannot race
+    /// outstanding transactions (paper §4). The caller releases the lock on
+    /// every exit; a conflict comes back as the failed result to report.
+    fn lock_admin_scope(&mut self, op: &str, scope: &Path) -> Result<TxnId, AdminResult> {
+        let admin_txn: TxnId = ADMIN_TXN_BASE + self.next_lsn;
+        let requests = crate::locks::with_intentions(scope, crate::locks::LockMode::W);
+        match self.locks.try_acquire(admin_txn, &requests) {
+            Ok(()) => Ok(admin_txn),
+            Err(c) => Err(admin_refused(format!(
+                "{op} conflicts with outstanding transaction at {}",
+                c.path
+            ))),
+        }
+    }
+
     /// `reload`: replace the logical subtree with freshly-retrieved physical
     /// state, under a write lock and full constraint validation.
     fn handle_reload(&mut self, scope: Path, admin_id: u64) -> Result<(), PlatformError> {
@@ -1285,28 +1257,12 @@ impl<'a> Controller<'a> {
 
     fn do_reload(&mut self, scope: &Path) -> AdminResult {
         let Some(registry) = self.mode.registry().cloned() else {
-            return AdminResult {
-                ok: false,
-                message: "reload requires physical mode".into(),
-                actions: 0,
-                drifted: 0,
-            };
+            return admin_refused("reload requires physical mode");
         };
-        // Reload behaves like a transaction: it takes a W lock on the scope
-        // so it cannot race outstanding transactions (paper §4).
-        let reload_txn: TxnId = ADMIN_TXN_BASE + self.next_lsn;
-        let requests = crate::locks::with_intentions(scope, crate::locks::LockMode::W);
-        if let Err(c) = self.locks.try_acquire(reload_txn, &requests) {
-            return AdminResult {
-                ok: false,
-                message: format!(
-                    "reload conflicts with outstanding transaction at {}",
-                    c.path
-                ),
-                actions: 0,
-                drifted: 0,
-            };
-        }
+        let reload_txn = match self.lock_admin_scope("reload", scope) {
+            Ok(id) => id,
+            Err(conflict) => return conflict,
+        };
         let physical = registry.physical_tree();
         // The drifted count a reload reports: distinct logical paths that
         // diverged from physical state before the subtree swap.
@@ -1319,32 +1275,17 @@ impl<'a> Controller<'a> {
         };
         let Some(new_subtree) = physical.get(scope).cloned() else {
             self.locks.release_all(reload_txn);
-            return AdminResult {
-                ok: false,
-                message: format!("no physical state at {scope}"),
-                actions: 0,
-                drifted: 0,
-            };
+            return admin_refused(format!("no physical state at {scope}"));
         };
         // Validate on a candidate tree before committing the swap.
         let mut candidate = self.tree.clone();
         if candidate.replace(scope, new_subtree.clone()).is_err() {
             self.locks.release_all(reload_txn);
-            return AdminResult {
-                ok: false,
-                message: format!("logical tree has no node at {scope}"),
-                actions: 0,
-                drifted: 0,
-            };
+            return admin_refused(format!("logical tree has no node at {scope}"));
         }
         if let Err(v) = self.service.constraints.check_all(&candidate) {
             self.locks.release_all(reload_txn);
-            return AdminResult {
-                ok: false,
-                message: format!("reload aborted: {v}"),
-                actions: 0,
-                drifted: 0,
-            };
+            return admin_refused(format!("reload aborted: {v}"));
         }
         let nodes = new_subtree.subtree_size();
         self.tree = candidate;
@@ -1368,25 +1309,17 @@ impl<'a> Controller<'a> {
             undo_args: vec![],
             best_effort: false,
         }];
-        let persist = self.persist_record(&rec);
+        self.persist_record(&rec);
         self.records.insert(rec.id, rec);
         self.gc_queue.push_back((reload_txn, self.clock.now_ms()));
         self.finalized_since_ckpt += 1;
         self.locks.release_all(reload_txn);
         self.metrics.record_reload();
-        match persist {
-            Ok(()) => AdminResult {
-                ok: true,
-                message: format!("reloaded {nodes} node(s)"),
-                actions: nodes,
-                drifted,
-            },
-            Err(e) => AdminResult {
-                ok: false,
-                message: format!("reload persisted partially: {e}"),
-                actions: nodes,
-                drifted,
-            },
+        AdminResult {
+            ok: true,
+            message: format!("reloaded {nodes} node(s)"),
+            actions: nodes,
+            drifted,
         }
     }
 
@@ -1394,58 +1327,18 @@ impl<'a> Controller<'a> {
     // Helpers.
     // ------------------------------------------------------------------
 
-    /// Writes `data` to `path` — buffered into the round batch under group
-    /// commit, immediately otherwise. `exists` picks create vs. set; the
-    /// immediate path self-corrects a stale hint, the batched path lets the
-    /// flush fail and leadership recovery resolve it.
-    fn write_znode(
-        &mut self,
-        path: Path,
-        data: Vec<u8>,
-        exists: bool,
-    ) -> Result<(), PlatformError> {
-        if self.batch.enabled() {
-            self.batch.put(path, data, exists);
-            return Ok(());
-        }
-        if exists {
-            match self.client.set_data(&path, data.clone(), None) {
-                Ok(_) => Ok(()),
-                Err(CoordError::NoNode(_)) => {
-                    self.client.create(&path, data, CreateMode::Persistent)?;
-                    Ok(())
-                }
-                Err(e) => Err(e.into()),
-            }
-        } else {
-            match self
-                .client
-                .create(&path, data.clone(), CreateMode::Persistent)
-            {
-                Ok(_) => Ok(()),
-                Err(CoordError::NodeExists(_)) => {
-                    self.client.set_data(&path, data, None)?;
-                    Ok(())
-                }
-                Err(e) => Err(e.into()),
-            }
-        }
-    }
-
-    fn persist_record(&mut self, rec: &TxnRecord) -> Result<(), PlatformError> {
+    fn persist_record(&mut self, rec: &TxnRecord) {
         let data = serde_json::to_vec(rec).expect("serializable record");
         let exists = self.persisted.contains(&rec.id);
-        self.write_znode(layout::txn(rec.id), data, exists)?;
+        self.batch.put(layout::txn(rec.id), data, exists);
         self.persisted.insert(rec.id);
-        Ok(())
     }
 
-    fn mark_inconsistent(&mut self, path: &Path) -> Result<(), PlatformError> {
+    fn mark_inconsistent(&mut self, path: &Path) {
         if self.tree.mark_inconsistent(path, true).is_ok() {
             self.inconsistent.insert(path.clone());
-            self.persist_inconsistent()?;
+            self.persist_inconsistent();
         }
-        Ok(())
     }
 
     fn clear_inconsistent_under(&mut self, scope: &Path) {
@@ -1460,17 +1353,26 @@ impl<'a> Controller<'a> {
             self.inconsistent.remove(p);
         }
         if !cleared.is_empty() {
-            let _ = self.persist_inconsistent();
+            self.persist_inconsistent();
         }
     }
 
-    fn persist_inconsistent(&mut self) -> Result<(), PlatformError> {
+    fn persist_inconsistent(&mut self) {
         let paths: Vec<&Path> = self.inconsistent.iter().collect();
         let data = serde_json::to_vec(&paths).expect("serializable paths");
         let exists = self.inconsistent_persisted;
-        self.write_znode(layout::inconsistent(), data, exists)?;
+        self.batch.put(layout::inconsistent(), data, exists);
         self.inconsistent_persisted = true;
-        Ok(())
+    }
+}
+
+/// The result of an admin operation refused before it changed anything.
+fn admin_refused(message: impl Into<String>) -> AdminResult {
+    AdminResult {
+        ok: false,
+        message: message.into(),
+        actions: 0,
+        drifted: 0,
     }
 }
 
@@ -1545,6 +1447,57 @@ mod tests {
         assert!(def
             .derive_undo(&tree, &Path::parse("/a").unwrap(), &[])
             .is_none());
+    }
+
+    /// The commit path's shape, pinned: whatever a round decides reaches
+    /// the store as one atomic multi. A per-record write creeping back into
+    /// `step()` shows up here as a second write.
+    #[test]
+    fn round_reaches_the_store_as_exactly_one_multi() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let mut service = ServiceDefinition::default();
+        service
+            .procs
+            .register(Arc::new(FnProcedure::new("noop", |_| Ok(()))));
+        let cfg = ControllerConfig {
+            name: "c0".into(),
+            checkpoint_every: 0,
+            term_timeout_ms: None,
+            kill_timeout_ms: None,
+            twin: TwinConfig::default(),
+            twin_feed: TwinFeed::new(),
+        };
+        let mut controller = Controller::new(
+            cfg,
+            &client,
+            Arc::new(service),
+            ExecMode::LogicalOnly,
+            tropic_model::real_clock(),
+            Metrics::new(),
+        );
+        controller.recover().unwrap();
+        let lane = DistributedQueue::bind(&client, layout::input_lane(Priority::Normal));
+        for id in 1..=8 {
+            let (msg, _) = crate::api::TxnRequest::new("noop").into_msg(id, 0).unwrap();
+            lane.enqueue(encode_input(msg)).unwrap();
+        }
+
+        let before = coord.stats();
+        assert!(controller.step().unwrap());
+        let after = coord.stats();
+        assert_eq!(after.multis - before.multis, 1, "one flush per round");
+        assert_eq!(
+            after.writes - before.writes,
+            1,
+            "a single-op write escaped the round batch"
+        );
+        // 8 inputQ removals + 8 coalesced record puts + 8 phyQ appends.
+        assert_eq!(after.batched_ops - before.batched_ops, 24);
+        assert_eq!(controller.running_len(), 8);
+        assert!(lane.is_empty().unwrap());
+        let phy_q = DistributedQueue::bind(&client, layout::phy_q());
+        assert_eq!(phy_q.len().unwrap(), 8);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use reconcile::{RepairPlan, RepairRules};
 pub use rpc::{RemoteAdmin, RemoteClient, RemoteHandle, RemoteSubscription, RpcServer};
 pub use stats::{Counters, Event, Metrics, TxnSample};
 pub use twin::{
-    backoff_delay_ms, drift_fingerprint, repair_fixpoint, DriftObservation, SyncRepairOutcome,
-    TwinEvent, TwinFeed, TwinPhase, TwinSubscription, TwinTracker, TWIN_REPAIR_PROC,
+    backoff_delay_ms, drift_fingerprint, DriftObservation, TwinEvent, TwinFeed, TwinPhase,
+    TwinSubscription, TwinTracker, TWIN_REPAIR_PROC,
 };
 pub use txn::{format_execution_log, LogRecord, TxnAlias, TxnId, TxnOutcome, TxnRecord, TxnState};
-pub use worker::{run_worker, run_worker_with, WorkerOptions};
+pub use worker::run_worker;

@@ -24,8 +24,13 @@ use crate::physical::ExecMode;
 use crate::stats::Metrics;
 use crate::twin::{TwinFeed, TwinSubscription};
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
-use crate::worker::{run_worker_with, WorkerOptions};
+use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
+
+/// How long an idle leader waits on its input-lane watches before running
+/// another round anyway (timeouts, twin ticks and checkpoints are
+/// time-driven, not message-driven).
+const LEADER_IDLE_WAIT: Duration = Duration::from_millis(25);
 
 struct ControllerHandle {
     name: String,
@@ -183,12 +188,8 @@ impl Tropic {
                 let cfg = ControllerConfig {
                     name: name.clone(),
                     checkpoint_every: config.checkpoint_every,
-                    gc_grace_ms: config.gc_grace_ms,
                     term_timeout_ms: config.term_timeout_ms,
                     kill_timeout_ms: config.kill_timeout_ms,
-                    poll_ms: config.poll_ms,
-                    group_commit: config.group_commit,
-                    input_batch: config.input_batch,
                     twin: config.twin.clone(),
                     twin_feed: twin_feed.clone(),
                 };
@@ -215,13 +216,9 @@ impl Tropic {
             let coord = Arc::clone(&coord);
             let mode = mode.clone();
             let stop = Arc::clone(&stop);
-            let opts = WorkerOptions {
-                group_commit: config.group_commit,
-                ..WorkerOptions::default()
-            };
             let thread = std::thread::Builder::new()
                 .name(name.clone())
-                .spawn(move || run_worker_with(&name, &coord, mode, &stop, opts))
+                .spawn(move || run_worker(&name, &coord, mode, &stop))
                 .expect("spawn worker thread");
             workers.push(WorkerHandle {
                 thread: Some(thread),
@@ -775,7 +772,7 @@ fn controller_thread(
             }
             match controller.step() {
                 Ok(true) => {}
-                Ok(false) => controller.wait_for_input(Duration::from_millis(cfg.poll_ms)),
+                Ok(false) => controller.wait_for_input(LEADER_IDLE_WAIT),
                 Err(_) => {
                     // Session expired or quorum lost: resign and retry from
                     // scratch; persistent state carries everything needed.

@@ -64,7 +64,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use polling::{poll, PollFd, POLLIN, POLLOUT};
 use serde::{Deserialize, Serialize};
-use tropic_coord::{write_frame, FrameError, FrameReader};
+use tropic_coord::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 use tropic_model::Path;
 
 use crate::api::{AdminClient, ApiError, TxnEvent, TxnRequest};
@@ -74,6 +74,16 @@ use crate::platform::{PlatformShared, TropicClient};
 use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
 
+/// Upper bound on the reactor's readiness-poll timeout: the event loop
+/// wakes at least this often to re-check the shutdown flag and the observer
+/// lease even when no socket is ready.
+const REACTOR_POLL_MS: i32 = 20;
+/// Size of the dispatch pool the reactor hands non-blocking requests to.
+/// Each worker owns one coordination session; blocking calls (`Wait`,
+/// `Repair`, `Reload`) run on transient threads instead so they can never
+/// starve the pool. Small is right: the pool bounds *concurrency*, not
+/// connections — 10k idle connections still cost zero threads.
+const DISPATCH_THREADS: usize = 4;
 /// Bound on a connect attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Response bound for calls the server answers without blocking.
@@ -480,16 +490,7 @@ impl RpcServer {
             std::thread::Builder::new()
                 .name("tropic-rpc-reactor".into())
                 .spawn(move || {
-                    Reactor::new(
-                        listener,
-                        shared,
-                        cfg,
-                        stop,
-                        shutdown_requested,
-                        wake_tx,
-                        wake_rx,
-                    )
-                    .run()
+                    Reactor::new(listener, shared, stop, shutdown_requested, wake_tx, wake_rx).run()
                 })
                 .map_err(transport)?
         };
@@ -542,7 +543,6 @@ impl Drop for RpcServer {
 struct Reactor {
     listener: TcpListener,
     shared: PlatformShared,
-    cfg: RpcConfig,
     stop: Arc<AtomicBool>,
     shutdown_requested: Arc<AtomicBool>,
     conns: HashMap<u64, ConnState>,
@@ -567,11 +567,9 @@ struct Reactor {
 }
 
 impl Reactor {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         listener: TcpListener,
         shared: PlatformShared,
-        cfg: RpcConfig,
         stop: Arc<AtomicBool>,
         shutdown_requested: Arc<AtomicBool>,
         wake_tx: UnixStream,
@@ -584,7 +582,7 @@ impl Reactor {
         };
         let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded::<Job>();
         let mut workers = Vec::new();
-        for idx in 0..cfg.dispatch_threads.max(1) {
+        for idx in 0..DISPATCH_THREADS {
             let shared = shared.clone();
             let jobs = jobs_rx.clone();
             let done = done.clone();
@@ -601,7 +599,6 @@ impl Reactor {
         Reactor {
             listener,
             shared,
-            cfg,
             stop,
             shutdown_requested,
             conns: HashMap::new(),
@@ -622,10 +619,9 @@ impl Reactor {
     }
 
     fn run(mut self) {
-        let poll_ms = self.cfg.poll_ms.clamp(1, 1_000) as i32;
         while !self.stop.load(Ordering::SeqCst) {
             let (mut fds, tokens) = self.build_pollfds();
-            let _ = poll(&mut fds, poll_ms);
+            let _ = poll(&mut fds, REACTOR_POLL_MS);
             self.drain_wake_pipe();
             self.drain_completions();
             if fds.first().is_some_and(PollFd::readable) {
@@ -735,7 +731,6 @@ impl Reactor {
 
     /// Drains every complete frame the socket has to offer right now.
     fn read_conn(&mut self, token: u64) {
-        let max = self.cfg.max_frame_bytes;
         loop {
             enum ReadStep {
                 Frame(Vec<u8>),
@@ -750,7 +745,10 @@ impl Reactor {
                 if conn.dead || conn.close_after_flush {
                     return;
                 }
-                match conn.reader.read_from(&mut conn.stream, max) {
+                match conn
+                    .reader
+                    .read_from(&mut conn.stream, DEFAULT_MAX_FRAME_BYTES)
+                {
                     Ok(Some(payload)) => ReadStep::Frame(payload),
                     Ok(None) => ReadStep::Idle,
                     Err(FrameError::Closed) => ReadStep::Closed,
@@ -1304,7 +1302,6 @@ pub struct RemoteClient {
     addr: SocketAddr,
     /// `None` between a poisoned connection and the next call's re-dial.
     io: Mutex<Option<Conn>>,
-    max_frame_bytes: u32,
 }
 
 impl RemoteClient {
@@ -1319,18 +1316,7 @@ impl RemoteClient {
         Ok(RemoteClient {
             addr,
             io: Mutex::new(Some(conn)),
-            max_frame_bytes: tropic_coord::DEFAULT_MAX_FRAME_BYTES,
         })
-    }
-
-    /// Raises (or lowers) the frame-size cap this client accepts on
-    /// replies and subscription events. Must cover the server's
-    /// [`crate::config::RpcConfig::max_frame_bytes`] when that is raised
-    /// above the default, or large replies (e.g. a transaction record with
-    /// a long execution log) are rejected client-side as oversized.
-    pub fn with_max_frame_bytes(mut self, max_frame_bytes: u32) -> Self {
-        self.max_frame_bytes = max_frame_bytes;
-        self
     }
 
     fn dial(addr: &SocketAddr) -> Result<Conn, ApiError> {
@@ -1376,7 +1362,7 @@ impl RemoteClient {
         let deadline = Instant::now() + read_timeout + READ_GRACE;
         loop {
             // analyze:allow(blocking-under-lock): the io lock IS the line discipline — one in-flight call per connection
-            match reader.read_from(stream, self.max_frame_bytes) {
+            match reader.read_from(stream, DEFAULT_MAX_FRAME_BYTES) {
                 Ok(Some(payload)) => {
                     return match decode_response(&payload).map_err(ApiError::from)? {
                         RpcResponse::Error(e) => Err(e),
@@ -1400,8 +1386,8 @@ impl RemoteClient {
                 }
                 Err(e @ FrameError::Oversized { .. }) => {
                     // Permanent, mirroring the server's classification: a
-                    // reply past this client's cap fails identically on
-                    // every retry until `with_max_frame_bytes` is raised.
+                    // reply past the frame cap fails identically on every
+                    // retry.
                     *guard = None;
                     return Err(ApiError::InvalidRequest(e.to_string()));
                 }
@@ -1477,7 +1463,7 @@ impl RemoteClient {
     /// Opens a streaming subscription to transaction lifecycle events on a
     /// dedicated connection. Mirrors [`crate::TropicClient::subscribe`].
     pub fn subscribe(&self) -> Result<RemoteSubscription, ApiError> {
-        RemoteSubscription::open(self.addr, self.max_frame_bytes, false)
+        RemoteSubscription::open(self.addr, false)
     }
 
     /// Opens a streaming subscription to digital-twin phase transitions
@@ -1485,7 +1471,7 @@ impl RemoteClient {
     /// [`RemoteSubscription::recv_twin_timeout`] /
     /// [`RemoteSubscription::drain_twin`].
     pub fn subscribe_twin(&self) -> Result<RemoteSubscription, ApiError> {
-        RemoteSubscription::open(self.addr, self.max_frame_bytes, true)
+        RemoteSubscription::open(self.addr, true)
     }
 
     /// The operator plane, sharing this client's connection. Mirrors
@@ -1625,7 +1611,7 @@ pub struct RemoteSubscription {
 }
 
 impl RemoteSubscription {
-    fn open(addr: SocketAddr, max_frame_bytes: u32, twin: bool) -> Result<Self, ApiError> {
+    fn open(addr: SocketAddr, twin: bool) -> Result<Self, ApiError> {
         let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(transport)?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -1643,7 +1629,7 @@ impl RemoteSubscription {
         let mut reader = FrameReader::new();
         let deadline = Instant::now() + CALL_TIMEOUT;
         loop {
-            match reader.read_from(&mut stream, max_frame_bytes) {
+            match reader.read_from(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
                 Ok(Some(payload)) => match decode_response(&payload).map_err(ApiError::from)? {
                     RpcResponse::Subscribed => break,
                     RpcResponse::Error(e) => return Err(e),
@@ -1669,7 +1655,7 @@ impl RemoteSubscription {
                 .name("tropic-remote-subscriber".into())
                 .spawn(move || {
                     loop {
-                        match reader.read_from(&mut stream, max_frame_bytes) {
+                        match reader.read_from(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
                             Ok(Some(payload)) => {
                                 // Anything that is not a decodable event is
                                 // tolerated and skipped: the stream must

@@ -14,9 +14,10 @@
 //! * **Reconciler** — each pass, the leading controller diffs the desired
 //!   (logical) tree against every mount's reported state with `Tree::diff`
 //!   and, when they disagree, submits a corrective `__twinRepair`
-//!   transaction through the normal priority lanes (batch by default, high
-//!   for configured-critical paths) with an idempotency key so re-detection
-//!   of the same drift never double-fires.
+//!   transaction on the batch lane with an idempotency key so re-detection
+//!   of the same drift never double-fires. The transaction plans its
+//!   device calls through [`crate::proc::TxnContext::reconcile`] against
+//!   fresh physical state.
 //! * **Waker** — the [`TwinTracker`] paces repair attempts per resource
 //!   with exponential backoff plus deterministic jitter, and escalates to
 //!   [`TwinPhase::Degraded`] after the configured attempts (a degraded
@@ -27,10 +28,9 @@
 //!   frontend streams to remote subscribers (`RemoteSubscription`'s twin
 //!   filter).
 //!
-//! The synchronous [`repair_fixpoint`] at the bottom is the shared core of
-//! the operator-facing one-shot `repair` and the twin's corrective planning:
-//! both diff with the same machinery and plan with the same
-//! [`RepairRules`], so the paths cannot diverge.
+//! The synchronous `repair_fixpoint` at the bottom serves only the
+//! operator-facing one-shot `repair`; the twin does not call it. Both plan
+//! with the same [`RepairRules`] over the same `Tree::diff`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -359,7 +359,7 @@ impl TwinTracker {
 
 /// Outcome of a synchronous repair fixpoint ([`repair_fixpoint`]).
 #[derive(Clone, Debug, Default)]
-pub struct SyncRepairOutcome {
+pub(crate) struct SyncRepairOutcome {
     /// The layers agree after the fixpoint (empty final diff).
     pub ok: bool,
     /// Corrective device calls that succeeded.
@@ -381,7 +381,7 @@ pub struct SyncRepairOutcome {
 /// possible after earlier ones (an image cannot be unimported while a rogue
 /// VM references it), so it re-diffs and re-plans up to `rounds` times;
 /// convergence — an empty final diff — is the success criterion.
-pub fn repair_fixpoint(
+pub(crate) fn repair_fixpoint(
     logical: &Tree,
     registry: &DeviceRegistry,
     scope: &Path,
@@ -430,7 +430,6 @@ mod tests {
             backoff_base_ms: 100,
             backoff_cap_ms: 1_000,
             max_attempts: 3,
-            critical_paths: vec![],
         }
     }
 

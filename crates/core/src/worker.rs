@@ -18,51 +18,22 @@ use crate::msg::{encode_input, layout, InputMsg, PhyTask, Signal};
 use crate::physical::{execute_physical, ExecMode};
 use crate::txn::TxnRecord;
 
-/// Tuning knobs for a worker's queue behaviour.
-#[derive(Clone, Debug)]
-pub struct WorkerOptions {
-    /// Claim up to [`WorkerOptions::claim_batch`] tasks in one atomic multi
-    /// (group commit). Outcomes are still reported the moment each task
-    /// finishes — withholding a finished result until its batch-mates
-    /// execute would stretch commit latency and invite spurious TERM/KILL
-    /// on already-committed work.
-    pub group_commit: bool,
-    /// Maximum tasks claimed per round when group commit is on. Small, so
-    /// one worker cannot starve the others under load.
-    pub claim_batch: usize,
-    /// Initial idle wait when `phyQ` is empty.
-    pub idle_backoff_start: Duration,
-    /// Ceiling of the exponential idle backoff. A children watch still
-    /// wakes the worker the moment an item lands, so long waits add no
-    /// dispatch latency — they only shed idle re-polling load.
-    pub idle_backoff_max: Duration,
-}
-
-impl Default for WorkerOptions {
-    fn default() -> Self {
-        WorkerOptions {
-            group_commit: true,
-            claim_batch: 4,
-            idle_backoff_start: Duration::from_millis(50),
-            idle_backoff_max: Duration::from_millis(1_600),
-        }
-    }
-}
-
-/// Runs one worker with default options until `stop` becomes true.
-pub fn run_worker(name: &str, coord: &CoordService, mode: ExecMode, stop: &AtomicBool) {
-    run_worker_with(name, coord, mode, stop, WorkerOptions::default());
-}
+/// Maximum tasks claimed per round, in one atomic multi. Small, so one
+/// worker cannot starve the others under load. Outcomes are still reported
+/// the moment each task finishes — withholding a finished result until its
+/// batch-mates execute would stretch commit latency and invite spurious
+/// TERM/KILL on already-committed work.
+const CLAIM_BATCH: usize = 4;
+/// Initial idle wait when `phyQ` is empty.
+const IDLE_BACKOFF_START: Duration = Duration::from_millis(50);
+/// Ceiling of the exponential idle backoff. A children watch still wakes the
+/// worker the moment an item lands, so long waits add no dispatch latency —
+/// they only shed idle re-polling load.
+const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(1_600);
 
 /// Runs one worker until `stop` becomes true. Designed to be spawned on a
 /// dedicated thread by the platform.
-pub fn run_worker_with(
-    name: &str,
-    coord: &CoordService,
-    mode: ExecMode,
-    stop: &AtomicBool,
-    opts: WorkerOptions,
-) {
+pub fn run_worker(name: &str, coord: &CoordService, mode: ExecMode, stop: &AtomicBool) {
     let client = coord.connect(name);
     // Workers block inside device calls for arbitrarily long; a background
     // heartbeat keeps the session alive meanwhile (a crashed worker thread
@@ -77,19 +48,13 @@ pub fn run_worker_with(
     let Ok(input_q) = DistributedQueue::new(&client, layout::input_lane(Priority::High)) else {
         return;
     };
-    let mut idle_wait = opts.idle_backoff_start;
+    let mut idle_wait = IDLE_BACKOFF_START;
     while !stop.load(Ordering::SeqCst) {
         // Claim the head of the queue — everything already waiting, bounded,
-        // in one atomic multi under group commit; one item at a time
-        // otherwise.
-        let claim = if opts.group_commit {
-            phy_q.try_dequeue_batch(opts.claim_batch.max(1))
-        } else {
-            phy_q.try_dequeue().map(|item| item.into_iter().collect())
-        };
-        let claimed = match claim {
+        // in one atomic multi.
+        let claimed = match phy_q.try_dequeue_batch(CLAIM_BATCH) {
             Ok(items) if !items.is_empty() => {
-                idle_wait = opts.idle_backoff_start;
+                idle_wait = IDLE_BACKOFF_START;
                 items
             }
             Ok(_) => {
@@ -97,7 +62,7 @@ pub fn run_worker_with(
                 // exponentially while the queue stays empty. The wait is
                 // stop-aware, so long backoffs never delay shutdown.
                 let _ = phy_q.await_items(idle_wait, stop);
-                idle_wait = (idle_wait * 2).min(opts.idle_backoff_max);
+                idle_wait = (idle_wait * 2).min(IDLE_BACKOFF_MAX);
                 continue;
             }
             Err(_) => {
@@ -112,7 +77,7 @@ pub fn run_worker_with(
                         std::thread::sleep(Duration::from_millis(5));
                     }
                 }
-                idle_wait = (idle_wait * 2).min(opts.idle_backoff_max);
+                idle_wait = (idle_wait * 2).min(IDLE_BACKOFF_MAX);
                 continue;
             }
         };

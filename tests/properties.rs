@@ -491,7 +491,6 @@ proptest! {
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 256,
             delta_chain_max: chain_max,
-            ..DurabilityOptions::default()
         };
         let mut live = Ensemble::with_durability(1, 1, tmp.path(), opts.clone()).unwrap();
         for op in &ops {

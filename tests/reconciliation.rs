@@ -101,6 +101,47 @@ fn repair_removes_rogue_vm_and_restores_lost_image() {
     platform.shutdown();
 }
 
+/// `repair` behaves like a transaction (paper §4): the logical tree already
+/// holds a `Started` transaction's effects, so a repair that raced it would
+/// "repair" the not-yet-executed VM into existence and make the worker's
+/// own device calls fail. It must refuse on the lock conflict instead.
+#[test]
+fn repair_refuses_to_race_an_in_flight_transaction() {
+    let spec = spec();
+    // The first device call is slow, so the spawn sits in `Started` with
+    // nothing executed yet while the repair request arrives.
+    let latency = LatencyModel::zero().with_action("cloneImage", Duration::from_millis(1_500));
+    let (platform, devices) = start_with_latency(&spec, latency);
+    let client = platform.client();
+    let id = client
+        .submit("spawnVM", spec.spawn_args("inflight", 0, 2_048))
+        .unwrap();
+    let deadline = std::time::Instant::now() + WAIT;
+    while client.txn_record(id).unwrap().map(|r| r.state) != Some(TxnState::Started) {
+        assert!(std::time::Instant::now() < deadline, "spawn never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let raced = platform.repair(&Path::root(), WAIT).unwrap();
+    assert!(!raced.ok, "repair ran against an in-flight transaction");
+    assert!(
+        raced
+            .message
+            .starts_with("repair conflicts with outstanding transaction at "),
+        "{}",
+        raced.message
+    );
+    assert_eq!(raced.actions, 0);
+
+    let o = client.wait(id, WAIT).unwrap();
+    assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
+    assert_eq!(devices.computes[0].vm_count(), 1);
+    let settled = platform.repair(&Path::root(), WAIT).unwrap();
+    assert!(settled.ok, "{}", settled.message);
+    assert_eq!(settled.actions, 0, "the spawn left nothing to repair");
+    platform.shutdown();
+}
+
 /// `reload` pulls unexpected physical state into the logical layer: after
 /// an operator provisions a VM via the device CLI, reload makes TROPIC
 /// manage it.
