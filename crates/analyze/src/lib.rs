@@ -9,7 +9,8 @@
 //! - **schema-drift** — fingerprints of the registered wire/WAL types
 //!   vs the committed `WIRE_SCHEMAS.lock`.
 //! - **panic-path** — unwrap/expect/panic!/indexing in production code
-//!   vs the per-file budgets in `analyze/allow.toml`.
+//!   of the product crates (`panics::CENSUS_ROOTS`; the tool crates are
+//!   exempt) vs the per-file budgets in `analyze/allow.toml`.
 //!
 //! Deliberate sites are annotated inline with
 //! `// analyze:allow(<check>): <reason>`. See `docs/STATIC_ANALYSIS.md`.
@@ -148,17 +149,19 @@ pub fn analyze(opts: &Options) -> Result<Analysis, String> {
             checker.run(&scopes, &mut graph, &mut findings);
         }
 
-        let sites = panics::collect(&lexed, &scopes);
-        if !sites.is_empty() {
-            panic_counts.insert(rel.clone(), sites.len());
+        if panics::in_census(rel) {
+            let sites = panics::collect(&lexed, &scopes);
+            if !sites.is_empty() {
+                panic_counts.insert(rel.clone(), sites.len());
+            }
+            panics::apply_budget(
+                rel,
+                &sites,
+                allowlist.budget(rel),
+                &mut findings,
+                &mut notices,
+            );
         }
-        panics::apply_budget(
-            rel,
-            &sites,
-            allowlist.budget(rel),
-            &mut findings,
-            &mut notices,
-        );
 
         lexed_files.insert(rel.clone(), lexed);
     }

@@ -1,5 +1,6 @@
 //! Panic-path audit: `unwrap`/`expect`/`panic!`-family macros and
-//! slice indexing in production (non-test) code.
+//! slice indexing in production (non-test) code of the product crates
+//! ([`CENSUS_ROOTS`]).
 //!
 //! Sites suppressed by an inline `// analyze:allow(panic-path): …`
 //! comment don't count. The remainder is compared against the per-file
@@ -9,6 +10,25 @@
 use crate::lexer::{Lexed, TokKind};
 use crate::report::{check, Finding};
 use crate::scope::FileScopes;
+
+/// Where panic sites are counted: the product — the umbrella crate and the
+/// five crates a served platform links. The tool crates (`analyze`,
+/// `bench`, `workload`) are exempt: an `expect` on a missing input file is
+/// their right behaviour, and budgeting it only buried the product's
+/// numbers. The other three checks still walk every crate.
+pub const CENSUS_ROOTS: &[&str] = &[
+    "src/",
+    "crates/model/src/",
+    "crates/coord/src/",
+    "crates/devices/src/",
+    "crates/core/src/",
+    "crates/tcloud/src/",
+];
+
+/// Whether `file` (repo-relative) is product code the census covers.
+pub fn in_census(file: &str) -> bool {
+    CENSUS_ROOTS.iter().any(|root| file.starts_with(root))
+}
 
 /// Macros that abort the thread.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
@@ -144,6 +164,18 @@ mod tests {
         );
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].line, 4);
+    }
+
+    #[test]
+    fn census_covers_product_crates_only() {
+        assert!(in_census("src/lib.rs") && in_census("crates/coord/src/wal.rs"));
+        for tool in [
+            "analyze/src/lexer.rs",
+            "bench/src/gate.rs",
+            "workload/src/chaos.rs",
+        ] {
+            assert!(!in_census(&format!("crates/{tool}")), "{tool}");
+        }
     }
 
     #[test]

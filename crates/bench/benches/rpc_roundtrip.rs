@@ -20,24 +20,24 @@
 //!
 //! A fourth variant measures the reactor's scale-out claim directly:
 //!
-//! * `concurrent_connections` — `TROPIC_BENCH_MIN_CONNS` (default 1 000)
-//!   idle streaming subscriptions are opened and **held live** on the one
+//! * `concurrent_connections` — `MIN_LIVE_CONNECTIONS` (1 000) idle
+//!   streaming subscriptions are opened and **held live** on the one
 //!   event loop, then the ping round trip is timed under that load. The
 //!   held count is appended to the `TROPIC_BENCH_JSON` stream as the
 //!   `rpc_roundtrip/live_connections` row.
 //!
-//! `ci.sh --bench-snapshot` records the means in `BENCH_rpc.json` (per
-//! transaction: 2×`WINDOW` txns per iteration for the first two variants,
-//! 2×`BATCH` for the third), gates `over_socket / in_process` under
-//! `TROPIC_BENCH_MAX_RPC_OVERHEAD`, and gates the held connection count
-//! at `TROPIC_BENCH_MIN_CONNS`: the frontend may tax the round trip, but
-//! never by more than the configured multiple, and it must genuinely
-//! sustain the configured connection fan-in.
+//! `ci.sh --bench-snapshot` records the means in `BENCH_rpc.json` (each
+//! iteration is 2×`WINDOW` txns for the first two variants, 2×`BATCH` for
+//! the third); `bench-gate` holds `over_socket / in_process` and the held
+//! connection count to the `socket_over_in_process` and `live_connections`
+//! limits in `tropic_bench::gate`: the frontend may tax the round trip,
+//! but never by more than that multiple, and it must genuinely sustain
+//! that connection fan-in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+use tropic_bench::{emit_row, gate::MIN_LIVE_CONNECTIONS};
 use tropic_coord::{write_frame, FrameReader};
 use tropic_core::rpc::{decode_response, encode_request, RpcRequest, RpcResponse};
 use tropic_core::{ExecMode, PlatformConfig, RemoteClient, Tropic, TxnRequest, TxnState};
@@ -45,7 +45,7 @@ use tropic_tcloud::TopologySpec;
 
 const BATCH: usize = 16;
 /// In-flight submissions per wave in the `in_process`/`over_socket`
-/// drivers. Keep `ci.sh`'s `pipeline_txns` (= 2×WINDOW) in step.
+/// drivers.
 const WINDOW: usize = 8;
 
 fn spec() -> TopologySpec {
@@ -118,25 +118,6 @@ fn hold_subscriptions(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
         held.push(stream);
     }
     held
-}
-
-/// Appends the held-connection count to the `TROPIC_BENCH_JSON` stream in
-/// the same one-line shape the criterion shim emits, so `ci.sh` can gate
-/// on it without a second output channel.
-fn record_live_connections(held: usize) {
-    let Some(path) = std::env::var_os("TROPIC_BENCH_JSON") else {
-        return;
-    };
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        let _ = writeln!(
-            f,
-            "{{\"name\":\"rpc_roundtrip/live_connections\",\"mean_ns\":{held},\"iterations\":{held}}}"
-        );
-    }
 }
 
 /// One pipelined wave: submit every request (each its own submit call on
@@ -243,17 +224,18 @@ fn bench(c: &mut Criterion) {
     // old thread-per-connection server this many streams meant this many
     // threads; the reactor must hold them as file descriptors only and
     // keep the request path interactive.
-    let min_conns: usize = std::env::var("TROPIC_BENCH_MIN_CONNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000);
-    let held = hold_subscriptions(server.addr(), min_conns);
+    let held = hold_subscriptions(server.addr(), MIN_LIVE_CONNECTIONS);
     group.bench_function("concurrent_connections", |b| {
         b.iter(|| {
             remote.ping().expect("ping under connection load");
         })
     });
-    record_live_connections(held.len());
+    emit_row(
+        "rpc_roundtrip/live_connections",
+        held.len() as u64,
+        "count",
+        1,
+    );
     drop(held);
 
     group.finish();

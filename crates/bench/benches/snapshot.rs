@@ -12,14 +12,13 @@
 //! * `chain_load`  — recovery's `snapshot::load_chain` over
 //!   `full + delta`, the read-side cost of chaining.
 //!
-//! Besides the timings, the bench appends two byte-count lines to
-//! `TROPIC_BENCH_JSON` (`snapshot/full_bytes`, `snapshot/delta_bytes`,
-//! sizes in the `mean_ns` field): `ci.sh --bench-snapshot` gates their
-//! ratio under `TROPIC_BENCH_MAX_DELTA_RATIO` — a delta at 5%-dirty must
-//! cost ≤ 25% of a full rewrite, with slack for per-record framing.
+//! Besides the timings, the bench appends two byte-count rows to
+//! `TROPIC_BENCH_JSON` (`snapshot/full_bytes`, `snapshot/delta_bytes`):
+//! `bench-gate` holds their ratio to the `delta_over_full_bytes` limit in
+//! `tropic_bench::gate` — a delta at 5%-dirty must cost ≤ 25% of a full
+//! rewrite, with slack for per-record framing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::io::Write as _;
 use std::time::Duration;
 
 use tropic_coord::{snapshot, Op, TempDir, ZnodeStore};
@@ -54,24 +53,6 @@ fn populated() -> (ZnodeStore, u64) {
             .expect("create");
     }
     (store, zxid)
-}
-
-/// Appends a parser-compatible JSON line carrying a byte count in the
-/// `mean_ns` field (the snapshot gate reads it back as a size).
-fn record_bytes(name: &str, bytes: u64) {
-    let Some(path) = std::env::var_os("TROPIC_BENCH_JSON") else {
-        return;
-    };
-    if let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = writeln!(
-            file,
-            "{{\"name\":\"snapshot/{name}\",\"mean_ns\":{bytes},\"iterations\":1}}"
-        );
-    }
 }
 
 fn bench(c: &mut Criterion) {
@@ -134,8 +115,8 @@ fn bench(c: &mut Criterion) {
     });
 
     group.finish();
-    record_bytes("full_bytes", full_bytes);
-    record_bytes("delta_bytes", delta_bytes);
+    tropic_bench::emit_row("snapshot/full_bytes", full_bytes, "bytes", 1);
+    tropic_bench::emit_row("snapshot/delta_bytes", delta_bytes, "bytes", 1);
 }
 
 criterion_group!(benches, bench);

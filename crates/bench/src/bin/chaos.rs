@@ -10,9 +10,8 @@
 //!   power-loss restart through a **torn WAL tail** and a second load
 //!   phase on the recovered platform. Exits non-zero on any acknowledged
 //!   transaction lost, in either phase.
-//! * `bench` — a fixed-shape run that appends per-lane p50/p99 and
-//!   `acked_lost` rows to `TROPIC_BENCH_JSON` in the parser-compatible
-//!   bench format (latencies carried as nanoseconds in `mean_ns`), for the
+//! * `bench` — a fixed-shape run that appends per-lane p50/p99 (`ms`) and
+//!   `acked_lost` (`count`) rows to `TROPIC_BENCH_JSON`, for the
 //!   `BENCH_chaos.json` regression gate in `ci.sh --bench-snapshot`.
 //! * `run` — a knob-driven run for operators (see
 //!   `docs/STRESS_TESTING.md`), printing the report JSON to stdout.
@@ -23,10 +22,9 @@
 //! at `TROPIC_CHAOS_REPORT` (default `CHAOS_report.json` in smoke mode,
 //! stdout otherwise).
 
-use std::io::Write;
 use std::time::Duration;
 
-use tropic_bench::{env_f64, env_usize};
+use tropic_bench::{emit_row, env_f64, env_usize};
 use tropic_coord::{CoordConfig, DurabilityOptions, SyncPolicy, TempDir};
 use tropic_core::{ExecMode, PlatformConfig, Tropic, TxnRequest, TxnState};
 use tropic_devices::LatencyModel;
@@ -127,37 +125,22 @@ fn write_report(report: &ChaosReport, default_path: Option<&str>) {
     }
 }
 
-/// Appends parser-compatible bench rows: per-lane p50/p99 (nanoseconds in
-/// `mean_ns`, committed count in `iterations`) plus the acked-loss count.
+/// Appends the gate rows: per-lane committed p50/p99 (samples = committed
+/// count) plus the acked-loss count (samples = submissions).
 fn emit_bench_rows(report: &ChaosReport) {
-    let Some(path) = std::env::var_os("TROPIC_BENCH_JSON") else {
-        return;
-    };
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .expect("open TROPIC_BENCH_JSON");
     for lane in &report.lanes {
         let stats = &lane.committed_latency;
         for (metric, ms) in [("p50", stats.p50_ms), ("p99", stats.p99_ms)] {
-            writeln!(
-                file,
-                "{{\"name\":\"chaos/{}_{}\",\"mean_ns\":{},\"iterations\":{}}}",
-                metric,
-                lane.lane,
-                ms * 1_000_000,
-                stats.count
-            )
-            .expect("append bench row");
+            let name = format!("chaos/{metric}_{}", lane.lane);
+            emit_row(&name, ms, "ms", stats.count);
         }
     }
-    writeln!(
-        file,
-        "{{\"name\":\"chaos/acked_lost\",\"mean_ns\":{},\"iterations\":{}}}",
-        report.acked_lost, report.submitted
-    )
-    .expect("append bench row");
+    emit_row(
+        "chaos/acked_lost",
+        report.acked_lost,
+        "count",
+        report.submitted,
+    );
 }
 
 /// The CI smoke: load + leader kill + device storm + RPC clients, then a

@@ -13,9 +13,8 @@
 //! * `bench` — fixed-shape runs at each size in `TROPIC_RECONCILE_SIZES`
 //!   (default `1000,16000`), appending `reconcile/mttr_p50_<size>` /
 //!   `reconcile/mttr_p99_<size>` / `reconcile/baseline_sync_<size>` rows
-//!   to `TROPIC_BENCH_JSON` in the parser-compatible bench format
-//!   (latencies carried as nanoseconds in `mean_ns`), for the
-//!   `BENCH_reconcile.json` MTTR gate in `ci.sh --bench-snapshot`.
+//!   (`ms`) to `TROPIC_BENCH_JSON`, for the `BENCH_reconcile.json` MTTR
+//!   gate in `ci.sh --bench-snapshot`.
 //! * `run` — a knob-driven run for operators, printing per-size summaries.
 //!
 //! Knobs: `TROPIC_RECONCILE_SIZES` (comma-separated host counts),
@@ -24,10 +23,9 @@
 //! `TROPIC_RECONCILE_REPORT_MS` (report pump period, default 25),
 //! `TROPIC_RECONCILE_TIMEOUT_S` (per-phase deadline, default 180).
 
-use std::io::Write;
 use std::time::{Duration, Instant};
 
-use tropic_bench::env_usize;
+use tropic_bench::{emit_row, env_usize};
 use tropic_core::{ExecMode, PlatformConfig, Tropic, TwinConfig, TwinPhase};
 use tropic_devices::LatencyModel;
 use tropic_tcloud::TopologySpec;
@@ -164,33 +162,17 @@ fn print_summary(report: &SizeReport) {
     );
 }
 
-/// Appends parser-compatible bench rows: MTTR p50/p99 and the baseline
-/// full-fleet sync time (nanoseconds in `mean_ns`, sample count in
-/// `iterations`).
+/// Appends the gate rows: MTTR p50/p99 and the baseline full-fleet sync
+/// time (samples = drift episodes measured).
 fn emit_bench_rows(report: &SizeReport) {
-    let Some(path) = std::env::var_os("TROPIC_BENCH_JSON") else {
-        return;
-    };
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .expect("open TROPIC_BENCH_JSON");
     let label = size_label(report.hosts);
     for (metric, ms) in [
         ("mttr_p50", percentile(&report.mttr_ms, 0.50)),
         ("mttr_p99", percentile(&report.mttr_ms, 0.99)),
         ("baseline_sync", report.baseline_sync_ms),
     ] {
-        writeln!(
-            file,
-            "{{\"name\":\"reconcile/{}_{}\",\"mean_ns\":{},\"iterations\":{}}}",
-            metric,
-            label,
-            ms * 1_000_000,
-            report.mttr_ms.len()
-        )
-        .expect("append bench row");
+        let name = format!("reconcile/{metric}_{label}");
+        emit_row(&name, ms, "ms", report.mttr_ms.len() as u64);
     }
 }
 

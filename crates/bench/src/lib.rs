@@ -3,11 +3,15 @@
 //! Each `src/bin/*` binary regenerates one table or figure; this library
 //! holds the common machinery: a performance-tuned platform, the
 //! EC2-workload runner with CPU-utilization sampling (Figures 4 and 5),
-//! and table formatting.
+//! and table formatting — plus [`gate`], the one implementation of the
+//! `BENCH_*.json` snapshots and the thresholds CI enforces on them.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+
+pub mod gate;
+pub use gate::emit_row;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

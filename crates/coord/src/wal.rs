@@ -91,14 +91,17 @@ pub enum SyncPolicy {
     },
     /// Group fsync off the critical path: every batch is handed to a
     /// dedicated sync thread, and the commit path only blocks while more
-    /// than `depth` batches remain unsynced. The safety posture is the same
-    /// as [`SyncPolicy::EveryBatch`] — every batch *is* fsynced, in order,
-    /// and a batch is never reported synced before its own fsync lands —
-    /// but with `depth > 0` the fsync of batch N overlaps the encode and
-    /// append of batch N+1 instead of serializing ahead of it.
-    /// `depth: 0` pipelines across replicas only (each replica's ack still
-    /// waits for its own batch), which already overlaps the ensemble's
-    /// fsyncs; see `Ensemble::submit`.
+    /// than `depth` batches remain unsynced. Every batch *is* fsynced, in
+    /// order, and a batch is never reported synced before its own fsync
+    /// lands — but only `depth: 0` keeps [`SyncPolicy::EveryBatch`]'s
+    /// safety posture: each replica's ack still waits for its own batch,
+    /// and the gain is that the ensemble's fsyncs overlap across replicas
+    /// (see `Ensemble::submit`). With `depth > 0` the fsync of batch N
+    /// also overlaps the encode and append of batch N+1, and the commit
+    /// path returns once at most `depth` batches are unsynced — so an
+    /// acknowledgement can run up to `depth` batches ahead of the disk, a
+    /// bounded window a crash (not a clean shutdown, which drains the
+    /// pipeline) can lose.
     Pipelined {
         /// Max batches allowed in flight (unsynced) before the commit path
         /// stalls waiting on the sync thread.

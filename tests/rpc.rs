@@ -372,7 +372,12 @@ fn remote_subscription_delivers_terminal_event() {
         saw_terminal,
         "terminal event must reach the remote subscriber"
     );
-    assert!(platform.metrics().counters().rpc_events_streamed >= 1);
+    // The reactor flushes the frame before it bumps the counter, so the
+    // event can reach this thread first.
+    while platform.metrics().counters().rpc_events_streamed < 1 {
+        assert!(Instant::now() < deadline, "streamed event never counted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert!(events.is_live(), "feed alive while the server serves");
 
     server.stop();
