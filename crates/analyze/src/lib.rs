@@ -74,7 +74,7 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// Non-fatal notices (budget tighten hints).
     pub notices: Vec<String>,
-    /// The rendered report (findings + notices + summary).
+    /// The rendered report (findings + notices + product sizes + summary).
     pub report: String,
     /// Number of source files scanned.
     pub files_scanned: usize,
@@ -138,6 +138,7 @@ pub fn analyze(opts: &Options) -> Result<Analysis, String> {
     let mut graph = LockGraph::default();
     let mut lexed_files: BTreeMap<String, lexer::Lexed> = BTreeMap::new();
     let mut panic_counts = BTreeMap::new();
+    let mut product_sizes: BTreeMap<&str, usize> = BTreeMap::new();
 
     for (rel, path) in &sources {
         let src = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -149,7 +150,8 @@ pub fn analyze(opts: &Options) -> Result<Analysis, String> {
             checker.run(&scopes, &mut graph, &mut findings);
         }
 
-        if panics::in_census(rel) {
+        if let Some(root) = panics::census_root(rel) {
+            *product_sizes.entry(root).or_default() += scope::product_lines(&lexed, &scopes);
             let sites = panics::collect(&lexed, &scopes);
             if !sites.is_empty() {
                 panic_counts.insert(rel.clone(), sites.len());
@@ -173,7 +175,7 @@ pub fn analyze(opts: &Options) -> Result<Analysis, String> {
 
     sort_findings(&mut findings);
     notices.sort();
-    let report = report::render(&findings, &notices, sources.len());
+    let report = report::render(&findings, &notices, &product_sizes, sources.len());
     Ok(Analysis {
         findings,
         notices,

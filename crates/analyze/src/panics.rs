@@ -25,9 +25,13 @@ pub const CENSUS_ROOTS: &[&str] = &[
     "crates/tcloud/src/",
 ];
 
-/// Whether `file` (repo-relative) is product code the census covers.
-pub fn in_census(file: &str) -> bool {
-    CENSUS_ROOTS.iter().any(|root| file.starts_with(root))
+/// The census root `file` (repo-relative) lives under, when it is product
+/// code the census covers.
+pub(crate) fn census_root(file: &str) -> Option<&'static str> {
+    CENSUS_ROOTS
+        .iter()
+        .copied()
+        .find(|root| file.starts_with(root))
 }
 
 /// Macros that abort the thread.
@@ -168,13 +172,17 @@ mod tests {
 
     #[test]
     fn census_covers_product_crates_only() {
-        assert!(in_census("src/lib.rs") && in_census("crates/coord/src/wal.rs"));
+        assert_eq!(census_root("src/lib.rs"), Some("src/"));
+        assert_eq!(
+            census_root("crates/coord/src/wal.rs"),
+            Some("crates/coord/src/")
+        );
         for tool in [
             "analyze/src/lexer.rs",
             "bench/src/gate.rs",
             "workload/src/chaos.rs",
         ] {
-            assert!(!in_census(&format!("crates/{tool}")), "{tool}");
+            assert!(census_root(&format!("crates/{tool}")).is_none(), "{tool}");
         }
     }
 

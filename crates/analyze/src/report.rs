@@ -1,5 +1,6 @@
 //! Findings and deterministic report formatting.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Check identifiers, used in diagnostics and allow directives.
@@ -46,9 +47,15 @@ pub fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Renders the full report: one line per finding, any non-fatal
-/// notices, and a trailing summary line. Byte-identical across runs on
-/// the same tree.
-pub fn render(findings: &[Finding], notices: &[String], files_scanned: usize) -> String {
+/// notices, one product-size line per census root (non-test code lines,
+/// the number the ROADMAP's size target is stated in), and a trailing
+/// summary line. Byte-identical across runs on the same tree.
+pub fn render(
+    findings: &[Finding],
+    notices: &[String],
+    product_sizes: &BTreeMap<&str, usize>,
+    files_scanned: usize,
+) -> String {
     let mut out = String::new();
     for f in findings {
         out.push_str(&f.to_string());
@@ -57,6 +64,11 @@ pub fn render(findings: &[Finding], notices: &[String], files_scanned: usize) ->
     for n in notices {
         out.push_str(n);
         out.push('\n');
+    }
+    for (root, lines) in product_sizes {
+        out.push_str(&format!(
+            "product size: {root} {lines} non-test code line(s)\n"
+        ));
     }
     out.push_str(&format!(
         "tropic-analyze: {} finding(s) across {} file(s)\n",

@@ -208,10 +208,32 @@ pub fn analyze_scopes(lexed: &Lexed) -> FileScopes {
     }
 }
 
+/// Product size of one file: the distinct source lines on which a
+/// non-test token starts. Comments and blank lines hold no tokens, and a
+/// literal spanning lines counts once.
+pub(crate) fn product_lines(lexed: &Lexed, scopes: &FileScopes) -> usize {
+    let mut lines: Vec<u32> = lexed
+        .toks
+        .iter()
+        .zip(&scopes.test_mask)
+        .filter(|(_, &masked)| !masked)
+        .map(|(t, _)| t.line)
+        .collect();
+    lines.dedup(); // tokens arrive in source order
+    lines.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
+
+    #[test]
+    fn product_lines_skip_comments_blanks_and_tests() {
+        let src = "// doc\nfn live() {\n\n    a(); b();\n}\n#[cfg(test)]\nmod tests {\n    fn dead() {}\n}\n";
+        let l = lex(src);
+        assert_eq!(product_lines(&l, &analyze_scopes(&l)), 3);
+    }
 
     #[test]
     fn finds_functions_and_bodies() {

@@ -26,21 +26,6 @@
 //! (`begin_batch_sync`) before any replica blocks on its own
 //! (`finish_batch`), so the ensemble's per-batch fsyncs run concurrently
 //! instead of end-to-end.
-//!
-//! ## Observer replicas
-//!
-//! Beyond the voting members, an ensemble can carry **observers**
-//! ([`Ensemble::add_observer`]): non-voting replicas in the style of
-//! ZooKeeper observers (Hunt et al., USENIX ATC 2010). An observer attaches
-//! through the same suffix/snapshot-transfer machinery as a lagging
-//! follower, replays every committed op, and serves reads off the quorum
-//! path — but it never stands for election, never counts toward the ack
-//! quorum, and never gates a commit. Staleness is bounded by a **lease**:
-//! the leader renews an observer's lease (while it holds a quorum and the
-//! observer is caught up to the last committed zxid) via
-//! [`Ensemble::tick_observers`]; [`Ensemble::observer_read`] rejects with
-//! [`CoordError::LeaseExpired`] once the lease lapses, so a partitioned or
-//! lagging observer can never serve unboundedly stale data.
 
 use std::io;
 use std::path::Path as StdPath;
@@ -55,13 +40,6 @@ use crate::wal::{Durability, DurabilityOptions};
 /// entries are dropped and laggards fall back to snapshot transfer.
 const DEFAULT_MEMORY_LOG_CAP: usize = 4_096;
 
-/// Observer lease, in milliseconds of the caller-supplied clock (see
-/// [`Ensemble::tick_observers`]): renewals extend an observer's horizon by
-/// this much past the last observed time. Chosen to match the default
-/// client session timeout: an observer goes stale no later than a dead
-/// client.
-pub const DEFAULT_OBSERVER_LEASE_MS: u64 = 2_000;
-
 /// A single ensemble replica: an op log plus the store it materializes.
 /// `log` holds only entries with zxid greater than `log_start_zxid`; older
 /// history is covered by the replica's snapshot (durable mode) or simply by
@@ -75,12 +53,6 @@ struct Replica {
     store: ZnodeStore,
     last_zxid: u64,
     durability: Option<Durability>,
-    /// Non-voting member: replays commits and serves lease-bounded reads,
-    /// but never stands for election or counts toward the quorum.
-    observer: bool,
-    /// Lease horizon for observer reads, in the caller's clock domain
-    /// (see [`Ensemble::tick_observers`]). Voters ignore this field.
-    lease_until_ms: u64,
 }
 
 impl Replica {
@@ -93,8 +65,6 @@ impl Replica {
             store: ZnodeStore::new(),
             last_zxid: 0,
             durability: None,
-            observer: false,
-            lease_until_ms: 0,
         }
     }
 
@@ -221,17 +191,6 @@ pub struct EnsembleStats {
     /// a replica that cannot persist stops acking rather than report
     /// durability it does not have.
     pub wal_fail_stops: u64,
-    /// Non-voting observer replicas currently attached.
-    pub observers: u64,
-    /// Reads served by an observer under a valid lease (off the quorum
-    /// path).
-    pub observer_reads: u64,
-    /// Observer lease renewals granted by a leader holding a quorum to a
-    /// caught-up observer.
-    pub observer_lease_renewals: u64,
-    /// Observer reads rejected because the lease had lapsed — the
-    /// staleness bound doing its job.
-    pub observer_lease_expiries: u64,
 }
 
 /// A quorum-replicated log of store operations.
@@ -243,10 +202,6 @@ pub struct Ensemble {
     counter: u64,
     stats: EnsembleStats,
     memory_log_cap: usize,
-    /// Latest caller-reported wall-clock, advanced by
-    /// [`Ensemble::tick_observers`]. The ensemble owns no clock of its
-    /// own — determinism under simulation requires the time to be fed in.
-    now_ms: u64,
     /// Zxid of the most recent committed write. An acking replica whose
     /// `last_zxid` trails this has missed a commit (drop/partition) and is
     /// healed *before* the next op applies, so no replica ever holds a
@@ -293,7 +248,6 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             memory_log_cap: DEFAULT_MEMORY_LOG_CAP,
-            now_ms: 0,
             last_committed_zxid: 0,
         };
         e.stats.elections = 1;
@@ -351,7 +305,6 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             memory_log_cap: DEFAULT_MEMORY_LOG_CAP,
-            now_ms: 0,
             last_committed_zxid: max_zxid,
         };
         e.stats.elections = 1;
@@ -369,26 +322,14 @@ impl Ensemble {
         &self.net
     }
 
-    /// Number of replicas, observers included.
+    /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
     }
 
-    /// Number of voting members (observers excluded).
-    pub fn voter_count(&self) -> usize {
-        self.replicas.iter().filter(|r| !r.observer).count()
-    }
-
-    /// Number of attached non-voting observers.
-    pub fn observer_count(&self) -> usize {
-        self.replicas.len() - self.voter_count()
-    }
-
-    /// Quorum size: a strict majority **of the voters** — observers never
-    /// count, which is exactly why adding them scales reads without
-    /// slowing writes.
+    /// Quorum size: a strict majority of the replicas.
     pub fn quorum(&self) -> usize {
-        self.voter_count() / 2 + 1
+        self.replica_count() / 2 + 1
     }
 
     /// The current leader replica, if one holds a quorum.
@@ -400,7 +341,6 @@ impl Ensemble {
     /// every replica's [`Durability`] handle).
     pub fn stats(&self) -> EnsembleStats {
         let mut s = self.stats;
-        s.observers = self.observer_count() as u64;
         for r in &self.replicas {
             if let Some(d) = &r.durability {
                 let ds = d.stats();
@@ -521,7 +461,7 @@ impl Ensemble {
         let new_leader = self
             .replicas
             .iter()
-            .filter(|r| r.alive && !r.observer)
+            .filter(|r| r.alive)
             .max_by_key(|r| (r.last_zxid, std::cmp::Reverse(r.id)))
             .map(|r| r.id);
         self.leader = new_leader;
@@ -541,12 +481,11 @@ impl Ensemble {
         }
     }
 
-    /// Number of alive **voters** the leader can currently reach (itself
-    /// included). Observers are invisible here: they neither ack nor vote.
+    /// The alive replicas the leader can currently reach (itself included).
     fn reachable_from_leader(&self, leader: NodeId) -> Vec<NodeId> {
         self.replicas
             .iter()
-            .filter(|r| r.alive && !r.observer)
+            .filter(|r| r.alive)
             .filter(|r| r.id == leader || self.net.deliver(leader, r.id))
             .map(|r| r.id)
             .collect()
@@ -626,41 +565,7 @@ impl Ensemble {
         self.stats.wal_fail_stops += fail_stopped;
         self.stats.committed += 1;
         self.last_committed_zxid = zxid;
-        // Observers replay the commit stream after the quorum has settled:
-        // they never gate the write, and an unreachable observer simply
-        // lags until the next tick (its lease, not the writer, pays).
-        self.replicate_to_observers(leader);
         (leader_result.expect("leader acked"), leader_events)
-    }
-
-    /// Ships the committed stream to every reachable observer and renews
-    /// the lease of each one that is fully caught up.
-    fn replicate_to_observers(&mut self, leader: NodeId) {
-        let observers: Vec<NodeId> = self
-            .replicas
-            .iter()
-            .filter(|r| r.observer && r.alive)
-            .map(|r| r.id)
-            .collect();
-        for id in observers {
-            if self.net.deliver(leader, id) {
-                self.sync_follower(leader, id);
-                self.renew_lease(id);
-            }
-        }
-    }
-
-    /// Extends observer `id`'s lease iff it has replayed everything the
-    /// ensemble has committed — a lagging observer keeps its old horizon.
-    fn renew_lease(&mut self, id: NodeId) {
-        let lease_until = self.now_ms.saturating_add(DEFAULT_OBSERVER_LEASE_MS);
-        let committed = self.last_committed_zxid;
-        if let Some(r) = self.replicas.get_mut(id) {
-            if r.observer && r.alive && r.last_zxid == committed {
-                r.lease_until_ms = lease_until;
-                self.stats.observer_lease_renewals += 1;
-            }
-        }
     }
 
     /// Reads from the leader's store. Returns an error when no leader holds
@@ -680,126 +585,6 @@ impl Ensemble {
             });
         }
         Ok(f(&self.replicas[leader].store))
-    }
-
-    /// Attaches a non-voting observer replica and returns its id. The
-    /// observer catches up through the same machinery as a lagging
-    /// follower — a log-suffix replay when the leader still holds the
-    /// history, a full snapshot transfer otherwise — and is immediately
-    /// leased if it reaches the last committed zxid.
-    ///
-    /// ```
-    /// use tropic_coord::ensemble::Ensemble;
-    ///
-    /// let mut e = Ensemble::new(3, 1);
-    /// let obs = e.add_observer();
-    /// assert_eq!(e.replica_count(), 4);
-    /// assert_eq!(e.voter_count(), 3);
-    /// assert_eq!(e.quorum(), 2); // unchanged: observers don't vote
-    /// assert!(e.observer_lease_valid(obs));
-    /// ```
-    pub fn add_observer(&mut self) -> NodeId {
-        let id = self.replicas.len();
-        let mut r = Replica::new(id);
-        r.observer = true;
-        self.replicas.push(r);
-        let leader = self
-            .leader
-            .filter(|&l| self.replicas.get(l).is_some_and(|r| r.alive));
-        if let Some(leader) = leader {
-            if self.net.deliver(leader, id) {
-                self.sync_follower(leader, id);
-                self.renew_lease(id);
-            }
-        }
-        id
-    }
-
-    /// Is replica `id` a non-voting observer?
-    pub fn is_observer(&self, id: NodeId) -> bool {
-        self.replicas.get(id).is_some_and(|r| r.observer)
-    }
-
-    /// Advances the ensemble's notion of time and, while a leader holds a
-    /// quorum, catches reachable observers up and renews the lease of each
-    /// one that reaches the last committed zxid. Drive this from the
-    /// service tick (or a test clock): a leader cut off from its quorum
-    /// stops renewing, so observer reads go stale-and-rejected rather than
-    /// silently wrong.
-    ///
-    /// ```
-    /// use tropic_coord::ensemble::Ensemble;
-    ///
-    /// let mut e = Ensemble::new(3, 1);
-    /// let obs = e.add_observer();
-    /// e.tick_observers(50); // leader has quorum: lease renewed to 2 050
-    /// assert!(e.observer_lease_valid(obs));
-    /// e.crash_replica(1);
-    /// e.crash_replica(2); // quorum lost: no more renewals
-    /// e.tick_observers(2_500);
-    /// assert!(!e.observer_lease_valid(obs));
-    /// ```
-    pub fn tick_observers(&mut self, now_ms: u64) {
-        self.now_ms = self.now_ms.max(now_ms);
-        let Some(leader) = self
-            .leader
-            .filter(|&l| self.replicas.get(l).is_some_and(|r| r.alive && !r.observer))
-        else {
-            return;
-        };
-        if self.reachable_from_leader(leader).len() < self.quorum() {
-            return;
-        }
-        self.replicate_to_observers(leader);
-    }
-
-    /// Does observer `id` currently hold a valid lease?
-    pub fn observer_lease_valid(&self, id: NodeId) -> bool {
-        self.replicas
-            .get(id)
-            .is_some_and(|r| r.observer && r.alive && r.lease_until_ms > self.now_ms)
-    }
-
-    /// Reads from observer `id`'s store **without touching the quorum** —
-    /// the scale-out read path. Rejects with [`CoordError::LeaseExpired`]
-    /// when the observer's lease has lapsed (it may be arbitrarily stale)
-    /// and with [`CoordError::Unavailable`] when `id` is not a live
-    /// observer.
-    ///
-    /// ```
-    /// use tropic_coord::ensemble::Ensemble;
-    /// use tropic_coord::store::Op;
-    /// use bytes::Bytes;
-    /// use tropic_model::Path;
-    ///
-    /// let mut e = Ensemble::new(3, 1);
-    /// let obs = e.add_observer();
-    /// e.submit(Op::Create {
-    ///     path: Path::parse("/a").unwrap(),
-    ///     data: Bytes::copy_from_slice(b"d"),
-    ///     ephemeral_owner: None,
-    ///     sequential: false,
-    /// }).0.unwrap();
-    /// // The observer replayed the commit and serves it off-quorum.
-    /// let seen = e.observer_read(obs, |s| s.exists(&Path::parse("/a").unwrap()));
-    /// assert!(seen.unwrap());
-    /// ```
-    pub fn observer_read<T>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&ZnodeStore) -> T,
-    ) -> CoordResult<T> {
-        let now_ms = self.now_ms;
-        let Some(r) = self.replicas.get(id).filter(|r| r.observer && r.alive) else {
-            return Err(CoordError::Unavailable);
-        };
-        if r.lease_until_ms <= now_ms {
-            self.stats.observer_lease_expiries += 1;
-            return Err(CoordError::LeaseExpired { observer: id });
-        }
-        let out = f(&r.store);
-        self.stats.observer_reads += 1;
-        Ok(out)
     }
 
     /// Verifies that every alive replica's store matches the leader's.
@@ -998,88 +783,6 @@ mod tests {
         assert_eq!(e.stats().snapshot_syncs, 1);
         assert_eq!(e.replicas[2].store.node_count(), 22);
         assert_eq!(e.replicas[2].last_zxid, e.replicas[0].last_zxid);
-    }
-
-    #[test]
-    fn observer_attaches_replays_suffix_and_serves_lease_reads() {
-        let mut e = Ensemble::new(3, 1);
-        e.submit(create_op("/a")).0.unwrap();
-        let obs = e.add_observer();
-        // Attach went through the existing suffix machinery.
-        assert_eq!(e.stats().suffix_syncs, 1);
-        assert_eq!(e.quorum(), 2, "observer must not change the quorum");
-        // A write after attach replays onto the observer post-commit, and
-        // an off-quorum read through the observer sees it.
-        e.submit(create_op("/b")).0.unwrap();
-        assert!(e.observer_read(obs, |s| s.exists(&p("/b"))).unwrap());
-        assert_eq!(e.replicas[obs].last_zxid, e.replicas[0].last_zxid);
-        let s = e.stats();
-        assert_eq!(s.observers, 1);
-        assert!(s.observer_reads >= 1);
-        assert!(s.observer_lease_renewals >= 1);
-    }
-
-    #[test]
-    fn observer_never_elected_and_never_acks() {
-        let mut e = Ensemble::new(3, 1);
-        let obs = e.add_observer();
-        e.submit(create_op("/a")).0.unwrap();
-        // Even with every voter dead the observer must not take over.
-        e.crash_replica(0);
-        e.crash_replica(1);
-        e.crash_replica(2);
-        assert_ne!(e.leader(), Some(obs));
-        let (res, _) = e.submit(create_op("/b"));
-        assert!(matches!(res, Err(CoordError::Unavailable)));
-    }
-
-    #[test]
-    fn observer_lease_expires_without_quorum_and_recovers_after_heal() {
-        let mut e = Ensemble::new(3, 1);
-        let obs = e.add_observer();
-        e.submit(create_op("/a")).0.unwrap();
-        e.tick_observers(10);
-        assert!(e.observer_read(obs, |s| s.node_count()).is_ok());
-        // Quorum gone: leases stop renewing; time passes; reads reject.
-        e.crash_replica(1);
-        e.crash_replica(2);
-        e.tick_observers(2_500);
-        let res = e.observer_read(obs, |s| s.node_count());
-        assert!(matches!(
-            res,
-            Err(CoordError::LeaseExpired { observer }) if observer == obs
-        ));
-        assert_eq!(e.stats().observer_lease_expiries, 1);
-        // Quorum back: the next tick re-leases the observer.
-        e.restart_replica(1);
-        e.tick_observers(2_510);
-        assert!(e.observer_read(obs, |s| s.exists(&p("/a"))).unwrap());
-    }
-
-    #[test]
-    fn lagging_observer_attaches_via_snapshot_transfer() {
-        let mut e = Ensemble::new(3, 1);
-        e.set_memory_log_cap(4);
-        for i in 0..20 {
-            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
-        }
-        // The leader's log no longer reaches back to zxid 0, so a fresh
-        // observer needs the full-state path.
-        let obs = e.add_observer();
-        assert_eq!(e.stats().snapshot_syncs, 1);
-        assert_eq!(e.observer_read(obs, |s| s.node_count()).unwrap(), 21);
-    }
-
-    #[test]
-    fn partitioned_observer_lags_then_catches_up_on_tick() {
-        let mut e = Ensemble::new(3, 1);
-        let obs = e.add_observer();
-        e.net().partition(vec![vec![0, 1, 2], vec![obs]]);
-        e.submit(create_op("/a")).0.unwrap(); // commits without the observer
-        assert!(!e.replicas[obs].store.exists(&p("/a")));
-        e.net().heal();
-        e.tick_observers(10);
-        assert!(e.observer_read(obs, |s| s.exists(&p("/a"))).unwrap());
     }
 
     #[test]

@@ -56,14 +56,6 @@ pub enum CoordError {
     /// or snapshot I/O failed). The replica fail-stops rather than ack a
     /// write it cannot make durable.
     Durability(String),
-    /// An observer replica's staleness lease lapsed before the read: the
-    /// leader has not renewed it (quorum lost, or the observer is lagging),
-    /// so serving from the observer could return unboundedly stale data.
-    /// Retry against the quorum read path.
-    LeaseExpired {
-        /// Id of the observer whose lease lapsed.
-        observer: usize,
-    },
 }
 
 impl fmt::Display for CoordError {
@@ -94,9 +86,6 @@ impl fmt::Display for CoordError {
             }
             CoordError::NestedMulti => write!(f, "multi ops cannot nest"),
             CoordError::Durability(e) => write!(f, "durability failure: {e}"),
-            CoordError::LeaseExpired { observer } => {
-                write!(f, "observer {observer} lease expired; read from the quorum")
-            }
         }
     }
 }

@@ -51,12 +51,6 @@ pub struct CoordConfig {
     /// benchmarks — though the in-memory replica logs stay capped
     /// regardless.
     pub durability: DurabilityOptions,
-    /// Number of non-voting observer replicas attached at boot (see
-    /// [`Ensemble::add_observer`]). Observers replay the commit stream and
-    /// serve lease-bounded reads off the quorum path; they never slow
-    /// writes. More can be attached at runtime with
-    /// [`CoordService::attach_observer`].
-    pub observers: usize,
 }
 
 impl Default for CoordConfig {
@@ -68,7 +62,6 @@ impl Default for CoordConfig {
             write_latency: Duration::ZERO,
             data_dir: None,
             durability: DurabilityOptions::default(),
-            observers: 0,
         }
     }
 }
@@ -278,11 +271,7 @@ impl CoordService {
     }
 
     fn boot_with_clock(config: CoordConfig, clock: SharedClock, recover: bool) -> Self {
-        let mut ensemble = Self::build_ensemble(&config, recover);
-        for _ in 0..config.observers {
-            ensemble.add_observer();
-        }
-        ensemble.tick_observers(clock.now_ms());
+        let ensemble = Self::build_ensemble(&config, recover);
         let inner = Arc::new(ServiceInner {
             ensemble: Mutex::new(ensemble),
             sessions: Mutex::new(HashMap::new()),
@@ -342,11 +331,6 @@ impl CoordService {
                     for session in stale {
                         expiry_inner.expire_session_locked(session);
                     }
-                    // Observer lease maintenance rides the same tick: catch
-                    // reachable observers up and renew leases while the
-                    // leader holds a quorum. On an idle ensemble this is
-                    // what keeps healthy observers leased.
-                    expiry_inner.ensemble.lock().tick_observers(now);
                 }
             })
             .expect("spawn coord expiry thread");
@@ -426,47 +410,6 @@ impl CoordService {
     /// The configured session timeout in milliseconds.
     pub fn session_timeout_ms(&self) -> u64 {
         self.inner.config.session_timeout_ms
-    }
-
-    /// Attaches a non-voting observer replica at runtime and returns its
-    /// id. It catches up via the existing suffix/snapshot machinery and is
-    /// leased as soon as it reaches the committed frontier.
-    pub fn attach_observer(&self) -> usize {
-        let mut ensemble = self.inner.ensemble.lock();
-        let id = ensemble.add_observer();
-        ensemble.tick_observers(self.inner.clock.now_ms());
-        id
-    }
-
-    /// Ids of the attached observer replicas, in attach order.
-    pub fn observer_ids(&self) -> Vec<usize> {
-        let ensemble = self.inner.ensemble.lock();
-        (0..ensemble.replica_count())
-            .filter(|&id| ensemble.is_observer(id))
-            .collect()
-    }
-
-    /// Does observer `id` currently hold a valid staleness lease? Returns
-    /// `false` for non-observers. The RPC tier uses this to decide whether
-    /// observer-backed fan-out may keep serving.
-    pub fn observer_lease_valid(&self, id: usize) -> bool {
-        let mut ensemble = self.inner.ensemble.lock();
-        ensemble.tick_observers(self.inner.clock.now_ms());
-        ensemble.observer_lease_valid(id)
-    }
-
-    /// Reads from observer `id`'s store off the quorum path, under its
-    /// staleness lease (see [`Ensemble::observer_read`]). No session is
-    /// required: observer reads are the cheap, scale-out path.
-    pub fn observer_read<T>(
-        &self,
-        id: usize,
-        f: impl FnOnce(&crate::store::ZnodeStore) -> T,
-    ) -> CoordResult<T> {
-        self.inner.stats.lock().reads += 1;
-        let mut ensemble = self.inner.ensemble.lock();
-        ensemble.tick_observers(self.inner.clock.now_ms());
-        ensemble.observer_read(id, f)
     }
 }
 
@@ -864,59 +807,6 @@ mod tests {
             c.exists(&p("/x")),
             Err(CoordError::SessionExpired)
         ));
-    }
-
-    #[test]
-    fn observer_serves_reads_and_lease_gates_staleness() {
-        let clock = ManualClock::new();
-        let svc = CoordService::start_with_clock(
-            CoordConfig {
-                observers: 1,
-                tick_ms: 50,
-                ..CoordConfig::default()
-            },
-            clock.clone(),
-        );
-        let obs = svc.observer_ids();
-        assert_eq!(obs.len(), 1);
-        let obs = obs[0];
-        let c = svc.connect("writer");
-        c.create(&p("/a"), Bytes::from_static(b"v"), CreateMode::Persistent)
-            .unwrap();
-        // The observer replays the commit and serves it off-quorum.
-        assert!(svc.observer_read(obs, |s| s.exists(&p("/a"))).unwrap());
-        assert!(svc.observer_lease_valid(obs));
-        // Quorum loss stops renewals; once the lease horizon passes, the
-        // observer rejects with the typed error instead of serving stale.
-        svc.crash_replica(1);
-        svc.crash_replica(2);
-        clock.advance(3_000);
-        assert!(!svc.observer_lease_valid(obs));
-        assert!(matches!(
-            svc.observer_read(obs, |s| s.node_count()),
-            Err(CoordError::LeaseExpired { observer }) if observer == obs
-        ));
-        let es = svc.ensemble_stats();
-        assert_eq!(es.observers, 1);
-        assert!(es.observer_reads >= 1);
-        assert!(es.observer_lease_expiries >= 1);
-        // Heal: the next maintenance pass re-leases and reads resume.
-        svc.restart_replica(1);
-        assert!(svc.observer_lease_valid(obs));
-        assert!(svc.observer_read(obs, |s| s.exists(&p("/a"))).unwrap());
-    }
-
-    #[test]
-    fn runtime_attached_observer_catches_up() {
-        let svc = quick_service();
-        let c = svc.connect("w");
-        c.create(&p("/pre"), Bytes::new(), CreateMode::Persistent)
-            .unwrap();
-        let obs = svc.attach_observer();
-        assert!(svc.observer_read(obs, |s| s.exists(&p("/pre"))).unwrap());
-        c.create(&p("/post"), Bytes::new(), CreateMode::Persistent)
-            .unwrap();
-        assert!(svc.observer_read(obs, |s| s.exists(&p("/post"))).unwrap());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   retryable and permanent failures.
 //!
 //! Requests travel to the controller in the versioned wire envelope of
-//! [`crate::msg::Envelope`]; the legacy `submit`/`wait` methods on
-//! [`crate::TropicClient`] remain as deprecated shims over this module.
+//! [`crate::msg::Envelope`].
 //!
 //! [`Tropic`]: crate::Tropic
 
@@ -155,15 +154,13 @@ pub enum ApiError {
     /// server-side (e.g. a submit whose reply was lost), so resubmitting a
     /// `Submit` is only duplicate-safe with an idempotency key.
     Transport(String),
-    /// An observer replica's staleness lease lapsed: the quorum stopped
-    /// renewing it, so data served from (or fan-out gated on) that
-    /// observer could be unboundedly stale. Sent as the typed close
-    /// reason on observer-backed streams — distinguishing it from
-    /// [`ApiError::ShuttingDown`], the planned-teardown close. Retryable:
-    /// the lease heals once the observer reaches quorum again. Additive in
-    /// wire version 1: pre-observer peers treat the frame as unknown.
+    /// Reserved wire-version-1 variant: earlier servers closed event
+    /// streams with it when a (since removed) read-only replica tier could
+    /// no longer bound staleness. This build decodes, displays and
+    /// classifies it — retryable: back off and resubscribe — but never
+    /// constructs it; dropping it would break the wire schema.
     LeaseExpired {
-        /// Id of the observer replica whose lease lapsed.
+        /// Id of the replica the sending server named.
         observer: u64,
     },
 }
@@ -216,12 +213,7 @@ impl std::error::Error for ApiError {}
 
 impl From<CoordError> for ApiError {
     fn from(e: CoordError) -> Self {
-        match e {
-            CoordError::LeaseExpired { observer } => ApiError::LeaseExpired {
-                observer: observer as u64,
-            },
-            other => ApiError::Coordination(other.to_string()),
-        }
+        ApiError::Coordination(e.to_string())
     }
 }
 
@@ -244,19 +236,6 @@ impl From<PlatformError> for ApiError {
             PlatformError::Timeout => ApiError::WaitTimeout { id: 0 },
             PlatformError::ShuttingDown => ApiError::ShuttingDown,
             PlatformError::Admin(s) => ApiError::Admin(s),
-        }
-    }
-}
-
-impl From<ApiError> for PlatformError {
-    fn from(e: ApiError) -> Self {
-        match e {
-            ApiError::Coordination(s) => PlatformError::Coord(s),
-            ApiError::UnknownProcedure(n) => PlatformError::UnknownProcedure(n),
-            ApiError::WaitTimeout { .. } => PlatformError::Timeout,
-            ApiError::ShuttingDown => PlatformError::ShuttingDown,
-            ApiError::Admin(s) => PlatformError::Admin(s),
-            other => PlatformError::Admin(other.to_string()),
         }
     }
 }
@@ -913,6 +892,18 @@ mod tests {
             assert_eq!(back, err);
             assert_eq!(back.retryable(), err.retryable());
         }
+    }
+
+    /// Reserved-variant contract: a v1 server may still send it, so the
+    /// exact wire form must keep decoding, displaying and classifying.
+    #[test]
+    fn reserved_lease_expired_still_decodes_and_is_retryable() {
+        let wire = br#"{"LeaseExpired":{"observer":3}}"#;
+        let err: ApiError = serde_json::from_slice(wire).unwrap();
+        assert_eq!(err, ApiError::LeaseExpired { observer: 3 });
+        assert!(err.retryable());
+        assert!(err.to_string().contains('3'));
+        assert_eq!(serde_json::to_vec(&err).unwrap(), wire);
     }
 
     #[test]

@@ -148,7 +148,6 @@ mod tests {
         assert_eq!(cfg.controllers, 3);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.coord.replicas, 3);
-        assert_eq!(cfg.coord.observers, 0);
         assert!(cfg.checkpoint_every > 0);
         assert!(cfg.term_timeout_ms.is_none());
         assert!(cfg.kill_timeout_ms.is_none());

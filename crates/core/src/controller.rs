@@ -299,6 +299,7 @@ impl<'a> Controller<'a> {
             self.client.create_all(&layout::input_lane(p))?;
         }
         self.client.create_all(&layout::phy_q())?;
+        self.client.create_all(&layout::admins())?;
         self.batch.take();
         self.persisted.clear();
         self.inconsistent_persisted = self.client.exists(&layout::inconsistent())?;
@@ -569,8 +570,14 @@ impl<'a> Controller<'a> {
                 Ok(())
             }
             InputMsg::Signal { id, signal } => self.handle_signal(id, signal),
-            InputMsg::Repair { scope, admin_id } => self.handle_repair(scope, admin_id),
-            InputMsg::Reload { scope, admin_id } => self.handle_reload(scope, admin_id),
+            InputMsg::Repair { scope, admin_id } => {
+                let result = self.do_repair(&scope);
+                self.persist_admin_result(admin_id, &result)
+            }
+            InputMsg::Reload { scope, admin_id } => {
+                let result = self.do_reload(&scope);
+                self.persist_admin_result(admin_id, &result)
+            }
         }
     }
 
@@ -1183,12 +1190,6 @@ impl<'a> Controller<'a> {
     // ------------------------------------------------------------------
 
     /// `repair`: push the logical layer's view onto drifted devices.
-    fn handle_repair(&mut self, scope: Path, admin_id: u64) -> Result<(), PlatformError> {
-        let result = self.do_repair(&scope);
-        self.client.put_json(&layout::admin(admin_id), &result)?;
-        Ok(())
-    }
-
     fn do_repair(&mut self, scope: &Path) -> AdminResult {
         let Some(registry) = self.mode.registry().cloned() else {
             return admin_refused("repair requires physical mode");
@@ -1249,12 +1250,6 @@ impl<'a> Controller<'a> {
 
     /// `reload`: replace the logical subtree with freshly-retrieved physical
     /// state, under a write lock and full constraint validation.
-    fn handle_reload(&mut self, scope: Path, admin_id: u64) -> Result<(), PlatformError> {
-        let result = self.do_reload(&scope);
-        self.client.put_json(&layout::admin(admin_id), &result)?;
-        Ok(())
-    }
-
     fn do_reload(&mut self, scope: &Path) -> AdminResult {
         let Some(registry) = self.mode.registry().cloned() else {
             return admin_refused("reload requires physical mode");
@@ -1332,6 +1327,20 @@ impl<'a> Controller<'a> {
         let exists = self.persisted.contains(&rec.id);
         self.batch.put(layout::txn(rec.id), data, exists);
         self.persisted.insert(rec.id);
+    }
+
+    /// The operator's answer rides the round batch: it becomes readable in
+    /// the same multi as the effects it reports (a reload's `__reload`
+    /// record, the `inputQ` removal), never before them. Admin ids are
+    /// unique, so the znode is always a create.
+    fn persist_admin_result(
+        &mut self,
+        admin_id: u64,
+        result: &AdminResult,
+    ) -> Result<(), PlatformError> {
+        let data = serde_json::to_vec(result).map_err(|e| PlatformError::Admin(e.to_string()))?;
+        self.batch.put(layout::admin(admin_id), data, false);
+        Ok(())
     }
 
     fn mark_inconsistent(&mut self, path: &Path) {
@@ -1449,6 +1458,31 @@ mod tests {
             .is_none());
     }
 
+    fn controller_under_test<'a>(
+        client: &'a CoordClient,
+        service: ServiceDefinition,
+        mode: ExecMode,
+    ) -> Controller<'a> {
+        let cfg = ControllerConfig {
+            name: "c0".into(),
+            checkpoint_every: 0,
+            term_timeout_ms: None,
+            kill_timeout_ms: None,
+            twin: TwinConfig::default(),
+            twin_feed: TwinFeed::new(),
+        };
+        let mut controller = Controller::new(
+            cfg,
+            client,
+            Arc::new(service),
+            mode,
+            tropic_model::real_clock(),
+            Metrics::new(),
+        );
+        controller.recover().unwrap();
+        controller
+    }
+
     /// The commit path's shape, pinned: whatever a round decides reaches
     /// the store as one atomic multi. A per-record write creeping back into
     /// `step()` shows up here as a second write.
@@ -1460,23 +1494,7 @@ mod tests {
         service
             .procs
             .register(Arc::new(FnProcedure::new("noop", |_| Ok(()))));
-        let cfg = ControllerConfig {
-            name: "c0".into(),
-            checkpoint_every: 0,
-            term_timeout_ms: None,
-            kill_timeout_ms: None,
-            twin: TwinConfig::default(),
-            twin_feed: TwinFeed::new(),
-        };
-        let mut controller = Controller::new(
-            cfg,
-            &client,
-            Arc::new(service),
-            ExecMode::LogicalOnly,
-            tropic_model::real_clock(),
-            Metrics::new(),
-        );
-        controller.recover().unwrap();
+        let mut controller = controller_under_test(&client, service, ExecMode::LogicalOnly);
         let lane = DistributedQueue::bind(&client, layout::input_lane(Priority::Normal));
         for id in 1..=8 {
             let (msg, _) = crate::api::TxnRequest::new("noop").into_msg(id, 0).unwrap();
@@ -1498,6 +1516,55 @@ mod tests {
         assert!(lane.is_empty().unwrap());
         let phy_q = DistributedQueue::bind(&client, layout::phy_q());
         assert_eq!(phy_q.len().unwrap(), 8);
+    }
+
+    /// The operator plane rides the same path: a reload's answer lands in
+    /// the multi that carries its `__reload` record and `inputQ` removal,
+    /// so an operator can never read `ok` ahead of the effects it reports.
+    #[test]
+    fn reload_result_lands_in_the_round_multi() {
+        let host = Path::parse("/vmRoot/h1").unwrap();
+        let mut frame = Tree::new();
+        frame
+            .insert(
+                &Path::parse("/vmRoot").unwrap(),
+                tropic_model::Node::new("vmRoot"),
+            )
+            .unwrap();
+        let registry = Arc::new(tropic_devices::DeviceRegistry::new(frame));
+        registry.register(Arc::new(tropic_devices::ComputeServer::new(
+            host.clone(),
+            "xen",
+            32_768,
+            tropic_devices::LatencyModel::zero(),
+        )));
+        let service = ServiceDefinition {
+            initial_tree: registry.physical_tree(),
+            ..ServiceDefinition::default()
+        };
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let mut controller = controller_under_test(&client, service, ExecMode::Physical(registry));
+        let lane = DistributedQueue::bind(&client, layout::input_lane(Priority::High));
+        let reload = InputMsg::Reload {
+            scope: host,
+            admin_id: 1,
+        };
+        lane.enqueue(encode_input(reload)).unwrap();
+
+        let before = coord.stats();
+        assert_eq!(controller.process_input(INPUT_BATCH).unwrap(), 1);
+        assert_eq!(coord.stats().writes, before.writes, "written mid-round");
+        assert!(!client.exists(&layout::admin(1)).unwrap());
+        controller.flush_round().unwrap();
+        let after = coord.stats();
+        assert_eq!(after.multis - before.multis, 1);
+        assert_eq!(after.writes - before.writes, 1);
+        // inputQ removal + `__reload` record + admin result.
+        assert_eq!(after.batched_ops - before.batched_ops, 3);
+        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        assert!(result.ok, "{}", result.message);
+        assert!(lane.is_empty().unwrap());
     }
 
     #[test]

@@ -13,17 +13,17 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tropic_coord::{CoordClient, CoordService, DistributedQueue, LeaderElection, Op};
-use tropic_model::{real_clock, Path, SharedClock, Value};
+use tropic_model::{real_clock, Path, SharedClock};
 
 use crate::api::{AdminClient, ApiError, Priority, Subscription, TxnHandle, TxnRequest};
 use crate::config::{PlatformConfig, RpcConfig, ServiceDefinition};
 use crate::controller::{Controller, ControllerConfig};
 use crate::error::PlatformError;
-use crate::msg::{decode_input, encode_input, layout, AdminResult, InputMsg, Signal};
+use crate::msg::{decode_input, encode_input, layout, InputMsg};
 use crate::physical::ExecMode;
 use crate::stats::Metrics;
 use crate::twin::{TwinFeed, TwinSubscription};
-use crate::txn::{TxnId, TxnOutcome, TxnRecord};
+use crate::txn::{TxnId, TxnRecord};
 use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
 
@@ -382,37 +382,6 @@ impl Tropic {
         true
     }
 
-    /// Sends a TERM or KILL signal to a transaction (paper §4).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Tropic::admin()` and `AdminClient::signal`"
-    )]
-    pub fn signal(&self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
-        self.admin().signal(id, signal).map_err(PlatformError::from)
-    }
-
-    /// Runs `repair` over `scope` (paper §4), blocking up to `timeout`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Tropic::admin()` and `AdminClient::repair`"
-    )]
-    pub fn repair(&self, scope: &Path, timeout: Duration) -> Result<AdminResult, PlatformError> {
-        self.admin()
-            .repair(scope, timeout)
-            .map_err(PlatformError::from)
-    }
-
-    /// Runs `reload` over `scope` (paper §4), blocking up to `timeout`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Tropic::admin()` and `AdminClient::reload`"
-    )]
-    pub fn reload(&self, scope: &Path, timeout: Duration) -> Result<AdminResult, PlatformError> {
-        self.admin()
-            .reload(scope, timeout)
-            .map_err(PlatformError::from)
-    }
-
     /// Stops every component and joins their threads.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
@@ -447,7 +416,6 @@ impl Drop for Tropic {
 /// The typed surface is [`TropicClient::submit_request`] (builder in,
 /// [`TxnHandle`] out), [`TropicClient::submit_batch`] (atomic multi-request
 /// enqueue), and [`TropicClient::subscribe`] (streaming lifecycle events).
-/// The stringly-typed `submit`/`wait` methods remain as deprecated shims.
 ///
 /// The handle heartbeats its coordination session in the background (as a
 /// real ZooKeeper client would), so it survives arbitrary idle periods.
@@ -518,41 +486,6 @@ impl TropicClient {
     /// an id shared across processes.
     pub fn handle(&self, id: TxnId) -> TxnHandle<'_> {
         TxnHandle::new(&self.client, Arc::clone(&self.clock), id, None)
-    }
-
-    /// Submits a stored-procedure call as a transaction. Returns the
-    /// transaction id immediately.
-    #[deprecated(since = "0.2.0", note = "use `submit_request` with a `TxnRequest`")]
-    pub fn submit(&self, proc_name: &str, args: Vec<Value>) -> Result<TxnId, PlatformError> {
-        let handle = self
-            .submit_request(TxnRequest::new(proc_name).args(args))
-            .map_err(PlatformError::from)?;
-        Ok(handle.id())
-    }
-
-    /// Waits for a transaction to reach a terminal state.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the `TxnHandle` returned by `submit_request`"
-    )]
-    pub fn wait(&self, id: TxnId, timeout: Duration) -> Result<TxnOutcome, PlatformError> {
-        TxnHandle::new(&self.client, Arc::clone(&self.clock), id, None)
-            .wait_timeout(timeout)
-            .map_err(PlatformError::from)
-    }
-
-    /// Submits and waits in one call.
-    #[deprecated(since = "0.2.0", note = "use `submit_request` and `TxnHandle::wait`")]
-    pub fn submit_and_wait(
-        &self,
-        proc_name: &str,
-        args: Vec<Value>,
-        timeout: Duration,
-    ) -> Result<TxnOutcome, PlatformError> {
-        self.submit_request(TxnRequest::new(proc_name).args(args))
-            .map_err(PlatformError::from)?
-            .wait_timeout(timeout)
-            .map_err(PlatformError::from)
     }
 
     /// Reads the full durable record of a transaction, if still retained.

@@ -22,12 +22,8 @@
 //!   [`RemoteClient::subscribe`] streaming [`TxnEvent`]s, and the operator
 //!   plane via [`RemoteClient::admin`].
 //!
-//! When the coordination service carries observer replicas, the streaming
-//! fan-out is lease-gated: if the fan-out observer's staleness lease
-//! lapses (quorum lost), every subscription closes with the typed
-//! [`ApiError::LeaseExpired`] — distinguishable from the
-//! [`ApiError::ShuttingDown`] a planned stop sends — and new
-//! subscriptions are refused until the lease heals. Read the close reason
+//! A server that closes a stream on purpose says why with a typed error
+//! frame first ([`ApiError::ShuttingDown`] for a planned stop); read it
 //! with [`RemoteSubscription::close_reason`].
 //!
 //! ## Wire format
@@ -75,8 +71,8 @@ use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
 
 /// Upper bound on the reactor's readiness-poll timeout: the event loop
-/// wakes at least this often to re-check the shutdown flag and the observer
-/// lease even when no socket is ready.
+/// wakes at least this often to re-check the shutdown flag even when no
+/// socket is ready.
 const REACTOR_POLL_MS: i32 = 20;
 /// Size of the dispatch pool the reactor hands non-blocking requests to.
 /// Each worker owns one coordination session; blocking calls (`Wait`,
@@ -292,9 +288,6 @@ fn transport(e: impl std::fmt::Display) -> ApiError {
 // Server: the readiness-polling reactor.
 // ---------------------------------------------------------------------
 
-/// How often the reactor re-validates the fan-out observer's staleness
-/// lease (only when the coordination service carries observer replicas).
-const LEASE_CHECK_PERIOD: Duration = Duration::from_millis(250);
 /// Cap on one connection's queued outbound bytes. A subscriber that stops
 /// reading while events keep flowing is a slow consumer; past this bound
 /// its connection is closed rather than ballooning server memory.
@@ -340,8 +333,8 @@ struct ConnState {
     inflight: bool,
     /// Requests decoded but not yet dispatched (a pipelining client).
     pending: VecDeque<RpcRequest>,
-    /// Close once `outbound` drains — set after a typed reject or lease
-    /// expiry whose error frame must still reach the peer.
+    /// Close once `outbound` drains — set after a typed reject whose
+    /// error frame must still reach the peer.
     close_after_flush: bool,
     dead: bool,
 }
@@ -559,11 +552,6 @@ struct Reactor {
     /// Lazily-started event-feed pumps (txn, twin).
     pumps: Vec<JoinHandle<()>>,
     pump_started: (bool, bool),
-    /// The observer replica whose staleness lease gates streaming fan-out
-    /// (the first one, when the coordination service carries any).
-    lease_observer: Option<usize>,
-    lease_ok: bool,
-    last_lease_check: Instant,
 }
 
 impl Reactor {
@@ -595,7 +583,6 @@ impl Reactor {
                 workers.push(h);
             }
         }
-        let lease_observer = shared.coord.observer_ids().first().copied();
         Reactor {
             listener,
             shared,
@@ -612,9 +599,6 @@ impl Reactor {
             waiter_seq: 0,
             pumps: Vec::new(),
             pump_started: (false, false),
-            lease_observer,
-            lease_ok: true,
-            last_lease_check: Instant::now(),
         }
     }
 
@@ -643,7 +627,6 @@ impl Reactor {
                     self.read_conn(token);
                 }
             }
-            self.check_lease();
             self.conns.retain(|_, c| !c.dead);
         }
         self.teardown();
@@ -828,10 +811,6 @@ impl Reactor {
                 Pump(Feed),
             }
             let now_ms = self.shared.clock.now_ms();
-            let lease_gate = match self.lease_observer {
-                Some(obs) if !self.lease_ok => Some(obs as u64),
-                _ => None,
-            };
             let jobs_tx = self.jobs_tx.clone();
             let shutdown_requested = Arc::clone(&self.shutdown_requested);
             let after = {
@@ -865,23 +844,11 @@ impl Reactor {
                         } else {
                             Feed::Txn
                         };
-                        if let Some(observer) = lease_gate {
-                            // The fan-out observer cannot currently bound
-                            // staleness; refuse typed so the client can
-                            // tell this from a shutdown.
-                            conn.enqueue(frame_response(RpcResponse::Error(
-                                ApiError::LeaseExpired { observer },
-                            )));
-                            conn.close_after_flush = true;
-                            conn.flush();
-                            After::Done
-                        } else {
-                            conn.mode = ConnMode::Stream(feed);
-                            conn.pending.clear();
-                            conn.enqueue(frame_response(RpcResponse::Subscribed));
-                            conn.flush();
-                            After::Pump(feed)
-                        }
+                        conn.mode = ConnMode::Stream(feed);
+                        conn.pending.clear();
+                        conn.enqueue(frame_response(RpcResponse::Subscribed));
+                        conn.flush();
+                        After::Pump(feed)
                     }
                     req if is_blocking(&req) => {
                         conn.inflight = true;
@@ -975,48 +942,29 @@ impl Reactor {
         let shared = self.shared.clone();
         let stop = Arc::clone(&self.stop);
         let done = self.done.clone();
-        type PumpFn = fn(PlatformShared, Arc<AtomicBool>, DoneTx);
-        let (name, pump): (&str, PumpFn) = match feed {
-            Feed::Txn => ("tropic-rpc-txn-pump", pump_txn),
-            Feed::Twin => ("tropic-rpc-twin-pump", pump_twin),
+        let name = match feed {
+            Feed::Txn => "tropic-rpc-txn-pump",
+            Feed::Twin => "tropic-rpc-twin-pump",
         };
-        if let Ok(h) = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(name.into())
-            .spawn(move || pump(shared, stop, done))
-        {
+            .spawn(move || match feed {
+                // The in-process `Subscription`: its own quorum session.
+                Feed::Txn => {
+                    let sub = shared.subscription();
+                    pump(feed, &stop, &done, RpcResponse::Event, |t| {
+                        sub.recv_timeout(t)
+                    })
+                }
+                Feed::Twin => {
+                    let sub = shared.twin_feed.subscribe();
+                    pump(feed, &stop, &done, RpcResponse::TwinEvent, |t| {
+                        sub.recv_timeout(t)
+                    })
+                }
+            });
+        if let Ok(h) = spawned {
             self.pumps.push(h);
-        }
-    }
-
-    /// Re-validates the fan-out observer's staleness lease every
-    /// [`LEASE_CHECK_PERIOD`]. On expiry every streaming connection is
-    /// closed with the typed [`ApiError::LeaseExpired`] and new
-    /// subscriptions are refused; fan-out resumes when the lease heals.
-    fn check_lease(&mut self) {
-        let Some(observer) = self.lease_observer else {
-            return;
-        };
-        if self.last_lease_check.elapsed() < LEASE_CHECK_PERIOD {
-            return;
-        }
-        self.last_lease_check = Instant::now();
-        let ok = self.shared.coord.observer_lease_valid(observer);
-        if ok == self.lease_ok {
-            return;
-        }
-        self.lease_ok = ok;
-        if ok {
-            return;
-        }
-        let frame = frame_response(RpcResponse::Error(ApiError::LeaseExpired {
-            observer: observer as u64,
-        }));
-        for conn in self.conns.values_mut() {
-            if matches!(conn.mode, ConnMode::Stream(_)) && !conn.dead {
-                conn.enqueue(frame.clone());
-                conn.close_after_flush = true;
-                conn.flush();
-            }
         }
     }
 
@@ -1039,7 +987,7 @@ impl Reactor {
             }
             match conn.mode {
                 // Streams get a typed goodbye distinguishing planned
-                // teardown from a lease expiry or a crash.
+                // teardown from a crash.
                 ConnMode::Stream(_) => conn.enqueue(bye.clone()),
                 // Positional correlation: every request still owed a
                 // reply gets the typed refusal instead of silence.
@@ -1249,31 +1197,21 @@ fn wait_sliced(
     }
 }
 
-/// Feeds the reactor transaction lifecycle events off a dedicated watcher
-/// session, exactly as the in-process [`crate::api::Subscription`] (it
-/// *is* one). Each event is encoded into one shared frame here; the
-/// reactor clones the handle onto every subscriber's outbound queue.
-fn pump_txn(shared: PlatformShared, stop: Arc<AtomicBool>, done: DoneTx) {
-    let sub = shared.subscription();
+/// Feeds the reactor one event feed until `stop`: each event `recv`
+/// yields is encoded into one shared frame here, and the reactor clones
+/// the handle onto every subscriber's outbound queue.
+fn pump<E>(
+    feed: Feed,
+    stop: &AtomicBool,
+    done: &DoneTx,
+    wrap: fn(E) -> RpcResponse,
+    recv: impl Fn(Duration) -> Option<E>,
+) {
     while !stop.load(Ordering::SeqCst) {
-        if let Some(ev) = sub.recv_timeout(Duration::from_millis(100)) {
+        if let Some(ev) = recv(Duration::from_millis(100)) {
             done.send(Wake::Broadcast {
-                feed: Feed::Txn,
-                frame: frame_response(RpcResponse::Event(ev)),
-            });
-        }
-    }
-}
-
-/// Feeds the reactor digital-twin phase transitions, mirroring
-/// [`pump_txn`] over the platform's in-process [`crate::TwinFeed`].
-fn pump_twin(shared: PlatformShared, stop: Arc<AtomicBool>, done: DoneTx) {
-    let sub = shared.twin_feed.subscribe();
-    while !stop.load(Ordering::SeqCst) {
-        if let Some(ev) = sub.recv_timeout(Duration::from_millis(100)) {
-            done.send(Wake::Broadcast {
-                feed: Feed::Twin,
-                frame: frame_response(RpcResponse::TwinEvent(ev)),
+                feed,
+                frame: frame_response(wrap(ev)),
             });
         }
     }
@@ -1462,16 +1400,20 @@ impl RemoteClient {
 
     /// Opens a streaming subscription to transaction lifecycle events on a
     /// dedicated connection. Mirrors [`crate::TropicClient::subscribe`].
-    pub fn subscribe(&self) -> Result<RemoteSubscription, ApiError> {
-        RemoteSubscription::open(self.addr, false)
+    pub fn subscribe(&self) -> Result<RemoteSubscription<TxnEvent>, ApiError> {
+        RemoteSubscription::open(self.addr, RpcRequest::Subscribe, |resp| match resp {
+            RpcResponse::Event(ev) => Some(ev),
+            _ => None,
+        })
     }
 
-    /// Opens a streaming subscription to digital-twin phase transitions
-    /// ([`TwinEvent`]) on a dedicated connection. Read the feed with
-    /// [`RemoteSubscription::recv_twin_timeout`] /
-    /// [`RemoteSubscription::drain_twin`].
-    pub fn subscribe_twin(&self) -> Result<RemoteSubscription, ApiError> {
-        RemoteSubscription::open(self.addr, true)
+    /// Opens a streaming subscription to digital-twin phase transitions on
+    /// a dedicated connection. Mirrors [`crate::Tropic::subscribe_twin`].
+    pub fn subscribe_twin(&self) -> Result<RemoteSubscription<TwinEvent>, ApiError> {
+        RemoteSubscription::open(self.addr, RpcRequest::SubscribeTwin, |resp| match resp {
+            RpcResponse::TwinEvent(ev) => Some(ev),
+            _ => None,
+        })
     }
 
     /// The operator plane, sharing this client's connection. Mirrors
@@ -1597,32 +1539,32 @@ impl RemoteAdmin<'_> {
     }
 }
 
-/// A streaming feed from a remote platform: transaction lifecycle events
-/// ([`TxnEvent`], via [`RemoteClient::subscribe`]) or digital-twin phase
-/// transitions ([`TwinEvent`], via [`RemoteClient::subscribe_twin`]) —
-/// the subscription filter is chosen at open time. Runs on its own
-/// connection; dropping it closes the socket and ends the feed.
-pub struct RemoteSubscription {
-    rx: mpsc::Receiver<TxnEvent>,
-    twin_rx: mpsc::Receiver<TwinEvent>,
+/// A streaming feed of `E` from a remote platform: transaction lifecycle
+/// events ([`TxnEvent`], via [`RemoteClient::subscribe`]) or digital-twin
+/// phase transitions ([`TwinEvent`], via [`RemoteClient::subscribe_twin`]).
+/// Runs on its own connection; dropping it closes the socket and ends the
+/// feed.
+pub struct RemoteSubscription<E> {
+    rx: mpsc::Receiver<E>,
     stream: TcpStream,
     thread: Option<JoinHandle<()>>,
     close_reason: Arc<Mutex<Option<ApiError>>>,
 }
 
-impl RemoteSubscription {
-    fn open(addr: SocketAddr, twin: bool) -> Result<Self, ApiError> {
+impl<E: Send + 'static> RemoteSubscription<E> {
+    /// Sends `subscribe`, awaits the mode-switch ack, then streams every
+    /// frame `pick` recognises as an `E`.
+    fn open(
+        addr: SocketAddr,
+        subscribe: RpcRequest,
+        pick: fn(RpcResponse) -> Option<E>,
+    ) -> Result<Self, ApiError> {
         let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(transport)?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         stream
             .set_read_timeout(Some(Duration::from_millis(50)))
             .map_err(transport)?;
-        let subscribe = if twin {
-            RpcRequest::SubscribeTwin
-        } else {
-            RpcRequest::Subscribe
-        };
         write_frame(&mut stream, &encode_request(subscribe)?).map_err(transport)?;
         // Wait for the mode-switch ack before handing the socket to the
         // reader thread, so connect errors surface typed right here.
@@ -1646,7 +1588,6 @@ impl RemoteSubscription {
             }
         }
         let (tx, rx) = mpsc::channel();
-        let (twin_tx, twin_rx) = mpsc::channel();
         let close_reason: Arc<Mutex<Option<ApiError>>> = Arc::new(Mutex::new(None));
         let thread = {
             let mut stream = stream.try_clone().map_err(transport)?;
@@ -1663,13 +1604,12 @@ impl RemoteSubscription {
                                 // An error frame is the server's stated
                                 // close reason: record it and end the feed.
                                 let delivered = match decode_response(&payload) {
-                                    Ok(RpcResponse::Event(ev)) => tx.send(ev).is_ok(),
-                                    Ok(RpcResponse::TwinEvent(ev)) => twin_tx.send(ev).is_ok(),
                                     Ok(RpcResponse::Error(e)) => {
                                         *close_reason.lock() = Some(e);
                                         return;
                                     }
-                                    _ => true,
+                                    Ok(resp) => pick(resp).is_none_or(|ev| tx.send(ev).is_ok()),
+                                    Err(_) => true,
                                 };
                                 if !delivered {
                                     return; // receiver dropped
@@ -1684,7 +1624,6 @@ impl RemoteSubscription {
         };
         Ok(RemoteSubscription {
             rx,
-            twin_rx,
             stream,
             thread: Some(thread),
             close_reason,
@@ -1692,43 +1631,18 @@ impl RemoteSubscription {
     }
 
     /// Returns the next buffered event without blocking.
-    pub fn try_recv(&self) -> Option<TxnEvent> {
+    pub fn try_recv(&self) -> Option<E> {
         self.rx.try_recv().ok()
     }
 
     /// Blocks up to `timeout` for the next event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<TxnEvent> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<E> {
         self.rx.recv_timeout(timeout).ok()
     }
 
     /// Drains every currently-buffered event.
-    pub fn drain(&self) -> Vec<TxnEvent> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.try_recv() {
-            out.push(ev);
-        }
-        out
-    }
-
-    /// Returns the next buffered twin event without blocking (twin
-    /// subscriptions only).
-    pub fn try_recv_twin(&self) -> Option<TwinEvent> {
-        self.twin_rx.try_recv().ok()
-    }
-
-    /// Blocks up to `timeout` for the next twin event (twin subscriptions
-    /// only).
-    pub fn recv_twin_timeout(&self, timeout: Duration) -> Option<TwinEvent> {
-        self.twin_rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drains every currently-buffered twin event.
-    pub fn drain_twin(&self) -> Vec<TwinEvent> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.try_recv_twin() {
-            out.push(ev);
-        }
-        out
+    pub fn drain(&self) -> Vec<E> {
+        self.rx.try_iter().collect()
     }
 
     /// Whether the feed can still deliver new events. `false` once the
@@ -1741,9 +1655,9 @@ impl RemoteSubscription {
 
     /// Why the server closed this feed, when it said so with a typed
     /// error frame before closing: [`ApiError::ShuttingDown`] for a
-    /// planned stop, [`ApiError::LeaseExpired`] when the fan-out
-    /// observer's staleness lease lapsed (resubscribe once the quorum
-    /// heals). `None` while the feed is live, and `None` after a close
+    /// planned stop (a pre-removal v1 server may also send the reserved,
+    /// retryable [`ApiError::LeaseExpired`] — back off and resubscribe).
+    /// `None` while the feed is live, and `None` after a close
     /// the server never explained (crash, cut network) — so callers can
     /// distinguish *all three* cases together with
     /// [`RemoteSubscription::is_live`]. See `docs/WIRE_PROTOCOL.md`,
@@ -1753,7 +1667,7 @@ impl RemoteSubscription {
     }
 }
 
-impl Drop for RemoteSubscription {
+impl<E> Drop for RemoteSubscription<E> {
     fn drop(&mut self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
         if let Some(t) = self.thread.take() {

@@ -25,8 +25,8 @@
 //!   converges).
 //! * **Event feed** — every phase transition is published as a
 //!   [`TwinEvent`] through the in-process [`TwinFeed`], which the RPC
-//!   frontend streams to remote subscribers (`RemoteSubscription`'s twin
-//!   filter).
+//!   frontend streams to remote subscribers
+//!   (`RemoteSubscription<TwinEvent>`).
 //!
 //! The synchronous `repair_fixpoint` at the bottom serves only the
 //! operator-facing one-shot `repair`; the twin does not call it. Both plan

@@ -1,12 +1,8 @@
 //! Atomicity under failure (paper §3.2, §6.3): injected device faults roll
 //! transactions back completely; failed undos leave a flagged, repairable
 //! inconsistency.
-//!
-//! This suite deliberately drives the *deprecated* stringly-typed client
-//! shims (`submit`/`wait`/`submit_and_wait`, `Tropic::repair`/`reload`/
-//! `signal`): they must stay green until the shims are removed. New tests
-//! should use the typed API (`TxnRequest`/`TxnHandle`/`AdminClient`).
-#![allow(deprecated)]
+
+mod common;
 
 use std::time::Duration;
 
@@ -14,6 +10,8 @@ use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
 use tropic::devices::{Device, LatencyModel};
 use tropic::model::Path;
 use tropic::tcloud::{TCloudDevices, TopologySpec};
+
+use common::submit_and_wait;
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -50,9 +48,8 @@ fn spawn_error_in_last_step_rolls_back_both_layers() {
     devices.computes[0].fault_plan().fail_once("startVM");
 
     let client = platform.client();
-    let outcome = client
-        .submit_and_wait("spawnVM", spec.spawn_args("doomed", 0, 2048), WAIT)
-        .unwrap();
+    let outcome =
+        submit_and_wait(&client, "spawnVM", spec.spawn_args("doomed", 0, 2048), WAIT).unwrap();
     assert_eq!(outcome.state, TxnState::Aborted);
     let err = outcome.error.unwrap();
     assert!(err.contains("#5"), "failure was in the fifth action: {err}");
@@ -64,9 +61,8 @@ fn spawn_error_in_last_step_rolls_back_both_layers() {
 
     // Logical layer: a retry of the same VM succeeds, proving no leftover
     // logical state (orphans would make cloneImage fail).
-    let retry = client
-        .submit_and_wait("spawnVM", spec.spawn_args("doomed", 0, 2048), WAIT)
-        .unwrap();
+    let retry =
+        submit_and_wait(&client, "spawnVM", spec.spawn_args("doomed", 0, 2048), WAIT).unwrap();
     assert_eq!(retry.state, TxnState::Committed, "{:?}", retry.error);
     platform.shutdown();
 }
@@ -76,20 +72,18 @@ fn migrate_error_in_last_step_rolls_back() {
     let spec = spec();
     let (platform, devices) = start(&spec);
     let client = platform.client();
-    client
-        .submit_and_wait("spawnVM", spec.spawn_args("mig", 0, 2048), WAIT)
-        .unwrap();
+    submit_and_wait(&client, "spawnVM", spec.spawn_args("mig", 0, 2048), WAIT).unwrap();
     let stable = devices.registry.physical_tree();
 
     // Fail the last migrate step (startVM on the destination host).
     devices.computes[1].fault_plan().fail_once("startVM");
-    let outcome = client
-        .submit_and_wait(
-            "migrateVM",
-            vec!["/vmRoot/host0".into(), "/vmRoot/host1".into(), "mig".into()],
-            WAIT,
-        )
-        .unwrap();
+    let outcome = submit_and_wait(
+        &client,
+        "migrateVM",
+        vec!["/vmRoot/host0".into(), "/vmRoot/host1".into(), "mig".into()],
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(outcome.state, TxnState::Aborted);
 
     // The VM is back on host0, running, and host1 carries nothing.
@@ -108,9 +102,7 @@ fn fault_in_first_action_has_no_effect_at_all() {
     devices.storages[0].fault_plan().fail_once("cloneImage");
     let before = devices.registry.physical_tree();
     let client = platform.client();
-    let outcome = client
-        .submit_and_wait("spawnVM", spec.spawn_args("x", 0, 2048), WAIT)
-        .unwrap();
+    let outcome = submit_and_wait(&client, "spawnVM", spec.spawn_args("x", 0, 2048), WAIT).unwrap();
     assert_eq!(outcome.state, TxnState::Aborted);
     let err = outcome.error.unwrap();
     assert!(err.contains("#1"), "{err}");
@@ -131,37 +123,32 @@ fn undo_failure_marks_inconsistent_and_repair_recovers() {
     // startVM fails, then the undo of importImage (unimportImage) fails too.
     devices.computes[0].fault_plan().fail_once("startVM");
     devices.computes[0].fault_plan().fail_once("unimportImage");
-    let outcome = client
-        .submit_and_wait("spawnVM", spec.spawn_args("bad", 0, 2048), WAIT)
-        .unwrap();
+    let outcome =
+        submit_and_wait(&client, "spawnVM", spec.spawn_args("bad", 0, 2048), WAIT).unwrap();
     assert_eq!(outcome.state, TxnState::Failed);
     let err = outcome.error.unwrap();
     assert!(err.contains("undo"), "{err}");
 
     // The host is quarantined: new transactions on it abort immediately.
-    let denied = client
-        .submit_and_wait("spawnVM", spec.spawn_args("next", 0, 2048), WAIT)
-        .unwrap();
+    let denied =
+        submit_and_wait(&client, "spawnVM", spec.spawn_args("next", 0, 2048), WAIT).unwrap();
     assert_eq!(denied.state, TxnState::Aborted);
     assert!(denied.error.unwrap().contains("inconsistent"));
 
     // The other host still works — useful work continues on consistent
     // parts of the data model (paper §2.2).
-    let other = client
-        .submit_and_wait("spawnVM", spec.spawn_args("ok", 1, 2048), WAIT)
-        .unwrap();
+    let other = submit_and_wait(&client, "spawnVM", spec.spawn_args("ok", 1, 2048), WAIT).unwrap();
     assert_eq!(other.state, TxnState::Committed, "{:?}", other.error);
 
     // Repair reconciles the leftover physical state (the image import that
     // failed to undo) and clears the marker.
     let host0 = Path::parse("/vmRoot/host0").unwrap();
-    let result = platform.repair(&host0, WAIT).unwrap();
+    let result = platform.admin().repair(&host0, WAIT).unwrap();
     assert!(result.ok, "{}", result.message);
 
     // The host accepts transactions again.
-    let healed = client
-        .submit_and_wait("spawnVM", spec.spawn_args("next", 0, 2048), WAIT)
-        .unwrap();
+    let healed =
+        submit_and_wait(&client, "spawnVM", spec.spawn_args("next", 0, 2048), WAIT).unwrap();
     assert_eq!(healed.state, TxnState::Committed, "{:?}", healed.error);
     platform.shutdown();
 }
@@ -188,9 +175,8 @@ fn random_fault_injection_never_leaks_partial_state() {
         };
         device_holder.fault_plan().fail_once(action);
         let client = platform.client();
-        let outcome = client
-            .submit_and_wait("spawnVM", spec.spawn_args("v", 0, 2048), WAIT)
-            .unwrap();
+        let outcome =
+            submit_and_wait(&client, "spawnVM", spec.spawn_args("v", 0, 2048), WAIT).unwrap();
         assert_eq!(outcome.state, TxnState::Aborted, "fault in {action}");
         assert!(
             before

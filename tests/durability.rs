@@ -1,12 +1,8 @@
 //! Durability-subsystem integration tests: full-datacenter power loss and
 //! recovery from disk, bounded replica logs, torn-tail WAL handling, and
 //! suffix-vs-snapshot follower resync.
-//!
-//! This suite deliberately drives the *deprecated* stringly-typed client
-//! shims (`submit`/`wait`/`submit_and_wait`, `Tropic::repair`/`reload`/
-//! `signal`): they must stay green until the shims are removed. New tests
-//! should use the typed API (`TxnRequest`/`TxnHandle`/`AdminClient`).
-#![allow(deprecated)]
+
+mod common;
 
 use std::time::Duration;
 
@@ -14,6 +10,8 @@ use tropic::coord::{wal, CoordConfig, DurabilityOptions, Ensemble, Op, SyncPolic
 use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
 use tropic::model::Path;
 use tropic::tcloud::TopologySpec;
+
+use common::{submit, submit_and_wait};
 
 fn p(s: &str) -> Path {
     Path::parse(s).unwrap()
@@ -96,10 +94,16 @@ fn power_loss_scenario(tag: &str, sync_policy: SyncPolicy) {
         let platform = Tropic::start(config.clone(), spec.service(), ExecMode::LogicalOnly);
         let client = platform.client();
         for i in 0..8 {
-            let id = client
-                .submit("spawnVM", spec.spawn_args(&format!("vm{i}"), i % 4, 1_024))
+            let id = submit(
+                &client,
+                "spawnVM",
+                spec.spawn_args(&format!("vm{i}"), i % 4, 1_024),
+            )
+            .unwrap();
+            let outcome = client
+                .handle(id)
+                .wait_timeout(Duration::from_secs(30))
                 .unwrap();
-            let outcome = client.wait(id, Duration::from_secs(30)).unwrap();
             assert_eq!(outcome.state, TxnState::Committed);
             acked.push(id);
         }
@@ -109,9 +113,12 @@ fn power_loss_scenario(tag: &str, sync_policy: SyncPolicy) {
         // real resumption rather than racing a graceful drain.
         assert!(platform.crash_controller(0));
         for i in 8..12 {
-            let id = client
-                .submit("spawnVM", spec.spawn_args(&format!("vm{i}"), i % 4, 1_024))
-                .unwrap();
+            let id = submit(
+                &client,
+                "spawnVM",
+                spec.spawn_args(&format!("vm{i}"), i % 4, 1_024),
+            )
+            .unwrap();
             in_flight.push(id);
         }
         platform.shutdown(); // the whole datacenter goes dark
@@ -137,7 +144,10 @@ fn power_loss_scenario(tag: &str, sync_policy: SyncPolicy) {
         assert_eq!(rec.state, TxnState::Committed, "txn {id} lost its commit");
     }
     for id in &in_flight {
-        let outcome = client.wait(*id, Duration::from_secs(30)).unwrap();
+        let outcome = client
+            .handle(*id)
+            .wait_timeout(Duration::from_secs(30))
+            .unwrap();
         assert_eq!(
             outcome.state,
             TxnState::Committed,
@@ -146,13 +156,13 @@ fn power_loss_scenario(tag: &str, sync_policy: SyncPolicy) {
         );
     }
     // New work keeps flowing, with ids that cannot alias pre-crash records.
-    let outcome = client
-        .submit_and_wait(
-            "spawnVM",
-            spec.spawn_args("post", 0, 1_024),
-            Duration::from_secs(30),
-        )
-        .unwrap();
+    let outcome = submit_and_wait(
+        &client,
+        "spawnVM",
+        spec.spawn_args("post", 0, 1_024),
+        Duration::from_secs(30),
+    )
+    .unwrap();
     assert_eq!(outcome.state, TxnState::Committed);
     assert!(outcome.id > *in_flight.last().unwrap());
     platform.shutdown();

@@ -1,18 +1,16 @@
 //! High availability (paper §2.3, §6.4): leader crashes are survived by
 //! follower takeover with idempotent recovery; no submitted transaction is
 //! lost.
-//!
-//! This suite deliberately drives the *deprecated* stringly-typed client
-//! shims (`submit`/`wait`/`submit_and_wait`, `Tropic::repair`/`reload`/
-//! `signal`): they must stay green until the shims are removed. New tests
-//! should use the typed API (`TxnRequest`/`TxnHandle`/`AdminClient`).
-#![allow(deprecated)]
+
+mod common;
 
 use std::time::Duration;
 
 use tropic::coord::CoordConfig;
 use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
 use tropic::tcloud::TopologySpec;
+
+use common::{submit, submit_and_wait};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -60,9 +58,7 @@ fn follower_takes_over_after_leader_crash() {
     let client = platform.client();
 
     // Warm up under the first leader.
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("pre", 0, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("pre", 0, 2_048), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed);
     let first = wait_for_leader(&platform, WAIT).expect("initial leader");
 
@@ -70,15 +66,18 @@ fn follower_takes_over_after_leader_crash() {
     platform.crash_leader().expect("crash");
     let ids: Vec<_> = (0..4)
         .map(|i| {
-            client
-                .submit("spawnVM", spec.spawn_args(&format!("post{i}"), i, 2_048))
-                .unwrap()
+            submit(
+                &client,
+                "spawnVM",
+                spec.spawn_args(&format!("post{i}"), i, 2_048),
+            )
+            .unwrap()
         })
         .collect();
 
     // Every transaction submitted during the outage completes.
     for id in ids {
-        let o = client.wait(id, WAIT).unwrap();
+        let o = client.handle(id).wait_timeout(WAIT).unwrap();
         assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     }
     let second = wait_for_leader(&platform, WAIT).expect("new leader");
@@ -100,15 +99,11 @@ fn state_survives_failover_memory_accounting_intact() {
     };
     let platform = ha_platform(&spec);
     let client = platform.client();
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("big", 0, 3_072), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("big", 0, 3_072), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed);
 
     platform.crash_leader().expect("crash");
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("big2", 0, 3_072), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("big2", 0, 3_072), WAIT).unwrap();
     assert_eq!(
         o.state,
         TxnState::Aborted,
@@ -130,22 +125,20 @@ fn repeated_failovers_and_restart() {
     let client = platform.client();
     let mut crashed = Vec::new();
     for round in 0..2 {
-        let o = client
-            .submit_and_wait(
-                "spawnVM",
-                spec.spawn_args(&format!("r{round}"), round, 2_048),
-                WAIT,
-            )
-            .unwrap();
+        let o = submit_and_wait(
+            &client,
+            "spawnVM",
+            spec.spawn_args(&format!("r{round}"), round, 2_048),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(o.state, TxnState::Committed, "round {round}: {:?}", o.error);
         let idx = platform.crash_leader().expect("leader to crash");
         crashed.push(idx);
     }
     // Restart one crashed controller; it rejoins as a follower.
     platform.restart_controller(crashed[0]);
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("final", 3, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("final", 3, 2_048), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     // Leadership events were recorded for the experiment harness.
     let elections = platform
@@ -180,16 +173,17 @@ fn crash_between_group_commit_batches_loses_no_round() {
 
     // Make sure a leader exists, then submit the burst and crash leaders
     // while it is in flight.
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("warm", 0, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("warm", 0, 2_048), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed);
 
     let ids: Vec<_> = (0..3)
         .map(|i| {
-            client
-                .submit("spawnVM", spec.spawn_args(&format!("burst{i}"), 0, 2_048))
-                .unwrap()
+            submit(
+                &client,
+                "spawnVM",
+                spec.spawn_args(&format!("burst{i}"), 0, 2_048),
+            )
+            .unwrap()
         })
         .collect();
     platform.crash_leader().expect("first crash");
@@ -204,15 +198,19 @@ fn crash_between_group_commit_batches_loses_no_round() {
     platform.crash_leader().expect("second crash");
 
     for id in &ids {
-        let o = client.wait(*id, WAIT).unwrap();
+        let o = client.handle(*id).wait_timeout(WAIT).unwrap();
         assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     }
     // Exactly-once: the host now holds 4 × 2048 MB; one more must abort on
     // the memory constraint, proving no burst transaction was lost or
     // double-applied across the crashes.
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("overflow", 0, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(
+        &client,
+        "spawnVM",
+        spec.spawn_args("overflow", 0, 2_048),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(
         o.state,
         TxnState::Aborted,
@@ -237,9 +235,7 @@ fn recovery_time_dominated_by_failure_detection() {
     };
     let platform = ha_platform(&spec);
     let client = platform.client();
-    client
-        .submit_and_wait("spawnVM", spec.spawn_args("a", 0, 2_048), WAIT)
-        .unwrap();
+    submit_and_wait(&client, "spawnVM", spec.spawn_args("a", 0, 2_048), WAIT).unwrap();
     wait_for_leader(&platform, WAIT).unwrap();
 
     let crash_at = {
@@ -247,9 +243,7 @@ fn recovery_time_dominated_by_failure_detection() {
         platform.clock().now_ms()
     };
     // Drive work so the takeover is observable.
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("b", 1, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("b", 1, 2_048), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed);
 
     let events = platform.metrics().events();

@@ -1,12 +1,8 @@
 //! Isolation and safety (paper §2.1, §3.1): constraints abort unsafe
 //! transactions before devices are touched; concurrent transactions on
 //! shared resources serialize without races.
-//!
-//! This suite deliberately drives the *deprecated* stringly-typed client
-//! shims (`submit`/`wait`/`submit_and_wait`, `Tropic::repair`/`reload`/
-//! `signal`): they must stay green until the shims are removed. New tests
-//! should use the typed API (`TxnRequest`/`TxnHandle`/`AdminClient`).
-#![allow(deprecated)]
+
+mod common;
 
 use std::time::Duration;
 
@@ -14,6 +10,8 @@ use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
 use tropic::devices::LatencyModel;
 use tropic::model::Value;
 use tropic::tcloud::{TCloudDevices, TopologySpec};
+
+use common::{submit, submit_and_wait};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -46,14 +44,10 @@ fn overcommit_race_resolved_by_constraint() {
     let (platform, devices) = start(&spec, 2);
     let client = platform.client();
     // Two 3 GB VMs race for a 4 GB host.
-    let a = client
-        .submit("spawnVM", spec.spawn_args("racer-a", 0, 3_072))
-        .unwrap();
-    let b = client
-        .submit("spawnVM", spec.spawn_args("racer-b", 0, 3_072))
-        .unwrap();
-    let oa = client.wait(a, WAIT).unwrap();
-    let ob = client.wait(b, WAIT).unwrap();
+    let a = submit(&client, "spawnVM", spec.spawn_args("racer-a", 0, 3_072)).unwrap();
+    let b = submit(&client, "spawnVM", spec.spawn_args("racer-b", 0, 3_072)).unwrap();
+    let oa = client.handle(a).wait_timeout(WAIT).unwrap();
+    let ob = client.handle(b).wait_timeout(WAIT).unwrap();
     let states = [oa.state, ob.state];
     assert!(states.contains(&TxnState::Committed), "{oa:?} {ob:?}");
     assert!(states.contains(&TxnState::Aborted), "{oa:?} {ob:?}");
@@ -80,13 +74,16 @@ fn spawns_on_disjoint_hosts_proceed_concurrently() {
     let client = platform.client();
     let ids: Vec<_> = (0..8)
         .map(|i| {
-            client
-                .submit("spawnVM", spec.spawn_args(&format!("c{i}"), i, 2_048))
-                .unwrap()
+            submit(
+                &client,
+                "spawnVM",
+                spec.spawn_args(&format!("c{i}"), i, 2_048),
+            )
+            .unwrap()
         })
         .collect();
     for id in ids {
-        let o = client.wait(id, WAIT).unwrap();
+        let o = client.handle(id).wait_timeout(WAIT).unwrap();
         assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     }
     platform.shutdown();
@@ -127,21 +124,19 @@ fn cross_hypervisor_migration_rejected_before_devices() {
         ExecMode::Physical(devices.registry.clone()),
     );
     let client = platform.client();
-    client
-        .submit_and_wait("spawnVM", spec.spawn_args("vm", 0, 2_048), WAIT)
-        .unwrap();
+    submit_and_wait(&client, "spawnVM", spec.spawn_args("vm", 0, 2_048), WAIT).unwrap();
     let before_import = devices.computes[1].has_imported("vm-img");
-    let outcome = client
-        .submit_and_wait(
-            "migrateVM",
-            vec![
-                Value::from("/vmRoot/host0"),
-                Value::from("/vmRoot/host1"),
-                Value::from("vm"),
-            ],
-            WAIT,
-        )
-        .unwrap();
+    let outcome = submit_and_wait(
+        &client,
+        "migrateVM",
+        vec![
+            Value::from("/vmRoot/host0"),
+            Value::from("/vmRoot/host1"),
+            Value::from("vm"),
+        ],
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(outcome.state, TxnState::Aborted);
     assert!(outcome.error.unwrap().contains("vm-type"));
     // Early detection: the destination device was never touched.
@@ -167,14 +162,17 @@ fn deferred_transactions_eventually_commit_in_order() {
     let client = platform.client();
     let ids: Vec<_> = (0..5)
         .map(|i| {
-            client
-                .submit("spawnVM", spec.spawn_args(&format!("s{i}"), 0, 2_048))
-                .unwrap()
+            submit(
+                &client,
+                "spawnVM",
+                spec.spawn_args(&format!("s{i}"), 0, 2_048),
+            )
+            .unwrap()
         })
         .collect();
     let mut finish_order = Vec::new();
     for &id in &ids {
-        let o = client.wait(id, WAIT).unwrap();
+        let o = client.handle(id).wait_timeout(WAIT).unwrap();
         assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
         finish_order.push(id);
     }
@@ -196,14 +194,16 @@ fn storage_capacity_constraint_guards_cloning() {
     let (platform, _devices) = start(&spec, 1);
     let client = platform.client();
     for i in 0..2 {
-        let o = client
-            .submit_and_wait("spawnVM", spec.spawn_args(&format!("f{i}"), i, 2_048), WAIT)
-            .unwrap();
+        let o = submit_and_wait(
+            &client,
+            "spawnVM",
+            spec.spawn_args(&format!("f{i}"), i, 2_048),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     }
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("f2", 2, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("f2", 2, 2_048), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Aborted);
     assert!(o.error.unwrap().contains("storage-capacity"));
     platform.shutdown();

@@ -2,12 +2,8 @@
 //! drift is detected and healed by `repair` (logical → physical) or
 //! absorbed by `reload` (physical → logical); stalled transactions respond
 //! to TERM and KILL signals.
-//!
-//! This suite deliberately drives the *deprecated* stringly-typed client
-//! shims (`submit`/`wait`/`submit_and_wait`, `Tropic::repair`/`reload`/
-//! `signal`): they must stay green until the shims are removed. New tests
-//! should use the typed API (`TxnRequest`/`TxnHandle`/`AdminClient`).
-#![allow(deprecated)]
+
+mod common;
 
 use std::time::Duration;
 
@@ -15,6 +11,8 @@ use tropic::core::{ExecMode, PlatformConfig, Signal, Tropic, TxnState};
 use tropic::devices::LatencyModel;
 use tropic::model::{Path, Value};
 use tropic::tcloud::{TCloudDevices, TopologySpec};
+
+use common::{submit, submit_and_wait};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -54,9 +52,13 @@ fn repair_restarts_vms_after_host_reboot() {
     let (platform, devices) = start(&spec);
     let client = platform.client();
     for i in 0..3 {
-        let o = client
-            .submit_and_wait("spawnVM", spec.spawn_args(&format!("r{i}"), 0, 2_048), WAIT)
-            .unwrap();
+        let o = submit_and_wait(
+            &client,
+            "spawnVM",
+            spec.spawn_args(&format!("r{i}"), 0, 2_048),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(o.state, TxnState::Committed);
     }
 
@@ -65,7 +67,7 @@ fn repair_restarts_vms_after_host_reboot() {
     assert_eq!(affected.len(), 3);
 
     let host0 = Path::parse("/vmRoot/host0").unwrap();
-    let result = platform.repair(&host0, WAIT).unwrap();
+    let result = platform.admin().repair(&host0, WAIT).unwrap();
     assert!(result.ok, "{}", result.message);
     assert_eq!(result.actions, 3, "one startVM per powered-off VM");
     for i in 0..3 {
@@ -82,15 +84,13 @@ fn repair_removes_rogue_vm_and_restores_lost_image() {
     let spec = spec();
     let (platform, devices) = start(&spec);
     let client = platform.client();
-    client
-        .submit_and_wait("spawnVM", spec.spawn_args("legit", 0, 2_048), WAIT)
-        .unwrap();
+    submit_and_wait(&client, "spawnVM", spec.spawn_args("legit", 0, 2_048), WAIT).unwrap();
 
     // Operator mischief: a rogue VM appears, a legit image disappears.
     devices.computes[1].oob_create_vm("rogue", "whatever", 256, false);
     devices.storages[0].oob_lose_image("legit-img");
 
-    let result = platform.repair(&Path::root(), WAIT).unwrap();
+    let result = platform.admin().repair(&Path::root(), WAIT).unwrap();
     assert!(result.ok, "{}", result.message);
     assert_eq!(devices.computes[1].vm_count(), 0, "rogue VM removed");
     assert!(devices.storages[0].has_image("legit-img"), "image restored");
@@ -113,16 +113,14 @@ fn repair_refuses_to_race_an_in_flight_transaction() {
     let latency = LatencyModel::zero().with_action("cloneImage", Duration::from_millis(1_500));
     let (platform, devices) = start_with_latency(&spec, latency);
     let client = platform.client();
-    let id = client
-        .submit("spawnVM", spec.spawn_args("inflight", 0, 2_048))
-        .unwrap();
+    let id = submit(&client, "spawnVM", spec.spawn_args("inflight", 0, 2_048)).unwrap();
     let deadline = std::time::Instant::now() + WAIT;
     while client.txn_record(id).unwrap().map(|r| r.state) != Some(TxnState::Started) {
         assert!(std::time::Instant::now() < deadline, "spawn never started");
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let raced = platform.repair(&Path::root(), WAIT).unwrap();
+    let raced = platform.admin().repair(&Path::root(), WAIT).unwrap();
     assert!(!raced.ok, "repair ran against an in-flight transaction");
     assert!(
         raced
@@ -133,10 +131,10 @@ fn repair_refuses_to_race_an_in_flight_transaction() {
     );
     assert_eq!(raced.actions, 0);
 
-    let o = client.wait(id, WAIT).unwrap();
+    let o = client.handle(id).wait_timeout(WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     assert_eq!(devices.computes[0].vm_count(), 1);
-    let settled = platform.repair(&Path::root(), WAIT).unwrap();
+    let settled = platform.admin().repair(&Path::root(), WAIT).unwrap();
     assert!(settled.ok, "{}", settled.message);
     assert_eq!(settled.actions, 0, "the spawn left nothing to repair");
     platform.shutdown();
@@ -150,25 +148,23 @@ fn reload_adopts_out_of_band_state() {
     let spec = spec();
     let (platform, devices) = start(&spec);
     let client = platform.client();
-    client
-        .submit_and_wait("spawnVM", spec.spawn_args("ours", 0, 2_048), WAIT)
-        .unwrap();
+    submit_and_wait(&client, "spawnVM", spec.spawn_args("ours", 0, 2_048), WAIT).unwrap();
 
     // Out-of-band VM on host1 (with its backing import so layers converge).
     devices.computes[1].oob_create_vm("adopted", "external-img", 1_024, true);
 
     let host1 = Path::parse("/vmRoot/host1").unwrap();
-    let result = platform.reload(&host1, WAIT).unwrap();
+    let result = platform.admin().reload(&host1, WAIT).unwrap();
     assert!(result.ok, "{}", result.message);
 
     // The logical layer now knows the VM: stopping it through TROPIC works.
-    let o = client
-        .submit_and_wait(
-            "stopVM",
-            vec![Value::from("/vmRoot/host1"), Value::from("adopted")],
-            WAIT,
-        )
-        .unwrap();
+    let o = submit_and_wait(
+        &client,
+        "stopVM",
+        vec![Value::from("/vmRoot/host1"), Value::from("adopted")],
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     assert_eq!(
         devices.computes[1].vm_power("adopted"),
@@ -191,7 +187,7 @@ fn reload_rejected_when_it_would_violate_constraints() {
     devices.computes[0].oob_create_vm("huge-a", "img", 1_536, false);
     devices.computes[0].oob_create_vm("huge-b", "img", 1_536, false);
     let host0 = Path::parse("/vmRoot/host0").unwrap();
-    let result = platform.reload(&host0, WAIT).unwrap();
+    let result = platform.admin().reload(&host0, WAIT).unwrap();
     assert!(!result.ok);
     assert!(result.message.contains("vm-memory"), "{}", result.message);
     platform.shutdown();
@@ -208,20 +204,18 @@ fn term_signal_aborts_stalled_transaction_cleanly() {
     let (platform, devices) = start_with_latency(&spec, latency);
     let before = devices.registry.physical_tree();
     let client = platform.client();
-    let id = client
-        .submit("spawnVM", spec.spawn_args("slow", 0, 2_048))
-        .unwrap();
+    let id = submit(&client, "spawnVM", spec.spawn_args("slow", 0, 2_048)).unwrap();
     // Give the worker time to reach the slow action, then TERM.
     std::thread::sleep(Duration::from_millis(500));
-    platform.signal(id, Signal::Term).unwrap();
-    let o = client.wait(id, WAIT).unwrap();
+    platform.admin().signal(id, Signal::Term).unwrap();
+    let o = client.handle(id).wait_timeout(WAIT).unwrap();
     assert_eq!(o.state, TxnState::Aborted);
     assert!(o.error.unwrap().contains("TERM"));
     // Devices rolled back.
     let after = devices.registry.physical_tree();
     assert!(before.diff(&after, &Path::root()).is_empty());
     // Layers consistent: a repair over the root is a no-op.
-    let result = platform.repair(&Path::root(), WAIT).unwrap();
+    let result = platform.admin().repair(&Path::root(), WAIT).unwrap();
     assert!(result.ok && result.actions == 0, "{}", result.message);
     platform.shutdown();
 }
@@ -234,27 +228,23 @@ fn kill_signal_leaves_drift_that_repair_heals() {
     let latency = LatencyModel::zero().with_action("createVM", Duration::from_secs(3));
     let (platform, devices) = start_with_latency(&spec, latency);
     let client = platform.client();
-    let id = client
-        .submit("spawnVM", spec.spawn_args("kild", 0, 2_048))
-        .unwrap();
+    let id = submit(&client, "spawnVM", spec.spawn_args("kild", 0, 2_048)).unwrap();
     std::thread::sleep(Duration::from_millis(500));
-    platform.signal(id, Signal::Kill).unwrap();
-    let o = client.wait(id, WAIT).unwrap();
+    platform.admin().signal(id, Signal::Kill).unwrap();
+    let o = client.handle(id).wait_timeout(WAIT).unwrap();
     assert_eq!(o.state, TxnState::Aborted);
 
     // The cloned image (and possibly more) remains on the devices: drift.
     // Eventually the worker abandons; repair converges the layers.
     std::thread::sleep(Duration::from_secs(4));
-    let result = platform.repair(&Path::root(), WAIT).unwrap();
+    let result = platform.admin().repair(&Path::root(), WAIT).unwrap();
     assert!(result.ok, "{}", result.message);
     assert!(
         !devices.storages[0].has_image("kild-img"),
         "repair must remove the orphaned image"
     );
     // The host accepts new work after reconciliation.
-    let o = client
-        .submit_and_wait("spawnVM", spec.spawn_args("fresh", 0, 2_048), WAIT)
-        .unwrap();
+    let o = submit_and_wait(&client, "spawnVM", spec.spawn_args("fresh", 0, 2_048), WAIT).unwrap();
     assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
     platform.shutdown();
 }
@@ -278,10 +268,8 @@ fn stall_timeouts_fire_automatically() {
         ExecMode::Physical(devices.registry.clone()),
     );
     let client = platform.client();
-    let id = client
-        .submit("spawnVM", spec.spawn_args("stuck", 0, 2_048))
-        .unwrap();
-    let o = client.wait(id, WAIT).unwrap();
+    let id = submit(&client, "spawnVM", spec.spawn_args("stuck", 0, 2_048)).unwrap();
+    let o = client.handle(id).wait_timeout(WAIT).unwrap();
     // TERM cannot interrupt the 30 s device call in progress (signals are
     // polled between actions), so the KILL path finalizes the transaction.
     assert_eq!(o.state, TxnState::Aborted);

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use tropic::coord::{write_frame, FrameError, FrameReader};
 use tropic::core::rpc::{decode_response, encode_request, RpcRequest, RpcResponse};
 use tropic::core::{
-    ApiError, ExecMode, PlatformConfig, Priority, RemoteClient, RpcServer, Tropic, TxnRequest,
-    TxnState,
+    ApiError, ExecMode, PlatformConfig, Priority, RemoteClient, RemoteSubscription, RpcServer,
+    Tropic, TxnEvent, TxnRequest, TxnState,
 };
 use tropic::tcloud::TopologySpec;
 
@@ -344,6 +344,18 @@ fn remote_batch_submit_lands_atomically() {
     platform.shutdown();
 }
 
+/// Blocks (bounded) for the terminal event of transaction `id`.
+fn terminal_event(events: &RemoteSubscription<TxnEvent>, id: u64) -> Option<TxnEvent> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        match events.recv_timeout(Duration::from_millis(250)) {
+            Some(ev) if ev.id == id && ev.state.is_final() => return Some(ev),
+            _ => {}
+        }
+    }
+    None
+}
+
 #[test]
 fn remote_subscription_delivers_terminal_event() {
     let (platform, server) = start();
@@ -357,21 +369,11 @@ fn remote_subscription_delivers_terminal_event() {
     let outcome = handle.wait_timeout(Duration::from_secs(30)).unwrap();
     assert_eq!(outcome.state, TxnState::Committed, "{:?}", outcome.error);
 
+    let ev = terminal_event(&events, outcome.id)
+        .expect("terminal event must reach the remote subscriber");
+    assert_eq!(ev.state, TxnState::Committed);
+    assert_eq!(ev.proc_name, "spawnVM");
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut saw_terminal = false;
-    while Instant::now() < deadline && !saw_terminal {
-        if let Some(ev) = events.recv_timeout(Duration::from_millis(250)) {
-            if ev.id == outcome.id && ev.state.is_final() {
-                assert_eq!(ev.state, TxnState::Committed);
-                assert_eq!(ev.proc_name, "spawnVM");
-                saw_terminal = true;
-            }
-        }
-    }
-    assert!(
-        saw_terminal,
-        "terminal event must reach the remote subscriber"
-    );
     // The reactor flushes the frame before it bumps the counter, so the
     // event can reach this thread first.
     while platform.metrics().counters().rpc_events_streamed < 1 {
@@ -627,67 +629,32 @@ fn subscription_close_reason_distinguishes_shutdown() {
     platform.shutdown();
 }
 
+/// The event pumps read through ordinary quorum sessions, so no replica is
+/// special to a stream: whichever one dies, events keep flowing.
 #[test]
-fn observer_lease_expiry_closes_streams_typed_and_heals() {
-    let platform = Tropic::start(
-        PlatformConfig {
-            controllers: 1,
-            workers: 1,
-            checkpoint_every: 0,
-            coord: tropic::coord::CoordConfig {
-                observers: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-        spec().service(),
-        ExecMode::LogicalOnly,
-    );
-    let server = platform.serve_rpc().expect("bind loopback");
-    let observer = platform.coord().observer_ids()[0];
-    assert!(platform.coord().observer_lease_valid(observer));
-
+fn event_stream_survives_any_single_replica_crash() {
+    let (platform, server) = start();
+    let spec = spec();
     let remote = RemoteClient::connect(server.addr()).unwrap();
     let events = remote.subscribe().unwrap();
-    assert!(events.close_reason().is_none());
 
-    // Kill the observer replica: its staleness lease can no longer be
-    // renewed, so fan-out must stop rather than serve unbounded
-    // staleness. The voters (and the whole request path) are untouched.
-    platform.coord().crash_replica(observer);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while events.is_live() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(!events.is_live(), "stream must close on lease expiry");
-    match events.close_reason() {
-        Some(ApiError::LeaseExpired { observer: o }) => assert_eq!(o, observer as u64),
-        other => panic!("expected LeaseExpired, got {other:?}"),
-    }
-    remote
-        .ping()
-        .expect("request path unaffected by observer loss");
-
-    // New subscriptions are refused with the same typed (and retryable)
-    // error while the lease is down.
-    match remote.subscribe() {
-        Err(e @ ApiError::LeaseExpired { .. }) => assert!(e.retryable()),
-        Err(other) => panic!("expected LeaseExpired refusal, got {other}"),
-        Ok(_) => panic!("subscription must be refused while the lease is down"),
-    }
-
-    // Heal: the restarted observer re-syncs from the leader, the lease
-    // renews on the next tick, and subscriptions are accepted again.
-    platform.coord().restart_replica(observer);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match remote.subscribe() {
-            Ok(_healed) => break,
-            Err(ApiError::LeaseExpired { .. }) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Err(e) => panic!("unexpected {e}"),
+    for replica in 0..3 {
+        if replica > 0 {
+            platform.coord().restart_replica(replica - 1);
         }
+        platform.coord().crash_replica(replica);
+        let vm = format!("crash-{replica}-vm");
+        let outcome = remote
+            .submit_request(TxnRequest::new("spawnVM").args(spec.spawn_args(&vm, replica, 512)))
+            .unwrap()
+            .wait_timeout(Duration::from_secs(30))
+            .unwrap();
+        assert_eq!(outcome.state, TxnState::Committed, "{:?}", outcome.error);
+        let ev = terminal_event(&events, outcome.id)
+            .unwrap_or_else(|| panic!("no terminal event with replica {replica} down"));
+        assert_eq!(ev.state, TxnState::Committed);
+        assert!(events.is_live(), "stream died with replica {replica}");
+        assert_eq!(events.close_reason(), None);
     }
 
     server.stop();

@@ -147,7 +147,7 @@ fn reconciler_heals_host_reboot_and_streams_the_episode_over_rpc() {
     let mut events = Vec::new();
     assert!(
         eventually(WAIT, || {
-            events.extend(twin_sub.drain_twin());
+            events.extend(twin_sub.drain());
             has_phase_subsequence(
                 &events,
                 "/vmRoot/host0",

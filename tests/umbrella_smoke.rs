@@ -1,7 +1,6 @@
 //! Smoke test for the umbrella crate: the `tropic::{model, coord, devices,
-//! core, tcloud, workload}` re-export surface must compile, a one-txn
-//! typed-API round trip must commit, and the deprecated legacy shim must
-//! still work.
+//! core, tcloud, workload}` re-export surface must compile, and a one-txn
+//! typed-API round trip must commit.
 
 use std::time::Duration;
 
@@ -56,35 +55,5 @@ fn one_txn_typed_round_trip() {
         "error: {:?}",
         outcome.error
     );
-    platform.shutdown();
-}
-
-/// The deprecated stringly-typed shim still works end to end.
-#[test]
-#[allow(deprecated)]
-fn legacy_submit_and_wait_shim_still_commits() {
-    let spec = TopologySpec {
-        compute_hosts: 2,
-        storage_hosts: 1,
-        routers: 0,
-        ..Default::default()
-    };
-    let platform = Tropic::start(
-        PlatformConfig {
-            controllers: 1,
-            ..Default::default()
-        },
-        spec.service(),
-        ExecMode::LogicalOnly,
-    );
-    let client = platform.client();
-    let outcome = client
-        .submit_and_wait(
-            "spawnVM",
-            spec.spawn_args("web1", 0, 2_048),
-            Duration::from_secs(30),
-        )
-        .expect("platform reachable");
-    assert_eq!(outcome.state, TxnState::Committed);
     platform.shutdown();
 }
