@@ -120,7 +120,7 @@ impl Registry {
         let txn = "crates/core/src/txn.rs";
         let twin = "crates/core/src/twin.rs";
         let report = "crates/devices/src/report.rs";
-        let wal = "crates/coord/src/wal.rs";
+        let codec = "crates/coord/src/codec.rs";
         let store = "crates/coord/src/store.rs";
         let snap = "crates/coord/src/snapshot.rs";
         let mut entries = vec![e(Wire, msg, Anchor, "WIRE_VERSION")];
@@ -144,7 +144,7 @@ impl Registry {
         }
         entries.push(e(Wire, twin, Type, "TwinEvent"));
         entries.push(e(Wire, report, Type, "StateReport"));
-        entries.push(e(Wal, wal, Anchor, "FORMAT_VERSION"));
+        entries.push(e(Wal, codec, Anchor, "FORMAT_VERSION"));
         entries.push(e(Wal, store, Type, "Op"));
         for name in [
             "TAG_CREATE",
@@ -153,7 +153,7 @@ impl Registry {
             "TAG_PURGE",
             "TAG_MULTI",
         ] {
-            entries.push(e(Wal, wal, Const, name));
+            entries.push(e(Wal, codec, Const, name));
         }
         for name in ["MAGIC", "DELTA_MAGIC", "TAG_PUT", "TAG_TOMBSTONE"] {
             entries.push(e(Snapshot, snap, Const, name));

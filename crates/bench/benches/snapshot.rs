@@ -21,7 +21,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-use tropic_coord::{snapshot, Op, TempDir, ZnodeStore};
+use tropic_coord::snapshot::{self, DirtySet};
+use tropic_coord::{Op, TempDir, ZnodeStore};
 use tropic_model::Path;
 
 /// Store size: the "larger store" dimension from the commit-path bench.
@@ -57,26 +58,25 @@ fn populated() -> (ZnodeStore, u64) {
 
 fn bench(c: &mut Criterion) {
     let (mut store, base_zxid) = populated();
-    store.clear_dirty();
     let base_store = store.clone();
     // Dirty 5% of the store the way a checkpoint interval would: data
     // overwrites on a spread of existing nodes.
     let mut zxid = base_zxid;
+    let mut dirty = DirtySet::default();
     for i in 0..(NODES * DIRTY_PCT / 100) {
         zxid += 1;
-        store
-            .apply(
-                zxid,
-                &Op::SetData {
-                    path: node_path(i * (100 / DIRTY_PCT)),
-                    data: b"dirty-overwrite-of-a-similar-size"[..].into(),
-                    expected_version: None,
-                },
-            )
-            .0
-            .expect("set");
+        let (result, events) = store.apply(
+            zxid,
+            &Op::SetData {
+                path: node_path(i * (100 / DIRTY_PCT)),
+                data: b"dirty-overwrite-of-a-similar-size"[..].into(),
+                expected_version: None,
+            },
+        );
+        result.expect("set");
+        dirty.mark(&events);
     }
-    let records = store.delta_records();
+    let records = store.delta_records(dirty.paths());
 
     let full_dir = TempDir::new("tropic-bench-snap-full");
     let delta_dir = TempDir::new("tropic-bench-snap-delta");

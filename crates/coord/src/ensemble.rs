@@ -12,9 +12,11 @@
 //! With a data directory ([`Ensemble::with_durability`]), each replica owns
 //! a [`Durability`] handle: every committed op is appended to a segmented
 //! write-ahead log before it is applied, and a fuzzy snapshot — full, or a
-//! delta covering just the dirtied subtrees — is written on a size/op-count
-//! policy, after which both the on-disk segments and the in-memory
-//! `Replica.log` are truncated, bounding memory and disk.
+//! delta covering just the paths dirtied since the last one, which the
+//! handle tracks from each apply's events (an in-memory replica has no
+//! handle and tracks nothing) — is written on a size/op-count policy, after
+//! which both the on-disk segments and the in-memory `Replica.log` are
+//! truncated, bounding memory and disk.
 //! [`Ensemble::recover`] rebuilds every replica from its latest valid
 //! snapshot chain plus the log suffix, then lets laggards catch up from the
 //! leader. Follower resync ships only the suffix since the follower's
@@ -82,7 +84,11 @@ impl Replica {
         }
         self.log.push((zxid, op.clone()));
         self.last_zxid = zxid;
-        self.store.apply(zxid, op)
+        let (result, events) = self.store.apply(zxid, op);
+        if let Some(d) = self.durability.as_mut() {
+            d.mark_dirty(&events);
+        }
+        (result, events)
     }
 
     /// Starts this replica's group fsync without waiting on it (pipelined
@@ -103,7 +109,7 @@ impl Replica {
     fn finish_batch(&mut self, memory_log_cap: usize) {
         let last_zxid = self.last_zxid;
         let snapshot_zxid = match self.durability.as_mut() {
-            Some(d) => match d.commit_batch(last_zxid, &mut self.store) {
+            Some(d) => match d.commit_batch(last_zxid, &self.store) {
                 Ok(z) => z,
                 Err(_) => {
                     self.alive = false;
@@ -146,7 +152,7 @@ impl Replica {
         self.log.clear();
         self.log_start_zxid = last_zxid;
         if let Some(d) = self.durability.as_mut() {
-            if d.install_snapshot(last_zxid, &mut self.store).is_err() {
+            if d.install_snapshot(last_zxid, &self.store).is_err() {
                 self.alive = false;
             }
         }
@@ -271,7 +277,7 @@ impl Ensemble {
         let mut recoveries = 0u64;
         for id in 0..n {
             let dir = data_dir.join(replica_dir_name(id));
-            let (durability, snapshot, suffix) = Durability::open(&dir, opts.clone())?;
+            let (mut durability, snapshot, suffix) = Durability::open(&dir, opts.clone())?;
             let (mut store, horizon) = match snapshot {
                 Some((zxid, store)) => (store, zxid),
                 None => (ZnodeStore::new(), 0),
@@ -279,8 +285,11 @@ impl Ensemble {
             let mut last_zxid = horizon;
             for (zxid, op) in &suffix {
                 // Replay is silent by construction: events never reach the
-                // watch tables, which live a layer above the ensemble.
-                let _ = store.apply(*zxid, op);
+                // watch tables, which live a layer above the ensemble. They
+                // do reach the durability handle: the suffix sits past the
+                // snapshot chain's tip, so the next delta must cover it.
+                let (_, events) = store.apply(*zxid, op);
+                durability.mark_dirty(&events);
                 last_zxid = *zxid;
             }
             let mut r = Replica::new(id);
@@ -806,6 +815,52 @@ mod tests {
         back.submit(create_op("/after")).0.unwrap();
         assert!(back.replica_last_zxid(0).unwrap() > before);
         assert!(back.replicas_consistent());
+    }
+
+    #[test]
+    fn recovered_wal_suffix_is_covered_by_the_next_delta() {
+        let tmp = TempDir::new("tropic-ens-suffix-delta");
+        let opts = |snapshot_every_ops| DurabilityOptions {
+            snapshot_every_ops,
+            ..quick_opts()
+        };
+        let set_op = |path: &str, data: &'static [u8]| Op::SetData {
+            path: p(path),
+            data: Bytes::from_static(data),
+            expected_version: None,
+        };
+        // The reference applies every op at the zxid the ensemble gave it.
+        let mut reference = ZnodeStore::new();
+        let mut submit = |e: &mut Ensemble, op: Op| {
+            e.submit(op.clone()).0.unwrap();
+            let zxid = e.replica_last_zxid(0).unwrap();
+            reference.apply(zxid, &op).0.unwrap();
+        };
+
+        // Sixteen creates trip a full snapshot; three sets stay in the WAL.
+        let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts(16)).unwrap();
+        for i in 0..16 {
+            submit(&mut e, create_op(&format!("/n{i}")));
+        }
+        assert_eq!(e.stats().snapshots_written, 3);
+        for i in 0..3 {
+            submit(&mut e, set_op(&format!("/n{i}"), b"in the suffix"));
+        }
+        drop(e);
+
+        // The replayed suffix plus one more write reach the op-count
+        // trigger: a delta that must carry the suffix's three paths too.
+        let mut e = Ensemble::recover(3, 1, tmp.path(), opts(4)).unwrap();
+        submit(&mut e, set_op("/n3", b"after the restart"));
+        assert_eq!(e.stats().delta_snapshots_written, 3);
+        drop(e);
+
+        // Nothing is left in the WAL: full + delta alone must be the state.
+        let e = Ensemble::recover(3, 1, tmp.path(), opts(4)).unwrap();
+        for r in &e.replicas {
+            assert!(r.log.is_empty());
+            assert_eq!(r.store, reference, "replica {}", r.id);
+        }
     }
 
     #[test]

@@ -34,9 +34,11 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
+pub(crate) mod codec;
 pub mod election;
 pub mod ensemble;
 pub mod error;
+pub mod frame;
 pub mod net;
 pub mod queue;
 pub mod service;
@@ -48,6 +50,7 @@ pub mod wal;
 pub use election::LeaderElection;
 pub use ensemble::{Ensemble, EnsembleStats};
 pub use error::{CoordError, CoordResult};
+pub use frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 pub use net::{NetStats, NodeId, SimNet};
 pub use queue::DistributedQueue;
 pub use service::{
@@ -56,5 +59,4 @@ pub use service::{
 };
 pub use store::{DeltaRecord, Op, OpResult, Stat, StoreEvent, ZnodeStore};
 pub use testutil::TempDir;
-pub use wal::frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 pub use wal::{Durability, DurabilityOptions, DurabilityStats, SyncPolicy};

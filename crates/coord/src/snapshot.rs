@@ -6,7 +6,10 @@
 //! last op it reflects. A **delta** snapshot (`delta-<zxid>.bin`, magic
 //! `TRPCDLT1`) captures only the paths dirtied since the previous snapshot:
 //! it names the zxid of that base (`base_zxid`) and carries
-//! [`DeltaRecord`]s encoded with the same WAL codec. Deltas form a
+//! [`DeltaRecord`]s encoded with the same WAL codec. Which paths those are
+//! is the [`DirtySet`], kept by the one reader that snapshots — the
+//! replica's [`crate::wal::Durability`] handle — and not by the store, so a
+//! replica without durability tracks nothing. Deltas form a
 //! chain — full at the base, each delta's `base_zxid` equal to the previous
 //! tip — resolved by [`load_chain`]. Together with the write-ahead log
 //! suffix after the chain tip ([`crate::wal`]), the chain reconstructs a
@@ -20,12 +23,15 @@
 //! generation or the longest valid chain prefix. Old directories that hold
 //! only `snap-*` files load unchanged: a chain of length zero.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path as StdPath, PathBuf};
 
-use crate::store::{DeltaRecord, ZnodeStore};
-use crate::wal::codec;
+use tropic_model::Path;
+
+use crate::codec;
+use crate::store::{DeltaRecord, StoreEvent, ZnodeStore};
 
 const MAGIC: &[u8; 8] = b"TRPCSNP1";
 const DELTA_MAGIC: &[u8; 8] = b"TRPCDLT1";
@@ -34,6 +40,40 @@ const DELTA_PREFIX: &str = "delta-";
 const SUFFIX: &str = ".bin";
 const TAG_PUT: u8 = 1;
 const TAG_TOMBSTONE: u8 = 2;
+
+/// The paths the next delta snapshot must contain: every path a
+/// [`StoreEvent`] has named since the last snapshot. Events are the store's
+/// complete change report — a create or delete names the node and its
+/// parent (whose child set and sequential counter moved), a set names the
+/// node — and a failed or reverted op emits none, so it marks nothing.
+#[derive(Debug, Default)]
+pub struct DirtySet {
+    paths: BTreeSet<Path>,
+}
+
+impl DirtySet {
+    /// Marks every path `events` name.
+    pub fn mark(&mut self, events: &[StoreEvent]) {
+        for event in events {
+            let (StoreEvent::Created(path)
+            | StoreEvent::Deleted(path)
+            | StoreEvent::DataChanged(path)
+            | StoreEvent::ChildrenChanged(path)) = event;
+            self.paths.insert(path.clone());
+        }
+    }
+
+    /// The marked paths, in the order [`ZnodeStore::delta_records`] needs.
+    pub fn paths(&self) -> &BTreeSet<Path> {
+        &self.paths
+    }
+
+    /// Forgets all marks. Called once a snapshot (full or delta) has
+    /// captured the state they describe.
+    pub fn clear(&mut self) {
+        self.paths.clear();
+    }
+}
 
 /// File name of the full snapshot tagged with `zxid`.
 pub fn file_name(zxid: u64) -> String {
@@ -153,7 +193,7 @@ fn encode_delta_record(rec: &DeltaRecord, out: &mut Vec<u8>) {
 fn decode_delta_record(cur: &mut codec::Cursor<'_>) -> Option<DeltaRecord> {
     match cur.u8()? {
         TAG_PUT => {
-            let path = tropic_model::Path::parse(cur.str()?).ok()?;
+            let path = Path::parse(cur.str()?).ok()?;
             let data = bytes::Bytes::copy_from_slice(cur.bytes()?);
             Some(DeltaRecord::Put {
                 path,
@@ -166,7 +206,7 @@ fn decode_delta_record(cur: &mut codec::Cursor<'_>) -> Option<DeltaRecord> {
             })
         }
         TAG_TOMBSTONE => Some(DeltaRecord::Tombstone {
-            path: tropic_model::Path::parse(cur.str()?).ok()?,
+            path: Path::parse(cur.str()?).ok()?,
         }),
         _ => None,
     }
@@ -360,7 +400,6 @@ mod tests {
     use crate::store::Op;
     use crate::testutil::TempDir;
     use bytes::Bytes;
-    use tropic_model::Path;
 
     fn populated_store() -> ZnodeStore {
         let mut s = ZnodeStore::new();
@@ -456,9 +495,11 @@ mod tests {
 
     /// Applies `op` at `zxid` and returns the delta records it dirtied.
     fn mutate(store: &mut ZnodeStore, zxid: u64, op: &Op) -> Vec<DeltaRecord> {
-        store.clear_dirty();
-        store.apply(zxid, op).0.unwrap();
-        store.delta_records()
+        let (result, events) = store.apply(zxid, op);
+        result.unwrap();
+        let mut dirty = DirtySet::default();
+        dirty.mark(&events);
+        store.delta_records(dirty.paths())
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! totally-ordered sequence of [`Op`]s, so all replicas converge to the same
 //! state. Application is deterministic: sequential-node counters live in the
 //! parent znode and are part of replicated state.
+//!
+//! The store holds replicated state and nothing else. Which paths the next
+//! delta snapshot must contain is a per-replica durability decision: it
+//! lives in [`crate::snapshot::DirtySet`], owned by
+//! [`crate::wal::Durability`] and fed from the [`StoreEvent`]s
+//! [`ZnodeStore::apply`] returns.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 use bytes::Bytes;
 use tropic_model::Path;
 
+use crate::codec;
 use crate::error::{CoordError, CoordResult};
-use crate::wal::codec;
 
 /// Metadata of a znode, in the spirit of ZooKeeper's `Stat`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,7 +184,7 @@ enum Undo {
 /// touched since the delta's base snapshot, or a tombstone for one that no
 /// longer exists. A `Put` carries every scalar field but not children —
 /// membership changes under a node are always covered by the children's own
-/// records, because creates and deletes mark both child and parent dirty.
+/// records, because creates and deletes emit events for both child and parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeltaRecord {
     /// Upsert: create the node if missing, else overwrite its scalars while
@@ -208,32 +213,9 @@ pub enum DeltaRecord {
 }
 
 /// One replica's copy of the znode tree.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ZnodeStore {
     root: Znode,
-    /// Paths touched since the last snapshot. An over-approximation: a
-    /// reverted [`Op::Multi`] leaves its marks behind, which costs redundant
-    /// delta records but never correctness.
-    dirty: BTreeSet<Path>,
-}
-
-impl PartialEq for ZnodeStore {
-    fn eq(&self, other: &Self) -> bool {
-        // Dirty marks are local snapshot bookkeeping, not replicated state:
-        // two replicas with identical trees compare equal even when their
-        // snapshot cadences differ.
-        self.root == other.root
-    }
-}
-
-impl Eq for ZnodeStore {}
-
-impl fmt::Debug for ZnodeStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ZnodeStore")
-            .field("root", &self.root)
-            .finish()
-    }
 }
 
 impl Default for ZnodeStore {
@@ -247,31 +229,17 @@ impl ZnodeStore {
     pub fn new() -> Self {
         ZnodeStore {
             root: Znode::new(Bytes::new(), 0, None),
-            dirty: BTreeSet::new(),
         }
     }
 
-    /// Number of distinct paths dirtied since the last
-    /// [`ZnodeStore::clear_dirty`]. Snapshot policy compares this against
-    /// [`ZnodeStore::node_count`] to pick delta vs full.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Forgets all dirty marks. Called once a snapshot (full or delta) has
-    /// captured the state they describe.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
-    /// The incremental snapshot of the dirtied paths: tombstones for paths
-    /// that no longer exist, then upserts in lexicographic path order (which
-    /// puts every ancestor before its descendants, the order
+    /// The incremental snapshot of `paths`: tombstones for paths that no
+    /// longer exist, then upserts in lexicographic path order (which puts
+    /// every ancestor before its descendants, the order
     /// [`ZnodeStore::apply_delta`] relies on).
-    pub fn delta_records(&self) -> Vec<DeltaRecord> {
+    pub fn delta_records(&self, paths: &BTreeSet<Path>) -> Vec<DeltaRecord> {
         let mut tombstones = Vec::new();
         let mut puts = Vec::new();
-        for path in &self.dirty {
+        for path in paths {
             match self.get_node(path) {
                 Some(n) => puts.push(DeltaRecord::Put {
                     path: path.clone(),
@@ -420,7 +388,6 @@ impl ZnodeStore {
     pub(crate) fn decode_from(cur: &mut codec::Cursor<'_>) -> Option<Self> {
         Some(ZnodeStore {
             root: decode_znode(cur)?,
-            dirty: BTreeSet::new(),
         })
     }
 
@@ -667,8 +634,6 @@ impl ZnodeStore {
             .children
             .insert(name.clone(), Znode::new(data, zxid, ephemeral_owner));
         let final_path = parent_path.join(&name);
-        self.dirty.insert(final_path.clone());
-        self.dirty.insert(parent_path.clone());
         let events = vec![
             StoreEvent::Created(final_path.clone()),
             StoreEvent::ChildrenChanged(parent_path),
@@ -702,7 +667,6 @@ impl ZnodeStore {
         node.version += 1;
         node.mzxid = zxid;
         let v = node.version;
-        self.dirty.insert(path.clone());
         (
             Ok(OpResult::Set(v)),
             vec![StoreEvent::DataChanged(path.clone())],
@@ -737,8 +701,6 @@ impl ZnodeStore {
         let parent_path = path.parent().expect("non-root");
         let parent = self.get_node_mut(&parent_path).expect("parent exists");
         parent.children.remove(&name);
-        self.dirty.insert(path.clone());
-        self.dirty.insert(parent_path.clone());
         let events = vec![
             StoreEvent::Deleted(path.clone()),
             StoreEvent::ChildrenChanged(parent_path),
@@ -761,8 +723,6 @@ impl ZnodeStore {
                 .get_node_mut(&parent_path)
                 .is_some_and(|parent| parent.children.remove(&name).is_some());
             if removed {
-                self.dirty.insert(path.clone());
-                self.dirty.insert(parent_path.clone());
                 events.push(StoreEvent::Deleted(path.clone()));
                 events.push(StoreEvent::ChildrenChanged(parent_path));
                 deleted.push(path);

@@ -17,6 +17,12 @@
 //! Recovery reads segments in zxid order and stops at the first torn or
 //! corrupt record: the tail is truncated (it was never acknowledged) and
 //! later segments, which would sit beyond the tear, are discarded.
+//!
+//! [`Durability`] also owns the snapshot policy's one input that is not on
+//! disk: the [`DirtySet`] of paths touched since the newest snapshot, fed
+//! through [`Durability::mark_dirty`] by whoever applies ops to the store
+//! the handle snapshots. The record encoding lives in `crate::codec`, the
+//! socket framing that shares its layout in [`crate::frame`].
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -28,10 +34,11 @@ use std::time::Duration;
 use crossbeam::channel::{self, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use crate::snapshot;
-use crate::store::{Op, ZnodeStore};
+use crate::codec;
+use crate::snapshot::{self, DirtySet};
+use crate::store::{Op, StoreEvent, ZnodeStore};
 
-pub use self::codec::FORMAT_VERSION;
+pub use crate::codec::FORMAT_VERSION;
 
 /// A durability failure on the WAL/snapshot hot path.
 ///
@@ -355,12 +362,6 @@ pub fn recover_dir(dir: &StdPath) -> io::Result<WalRecovery> {
     })
 }
 
-/// Reads a little-endian u32 at `pos`, or `None` past the end.
-fn le_u32_at(data: &[u8], pos: usize) -> Option<u32> {
-    let bytes = data.get(pos..pos.checked_add(4)?)?;
-    Some(u32::from_le_bytes(bytes.try_into().ok()?))
-}
-
 /// Decodes `(valid_byte_len, records, torn)` from one segment's contents.
 fn scan_segment(data: &[u8]) -> (usize, Vec<(u64, Op)>, bool) {
     let mut pos = 0usize;
@@ -369,7 +370,8 @@ fn scan_segment(data: &[u8]) -> (usize, Vec<(u64, Op)>, bool) {
         if pos + 8 > data.len() {
             return (pos, ops, pos < data.len());
         }
-        let (Some(len), Some(crc)) = (le_u32_at(data, pos), le_u32_at(data, pos + 4)) else {
+        let (Some(len), Some(crc)) = (codec::le_u32_at(data, pos), codec::le_u32_at(data, pos + 4))
+        else {
             return (pos, ops, true);
         };
         let len = len as usize;
@@ -573,6 +575,9 @@ pub struct Durability {
     chain_tip: Option<u64>,
     /// Deltas chained onto the newest full snapshot.
     chain_len: u64,
+    /// Paths touched since the newest snapshot: what the next delta must
+    /// contain, and the input to the delta-vs-full policy.
+    dirty: DirtySet,
 }
 
 impl std::fmt::Debug for Durability {
@@ -601,6 +606,7 @@ impl Durability {
             submitted_tickets: 0,
             chain_tip: None,
             chain_len: 0,
+            dirty: DirtySet::default(),
         }
     }
 
@@ -688,6 +694,14 @@ impl Durability {
         Ok(())
     }
 
+    /// Records the paths an applied op touched, so the next delta snapshot
+    /// carries them. Every op applied to the store this handle snapshots
+    /// must be reported — the commit path and recovery's WAL-suffix replay
+    /// alike — or the next delta silently omits what it changed.
+    pub fn mark_dirty(&mut self, events: &[StoreEvent]) {
+        self.dirty.mark(events);
+    }
+
     /// Under [`SyncPolicy::Pipelined`], hands everything appended since the
     /// last sync point to the sync thread *without waiting*, so the fsync
     /// overlaps whatever the caller does next (encoding the next batch,
@@ -728,7 +742,7 @@ impl Durability {
     /// `store` when the policy triggers, truncating every segment. Returns
     /// the snapshot zxid when one was taken, so the owner can truncate its
     /// in-memory log to the same horizon.
-    pub fn commit_batch(&mut self, zxid: u64, store: &mut ZnodeStore) -> WalResult<Option<u64>> {
+    pub fn commit_batch(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<Option<u64>> {
         match self.opts.sync_policy {
             SyncPolicy::EveryBatch => self.sync_now()?,
             SyncPolicy::Periodic { every_ops } => {
@@ -761,16 +775,11 @@ impl Durability {
     /// lagging beyond the truncation horizon) and resets the local log.
     /// Always full: the store did not evolve from this replica's previous
     /// snapshot, so a delta could not chain onto it.
-    pub fn install_snapshot(&mut self, zxid: u64, store: &mut ZnodeStore) -> WalResult<()> {
+    pub fn install_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
         self.take_snapshot(zxid, store, true)
     }
 
-    fn take_snapshot(
-        &mut self,
-        zxid: u64,
-        store: &mut ZnodeStore,
-        force_full: bool,
-    ) -> WalResult<()> {
+    fn take_snapshot(&mut self, zxid: u64, store: &ZnodeStore, force_full: bool) -> WalResult<()> {
         // Settle the pipeline first: the snapshot supersedes the segments
         // about to be truncated, and the counters below assume no sync is
         // in flight.
@@ -779,14 +788,15 @@ impl Durability {
         // half the store it stops being the cheaper encoding.
         let delta_base = if !force_full
             && self.chain_len < self.opts.delta_chain_max
-            && store.dirty_count().saturating_mul(2) < store.node_count()
+            && self.dirty.paths().len().saturating_mul(2) < store.node_count()
         {
             self.chain_tip.filter(|tip| *tip < zxid)
         } else {
             None
         };
         if let Some(base) = delta_base {
-            snapshot::write_delta(&self.dir, base, zxid, &store.delta_records())
+            let records = store.delta_records(self.dirty.paths());
+            snapshot::write_delta(&self.dir, base, zxid, &records)
                 .map_err(wal_io("delta snapshot"))?;
             self.chain_len += 1;
             self.stats.delta_snapshots_written += 1;
@@ -800,7 +810,7 @@ impl Durability {
         if snapshot::retain_latest(&self.dir, 2) > 0 {
             self.stats.dir_fsyncs += 1;
         }
-        store.clear_dirty();
+        self.dirty.clear();
         self.wal.clear().map_err(wal_io("truncate"))?;
         self.stats.snapshots_written += 1;
         self.ops_since_snapshot = 0;
@@ -875,431 +885,6 @@ impl Drop for Durability {
     }
 }
 
-/// Compact binary encoding shared by the write-ahead log and snapshots.
-/// Little-endian fixed-width integers, length-prefixed byte strings, and a
-/// tag byte per op variant; checksummed at the framing layer with CRC-32.
-pub(crate) mod codec {
-    use bytes::Bytes;
-    use tropic_model::Path;
-
-    use crate::store::Op;
-
-    /// Version of the binary WAL record layout. The positional codec
-    /// has no additive escape hatch: any change to [`Op`]'s shape or
-    /// the `TAG_*` assignments must bump this constant (and the bump
-    /// must be recorded in `WIRE_SCHEMAS.lock` via
-    /// `tropic-analyze --bless`).
-    pub const FORMAT_VERSION: u32 = 1;
-
-    const fn make_crc_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                bit += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    }
-
-    static CRC_TABLE: [u32; 256] = make_crc_table();
-
-    /// IEEE CRC-32 (the ZIP/zlib polynomial).
-    pub fn crc32(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in data {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        c ^ 0xFFFF_FFFF
-    }
-
-    pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-        out.push(v);
-    }
-
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-        put_u32(out, b.len() as u32);
-        out.extend_from_slice(b);
-    }
-
-    pub fn put_str(out: &mut Vec<u8>, s: &str) {
-        put_bytes(out, s.as_bytes());
-    }
-
-    pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                put_u8(out, 1);
-                put_u64(out, x);
-            }
-            None => put_u8(out, 0),
-        }
-    }
-
-    pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-        put_u8(out, u8::from(v));
-    }
-
-    /// A failable reader over an encoded buffer.
-    pub struct Cursor<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            Cursor { buf, pos: 0 }
-        }
-
-        pub fn is_done(&self) -> bool {
-            self.pos == self.buf.len()
-        }
-
-        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            if self.buf.len() - self.pos < n {
-                return None;
-            }
-            let slice = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Some(slice)
-        }
-
-        pub fn u8(&mut self) -> Option<u8> {
-            self.take(1).map(|b| b[0])
-        }
-
-        pub fn u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .and_then(|b| b.try_into().ok())
-                .map(u32::from_le_bytes)
-        }
-
-        pub fn u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .and_then(|b| b.try_into().ok())
-                .map(u64::from_le_bytes)
-        }
-
-        pub fn bytes(&mut self) -> Option<&'a [u8]> {
-            let n = self.u32()? as usize;
-            self.take(n)
-        }
-
-        pub fn str(&mut self) -> Option<&'a str> {
-            std::str::from_utf8(self.bytes()?).ok()
-        }
-
-        pub fn opt_u64(&mut self) -> Option<Option<u64>> {
-            match self.u8()? {
-                0 => Some(None),
-                1 => Some(Some(self.u64()?)),
-                _ => None,
-            }
-        }
-
-        pub fn bool(&mut self) -> Option<bool> {
-            match self.u8()? {
-                0 => Some(false),
-                1 => Some(true),
-                _ => None,
-            }
-        }
-    }
-
-    const TAG_CREATE: u8 = 1;
-    const TAG_SET: u8 = 2;
-    const TAG_DELETE: u8 = 3;
-    const TAG_PURGE: u8 = 4;
-    const TAG_MULTI: u8 = 5;
-
-    pub fn encode_op(op: &Op, out: &mut Vec<u8>) {
-        match op {
-            Op::Create {
-                path,
-                data,
-                ephemeral_owner,
-                sequential,
-            } => {
-                put_u8(out, TAG_CREATE);
-                put_str(out, &path.to_string());
-                put_bytes(out, data);
-                put_opt_u64(out, *ephemeral_owner);
-                put_bool(out, *sequential);
-            }
-            Op::SetData {
-                path,
-                data,
-                expected_version,
-            } => {
-                put_u8(out, TAG_SET);
-                put_str(out, &path.to_string());
-                put_bytes(out, data);
-                put_opt_u64(out, *expected_version);
-            }
-            Op::Delete {
-                path,
-                expected_version,
-            } => {
-                put_u8(out, TAG_DELETE);
-                put_str(out, &path.to_string());
-                put_opt_u64(out, *expected_version);
-            }
-            Op::PurgeSession { session } => {
-                put_u8(out, TAG_PURGE);
-                put_u64(out, *session);
-            }
-            Op::Multi { ops } => {
-                put_u8(out, TAG_MULTI);
-                put_u32(out, ops.len() as u32);
-                for sub in ops {
-                    encode_op(sub, out);
-                }
-            }
-        }
-    }
-
-    pub fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
-        match cur.u8()? {
-            TAG_CREATE => Some(Op::Create {
-                path: Path::parse(cur.str()?).ok()?,
-                data: Bytes::copy_from_slice(cur.bytes()?),
-                ephemeral_owner: cur.opt_u64()?,
-                sequential: cur.bool()?,
-            }),
-            TAG_SET => Some(Op::SetData {
-                path: Path::parse(cur.str()?).ok()?,
-                data: Bytes::copy_from_slice(cur.bytes()?),
-                expected_version: cur.opt_u64()?,
-            }),
-            TAG_DELETE => Some(Op::Delete {
-                path: Path::parse(cur.str()?).ok()?,
-                expected_version: cur.opt_u64()?,
-            }),
-            TAG_PURGE => Some(Op::PurgeSession {
-                session: cur.u64()?,
-            }),
-            TAG_MULTI => {
-                let count = cur.u32()?;
-                // No pre-allocation from wire-claimed counts: the cursor
-                // bounds the loop even if the count is absurd.
-                let mut ops = Vec::new();
-                for _ in 0..count {
-                    ops.push(decode_op(cur)?);
-                }
-                Some(Op::Multi { ops })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Length-prefixed, CRC-checksummed stream framing — the WAL record layout
-/// (`[len: u32 LE][crc32: u32 LE][payload]`, the same frame `scan_segment`
-/// decodes from disk) lifted onto arbitrary `Read`/`Write` byte streams so
-/// network peers can exchange opaque payloads with the same integrity
-/// guarantees the log has on disk.
-///
-/// The reader is *incremental*: [`FrameReader`](frame::FrameReader)
-/// buffers partial reads (a frame split across arbitrarily many TCP
-/// segments reassembles), returns at most one payload per call, and fails
-/// **typed** — an oversized length prefix or a checksum mismatch is a
-/// [`FrameError`](frame::FrameError), never a misparse. After
-/// [`Oversized`](frame::FrameError::Oversized) or
-/// [`Crc`](frame::FrameError::Crc) the stream is unsynchronized and must
-/// be closed.
-pub mod frame {
-    use std::io::{self, Read, Write};
-
-    use super::{codec, le_u32_at};
-
-    /// Default cap on one frame's payload size. Anything larger is
-    /// rejected as [`FrameError::Oversized`] *before* the payload is
-    /// buffered, so a hostile or corrupt length prefix cannot balloon
-    /// memory.
-    pub const DEFAULT_MAX_FRAME_BYTES: u32 = 4 << 20;
-
-    /// Typed failures of the frame layer.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum FrameError {
-        /// The stream ended cleanly on a frame boundary.
-        Closed,
-        /// The stream ended mid-frame: a partial header or payload was
-        /// read and can never complete.
-        Truncated {
-            /// Bytes still buffered when the stream ended.
-            buffered: usize,
-        },
-        /// The length prefix exceeds the configured cap; the frame was
-        /// rejected without buffering the payload.
-        Oversized {
-            /// The length the prefix declared.
-            len: u32,
-            /// The configured cap.
-            max: u32,
-        },
-        /// The payload failed its CRC-32 check.
-        Crc {
-            /// Checksum carried by the frame header.
-            expected: u32,
-            /// Checksum computed over the received payload.
-            got: u32,
-        },
-        /// An underlying I/O failure (other than timeout, which surfaces
-        /// as `Ok(None)` from [`FrameReader::read_from`]).
-        Io(String),
-    }
-
-    impl std::fmt::Display for FrameError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                FrameError::Closed => write!(f, "stream closed"),
-                FrameError::Truncated { buffered } => {
-                    write!(f, "stream ended mid-frame ({buffered} bytes buffered)")
-                }
-                FrameError::Oversized { len, max } => {
-                    write!(f, "frame of {len} bytes exceeds the {max}-byte cap")
-                }
-                FrameError::Crc { expected, got } => {
-                    write!(
-                        f,
-                        "frame CRC mismatch: header {expected:#010x}, payload {got:#010x}"
-                    )
-                }
-                FrameError::Io(e) => write!(f, "frame I/O error: {e}"),
-            }
-        }
-    }
-
-    impl std::error::Error for FrameError {}
-
-    /// Writes one framed payload: `[len][crc32][payload]`, then flushes.
-    pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-        // The length prefix is 32-bit; a payload beyond it must fail typed
-        // here, not wrap into a prefix that desynchronizes the receiver.
-        let len = u32::try_from(payload.len()).map_err(|_| FrameError::Oversized {
-            len: u32::MAX,
-            max: u32::MAX,
-        })?;
-        let mut head = Vec::with_capacity(8);
-        codec::put_u32(&mut head, len);
-        codec::put_u32(&mut head, codec::crc32(payload));
-        let io = |e: io::Error| FrameError::Io(e.to_string());
-        w.write_all(&head).map_err(io)?;
-        w.write_all(payload).map_err(io)?;
-        w.flush().map_err(io)?;
-        Ok(())
-    }
-
-    /// Incremental frame decoder over a byte stream.
-    ///
-    /// Call [`FrameReader::read_from`] in a loop: it returns `Ok(Some(..))`
-    /// once a whole frame has been buffered and verified, `Ok(None)` when
-    /// the underlying read timed out (for sockets with a read timeout —
-    /// partial state is retained, so the caller can check a stop flag and
-    /// call again), and a typed [`FrameError`] otherwise.
-    #[derive(Debug, Default)]
-    pub struct FrameReader {
-        buf: Vec<u8>,
-    }
-
-    impl FrameReader {
-        /// A reader with empty buffer state.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Bytes currently buffered (a partial or not-yet-drained frame).
-        pub fn buffered(&self) -> usize {
-            self.buf.len()
-        }
-
-        /// Attempts to produce the next frame, reading from `r` as needed.
-        ///
-        /// `max_bytes` caps the payload length; a larger length prefix is
-        /// rejected as [`FrameError::Oversized`] without buffering the
-        /// payload.
-        pub fn read_from(
-            &mut self,
-            r: &mut impl Read,
-            max_bytes: u32,
-        ) -> Result<Option<Vec<u8>>, FrameError> {
-            loop {
-                // A complete frame may already sit in the buffer (several
-                // frames can arrive in one read); drain before reading more.
-                if let Some(payload) = self.try_take_frame(max_bytes)? {
-                    return Ok(Some(payload));
-                }
-                let mut chunk = [0u8; 4096];
-                match r.read(&mut chunk) {
-                    Ok(0) => {
-                        return Err(if self.buf.is_empty() {
-                            FrameError::Closed
-                        } else {
-                            FrameError::Truncated {
-                                buffered: self.buf.len(),
-                            }
-                        });
-                    }
-                    Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(None);
-                    }
-                    Err(e) => return Err(FrameError::Io(e.to_string())),
-                }
-            }
-        }
-
-        /// Decodes one frame from the front of the buffer, if complete.
-        fn try_take_frame(&mut self, max_bytes: u32) -> Result<Option<Vec<u8>>, FrameError> {
-            if self.buf.len() < 8 {
-                return Ok(None);
-            }
-            let (Some(len), Some(expected)) = (le_u32_at(&self.buf, 0), le_u32_at(&self.buf, 4))
-            else {
-                return Ok(None);
-            };
-            if len > max_bytes {
-                return Err(FrameError::Oversized {
-                    len,
-                    max: max_bytes,
-                });
-            }
-            let total = 8 + len as usize;
-            if self.buf.len() < total {
-                return Ok(None);
-            }
-            let payload = self.buf[8..total].to_vec();
-            let got = codec::crc32(&payload);
-            if got != expected {
-                return Err(FrameError::Crc { expected, got });
-            }
-            self.buf.drain(..total);
-            Ok(Some(payload))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1318,6 +903,15 @@ mod tests {
             ephemeral_owner: None,
             sequential: false,
         }
+    }
+
+    /// One committed op the way a replica drives the handle: log, apply,
+    /// report the touched paths, settle the batch.
+    fn commit(d: &mut Durability, store: &mut ZnodeStore, zxid: u64, op: &Op) {
+        d.append(zxid, op).unwrap();
+        let (_, events) = store.apply(zxid, op);
+        d.mark_dirty(&events);
+        d.commit_batch(zxid, store).unwrap();
     }
 
     #[test]
@@ -1452,9 +1046,7 @@ mod tests {
         let mut store = ZnodeStore::new();
         for i in 1..=10u64 {
             let op = create_op(&format!("/n{i}"));
-            d.append(i, &op).unwrap();
-            let _ = store.apply(i, &op);
-            d.commit_batch(i, &mut store).unwrap();
+            commit(&mut d, &mut store, i, &op);
         }
         assert_eq!(d.stats().snapshots_written, 2, "at zxid 4 and 8");
         drop(d);
@@ -1479,9 +1071,7 @@ mod tests {
         let mut store = ZnodeStore::new();
         for i in 1..=10u64 {
             let op = create_op(&format!("/n{i}"));
-            d.append(i, &op).unwrap();
-            let _ = store.apply(i, &op);
-            d.commit_batch(i, &mut store).unwrap();
+            commit(&mut d, &mut store, i, &op);
         }
         drop(d);
         // Bit rot hits the newest snapshot (zxid 8); the WAL on disk holds
@@ -1534,12 +1124,12 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts).unwrap();
-        let mut store = ZnodeStore::new();
+        let store = ZnodeStore::new();
         for i in 1..=50u64 {
             d.append(i, &create_op(&format!("/node{i}"))).unwrap();
-            d.commit_batch(i, &mut store).unwrap();
+            d.commit_batch(i, &store).unwrap();
         }
-        d.commit_batch(50, &mut store).unwrap();
+        d.commit_batch(50, &store).unwrap();
         let s = d.stats();
         assert!(s.segments_rotated > 0);
         assert!(
@@ -1562,10 +1152,10 @@ mod tests {
             },
         )
         .unwrap();
-        let mut store = ZnodeStore::new();
+        let store = ZnodeStore::new();
         for i in 1..=3u64 {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
-            d.commit_batch(i, &mut store).unwrap();
+            d.commit_batch(i, &store).unwrap();
         }
         let s = d.stats();
         assert_eq!(s.fsyncs, 3);
@@ -1582,10 +1172,10 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
-        let mut store = ZnodeStore::new();
+        let store = ZnodeStore::new();
         for i in 1..=20u64 {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
-            d.commit_batch(i, &mut store).unwrap();
+            d.commit_batch(i, &store).unwrap();
         }
         d.drain_pipeline().unwrap();
         let s = d.stats();
@@ -1611,10 +1201,10 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts).unwrap();
-        let mut store = ZnodeStore::new();
+        let store = ZnodeStore::new();
         for i in 1..=5u64 {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
-            d.commit_batch(i, &mut store).unwrap();
+            d.commit_batch(i, &store).unwrap();
         }
         let s = d.stats();
         assert_eq!(
@@ -1638,9 +1228,7 @@ mod tests {
         // Round one dirties the whole store (10 creates on 11 nodes): full.
         for i in 1..=10u64 {
             let op = create_op(&format!("/n{i}"));
-            d.append(i, &op).unwrap();
-            let _ = store.apply(i, &op);
-            d.commit_batch(i, &mut store).unwrap();
+            commit(&mut d, &mut store, i, &op);
         }
         // Round two touches a single node out of 11: delta.
         for i in 11..=20u64 {
@@ -1649,9 +1237,7 @@ mod tests {
                 data: Bytes::from(format!("v{i}")),
                 expected_version: None,
             };
-            d.append(i, &op).unwrap();
-            let _ = store.apply(i, &op);
-            d.commit_batch(i, &mut store).unwrap();
+            commit(&mut d, &mut store, i, &op);
         }
         let s = d.stats();
         assert_eq!(s.snapshots_written, 2);
@@ -1679,9 +1265,7 @@ mod tests {
         let mut store = ZnodeStore::new();
         for i in 1..=10u64 {
             let op = create_op(&format!("/n{i}"));
-            d.append(i, &op).unwrap();
-            let _ = store.apply(i, &op);
-            d.commit_batch(i, &mut store).unwrap();
+            commit(&mut d, &mut store, i, &op);
         }
         // Ten single-touch rounds of two ops each: snapshot every round.
         for i in 11..=30u64 {
@@ -1690,9 +1274,7 @@ mod tests {
                 data: Bytes::from(format!("v{i}")),
                 expected_version: None,
             };
-            d.append(i, &op).unwrap();
-            let _ = store.apply(i, &op);
-            d.commit_batch(i, &mut store).unwrap();
+            commit(&mut d, &mut store, i, &op);
         }
         let s = d.stats();
         assert!(s.delta_snapshots_written > 0);
@@ -1704,10 +1286,57 @@ mod tests {
         );
     }
 
+    #[test]
+    fn reverted_multi_leaves_no_delta_records() {
+        let tmp = TempDir::new("tropic-wal-reverted-multi");
+        let opts = DurabilityOptions {
+            snapshot_every_ops: 4,
+            snapshot_max_wal_bytes: 0,
+            ..DurabilityOptions::default()
+        };
+        let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
+        let mut store = ZnodeStore::new();
+        for i in 1..=4u64 {
+            commit(&mut d, &mut store, i, &create_op(&format!("/n{i}")));
+        }
+        assert_eq!(d.stats().snapshots_written, 1, "full snapshot at zxid 4");
+        // Two sub-ops apply and are reverted when the third fails: the log
+        // grows, the store does not change.
+        let failing = Op::Multi {
+            ops: vec![
+                create_op("/reverted"),
+                Op::SetData {
+                    path: p("/n1"),
+                    data: Bytes::from_static(b"reverted"),
+                    expected_version: None,
+                },
+                create_op("/n1"),
+            ],
+        };
+        let before = store.clone();
+        for i in 5..=8u64 {
+            commit(&mut d, &mut store, i, &failing);
+        }
+        assert_eq!(store, before);
+        assert_eq!(d.stats().delta_snapshots_written, 1, "delta at zxid 8");
+        // Byte-for-byte the delta that carries no record at all.
+        let empty = TempDir::new("tropic-wal-reverted-multi-empty");
+        snapshot::write_delta(empty.path(), 4, 8, &[]).unwrap();
+        let name = snapshot::delta_file_name(8);
+        assert_eq!(
+            fs::read(tmp.path().join(&name)).unwrap(),
+            fs::read(empty.path().join(&name)).unwrap()
+        );
+        drop(d);
+        let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
+        assert!(suffix.is_empty());
+        assert_eq!(snap.expect("chain recovers"), (8, store));
+    }
+
     mod frame_layer {
         use std::io::Read;
 
-        use crate::wal::frame::{write_frame, FrameError, FrameReader};
+        use crate::frame::{write_frame, FrameError, FrameReader};
 
         /// Wraps a byte slice, serving at most `chunk` bytes per read —
         /// a socket delivering arbitrarily small TCP segments.

@@ -271,11 +271,6 @@ impl<'a> Controller<'a> {
         &self.tree
     }
 
-    /// Number of transactions waiting across all `todoQ` lanes.
-    pub fn todo_len(&self) -> usize {
-        self.todo.iter().map(VecDeque::len).sum()
-    }
-
     /// Number of transactions in physical execution.
     pub fn running_len(&self) -> usize {
         self.running.len()

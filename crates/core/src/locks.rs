@@ -169,11 +169,6 @@ impl LockManager {
         out
     }
 
-    /// Number of paths with at least one lock.
-    pub fn locked_path_count(&self) -> usize {
-        self.table.len()
-    }
-
     /// Returns `true` if no locks are held at all.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()

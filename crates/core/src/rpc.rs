@@ -30,7 +30,7 @@
 //!
 //! Every message is one frame of the length-prefixed CRC-32 stream codec
 //! the write-ahead log already uses on disk
-//! ([`tropic_coord::wal::frame`]): `[len: u32 LE][crc32: u32 LE][payload]`.
+//! ([`tropic_coord::frame`]): `[len: u32 LE][crc32: u32 LE][payload]`.
 //! The payload is a versioned JSON envelope `{"v": 1, "msg": ...}` — the
 //! same `v` and bump policy as [`crate::msg::Envelope`] ([`WIRE_VERSION`]).
 //! The version is probed **at the frame boundary, before the payload is
@@ -1094,7 +1094,11 @@ fn dispatch(
             Ok(outcome) => RpcResponse::Outcome(outcome),
             Err(e) => RpcResponse::Error(e),
         },
-        RpcRequest::Wait { id, timeout_ms } => wait_sliced(client, id, timeout_ms, stop),
+        RpcRequest::Wait { id, timeout_ms } => {
+            let handle = client.handle(id);
+            sliced(id, timeout_ms, stop, |slice| handle.wait_timeout(slice))
+                .map_or_else(RpcResponse::Error, |o| RpcResponse::Outcome(Some(o)))
+        }
         RpcRequest::Record { id } => match client.txn_record(id) {
             Ok(rec) => RpcResponse::Record(rec.map(Box::new)),
             Err(e) => RpcResponse::Error(e.into()),
@@ -1128,9 +1132,7 @@ fn dispatch(
     }
 }
 
-/// Enqueues one repair/reload, then blocks toward the caller's deadline in
-/// short slices: `timeout_ms` is wire-controlled and unclamped, so a
-/// stopping server must never be pinned by a remote operator's long bound.
+/// Enqueues one repair/reload, then waits for its result in slices.
 fn admin_sliced(
     admin: &AdminClient,
     scope: &Path,
@@ -1138,61 +1140,44 @@ fn admin_sliced(
     repair: bool,
     stop: &AtomicBool,
 ) -> RpcResponse {
-    let admin_id = match admin.enqueue_admin(scope, repair) {
-        Ok(id) => id,
-        Err(e) => return RpcResponse::Error(e),
-    };
+    admin
+        .enqueue_admin(scope, repair)
+        .and_then(|admin_id| {
+            sliced(admin_id, timeout_ms, stop, |slice| {
+                admin.wait_admin(admin_id, slice)
+            })
+        })
+        .map_or_else(RpcResponse::Error, RpcResponse::Admin)
+}
+
+/// Blocks toward the caller's deadline in short slices: `timeout_ms` is
+/// wire-controlled and unclamped, so a stopping server must never be pinned
+/// by a remote caller's long bound. `wait` makes one bounded attempt; `id`
+/// is the one an elapsed deadline's `WaitTimeout` names.
+fn sliced<T>(
+    id: TxnId,
+    timeout_ms: u64,
+    stop: &AtomicBool,
+    wait: impl Fn(Duration) -> Result<T, ApiError>,
+) -> Result<T, ApiError> {
     let deadline = Instant::now() + Duration::from_millis(timeout_ms);
     loop {
         if stop.load(Ordering::SeqCst) {
-            return RpcResponse::Error(ApiError::ShuttingDown);
+            return Err(ApiError::ShuttingDown);
         }
-        // Always attempt at least one wait slice (wait_admin polls the
+        // Always attempt at least one wait slice (both waits poll the
         // result before sleeping), so an already-finished operation beats
         // an elapsed bound — the in-process semantics.
         let slice = deadline
             .saturating_duration_since(Instant::now())
             .min(WAIT_SLICE);
-        match admin.wait_admin(admin_id, slice) {
-            Ok(result) => return RpcResponse::Admin(result),
+        match wait(slice) {
             Err(ApiError::WaitTimeout { .. }) => {
                 if Instant::now() >= deadline {
-                    return RpcResponse::Error(ApiError::WaitTimeout { id: admin_id });
+                    return Err(ApiError::WaitTimeout { id });
                 }
             }
-            Err(e) => return RpcResponse::Error(e),
-        }
-    }
-}
-
-/// Blocks toward the caller's deadline in short slices so a stopping
-/// server is never pinned by a long remote wait.
-fn wait_sliced(
-    client: &TropicClient,
-    id: TxnId,
-    timeout_ms: u64,
-    stop: &AtomicBool,
-) -> RpcResponse {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    let handle = client.handle(id);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return RpcResponse::Error(ApiError::ShuttingDown);
-        }
-        // Always attempt at least one wait slice (wait_timeout polls the
-        // outcome before sleeping), so an already-terminal transaction
-        // beats an elapsed bound — the in-process semantics.
-        let slice = deadline
-            .saturating_duration_since(Instant::now())
-            .min(WAIT_SLICE);
-        match handle.wait_timeout(slice) {
-            Ok(outcome) => return RpcResponse::Outcome(Some(outcome)),
-            Err(ApiError::WaitTimeout { .. }) => {
-                if Instant::now() >= deadline {
-                    return RpcResponse::Error(ApiError::WaitTimeout { id });
-                }
-            }
-            Err(e) => return RpcResponse::Error(e),
+            other => return other,
         }
     }
 }

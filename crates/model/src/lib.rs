@@ -32,7 +32,6 @@ pub mod constraint;
 pub mod error;
 pub mod node;
 pub mod path;
-pub mod query;
 pub mod schema;
 pub mod tree;
 pub mod value;

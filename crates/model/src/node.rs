@@ -119,11 +119,6 @@ impl Node {
         self.children.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Iterates over direct children mutably.
-    pub fn children_mut(&mut self) -> impl Iterator<Item = (&str, &mut Node)> {
-        self.children.iter_mut().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Number of direct children.
     pub fn child_count(&self) -> usize {
         self.children.len()

@@ -86,11 +86,6 @@ impl Tree {
         }
     }
 
-    /// Creates a tree from an existing root node.
-    pub fn from_root(root: Node) -> Self {
-        Tree { root }
-    }
-
     /// Immutable access to the root node.
     pub fn root(&self) -> &Node {
         &self.root
@@ -214,15 +209,6 @@ impl Tree {
     /// Removes an attribute at `path`, returning the previous value.
     pub fn remove_attr(&mut self, path: &Path, key: &str) -> ModelResult<Option<Value>> {
         Ok(self.require_mut(path)?.remove_attr(key))
-    }
-
-    /// Names of the children of the node at `path`.
-    pub fn children_of(&self, path: &Path) -> ModelResult<Vec<String>> {
-        Ok(self
-            .require(path)?
-            .children()
-            .map(|(name, _)| name.to_owned())
-            .collect())
     }
 
     /// Total node count of the tree.

@@ -469,7 +469,8 @@ proptest! {
     }
 }
 
-use tropic::coord::{snapshot, Durability};
+use tropic::coord::snapshot::{self, DirtySet};
+use tropic::coord::Durability;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -527,17 +528,18 @@ proptest! {
             let _ = store.apply(zxid, op);
         }
         snapshot::write(tmp.path(), zxid, &store).unwrap();
-        store.clear_dirty();
+        let mut dirty = DirtySet::default();
         // Checkpoints: the consistent on-disk state after each chain link.
         let mut checkpoints = vec![(zxid, store.clone())];
         for chunk in &chunks {
             let base = zxid;
             for op in chunk {
                 zxid += 1;
-                let _ = store.apply(zxid, op);
+                dirty.mark(&store.apply(zxid, op).1);
             }
-            snapshot::write_delta(tmp.path(), base, zxid, &store.delta_records()).unwrap();
-            store.clear_dirty();
+            let records = store.delta_records(dirty.paths());
+            snapshot::write_delta(tmp.path(), base, zxid, &records).unwrap();
+            dirty.clear();
             checkpoints.push((zxid, store.clone()));
         }
 
@@ -588,7 +590,7 @@ proptest! {
             let zxid = i as u64 + 1;
             d.append(zxid, op).unwrap();
             let _ = store.apply(zxid, op);
-            d.commit_batch(zxid, &mut store).unwrap();
+            d.commit_batch(zxid, &store).unwrap();
         }
         let live = store;
         drop(d);
@@ -607,16 +609,17 @@ proptest! {
             let _ = replay.apply(zxid, op);
         }
         snapshot::write(tmp.path(), t1, &replay).unwrap();
-        replay.clear_dirty();
         if t2 > t1 {
+            let mut dirty = DirtySet::default();
             for (i, op) in ops.iter().enumerate() {
                 let zxid = i as u64 + 1;
                 if zxid <= t1 || zxid > t2 {
                     continue;
                 }
-                let _ = replay.apply(zxid, op);
+                dirty.mark(&replay.apply(zxid, op).1);
             }
-            snapshot::write_delta(tmp.path(), t1, t2, &replay.delta_records()).unwrap();
+            let records = replay.delta_records(dirty.paths());
+            snapshot::write_delta(tmp.path(), t1, t2, &records).unwrap();
         }
 
         let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
