@@ -4,6 +4,12 @@
 //! `phyQ` (paper Figure 1). Each queue is a znode whose children are
 //! sequentially-numbered persistent items; dequeue claims the lowest item by
 //! deleting it, so exactly one consumer wins even with many workers.
+//!
+//! Consumers idle behind children watches ([`DistributedQueue::await_any`]
+//! is the one wait loop; `await_items` is its single-queue case). Because
+//! the service registers a watch at most once per `(path, kind, session)`,
+//! a consumer that re-arms every lane on every idle call still holds one
+//! registration per lane and is woken once per arrival.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -139,40 +145,19 @@ impl<'a> DistributedQueue<'a> {
         }
     }
 
-    /// Blocks until the queue is likely non-empty, `timeout` passes, or
-    /// `stop` becomes true — without claiming anything. Arms one children
-    /// watch and then waits on the client's event channel in short slices,
-    /// so idling costs no store writes and a shutdown flag interrupts the
-    /// wait within one slice regardless of how long `timeout` is.
+    /// [`DistributedQueue::await_any`] over this queue alone.
     pub fn await_items(&self, timeout: Duration, stop: &AtomicBool) -> CoordResult<()> {
-        if self.len()? > 0 {
-            return Ok(());
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        self.client.watch(&self.base, WatchKind::Children)?;
-        // Re-check after registering the watch: an item may have landed in
-        // between, in which case the watch may never fire for it.
-        if self.len()? > 0 {
-            return Ok(());
-        }
-        while !stop.load(Ordering::SeqCst) {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(());
-            }
-            let slice = (deadline - now).min(Duration::from_millis(25));
-            if self.client.wait_event(slice).is_some() {
-                return Ok(());
-            }
-        }
-        Ok(())
+        Self::await_any(&[self], timeout, stop)
     }
 
     /// Blocks until *any* of `queues` is likely non-empty, `timeout`
-    /// passes, or `stop` becomes true — the multi-lane variant of
-    /// [`DistributedQueue::await_items`]. Arms one children watch per
-    /// queue, then waits on the shared event channel; all queues must be
-    /// bound to the same client session.
+    /// passes, or `stop` becomes true — without claiming anything. Arms one
+    /// children watch per queue, then waits on the shared event channel in
+    /// short slices, so idling costs no store writes and a shutdown flag
+    /// interrupts the wait within one slice regardless of how long
+    /// `timeout` is. All queues must be bound to the same client session.
+    /// Watch registration is idempotent, so the lanes whose watch did not
+    /// fire keep their one registration across any number of idle calls.
     pub fn await_any(
         queues: &[&DistributedQueue<'_>],
         timeout: Duration,
@@ -460,6 +445,39 @@ mod tests {
         let (elapsed, lo_len) = waiter.join().unwrap();
         assert!(elapsed < Duration::from_secs(9), "woke before the timeout");
         assert_eq!(lo_len, 1);
+    }
+
+    #[test]
+    fn idle_await_any_keeps_one_registration_per_lane() {
+        let svc = svc();
+        let c = svc.connect("leader");
+        let lanes: Vec<DistributedQueue<'_>> = ["/q", "/q/hi", "/q/norm", "/q/batch"]
+            .iter()
+            .map(|base| DistributedQueue::new(&c, p(base)).unwrap())
+            .collect();
+        let lanes: Vec<&DistributedQueue<'_>> = lanes.iter().collect();
+        let stop = AtomicBool::new(false);
+        for _ in 0..100 {
+            DistributedQueue::await_any(&lanes, Duration::ZERO, &stop).unwrap();
+        }
+        assert_eq!(svc.stats().watch_registrations, 4, "one per lane");
+        assert_eq!(svc.stats().watch_events, 0);
+
+        let producer = svc.connect("producer");
+        DistributedQueue::bind(&producer, p("/q/norm"))
+            .enqueue(Bytes::from_static(b"x"))
+            .unwrap();
+        assert!(c.wait_event(Duration::from_secs(1)).is_some());
+        assert!(
+            c.wait_event(Duration::from_millis(50)).is_none(),
+            "one enqueue woke the session more than once"
+        );
+        assert_eq!(svc.stats().watch_events, 1);
+        assert_eq!(
+            svc.stats().watch_registrations,
+            3,
+            "the fired lane's is spent"
+        );
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! machinery TROPIC depends on (paper §2.3): clients hold sessions kept
 //! alive by heartbeats; when a session expires, its ephemeral znodes are
 //! purged — which is exactly what lets the surviving controllers detect a
-//! failed leader. Watches are one-shot notifications, as in ZooKeeper.
+//! failed leader. Watches are one-shot notifications, as in ZooKeeper, and
+//! registering one is a set insert: a session re-arming a watch that has
+//! not fired yet still holds exactly one registration per `(path, kind)`,
+//! so one store event buys one wake-up however often an idle loop re-arms.
+//! A closed or expired session's registrations are purged with it.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -90,10 +94,40 @@ struct Session {
     expired: bool,
 }
 
+/// Armed one-shot watches: `(path, kind)` → the sessions to notify, each
+/// at most once.
 #[derive(Default)]
 struct WatchTable {
     node: HashMap<Path, Vec<u64>>,
     children: HashMap<Path, Vec<u64>>,
+}
+
+impl WatchTable {
+    fn register(&mut self, path: &Path, kind: WatchKind, session: u64) {
+        let map = match kind {
+            WatchKind::Node => &mut self.node,
+            WatchKind::Children => &mut self.children,
+        };
+        let sessions = map.entry(path.clone()).or_default();
+        if !sessions.contains(&session) {
+            sessions.push(session);
+        }
+    }
+
+    /// Drops every registration of a session that can no longer be woken.
+    fn purge(&mut self, session: u64) {
+        let drop_session = |_: &Path, sessions: &mut Vec<u64>| {
+            sessions.retain(|s| *s != session);
+            !sessions.is_empty()
+        };
+        self.node.retain(drop_session);
+        self.children.retain(drop_session);
+    }
+
+    fn len(&self) -> usize {
+        let all = self.node.values().chain(self.children.values());
+        all.map(Vec::len).sum()
+    }
 }
 
 /// Operation counters for the experiments.
@@ -115,6 +149,8 @@ pub struct ServiceStats {
     /// [`CoordService::recover`] (their clients did not survive the
     /// restart, so nothing else would ever expire them).
     pub recovery_purged_sessions: u64,
+    /// Watch registrations armed right now (a gauge, not a counter).
+    pub watch_registrations: u64,
 }
 
 pub(crate) struct ServiceInner {
@@ -202,6 +238,7 @@ impl ServiceInner {
                 _ => return,
             }
         }
+        self.watches.lock().purge(session);
         self.stats.lock().expired_sessions += 1;
         let (result, events) = {
             let mut ensemble = self.ensemble.lock();
@@ -399,7 +436,9 @@ impl CoordService {
 
     /// Service-level statistics.
     pub fn stats(&self) -> ServiceStats {
-        *self.inner.stats.lock()
+        let mut stats = *self.inner.stats.lock();
+        stats.watch_registrations = self.inner.watches.lock().len() as u64;
+        stats
     }
 
     /// Ensemble-level statistics.
@@ -564,14 +603,11 @@ impl CoordClient {
     /// Registers a one-shot watch. `Node` watches fire on create, delete, or
     /// data change of `path`; `Children` watches fire when the child set of
     /// `path` changes. Fired watches arrive on [`CoordClient::events`].
+    /// Re-arming a watch this session already holds is a no-op, so the
+    /// event it eventually fires is delivered exactly once.
     pub fn watch(&self, path: &Path, kind: WatchKind) -> CoordResult<()> {
         self.inner.check_session(self.session)?;
-        let mut watches = self.inner.watches.lock();
-        let map = match kind {
-            WatchKind::Node => &mut watches.node,
-            WatchKind::Children => &mut watches.children,
-        };
-        map.entry(path.clone()).or_default().push(self.session);
+        self.inner.watches.lock().register(path, kind, self.session);
         Ok(())
     }
 
@@ -736,6 +772,53 @@ mod tests {
         c2.set_data(&p("/w"), Bytes::from_static(b"y"), None)
             .unwrap();
         assert!(c1.wait_event(Duration::from_millis(50)).is_none());
+    }
+
+    #[test]
+    fn rearming_a_pending_watch_registers_and_fires_once() {
+        let svc = quick_service();
+        let c1 = svc.connect("watcher");
+        let c2 = svc.connect("writer");
+        c2.create(&p("/w"), Bytes::new(), CreateMode::Persistent)
+            .unwrap();
+        for _ in 0..50 {
+            c1.watch(&p("/w"), WatchKind::Node).unwrap();
+            c1.watch(&p("/w"), WatchKind::Children).unwrap();
+        }
+        c2.watch(&p("/w"), WatchKind::Node).unwrap();
+        // One per (path, kind, session), however often it was re-armed.
+        assert_eq!(svc.stats().watch_registrations, 3);
+        c2.set_data(&p("/w"), Bytes::from_static(b"x"), None)
+            .unwrap();
+        assert!(c1.wait_event(Duration::from_secs(1)).is_some());
+        assert!(
+            c1.wait_event(Duration::from_millis(50)).is_none(),
+            "a re-armed watch delivered a duplicate event"
+        );
+        assert_eq!(svc.stats().watch_events, 2, "one event per session");
+        assert_eq!(svc.stats().watch_registrations, 1, "children watch");
+    }
+
+    #[test]
+    fn closed_and_expired_sessions_lose_their_registrations() {
+        let svc = quick_service();
+        let closed = svc.connect("closed");
+        let expired = svc.connect("expired");
+        let live = svc.connect("live");
+        for c in [&closed, &expired, &live] {
+            c.watch(&p("/a"), WatchKind::Node).unwrap();
+            c.watch(&p("/b"), WatchKind::Children).unwrap();
+        }
+        assert_eq!(svc.stats().watch_registrations, 6);
+        closed.close();
+        assert_eq!(svc.stats().watch_registrations, 4);
+        svc.expire_session(expired.session_id());
+        assert_eq!(svc.stats().watch_registrations, 2);
+        // The survivor's watches still fire.
+        live.create(&p("/a"), Bytes::new(), CreateMode::Persistent)
+            .unwrap();
+        assert!(live.wait_event(Duration::from_secs(1)).is_some());
+        assert_eq!(svc.stats().watch_registrations, 1);
     }
 
     #[test]

@@ -624,18 +624,14 @@ fn subscription_thread(
     let client = coord.connect(name);
     let _keepalive = client.keepalive();
     let mut last_seen: HashMap<TxnId, TxnState> = HashMap::new();
-    // One-shot watches currently armed, so idle loops neither re-register
-    // duplicates nor re-read records that cannot change.
-    let mut children_armed = false;
+    // Record watches currently armed, so idle loops skip re-reading records
+    // that cannot have changed.
     let mut armed_nodes: HashSet<Path> = HashSet::new();
     while !stop.load(Ordering::SeqCst) {
         // Arm the subtree watch first so a record landing between the scan
-        // and the wait still wakes us.
-        if !children_armed {
-            children_armed = client.watch(&layout::txns(), WatchKind::Children).is_ok();
-            if !children_armed && client.ping().is_err() {
-                return;
-            }
+        // and the wait still wakes us (re-arming a pending watch is a no-op).
+        if client.watch(&layout::txns(), WatchKind::Children).is_err() && client.ping().is_err() {
+            return;
         }
         if scan_records(&client, &clock, &mut last_seen, &mut armed_nodes, tx).is_err() {
             // Session or quorum trouble: the feed cannot continue on a
@@ -648,14 +644,12 @@ fn subscription_thread(
         // Block on the event channel; the bounded slice only caps how long
         // a missed watch (armed after the triggering write) goes unnoticed.
         if let Some(fired) = client.wait_event(Duration::from_millis(200)) {
-            // The fired watch is one-shot: mark it for re-arming.
-            match fired.event {
-                tropic_coord::StoreEvent::ChildrenChanged(_) => children_armed = false,
-                tropic_coord::StoreEvent::Created(p)
-                | tropic_coord::StoreEvent::Deleted(p)
-                | tropic_coord::StoreEvent::DataChanged(p) => {
-                    armed_nodes.remove(&p);
-                }
+            // A fired record watch is one-shot: mark it for re-arming.
+            if let tropic_coord::StoreEvent::Created(p)
+            | tropic_coord::StoreEvent::Deleted(p)
+            | tropic_coord::StoreEvent::DataChanged(p) = fired.event
+            {
+                armed_nodes.remove(&p);
             }
         }
     }

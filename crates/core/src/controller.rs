@@ -16,6 +16,18 @@
 //! persistent state therefore sees either the whole round or none of it,
 //! and the replicated log pays its (dominant, §6.1) per-write cost once per
 //! round instead of once per record.
+//!
+//! ## Record retention
+//!
+//! A finalized record stays readable for `GC_GRACE_MS` or while it is
+//! among the newest `RETAIN_MAX` finalized records, whichever ends first.
+//! `Controller::collect_garbage` runs every round and puts its deletes in
+//! the same round batch, so collection costs no write of its own (a round
+//! with nothing else to flush lets the due records pile up for a second
+//! grace period and then collects them in one multi); it only
+//! collects records the last durably written checkpoint covers, and only
+//! znodes it knows exist — a `Delete` of a missing znode would fail the
+//! whole round. The idempotency-key dedup window closes with the record.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -49,6 +61,14 @@ pub(crate) const ADMIN_TXN_BASE: TxnId = 1 << 62;
 /// How long finalized transaction records linger before garbage collection,
 /// so waiting clients can still read the outcome.
 const GC_GRACE_MS: u64 = 10_000;
+
+/// Finalized records retained before the oldest is collected regardless of
+/// age, so resident memory and store size stop scaling with throughput.
+const RETAIN_MAX: usize = 8_192;
+
+/// Records collected per round at most, so one round's multi stays small
+/// however large the backlog a checkpoint just made collectable.
+const GC_PER_ROUND: usize = 256;
 
 /// Maximum input-queue messages the controller admits per scheduling round,
 /// spread across the priority lanes in strict `hi` → `norm` → legacy →
@@ -164,10 +184,15 @@ pub struct Controller<'a> {
     records: HashMap<TxnId, TxnRecord>,
     running: HashSet<TxnId>,
     started_at: HashMap<TxnId, u64>,
-    term_signaled: HashSet<TxnId>,
+    /// Transaction ids whose signal znode exists, kept until the record is
+    /// collected: TERM is sent once, and GC deletes only these.
+    signaled: HashSet<TxnId>,
     inconsistent: BTreeSet<Path>,
     next_lsn: u64,
     finalized_since_ckpt: u64,
+    /// Watermark of the last checkpoint durably written (or recovered).
+    ckpt_watermark: u64,
+    /// Retained finalized records, oldest first, with their finalize time.
     gc_queue: VecDeque<(TxnId, u64)>,
     batch: RoundBatch,
     /// Transaction ids whose record znode exists (create vs. set hint).
@@ -245,10 +270,11 @@ impl<'a> Controller<'a> {
             records: HashMap::new(),
             running: HashSet::new(),
             started_at: HashMap::new(),
-            term_signaled: HashSet::new(),
+            signaled: HashSet::new(),
             inconsistent: BTreeSet::new(),
             next_lsn: 1,
             finalized_since_ckpt: 0,
+            ckpt_watermark: 0,
             gc_queue: VecDeque::new(),
             batch: RoundBatch::default(),
             persisted: HashSet::new(),
@@ -295,6 +321,7 @@ impl<'a> Controller<'a> {
         }
         self.client.create_all(&layout::phy_q())?;
         self.client.create_all(&layout::admins())?;
+        self.client.create_all(&layout::signals())?;
         self.batch.take();
         self.persisted.clear();
         self.inconsistent_persisted = self.client.exists(&layout::inconsistent())?;
@@ -325,6 +352,7 @@ impl<'a> Controller<'a> {
             }
         };
         self.next_lsn = watermark + 1;
+        self.ckpt_watermark = watermark;
 
         // 2. Load every persisted transaction record, and rebuild the
         // idempotency index and alias table from them (idempotency keys
@@ -439,12 +467,18 @@ impl<'a> Controller<'a> {
             self.todo[priority.index()].push_back(id);
         }
 
-        // 6. Schedule GC for already-finalized records.
-        for rec in self.records.values() {
-            if rec.state.is_final() {
-                self.gc_queue.push_back((rec.id, now));
-            }
-        }
+        // 6. Schedule GC for already-finalized records, oldest first, and
+        // relearn which of them left a signal znode behind.
+        let mut finalized: Vec<(Option<u64>, TxnId)> = self
+            .records
+            .values()
+            .filter(|r| r.state.is_final())
+            .map(|r| (r.finished_ms, r.id))
+            .collect();
+        finalized.sort_unstable();
+        self.gc_queue = finalized.into_iter().map(|(_, id)| (id, now)).collect();
+        let signals = self.client.get_children(&layout::signals())?;
+        self.signaled = signals.iter().filter_map(|n| n.parse().ok()).collect();
         Ok(())
     }
 
@@ -461,6 +495,8 @@ impl<'a> Controller<'a> {
         let scheduled = self.schedule();
         let reconciled = self.twin_tick()?;
         self.check_timeouts()?;
+        // Never "work": an idle leader still sleeps on its watches.
+        self.collect_garbage();
         // The round flush: everything the round decided becomes
         // durable — and visible to workers and clients — atomically, before
         // any step it enables (checkpointing covers only flushed state).
@@ -694,15 +730,20 @@ impl<'a> Controller<'a> {
             return Ok(());
         }
         match signal {
-            Signal::Term => {
-                self.client.put_json(&layout::signal(id), &Signal::Term)?;
-                self.term_signaled.insert(id);
-            }
+            Signal::Term => self.send_signal(id, Signal::Term)?,
             Signal::Kill => {
-                self.client.put_json(&layout::signal(id), &Signal::Kill)?;
+                self.send_signal(id, Signal::Kill)?;
                 self.kill_logically(id, "killed by operator");
             }
         }
+        Ok(())
+    }
+
+    /// Writes the transaction's signal znode for its worker to poll, and
+    /// remembers that it exists so GC can delete it with the record.
+    fn send_signal(&mut self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
+        self.client.put_json(&layout::signal(id), &signal)?;
+        self.signaled.insert(id);
         Ok(())
     }
 
@@ -895,7 +936,6 @@ impl<'a> Controller<'a> {
         self.locks.release_all(id);
         self.running.remove(&id);
         self.started_at.remove(&id);
-        self.term_signaled.remove(&id);
         self.metrics.record_txn(TxnSample {
             id,
             submitted_ms: rec_clone.submitted_ms,
@@ -922,22 +962,22 @@ impl<'a> Controller<'a> {
         for (id, elapsed) in stalled {
             if let Some(kill_ms) = self.cfg.kill_timeout_ms {
                 if elapsed > kill_ms {
-                    self.client.put_json(&layout::signal(id), &Signal::Kill)?;
+                    self.send_signal(id, Signal::Kill)?;
                     self.kill_logically(id, "killed after stall timeout");
                     continue;
                 }
             }
             if let Some(term_ms) = self.cfg.term_timeout_ms {
-                if elapsed > term_ms && !self.term_signaled.contains(&id) {
-                    self.client.put_json(&layout::signal(id), &Signal::Term)?;
-                    self.term_signaled.insert(id);
+                if elapsed > term_ms && !self.signaled.contains(&id) {
+                    self.send_signal(id, Signal::Term)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Quiescent checkpointing plus garbage collection of old records.
+    /// Quiescent checkpointing. Remembers the watermark it durably wrote:
+    /// record GC collects nothing above it.
     fn maybe_checkpoint(&mut self) -> Result<(), PlatformError> {
         if self.cfg.checkpoint_every == 0
             || self.finalized_since_ckpt < self.cfg.checkpoint_every
@@ -954,42 +994,67 @@ impl<'a> Controller<'a> {
             watermark_lsn: watermark,
         };
         self.client.put_json(&layout::checkpoint(), &ckpt)?;
+        self.ckpt_watermark = watermark;
         self.finalized_since_ckpt = 0;
         self.metrics.record_checkpoint();
+        Ok(())
+    }
 
-        // GC finalized records fully covered by the checkpoint and older
-        // than the grace period (clients may still be reading outcomes).
+    /// Collects the oldest retained records — at most [`GC_PER_ROUND`] —
+    /// into the round batch, while the oldest is covered by the last
+    /// checkpoint (recovery would otherwise lose its logical effects) and
+    /// is either past the grace period or pushed out by [`RETAIN_MAX`]
+    /// newer ones. Deletes only znodes known to exist: one missing path
+    /// would fail the whole round's multi.
+    ///
+    /// The deletes ride a flush that is happening anyway. A round with
+    /// nothing else to flush would pay a quorum write for them alone, so it
+    /// collects by age only once the oldest record is a second grace period
+    /// old — then everything due goes at once, not one record per idle tick.
+    fn collect_garbage(&mut self) {
         let now = self.clock.now_ms();
-        while let Some(&(id, finalized_at)) = self.gc_queue.front() {
-            if now.saturating_sub(finalized_at) < GC_GRACE_MS {
+        let Some(&(_, oldest)) = self.gc_queue.front() else {
+            return;
+        };
+        if self.batch.ops.is_empty()
+            && now.saturating_sub(oldest) < 2 * GC_GRACE_MS
+            && self.gc_queue.len() <= RETAIN_MAX
+        {
+            return;
+        }
+        for _ in 0..GC_PER_ROUND {
+            let Some(&(id, finalized_at)) = self.gc_queue.front() else {
                 break;
-            }
-            self.gc_queue.pop_front();
+            };
+            let due =
+                now.saturating_sub(finalized_at) >= GC_GRACE_MS || self.gc_queue.len() > RETAIN_MAX;
             let covered = self
                 .records
                 .get(&id)
-                .map(|r| r.state.is_final() && r.lsn.map(|l| l <= watermark).unwrap_or(true))
-                .unwrap_or(false);
-            if covered {
-                let _ = self.client.delete(&layout::txn(id), None);
-                let _ = self.client.delete(&layout::signal(id), None);
-                if let Some(rec) = self.records.remove(&id) {
-                    // The dedup window closes with the record: drop its
-                    // idempotency key and any aliases pointing at it.
-                    if let Some(key) = &rec.idempotency_key {
-                        if self.idemp.get(key) == Some(&id) {
-                            self.idemp.remove(key);
-                        }
-                    }
+                .and_then(|r| r.lsn)
+                .is_none_or(|lsn| lsn <= self.ckpt_watermark);
+            if !due || !covered {
+                break;
+            }
+            self.gc_queue.pop_front();
+            if self.persisted.remove(&id) {
+                self.batch.delete(layout::txn(id));
+            }
+            if self.signaled.remove(&id) {
+                self.batch.delete(layout::signal(id));
+            }
+            // The dedup window closes with the record: drop its
+            // idempotency key and any aliases pointing at it.
+            if let Some(key) = self.records.remove(&id).and_then(|r| r.idempotency_key) {
+                if self.idemp.get(&key) == Some(&id) {
+                    self.idemp.remove(&key);
                 }
-                for alias in self.aliases_of.remove(&id).unwrap_or_default() {
-                    let _ = self.client.delete(&layout::txn(alias), None);
-                    self.alias_targets.remove(&alias);
-                }
-                self.persisted.remove(&id);
+            }
+            for alias in self.aliases_of.remove(&id).unwrap_or_default() {
+                self.batch.delete(layout::txn(alias));
+                self.alias_targets.remove(&alias);
             }
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1458,22 +1523,26 @@ mod tests {
         service: ServiceDefinition,
         mode: ExecMode,
     ) -> Controller<'a> {
+        controller_on(client, service, mode, tropic_model::real_clock(), 0)
+    }
+
+    fn controller_on<'a>(
+        client: &'a CoordClient,
+        service: ServiceDefinition,
+        mode: ExecMode,
+        clock: SharedClock,
+        checkpoint_every: u64,
+    ) -> Controller<'a> {
         let cfg = ControllerConfig {
             name: "c0".into(),
-            checkpoint_every: 0,
+            checkpoint_every,
             term_timeout_ms: None,
             kill_timeout_ms: None,
             twin: TwinConfig::default(),
             twin_feed: TwinFeed::new(),
         };
-        let mut controller = Controller::new(
-            cfg,
-            client,
-            Arc::new(service),
-            mode,
-            tropic_model::real_clock(),
-            Metrics::new(),
-        );
+        let mut controller =
+            Controller::new(cfg, client, Arc::new(service), mode, clock, Metrics::new());
         controller.recover().unwrap();
         controller
     }
@@ -1485,11 +1554,7 @@ mod tests {
     fn round_reaches_the_store_as_exactly_one_multi() {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
-        let mut service = ServiceDefinition::default();
-        service
-            .procs
-            .register(Arc::new(FnProcedure::new("noop", |_| Ok(()))));
-        let mut controller = controller_under_test(&client, service, ExecMode::LogicalOnly);
+        let mut controller = controller_under_test(&client, noop_service(), ExecMode::LogicalOnly);
         let lane = DistributedQueue::bind(&client, layout::input_lane(Priority::Normal));
         for id in 1..=8 {
             let (msg, _) = crate::api::TxnRequest::new("noop").into_msg(id, 0).unwrap();
@@ -1560,6 +1625,256 @@ mod tests {
         let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         assert!(lane.is_empty().unwrap());
+    }
+
+    // ------------------------------------------------------------------
+    // Record GC. The tests play client and worker by hand: submissions go
+    // to the normal lane, results and signals to the high lane (drained
+    // first), and a manual clock walks records past the grace period.
+    // ------------------------------------------------------------------
+
+    fn noop_service() -> ServiceDefinition {
+        let mut service = ServiceDefinition::default();
+        service
+            .procs
+            .register(Arc::new(FnProcedure::new("noop", |_| Ok(()))));
+        service
+    }
+
+    /// A logical-only controller over `noop` on a manual clock.
+    fn gc_controller<'a>(
+        client: &'a CoordClient,
+        clock: &Arc<tropic_model::ManualClock>,
+        checkpoint_every: u64,
+    ) -> Controller<'a> {
+        let (service, mode) = (noop_service(), ExecMode::LogicalOnly);
+        controller_on(client, service, mode, clock.clone(), checkpoint_every)
+    }
+
+    fn submit(client: &CoordClient, id: TxnId, key: Option<&str>) {
+        let mut request = crate::api::TxnRequest::new("noop");
+        if let Some(key) = key {
+            request = request.idempotency_key(key);
+        }
+        let (msg, _) = request.into_msg(id, 0).unwrap();
+        DistributedQueue::bind(client, layout::input_lane(Priority::Normal))
+            .enqueue(encode_input(msg))
+            .unwrap();
+    }
+
+    fn send(client: &CoordClient, msg: InputMsg) {
+        DistributedQueue::bind(client, layout::input_lane(Priority::High))
+            .enqueue(encode_input(msg))
+            .unwrap();
+    }
+
+    fn commit(client: &CoordClient, id: TxnId) {
+        let outcome = PhysicalOutcome::Committed;
+        send(client, InputMsg::Result { id, outcome });
+    }
+
+    fn children(client: &CoordClient, base: Path) -> Vec<String> {
+        client.get_children(&base).unwrap_or_default()
+    }
+
+    /// Steps once and returns the (multis, single writes, batched ops) the
+    /// step cost, checkpoint puts excluded.
+    fn step_cost(
+        coord: &tropic_coord::CoordService,
+        controller: &mut Controller<'_>,
+    ) -> (u64, u64, u64) {
+        let (before, ckpts) = (coord.stats(), controller.metrics.counters().checkpoints);
+        controller.step().unwrap();
+        let after = coord.stats();
+        let ckpts = controller.metrics.counters().checkpoints - ckpts;
+        let multis = after.multis - before.multis;
+        (
+            multis,
+            after.writes - before.writes - multis - ckpts,
+            after.batched_ops - before.batched_ops,
+        )
+    }
+
+    #[test]
+    fn retention_is_bounded_by_count_and_gc_rides_the_round_multi() {
+        const CHUNK: u64 = INPUT_BATCH as u64;
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut controller = gc_controller(&client, &clock, CHUNK);
+        let phy_q = DistributedQueue::bind(&client, layout::phy_q());
+        let total = 3 * RETAIN_MAX as u64;
+        let mut last_ops = 0;
+        for first in (1..=total).step_by(CHUNK as usize) {
+            for id in first..first + CHUNK {
+                submit(&client, id, None);
+            }
+            let (multis, singles, _) = step_cost(&coord, &mut controller);
+            assert_eq!((multis, singles), (1, 0), "one write per round");
+            for (_, task) in phy_q.try_dequeue_batch(INPUT_BATCH).unwrap() {
+                commit(
+                    &client,
+                    serde_json::from_slice::<PhyTask>(&task).unwrap().id,
+                );
+            }
+            let (multis, singles, ops) = step_cost(&coord, &mut controller);
+            assert_eq!((multis, singles), (1, 0), "one write per round");
+            last_ops = ops;
+            assert_eq!(controller.running_len(), 0);
+            assert!(controller.records.len() <= RETAIN_MAX, "{first}");
+            if first % (16 * CHUNK) == 1 {
+                assert!(children(&client, layout::txns()).len() <= RETAIN_MAX);
+            }
+        }
+        assert_eq!(controller.records.len(), RETAIN_MAX);
+        assert_eq!(children(&client, layout::txns()).len(), RETAIN_MAX);
+        assert!(!controller.records.contains_key(&1), "oldest goes first");
+        assert!(controller.records.contains_key(&total));
+        // At the cap a round collects what it finalizes, in its own multi:
+        // CHUNK inputQ removals + CHUNK record puts + CHUNK GC deletes.
+        assert_eq!(last_ops, 3 * CHUNK);
+    }
+
+    #[test]
+    fn gc_never_collects_above_the_checkpoint_watermark() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut controller = gc_controller(&client, &clock, 1);
+        submit(&client, 1, None);
+        controller.step().unwrap();
+        commit(&client, 1);
+        controller.step().unwrap();
+        assert_eq!(controller.ckpt_watermark, 1, "quiescent: checkpointed");
+        // 2 finalizes while 3 is still running, so no checkpoint covers it.
+        submit(&client, 2, None);
+        submit(&client, 3, None);
+        controller.step().unwrap();
+        commit(&client, 2);
+        controller.step().unwrap();
+        assert_eq!(controller.ckpt_watermark, 1);
+        clock.advance(100 * GC_GRACE_MS);
+        for _ in 0..3 {
+            controller.step().unwrap();
+        }
+        assert!(!controller.records.contains_key(&1), "covered and old");
+        assert!(controller.records.contains_key(&2), "lsn 2 > watermark 1");
+        assert!(client.exists(&layout::txn(2)).unwrap());
+        // Once a checkpoint covers it, age alone decides.
+        commit(&client, 3);
+        controller.step().unwrap();
+        assert_eq!(controller.ckpt_watermark, 3);
+        controller.step().unwrap();
+        assert!(!client.exists(&layout::txn(2)).unwrap());
+        assert!(client.exists(&layout::txn(3)).unwrap(), "inside its grace");
+        // Past it, the delete waits for a flush to ride rather than buy a
+        // write of its own: inputQ removal + record put + phyQ append + it.
+        clock.advance(GC_GRACE_MS);
+        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
+        submit(&client, 4, None);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
+        assert!(!client.exists(&layout::txn(3)).unwrap());
+    }
+
+    #[test]
+    fn gc_deletes_a_signal_znode_only_where_one_was_written() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut controller = gc_controller(&client, &clock, 1);
+        submit(&client, 1, None);
+        submit(&client, 2, None);
+        controller.step().unwrap();
+        commit(&client, 2);
+        controller.step().unwrap();
+        // 2 is past its grace when the KILL round runs, but no checkpoint
+        // covers it until that round has made the platform quiescent.
+        clock.advance(3 * GC_GRACE_MS / 2);
+        let signal = Signal::Kill;
+        send(&client, InputMsg::Signal { id: 1, signal });
+        controller.step().unwrap();
+        assert!(client.exists(&layout::signal(1)).unwrap());
+        assert!(client.exists(&layout::txn(2)).unwrap());
+        assert_eq!(controller.ckpt_watermark, 2);
+
+        // Idle rounds collect once the oldest record is two grace periods
+        // old. The unsignalled record costs one delete op; a blind delete
+        // of its (missing) signal znode would fail the round.
+        clock.advance(GC_GRACE_MS / 2 - 1);
+        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
+        clock.advance(1);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1));
+        assert!(!client.exists(&layout::txn(2)).unwrap());
+        assert!(client.exists(&layout::txn(1)).unwrap());
+        // The killed one's record and signal znode go in one multi.
+        clock.advance(3 * GC_GRACE_MS / 2);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 2));
+        assert!(!client.exists(&layout::txn(1)).unwrap());
+        assert!(!client.exists(&layout::signal(1)).unwrap());
+        assert!(controller.signaled.is_empty());
+        // Nothing left: an idle round writes nothing.
+        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
+    }
+
+    #[test]
+    fn gc_collects_an_alias_with_its_target_and_frees_the_key() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut controller = gc_controller(&client, &clock, 1);
+        submit(&client, 1, Some("k"));
+        controller.step().unwrap();
+        commit(&client, 1);
+        submit(&client, 2, Some("k"));
+        controller.step().unwrap();
+        assert_eq!(controller.alias_targets.get(&2), Some(&1));
+        assert!(client.exists(&layout::txn(2)).unwrap());
+
+        clock.advance(2 * GC_GRACE_MS);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 2));
+        assert!(children(&client, layout::txns()).is_empty());
+        assert!(controller.alias_targets.is_empty() && controller.aliases_of.is_empty());
+        // The dedup window closed with the record: the key runs again.
+        submit(&client, 3, Some("k"));
+        assert!(controller.step().unwrap());
+        assert_eq!(controller.records[&3].state, TxnState::Started);
+    }
+
+    #[test]
+    fn gc_resumes_after_failover_without_failing_a_round() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut old_leader = gc_controller(&client, &clock, 1);
+        for id in [1, 3, 4] {
+            submit(&client, id, (id == 1).then_some("k"));
+        }
+        old_leader.step().unwrap();
+        commit(&client, 1);
+        commit(&client, 4);
+        let signal = Signal::Kill;
+        send(&client, InputMsg::Signal { id: 3, signal });
+        submit(&client, 2, Some("k"));
+        old_leader.step().unwrap();
+        assert_eq!(old_leader.ckpt_watermark, 3);
+        clock.advance(GC_GRACE_MS / 2);
+        old_leader.step().unwrap();
+        assert_eq!(children(&client, layout::txns()).len(), 4, "mid-retention");
+        drop(old_leader);
+
+        let mut controller = gc_controller(&client, &clock, 1);
+        assert_eq!(controller.gc_queue.len(), 3);
+        assert_eq!(controller.signaled, HashSet::from([3]));
+        // The grace restarts at recovery (finalize times are the old
+        // leader's), then one round collects everything that exists — three
+        // records, the alias, the signal znode — and nothing that does not.
+        clock.advance(2 * GC_GRACE_MS - 1);
+        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
+        clock.advance(1);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
+        assert!(children(&client, layout::txns()).is_empty());
+        assert!(children(&client, layout::signals()).is_empty());
+        assert!(controller.records.is_empty() && controller.idemp.is_empty());
     }
 
     #[test]

@@ -263,11 +263,14 @@ pub mod layout {
         Path::parse("/tropic/inconsistent").expect("static path")
     }
 
+    /// Base of per-transaction signal znodes.
+    pub fn signals() -> Path {
+        Path::parse("/tropic/signals").expect("static path")
+    }
+
     /// Signal znode for one transaction.
     pub fn signal(id: TxnId) -> Path {
-        Path::parse("/tropic/signals")
-            .expect("static path")
-            .join(&format!("{id:020}"))
+        signals().join(&format!("{id:020}"))
     }
 
     /// Base of administrative-operation result znodes.

@@ -340,6 +340,11 @@ struct ConnState {
 }
 
 impl ConnState {
+    /// Whether a broadcast on `feed` goes to this connection.
+    fn streams(&self, feed: Feed) -> bool {
+        self.mode == ConnMode::Stream(feed) && !self.dead && !self.close_after_flush
+    }
+
     fn new(stream: TcpStream) -> Self {
         ConnState {
             stream,
@@ -676,19 +681,15 @@ impl Reactor {
                     self.pump_dispatch(token);
                 }
                 Wake::Broadcast { feed, frame } => {
-                    let mut delivered = 0u64;
-                    for conn in self.conns.values_mut() {
-                        if conn.mode == ConnMode::Stream(feed)
-                            && !conn.dead
-                            && !conn.close_after_flush
-                        {
-                            conn.enqueue(frame.clone());
-                            conn.flush();
-                            delivered += 1;
-                        }
-                    }
+                    // Counted before the first byte leaves, so a subscriber
+                    // that has seen the event also sees it counted.
+                    let delivered = self.conns.values().filter(|c| c.streams(feed)).count();
                     if delivered > 0 {
-                        self.shared.metrics.record_rpc_events(delivered);
+                        self.shared.metrics.record_rpc_events(delivered as u64);
+                    }
+                    for conn in self.conns.values_mut().filter(|c| c.streams(feed)) {
+                        conn.enqueue(frame.clone());
+                        conn.flush();
                     }
                 }
             }
