@@ -9,7 +9,7 @@
 //! * **durable FIFO queues** for `inputQ`/`phyQ` ([`queue::DistributedQueue`]),
 //! * **quorum leader election** for the controllers
 //!   ([`election::LeaderElection`]),
-//! * **failure detection** through session heartbeats and expiry.
+//! * **failure detection** through session expiry.
 //!
 //! Writes replicate through a leader-based totally-ordered broadcast over a
 //! fault-injectable simulated network ([`ensemble::Ensemble`]); a write

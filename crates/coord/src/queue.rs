@@ -4,6 +4,8 @@
 //! `phyQ` (paper Figure 1). Each queue is a znode whose children are
 //! sequentially-numbered persistent items; dequeue claims the lowest item by
 //! deleting it, so exactly one consumer wins even with many workers.
+//! `inputQ` is three such queues, one per priority lane, under a common
+//! parent that is itself never enqueued on or drained.
 //!
 //! Consumers idle behind children watches ([`DistributedQueue::await_any`]
 //! is the one wait loop; `await_items` is its single-queue case). Because
@@ -44,9 +46,9 @@ impl<'a> DistributedQueue<'a> {
 
     /// Binds a queue whose base znode is known to exist already, skipping
     /// the existence probes of [`DistributedQueue::new`]. For hot paths
-    /// (the controller re-binds its lanes every scheduling round); callers
-    /// must have created the base beforehand or every operation fails
-    /// with `NoNode`.
+    /// (the controller re-binds its lanes every scheduling round, clients
+    /// on every submission); the base must have been created beforehand or
+    /// reads fail with `NoNode` and enqueues with `NoParent`.
     pub fn bind(client: &'a CoordClient, base: Path) -> Self {
         DistributedQueue { client, base }
     }

@@ -1,14 +1,27 @@
 //! The coordination service façade: sessions, watches, and client handles.
 //!
 //! [`CoordService`] wraps an [`Ensemble`] with the ZooKeeper-style session
-//! machinery TROPIC depends on (paper §2.3): clients hold sessions kept
-//! alive by heartbeats; when a session expires, its ephemeral znodes are
-//! purged — which is exactly what lets the surviving controllers detect a
-//! failed leader. Watches are one-shot notifications, as in ZooKeeper, and
-//! registering one is a set insert: a session re-arming a watch that has
-//! not fired yet still holds exactly one registration per `(path, kind)`,
-//! so one store event buys one wake-up however often an idle loop re-arms.
-//! A closed or expired session's registrations are purged with it.
+//! machinery TROPIC depends on (paper §2.3): when a session ends, its
+//! ephemeral znodes are purged — which is exactly what lets the surviving
+//! controllers detect a failed leader.
+//!
+//! A session is state, not a thread: one row in one table, and an absent
+//! row *is* an expired session. Every operation stamps the row; a row
+//! silent for `session_timeout_ms` is ended by the expiry thread (the only
+//! thread this module spawns), unless a [`KeepAlive`] guard pins it — a
+//! pin replaces the heartbeat a ZooKeeper client's IO thread would send.
+//! [`CoordClient::close`], timeout expiry and
+//! [`CoordService::expire_session`] share one exit: the row is removed, the
+//! session's watch registrations go with it, and an [`Op::PurgeSession`] is
+//! replicated only if the row says the session may own an ephemeral.
+//! Ending a session that owns nothing costs no quorum write.
+//! `CoordClient` deliberately has no `Drop`: a crashed component *is* a
+//! dropped client, and its ephemerals must linger for the session timeout.
+//!
+//! Watches are one-shot notifications, as in ZooKeeper, and registering
+//! one is a set insert: a session re-arming a watch that has not fired yet
+//! still holds exactly one registration per `(path, kind)`, so one store
+//! event buys one wake-up however often an idle loop re-arms.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -86,12 +99,27 @@ pub struct WatchEvent {
     pub event: StoreEvent,
 }
 
-#[derive(Debug)]
+/// One live session. Ended sessions have no row.
 struct Session {
-    #[allow(dead_code)]
-    name: String,
+    /// Where the session's fired watches are delivered.
+    events: Sender<WatchEvent>,
     last_seen_ms: u64,
-    expired: bool,
+    /// Live [`KeepAlive`] guards; a pinned session never times out.
+    pins: u32,
+    /// An ephemeral create has named this session as owner, so its end
+    /// must replicate a purge.
+    owns_ephemerals: bool,
+}
+
+/// The sessions `op` would make ephemeral owners.
+fn ephemeral_owners(op: &Op) -> Vec<u64> {
+    match op {
+        Op::Create {
+            ephemeral_owner, ..
+        } => ephemeral_owner.iter().copied().collect(),
+        Op::Multi { ops } => ops.iter().flat_map(ephemeral_owners).collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// Armed one-shot watches: `(path, kind)` → the sessions to notify, each
@@ -151,13 +179,14 @@ pub struct ServiceStats {
     pub recovery_purged_sessions: u64,
     /// Watch registrations armed right now (a gauge, not a counter).
     pub watch_registrations: u64,
+    /// Sessions live right now (a gauge, not a counter).
+    pub sessions: u64,
 }
 
 pub(crate) struct ServiceInner {
     ensemble: Mutex<Ensemble>,
     sessions: Mutex<HashMap<u64, Session>>,
     watches: Mutex<WatchTable>,
-    client_txs: Mutex<HashMap<u64, Sender<WatchEvent>>>,
     clock: SharedClock,
     config: CoordConfig,
     next_session: AtomicU64,
@@ -166,12 +195,14 @@ pub(crate) struct ServiceInner {
 }
 
 impl ServiceInner {
+    // Lock order: `watches` may be held while taking `sessions`, never
+    // the reverse; neither is held across an ensemble submit.
     fn dispatch_events(&self, events: &[StoreEvent]) {
         if events.is_empty() {
             return;
         }
         let mut watches = self.watches.lock();
-        let client_txs = self.client_txs.lock();
+        let sessions = self.sessions.lock();
         let mut fired = 0u64;
         for event in events {
             let targets: Vec<u64> = match event {
@@ -180,33 +211,40 @@ impl ServiceInner {
                 }
                 StoreEvent::ChildrenChanged(p) => watches.children.remove(p).unwrap_or_default(),
             };
-            for client in targets {
-                if let Some(tx) = client_txs.get(&client) {
-                    let _ = tx.send(WatchEvent {
+            for target in targets {
+                if let Some(session) = sessions.get(&target) {
+                    let _ = session.events.send(WatchEvent {
                         event: event.clone(),
                     });
                     fired += 1;
                 }
             }
         }
-        drop(client_txs);
+        drop(sessions);
         drop(watches);
         self.stats.lock().watch_events += fired;
     }
 
+    /// Stamps the session's row, or reports that it has none.
     fn check_session(&self, session: u64) -> CoordResult<()> {
-        let mut sessions = self.sessions.lock();
-        match sessions.get_mut(&session) {
-            Some(s) if !s.expired => {
-                s.last_seen_ms = self.clock.now_ms();
+        match self.sessions.lock().get_mut(&session) {
+            Some(row) => {
+                row.last_seen_ms = self.clock.now_ms();
                 Ok(())
             }
-            _ => Err(CoordError::SessionExpired),
+            None => Err(CoordError::SessionExpired),
         }
     }
 
     fn submit(&self, session: u64, op: Op) -> CoordResult<OpResult> {
         self.check_session(session)?;
+        // Every write — single creates and multi sub-ops alike — passes
+        // here, so this is the one place a session can become an owner.
+        for owner in ephemeral_owners(&op) {
+            if let Some(row) = self.sessions.lock().get_mut(&owner) {
+                row.owns_ephemerals = true;
+            }
+        }
         {
             let mut stats = self.stats.lock();
             stats.writes += 1;
@@ -230,16 +268,18 @@ impl ServiceInner {
         result
     }
 
-    fn expire_session_locked(&self, session: u64) {
-        {
-            let mut sessions = self.sessions.lock();
-            match sessions.get_mut(&session) {
-                Some(s) if !s.expired => s.expired = true,
-                _ => return,
-            }
-        }
+    /// The one way a session ends: `close()`, timeout expiry and
+    /// [`CoordService::expire_session`] all land here. A no-op for a
+    /// session that has already ended.
+    fn end_session(&self, session: u64) {
+        let Some(row) = self.sessions.lock().remove(&session) else {
+            return;
+        };
         self.watches.lock().purge(session);
         self.stats.lock().expired_sessions += 1;
+        if !row.owns_ephemerals {
+            return;
+        }
         let (result, events) = {
             let mut ensemble = self.ensemble.lock();
             ensemble.submit(Op::PurgeSession { session })
@@ -313,7 +353,6 @@ impl CoordService {
             ensemble: Mutex::new(ensemble),
             sessions: Mutex::new(HashMap::new()),
             watches: Mutex::new(WatchTable::default()),
-            client_txs: Mutex::new(HashMap::new()),
             clock,
             config,
             next_session: AtomicU64::new(1),
@@ -360,13 +399,13 @@ impl CoordService {
                         sessions
                             .iter()
                             .filter(|(_, s)| {
-                                !s.expired && now.saturating_sub(s.last_seen_ms) > timeout
+                                s.pins == 0 && now.saturating_sub(s.last_seen_ms) > timeout
                             })
                             .map(|(id, _)| *id)
                             .collect()
                     };
                     for session in stale {
-                        expiry_inner.expire_session_locked(session);
+                        expiry_inner.end_session(session);
                     }
                 }
             })
@@ -377,19 +416,20 @@ impl CoordService {
         }
     }
 
-    /// Opens a client session. `name` labels the session in diagnostics.
-    pub fn connect(&self, name: &str) -> CoordClient {
+    /// Opens a client session. The name documents the caller at the call
+    /// site; the service keeps nothing of it.
+    pub fn connect(&self, _name: &str) -> CoordClient {
         let session = self.inner.next_session.fetch_add(1, Ordering::SeqCst);
-        let (tx, rx) = unbounded();
+        let (events, rx) = unbounded();
         self.inner.sessions.lock().insert(
             session,
             Session {
-                name: name.to_owned(),
+                events,
                 last_seen_ms: self.inner.clock.now_ms(),
-                expired: false,
+                pins: 0,
+                owns_ephemerals: false,
             },
         );
-        self.inner.client_txs.lock().insert(session, tx);
         CoordClient {
             inner: Arc::clone(&self.inner),
             session,
@@ -418,10 +458,11 @@ impl CoordService {
             .set_simulated_fsync_latency(latency);
     }
 
-    /// Forces a session to expire immediately, as if its heartbeats stopped
-    /// a session-timeout ago. Used by failover tests and the HA experiment.
+    /// Ends a session immediately, as if it had been silent for a whole
+    /// session timeout. Used by failover tests and the HA experiment, and
+    /// by the client handles that end their session when dropped.
     pub fn expire_session(&self, session: u64) {
-        self.inner.expire_session_locked(session);
+        self.inner.end_session(session);
     }
 
     /// Partitions the replica network into groups.
@@ -438,6 +479,7 @@ impl CoordService {
     pub fn stats(&self) -> ServiceStats {
         let mut stats = *self.inner.stats.lock();
         stats.watch_registrations = self.inner.watches.lock().len() as u64;
+        stats.sessions = self.inner.sessions.lock().len() as u64;
         stats
     }
 
@@ -487,7 +529,7 @@ impl CoordClient {
         self.session
     }
 
-    /// Refreshes the session heartbeat.
+    /// Stamps the session as alive, restarting its timeout.
     pub fn ping(&self) -> CoordResult<()> {
         self.inner.check_session(self.session)
     }
@@ -606,8 +648,11 @@ impl CoordClient {
     /// Re-arming a watch this session already holds is a no-op, so the
     /// event it eventually fires is delivered exactly once.
     pub fn watch(&self, path: &Path, kind: WatchKind) -> CoordResult<()> {
+        // Checked under `watches`, so a session ending concurrently either
+        // refuses here or purges what this registers.
+        let mut watches = self.inner.watches.lock();
         self.inner.check_session(self.session)?;
-        self.inner.watches.lock().register(path, kind, self.session);
+        watches.register(path, kind, self.session);
         Ok(())
     }
 
@@ -650,62 +695,39 @@ impl CoordClient {
         }
     }
 
-    /// Starts a background heartbeat for this session, pinging at roughly a
-    /// quarter of the session timeout — what a real ZooKeeper client's IO
-    /// thread does. Needed by components that block for long stretches
-    /// (e.g. workers inside slow device calls) but must stay alive. The
-    /// heartbeat stops when the returned guard drops, so a crashed
-    /// component's session still expires naturally.
+    /// Pins the session: until the returned guard drops, the expiry scan
+    /// skips it however long its owner stays silent. Needed by components
+    /// that block for long stretches (e.g. workers inside slow device
+    /// calls) but must stay alive. Dropping the guard restarts the timeout,
+    /// so a crashed component's session still expires one
+    /// `session_timeout_ms` later. Pinning an ended session does nothing.
     pub fn keepalive(&self) -> KeepAlive {
-        let inner = Arc::clone(&self.inner);
-        let session = self.session;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let interval = Duration::from_millis((inner.config.session_timeout_ms / 4).max(5));
-        let handle = std::thread::Builder::new()
-            .name(format!("coord-keepalive-{session}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    if inner.check_session(session).is_err() {
-                        // Session gone: nothing left to keep alive.
-                        return;
-                    }
-                    // Real-time chunked sleep so dropping the guard returns
-                    // promptly even under a stalled manual clock.
-                    let deadline = std::time::Instant::now() + interval;
-                    while std::time::Instant::now() < deadline {
-                        if stop2.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            })
-            .expect("spawn keepalive thread");
+        if let Some(row) = self.inner.sessions.lock().get_mut(&self.session) {
+            row.pins += 1;
+        }
         KeepAlive {
-            stop,
-            handle: Some(handle),
+            inner: Arc::clone(&self.inner),
+            session: self.session,
         }
     }
 
     /// Closes the session cleanly, deleting its ephemeral nodes.
     pub fn close(self) {
-        self.inner.expire_session_locked(self.session);
-        self.inner.client_txs.lock().remove(&self.session);
+        self.inner.end_session(self.session);
     }
 }
 
-/// Guard for a background session heartbeat; dropping it stops the pings.
+/// Guard pinning a session against timeout; see [`CoordClient::keepalive`].
 pub struct KeepAlive {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    inner: Arc<ServiceInner>,
+    session: u64,
 }
 
 impl Drop for KeepAlive {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        if let Some(row) = self.inner.sessions.lock().get_mut(&self.session) {
+            row.pins -= 1;
+            row.last_seen_ms = self.inner.clock.now_ms();
         }
     }
 }
@@ -714,7 +736,7 @@ impl Drop for KeepAlive {
 mod tests {
     use super::*;
     use crate::wal::SyncPolicy;
-    use tropic_model::ManualClock;
+    use tropic_model::{Clock, ManualClock};
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -890,6 +912,153 @@ mod tests {
             c.exists(&p("/x")),
             Err(CoordError::SessionExpired)
         ));
+    }
+
+    fn manual_service(clock: &Arc<ManualClock>) -> CoordService {
+        CoordService::start_with_clock(
+            CoordConfig {
+                session_timeout_ms: 500,
+                tick_ms: 50,
+                ..CoordConfig::default()
+            },
+            clock.clone(),
+        )
+    }
+
+    /// Steps the manual clock until `done` holds. The expiry thread scans
+    /// on its own schedule, one tick after whatever instant it last read,
+    /// so only a clock that keeps moving is sure to be scanned.
+    fn advance_until(clock: &ManualClock, mut done: impl FnMut() -> bool) {
+        for _ in 0..1_000 {
+            if done() {
+                return;
+            }
+            clock.advance(10);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        panic!("condition still false after 10 s of manual-clock time");
+    }
+
+    #[test]
+    fn ending_sessions_that_own_nothing_replicates_nothing_and_leaves_no_row() {
+        let clock = ManualClock::new();
+        let svc = manual_service(&clock);
+        let sessions = svc.stats().sessions;
+        let commits = svc.ensemble_stats().committed;
+        for _ in 0..1_000 {
+            let c = svc.connect("closed");
+            assert!(!c.exists(&p("/nothing")).unwrap());
+            c.watch(&p("/nothing"), WatchKind::Node).unwrap();
+            c.close();
+        }
+        assert_eq!(svc.stats().sessions, sessions);
+        for _ in 0..1_000 {
+            // No `Drop`: an abandoned client is a crashed one, and lingers.
+            drop(svc.connect("dropped"));
+        }
+        assert_eq!(svc.stats().sessions, sessions + 1_000);
+        advance_until(&clock, || svc.stats().sessions == sessions);
+        let stats = svc.stats();
+        assert_eq!(stats.expired_sessions, 2_000);
+        assert_eq!(stats.watch_registrations, 0);
+        assert_eq!(stats.writes, 0);
+        assert_eq!(
+            svc.ensemble_stats().committed,
+            commits,
+            "ending a session that owns nothing must not reach the ensemble"
+        );
+    }
+
+    #[test]
+    fn every_exit_purges_ephemerals_created_directly_or_inside_a_multi() {
+        let clock = ManualClock::new();
+        let svc = manual_service(&clock);
+        let observer = svc.connect("observer");
+        let _pin = observer.keepalive();
+        for exit in ["close", "timeout", "expire_session"] {
+            for in_multi in [false, true] {
+                let owner = svc.connect("owner");
+                let path = p(&format!("/eph-{exit}-{in_multi}"));
+                if in_multi {
+                    owner
+                        .multi(vec![Op::Create {
+                            path: path.clone(),
+                            data: Bytes::new(),
+                            ephemeral_owner: Some(owner.session_id()),
+                            sequential: false,
+                        }])
+                        .unwrap();
+                } else {
+                    owner
+                        .create(&path, Bytes::new(), CreateMode::Ephemeral)
+                        .unwrap();
+                }
+                assert!(observer.exists(&path).unwrap());
+                let commits = svc.ensemble_stats().committed;
+                match exit {
+                    "close" => owner.close(),
+                    "timeout" => advance_until(&clock, || !observer.exists(&path).unwrap()),
+                    _ => svc.expire_session(owner.session_id()),
+                }
+                assert!(
+                    !observer.exists(&path).unwrap(),
+                    "{path} survived its owner's {exit}"
+                );
+                assert_eq!(svc.ensemble_stats().committed, commits + 1, "one purge");
+                assert_eq!(svc.stats().sessions, 1, "only the observer is left");
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_session_outlives_the_timeout_and_expires_one_timeout_after_unpinning() {
+        let clock = ManualClock::new();
+        let svc = manual_service(&clock);
+        let observer = svc.connect("observer");
+        let _observer_pin = observer.keepalive();
+        let pinned = svc.connect("pinned");
+        pinned
+            .create(&p("/pinned"), Bytes::new(), CreateMode::Ephemeral)
+            .unwrap();
+        let pin = pinned.keepalive();
+        // An unpinned bystander proves the scans run: it goes, the pin stays.
+        drop(svc.connect("bystander"));
+        advance_until(&clock, || svc.stats().sessions == 2);
+        advance_until(&clock, || clock.now_ms() >= 5_000);
+        assert!(observer.exists(&p("/pinned")).unwrap());
+        assert_eq!(svc.stats().sessions, 2);
+
+        // Unpinning restarts the timeout from now, not from the last op.
+        let unpinned_ms = clock.now_ms();
+        drop(pin);
+        advance_until(&clock, || !observer.exists(&p("/pinned")).unwrap());
+        let silent_ms = clock.now_ms() - unpinned_ms;
+        assert!(
+            (501..1_500).contains(&silent_ms),
+            "expired {silent_ms} ms after unpinning"
+        );
+
+        // An ended session has no row: every operation reports expiry.
+        assert!(matches!(pinned.ping(), Err(CoordError::SessionExpired)));
+        assert!(matches!(
+            pinned.get_data(&p("/x")),
+            Err(CoordError::SessionExpired)
+        ));
+        assert!(matches!(
+            pinned.watch(&p("/x"), WatchKind::Node),
+            Err(CoordError::SessionExpired)
+        ));
+        assert!(matches!(
+            pinned.multi(vec![Op::Delete {
+                path: p("/x"),
+                expected_version: None,
+            }]),
+            Err(CoordError::SessionExpired)
+        ));
+        // Pinning an ended session neither revives it nor panics on drop.
+        drop(pinned.keepalive());
+        assert_eq!(svc.stats().sessions, 1);
+        assert_eq!(svc.stats().watch_registrations, 0);
     }
 
     #[test]

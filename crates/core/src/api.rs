@@ -453,30 +453,27 @@ impl<'c> TxnHandle<'c> {
         self.deadline_ms
     }
 
-    fn target_id(&self) -> Result<TxnId, ApiError> {
-        if let Some(t) = self.resolved.get() {
-            return Ok(t);
-        }
-        // An alias is persisted at the submission's own record path; a
-        // real record there parses as `TxnRecord`, not `TxnAlias`.
-        if let Some(alias) = self.client.get_json::<TxnAlias>(&layout::txn(self.id))? {
-            self.resolved.set(Some(alias.alias_of));
-            return Ok(alias.alias_of);
-        }
-        Ok(self.id)
-    }
-
     /// Non-blocking outcome poll: `Ok(Some(..))` once the transaction
-    /// reached a terminal state, `Ok(None)` while still in flight.
+    /// reached a terminal state, `Ok(None)` while still in flight. One
+    /// store read per probe, plus one the first time an alias is followed.
     pub fn try_outcome(&self) -> Result<Option<TxnOutcome>, ApiError> {
-        let target = self.target_id()?;
-        let Some(rec) = self.client.get_json::<TxnRecord>(&layout::txn(target))? else {
-            return Ok(None);
-        };
-        if !rec.state.is_final() {
-            return Ok(None);
+        loop {
+            let target = self.resolved_id();
+            let Some((data, _)) = self.client.get_data(&layout::txn(target))? else {
+                return Ok(None);
+            };
+            if let Ok(rec) = serde_json::from_slice::<TxnRecord>(&data) {
+                return Ok(rec.state.is_final().then(|| outcome_of(target, &rec)));
+            }
+            // An alias is persisted at the submission's own record path; a
+            // real record there parses as `TxnRecord`, not `TxnAlias`.
+            match serde_json::from_slice::<TxnAlias>(&data) {
+                Ok(alias) if self.resolved.get().is_none() => {
+                    self.resolved.set(Some(alias.alias_of));
+                }
+                _ => return Ok(None),
+            }
         }
-        Ok(Some(outcome_of(target, &rec)))
     }
 
     /// Blocks until the transaction reaches a terminal state, driven by
@@ -510,7 +507,7 @@ impl<'c> TxnHandle<'c> {
             // remaining window. Watches are one-shot, so after an event
             // fires the loop re-checks the outcome and re-arms.
             self.client
-                .watch(&layout::txn(self.target_id()?), WatchKind::Node)?;
+                .watch(&layout::txn(self.resolved_id()), WatchKind::Node)?;
             if let Some(outcome) = self.try_outcome()? {
                 return Ok(outcome);
             }
@@ -653,6 +650,7 @@ fn subscription_thread(
             }
         }
     }
+    client.close();
 }
 
 fn scan_records(
@@ -722,6 +720,7 @@ fn scan_records(
 /// data plane and the control plane evolve independently. Obtain one with
 /// [`crate::Tropic::admin`].
 pub struct AdminClient {
+    coord: Arc<CoordService>,
     client: CoordClient,
     _keepalive: tropic_coord::KeepAlive,
     next_admin_id: Arc<AtomicU64>,
@@ -730,12 +729,15 @@ pub struct AdminClient {
 
 impl AdminClient {
     pub(crate) fn new(
-        client: CoordClient,
+        coord: Arc<CoordService>,
+        name: &str,
         next_admin_id: Arc<AtomicU64>,
         clock: SharedClock,
     ) -> Self {
+        let client = coord.connect(name);
         let keepalive = client.keepalive();
         AdminClient {
+            coord,
             client,
             _keepalive: keepalive,
             next_admin_id,
@@ -758,8 +760,13 @@ impl AdminClient {
     /// Sends a TERM or KILL signal to a transaction (paper §4). Signals
     /// ride the high-priority lane so they overtake queued submissions.
     pub fn signal(&self, id: TxnId, signal: Signal) -> Result<(), ApiError> {
-        let q = DistributedQueue::new(&self.client, layout::input_lane(Priority::High))?;
-        q.enqueue(encode_input(InputMsg::Signal { id, signal }))?;
+        self.enqueue(InputMsg::Signal { id, signal })
+    }
+
+    /// The platform created the lanes at boot, so the lane binds unprobed.
+    fn enqueue(&self, msg: InputMsg) -> Result<(), ApiError> {
+        let lane = DistributedQueue::bind(&self.client, layout::input_lane(Priority::High));
+        lane.enqueue(encode_input(msg))?;
         Ok(())
     }
 
@@ -791,8 +798,7 @@ impl AdminClient {
                 admin_id,
             }
         };
-        let q = DistributedQueue::new(&self.client, layout::input_lane(Priority::High))?;
-        q.enqueue(encode_input(msg))?;
+        self.enqueue(msg)?;
         Ok(admin_id)
     }
 
@@ -826,6 +832,13 @@ impl AdminClient {
     /// The platform clock (for computing absolute deadlines).
     pub fn clock(&self) -> &SharedClock {
         &self.clock
+    }
+}
+
+impl Drop for AdminClient {
+    /// Like [`crate::TropicClient`], a handle: its session ends with it.
+    fn drop(&mut self) {
+        self.coord.expire_session(self.client.session_id());
     }
 }
 

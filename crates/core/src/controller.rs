@@ -71,8 +71,8 @@ const RETAIN_MAX: usize = 8_192;
 const GC_PER_ROUND: usize = 256;
 
 /// Maximum input-queue messages the controller admits per scheduling round,
-/// spread across the priority lanes in strict `hi` → `norm` → legacy →
-/// `batch` order.
+/// spread across the priority lanes in strict `hi` → `norm` → `batch`
+/// order.
 const INPUT_BATCH: usize = 64;
 
 /// The persisted logical-layer checkpoint.
@@ -315,7 +315,6 @@ impl<'a> Controller<'a> {
         self.client.create_all(&layout::election())?;
         // Queue roots must exist before the round batch appends items to
         // them (batched creates have no create-parents fallback).
-        self.client.create_all(&layout::input_q())?;
         for p in Priority::ALL {
             self.client.create_all(&layout::input_lane(p))?;
         }
@@ -517,39 +516,27 @@ impl<'a> Controller<'a> {
         Ok(())
     }
 
-    /// Blocks until any input lane (or the legacy queue root) has an item
-    /// or `timeout` passes. Uses one children watch per lane so idling
-    /// costs no polling writes. The lane bases exist from
-    /// [`Controller::recover`], so the queues bind without probing.
+    /// Blocks until any input lane has an item or `timeout` passes. Uses
+    /// one children watch per lane so idling costs no polling writes. The
+    /// lane bases exist from [`Controller::recover`], so the queues bind
+    /// without probing.
     pub fn wait_for_input(&self, timeout: Duration) {
-        let hi = DistributedQueue::bind(self.client, layout::input_lane(Priority::High));
-        let norm = DistributedQueue::bind(self.client, layout::input_lane(Priority::Normal));
-        let batch = DistributedQueue::bind(self.client, layout::input_lane(Priority::Batch));
-        let legacy = DistributedQueue::bind(self.client, layout::input_q());
+        let lanes =
+            Priority::ALL.map(|p| DistributedQueue::bind(self.client, layout::input_lane(p)));
         let no_stop = std::sync::atomic::AtomicBool::new(false);
-        let _ = DistributedQueue::await_any(&[&hi, &norm, &batch, &legacy], timeout, &no_stop);
+        let _ = DistributedQueue::await_any(&lanes.each_ref(), timeout, &no_stop);
     }
 
     /// Drains up to `max` messages, strictly by lane: the high lane is
-    /// emptied before the normal lane is touched, and so on. The legacy
-    /// un-versioned queue root drains at *normal* priority (legacy
-    /// messages decode as `Priority::Normal`, and pre-upgrade workers
-    /// still report results there — parking it below the batch lane
-    /// would let a sustained batch backlog starve them during a rolling
-    /// upgrade). Within a lane, FIFO.
+    /// emptied before the normal lane is touched, and so on. Within a
+    /// lane, FIFO.
     fn process_input(&mut self, max: usize) -> Result<usize, PlatformError> {
         let mut handled = 0;
-        let bases = [
-            layout::input_lane(Priority::High),
-            layout::input_lane(Priority::Normal),
-            layout::input_q(),
-            layout::input_lane(Priority::Batch),
-        ];
-        for base in bases {
+        for priority in Priority::ALL {
             if handled >= max {
                 break;
             }
-            let q = DistributedQueue::bind(self.client, base);
+            let q = DistributedQueue::bind(self.client, layout::input_lane(priority));
             // One listing per lane per round: the removals are buffered
             // until the flush, so a peek loop would re-serve the same head
             // forever.
@@ -1693,6 +1680,45 @@ mod tests {
             after.writes - before.writes - multis - ckpts,
             after.batched_ops - before.batched_ops,
         )
+    }
+
+    /// The read budget of one transaction (ROADMAP 3(a)), pinned phase by
+    /// phase with the worker played by hand. A probe that reads a record
+    /// twice, a queue bound with `new` on a hot path or a fourth lane
+    /// listing shows up here as a changed count.
+    #[test]
+    fn submit_commit_wait_costs_a_pinned_number_of_reads() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let mut controller = controller_under_test(&client, noop_service(), ExecMode::LogicalOnly);
+        let user = coord.connect("client");
+        let mut last = coord.stats().reads;
+        let mut reads = || {
+            let now = coord.stats().reads;
+            let spent = now - last;
+            last = now;
+            spent
+        };
+
+        let (msg, _) = crate::api::TxnRequest::new("noop").into_msg(1, 0).unwrap();
+        let lane = DistributedQueue::bind(&user, layout::input_lane(Priority::Normal));
+        lane.enqueue(encode_input(msg)).unwrap();
+        assert_eq!(reads(), 0, "submit: the lane is bound, not probed");
+        let handle = crate::api::TxnHandle::new(&user, tropic_model::real_clock(), 1, None);
+        assert!(handle.try_outcome().unwrap().is_none());
+        assert_eq!(reads(), 1, "probe before admission: the record path, once");
+
+        assert!(controller.step().unwrap());
+        assert_eq!(reads(), 4, "admit: three lane listings and the item");
+        assert!(handle.try_outcome().unwrap().is_none());
+        assert_eq!(reads(), 1, "probe in flight: the record, once");
+
+        commit(&client, 1);
+        assert!(controller.step().unwrap());
+        assert_eq!(reads(), 4, "finalize: three lane listings and the result");
+        let outcome = handle.wait_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(outcome.state, TxnState::Committed);
+        assert_eq!(reads(), 1, "wait on a finished transaction: one read");
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //!
 //! ## Wire versioning
 //!
-//! Every message enqueued by this build is wrapped in a versioned
-//! [`Envelope`] (`{"v": 1, "msg": ...}`). Decoding accepts both the
-//! envelope and the bare legacy `InputMsg` encoding that pre-versioning
-//! builds wrote, so submissions queued by an old client survive a rolling
-//! upgrade of the controllers. The policy is:
+//! Every queued message is wrapped in a versioned [`Envelope`]
+//! (`{"v": 1, "msg": ...}`); bytes without a version field are
+//! [`WireError::Malformed`]. The policy is:
 //!
 //! * **Additive change** (new optional field, new variant): keep `v` as is.
 //!   New fields carry `#[serde(default)]`, and decoders ignore unknown
@@ -44,7 +42,7 @@ pub struct Envelope {
 pub enum WireError {
     /// The envelope version is newer than this build understands.
     UnsupportedVersion(u32),
-    /// The bytes parse as neither an [`Envelope`] nor a legacy `InputMsg`.
+    /// The bytes carry no version field or do not parse as an [`Envelope`].
     Malformed(String),
 }
 
@@ -73,38 +71,30 @@ pub fn encode_input(msg: InputMsg) -> Vec<u8> {
     .expect("serializable message")
 }
 
-/// The version field alone, probed before the payload is touched: a
-/// future-version envelope must be rejected as [`WireError::UnsupportedVersion`]
-/// even when its payload no longer parses as this build's `InputMsg`.
+/// The version field alone, whatever the payload beside it.
 #[derive(Deserialize)]
 struct VersionProbe {
     v: u32,
 }
 
-/// Probes the `v` field of an encoded envelope without touching the
-/// payload. `None` when the bytes carry no version field at all (legacy
-/// encoding or garbage). The RPC frame boundary uses this so a
-/// future-version envelope is rejected typed, never misparsed.
-pub(crate) fn wire_version_of(bytes: &[u8]) -> Option<u32> {
-    serde_json::from_slice::<VersionProbe>(bytes)
-        .ok()
-        .map(|p| p.v)
+/// Version gate of every decoder, queue and socket alike: probed before
+/// the payload is parsed, so a future-version envelope whose payload this
+/// build cannot even represent still fails with the version error, and
+/// bytes with no version field at all are malformed.
+pub(crate) fn check_version(bytes: &[u8]) -> Result<(), WireError> {
+    match serde_json::from_slice::<VersionProbe>(bytes) {
+        Ok(probe) if probe.v > WIRE_VERSION => Err(WireError::UnsupportedVersion(probe.v)),
+        Ok(_) => Ok(()),
+        Err(_) => Err(WireError::Malformed("missing wire version field".into())),
+    }
 }
 
-/// Decodes a queued message, accepting the current enveloped format and
-/// the bare legacy encoding (compatibility decode for submissions queued
-/// before the upgrade).
+/// Decodes a queued message, rejecting future versions at the boundary.
 pub fn decode_input(bytes: &[u8]) -> Result<InputMsg, WireError> {
-    if let Ok(probe) = serde_json::from_slice::<VersionProbe>(bytes) {
-        if probe.v > WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion(probe.v));
-        }
-        return serde_json::from_slice::<Envelope>(bytes)
-            .map(|env| env.msg)
-            .map_err(|e| WireError::Malformed(e.to_string()));
-    }
-    // No version field: fall back to the un-versioned v0 encoding.
-    serde_json::from_slice::<InputMsg>(bytes).map_err(|e| WireError::Malformed(e.to_string()))
+    check_version(bytes)?;
+    serde_json::from_slice::<Envelope>(bytes)
+        .map(|env| env.msg)
+        .map_err(|e| WireError::Malformed(e.to_string()))
 }
 
 /// Signals for unresponsive transactions (paper §4).
@@ -132,7 +122,7 @@ pub enum InputMsg {
         args: Vec<Value>,
         /// Submission timestamp (platform clock, ms).
         submitted_ms: u64,
-        /// Scheduling lane (absent on legacy submissions → `Normal`).
+        /// Scheduling lane (`Normal` when absent).
         #[serde(default)]
         priority: Priority,
         /// Admission deadline (platform clock, ms): the controller aborts
@@ -218,17 +208,14 @@ pub mod layout {
         Path::parse("/tropic").expect("static path")
     }
 
-    /// The legacy client/worker → controller queue root. Un-versioned
-    /// clients still enqueue directly here; the priority lanes of
-    /// [`input_lane`] nest underneath it.
+    /// Parent of the input queue's priority lanes ([`input_lane`]). Nothing
+    /// enqueues on or drains the parent itself.
     pub fn input_q() -> Path {
         Path::parse("/tropic/inputQ").expect("static path")
     }
 
     /// One priority lane of the input queue (`inputQ/hi|norm|batch`).
-    /// The controller drains lanes strictly in priority order; the legacy
-    /// un-versioned root drains at normal priority (its messages decode
-    /// as `Priority::Normal`).
+    /// The controller drains lanes strictly in priority order.
     pub fn input_lane(priority: Priority) -> Path {
         input_q().join(priority.lane())
     }
@@ -359,30 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unversioned_submit_still_decodes() {
-        // Bytes exactly as a pre-versioning build enqueued them: no
-        // envelope, no priority/deadline/idempotency fields.
-        let legacy = br#"{"Submit":{"id":7,"proc_name":"spawnVM","args":[],"submitted_ms":50}}"#;
-        match decode_input(legacy).unwrap() {
-            InputMsg::Submit {
-                id,
-                priority,
-                deadline_ms,
-                idempotency_key,
-                labels,
-                ..
-            } => {
-                assert_eq!(id, 7);
-                assert_eq!(priority, Priority::Normal, "legacy defaults to Normal");
-                assert_eq!(deadline_ms, None);
-                assert_eq!(idempotency_key, None);
-                assert!(labels.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn future_wire_version_is_rejected() {
         let msg = encode_input(submit_msg());
         let bumped = String::from_utf8(msg)
@@ -411,6 +374,10 @@ mod tests {
             decode_input(b"not json"),
             Err(WireError::Malformed(_))
         ));
+        // So is a well-formed message without its envelope: there is no
+        // bare encoding.
+        let bare = serde_json::to_vec(&submit_msg()).unwrap();
+        assert!(matches!(decode_input(&bare), Err(WireError::Malformed(_))));
     }
 
     #[test]

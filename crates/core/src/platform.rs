@@ -13,7 +13,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tropic_coord::{CoordClient, CoordService, DistributedQueue, LeaderElection, Op};
-use tropic_model::{real_clock, Path, SharedClock};
+use tropic_model::{real_clock, SharedClock};
 
 use crate::api::{AdminClient, ApiError, Priority, Subscription, TxnHandle, TxnRequest};
 use crate::config::{PlatformConfig, RpcConfig, ServiceDefinition};
@@ -90,7 +90,8 @@ impl PlatformShared {
     /// Opens the operator plane on a fresh coordination session.
     pub(crate) fn admin(&self, name: &str) -> AdminClient {
         AdminClient::new(
-            self.coord.connect(name),
+            Arc::clone(&self.coord),
+            name,
             Arc::clone(&self.next_admin_id),
             Arc::clone(&self.clock),
         )
@@ -158,14 +159,22 @@ impl Tropic {
         } else {
             CoordService::start_with_clock(config.coord.clone(), Arc::clone(&clock))
         });
+        // Clients enqueue on bound lanes without probing for them, so the
+        // lanes exist before the first client handle can. A failure here
+        // resurfaces in the first leader's `recover`, which re-checks.
+        let setup = coord.connect("tropic-boot");
+        for p in Priority::ALL {
+            let _ = setup.create_all(&layout::input_lane(p));
+        }
         // New submissions must never collide with transaction or admin ids
         // already persisted before the restart (a duplicate id would
         // silently alias the old record's outcome).
         let (first_txn_id, first_admin_id) = if recover {
-            next_free_ids(&coord)
+            next_free_ids(&setup)
         } else {
             (1, 1)
         };
+        setup.close();
         let service = Arc::new(service);
         let metrics = Metrics::new();
         let stop = Arc::new(AtomicBool::new(false));
@@ -417,8 +426,8 @@ impl Drop for Tropic {
 /// [`TxnHandle`] out), [`TropicClient::submit_batch`] (atomic multi-request
 /// enqueue), and [`TropicClient::subscribe`] (streaming lifecycle events).
 ///
-/// The handle heartbeats its coordination session in the background (as a
-/// real ZooKeeper client would), so it survives arbitrary idle periods.
+/// The handle pins its coordination session, so it survives arbitrary idle
+/// periods, and ends the session when dropped, so it leaves nothing behind.
 pub struct TropicClient {
     coord: Arc<CoordService>,
     client: CoordClient,
@@ -430,13 +439,14 @@ pub struct TropicClient {
 impl TropicClient {
     /// Submits a typed request (paper Figure 2, step 1): the request is
     /// enveloped in the versioned wire format and enqueued on its
-    /// priority's input lane. Returns a [`TxnHandle`] immediately.
+    /// priority's input lane (bound unprobed: the platform created the
+    /// lanes at boot). Returns a [`TxnHandle`] immediately.
     pub fn submit_request(&self, request: TxnRequest) -> Result<TxnHandle<'_>, ApiError> {
         let id = self.next_txn_id.fetch_add(1, Ordering::SeqCst);
-        let priority = request.priority_lane();
+        let lane =
+            DistributedQueue::bind(&self.client, layout::input_lane(request.priority_lane()));
         let (msg, deadline_ms) = request.into_msg(id, self.clock.now_ms())?;
-        let q = DistributedQueue::new(&self.client, layout::input_lane(priority))?;
-        q.enqueue(encode_input(msg))?;
+        lane.enqueue(encode_input(msg))?;
         Ok(TxnHandle::new(
             &self.client,
             Arc::clone(&self.clock),
@@ -458,12 +468,10 @@ impl TropicClient {
         let mut handles: Vec<(TxnId, Option<u64>)> = Vec::with_capacity(requests.len());
         for request in requests {
             let id = self.next_txn_id.fetch_add(1, Ordering::SeqCst);
-            let priority = request.priority_lane();
-            // Binding the lane queue also creates its base znode, so the
-            // batched sequential creates below cannot dangle.
-            let q = DistributedQueue::new(&self.client, layout::input_lane(priority))?;
+            let lane =
+                DistributedQueue::bind(&self.client, layout::input_lane(request.priority_lane()));
             let (msg, deadline_ms) = request.into_msg(id, now)?;
-            ops.push(q.enqueue_op(encode_input(msg)));
+            ops.push(lane.enqueue_op(encode_input(msg)));
             handles.push((id, deadline_ms));
         }
         self.client.multi(ops)?;
@@ -505,13 +513,21 @@ impl TropicClient {
     }
 }
 
+impl Drop for TropicClient {
+    /// A handle is never a crash-drill subject: its session ends with it
+    /// (for free, since it owns no ephemeral) instead of lingering until
+    /// the timeout.
+    fn drop(&mut self) {
+        self.coord.expire_session(self.client.session_id());
+    }
+}
+
 /// First client-assignable transaction and admin ids after a recovery: one
 /// past every id visible in the persisted records, still-queued
 /// submissions, and surviving admin-result znodes (internal-namespace txn
 /// ids are controller-owned and excluded; reusing an id would alias a
 /// pre-crash outcome).
-fn next_free_ids(coord: &CoordService) -> (u64, u64) {
-    let client = coord.connect("tropic-recovery-scan");
+fn next_free_ids(client: &CoordClient) -> (u64, u64) {
     let mut max_txn_id = 0u64;
     if let Ok(children) = client.get_children(&layout::txns()) {
         for name in children {
@@ -530,15 +546,8 @@ fn next_free_ids(coord: &CoordService) -> (u64, u64) {
             }
         }
     }
-    let mut bases: Vec<Path> = Priority::ALL
-        .iter()
-        .map(|p| layout::input_lane(*p))
-        .collect();
-    bases.push(layout::input_q());
-    for base in bases {
-        let Ok(q) = DistributedQueue::new(&client, base) else {
-            continue;
-        };
+    for priority in Priority::ALL {
+        let q = DistributedQueue::bind(client, layout::input_lane(priority));
         if let Ok(names) = q.item_names() {
             for name in names {
                 if let Ok(Some(data)) = q.get(&name) {
@@ -560,7 +569,6 @@ fn next_free_ids(coord: &CoordService) -> (u64, u64) {
             }
         }
     }
-    client.close();
     (max_txn_id + 1, max_admin_id + 1)
 }
 
@@ -676,8 +684,8 @@ fn controller_thread(
         }
 
         // Leader: recover, then serve. Recovery and repair can block on
-        // long device or deserialization work, so heartbeat from the side;
-        // the guard drops (and heartbeats stop) on every exit path below,
+        // long device or deserialization work, so pin the session; the
+        // guard drops (and the timeout restarts) on every exit path below,
         // including simulated crashes.
         let keepalive = client.keepalive();
         metrics.record_event(clock.now_ms(), &cfg.name, "leader-elected");

@@ -65,7 +65,7 @@ use tropic_model::Path;
 
 use crate::api::{AdminClient, ApiError, TxnEvent, TxnRequest};
 use crate::config::RpcConfig;
-use crate::msg::{wire_version_of, AdminResult, Signal, WireError, WIRE_VERSION};
+use crate::msg::{check_version, AdminResult, Signal, WireError, WIRE_VERSION};
 use crate::platform::{PlatformShared, TropicClient};
 use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
@@ -248,19 +248,6 @@ fn encode_response_or_error(msg: RpcResponse) -> Vec<u8> {
             )
             .into_bytes()
         }),
-    }
-}
-
-/// Version gate shared by both decode directions: probed before the
-/// payload is parsed, so a future-version envelope whose payload this
-/// build cannot even represent still fails with the version error. Unlike
-/// the queue codec there is no bare legacy fallback — the socket protocol
-/// was born versioned, so an unversioned payload is malformed.
-fn check_version(bytes: &[u8]) -> Result<(), WireError> {
-    match wire_version_of(bytes) {
-        Some(v) if v > WIRE_VERSION => Err(WireError::UnsupportedVersion(v)),
-        Some(_) => Ok(()),
-        None => Err(WireError::Malformed("missing wire version field".into())),
     }
 }
 
@@ -888,9 +875,10 @@ impl Reactor {
     }
 
     /// Runs one blocking call on a transient thread with its own
-    /// coordination session (as each connection's thread had under the
-    /// thread-per-connection server). The sliced helpers it lands in
-    /// re-check the stop flag every [`WAIT_SLICE`].
+    /// coordination session, which ends — at no cost to the ensemble —
+    /// before the reply is sent, so a finished call leaves nothing behind.
+    /// The sliced helpers it lands in re-check the stop flag every
+    /// [`WAIT_SLICE`].
     fn spawn_waiter(&mut self, token: u64, req: RpcRequest) {
         self.waiters.retain(|h| !h.is_finished());
         self.waiter_seq += 1;
@@ -912,6 +900,8 @@ impl Reactor {
                     &shutdown_requested,
                     req,
                 );
+                drop(admin);
+                drop(client);
                 done.send(Wake::Reply {
                     token,
                     frame: frame_response(resp),
@@ -1711,8 +1701,7 @@ mod tests {
 
     #[test]
     fn unversioned_payload_is_malformed_on_the_socket() {
-        // The queue codec accepts bare legacy messages; the socket protocol
-        // was born versioned, so an unversioned payload is rejected.
+        // As in the queue codec, a payload without a version is rejected.
         let bytes = br#"{"Ping":null}"#;
         assert!(matches!(
             decode_request(bytes),

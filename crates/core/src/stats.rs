@@ -58,8 +58,7 @@ pub struct Counters {
     /// Submissions admitted through the high-priority lane.
     #[serde(default)]
     pub admitted_high: u64,
-    /// Submissions admitted through the normal lane (including legacy
-    /// un-versioned submissions).
+    /// Submissions admitted through the normal lane.
     #[serde(default)]
     pub admitted_normal: u64,
     /// Submissions admitted through the batch lane.

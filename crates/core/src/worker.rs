@@ -35,9 +35,9 @@ const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(1_600);
 /// dedicated thread by the platform.
 pub fn run_worker(name: &str, coord: &CoordService, mode: ExecMode, stop: &AtomicBool) {
     let client = coord.connect(name);
-    // Workers block inside device calls for arbitrarily long; a background
-    // heartbeat keeps the session alive meanwhile (a crashed worker thread
-    // still expires, because the keepalive guard dies with it).
+    // Workers block inside device calls for arbitrarily long; the pin
+    // keeps the session alive meanwhile (a crashed worker thread still
+    // expires, because the keepalive guard dies with it).
     let _keepalive = client.keepalive();
     let Ok(phy_q) = DistributedQueue::new(&client, layout::phy_q()) else {
         return;

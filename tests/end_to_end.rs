@@ -453,59 +453,6 @@ fn subscription_streams_lifecycle_events() {
     platform.shutdown();
 }
 
-/// Rolling upgrade: bytes enqueued by a pre-versioning client — bare
-/// `InputMsg`, no envelope, on the legacy `inputQ` root — are decoded,
-/// admitted into the normal lane, and run to completion by the upgraded
-/// controller.
-#[test]
-fn legacy_queued_submission_survives_rolling_upgrade() {
-    use tropic::coord::DistributedQueue;
-    use tropic::core::layout;
-
-    let spec = TopologySpec {
-        compute_hosts: 2,
-        storage_hosts: 1,
-        routers: 0,
-        ..Default::default()
-    };
-    let platform = Tropic::start(
-        PlatformConfig {
-            controllers: 1,
-            workers: 1,
-            ..Default::default()
-        },
-        spec.service(),
-        ExecMode::LogicalOnly,
-    );
-    let client = platform.client();
-    run(&client, spawn_req(&spec, "warm", 0, 2048));
-
-    // Handcraft the exact bytes an old client wrote: externally-tagged
-    // InputMsg, no envelope, none of the v1 fields. Id far above anything
-    // the running clients will assign.
-    let args = serde_json::to_string(&spec.spawn_args("legacy-vm", 1, 2048)).unwrap();
-    let legacy = format!(
-        r#"{{"Submit":{{"id":900000,"proc_name":"spawnVM","args":{args},"submitted_ms":1}}}}"#
-    );
-    let raw = platform.coord().connect("legacy-client");
-    let q = DistributedQueue::new(&raw, layout::input_q()).unwrap();
-    q.enqueue(legacy.into_bytes()).unwrap();
-
-    // The upgraded stack picks it up and commits it.
-    let outcome = client
-        .handle(900000)
-        .wait_timeout(WAIT)
-        .expect("legacy submission admitted");
-    assert_eq!(outcome.state, TxnState::Committed, "{:?}", outcome.error);
-    let rec = client.txn_record(900000).unwrap().expect("record");
-    assert_eq!(
-        rec.priority,
-        Priority::Normal,
-        "legacy defaults to the normal lane"
-    );
-    platform.shutdown();
-}
-
 /// A keyed submission whose deadline expires while *deferred in todoQ*
 /// (behind a lock conflict) must release its idempotency key: a retry with
 /// a fresh deadline runs for real instead of deduping onto the rejection.

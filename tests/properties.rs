@@ -705,7 +705,7 @@ fn label_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
     prop::collection::vec(("[a-z]{1,8}", "[a-z0-9]{0,8}"), 0..4)
 }
 
-/// A JSON string safe to splice into handcrafted legacy wire bytes.
+/// A short identifier-like string for procedure names and keys.
 fn wire_token() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9_]{0,11}"
 }
@@ -755,52 +755,6 @@ proptest! {
                 prop_assert_eq!(k2, idempotency_key);
                 prop_assert_eq!(l2, labels);
             }
-            other => prop_assert!(false, "unexpected variant {:?}", other),
-        }
-    }
-
-    /// Bytes exactly as pre-versioning builds wrote them — bare externally
-    /// tagged `InputMsg`, no envelope, none of the new fields — must still
-    /// decode into v1 requests with the documented defaults, so queued
-    /// submissions survive a rolling upgrade.
-    #[test]
-    fn legacy_unversioned_bytes_decode_as_v1(
-        id in 1u64..1_000_000,
-        proc_name in wire_token(),
-        submitted_ms in 0u64..u64::MAX / 2,
-        arg in wire_token(),
-    ) {
-        let legacy = format!(
-            r#"{{"Submit":{{"id":{id},"proc_name":"{proc_name}","args":[{{"Str":"{arg}"}}],"submitted_ms":{submitted_ms}}}}}"#
-        );
-        match decode_input(legacy.as_bytes()).expect("legacy decodable") {
-            InputMsg::Submit {
-                id: id2,
-                proc_name: p2,
-                args,
-                submitted_ms: s2,
-                priority,
-                deadline_ms,
-                idempotency_key,
-                labels,
-            } => {
-                prop_assert_eq!(id2, id);
-                prop_assert_eq!(p2, proc_name);
-                prop_assert_eq!(args, vec![Value::from(arg)]);
-                prop_assert_eq!(s2, submitted_ms);
-                prop_assert_eq!(priority, Priority::Normal);
-                prop_assert_eq!(deadline_ms, None);
-                prop_assert_eq!(idempotency_key, None);
-                prop_assert_eq!(labels, Vec::new());
-            }
-            other => prop_assert!(false, "unexpected variant {:?}", other),
-        }
-
-        // And the re-encoded (enveloped) form decodes identically: an
-        // upgraded controller may re-queue what it read.
-        let reencoded = encode_input(decode_input(legacy.as_bytes()).unwrap());
-        match decode_input(&reencoded).expect("re-encodable") {
-            InputMsg::Submit { id: id3, .. } => prop_assert_eq!(id3, id),
             other => prop_assert!(false, "unexpected variant {:?}", other),
         }
     }

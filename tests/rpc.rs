@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use tropic::coord::{write_frame, FrameError, FrameReader};
+use tropic::coord::{write_frame, FrameError, FrameReader, TempDir};
 use tropic::core::rpc::{decode_response, encode_request, RpcRequest, RpcResponse};
 use tropic::core::{
     ApiError, ExecMode, PlatformConfig, Priority, RemoteClient, RemoteSubscription, RpcServer,
@@ -315,6 +315,77 @@ fn remote_submit_wait_commits_and_records() {
     let counters = platform.metrics().counters();
     assert!(counters.rpc_connections >= 1);
     assert!(counters.rpc_requests >= 4);
+
+    server.stop();
+    platform.shutdown();
+}
+
+/// Sessions are state, not threads: each `Wait` runs on a transient thread
+/// with a coordination session of its own, and by the time its reply is in
+/// that session is gone — without having cost the ensemble a purge.
+#[test]
+fn wait_rpcs_leave_no_session_and_no_purge_behind() {
+    /// (live sessions, service writes, ensemble commits) once no write is
+    /// in flight between the two counters.
+    fn settled(platform: &Tropic) -> (u64, u64, u64) {
+        let read = || {
+            let stats = platform.coord().stats();
+            let commits = platform.coord().ensemble_stats().committed;
+            (stats.sessions, stats.writes, commits)
+        };
+        for _ in 0..200 {
+            let first = read();
+            std::thread::sleep(Duration::from_millis(50));
+            if read() == first {
+                return first;
+            }
+        }
+        panic!("the platform kept writing for 10 s with no client active");
+    }
+
+    let tmp = TempDir::new("tropic-rpc-sessions");
+    let platform = Tropic::start(
+        PlatformConfig {
+            controllers: 1,
+            workers: 1,
+            checkpoint_every: 0,
+            ..Default::default()
+        }
+        .with_data_dir(tmp.path()),
+        spec().service(),
+        ExecMode::LogicalOnly,
+    );
+    let server = platform.serve_rpc().expect("bind loopback");
+    let spec = spec();
+    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let submit_and_wait = |request: TxnRequest| {
+        let outcome = remote.submit_request(request).unwrap().wait().unwrap();
+        assert_eq!(outcome.state, TxnState::Committed, "{:?}", outcome.error);
+    };
+    let spawn = || TxnRequest::new("spawnVM").args(spec.spawn_args("vm", 0, 64));
+    let destroy = || {
+        TxnRequest::new("destroyVM")
+            .arg("/vmRoot/host0")
+            .arg("vm")
+            .arg("/storageRoot/storage0")
+    };
+
+    // Leader elected, lanes created, dispatch pool connected.
+    submit_and_wait(spawn());
+    submit_and_wait(destroy());
+    let (sessions, writes, commits) = settled(&platform);
+    for i in 0..50 {
+        submit_and_wait(if i % 2 == 0 { spawn() } else { destroy() });
+        let live = platform.coord().stats().sessions;
+        assert_eq!(live, sessions, "after pair {i}");
+    }
+    let (_, writes_after, commits_after) = settled(&platform);
+    assert!(writes_after > writes);
+    assert_eq!(
+        commits_after - commits,
+        writes_after - writes,
+        "the ensemble committed something no client wrote"
+    );
 
     server.stop();
     platform.shutdown();
