@@ -14,8 +14,9 @@
 #                        links, bad code blocks, etc. fail the build)
 #   --rpc-smoke          spawn the remote_quickstart server and client as two
 #                        separate OS processes on a loopback socket, run a
-#                        transaction + a subscription to its terminal event,
-#                        and assert both processes shut down cleanly
+#                        transaction + a subscription to its terminal event
+#                        + a no-op repair and reload, and assert both
+#                        processes shut down cleanly
 #   --chaos-smoke        short deterministic chaos run (open-loop load with a
 #                        leader kill + device-failure storm, then a torn-WAL
 #                        restart), asserting zero acknowledged-transaction
@@ -160,8 +161,9 @@ check_markdown_links() {
 }
 
 # Two OS processes, one loopback socket: the server publishes its ephemeral
-# port through a file, the client drives a transaction and a subscription
-# through it, then requests shutdown over the wire. Both must exit 0.
+# port through a file, the client drives a transaction, a subscription and
+# the operator plane (repair, reload) through it, then requests shutdown
+# over the wire. Both must exit 0.
 rpc_smoke() {
     echo
     echo "=== rpc smoke (two processes, one loopback socket) ==="

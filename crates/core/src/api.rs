@@ -493,26 +493,39 @@ impl<'c> TxnHandle<'c> {
 
     /// [`TxnHandle::wait`] with an explicit bound.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<TxnOutcome, ApiError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(outcome) = self.try_outcome()? {
-                return Ok(outcome);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(ApiError::WaitTimeout { id: self.id });
-            }
-            // One watch on the record node (which is also where an alias
-            // would appear), then block on the event channel for the whole
-            // remaining window. Watches are one-shot, so after an event
-            // fires the loop re-checks the outcome and re-arms.
-            self.client
-                .watch(&layout::txn(self.resolved_id()), WatchKind::Node)?;
-            if let Some(outcome) = self.try_outcome()? {
-                return Ok(outcome);
-            }
-            let _ = self.client.wait_event(deadline - now);
+        // The record node is also where an alias would appear; once one is
+        // followed, the watch moves to the target's record.
+        let node = || layout::txn(self.resolved_id());
+        watch_then_wait(self.client, timeout, node, || self.try_outcome())?
+            .ok_or(ApiError::WaitTimeout { id: self.id })
+    }
+}
+
+/// The event-driven wait behind every blocking read of one znode: `probe`,
+/// arm one watch on `node`, probe again (a write landing between the first
+/// probe and the watch would otherwise be missed), then block on the
+/// client's event channel for the rest of the window. Watches are one-shot,
+/// so each event re-probes and re-arms. `Ok(None)` once `timeout` passes.
+fn watch_then_wait<T>(
+    client: &CoordClient,
+    timeout: Duration,
+    node: impl Fn() -> Path,
+    probe: impl Fn() -> Result<Option<T>, ApiError>,
+) -> Result<Option<T>, ApiError> {
+    let deadline = std::time::Instant::now() + timeout;
+    loop {
+        if let Some(found) = probe()? {
+            return Ok(Some(found));
         }
+        let now = std::time::Instant::now();
+        if now >= deadline {
+            return Ok(None);
+        }
+        client.watch(&node(), WatchKind::Node)?;
+        if let Some(found) = probe()? {
+            return Ok(Some(found));
+        }
+        let _ = client.wait_event(deadline - now);
     }
 }
 
@@ -809,24 +822,10 @@ impl AdminClient {
         admin_id: u64,
         timeout: Duration,
     ) -> Result<AdminResult, ApiError> {
-        let result_path = layout::admin(admin_id);
-        let deadline = std::time::Instant::now() + timeout;
-        // Watch-then-wait: arm one watch on the result node, block on the
-        // event channel until the deadline, re-check on every event.
-        loop {
-            if let Some(result) = self.client.get_json::<AdminResult>(&result_path)? {
-                return Ok(result);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(ApiError::WaitTimeout { id: admin_id });
-            }
-            self.client.watch(&result_path, WatchKind::Node)?;
-            if let Some(result) = self.client.get_json::<AdminResult>(&result_path)? {
-                return Ok(result);
-            }
-            let _ = self.client.wait_event(deadline - now);
-        }
+        let node = || layout::admin(admin_id);
+        let probe = || Ok(self.client.get_json::<AdminResult>(&node())?);
+        watch_then_wait(&self.client, timeout, node, probe)?
+            .ok_or(ApiError::WaitTimeout { id: admin_id })
     }
 
     /// The platform clock (for computing absolute deadlines).

@@ -28,13 +28,21 @@
 //! collects records the last durably written checkpoint covers, and only
 //! znodes it knows exist — a `Delete` of a missing znode would fail the
 //! whole round. The idempotency-key dedup window closes with the record.
+//! Operator `repair`/`reload` results under `/tropic/admin` follow the same
+//! rule by age alone.
+//!
+//! ## No device calls
+//!
+//! The leader reads physical state (to diff it) but never invokes a device
+//! action: every repair — the twin's and the operator's alike — is a
+//! corrective `__twinRepair` transaction a worker executes.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tropic_coord::{CoordClient, CoordError, DistributedQueue, Op};
-use tropic_model::{Path, SharedClock, Tree, Value};
+use tropic_model::{DiffEntry, Path, SharedClock, Tree, Value};
 
 use tropic_devices::StateReport;
 
@@ -44,12 +52,12 @@ use crate::config::{ServiceDefinition, TwinConfig};
 use crate::error::{PlatformError, ProcError};
 use crate::locks::LockManager;
 use crate::logical::{rollback_logical, simulate, LogicalOutcome};
-use crate::msg::{decode_input, encode_input, layout, AdminResult, InputMsg, PhyTask, Signal};
+use crate::msg::{decode_input, layout, AdminResult, InputMsg, PhyTask, Signal};
 use crate::physical::{ExecMode, PhysicalOutcome};
 use crate::proc::{FnProcedure, StoredProcedure};
 use crate::stats::{Metrics, TxnSample};
 use crate::twin::{
-    drift_fingerprint, repair_fixpoint, TwinEvent, TwinFeed, TwinPhase, TwinTracker,
+    drift_fingerprint, RepairEpisode, TwinEvent, TwinFeed, TwinPhase, TwinTracker, REPAIR_ATTEMPTS,
     TWIN_REPAIR_PROC, TWIN_TXN_BASE,
 };
 use crate::txn::{LogRecord, TxnAlias, TxnId, TxnRecord, TxnState};
@@ -194,6 +202,9 @@ pub struct Controller<'a> {
     ckpt_watermark: u64,
     /// Retained finalized records, oldest first, with their finalize time.
     gc_queue: VecDeque<(TxnId, u64)>,
+    /// Persisted operator results (admin ids), oldest first, with their
+    /// write time.
+    admin_gc: VecDeque<(u64, u64)>,
     batch: RoundBatch,
     /// Transaction ids whose record znode exists (create vs. set hint).
     persisted: HashSet<TxnId>,
@@ -276,6 +287,7 @@ impl<'a> Controller<'a> {
             finalized_since_ckpt: 0,
             ckpt_watermark: 0,
             gc_queue: VecDeque::new(),
+            admin_gc: VecDeque::new(),
             batch: RoundBatch::default(),
             persisted: HashSet::new(),
             inconsistent_persisted: false,
@@ -467,7 +479,8 @@ impl<'a> Controller<'a> {
         }
 
         // 6. Schedule GC for already-finalized records, oldest first, and
-        // relearn which of them left a signal znode behind.
+        // for the operator results left behind; relearn which records left
+        // a signal znode behind.
         let mut finalized: Vec<(Option<u64>, TxnId)> = self
             .records
             .values()
@@ -476,6 +489,9 @@ impl<'a> Controller<'a> {
             .collect();
         finalized.sort_unstable();
         self.gc_queue = finalized.into_iter().map(|(_, id)| (id, now)).collect();
+        let admins = self.client.get_children(&layout::admins())?;
+        let admins = admins.iter().filter_map(|n| n.parse().ok());
+        self.admin_gc = admins.map(|id| (id, now)).collect();
         let signals = self.client.get_children(&layout::signals())?;
         self.signaled = signals.iter().filter_map(|n| n.parse().ok()).collect();
         Ok(())
@@ -589,12 +605,13 @@ impl<'a> Controller<'a> {
             }
             InputMsg::Signal { id, signal } => self.handle_signal(id, signal),
             InputMsg::Repair { scope, admin_id } => {
-                let result = self.do_repair(&scope);
-                self.persist_admin_result(admin_id, &result)
+                self.start_repair(&scope, admin_id);
+                Ok(())
             }
             InputMsg::Reload { scope, admin_id } => {
                 let result = self.do_reload(&scope);
-                self.persist_admin_result(admin_id, &result)
+                self.persist_admin_result(admin_id, &result);
+                Ok(())
             }
         }
     }
@@ -932,6 +949,9 @@ impl<'a> Controller<'a> {
         });
         self.finalized_since_ckpt += 1;
         self.gc_queue.push_back((id, now));
+        if let Some((scope, episode)) = RepairEpisode::of(&rec_clone) {
+            self.repair_step(&scope, episode, Some(&rec_clone));
+        }
     }
 
     /// TERM, then KILL, transactions stuck in physical execution (paper §4).
@@ -991,16 +1011,18 @@ impl<'a> Controller<'a> {
     /// into the round batch, while the oldest is covered by the last
     /// checkpoint (recovery would otherwise lose its logical effects) and
     /// is either past the grace period or pushed out by [`RETAIN_MAX`]
-    /// newer ones. Deletes only znodes known to exist: one missing path
+    /// newer ones, and the operator results past the grace period — at most
+    /// as many again. Deletes only znodes known to exist: one missing path
     /// would fail the whole round's multi.
     ///
     /// The deletes ride a flush that is happening anyway. A round with
     /// nothing else to flush would pay a quorum write for them alone, so it
-    /// collects by age only once the oldest record is a second grace period
-    /// old — then everything due goes at once, not one record per idle tick.
+    /// collects by age only once the oldest entry is a second grace period
+    /// old — then everything due goes at once, not one entry per idle tick.
     fn collect_garbage(&mut self) {
         let now = self.clock.now_ms();
-        let Some(&(_, oldest)) = self.gc_queue.front() else {
+        let fronts = [self.gc_queue.front(), self.admin_gc.front()];
+        let Some(oldest) = fronts.into_iter().flatten().map(|&(_, at)| at).min() else {
             return;
         };
         if self.batch.ops.is_empty()
@@ -1008,6 +1030,11 @@ impl<'a> Controller<'a> {
             && self.gc_queue.len() <= RETAIN_MAX
         {
             return;
+        }
+        let due = |&mut (_, at): &mut (u64, u64)| now.saturating_sub(at) >= GC_GRACE_MS;
+        let results = std::iter::from_fn(|| self.admin_gc.pop_front_if(due));
+        for (admin_id, _) in results.take(GC_PER_ROUND) {
+            self.batch.delete(layout::admin(admin_id));
         }
         for _ in 0..GC_PER_ROUND {
             let Some(&(id, finalized_at)) = self.gc_queue.front() else {
@@ -1052,9 +1079,9 @@ impl<'a> Controller<'a> {
     /// state cache when the twin epoch moved, diff every reported resource
     /// against the desired (logical) tree, and let the per-resource waker
     /// decide whether to submit a corrective transaction, back off, or
-    /// escalate. Corrective transactions travel through the regular input
-    /// lanes and the `todoQ` like any client submission. Returns the number
-    /// of corrective transactions submitted this pass.
+    /// escalate. Corrective transactions are admitted to the batch lane of
+    /// the `todoQ` like any client submission. Returns the number of
+    /// corrective transactions submitted this pass.
     fn twin_tick(&mut self) -> Result<usize, PlatformError> {
         if !self.cfg.twin.enabled || self.twin_proc.is_none() {
             return Ok(0);
@@ -1151,26 +1178,14 @@ impl<'a> Controller<'a> {
                 );
             }
             if let Some(attempt) = obs.submit_attempt {
-                let id = TWIN_TXN_BASE + self.twin_next_seq;
-                self.twin_next_seq += 1;
                 // Best-effort background work: never ahead of clients.
                 let priority = Priority::Batch;
-                // Keyed by (mount, drift fingerprint, attempt): crash
-                // redelivery dedups, while a genuine retry after backoff
-                // mints a fresh attempt number and runs.
+                // Keyed by (mount, drift fingerprint, attempt): a
+                // re-detection after failover dedups, while a genuine retry
+                // after backoff mints a fresh attempt number and runs.
                 let key = format!("twin:{mount}:{fp:x}:{attempt}");
-                let msg = InputMsg::Submit {
-                    id,
-                    proc_name: TWIN_REPAIR_PROC.to_owned(),
-                    args: vec![Value::from(mount.to_string())],
-                    submitted_ms: now,
-                    priority,
-                    deadline_ms: None,
-                    idempotency_key: Some(key),
-                    labels: vec![("origin".to_owned(), "twin".to_owned())],
-                };
-                let q = DistributedQueue::bind(self.client, layout::input_lane(priority));
-                self.batch.push(q.enqueue_op(encode_input(msg)));
+                let labels = vec![("origin".to_owned(), "twin".to_owned())];
+                let id = self.admit_repair(&mount, priority, Some(key), labels);
                 self.twin_inflight.insert(mount.clone(), id);
                 if self.twin.phase_of(&mount) == Some(TwinPhase::Reconciling) {
                     self.publish_twin(
@@ -1236,58 +1251,107 @@ impl<'a> Controller<'a> {
     // Reconciliation (paper §4).
     // ------------------------------------------------------------------
 
-    /// `repair`: push the logical layer's view onto drifted devices.
-    fn do_repair(&mut self, scope: &Path) -> AdminResult {
-        let Some(registry) = self.mode.registry().cloned() else {
-            return admin_refused("repair requires physical mode");
-        };
-        // `self.tree` already holds the logical effects of every `Started`
-        // transaction; without the lock, repair would push a not-yet-executed
-        // action onto the devices and the worker's own call would then fail.
-        let repair_txn = match self.lock_admin_scope("repair", scope) {
-            Ok(id) => id,
-            Err(conflict) => return conflict,
-        };
-        let out = repair_fixpoint(
-            &self.tree,
-            registry.as_ref(),
-            scope,
-            &self.service.repair_rules,
-            3,
-        );
-        self.locks.release_all(repair_txn);
-        if out.ok {
-            self.clear_inconsistent_under(scope);
-        }
-        self.metrics.record_repair();
-        AdminResult {
-            ok: out.ok,
-            message: if out.ok && out.executed == 0 {
-                "layers already consistent".into()
-            } else if out.ok {
-                format!("repaired with {} action(s)", out.executed)
-            } else {
-                format!(
-                    "{} diff(s) remain, {} unmatched, errors: [{}]",
-                    out.remaining,
-                    out.unmatched,
-                    out.errors.join("; ")
-                )
-            },
-            actions: out.executed,
-            drifted: out.drifted,
+    /// Admits a corrective `__twinRepair` transaction for `scope` — the one
+    /// repair path, whether the twin's waker or an operator asked for it.
+    /// It is scheduled like any client transaction; its procedure plans
+    /// against fresh physical state when it runs, and a worker executes
+    /// the plan.
+    fn admit_repair(
+        &mut self,
+        scope: &Path,
+        priority: Priority,
+        idempotency_key: Option<String>,
+        labels: Vec<(String, String)>,
+    ) -> TxnId {
+        let id = TWIN_TXN_BASE + self.twin_next_seq;
+        self.twin_next_seq += 1;
+        let args = vec![Value::from(scope.to_string())];
+        let mut rec = TxnRecord::new(id, TWIN_REPAIR_PROC, args, self.clock.now_ms());
+        rec.priority = priority;
+        rec.idempotency_key = idempotency_key;
+        rec.labels = labels;
+        self.handle_submit(rec);
+        id
+    }
+
+    /// `repair`: push the logical layer's view onto drifted devices. It
+    /// behaves like a transaction (paper §4) by running as one: past
+    /// [`Controller::admin_gate`] (its W lock only probes the scope),
+    /// [`Controller::repair_step`] runs the episode.
+    fn start_repair(&mut self, scope: &Path, admin_id: u64) {
+        match self.admin_gate("repair", scope) {
+            Ok((probe, _)) => {
+                self.locks.release_all(probe);
+                self.metrics.record_repair();
+                let episode = RepairEpisode {
+                    admin_id,
+                    ..RepairEpisode::default()
+                };
+                self.repair_step(scope, episode, None);
+            }
+            Err(refused) => self.persist_admin_result(admin_id, &refused),
         }
     }
 
-    /// `repair` and `reload` behave like transactions: they take a W lock on
-    /// the scope under an [`ADMIN_TXN_BASE`] id so they cannot race
-    /// outstanding transactions (paper §4). The caller releases the lock on
-    /// every exit; a conflict comes back as the failed result to report.
-    fn lock_admin_scope(&mut self, op: &str, scope: &Path) -> Result<TxnId, AdminResult> {
+    /// One step of an operator repair, taken when it passes its gate
+    /// (`last` is `None`) and whenever one of its attempts finalizes: diff
+    /// the scope, then admit the next attempt on the High lane while drift
+    /// remains, the last attempt committed having planned something, and
+    /// fewer than [`REPAIR_ATTEMPTS`] ran — or answer the operator in this
+    /// round's multi (with no drift at the gate: "layers already
+    /// consistent", at once).
+    fn repair_step(&mut self, scope: &Path, mut episode: RepairEpisode, last: Option<&TxnRecord>) {
+        // Episodes only exist in physical mode.
+        let physical = self.mode.registry().map(|r| r.physical_tree());
+        let diffs = self.tree.diff(&physical.unwrap_or_default(), scope);
+        let progressed = last.is_none_or(|a| a.state == TxnState::Committed && !a.log.is_empty());
+        match last {
+            Some(attempt) => episode.actions += attempt.log.len() as u64,
+            None => episode.drifted = distinct_paths(&diffs) as u64,
+        }
+        if !diffs.is_empty() && progressed && episode.attempt < REPAIR_ATTEMPTS {
+            episode.attempt += 1;
+            self.admit_repair(scope, Priority::High, None, episode.labels());
+            return;
+        }
+        let ok = diffs.is_empty();
+        let unmatched = self.service.repair_rules.plan(&diffs, &self.tree).unmatched;
+        let message = match (ok, episode.actions, unmatched.len()) {
+            (true, 0, _) => "layers already consistent".to_owned(),
+            (true, n, _) => format!("repaired with {n} action(s)"),
+            (false, _, u) => format!("{} diff(s) remain, {u} unmatched by any rule", diffs.len()),
+        };
+        if ok {
+            self.clear_inconsistent_under(scope);
+        }
+        let result = AdminResult {
+            ok,
+            message,
+            actions: episode.actions as usize,
+            drifted: episode.drifted as usize,
+        };
+        self.persist_admin_result(episode.admin_id, &result);
+    }
+
+    /// The gate of `repair` and `reload`: physical mode, and a W lock on
+    /// the scope under an [`ADMIN_TXN_BASE`] id, so that — like the
+    /// transactions they behave as (paper §4) — they cannot race an
+    /// outstanding transaction: `self.tree` already holds a `Started` one's
+    /// effects, and a repair planned under it would push its
+    /// not-yet-executed actions onto the devices. The caller releases the
+    /// lock on every exit; a refusal comes back as the result to report.
+    fn admin_gate(
+        &mut self,
+        op: &str,
+        scope: &Path,
+    ) -> Result<(TxnId, Arc<tropic_devices::DeviceRegistry>), AdminResult> {
+        let Some(registry) = self.mode.registry().cloned() else {
+            return Err(admin_refused(format!("{op} requires physical mode")));
+        };
         let admin_txn: TxnId = ADMIN_TXN_BASE + self.next_lsn;
         let requests = crate::locks::with_intentions(scope, crate::locks::LockMode::W);
         match self.locks.try_acquire(admin_txn, &requests) {
-            Ok(()) => Ok(admin_txn),
+            Ok(()) => Ok((admin_txn, registry)),
             Err(c) => Err(admin_refused(format!(
                 "{op} conflicts with outstanding transaction at {}",
                 c.path
@@ -1298,23 +1362,13 @@ impl<'a> Controller<'a> {
     /// `reload`: replace the logical subtree with freshly-retrieved physical
     /// state, under a write lock and full constraint validation.
     fn do_reload(&mut self, scope: &Path) -> AdminResult {
-        let Some(registry) = self.mode.registry().cloned() else {
-            return admin_refused("reload requires physical mode");
-        };
-        let reload_txn = match self.lock_admin_scope("reload", scope) {
-            Ok(id) => id,
-            Err(conflict) => return conflict,
+        let (reload_txn, registry) = match self.admin_gate("reload", scope) {
+            Ok(gate) => gate,
+            Err(refused) => return refused,
         };
         let physical = registry.physical_tree();
-        // The drifted count a reload reports: distinct logical paths that
-        // diverged from physical state before the subtree swap.
-        let drifted = {
-            let diffs = self.tree.diff(&physical, scope);
-            let mut paths: Vec<&Path> = diffs.iter().map(|d| d.path()).collect();
-            paths.sort_unstable();
-            paths.dedup();
-            paths.len()
-        };
+        // Counted before the subtree swap.
+        let drifted = distinct_paths(&self.tree.diff(&physical, scope));
         let Some(new_subtree) = physical.get(scope).cloned() else {
             self.locks.release_all(reload_txn);
             return admin_refused(format!("no physical state at {scope}"));
@@ -1378,16 +1432,14 @@ impl<'a> Controller<'a> {
 
     /// The operator's answer rides the round batch: it becomes readable in
     /// the same multi as the effects it reports (a reload's `__reload`
-    /// record, the `inputQ` removal), never before them. Admin ids are
-    /// unique, so the znode is always a create.
-    fn persist_admin_result(
-        &mut self,
-        admin_id: u64,
-        result: &AdminResult,
-    ) -> Result<(), PlatformError> {
-        let data = serde_json::to_vec(result).map_err(|e| PlatformError::Admin(e.to_string()))?;
-        self.batch.put(layout::admin(admin_id), data, false);
-        Ok(())
+    /// record, a repair's last attempt finalized), never before them. Admin
+    /// ids are unique, so the znode is always a create; GC deletes it
+    /// `GC_GRACE_MS` later.
+    fn persist_admin_result(&mut self, admin_id: u64, result: &AdminResult) {
+        if let Ok(data) = serde_json::to_vec(result) {
+            self.batch.put(layout::admin(admin_id), data, false);
+            self.admin_gc.push_back((admin_id, self.clock.now_ms()));
+        }
     }
 
     fn mark_inconsistent(&mut self, path: &Path) {
@@ -1430,6 +1482,12 @@ fn admin_refused(message: impl Into<String>) -> AdminResult {
         actions: 0,
         drifted: 0,
     }
+}
+
+/// The `drifted` count operators see: distinct paths a diff touches.
+fn distinct_paths(diffs: &[DiffEntry]) -> usize {
+    let paths: BTreeSet<&Path> = diffs.iter().map(DiffEntry::path).collect();
+    paths.len()
 }
 
 /// Builds a tree containing only `state` mounted at `mount`, with
@@ -1482,6 +1540,7 @@ fn register_builtin_actions(actions: &mut ActionRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::encode_input;
 
     #[test]
     fn builtin_replace_subtree_applies() {
@@ -1901,6 +1960,120 @@ mod tests {
         assert!(children(&client, layout::txns()).is_empty());
         assert!(children(&client, layout::signals()).is_empty());
         assert!(controller.records.is_empty() && controller.idemp.is_empty());
+    }
+
+    /// Operator results follow the records' retention rule: an answer past
+    /// the grace period goes with the next round that flushes, inside that
+    /// round's multi, and a new leader relearns the ones left to collect.
+    #[test]
+    fn admin_results_are_collected_in_the_round_multi() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut controller = gc_controller(&client, &clock, 1);
+        // Logical-only: both repairs are refused, and the refusal is the
+        // result the operator reads.
+        let (scope, admin_id) = (Path::root(), 1);
+        send(&client, InputMsg::Repair { scope, admin_id });
+        controller.step().unwrap();
+        clock.advance(GC_GRACE_MS / 2);
+        let (scope, admin_id) = (Path::root(), 2);
+        send(&client, InputMsg::Repair { scope, admin_id });
+        controller.step().unwrap();
+        assert_eq!(children(&client, layout::admins()).len(), 2);
+
+        clock.advance(GC_GRACE_MS / 2);
+        assert_eq!(
+            step_cost(&coord, &mut controller),
+            (0, 0, 0),
+            "no flush to ride"
+        );
+        submit(&client, 1, None);
+        // inputQ removal + record put + phyQ append + the old result's delete.
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
+        assert!(!client.exists(&layout::admin(1)).unwrap());
+        assert!(
+            client.exists(&layout::admin(2)).unwrap(),
+            "inside its grace"
+        );
+        drop(controller);
+
+        // The grace restarts at recovery, as a record's does.
+        let mut controller = gc_controller(&client, &clock, 1);
+        assert_eq!(controller.admin_gc.len(), 1);
+        clock.advance(GC_GRACE_MS);
+        submit(&client, 2, None);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
+        assert!(children(&client, layout::admins()).is_empty());
+    }
+
+    /// Operator `repair` is the twin's corrective transaction: admitted on
+    /// the High lane and started in the round that reads the request,
+    /// executed by a worker (played by hand here) instead of the leader,
+    /// and answered by whichever leader finalizes it — the episode lives in
+    /// the record, so a successor finishes it unaided.
+    #[test]
+    fn repair_runs_on_a_worker_and_survives_failover() {
+        let host = Path::parse("/vmRoot/h1").unwrap();
+        let mut frame = Tree::new();
+        let vm_root = tropic_model::Node::new("vmRoot");
+        frame
+            .insert(&Path::parse("/vmRoot").unwrap(), vm_root)
+            .unwrap();
+        let registry = Arc::new(tropic_devices::DeviceRegistry::new(frame));
+        let compute = Arc::new(tropic_devices::ComputeServer::new(
+            host.clone(),
+            "xen",
+            32_768,
+            tropic_devices::LatencyModel::zero(),
+        ));
+        registry.register(compute.clone());
+        compute.oob_create_vm("vm1", "img", 512, true);
+        let mut service = ServiceDefinition {
+            initial_tree: registry.physical_tree(),
+            ..ServiceDefinition::default()
+        };
+        service.repair_rules.register(|diff, _| match diff {
+            DiffEntry::AttrChanged { path, attr, .. } if attr == "state" => {
+                let vm = Value::from(path.leaf().unwrap_or_default());
+                let host = path.parent().unwrap_or_else(Path::root);
+                vec![tropic_devices::ActionCall::new(host, "startVM", vec![vm])]
+            }
+            _ => Vec::new(),
+        });
+        compute.oob_power_cycle();
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let mode = ExecMode::Physical(registry);
+
+        let mut leader = controller_under_test(&client, service.clone(), mode.clone());
+        let (scope, admin_id) = (host, 1);
+        send(&client, InputMsg::Repair { scope, admin_id });
+        let before = coord.stats();
+        assert!(leader.step().unwrap());
+        // inputQ removal + the attempt's record + its phyQ task; no answer
+        // yet, and the leader touched no device.
+        assert_eq!(coord.stats().batched_ops - before.batched_ops, 3);
+        assert!(!client.exists(&layout::admin(1)).unwrap());
+        let stopped = Some(tropic_devices::VmPower::Stopped);
+        assert_eq!(compute.vm_power("vm1"), stopped);
+        drop(leader);
+
+        let phy_q = DistributedQueue::bind(&client, layout::phy_q());
+        let (_, task) = phy_q.try_dequeue_batch(1).unwrap().remove(0);
+        let id = serde_json::from_slice::<PhyTask>(&task).unwrap().id;
+        let rec: TxnRecord = client.get_json(&layout::txn(id)).unwrap().unwrap();
+        assert_eq!(RepairEpisode::of(&rec).map(|(_, e)| e.attempt), Some(1));
+        let outcome = crate::physical::execute_physical(&rec.log, &mode, || None);
+        send(&client, InputMsg::Result { id, outcome });
+
+        let mut successor = controller_under_test(&client, service, mode);
+        assert!(successor.step().unwrap());
+        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        assert!(result.ok, "{}", result.message);
+        assert_eq!((result.actions, result.drifted), (1, 1));
+        let running = Some(tropic_devices::VmPower::Running);
+        assert_eq!(compute.vm_power("vm1"), running);
     }
 
     #[test]

@@ -179,19 +179,24 @@ pub struct PhyTask {
 }
 
 /// Result of an administrative operation (repair/reload), persisted where
-/// the requesting operator can read it.
+/// the requesting operator can read it for the record-retention grace
+/// period (`GC_GRACE_MS`, 10 s), then collected.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AdminResult {
-    /// Whether the operation succeeded.
+    /// Whether the operation succeeded: for repair, the layers agree
+    /// within the scope once its last attempt finalized.
     pub ok: bool,
     /// Human-readable summary.
     pub message: String,
-    /// Number of corrective device actions executed (repair) or nodes
-    /// replaced (reload).
+    /// Repair: corrective device calls planned across all of the repair's
+    /// attempts. A worker runs them best-effort, so a call whose
+    /// precondition failed still counts; `ok` says whether they converged.
+    /// Reload: nodes replaced.
     pub actions: usize,
-    /// Number of drifted paths the operation observed and reconciled:
-    /// cross-layer diff entries for repair, diverged nodes for reload.
-    /// Absent (zero) on results written by pre-twin builds.
+    /// Distinct paths on which the logical and physical layers disagreed
+    /// within the scope before the operation changed anything (a path with
+    /// several diff entries counts once). Absent (zero) on results written
+    /// by pre-twin builds.
     #[serde(default)]
     pub drifted: usize,
 }

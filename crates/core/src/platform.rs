@@ -22,7 +22,7 @@ use crate::error::PlatformError;
 use crate::msg::{decode_input, encode_input, layout, InputMsg};
 use crate::physical::ExecMode;
 use crate::stats::Metrics;
-use crate::twin::{TwinFeed, TwinSubscription};
+use crate::twin::{RepairEpisode, TwinFeed, TwinSubscription};
 use crate::txn::{TxnId, TxnRecord};
 use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
@@ -524,21 +524,24 @@ impl Drop for TropicClient {
 
 /// First client-assignable transaction and admin ids after a recovery: one
 /// past every id visible in the persisted records, still-queued
-/// submissions, and surviving admin-result znodes (internal-namespace txn
-/// ids are controller-owned and excluded; reusing an id would alias a
-/// pre-crash outcome).
+/// submissions, surviving admin-result znodes and operator repairs still
+/// running (internal-namespace txn ids are controller-owned and excluded;
+/// reusing an id would alias a pre-crash outcome, or collide with the
+/// result a running repair has yet to write).
 fn next_free_ids(client: &CoordClient) -> (u64, u64) {
     let mut max_txn_id = 0u64;
+    let mut max_admin_id = 0u64;
     if let Ok(children) = client.get_children(&layout::txns()) {
-        for name in children {
-            if let Ok(id) = name.parse::<u64>() {
-                if id < crate::controller::ADMIN_TXN_BASE {
-                    max_txn_id = max_txn_id.max(id);
+        for id in children.iter().filter_map(|name| name.parse::<u64>().ok()) {
+            if id < crate::controller::ADMIN_TXN_BASE {
+                max_txn_id = max_txn_id.max(id);
+            } else if let Ok(Some(rec)) = client.get_json::<TxnRecord>(&layout::txn(id)) {
+                if let Some((_, episode)) = RepairEpisode::of(&rec) {
+                    max_admin_id = max_admin_id.max(episode.admin_id);
                 }
             }
         }
     }
-    let mut max_admin_id = 0u64;
     if let Ok(children) = client.get_children(&layout::admins()) {
         for name in children {
             if let Ok(id) = name.parse::<u64>() {
@@ -683,10 +686,10 @@ fn controller_thread(
             }
         }
 
-        // Leader: recover, then serve. Recovery and repair can block on
-        // long device or deserialization work, so pin the session; the
-        // guard drops (and the timeout restarts) on every exit path below,
-        // including simulated crashes.
+        // Leader: recover, then serve. Recovery can block on long
+        // deserialization work, so pin the session; the guard drops (and
+        // the timeout restarts) on every exit path below, including
+        // simulated crashes.
         let keepalive = client.keepalive();
         metrics.record_event(clock.now_ms(), &cfg.name, "leader-elected");
         let mut controller = Controller::new(
@@ -725,4 +728,33 @@ fn controller_thread(
         }
     }
     is_leader.store(false, Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::twin::{TWIN_REPAIR_PROC, TWIN_TXN_BASE};
+
+    /// A repair still running at a restart writes its result only after
+    /// recovery, so its admin id must not be handed out again: the second
+    /// result's create would fail the leader's round multi, every round.
+    #[test]
+    fn recovered_ids_skip_a_running_repairs_admin_id() {
+        let coord = CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("boot");
+        client.create_all(&layout::admins()).unwrap();
+        client
+            .put_json(&layout::admin(3), &"an older result")
+            .unwrap();
+        let scope = vec![tropic_model::Value::from("/vmRoot")];
+        let mut attempt = TxnRecord::new(TWIN_TXN_BASE + 1, TWIN_REPAIR_PROC, scope, 0);
+        let episode = RepairEpisode {
+            admin_id: 7,
+            ..RepairEpisode::default()
+        };
+        attempt.labels = episode.labels();
+        client.create_all(&layout::txns()).unwrap();
+        client.put_json(&layout::txn(attempt.id), &attempt).unwrap();
+        assert_eq!(next_free_ids(&client), (1, 8));
+    }
 }

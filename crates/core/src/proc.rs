@@ -265,8 +265,10 @@ impl<'a> TxnContext<'a> {
     /// *without* applying logical effects — the logical layer already holds
     /// the desired state; only the physical layer must move.
     ///
-    /// This is the logical half of a twin-scheduled repair transaction
-    /// (see [`crate::twin`]). It takes W + intention locks on `scope` so
+    /// This is the logical half of every repair — a twin-scheduled
+    /// corrective transaction or an operator `repair` attempt (see
+    /// [`crate::twin`]) — and the platform's only repair planner. It takes
+    /// W + intention locks on `scope` so
     /// the repair serializes with in-flight transactions there (a conflict
     /// defers it like any transaction), and — unlike [`TxnContext::act`] —
     /// it does **not** deny inconsistency-marked subtrees: repair is

@@ -3,9 +3,10 @@
 //! TROPIC embraces eventual consistency between layers: `repair` pushes the
 //! logical layer's view onto drifted devices, `reload` pulls device state
 //! into the logical layer. This module holds the *repair planning* half —
-//! rules that translate tree diffs into corrective device calls; the
-//! controller executes plans and performs reloads (it owns the logical
-//! tree).
+//! rules that translate tree diffs into corrective device calls. Plans are
+//! made only inside corrective transactions
+//! ([`crate::proc::TxnContext::reconcile`]) and executed by workers; the
+//! controller performs reloads (it owns the logical tree).
 
 use std::sync::Arc;
 

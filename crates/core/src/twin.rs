@@ -28,9 +28,11 @@
 //!   frontend streams to remote subscribers
 //!   (`RemoteSubscription<TwinEvent>`).
 //!
-//! The synchronous `repair_fixpoint` at the bottom serves only the
-//! operator-facing one-shot `repair`; the twin does not call it. Both plan
-//! with the same [`RepairRules`] over the same `Tree::diff`.
+//! The operator's one-shot `repair` is the same corrective transaction,
+//! admitted on the High lane instead of the batch lane and answered when
+//! its last attempt finalizes (see `RepairEpisode`): there is one repair
+//! planner, [`crate::proc::TxnContext::reconcile`], and only workers ever
+//! invoke a device action.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -41,22 +43,61 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use tropic_devices::DeviceRegistry;
-use tropic_model::{DiffEntry, Path, Tree};
+use tropic_model::{DiffEntry, Path};
 
 use crate::config::TwinConfig;
-use crate::reconcile::RepairRules;
+use crate::txn::TxnRecord;
 
-/// Name of the controller-internal stored procedure that plans one twin
-/// repair (see [`crate::proc::TxnContext::reconcile`]). Scheduled like any
-/// client transaction but owned by the reconciler.
+/// Name of the controller-internal stored procedure that plans one
+/// corrective transaction — a twin repair or an operator repair attempt
+/// (see [`crate::proc::TxnContext::reconcile`]). Scheduled like any client
+/// transaction but owned by the controller.
 pub const TWIN_REPAIR_PROC: &str = "__twinRepair";
 
-/// Transaction-id namespace for twin-scheduled repairs: above
-/// [`ADMIN_TXN_BASE`](crate::controller) so twin ids are invisible to client
-/// id scans and the regular event subscription, and disjoint from reload
-/// ids.
+/// Transaction-id namespace for corrective transactions: above
+/// [`ADMIN_TXN_BASE`](crate::controller) so their ids are invisible to
+/// client id scans and the regular event subscription, and disjoint from
+/// reload ids.
 pub(crate) const TWIN_TXN_BASE: crate::txn::TxnId = (1 << 62) | (1 << 61);
+
+/// Corrective transactions one operator `repair` runs at most. Some
+/// corrections only become possible after earlier ones (an image cannot be
+/// unimported while a rogue VM still uses it), so a repair whose attempt
+/// left drift behind re-diffs and re-plans.
+pub(crate) const REPAIR_ATTEMPTS: u64 = 3;
+
+/// An operator `repair` in progress, carried as JSON in the `repair` label
+/// of its current corrective transaction's durable record: whichever leader
+/// finalizes an attempt — the one that admitted it or its successor after
+/// failover — knows where to write the answer and what to report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct RepairEpisode {
+    /// The operator's admin id: where the result is written.
+    pub admin_id: u64,
+    /// Attempts admitted so far (this transaction's 1-based number).
+    pub attempt: u64,
+    /// Corrective calls the earlier attempts planned.
+    pub actions: u64,
+    /// Distinct drifted paths when the repair passed its gates.
+    pub drifted: u64,
+}
+
+impl RepairEpisode {
+    /// The episode as record labels.
+    pub fn labels(&self) -> Vec<(String, String)> {
+        let json = serde_json::to_string(self).unwrap_or_default();
+        vec![("repair".to_owned(), json)]
+    }
+
+    /// The scope and episode a controller-owned corrective transaction
+    /// carries, if an operator is waiting on it.
+    pub fn of(rec: &TxnRecord) -> Option<(Path, Self)> {
+        let (_, json) = rec.labels.iter().find(|(k, _)| k == "repair")?;
+        let scope = Path::parse(rec.args.first()?.as_str()?).ok()?;
+        let episode = serde_json::from_str(json).ok()?;
+        (rec.id >= TWIN_TXN_BASE).then_some((scope, episode))
+    }
+}
 
 /// A resource's position in the reconciliation lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -357,67 +398,6 @@ impl TwinTracker {
     }
 }
 
-/// Outcome of a synchronous repair fixpoint ([`repair_fixpoint`]).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SyncRepairOutcome {
-    /// The layers agree after the fixpoint (empty final diff).
-    pub ok: bool,
-    /// Corrective device calls that succeeded.
-    pub executed: usize,
-    /// Drifted paths observed before any correction (distinct diff paths of
-    /// the first round).
-    pub drifted: usize,
-    /// Diffs of the last planned round that no rule could translate.
-    pub unmatched: usize,
-    /// Diffs remaining after the fixpoint.
-    pub remaining: usize,
-    /// Failed corrective calls (`action: error`), benign when the layers
-    /// still converge.
-    pub errors: Vec<String>,
-}
-
-/// Runs the synchronous diff → plan → invoke fixpoint the operator-facing
-/// one-shot `repair` is built on (paper §4). Some corrections only become
-/// possible after earlier ones (an image cannot be unimported while a rogue
-/// VM references it), so it re-diffs and re-plans up to `rounds` times;
-/// convergence — an empty final diff — is the success criterion.
-pub(crate) fn repair_fixpoint(
-    logical: &Tree,
-    registry: &DeviceRegistry,
-    scope: &Path,
-    rules: &RepairRules,
-    rounds: usize,
-) -> SyncRepairOutcome {
-    let mut out = SyncRepairOutcome::default();
-    for round in 0..rounds.max(1) {
-        let physical = registry.physical_tree();
-        let diffs = logical.diff(&physical, scope);
-        if round == 0 {
-            let mut paths: Vec<&Path> = diffs.iter().map(DiffEntry::path).collect();
-            paths.sort_unstable();
-            paths.dedup();
-            out.drifted = paths.len();
-        }
-        if diffs.is_empty() {
-            break;
-        }
-        let plan = rules.plan(&diffs, logical);
-        out.unmatched = plan.unmatched.len();
-        if plan.actions.is_empty() {
-            break;
-        }
-        for call in &plan.actions {
-            match registry.invoke(call) {
-                Ok(()) => out.executed += 1,
-                Err(e) => out.errors.push(format!("{}: {e}", call.action)),
-            }
-        }
-    }
-    out.remaining = logical.diff(&registry.physical_tree(), scope).len();
-    out.ok = out.remaining == 0;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,6 +569,27 @@ mod tests {
         drop(sub1);
         feed.publish(&ev);
         assert_eq!(feed.subscriber_count(), 1);
+    }
+
+    #[test]
+    fn repair_episode_rides_the_record_labels() {
+        let episode = RepairEpisode {
+            admin_id: 7,
+            attempt: 2,
+            actions: 3,
+            drifted: 4,
+        };
+        let scope = vec![tropic_model::Value::from("/vmRoot/h1")];
+        let mut rec = TxnRecord::new(TWIN_TXN_BASE + 1, TWIN_REPAIR_PROC, scope.clone(), 0);
+        rec.labels = episode.labels();
+        assert_eq!(RepairEpisode::of(&rec), Some((mount(), episode)));
+        // The twin's own corrective transactions answer no operator...
+        rec.labels = vec![("origin".into(), "twin".into())];
+        assert_eq!(RepairEpisode::of(&rec), None);
+        // ...and client ids never do, whatever labels they carry.
+        let mut forged = TxnRecord::new(1, TWIN_REPAIR_PROC, scope, 0);
+        forged.labels = episode.labels();
+        assert_eq!(RepairEpisode::of(&forged), None);
     }
 
     #[test]

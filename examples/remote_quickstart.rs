@@ -7,9 +7,10 @@
 //!   RPC frontend on an ephemeral loopback port, write the bound address
 //!   to `<addr-file>`, and run until a client asks for shutdown.
 //! * `remote_quickstart client <addr>` — connect a [`RemoteClient`] to a
-//!   serving process: submit a transaction, follow its handle, stream
-//!   lifecycle events, exercise the typed error taxonomy and the
-//!   version-rejection policy, then request a clean server shutdown.
+//!   serving process: submit a transaction, follow its handle, run the
+//!   operator plane (`repair` and `reload`), stream lifecycle events,
+//!   exercise the typed error taxonomy and the version-rejection policy,
+//!   then request a clean server shutdown.
 //! * no arguments — single-process demo: serve and drive in one binary.
 //!
 //! `ci.sh --rpc-smoke` runs the first two as two real processes on one
@@ -23,6 +24,7 @@ use tropic::core::{
     ApiError, ExecMode, PlatformConfig, Priority, RemoteClient, Tropic, TxnRequest, TxnState,
 };
 use tropic::devices::LatencyModel;
+use tropic::model::Path;
 use tropic::tcloud::TopologySpec;
 
 fn spec() -> TopologySpec {
@@ -153,7 +155,23 @@ fn client(addr: &str) {
         record.state
     );
 
-    // 4. Typed errors survive the wire with their retryable partition.
+    // 4. The operator plane over the wire: with the spawn committed the
+    //    layers agree, so a whole-tree repair plans nothing and a reload
+    //    of the spawn's host finds nothing drifted.
+    let admin = remote.admin();
+    let repair = admin
+        .repair(&Path::root(), Duration::from_secs(30))
+        .expect("repair over socket");
+    assert!(repair.ok && repair.actions == 0, "{}", repair.message);
+    println!("client:   repair(/) -> {}", repair.message);
+    let host0 = Path::parse("/vmRoot/host0").expect("static path");
+    let reload = admin
+        .reload(&host0, Duration::from_secs(30))
+        .expect("reload over socket");
+    assert!(reload.ok && reload.drifted == 0, "{}", reload.message);
+    println!("client:   reload({host0}) -> {}", reload.message);
+
+    // 5. Typed errors survive the wire with their retryable partition.
     let err = remote
         .handle(987_654_321)
         .wait_timeout(Duration::from_millis(300))
@@ -165,7 +183,7 @@ fn client(addr: &str) {
         err.retryable()
     );
 
-    // 5. Version-rejection policy, demonstrated on a raw socket: a
+    // 6. Version-rejection policy, demonstrated on a raw socket: a
     //    future-version envelope is refused typed, never misparsed.
     let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
     write_frame(&mut raw, br#"{"v":99,"msg":{"FutureThing":{}}}"#).expect("send future envelope");
@@ -188,7 +206,7 @@ fn client(addr: &str) {
         other => panic!("unexpected {other:?}"),
     }
 
-    // 6. The subscription saw the terminal transition.
+    // 7. The subscription saw the terminal transition.
     let sub_deadline = std::time::Instant::now() + Duration::from_secs(10);
     let mut saw_terminal = false;
     while std::time::Instant::now() < sub_deadline && !saw_terminal {
@@ -208,7 +226,7 @@ fn client(addr: &str) {
     );
     drop(events);
 
-    // 7. Ask the serving process to shut down cleanly.
+    // 8. Ask the serving process to shut down cleanly.
     remote.shutdown_server().expect("shutdown request");
     println!("client: requested server shutdown; done.");
 }

@@ -5,10 +5,11 @@
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use tropic::coord::CoordConfig;
 use tropic::core::{ExecMode, PlatformConfig, Signal, Tropic, TxnState};
-use tropic::devices::LatencyModel;
+use tropic::devices::{ActionCall, LatencyModel, VmPower};
 use tropic::model::{Path, Value};
 use tropic::tcloud::{TCloudDevices, TopologySpec};
 
@@ -137,6 +138,113 @@ fn repair_refuses_to_race_an_in_flight_transaction() {
     let settled = platform.admin().repair(&Path::root(), WAIT).unwrap();
     assert!(settled.ok, "{}", settled.message);
     assert_eq!(settled.actions, 0, "the spawn left nothing to repair");
+    platform.shutdown();
+}
+
+/// `repair` is a transaction, not a pause: its corrective calls run on a
+/// worker under a lock on its scope only, so work elsewhere commits while
+/// the repair's slow device calls are still running.
+#[test]
+fn repair_does_not_stall_unrelated_transactions() {
+    let spec = spec();
+    let latency = LatencyModel::zero().with_action("startVM", Duration::from_millis(700));
+    let devices = spec.build_devices(&latency);
+    let platform = Tropic::start(
+        PlatformConfig {
+            controllers: 1,
+            workers: 2,
+            ..Default::default()
+        },
+        spec.service(),
+        ExecMode::Physical(devices.registry.clone()),
+    );
+    let client = platform.client();
+    let vms = [("s0", 0), ("s1", 0), ("s2", 0), ("t0", 1)];
+    let ids: Vec<_> = vms
+        .iter()
+        .map(|(vm, host)| submit(&client, "spawnVM", spec.spawn_args(vm, *host, 1_024)).unwrap())
+        .collect();
+    for id in ids {
+        let o = client.handle(id).wait_timeout(WAIT).unwrap();
+        assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
+    }
+
+    assert_eq!(devices.computes[0].oob_power_cycle().len(), 3);
+    let host0 = Path::parse("/vmRoot/host0").unwrap();
+    let (stopped_at, (result, repaired_at)) = std::thread::scope(|s| {
+        let repair = s.spawn(|| {
+            let result = platform.admin().repair(&host0, WAIT);
+            (result, Instant::now())
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        let args = vec![Value::from("/vmRoot/host1"), Value::from("t0")];
+        let o = submit_and_wait(&client, "stopVM", args, WAIT).unwrap();
+        assert_eq!(o.state, TxnState::Committed, "{:?}", o.error);
+        (Instant::now(), repair.join().unwrap())
+    });
+    let result = result.unwrap();
+    assert!(result.ok, "{}", result.message);
+    assert_eq!(result.actions, 3, "one startVM per powered-off VM");
+    assert!(
+        stopped_at < repaired_at,
+        "the stopVM on host1 waited for host0's repair"
+    );
+    assert_eq!(devices.computes[1].vm_power("t0"), Some(VmPower::Stopped));
+    platform.shutdown();
+}
+
+/// A repair that needs a second attempt survives leader failover during
+/// its first: the episode lives in the attempt's durable record, so the
+/// next leader finalizes it, admits attempt 2 and answers the operator.
+#[test]
+fn repair_episode_survives_leader_failover() {
+    let spec = spec();
+    // The rogue VM uses an image imported behind TROPIC's back. Attempt 1
+    // plans the unimport before the VM's removal (attributes diff before
+    // children), so the unimport fails and attempt 2 must redo it; the slow
+    // `removeVM` keeps attempt 1 running while the leader dies.
+    let latency = LatencyModel::zero().with_action("removeVM", Duration::from_millis(1_500));
+    let devices = spec.build_devices(&latency);
+    let platform = Tropic::start(
+        PlatformConfig {
+            controllers: 2,
+            workers: 1,
+            coord: CoordConfig {
+                session_timeout_ms: 400,
+                tick_ms: 20,
+                ..CoordConfig::default()
+            },
+            ..Default::default()
+        },
+        spec.service(),
+        ExecMode::Physical(devices.registry.clone()),
+    );
+    let host1 = Path::parse("/vmRoot/host1").unwrap();
+    let import = ActionCall::new(host1.clone(), "importImage", vec![Value::from("rogue-img")]);
+    devices.registry.invoke(&import).unwrap();
+    devices.computes[1].oob_create_vm("rogue", "rogue-img", 256, true);
+
+    let result = std::thread::scope(|s| {
+        let repair = s.spawn(|| platform.admin().repair(&host1, WAIT));
+        // The rogue VM stops right before the slow removal starts.
+        let deadline = Instant::now() + WAIT;
+        while devices.computes[1].vm_power("rogue") != Some(VmPower::Stopped) {
+            assert!(Instant::now() < deadline, "attempt 1 never ran");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let crashed = platform.crash_leader().expect("a leader to crash");
+        let result = repair.join().unwrap();
+        assert_ne!(platform.leader_index(), Some(crashed));
+        result
+    });
+    let result = result.unwrap();
+    assert!(result.ok, "{}", result.message);
+    // Attempt 1: unimportImage (failed), stopVM, removeVM; attempt 2:
+    // unimportImage.
+    assert_eq!(result.actions, 4, "{}", result.message);
+    assert_eq!(devices.computes[1].vm_count(), 0);
+    assert!(!devices.computes[1].has_imported("rogue-img"));
+    assert_eq!(platform.counters().repairs, 1, "one operator repair");
     platform.shutdown();
 }
 
