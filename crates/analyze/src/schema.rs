@@ -119,6 +119,7 @@ impl Registry {
         let api = "crates/core/src/api.rs";
         let txn = "crates/core/src/txn.rs";
         let twin = "crates/core/src/twin.rs";
+        let physical = "crates/core/src/physical.rs";
         let report = "crates/devices/src/report.rs";
         let codec = "crates/coord/src/codec.rs";
         let store = "crates/coord/src/store.rs";
@@ -142,7 +143,12 @@ impl Registry {
         for name in ["LogRecord", "TxnRecord"] {
             entries.push(e(Wire, txn, Type, name));
         }
-        entries.push(e(Wire, twin, Type, "TwinEvent"));
+        // Worker results travel inside `InputMsg::Result`; an operator
+        // episode is stored durably in its record's labels.
+        entries.push(e(Wire, physical, Type, "PhysicalOutcome"));
+        for name in ["TwinEvent", "RepairEpisode"] {
+            entries.push(e(Wire, twin, Type, name));
+        }
         entries.push(e(Wire, report, Type, "StateReport"));
         entries.push(e(Wal, codec, Anchor, "FORMAT_VERSION"));
         entries.push(e(Wal, store, Type, "Op"));
