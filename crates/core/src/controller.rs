@@ -31,39 +31,43 @@
 //! Operator `repair`/`reload` results under `/tropic/admin` follow the same
 //! rule by age alone.
 //!
-//! ## No device calls
+//! ## No device reads or calls
 //!
-//! The leader reads physical state (to diff it) but never invokes a device
-//! action: every repair — the twin's and the operator's alike — is a
-//! corrective `__twinRepair` transaction a worker executes.
+//! The leader holds no device handle. Every repair — the twin's and the
+//! operator's alike — is a corrective `__twinRepair` transaction whose
+//! worker plans against fresh device state and runs the plan; a `reload`
+//! is a `__reload` transaction whose worker retrieves the scope. The
+//! twin's reported view and those workers' results are the leader's only
+//! picture of the devices, so nothing in `step()` waits on one.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tropic_coord::{CoordClient, CoordError, DistributedQueue, Op};
-use tropic_model::{DiffEntry, Path, SharedClock, Tree, Value};
+use tropic_model::{Node, Path, SharedClock, Tree, Value};
 
-use tropic_devices::StateReport;
+use tropic_devices::{ActionCall, StateReport};
 
 use crate::actions::{ActionDef, ActionRegistry};
 use crate::api::{AbortCode, Priority};
 use crate::config::{ServiceDefinition, TwinConfig};
-use crate::error::{PlatformError, ProcError};
+use crate::error::PlatformError;
 use crate::locks::LockManager;
 use crate::logical::{rollback_logical, simulate, LogicalOutcome};
 use crate::msg::{decode_input, layout, AdminResult, InputMsg, PhyTask, Signal};
-use crate::physical::{ExecMode, PhysicalOutcome};
-use crate::proc::{FnProcedure, StoredProcedure};
+use crate::physical::PhysicalOutcome;
+use crate::proc::{FnProcedure, ProcRegistry};
+use crate::reconcile::distinct_paths;
 use crate::stats::{Metrics, TxnSample};
 use crate::twin::{
-    drift_fingerprint, RepairEpisode, TwinEvent, TwinFeed, TwinPhase, TwinTracker, REPAIR_ATTEMPTS,
-    TWIN_REPAIR_PROC, TWIN_TXN_BASE,
+    drift_fingerprint, RepairEpisode, TwinEvent, TwinFeed, TwinPhase, TwinTracker, RELOAD_PROC,
+    REPAIR_ATTEMPTS, TWIN_REPAIR_PROC, TWIN_TXN_BASE,
 };
 use crate::txn::{LogRecord, TxnAlias, TxnId, TxnRecord, TxnState};
 
-/// Transaction-id namespace for controller-internal records (reloads), kept
-/// disjoint from client-assigned ids.
+/// Lower bound of the controller-owned id space, disjoint from
+/// client-assigned ids; the admin gate probes the lock table under it.
 pub(crate) const ADMIN_TXN_BASE: TxnId = 1 << 62;
 
 /// How long finalized transaction records linger before garbage collection,
@@ -179,7 +183,9 @@ pub struct Controller<'a> {
     client: &'a CoordClient,
     service: Arc<ServiceDefinition>,
     actions: ActionRegistry,
-    mode: ExecMode,
+    /// The service's procedures plus the controller's own
+    /// ([`register_builtins`]).
+    procs: ProcRegistry,
     clock: SharedClock,
     metrics: Metrics,
 
@@ -219,9 +225,6 @@ pub struct Controller<'a> {
     aliases_of: HashMap<TxnId, Vec<TxnId>>,
     /// Per-resource twin state machine (drift episodes, backoff waker).
     twin: TwinTracker,
-    /// The controller-internal `__twinRepair` procedure (physical mode
-    /// only): plans corrective actions against fresh physical state.
-    twin_proc: Option<Arc<dyn StoredProcedure>>,
     /// Cached reported state per mount, refreshed when the twin epoch
     /// moves.
     twin_reported: HashMap<Path, StateReport>,
@@ -229,7 +232,8 @@ pub struct Controller<'a> {
     twin_epoch_seen: Option<u64>,
     /// Platform-clock timestamp of the last reconciliation pass.
     twin_last_tick_ms: u64,
-    /// Next twin transaction sequence (id = `TWIN_TXN_BASE + seq`).
+    /// Next controller-owned transaction sequence (id = `TWIN_TXN_BASE +
+    /// seq`): twin repairs, operator repair attempts and reloads.
     twin_next_seq: u64,
     /// Mount → in-flight twin repair transaction, so re-detection never
     /// stacks a second repair behind one already holding the scope's locks.
@@ -243,36 +247,18 @@ impl<'a> Controller<'a> {
         cfg: ControllerConfig,
         client: &'a CoordClient,
         service: Arc<ServiceDefinition>,
-        mode: ExecMode,
         clock: SharedClock,
         metrics: Metrics,
     ) -> Self {
-        let mut actions = service.actions.clone();
-        register_builtin_actions(&mut actions);
+        let (mut actions, mut procs) = (service.actions.clone(), service.procs.clone());
+        register_builtins(&mut actions, &mut procs);
         let twin = TwinTracker::new(&cfg.twin);
-        // The twin's corrective procedure: diff the logical tree against
-        // *fresh* physical state (never the possibly-stale report that
-        // triggered detection) and log the planned repairs. Physical mode
-        // only — logical-only platforms have nothing to repair.
-        let twin_proc: Option<Arc<dyn StoredProcedure>> =
-            mode.registry().cloned().map(|registry| {
-                let svc = Arc::clone(&service);
-                Arc::new(FnProcedure::new(TWIN_REPAIR_PROC, move |ctx| {
-                    let scope = Path::parse(&ctx.arg_str(0)?)
-                        .map_err(|e| ProcError::Logic(format!("bad repair scope: {e}")))?;
-                    let physical = registry
-                        .physical_subtree(&scope)
-                        .ok_or_else(|| ProcError::Logic(format!("no physical state at {scope}")))?;
-                    ctx.reconcile(&scope, &physical, &svc.repair_rules)?;
-                    Ok(())
-                })) as Arc<dyn StoredProcedure>
-            });
         Controller {
             cfg,
             client,
             service,
             actions,
-            mode,
+            procs,
             clock,
             metrics,
             tree: Tree::new(),
@@ -295,7 +281,6 @@ impl<'a> Controller<'a> {
             alias_targets: HashMap::new(),
             aliases_of: HashMap::new(),
             twin,
-            twin_proc,
             twin_reported: HashMap::new(),
             twin_epoch_seen: None,
             twin_last_tick_ms: 0,
@@ -605,12 +590,11 @@ impl<'a> Controller<'a> {
             }
             InputMsg::Signal { id, signal } => self.handle_signal(id, signal),
             InputMsg::Repair { scope, admin_id } => {
-                self.start_repair(&scope, admin_id);
+                self.start_episode("repair", TWIN_REPAIR_PROC, &scope, admin_id);
                 Ok(())
             }
             InputMsg::Reload { scope, admin_id } => {
-                let result = self.do_reload(&scope);
-                self.persist_admin_result(admin_id, &result);
+                self.start_episode("reload", RELOAD_PROC, &scope, admin_id);
                 Ok(())
             }
         }
@@ -680,7 +664,7 @@ impl<'a> Controller<'a> {
 
     /// Step 5 of Figure 2: clean up after physical execution.
     fn handle_result(&mut self, id: TxnId, outcome: PhysicalOutcome) {
-        let Some(rec) = self.records.get(&id) else {
+        let Some(rec) = self.records.get_mut(&id) else {
             return;
         };
         if rec.state != TxnState::Started {
@@ -689,16 +673,14 @@ impl<'a> Controller<'a> {
         }
         let log = rec.log.clone();
         match outcome {
-            PhysicalOutcome::Committed => {
-                self.finalize(id, TxnState::Committed, None);
-            }
+            PhysicalOutcome::Committed => self.finalize(id, TxnState::Committed, None),
             PhysicalOutcome::Aborted { failed_seq, error } => {
                 self.rollback_in_logical(&log);
-                self.finalize(
-                    id,
-                    TxnState::Aborted,
-                    Some(format!("physical action #{failed_seq} failed: {error}")),
-                );
+                // Seq 0: no action failed (TERM, or a worker that refused
+                // the transaction), so the error is the whole reason.
+                let at =
+                    (failed_seq > 0).then(|| format!("physical action #{failed_seq} failed: "));
+                self.finalize(id, TxnState::Aborted, Some(at.unwrap_or_default() + &error));
             }
             PhysicalOutcome::Failed {
                 failed_seq,
@@ -709,13 +691,8 @@ impl<'a> Controller<'a> {
             } => {
                 self.rollback_in_logical(&log);
                 self.mark_inconsistent(&inconsistent_object);
-                self.finalize(
-                    id,
-                    TxnState::Failed,
-                    Some(format!(
-                        "action #{failed_seq} failed ({error}); undo #{undo_failed_seq} also failed ({undo_error})"
-                    )),
-                );
+                let error = format!("action #{failed_seq} failed ({error}); undo #{undo_failed_seq} also failed ({undo_error})");
+                self.finalize(id, TxnState::Failed, Some(error));
             }
             PhysicalOutcome::Killed { .. } => {
                 // The controller killed this transaction already; if we get
@@ -723,6 +700,29 @@ impl<'a> Controller<'a> {
                 // KILL way for safety.
                 self.kill_logically(id, "worker abandoned after KILL");
             }
+            PhysicalOutcome::Reconciled {
+                calls,
+                drifted,
+                remaining,
+                unmatched,
+            } => {
+                // The calls the worker planned become the attempt's log; an
+                // operator's episode learns what they left behind, and what
+                // drifted to begin with from attempt 1.
+                rec.log = calls;
+                if let Some((_, mut episode)) = RepairEpisode::of(rec) {
+                    if episode.attempt == 1 {
+                        episode.drifted = drifted;
+                    }
+                    (episode.remaining, episode.unmatched) = (remaining, unmatched);
+                    rec.labels = episode.labels();
+                }
+                self.finalize(id, TxnState::Committed, None);
+            }
+            PhysicalOutcome::Retrieved(subtree) => match self.absorb_reload(id, subtree) {
+                Ok(()) => self.finalize(id, TxnState::Committed, None),
+                Err(refusal) => self.finalize(id, TxnState::Aborted, Some(refusal)),
+            },
         }
     }
 
@@ -838,19 +838,7 @@ impl<'a> Controller<'a> {
                 moved += 1;
                 continue;
             }
-            // Service procedures first; the controller-internal twin repair
-            // procedure is resolvable only by the controller itself.
-            let twin_fallback = || {
-                (rec.proc_name == TWIN_REPAIR_PROC)
-                    .then(|| self.twin_proc.clone())
-                    .flatten()
-            };
-            let Some(proc_) = self
-                .service
-                .procs
-                .get(&rec.proc_name)
-                .or_else(twin_fallback)
-            else {
+            let Some(proc_) = self.procs.get(&rec.proc_name) else {
                 self.todo[lane].pop_front();
                 let proc_name = rec.proc_name.clone();
                 self.records.insert(id, rec);
@@ -949,9 +937,7 @@ impl<'a> Controller<'a> {
         });
         self.finalized_since_ckpt += 1;
         self.gc_queue.push_back((id, now));
-        if let Some((scope, episode)) = RepairEpisode::of(&rec_clone) {
-            self.repair_step(&scope, episode, Some(&rec_clone));
-        }
+        self.episode_step(&rec_clone);
     }
 
     /// TERM, then KILL, transactions stuck in physical execution (paper §4).
@@ -1083,7 +1069,7 @@ impl<'a> Controller<'a> {
     /// the `todoQ` like any client submission. Returns the number of
     /// corrective transactions submitted this pass.
     fn twin_tick(&mut self) -> Result<usize, PlatformError> {
-        if !self.cfg.twin.enabled || self.twin_proc.is_none() {
+        if !self.cfg.twin.enabled {
             return Ok(0);
         }
         let now = self.clock.now_ms();
@@ -1120,11 +1106,11 @@ impl<'a> Controller<'a> {
                 self.twin.forget(&mount);
                 continue;
             }
-            let (down, diffs) = {
-                let report = self.twin_reported.get(&mount).expect("keyed by mount");
-                let reported = report_tree(&mount, &report.state);
-                (report.down, self.tree.diff(&reported, &mount))
+            let Some(report) = self.twin_reported.get(&mount) else {
+                continue;
             };
+            let reported = Tree::mounted(&mount, Some(report.state.clone()));
+            let (down, diffs) = (report.down, self.tree.diff(&reported, &mount));
             if diffs.is_empty() {
                 let first_seen = self.twin.phase_of(&mount).is_none();
                 match self.twin.observe_in_sync(&mount, now) {
@@ -1185,7 +1171,7 @@ impl<'a> Controller<'a> {
                 // after backoff mints a fresh attempt number and runs.
                 let key = format!("twin:{mount}:{fp:x}:{attempt}");
                 let labels = vec![("origin".to_owned(), "twin".to_owned())];
-                let id = self.admit_repair(&mount, priority, Some(key), labels);
+                let id = self.admit_internal(TWIN_REPAIR_PROC, &mount, priority, Some(key), labels);
                 self.twin_inflight.insert(mount.clone(), id);
                 if self.twin.phase_of(&mount) == Some(TwinPhase::Reconciling) {
                     self.publish_twin(
@@ -1251,13 +1237,13 @@ impl<'a> Controller<'a> {
     // Reconciliation (paper §4).
     // ------------------------------------------------------------------
 
-    /// Admits a corrective `__twinRepair` transaction for `scope` — the one
-    /// repair path, whether the twin's waker or an operator asked for it.
-    /// It is scheduled like any client transaction; its procedure plans
-    /// against fresh physical state when it runs, and a worker executes
-    /// the plan.
-    fn admit_repair(
+    /// Admits a controller-owned `proc_name` transaction over `scope`: a
+    /// corrective `__twinRepair` — the one repair path, whether the twin's
+    /// waker or an operator asked for it — or a `__reload`. It is scheduled
+    /// like any client transaction, and a worker runs its physical half.
+    fn admit_internal(
         &mut self,
+        proc_name: &str,
         scope: &Path,
         priority: Priority,
         idempotency_key: Option<String>,
@@ -1266,7 +1252,7 @@ impl<'a> Controller<'a> {
         let id = TWIN_TXN_BASE + self.twin_next_seq;
         self.twin_next_seq += 1;
         let args = vec![Value::from(scope.to_string())];
-        let mut rec = TxnRecord::new(id, TWIN_REPAIR_PROC, args, self.clock.now_ms());
+        let mut rec = TxnRecord::new(id, proc_name, args, self.clock.now_ms());
         rec.priority = priority;
         rec.idempotency_key = idempotency_key;
         rec.labels = labels;
@@ -1274,149 +1260,100 @@ impl<'a> Controller<'a> {
         id
     }
 
-    /// `repair`: push the logical layer's view onto drifted devices. It
-    /// behaves like a transaction (paper §4) by running as one: past
-    /// [`Controller::admin_gate`] (its W lock only probes the scope),
-    /// [`Controller::repair_step`] runs the episode.
-    fn start_repair(&mut self, scope: &Path, admin_id: u64) {
-        match self.admin_gate("repair", scope) {
-            Ok((probe, _)) => {
-                self.locks.release_all(probe);
-                self.metrics.record_repair();
-                let episode = RepairEpisode {
-                    admin_id,
-                    ..RepairEpisode::default()
-                };
-                self.repair_step(scope, episode, None);
-            }
-            Err(refused) => self.persist_admin_result(admin_id, &refused),
-        }
-    }
-
-    /// One step of an operator repair, taken when it passes its gate
-    /// (`last` is `None`) and whenever one of its attempts finalizes: diff
-    /// the scope, then admit the next attempt on the High lane while drift
-    /// remains, the last attempt committed having planned something, and
-    /// fewer than [`REPAIR_ATTEMPTS`] ran — or answer the operator in this
-    /// round's multi (with no drift at the gate: "layers already
-    /// consistent", at once).
-    fn repair_step(&mut self, scope: &Path, mut episode: RepairEpisode, last: Option<&TxnRecord>) {
-        // Episodes only exist in physical mode.
-        let physical = self.mode.registry().map(|r| r.physical_tree());
-        let diffs = self.tree.diff(&physical.unwrap_or_default(), scope);
-        let progressed = last.is_none_or(|a| a.state == TxnState::Committed && !a.log.is_empty());
-        match last {
-            Some(attempt) => episode.actions += attempt.log.len() as u64,
-            None => episode.drifted = distinct_paths(&diffs) as u64,
-        }
-        if !diffs.is_empty() && progressed && episode.attempt < REPAIR_ATTEMPTS {
-            episode.attempt += 1;
-            self.admit_repair(scope, Priority::High, None, episode.labels());
-            return;
-        }
-        let ok = diffs.is_empty();
-        let unmatched = self.service.repair_rules.plan(&diffs, &self.tree).unmatched;
-        let message = match (ok, episode.actions, unmatched.len()) {
-            (true, 0, _) => "layers already consistent".to_owned(),
-            (true, n, _) => format!("repaired with {n} action(s)"),
-            (false, _, u) => format!("{} diff(s) remain, {u} unmatched by any rule", diffs.len()),
+    /// `repair` pushes the logical layer's view onto drifted devices;
+    /// `reload` pulls device state into the logical layer. Both behave
+    /// like transactions (paper §4) by running as one: the verb's procedure
+    /// is admitted on the High lane — and started in this round — with the
+    /// operator's episode in its labels, and whichever leader finalizes it
+    /// answers ([`Controller::episode_step`]). The gate refuses at once
+    /// when an outstanding transaction holds any part of the scope:
+    /// `self.tree` already holds a `Started` one's effects, and a repair
+    /// planned under it would push its not-yet-executed actions onto the
+    /// devices.
+    fn start_episode(&mut self, verb: &str, proc_name: &str, scope: &Path, admin_id: u64) {
+        let episode = RepairEpisode {
+            admin_id,
+            attempt: 1,
+            ..RepairEpisode::default()
         };
-        if ok {
-            self.clear_inconsistent_under(scope);
-        }
-        let result = AdminResult {
-            ok,
-            message,
-            actions: episode.actions as usize,
-            drifted: episode.drifted as usize,
-        };
-        self.persist_admin_result(episode.admin_id, &result);
-    }
-
-    /// The gate of `repair` and `reload`: physical mode, and a W lock on
-    /// the scope under an [`ADMIN_TXN_BASE`] id, so that — like the
-    /// transactions they behave as (paper §4) — they cannot race an
-    /// outstanding transaction: `self.tree` already holds a `Started` one's
-    /// effects, and a repair planned under it would push its
-    /// not-yet-executed actions onto the devices. The caller releases the
-    /// lock on every exit; a refusal comes back as the result to report.
-    fn admin_gate(
-        &mut self,
-        op: &str,
-        scope: &Path,
-    ) -> Result<(TxnId, Arc<tropic_devices::DeviceRegistry>), AdminResult> {
-        let Some(registry) = self.mode.registry().cloned() else {
-            return Err(admin_refused(format!("{op} requires physical mode")));
-        };
-        let admin_txn: TxnId = ADMIN_TXN_BASE + self.next_lsn;
         let requests = crate::locks::with_intentions(scope, crate::locks::LockMode::W);
-        match self.locks.try_acquire(admin_txn, &requests) {
-            Ok(()) => Ok((admin_txn, registry)),
-            Err(c) => Err(admin_refused(format!(
-                "{op} conflicts with outstanding transaction at {}",
-                c.path
-            ))),
+        let conflict = self.locks.try_acquire(ADMIN_TXN_BASE, &requests).err();
+        self.locks.release_all(ADMIN_TXN_BASE);
+        if let Some(at) = conflict.map(|c| c.path) {
+            let message = format!("{verb} conflicts with outstanding transaction at {at}");
+            return self.answer(&episode, false, message);
         }
+        if proc_name == TWIN_REPAIR_PROC {
+            self.metrics.record_repair();
+        }
+        self.admit_internal(proc_name, scope, Priority::High, None, episode.labels());
     }
 
-    /// `reload`: replace the logical subtree with freshly-retrieved physical
-    /// state, under a write lock and full constraint validation.
-    fn do_reload(&mut self, scope: &Path) -> AdminResult {
-        let (reload_txn, registry) = match self.admin_gate("reload", scope) {
-            Ok(gate) => gate,
-            Err(refused) => return refused,
+    /// Continues the operator episode a just-finalized record carries, if
+    /// any. A repair attempt whose worker left drift in the scope after
+    /// planning something admits the next attempt, up to
+    /// [`REPAIR_ATTEMPTS`]; otherwise the answer rides this round's multi,
+    /// beside the record it reports on. A transaction that did not commit
+    /// (refused outside physical mode, TERMed, KILLed) answers its error.
+    fn episode_step(&mut self, rec: &TxnRecord) {
+        let Some((scope, mut episode)) = RepairEpisode::of(rec) else {
+            return;
         };
-        let physical = registry.physical_tree();
-        // Counted before the subtree swap.
-        let drifted = distinct_paths(&self.tree.diff(&physical, scope));
-        let Some(new_subtree) = physical.get(scope).cloned() else {
-            self.locks.release_all(reload_txn);
-            return admin_refused(format!("no physical state at {scope}"));
+        let committed = rec.state == TxnState::Committed;
+        let repair = rec.proc_name == TWIN_REPAIR_PROC;
+        if committed && repair {
+            episode.actions += rec.log.len() as u64;
+            if episode.remaining > 0 && !rec.log.is_empty() && episode.attempt < REPAIR_ATTEMPTS {
+                episode.attempt += 1;
+                let labels = episode.labels();
+                self.admit_internal(TWIN_REPAIR_PROC, &scope, Priority::High, None, labels);
+                return;
+            }
+        }
+        let (left, unmatched) = (episode.remaining, episode.unmatched);
+        let message = match (committed, repair, left, episode.actions) {
+            (false, ..) => rec.error.clone().unwrap_or_default(),
+            (_, false, ..) => format!("reloaded {} node(s)", episode.actions),
+            (_, _, 0, 0) => "layers already consistent".to_owned(),
+            (_, _, 0, n) => format!("repaired with {n} action(s)"),
+            _ => format!("{left} diff(s) remain, {unmatched} unmatched by any rule"),
         };
-        // Validate on a candidate tree before committing the swap.
-        let mut candidate = self.tree.clone();
-        if candidate.replace(scope, new_subtree.clone()).is_err() {
-            self.locks.release_all(reload_txn);
-            return admin_refused(format!("logical tree has no node at {scope}"));
+        let ok = committed && left == 0;
+        if ok {
+            self.clear_inconsistent_under(&scope);
         }
-        if let Err(v) = self.service.constraints.check_all(&candidate) {
-            self.locks.release_all(reload_txn);
-            return admin_refused(format!("reload aborted: {v}"));
-        }
-        let nodes = new_subtree.subtree_size();
-        self.tree = candidate;
-        self.clear_inconsistent_under(scope);
+        self.answer(&episode, ok, message);
+    }
 
-        // Persist the reload as a committed internal transaction so recovery
-        // replays it in lsn order.
-        let snapshot = serde_json::to_string(&new_subtree).expect("serializable node");
-        let mut rec = TxnRecord::new(reload_txn, "__reload", vec![], self.clock.now_ms());
-        rec.state = TxnState::Committed;
-        rec.lsn = Some(self.next_lsn);
-        self.next_lsn += 1;
-        rec.finished_ms = Some(self.clock.now_ms());
-        rec.log = vec![LogRecord {
-            seq: 1,
-            object: scope.clone(),
-            action: "__replaceSubtree".into(),
-            args: vec![Value::from(snapshot)],
-            undo_action: None,
-            undo_object: None,
-            undo_args: vec![],
-            best_effort: false,
-        }];
-        self.persist_record(&rec);
-        self.records.insert(rec.id, rec);
-        self.gc_queue.push_back((reload_txn, self.clock.now_ms()));
-        self.finalized_since_ckpt += 1;
-        self.locks.release_all(reload_txn);
-        self.metrics.record_reload();
-        AdminResult {
-            ok: true,
-            message: format!("reloaded {nodes} node(s)"),
-            actions: nodes,
-            drifted,
+    /// A reload's finalize: swap the subtree its worker retrieved into the
+    /// logical tree, keep it only if every constraint still holds —
+    /// `check_all`, since one anchored below the scope (a host's VM memory
+    /// under `reload(/)`) counts too — and commit with the swap as the
+    /// `__replaceSubtree` log recovery replays in lsn order; otherwise
+    /// restore the old subtree and abort. The scope stayed W-locked since
+    /// the reload was scheduled, so nothing else changed it meanwhile.
+    fn absorb_reload(&mut self, id: TxnId, subtree: Option<Node>) -> Result<(), String> {
+        let rec = self.records.get(&id);
+        let (scope, mut episode) = rec.and_then(RepairEpisode::of).ok_or("not a reload")?;
+        let subtree = subtree.ok_or_else(|| format!("no physical state at {scope}"))?;
+        let snapshot = serde_json::to_string(&subtree)
+            .map_err(|e| format!("reload aborted: cannot encode {scope}: {e}"))?;
+        episode.actions = subtree.subtree_size() as u64;
+        let old = (self.tree.replace(&scope, subtree))
+            .map_err(|_| format!("logical tree has no node at {scope}"))?;
+        if let Err(v) = self.service.constraints.check_all(&self.tree) {
+            let _ = self.tree.replace(&scope, old);
+            return Err(format!("reload aborted: {v}"));
         }
+        episode.drifted =
+            distinct_paths(&Tree::mounted(&scope, Some(old)).diff(&self.tree, &scope)) as u64;
+        let swap = ActionCall::new(scope.clone(), "__replaceSubtree", vec![snapshot.into()]);
+        let swap = LogRecord::irreversible(1, swap);
+        if let Some(rec) = self.records.get_mut(&id) {
+            (rec.log, rec.labels) = (vec![swap], episode.labels());
+        }
+        self.metrics.record_reload();
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1430,15 +1367,22 @@ impl<'a> Controller<'a> {
         self.persisted.insert(rec.id);
     }
 
-    /// The operator's answer rides the round batch: it becomes readable in
-    /// the same multi as the effects it reports (a reload's `__reload`
-    /// record, a repair's last attempt finalized), never before them. Admin
-    /// ids are unique, so the znode is always a create; GC deletes it
-    /// `GC_GRACE_MS` later.
-    fn persist_admin_result(&mut self, admin_id: u64, result: &AdminResult) {
-        if let Ok(data) = serde_json::to_vec(result) {
-            self.batch.put(layout::admin(admin_id), data, false);
-            self.admin_gc.push_back((admin_id, self.clock.now_ms()));
+    /// Answers the operator waiting on `episode`, with what it has counted
+    /// so far. The answer rides the round batch: it becomes readable in the
+    /// same multi as the effects it reports (the finalized reload, or a
+    /// repair's last attempt), never before them. Admin ids are unique, so
+    /// the znode is always a create; GC deletes it `GC_GRACE_MS` later.
+    fn answer(&mut self, episode: &RepairEpisode, ok: bool, message: String) {
+        let result = AdminResult {
+            ok,
+            message,
+            actions: episode.actions as usize,
+            drifted: episode.drifted as usize,
+        };
+        if let Ok(data) = serde_json::to_vec(&result) {
+            self.batch.put(layout::admin(episode.admin_id), data, false);
+            self.admin_gc
+                .push_back((episode.admin_id, self.clock.now_ms()));
         }
     }
 
@@ -1474,49 +1418,22 @@ impl<'a> Controller<'a> {
     }
 }
 
-/// The result of an admin operation refused before it changed anything.
-fn admin_refused(message: impl Into<String>) -> AdminResult {
-    AdminResult {
-        ok: false,
-        message: message.into(),
-        actions: 0,
-        drifted: 0,
-    }
-}
-
-/// The `drifted` count operators see: distinct paths a diff touches.
-fn distinct_paths(diffs: &[DiffEntry]) -> usize {
-    let paths: BTreeSet<&Path> = diffs.iter().map(DiffEntry::path).collect();
-    paths.len()
-}
-
-/// Builds a tree containing only `state` mounted at `mount`, with
-/// placeholder ancestors so the mount slot exists. Diffs against it are
-/// always scoped to `mount`, so the placeholders are never compared — this
-/// avoids cloning the whole frame per resource per tick.
-fn report_tree(mount: &Path, state: &tropic_model::Node) -> Tree {
-    let mut tree = Tree::new();
-    let mut ancestors = Vec::new();
-    let mut cursor = mount.parent();
-    while let Some(p) = cursor {
-        if p.is_root() {
-            break;
-        }
-        cursor = p.parent();
-        ancestors.push(p);
-    }
-    for anc in ancestors.into_iter().rev() {
-        let _ = tree.insert(&anc, tropic_model::Node::new("frame"));
-    }
-    let _ = tree.insert(mount, state.clone());
-    tree
-}
-
-/// Registers actions the controller itself relies on: the reload subtree
-/// swap replayed during recovery, and the twin's universal no-op undo
-/// (corrective repair actions were never simulated logically, so both their
-/// logical and physical undo must do nothing).
-fn register_builtin_actions(actions: &mut ActionRegistry) {
+/// Registers what the controller itself relies on. Its own procedures each
+/// W-lock the scope their first argument names: a repair attempt also logs
+/// the `__reconcile` step its worker plans from, while a reload logs
+/// nothing until its finalize swaps the retrieved subtree in (only an
+/// operator's episode, on a controller-owned id, is ever absorbed or
+/// answered). Its actions are that swap, replayed during recovery, and
+/// the twin's universal no-op undo (corrective repair actions were never
+/// simulated logically, so both their logical and physical undo must do
+/// nothing).
+fn register_builtins(actions: &mut ActionRegistry, procs: &mut ProcRegistry) {
+    procs.register(Arc::new(FnProcedure::new(TWIN_REPAIR_PROC, |ctx| {
+        ctx.reconcile(&Path::parse(&ctx.arg_str(0)?)?)
+    })));
+    procs.register(Arc::new(FnProcedure::new(RELOAD_PROC, |ctx| {
+        ctx.lock_scope(&Path::parse(&ctx.arg_str(0)?)?)
+    })));
     actions.register(ActionDef::new(
         tropic_devices::NOOP_ACTION,
         |_, _, _| Ok(()),
@@ -1541,11 +1458,12 @@ fn register_builtin_actions(actions: &mut ActionRegistry) {
 mod tests {
     use super::*;
     use crate::msg::encode_input;
+    use crate::physical::{execute_record, ExecMode};
 
     #[test]
     fn builtin_replace_subtree_applies() {
         let mut actions = ActionRegistry::new();
-        register_builtin_actions(&mut actions);
+        register_builtins(&mut actions, &mut ProcRegistry::new());
         let def = actions.get("__replaceSubtree").unwrap();
         let mut tree = Tree::new();
         tree.insert(&Path::parse("/a").unwrap(), tropic_model::Node::new("old"))
@@ -1564,21 +1482,16 @@ mod tests {
             .is_none());
     }
 
-    fn controller_under_test<'a>(
-        client: &'a CoordClient,
-        service: ServiceDefinition,
-        mode: ExecMode,
-    ) -> Controller<'a> {
-        controller_on(client, service, mode, tropic_model::real_clock(), 0)
+    fn controller_under_test(client: &CoordClient, service: ServiceDefinition) -> Controller<'_> {
+        controller_on(client, service, tropic_model::real_clock(), 0)
     }
 
-    fn controller_on<'a>(
-        client: &'a CoordClient,
+    fn controller_on(
+        client: &CoordClient,
         service: ServiceDefinition,
-        mode: ExecMode,
         clock: SharedClock,
         checkpoint_every: u64,
-    ) -> Controller<'a> {
+    ) -> Controller<'_> {
         let cfg = ControllerConfig {
             name: "c0".into(),
             checkpoint_every,
@@ -1587,10 +1500,29 @@ mod tests {
             twin: TwinConfig::default(),
             twin_feed: TwinFeed::new(),
         };
-        let mut controller =
-            Controller::new(cfg, client, Arc::new(service), mode, clock, Metrics::new());
+        let mut controller = Controller::new(cfg, client, Arc::new(service), clock, Metrics::new());
         controller.recover().unwrap();
         controller
+    }
+
+    /// A service whose initial tree is one bare `vmHost` at `host`.
+    fn host_service(host: &Path) -> ServiceDefinition {
+        let mut initial_tree = Tree::new();
+        let vm_root = Path::parse("/vmRoot").unwrap();
+        initial_tree.insert(&vm_root, Node::new("vmRoot")).unwrap();
+        initial_tree.insert(host, Node::new("vmHost")).unwrap();
+        ServiceDefinition {
+            initial_tree,
+            ..ServiceDefinition::default()
+        }
+    }
+
+    /// Claims the one queued phyQ task and returns its record.
+    fn claim(client: &CoordClient) -> TxnRecord {
+        let phy_q = DistributedQueue::bind(client, layout::phy_q());
+        let (_, task) = phy_q.try_dequeue_batch(1).unwrap().remove(0);
+        let id = serde_json::from_slice::<PhyTask>(&task).unwrap().id;
+        client.get_json(&layout::txn(id)).unwrap().unwrap()
     }
 
     /// The commit path's shape, pinned: whatever a round decides reaches
@@ -1600,7 +1532,7 @@ mod tests {
     fn round_reaches_the_store_as_exactly_one_multi() {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
-        let mut controller = controller_under_test(&client, noop_service(), ExecMode::LogicalOnly);
+        let mut controller = controller_under_test(&client, noop_service());
         let lane = DistributedQueue::bind(&client, layout::input_lane(Priority::Normal));
         for id in 1..=8 {
             let (msg, _) = crate::api::TxnRequest::new("noop").into_msg(id, 0).unwrap();
@@ -1625,38 +1557,28 @@ mod tests {
     }
 
     /// The operator plane rides the same path: a reload's answer lands in
-    /// the multi that carries its `__reload` record and `inputQ` removal,
-    /// so an operator can never read `ok` ahead of the effects it reports.
+    /// the multi that carries its committed `__reload` record and its
+    /// worker result's `inputQ` removal, so an operator can never read `ok`
+    /// ahead of the effects it reports.
     #[test]
     fn reload_result_lands_in_the_round_multi() {
         let host = Path::parse("/vmRoot/h1").unwrap();
-        let mut frame = Tree::new();
-        frame
-            .insert(
-                &Path::parse("/vmRoot").unwrap(),
-                tropic_model::Node::new("vmRoot"),
-            )
-            .unwrap();
-        let registry = Arc::new(tropic_devices::DeviceRegistry::new(frame));
-        registry.register(Arc::new(tropic_devices::ComputeServer::new(
-            host.clone(),
-            "xen",
-            32_768,
-            tropic_devices::LatencyModel::zero(),
-        )));
-        let service = ServiceDefinition {
-            initial_tree: registry.physical_tree(),
-            ..ServiceDefinition::default()
-        };
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
-        let mut controller = controller_under_test(&client, service, ExecMode::Physical(registry));
+        let mut controller = controller_under_test(&client, host_service(&host));
         let lane = DistributedQueue::bind(&client, layout::input_lane(Priority::High));
-        let reload = InputMsg::Reload {
-            scope: host,
-            admin_id: 1,
-        };
-        lane.enqueue(encode_input(reload)).unwrap();
+        send(
+            &client,
+            InputMsg::Reload {
+                scope: host,
+                admin_id: 1,
+            },
+        );
+        controller.step().unwrap();
+        let id = claim(&client).id;
+        let subtree = Some(Node::new("vmHost").with_attr("memCapacity", 32_768i64));
+        let outcome = PhysicalOutcome::Retrieved(subtree);
+        send(&client, InputMsg::Result { id, outcome });
 
         let before = coord.stats();
         assert_eq!(controller.process_input(INPUT_BATCH).unwrap(), 1);
@@ -1666,7 +1588,7 @@ mod tests {
         let after = coord.stats();
         assert_eq!(after.multis - before.multis, 1);
         assert_eq!(after.writes - before.writes, 1);
-        // inputQ removal + `__reload` record + admin result.
+        // inputQ removal + the committed `__reload` record + admin result.
         assert_eq!(after.batched_ops - before.batched_ops, 3);
         let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
@@ -1687,14 +1609,13 @@ mod tests {
         service
     }
 
-    /// A logical-only controller over `noop` on a manual clock.
+    /// A controller over `noop` on a manual clock.
     fn gc_controller<'a>(
         client: &'a CoordClient,
         clock: &Arc<tropic_model::ManualClock>,
         checkpoint_every: u64,
     ) -> Controller<'a> {
-        let (service, mode) = (noop_service(), ExecMode::LogicalOnly);
-        controller_on(client, service, mode, clock.clone(), checkpoint_every)
+        controller_on(client, noop_service(), clock.clone(), checkpoint_every)
     }
 
     fn submit(client: &CoordClient, id: TxnId, key: Option<&str>) {
@@ -1749,7 +1670,7 @@ mod tests {
     fn submit_commit_wait_costs_a_pinned_number_of_reads() {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
-        let mut controller = controller_under_test(&client, noop_service(), ExecMode::LogicalOnly);
+        let mut controller = controller_under_test(&client, noop_service());
         let user = coord.connect("client");
         let mut last = coord.stats().reads;
         let mut reads = || {
@@ -1971,26 +1892,41 @@ mod tests {
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
         let mut controller = gc_controller(&client, &clock, 1);
-        // Logical-only: both repairs are refused, and the refusal is the
+        // Logical-only workers refuse both repairs, and the refusal is the
         // result the operator reads.
-        let (scope, admin_id) = (Path::root(), 1);
-        send(&client, InputMsg::Repair { scope, admin_id });
-        controller.step().unwrap();
-        clock.advance(GC_GRACE_MS / 2);
-        let (scope, admin_id) = (Path::root(), 2);
-        send(&client, InputMsg::Repair { scope, admin_id });
-        controller.step().unwrap();
+        for admin_id in [1, 2] {
+            let scope = Path::root();
+            send(&client, InputMsg::Repair { scope, admin_id });
+            controller.step().unwrap();
+            let attempt = claim(&client);
+            let rules = crate::reconcile::RepairRules::new();
+            let outcome = execute_record(&attempt, &ExecMode::LogicalOnly, &rules, || None);
+            send(
+                &client,
+                InputMsg::Result {
+                    id: attempt.id,
+                    outcome,
+                },
+            );
+            controller.step().unwrap();
+            clock.advance(GC_GRACE_MS / 2);
+        }
+        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        assert_eq!(
+            (result.ok, result.message.as_str()),
+            (false, "repair requires physical mode")
+        );
         assert_eq!(children(&client, layout::admins()).len(), 2);
 
-        clock.advance(GC_GRACE_MS / 2);
         assert_eq!(
             step_cost(&coord, &mut controller),
             (0, 0, 0),
             "no flush to ride"
         );
         submit(&client, 1, None);
-        // inputQ removal + record put + phyQ append + the old result's delete.
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
+        // inputQ removal + record put + phyQ append + the old result's
+        // delete + its attempt's record delete.
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
         assert!(!client.exists(&layout::admin(1)).unwrap());
         assert!(
             client.exists(&layout::admin(2)).unwrap(),
@@ -2003,7 +1939,7 @@ mod tests {
         assert_eq!(controller.admin_gc.len(), 1);
         clock.advance(GC_GRACE_MS);
         submit(&client, 2, None);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
         assert!(children(&client, layout::admins()).is_empty());
     }
 
@@ -2016,7 +1952,7 @@ mod tests {
     fn repair_runs_on_a_worker_and_survives_failover() {
         let host = Path::parse("/vmRoot/h1").unwrap();
         let mut frame = Tree::new();
-        let vm_root = tropic_model::Node::new("vmRoot");
+        let vm_root = Node::new("vmRoot");
         frame
             .insert(&Path::parse("/vmRoot").unwrap(), vm_root)
             .unwrap();
@@ -2034,7 +1970,7 @@ mod tests {
             ..ServiceDefinition::default()
         };
         service.repair_rules.register(|diff, _| match diff {
-            DiffEntry::AttrChanged { path, attr, .. } if attr == "state" => {
+            tropic_model::DiffEntry::AttrChanged { path, attr, .. } if attr == "state" => {
                 let vm = Value::from(path.leaf().unwrap_or_default());
                 let host = path.parent().unwrap_or_else(Path::root);
                 vec![tropic_devices::ActionCall::new(host, "startVM", vec![vm])]
@@ -2044,9 +1980,8 @@ mod tests {
         compute.oob_power_cycle();
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
-        let mode = ExecMode::Physical(registry);
 
-        let mut leader = controller_under_test(&client, service.clone(), mode.clone());
+        let mut leader = controller_under_test(&client, service.clone());
         let (scope, admin_id) = (host, 1);
         send(&client, InputMsg::Repair { scope, admin_id });
         let before = coord.stats();
@@ -2059,21 +1994,86 @@ mod tests {
         assert_eq!(compute.vm_power("vm1"), stopped);
         drop(leader);
 
-        let phy_q = DistributedQueue::bind(&client, layout::phy_q());
-        let (_, task) = phy_q.try_dequeue_batch(1).unwrap().remove(0);
-        let id = serde_json::from_slice::<PhyTask>(&task).unwrap().id;
-        let rec: TxnRecord = client.get_json(&layout::txn(id)).unwrap().unwrap();
+        // The worker plans against the devices and runs the plan.
+        let rec = claim(&client);
         assert_eq!(RepairEpisode::of(&rec).map(|(_, e)| e.attempt), Some(1));
-        let outcome = crate::physical::execute_physical(&rec.log, &mode, || None);
-        send(&client, InputMsg::Result { id, outcome });
+        let mode = ExecMode::Physical(registry);
+        let outcome = execute_record(&rec, &mode, &service.repair_rules, || None);
+        send(
+            &client,
+            InputMsg::Result {
+                id: rec.id,
+                outcome,
+            },
+        );
 
-        let mut successor = controller_under_test(&client, service, mode);
+        let mut successor = controller_under_test(&client, service);
         assert!(successor.step().unwrap());
         let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         assert_eq!((result.actions, result.drifted), (1, 1));
         let running = Some(tropic_devices::VmPower::Running);
         assert_eq!(compute.vm_power("vm1"), running);
+    }
+
+    /// Operator `reload` is a transaction of the same shape: admitted and
+    /// started in the round that reads the request, its scope retrieved by
+    /// a worker (played by hand here), and absorbed and answered by
+    /// whichever leader finalizes it. No leader here has a device handle.
+    #[test]
+    fn reload_runs_on_a_worker_and_survives_failover() {
+        let host = Path::parse("/vmRoot/h1").unwrap();
+        let service = host_service(&host);
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+
+        let mut leader = controller_under_test(&client, service.clone());
+        send(
+            &client,
+            InputMsg::Reload {
+                scope: host.clone(),
+                admin_id: 1,
+            },
+        );
+        let before = coord.stats();
+        assert!(leader.step().unwrap());
+        // inputQ removal + the Started `__reload` record + its phyQ task;
+        // no answer yet.
+        assert_eq!(coord.stats().batched_ops - before.batched_ops, 3);
+        assert!(!client.exists(&layout::admin(1)).unwrap());
+        drop(leader);
+
+        // The devices hold an attribute and a VM the logical layer lacks.
+        let rec = claim(&client);
+        assert_eq!(
+            (rec.proc_name.as_str(), rec.state),
+            (RELOAD_PROC, TxnState::Started)
+        );
+        let mut retrieved = Node::new("vmHost").with_attr("memCapacity", 32_768i64);
+        retrieved.insert_child("vm9", Node::new("vm").with_attr("state", "running"));
+        let subtree = Some(retrieved.clone());
+        let outcome = PhysicalOutcome::Retrieved(subtree);
+        send(
+            &client,
+            InputMsg::Result {
+                id: rec.id,
+                outcome,
+            },
+        );
+
+        let mut successor = controller_under_test(&client, service.clone());
+        assert!(successor.step().unwrap());
+        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        assert!(result.ok, "{}", result.message);
+        // Two nodes replaced; the host's attribute and the VM drifted.
+        assert_eq!((result.actions, result.drifted), (2, 2));
+        assert_eq!(successor.tree().get(&host), Some(&retrieved));
+        let absorbed = successor.tree().root().clone();
+        drop(successor);
+
+        // A third leader's recovery replays `__replaceSubtree`.
+        let third = controller_under_test(&client, service);
+        assert_eq!(third.tree().root(), &absorbed);
     }
 
     #[test]

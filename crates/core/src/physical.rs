@@ -1,16 +1,22 @@
 //! Physical-layer execution: replaying execution logs on devices with
-//! reverse-order undo on failure (paper §3.2).
+//! reverse-order undo on failure (paper §3.2), and the physical half of the
+//! controller's own transactions — a repair attempt planned and run against
+//! fresh device state, a reload's retrieval (paper §4). Only workers run
+//! any of it: the controller reads and calls no device.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tropic_model::Path;
+use tropic_model::{Node, Path, Tree, Value};
 
 use crate::msg::Signal;
-use crate::txn::LogRecord;
+use crate::reconcile::{distinct_paths, RepairRules};
+use crate::twin::{RELOAD_PROC, TWIN_REPAIR_PROC};
+use crate::txn::{LogRecord, TxnRecord};
 use tropic_devices::{ActionCall, DeviceRegistry};
 
-/// How workers execute transactions.
+/// How workers execute transactions. Only workers (and the platform's
+/// twin report pump) hold one; the controller needs no device handle.
 #[derive(Clone)]
 pub enum ExecMode {
     /// Bypass device calls entirely (paper §5's logical-only mode, used by
@@ -18,16 +24,6 @@ pub enum ExecMode {
     LogicalOnly,
     /// Execute against the simulated devices.
     Physical(Arc<DeviceRegistry>),
-}
-
-impl ExecMode {
-    /// The device registry, when in physical mode.
-    pub fn registry(&self) -> Option<&Arc<DeviceRegistry>> {
-        match self {
-            ExecMode::LogicalOnly => None,
-            ExecMode::Physical(reg) => Some(reg),
-        }
-    }
 }
 
 /// How a transaction's physical execution ended (paper §3.2).
@@ -38,8 +34,9 @@ pub enum PhysicalOutcome {
     /// An action failed and every executed action was undone in reverse
     /// order; both layers can be made consistent.
     Aborted {
-        /// 1-based sequence number of the failed action, or 0 when aborted
-        /// by a TERM signal before any failure.
+        /// 1-based sequence number of the failed action, or 0 when no
+        /// action failed: a TERM signal, or a worker that cannot run the
+        /// transaction at all (a repair or reload outside physical mode).
         failed_seq: usize,
         /// The failure (or signal) description.
         error: String,
@@ -66,6 +63,86 @@ pub enum PhysicalOutcome {
         /// Sequence number the worker had reached.
         reached_seq: usize,
     },
+    /// A repair attempt ran: its worker planned `calls` against fresh
+    /// device state, ran them best-effort, and re-diffed. The controller
+    /// makes `calls` the record's log.
+    Reconciled {
+        /// The corrective calls planned, as best-effort no-op-undo records.
+        calls: Vec<LogRecord>,
+        /// Distinct paths that drifted before planning.
+        drifted: u64,
+        /// Diff entries left in the scope after the calls ran.
+        remaining: u64,
+        /// How many of those no repair rule matched.
+        unmatched: u64,
+    },
+    /// A reload's retrieval: the devices' state at its scope, or `None`
+    /// when no device covers it. The controller swaps it in at finalize.
+    Retrieved(Option<Node>),
+}
+
+/// A claimed transaction's physical half. A repair attempt plans and runs
+/// its repair against fresh device state with the service's `rules`, a
+/// reload retrieves its scope, and every other transaction replays its log
+/// through [`execute_physical`]. Outside physical mode a repair or reload
+/// is refused, so the controller never needs to know the mode.
+pub(crate) fn execute_record(
+    rec: &TxnRecord,
+    mode: &ExecMode,
+    rules: &RepairRules,
+    signal: impl FnMut() -> Option<Signal>,
+) -> PhysicalOutcome {
+    let ran = match (rec.proc_name.as_str(), mode) {
+        (TWIN_REPAIR_PROC, ExecMode::Physical(registry)) => repair(rec, registry, rules, signal),
+        (RELOAD_PROC, ExecMode::Physical(registry)) => {
+            // The scope parsed when the reload took its lock.
+            let scope = rec.args.first().and_then(Value::as_str).map(Path::parse);
+            let physical = registry.physical_tree();
+            let subtree = scope.and_then(|s| physical.get(&s.ok()?).cloned());
+            Ok(PhysicalOutcome::Retrieved(subtree))
+        }
+        (TWIN_REPAIR_PROC, _) => Err("repair requires physical mode".to_owned()),
+        (RELOAD_PROC, _) => Err("reload requires physical mode".to_owned()),
+        _ => return execute_physical(&rec.log, mode, signal),
+    };
+    // A refusal aborts before any action, its error the whole reason.
+    ran.unwrap_or_else(|error| PhysicalOutcome::Aborted {
+        failed_seq: 0,
+        error,
+    })
+}
+
+/// A repair attempt on the devices: diff the desired subtree its
+/// `__reconcile` step carries against the devices' export, plan with
+/// `rules`, run the plan through [`execute_physical`] (best-effort, so a
+/// call whose precondition the drift already broke is skipped; TERM and
+/// KILL still apply), and re-diff.
+fn repair(
+    rec: &TxnRecord,
+    registry: &Arc<DeviceRegistry>,
+    rules: &RepairRules,
+    signal: impl FnMut() -> Option<Signal>,
+) -> Result<PhysicalOutcome, String> {
+    let step = rec.log.first().ok_or("repair without a reconcile step")?;
+    let (scope, desired) = (&step.object, step.args.first().and_then(Value::as_str));
+    let desired = (desired.map(serde_json::from_str::<Node>).transpose())
+        .map_err(|e| format!("corrupt desired state at {scope}: {e}"))?;
+    let desired = Tree::mounted(scope, desired);
+    let drift = desired.diff(&registry.physical_tree(), scope);
+    let planned = rules.plan(&drift, &desired).actions.into_iter();
+    let calls: Vec<LogRecord> = (1..).zip(planned).map(LogRecord::repair_step).collect();
+    let mode = ExecMode::Physical(Arc::clone(registry));
+    match execute_physical(&calls, &mode, signal) {
+        PhysicalOutcome::Committed => {}
+        ended => return Ok(ended), // TERMed or KILLed.
+    }
+    let left = desired.diff(&registry.physical_tree(), scope);
+    Ok(PhysicalOutcome::Reconciled {
+        drifted: distinct_paths(&drift) as u64,
+        remaining: left.len() as u64,
+        unmatched: rules.plan(&left, &desired).unmatched.len() as u64,
+        calls,
+    })
 }
 
 /// Replays an execution log against the physical layer.

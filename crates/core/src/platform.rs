@@ -188,7 +188,6 @@ impl Tropic {
             let thread = {
                 let coord = Arc::clone(&coord);
                 let service = Arc::clone(&service);
-                let mode = mode.clone();
                 let clock = Arc::clone(&clock);
                 let metrics = metrics.clone();
                 let stop = Arc::clone(&stop);
@@ -206,7 +205,7 @@ impl Tropic {
                     .name(name.clone())
                     .spawn(move || {
                         controller_thread(
-                            cfg, coord, service, mode, clock, metrics, stop, crash, is_leader,
+                            cfg, coord, service, clock, metrics, stop, crash, is_leader,
                         )
                     })
                     .expect("spawn controller thread")
@@ -224,10 +223,11 @@ impl Tropic {
             let name = format!("worker-{i}");
             let coord = Arc::clone(&coord);
             let mode = mode.clone();
+            let rules = service.repair_rules.clone();
             let stop = Arc::clone(&stop);
             let thread = std::thread::Builder::new()
                 .name(name.clone())
-                .spawn(move || run_worker(&name, &coord, mode, &stop))
+                .spawn(move || run_worker(&name, &coord, mode, rules, &stop))
                 .expect("spawn worker thread");
             workers.push(WorkerHandle {
                 thread: Some(thread),
@@ -237,8 +237,8 @@ impl Tropic {
         // The report pump is platform-level, not controller-level: device
         // reports keep flowing across controller failover, and the new
         // leader resumes reconciliation from the persisted twin subtree.
-        let reporter = match (config.twin.enabled, mode.registry()) {
-            (true, Some(registry)) => {
+        let reporter = match (config.twin.enabled, &mode) {
+            (true, ExecMode::Physical(registry)) => {
                 let coord = Arc::clone(&coord);
                 let registry = Arc::clone(registry);
                 let clock = Arc::clone(&clock);
@@ -318,10 +318,10 @@ impl Tropic {
     /// Aggregate fault-injection counters across every registered device
     /// (zero in [`ExecMode::LogicalOnly`]).
     pub fn fault_stats(&self) -> tropic_devices::FaultStats {
-        self.mode
-            .registry()
-            .map(|r| r.fault_stats())
-            .unwrap_or_default()
+        match &self.mode {
+            ExecMode::Physical(registry) => registry.fault_stats(),
+            ExecMode::LogicalOnly => Default::default(),
+        }
     }
 
     /// Platform-level counter snapshot: the metrics counters plus the
@@ -524,10 +524,10 @@ impl Drop for TropicClient {
 
 /// First client-assignable transaction and admin ids after a recovery: one
 /// past every id visible in the persisted records, still-queued
-/// submissions, surviving admin-result znodes and operator repairs still
-/// running (internal-namespace txn ids are controller-owned and excluded;
-/// reusing an id would alias a pre-crash outcome, or collide with the
-/// result a running repair has yet to write).
+/// submissions, surviving admin-result znodes and operator repairs and
+/// reloads still running (internal-namespace txn ids are controller-owned
+/// and excluded; reusing an id would alias a pre-crash outcome, or collide
+/// with the result a running repair or reload has yet to write).
 fn next_free_ids(client: &CoordClient) -> (u64, u64) {
     let mut max_txn_id = 0u64;
     let mut max_admin_id = 0u64;
@@ -639,7 +639,6 @@ fn controller_thread(
     cfg: ControllerConfig,
     coord: Arc<CoordService>,
     service: Arc<ServiceDefinition>,
-    mode: ExecMode,
     clock: SharedClock,
     metrics: Metrics,
     stop: Arc<AtomicBool>,
@@ -696,7 +695,6 @@ fn controller_thread(
             cfg.clone(),
             &client,
             Arc::clone(&service),
-            mode.clone(),
             Arc::clone(&clock),
             metrics.clone(),
         );
@@ -733,11 +731,12 @@ fn controller_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twin::{TWIN_REPAIR_PROC, TWIN_TXN_BASE};
+    use crate::twin::{RELOAD_PROC, TWIN_REPAIR_PROC, TWIN_TXN_BASE};
 
-    /// A repair still running at a restart writes its result only after
-    /// recovery, so its admin id must not be handed out again: the second
-    /// result's create would fail the leader's round multi, every round.
+    /// A repair or reload still running at a restart writes its result
+    /// only after recovery, so its admin id must not be handed out again:
+    /// the second result's create would fail the leader's round multi,
+    /// every round.
     #[test]
     fn recovered_ids_skip_a_running_repairs_admin_id() {
         let coord = CoordService::start(tropic_coord::CoordConfig::default());
@@ -746,15 +745,20 @@ mod tests {
         client
             .put_json(&layout::admin(3), &"an older result")
             .unwrap();
-        let scope = vec![tropic_model::Value::from("/vmRoot")];
-        let mut attempt = TxnRecord::new(TWIN_TXN_BASE + 1, TWIN_REPAIR_PROC, scope, 0);
-        let episode = RepairEpisode {
-            admin_id: 7,
-            ..RepairEpisode::default()
-        };
-        attempt.labels = episode.labels();
         client.create_all(&layout::txns()).unwrap();
-        client.put_json(&layout::txn(attempt.id), &attempt).unwrap();
+        let running = |seq, proc_name, admin_id| {
+            let scope = vec![tropic_model::Value::from("/vmRoot")];
+            let mut rec = TxnRecord::new(TWIN_TXN_BASE + seq, proc_name, scope, 0);
+            let episode = RepairEpisode {
+                admin_id,
+                ..RepairEpisode::default()
+            };
+            rec.labels = episode.labels();
+            client.put_json(&layout::txn(rec.id), &rec).unwrap();
+        };
+        running(1, TWIN_REPAIR_PROC, 7);
         assert_eq!(next_free_ids(&client), (1, 8));
+        running(2, RELOAD_PROC, 9);
+        assert_eq!(next_free_ids(&client), (1, 10));
     }
 }

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use tropic_devices::ActionCall;
 use tropic_model::{ConstraintSet, Path, Tree, Value};
 
 use crate::actions::ActionRegistry;
@@ -260,46 +261,37 @@ impl<'a> TxnContext<'a> {
         Ok(())
     }
 
-    /// Plans the corrective actions that bring `physical` in line with the
-    /// logical tree under `scope`, appending them to the execution log
-    /// *without* applying logical effects — the logical layer already holds
-    /// the desired state; only the physical layer must move.
+    /// Logs the one record of a repair: a best-effort `__reconcile` step on
+    /// `scope` whose argument is the desired (logical) subtree there — none
+    /// when the logical tree has no node at `scope` — and whose undo is the
+    /// universal no-op. No logical effect is applied: the logical layer
+    /// already holds the desired state; only the physical layer must move.
     ///
     /// This is the logical half of every repair — a twin-scheduled
     /// corrective transaction or an operator `repair` attempt (see
-    /// [`crate::twin`]) — and the platform's only repair planner. It takes
-    /// W + intention locks on `scope` so
-    /// the repair serializes with in-flight transactions there (a conflict
-    /// defers it like any transaction), and — unlike [`TxnContext::act`] —
-    /// it does **not** deny inconsistency-marked subtrees: repair is
-    /// precisely what clears them (paper §4). Every log record's undo is
-    /// the universal no-op, so rolling back a half-applied repair changes
-    /// nothing in either layer. Returns the number of corrective actions
-    /// planned; zero means the layers already agree and the transaction
-    /// commits trivially.
-    pub fn reconcile(
-        &mut self,
-        scope: &Path,
-        physical: &Tree,
-        rules: &crate::reconcile::RepairRules,
-    ) -> Result<usize, ProcError> {
-        self.acquire(with_intentions(scope, LockMode::W))?;
-        let diffs = self.tree.diff(physical, scope);
-        let plan = rules.plan(&diffs, self.tree);
-        let planned = plan.actions.len();
-        for call in plan.actions {
-            self.log.push(LogRecord {
-                seq: self.log.len() + 1,
-                object: call.object,
-                action: call.action,
-                args: call.args,
-                undo_action: Some(tropic_devices::NOOP_ACTION.to_owned()),
-                undo_object: None,
-                undo_args: Vec::new(),
-                best_effort: true,
-            });
-        }
-        Ok(planned)
+    /// [`crate::twin`]); its worker plans and runs the corrective calls
+    /// against fresh device state ([`crate::physical`]). The W + intention
+    /// locks on `scope` (`TxnContext::lock_scope`) serialize the repair
+    /// with in-flight transactions there and keep the desired subtree fixed
+    /// while the worker runs.
+    pub fn reconcile(&mut self, scope: &Path) -> Result<(), ProcError> {
+        self.lock_scope(scope)?;
+        let desired = (self.tree.get(scope).map(serde_json::to_string).transpose())
+            .map_err(|e| ProcError::Logic(format!("cannot encode {scope}: {e}")))?;
+        let args = desired.into_iter().map(Value::from).collect();
+        let seq = self.log.len() + 1;
+        let step = ActionCall::new(scope.clone(), "__reconcile", args);
+        self.log.push(LogRecord::repair_step((seq, step)));
+        Ok(())
+    }
+
+    /// Takes W + intention locks on `scope` for the rest of the
+    /// transaction. Unlike [`TxnContext::act`], it does **not** deny an
+    /// inconsistency-marked subtree: `repair` and `reload` lock this way,
+    /// and they are precisely what clears the marks (paper §4). A conflict
+    /// defers the transaction like any other.
+    pub(crate) fn lock_scope(&mut self, scope: &Path) -> Result<(), ProcError> {
+        self.acquire(with_intentions(scope, LockMode::W))
     }
 
     fn acquire(&mut self, requests: Vec<LockRequest>) -> Result<(), ProcError> {
@@ -524,7 +516,6 @@ mod tests {
 
     #[test]
     fn reconcile_logs_repairs_without_logical_effects() {
-        use crate::reconcile::RepairRules;
         let reg = registry();
         let cons = ConstraintSet::new();
         let mut locks = LockManager::new();
@@ -532,27 +523,26 @@ mod tests {
         let a = Path::parse("/a").unwrap();
         // Repair must be allowed even on inconsistency-marked subtrees.
         t.mark_inconsistent(&a, true).unwrap();
-        // Physical layer drifted: n = 9 instead of the logical 1.
-        let mut physical = t.clone();
-        physical.set_attr(&a, "n", 9i64).unwrap();
-        let mut rules = RepairRules::new();
-        rules.register(|diff, _| {
-            let tropic_model::DiffEntry::AttrChanged { path, left, .. } = diff else {
-                return Vec::new();
-            };
-            vec![tropic_devices::ActionCall::new(
-                path.clone(),
-                "setN",
-                vec![left.clone().unwrap()],
-            )]
-        });
+        let before = t.clone();
         let mut ctx = TxnContext::new(7, vec![], &mut t, &reg, &cons, &mut locks);
-        let planned = ctx.reconcile(&Path::root(), &physical, &rules).unwrap();
-        assert_eq!(planned, 1);
+        ctx.reconcile(&a).unwrap();
+        // Nothing is desired at a path the logical tree lacks.
+        ctx.reconcile(&Path::parse("/gone").unwrap()).unwrap();
         let log = ctx.log().to_vec();
         drop(ctx);
-        assert_eq!(log[0].action, "setN");
-        assert_eq!(log[0].args, vec![Value::Int(1)]);
+        // One best-effort, no-op-undo step per scope, carrying the desired
+        // subtree its worker plans from.
+        assert_eq!(
+            (log[0].action.as_str(), log[0].best_effort),
+            ("__reconcile", true)
+        );
+        assert_eq!(log[0].object, a);
+        let desired = log[0].args[0].as_str().unwrap();
+        assert_eq!(
+            serde_json::from_str::<Node>(desired).ok().as_ref(),
+            before.get(&a)
+        );
+        assert!(log[1].args.is_empty());
         assert_eq!(
             log[0].undo_action.as_deref(),
             Some(tropic_devices::NOOP_ACTION)
@@ -560,7 +550,7 @@ mod tests {
         // The logical tree is untouched (it already holds desired state)...
         assert_eq!(t.attr_int(&a, "n").unwrap(), 1);
         // ...and the scope is write-locked until the txn finalizes.
-        assert!(locks.holds(7, &Path::root(), LockMode::W));
+        assert!(locks.holds(7, &a, LockMode::W));
         // A conflicting holder defers the repair instead.
         let mut t2 = tree();
         let mut locks2 = LockManager::new();
@@ -569,7 +559,7 @@ mod tests {
             .unwrap();
         let mut ctx2 = TxnContext::new(8, vec![], &mut t2, &reg, &cons, &mut locks2);
         assert!(matches!(
-            ctx2.reconcile(&Path::root(), &physical, &rules),
+            ctx2.reconcile(&Path::root()),
             Err(ProcError::Conflict(_))
         ));
     }

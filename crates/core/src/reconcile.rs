@@ -2,16 +2,18 @@
 //!
 //! TROPIC embraces eventual consistency between layers: `repair` pushes the
 //! logical layer's view onto drifted devices, `reload` pulls device state
-//! into the logical layer. This module holds the *repair planning* half —
-//! rules that translate tree diffs into corrective device calls. Plans are
-//! made only inside corrective transactions
-//! ([`crate::proc::TxnContext::reconcile`]) and executed by workers; the
-//! controller performs reloads (it owns the logical tree).
+//! into the logical layer. Both run as transactions whose physical half is a
+//! worker's: a repair attempt's worker plans against fresh device state and
+//! runs the plan ([`crate::physical`]), a reload's worker retrieves its
+//! scope, and the controller only absorbs what they report — it reads no
+//! device. This module holds the *repair planning* half — rules that
+//! translate tree diffs into corrective device calls.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use tropic_devices::ActionCall;
-use tropic_model::{DiffEntry, Tree};
+use tropic_model::{DiffEntry, Path, Tree};
 
 /// A rule translating one logical-vs-physical difference into corrective
 /// physical actions. Diffs are reported with `left` = logical layer,
@@ -81,6 +83,12 @@ pub struct RepairPlan {
     pub actions: Vec<ActionCall>,
     /// Diffs no rule could translate.
     pub unmatched: Vec<DiffEntry>,
+}
+
+/// The `drifted` count operators see: distinct paths a diff touches.
+pub(crate) fn distinct_paths(diffs: &[DiffEntry]) -> usize {
+    let paths: BTreeSet<&Path> = diffs.iter().map(DiffEntry::path).collect();
+    paths.len()
 }
 
 #[cfg(test)]

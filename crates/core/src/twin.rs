@@ -15,9 +15,10 @@
 //!   (logical) tree against every mount's reported state with `Tree::diff`
 //!   and, when they disagree, submits a corrective `__twinRepair`
 //!   transaction on the batch lane with an idempotency key so re-detection
-//!   of the same drift never double-fires. The transaction plans its
-//!   device calls through [`crate::proc::TxnContext::reconcile`] against
-//!   fresh physical state.
+//!   of the same drift never double-fires. The transaction W-locks the
+//!   mount and hands its worker the desired subtree
+//!   ([`crate::proc::TxnContext::reconcile`]); the worker plans the device
+//!   calls against fresh physical state.
 //! * **Waker** — the [`TwinTracker`] paces repair attempts per resource
 //!   with exponential backoff plus deterministic jitter, and escalates to
 //!   [`TwinPhase::Degraded`] after the configured attempts (a degraded
@@ -30,9 +31,10 @@
 //!
 //! The operator's one-shot `repair` is the same corrective transaction,
 //! admitted on the High lane instead of the batch lane and answered when
-//! its last attempt finalizes (see `RepairEpisode`): there is one repair
-//! planner, [`crate::proc::TxnContext::reconcile`], and only workers ever
-//! invoke a device action.
+//! its last attempt finalizes (see `RepairEpisode`), and `reload` is a
+//! transaction of the same shape whose worker retrieves the scope. The
+//! reported view above and those workers' results are the leader's only
+//! picture of the devices: it never reads or calls one itself.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -48,16 +50,21 @@ use tropic_model::{DiffEntry, Path};
 use crate::config::TwinConfig;
 use crate::txn::TxnRecord;
 
-/// Name of the controller-internal stored procedure that plans one
-/// corrective transaction — a twin repair or an operator repair attempt
-/// (see [`crate::proc::TxnContext::reconcile`]). Scheduled like any client
+/// Name of the controller-internal stored procedure of one corrective
+/// transaction — a twin repair or an operator repair attempt (see
+/// [`crate::proc::TxnContext::reconcile`]). Scheduled like any client
 /// transaction but owned by the controller.
 pub const TWIN_REPAIR_PROC: &str = "__twinRepair";
 
-/// Transaction-id namespace for corrective transactions: above
+/// Name of the controller-internal stored procedure of an operator
+/// `reload`: it W-locks the scope, its worker retrieves the scope's
+/// physical state, and its finalize swaps that into the logical tree.
+pub(crate) const RELOAD_PROC: &str = "__reload";
+
+/// Transaction-id namespace for the controller's own transactions — twin
+/// repairs, operator repair attempts and reloads: above
 /// [`ADMIN_TXN_BASE`](crate::controller) so their ids are invisible to
-/// client id scans and the regular event subscription, and disjoint from
-/// reload ids.
+/// client id scans and the regular event subscription.
 pub(crate) const TWIN_TXN_BASE: crate::txn::TxnId = (1 << 62) | (1 << 61);
 
 /// Corrective transactions one operator `repair` runs at most. Some
@@ -66,20 +73,30 @@ pub(crate) const TWIN_TXN_BASE: crate::txn::TxnId = (1 << 62) | (1 << 61);
 /// left drift behind re-diffs and re-plans.
 pub(crate) const REPAIR_ATTEMPTS: u64 = 3;
 
-/// An operator `repair` in progress, carried as JSON in the `repair` label
-/// of its current corrective transaction's durable record: whichever leader
-/// finalizes an attempt — the one that admitted it or its successor after
-/// failover — knows where to write the answer and what to report.
+/// An operator `repair` or `reload` in progress, carried as JSON in the
+/// `repair` label (one label for both verbs; the record's procedure says
+/// which) of its current transaction's durable record: whichever leader
+/// finalizes it — the one that admitted it or its successor after failover
+/// — knows where to write the answer and what to report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct RepairEpisode {
     /// The operator's admin id: where the result is written.
     pub admin_id: u64,
     /// Attempts admitted so far (this transaction's 1-based number).
     pub attempt: u64,
-    /// Corrective calls the earlier attempts planned.
+    /// Repair: corrective calls the earlier attempts planned. Reload, once
+    /// absorbed: nodes replaced.
     pub actions: u64,
-    /// Distinct drifted paths when the repair passed its gates.
+    /// Distinct drifted paths attempt 1's worker found (repair), or the
+    /// swap replaced (reload).
     pub drifted: u64,
+    /// Diff entries the latest finished attempt's worker left in the scope
+    /// after running its plan.
+    #[serde(default)]
+    pub remaining: u64,
+    /// How many of those diffs no repair rule matched.
+    #[serde(default)]
+    pub unmatched: u64,
 }
 
 impl RepairEpisode {
@@ -89,8 +106,8 @@ impl RepairEpisode {
         vec![("repair".to_owned(), json)]
     }
 
-    /// The scope and episode a controller-owned corrective transaction
-    /// carries, if an operator is waiting on it.
+    /// The scope and episode a controller-owned transaction carries, if an
+    /// operator is waiting on it.
     pub fn of(rec: &TxnRecord) -> Option<(Path, Self)> {
         let (_, json) = rec.labels.iter().find(|(k, _)| k == "repair")?;
         let scope = Path::parse(rec.args.first()?.as_str()?).ok()?;
@@ -578,6 +595,8 @@ mod tests {
             attempt: 2,
             actions: 3,
             drifted: 4,
+            remaining: 5,
+            unmatched: 1,
         };
         let scope = vec![tropic_model::Value::from("/vmRoot/h1")];
         let mut rec = TxnRecord::new(TWIN_TXN_BASE + 1, TWIN_REPAIR_PROC, scope.clone(), 0);

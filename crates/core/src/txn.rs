@@ -1,6 +1,7 @@
 //! Transactions, their states, and execution logs (paper §3, Table 1).
 
 use serde::{Deserialize, Serialize};
+use tropic_devices::ActionCall;
 use tropic_model::{Path, Value};
 
 use crate::api::{AbortCode, Priority};
@@ -40,6 +41,34 @@ pub struct LogRecord {
     /// records written before this field existed replay unchanged.
     #[serde(default)]
     pub best_effort: bool,
+}
+
+impl LogRecord {
+    /// Record `seq`, running `call` with no undo (a reload's swap).
+    pub(crate) fn irreversible(seq: usize, call: ActionCall) -> Self {
+        LogRecord {
+            seq,
+            object: call.object,
+            action: call.action,
+            args: call.args,
+            undo_action: None,
+            undo_object: None,
+            undo_args: Vec::new(),
+            best_effort: false,
+        }
+    }
+
+    /// A repair's step `seq`: best-effort, and undone by the universal
+    /// no-op, so rolling back a half-run repair changes nothing in either
+    /// layer.
+    pub(crate) fn repair_step((seq, call): (usize, ActionCall)) -> Self {
+        let undo_action = Some(tropic_devices::NOOP_ACTION.to_owned());
+        LogRecord {
+            undo_action,
+            best_effort: true,
+            ..Self::irreversible(seq, call)
+        }
+    }
 }
 
 /// Life-cycle states of a transaction (paper Figure 2).

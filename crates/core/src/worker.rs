@@ -4,9 +4,11 @@
 //! Each worker claims transactions from `phyQ` (exactly-once via the
 //! queue's atomic delete), loads the execution log from the coordination
 //! store, replays it against the devices (or skips them in logical-only
-//! mode), and reports the outcome back through `inputQ`. Signals posted by
-//! the controller are polled between actions so stalled transactions can be
-//! TERMed or KILLed (paper §4).
+//! mode), and reports the outcome back through `inputQ`. Repair attempts
+//! and reloads read the devices here too, so the controller never does
+//! (`physical::execute_record`). Signals posted by the controller
+//! are polled between actions so stalled transactions can be TERMed or
+//! KILLed (paper §4).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -15,7 +17,8 @@ use tropic_coord::{CoordService, DistributedQueue};
 
 use crate::api::Priority;
 use crate::msg::{encode_input, layout, InputMsg, PhyTask, Signal};
-use crate::physical::{execute_physical, ExecMode};
+use crate::physical::{execute_record, ExecMode};
+use crate::reconcile::RepairRules;
 use crate::txn::TxnRecord;
 
 /// Maximum tasks claimed per round, in one atomic multi. Small, so one
@@ -32,8 +35,15 @@ const IDLE_BACKOFF_START: Duration = Duration::from_millis(50);
 const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(1_600);
 
 /// Runs one worker until `stop` becomes true. Designed to be spawned on a
-/// dedicated thread by the platform.
-pub fn run_worker(name: &str, coord: &CoordService, mode: ExecMode, stop: &AtomicBool) {
+/// dedicated thread by the platform. `rules` are the service's repair
+/// rules, which repair attempts plan with.
+pub fn run_worker(
+    name: &str,
+    coord: &CoordService,
+    mode: ExecMode,
+    rules: RepairRules,
+    stop: &AtomicBool,
+) {
     let client = coord.connect(name);
     // Workers block inside device calls for arbitrarily long; the pin
     // keeps the session alive meanwhile (a crashed worker thread still
@@ -90,7 +100,7 @@ pub fn run_worker(name: &str, coord: &CoordService, mode: ExecMode, stop: &Atomi
                 continue;
             };
             let signal_path = layout::signal(task.id);
-            let outcome = execute_physical(&rec.log, &mode, || {
+            let outcome = execute_record(&rec, &mode, &rules, || {
                 client.get_json::<Signal>(&signal_path).ok().flatten()
             });
             let msg = InputMsg::Result {
@@ -120,7 +130,8 @@ mod tests {
         mode: ExecMode,
         stop: Arc<AtomicBool>,
     ) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || run_worker("w-test", &coord, mode, &stop))
+        let rules = RepairRules::new();
+        std::thread::spawn(move || run_worker("w-test", &coord, mode, rules, &stop))
     }
 
     #[test]

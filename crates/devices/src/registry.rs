@@ -119,15 +119,6 @@ impl DeviceRegistry {
         tree
     }
 
-    /// Exports the physical state of a single subtree: the device owning
-    /// `scope` (or all devices under it) re-exported into a copy of the
-    /// frame. Returns `None` when no device covers the scope.
-    pub fn physical_subtree(&self, scope: &Path) -> Option<Tree> {
-        let tree = self.physical_tree();
-        tree.get(scope)?;
-        Some(tree)
-    }
-
     /// Publishes a [`StateReport`] for every device whose exported state or
     /// down flag changed since the last call with the same `ledger`.
     ///
@@ -363,16 +354,5 @@ mod tests {
         let changed = rx.drain();
         assert_eq!(changed[0].seq, 3);
         assert!(!changed[0].down);
-    }
-
-    #[test]
-    fn physical_subtree_scoped() {
-        let reg = registry();
-        let scope = Path::parse("/storageRoot").unwrap();
-        let sub = reg.physical_subtree(&scope).unwrap();
-        assert!(sub.exists(&Path::parse("/storageRoot/s1").unwrap()));
-        assert!(reg
-            .physical_subtree(&Path::parse("/unknown").unwrap())
-            .is_none());
     }
 }

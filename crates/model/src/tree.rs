@@ -86,6 +86,24 @@ impl Tree {
         }
     }
 
+    /// A tree holding only `node` at `mount` (nothing, for `None`), under
+    /// placeholder `frame` ancestors so the slot exists. A diff scoped to
+    /// `mount` never compares the placeholders, so one subtree can be
+    /// diffed — a device's reported state, a repair's desired state —
+    /// without a whole tree around it.
+    pub fn mounted(mount: &Path, node: Option<Node>) -> Tree {
+        let mut tree = Tree::new();
+        for slot in mount.ancestors_and_self() {
+            // The root already exists; inserting it fails harmlessly.
+            let _ = tree.insert(&slot, Node::new("frame"));
+        }
+        let _ = match node {
+            Some(node) => tree.replace(mount, node),
+            None => tree.remove(mount),
+        };
+        tree
+    }
+
     /// Immutable access to the root node.
     pub fn root(&self) -> &Node {
         &self.root
@@ -522,6 +540,27 @@ mod tests {
         assert!(d.iter().any(
             |e| matches!(e, DiffEntry::NodeRemoved { path, .. } if path.leaf() == Some("vm1"))
         ));
+    }
+
+    #[test]
+    fn mounted_tree_diffs_one_subtree() {
+        let full = sample();
+        let host = Path::parse("/vmRoot/host1").unwrap();
+        let alone = Tree::mounted(&host, full.get(&host).cloned());
+        assert!(full.diff(&alone, &host).is_empty());
+        assert_eq!(
+            alone
+                .get(&Path::parse("/vmRoot").unwrap())
+                .unwrap()
+                .entity(),
+            "frame"
+        );
+        // Nothing mounted: the whole subtree is missing.
+        let empty = Tree::mounted(&host, None);
+        assert_eq!(full.diff(&empty, &host).len(), 1);
+        // The root mounts by replacement.
+        let root = Tree::mounted(&Path::root(), Some(full.root().clone()));
+        assert!(full.diff(&root, &Path::root()).is_empty());
     }
 
     #[test]
