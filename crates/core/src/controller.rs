@@ -3,10 +3,12 @@
 //!
 //! Exactly one controller (the election leader) consumes `inputQ`, runs
 //! logical execution, feeds `phyQ`, and finalizes transactions from worker
-//! results. Every state transition is persisted to the coordination store
-//! *before* the step it enables, so any follower can resume from persistent
-//! state alone — the controller's in-memory tree, lock table, and queues are
-//! a cache (paper §2.3).
+//! results. Every state transition reaches the coordination store *before*
+//! the step it enables, so any follower can resume from persistent state
+//! alone — the controller's in-memory tree, lock table, and queues are a
+//! cache (paper §2.3). Its `records` hold live (`Accepted`/`Started`)
+//! transactions only; a finished one is written once more and dropped,
+//! leaving `retention` an entry to collect it by.
 //!
 //! ## The commit path
 //!
@@ -17,20 +19,6 @@
 //! and the replicated log pays its (dominant, §6.1) per-write cost once per
 //! round instead of once per record.
 //!
-//! ## Record retention
-//!
-//! A finalized record stays readable for `GC_GRACE_MS` or while it is
-//! among the newest `RETAIN_MAX` finalized records, whichever ends first.
-//! `Controller::collect_garbage` runs every round and puts its deletes in
-//! the same round batch, so collection costs no write of its own (a round
-//! with nothing else to flush lets the due records pile up for a second
-//! grace period and then collects them in one multi); it only
-//! collects records the last durably written checkpoint covers, and only
-//! znodes it knows exist — a `Delete` of a missing znode would fail the
-//! whole round. The idempotency-key dedup window closes with the record.
-//! Operator `repair`/`reload` results under `/tropic/admin` follow the same
-//! rule by age alone.
-//!
 //! ## No device reads or calls
 //!
 //! The leader holds no device handle. Every repair — the twin's and the
@@ -40,7 +28,8 @@
 //! twin's reported view and those workers' results are the leader's only
 //! picture of the devices, so nothing in `step()` waits on one.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,6 +48,7 @@ use crate::msg::{decode_input, layout, AdminResult, InputMsg, PhyTask, Signal};
 use crate::physical::PhysicalOutcome;
 use crate::proc::{FnProcedure, ProcRegistry};
 use crate::reconcile::distinct_paths;
+use crate::retention::Retention;
 use crate::stats::{Metrics, TxnSample};
 use crate::twin::{
     drift_fingerprint, RepairEpisode, TwinEvent, TwinFeed, TwinPhase, TwinTracker, RELOAD_PROC,
@@ -70,24 +60,12 @@ use crate::txn::{LogRecord, TxnAlias, TxnId, TxnRecord, TxnState};
 /// client-assigned ids; the admin gate probes the lock table under it.
 pub(crate) const ADMIN_TXN_BASE: TxnId = 1 << 62;
 
-/// How long finalized transaction records linger before garbage collection,
-/// so waiting clients can still read the outcome.
-const GC_GRACE_MS: u64 = 10_000;
-
-/// Finalized records retained before the oldest is collected regardless of
-/// age, so resident memory and store size stop scaling with throughput.
-const RETAIN_MAX: usize = 8_192;
-
-/// Records collected per round at most, so one round's multi stays small
-/// however large the backlog a checkpoint just made collectable.
-const GC_PER_ROUND: usize = 256;
-
 /// Maximum input-queue messages the controller admits per scheduling round,
 /// spread across the priority lanes in strict `hi` → `norm` → `batch`
 /// order.
-const INPUT_BATCH: usize = 64;
+pub(crate) const INPUT_BATCH: usize = 64;
 
-/// The persisted logical-layer checkpoint.
+/// The logical-layer checkpoint the store holds.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Checkpoint {
     /// JSON snapshot of the logical tree.
@@ -121,7 +99,7 @@ pub struct ControllerConfig {
 /// controller's in-memory state is authoritative, and a crash before the
 /// flush simply re-runs the round from the pre-round persistent state.
 #[derive(Default)]
-struct RoundBatch {
+pub(crate) struct RoundBatch {
     ops: Vec<Op>,
     /// Index into `ops` of the coalescible put for a path.
     puts: HashMap<Path, usize>,
@@ -130,6 +108,8 @@ struct RoundBatch {
 impl RoundBatch {
     /// Buffers a full-data write. `exists` picks create vs. set for the
     /// first put of a path; later puts in the round overwrite its payload.
+    /// A record is created by the round that admits it, so every later put
+    /// of it is a set.
     fn put(&mut self, path: Path, data: Vec<u8>, exists: bool) {
         if let Some(&i) = self.puts.get(&path) {
             match &mut self.ops[i] {
@@ -157,12 +137,17 @@ impl RoundBatch {
     }
 
     /// Buffers a deletion of a path this leader exclusively owns.
-    fn delete(&mut self, path: Path) {
+    pub(crate) fn delete(&mut self, path: Path) {
         self.puts.remove(&path);
         self.ops.push(Op::Delete {
             path,
             expected_version: None,
         });
+    }
+
+    /// Whether the round has nothing to flush yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ops.is_empty()
     }
 
     /// Buffers an arbitrary op (sequential queue appends).
@@ -195,34 +180,17 @@ pub struct Controller<'a> {
     /// with paper-faithful head-of-line blocking *within* the lane; a
     /// deferred head blocks only its own lane.
     todo: [VecDeque<TxnId>; 3],
+    /// Live (`Accepted`/`Started`) transactions.
     records: HashMap<TxnId, TxnRecord>,
-    running: HashSet<TxnId>,
-    started_at: HashMap<TxnId, u64>,
-    /// Transaction ids whose signal znode exists, kept until the record is
-    /// collected: TERM is sent once, and GC deletes only these.
-    signaled: HashSet<TxnId>,
+    /// Transactions in physical execution, with their start time.
+    running: HashMap<TxnId, u64>,
     inconsistent: BTreeSet<Path>,
     next_lsn: u64,
-    finalized_since_ckpt: u64,
-    /// Watermark of the last checkpoint durably written (or recovered).
-    ckpt_watermark: u64,
-    /// Retained finalized records, oldest first, with their finalize time.
-    gc_queue: VecDeque<(TxnId, u64)>,
-    /// Persisted operator results (admin ids), oldest first, with their
-    /// write time.
-    admin_gc: VecDeque<(u64, u64)>,
+    /// What is left of finished transactions until they are collected.
+    retention: Retention,
     batch: RoundBatch,
-    /// Transaction ids whose record znode exists (create vs. set hint).
-    persisted: HashSet<TxnId>,
     /// Whether the inconsistent-set znode exists yet.
-    inconsistent_persisted: bool,
-    /// Idempotency-key → admitted transaction id (dedup window = record
-    /// retention).
-    idemp: HashMap<String, TxnId>,
-    /// Alias id → original id, for redelivery dedup.
-    alias_targets: HashMap<TxnId, TxnId>,
-    /// Original id → alias ids pointing at it, for GC.
-    aliases_of: HashMap<TxnId, Vec<TxnId>>,
+    inconsistent_exists: bool,
     /// Per-resource twin state machine (drift episodes, backoff waker).
     twin: TwinTracker,
     /// Cached reported state per mount, refreshed when the twin epoch
@@ -265,21 +233,12 @@ impl<'a> Controller<'a> {
             locks: LockManager::new(),
             todo: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             records: HashMap::new(),
-            running: HashSet::new(),
-            started_at: HashMap::new(),
-            signaled: HashSet::new(),
+            running: HashMap::new(),
             inconsistent: BTreeSet::new(),
             next_lsn: 1,
-            finalized_since_ckpt: 0,
-            ckpt_watermark: 0,
-            gc_queue: VecDeque::new(),
-            admin_gc: VecDeque::new(),
+            retention: Retention::default(),
             batch: RoundBatch::default(),
-            persisted: HashSet::new(),
-            inconsistent_persisted: false,
-            idemp: HashMap::new(),
-            alias_targets: HashMap::new(),
-            aliases_of: HashMap::new(),
+            inconsistent_exists: false,
             twin,
             twin_reported: HashMap::new(),
             twin_epoch_seen: None,
@@ -301,7 +260,7 @@ impl<'a> Controller<'a> {
 
     // ------------------------------------------------------------------
     // Recovery (paper §2.3): restore the previous leader's state from the
-    // coordination store, idempotently.
+    // coordination store; running it again changes nothing.
     // ------------------------------------------------------------------
 
     /// Restores controller state from persistent storage. On the very first
@@ -319,8 +278,7 @@ impl<'a> Controller<'a> {
         self.client.create_all(&layout::admins())?;
         self.client.create_all(&layout::signals())?;
         self.batch.take();
-        self.persisted.clear();
-        self.inconsistent_persisted = self.client.exists(&layout::inconsistent())?;
+        self.inconsistent_exists = self.client.exists(&layout::inconsistent())?;
 
         // 1. Logical tree from the checkpoint (or bootstrap).
         let ckpt: Option<Checkpoint> = self.client.get_json(&layout::checkpoint())?;
@@ -348,47 +306,30 @@ impl<'a> Controller<'a> {
             }
         };
         self.next_lsn = watermark + 1;
-        self.ckpt_watermark = watermark;
 
-        // 2. Load every persisted transaction record, and rebuild the
-        // idempotency index and alias table from them (idempotency keys
-        // live on the records; aliases are persisted at the aliased id's
-        // record path).
-        self.records.clear();
-        self.idemp.clear();
-        self.alias_targets.clear();
-        self.aliases_of.clear();
-        for child in self.client.get_children(&layout::txns())? {
-            let path = layout::txns().join(&child);
+        // 2. Load every transaction record and alias the store holds (an
+        // alias sits at the aliased id's record path).
+        let names = self.client.get_children(&layout::txns())?;
+        let (mut loaded, mut aliases) = (Vec::new(), Vec::new());
+        for name in &names {
+            let path = layout::txns().join(name);
             if let Some(rec) = self.client.get_json::<TxnRecord>(&path)? {
-                if let Some(key) = &rec.idempotency_key {
-                    self.idemp.insert(key.clone(), rec.id);
-                }
-                self.persisted.insert(rec.id);
-                self.records.insert(rec.id, rec);
+                loaded.push(rec);
             } else if let (Ok(alias_id), Some(alias)) = (
-                child.parse::<TxnId>(),
+                name.parse::<TxnId>(),
                 self.client.get_json::<TxnAlias>(&path)?,
             ) {
-                self.alias_targets.insert(alias_id, alias.alias_of);
-                self.aliases_of
-                    .entry(alias.alias_of)
-                    .or_default()
-                    .push(alias_id);
+                aliases.push((alias_id, alias.alias_of));
             }
         }
 
         // 3. Replay logical effects above the watermark in lsn order.
-        let mut replay: Vec<&TxnRecord> = self
-            .records
-            .values()
-            .filter(|r| r.lsn.map(|l| l > watermark).unwrap_or(false))
+        let mut replay: Vec<(u64, &TxnRecord)> = (loaded.iter())
+            .filter_map(|r| Some((r.lsn.filter(|&lsn| lsn > watermark)?, r)))
             .collect();
-        replay.sort_by_key(|r| r.lsn);
-        let replay: Vec<TxnRecord> = replay.into_iter().cloned().collect();
+        replay.sort_unstable_by_key(|&(lsn, _)| lsn);
         let now = self.clock.now_ms();
-        for rec in &replay {
-            let lsn = rec.lsn.expect("filtered on lsn");
+        for (lsn, rec) in replay {
             // Twin repair logs carry *physical* corrections only — their
             // device actions were never applied logically (the logical tree
             // already holds desired state), so replaying them would corrupt
@@ -415,8 +356,7 @@ impl<'a> Controller<'a> {
                 // re-acquired, and the worker's result will arrive later.
                 TxnState::Started => {
                     let _ = self.locks.try_acquire(rec.id, &rec.locks);
-                    self.running.insert(rec.id);
-                    self.started_at.insert(rec.id, now);
+                    self.running.insert(rec.id, now);
                 }
                 // Finalized by rollback before the crash: reapply it.
                 TxnState::Aborted | TxnState::Failed if logical_log => {
@@ -427,21 +367,16 @@ impl<'a> Controller<'a> {
             self.next_lsn = self.next_lsn.max(lsn + 1);
         }
 
-        // Resume the twin transaction-id sequence above every persisted
-        // twin record, so re-submissions after failover never collide.
-        self.twin_next_seq = self
-            .records
-            .keys()
-            .chain(self.alias_targets.keys())
-            .filter(|&&id| id >= TWIN_TXN_BASE)
-            .map(|&id| id - TWIN_TXN_BASE + 1)
-            .max()
-            .unwrap_or(1);
+        // Resume the controller-owned id sequence above every id the store
+        // holds, so re-submissions after failover never collide.
+        let ids = names.iter().filter_map(|n| n.parse::<TxnId>().ok());
+        let owned = ids.filter(|&id| id >= TWIN_TXN_BASE);
+        self.twin_next_seq = owned.map(|id| id - TWIN_TXN_BASE + 1).max().unwrap_or(1);
         self.twin_inflight.clear();
         self.twin_epoch_seen = None;
         self.twin_reported.clear();
 
-        // 4. Re-mark persisted inconsistencies.
+        // 4. Re-mark the inconsistencies the store holds.
         if let Some(paths) = self.client.get_json::<Vec<Path>>(&layout::inconsistent())? {
             for p in paths {
                 let _ = self.tree.mark_inconsistent(&p, true);
@@ -449,7 +384,13 @@ impl<'a> Controller<'a> {
             }
         }
 
-        // 5. Rebuild the todoQ lanes from accepted-but-unscheduled
+        // 5. Retention learns every record, alias, signal and operator
+        // result; only the live records stay in memory.
+        self.retention = Retention::recover(self.client, &loaded, &aliases, watermark, now)?;
+        let live = loaded.into_iter().filter(|r| !r.state.is_final());
+        self.records = live.map(|r| (r.id, r)).collect();
+
+        // 6. Rebuild the todoQ lanes from accepted-but-unscheduled
         // transactions, each in admission (id) order within its lane.
         let mut accepted: Vec<(Priority, TxnId)> = self
             .records
@@ -462,23 +403,6 @@ impl<'a> Controller<'a> {
         for (priority, id) in accepted {
             self.todo[priority.index()].push_back(id);
         }
-
-        // 6. Schedule GC for already-finalized records, oldest first, and
-        // for the operator results left behind; relearn which records left
-        // a signal znode behind.
-        let mut finalized: Vec<(Option<u64>, TxnId)> = self
-            .records
-            .values()
-            .filter(|r| r.state.is_final())
-            .map(|r| (r.finished_ms, r.id))
-            .collect();
-        finalized.sort_unstable();
-        self.gc_queue = finalized.into_iter().map(|(_, id)| (id, now)).collect();
-        let admins = self.client.get_children(&layout::admins())?;
-        let admins = admins.iter().filter_map(|n| n.parse().ok());
-        self.admin_gc = admins.map(|id| (id, now)).collect();
-        let signals = self.client.get_children(&layout::signals())?;
-        self.signaled = signals.iter().filter_map(|n| n.parse().ok()).collect();
         Ok(())
     }
 
@@ -492,11 +416,11 @@ impl<'a> Controller<'a> {
     /// processed or transaction scheduled (callers idle-wait when `false`).
     pub fn step(&mut self) -> Result<bool, PlatformError> {
         let processed = self.process_input(INPUT_BATCH)?;
-        let scheduled = self.schedule();
+        let scheduled = self.schedule()?;
         let reconciled = self.twin_tick()?;
         self.check_timeouts()?;
         // Never "work": an idle leader still sleeps on its watches.
-        self.collect_garbage();
+        self.retention.collect(self.clock.now_ms(), &mut self.batch);
         // The round flush: everything the round decided becomes
         // durable — and visible to workers and clients — atomically, before
         // any step it enables (checkpointing covers only flushed state).
@@ -581,106 +505,71 @@ impl<'a> Controller<'a> {
                 rec.deadline_ms = deadline_ms;
                 rec.idempotency_key = idempotency_key;
                 rec.labels = labels;
-                self.handle_submit(rec);
-                Ok(())
+                self.handle_submit(rec)
             }
-            InputMsg::Result { id, outcome } => {
-                self.handle_result(id, outcome);
-                Ok(())
-            }
+            InputMsg::Result { id, outcome } => self.handle_result(id, outcome),
             InputMsg::Signal { id, signal } => self.handle_signal(id, signal),
             InputMsg::Repair { scope, admin_id } => {
-                self.start_episode("repair", TWIN_REPAIR_PROC, &scope, admin_id);
-                Ok(())
+                self.start_episode("repair", TWIN_REPAIR_PROC, &scope, admin_id)
             }
             InputMsg::Reload { scope, admin_id } => {
-                self.start_episode("reload", RELOAD_PROC, &scope, admin_id);
-                Ok(())
+                self.start_episode("reload", RELOAD_PROC, &scope, admin_id)
             }
         }
     }
 
     /// Step 2 of the paper's Figure 2, extended with the admission gate:
-    /// idempotency-key dedup first, then the deadline check, then
-    /// acceptance into the priority's `todoQ` lane.
-    fn handle_submit(&mut self, mut rec: TxnRecord) {
+    /// redelivery and key dedup first, then the deadline check, then
+    /// acceptance into the priority's `todoQ` lane. The admitting round
+    /// creates the record (or the alias) whatever the gate decides.
+    fn handle_submit(&mut self, mut rec: TxnRecord) -> Result<(), PlatformError> {
         let id = rec.id;
-        if self.records.contains_key(&id) || self.alias_targets.contains_key(&id) {
-            // Duplicate delivery after a crash between persist and queue
-            // removal: already accepted (or already aliased).
-            return;
+        if self.retention.knows(id) {
+            // Duplicate delivery after a crash between the record's write
+            // and the queue removal: already admitted, finished or aliased.
+            return Ok(());
         }
-        if let Some(key) = &rec.idempotency_key {
-            if let Some(&original) = self.idemp.get(key) {
-                // Dedup: persist a redirect at this id's record path so
-                // the submitter's handle resolves to the original
-                // transaction's outcome.
-                self.metrics.record_idempotent_hit();
-                self.persist_alias(id, original);
-                return;
-            }
-        }
-        let now = self.clock.now_ms();
-        if let Some(deadline) = rec.deadline_ms {
-            if now > deadline {
-                // Expired before admission: abort without ever scheduling.
-                // The key is deliberately *not* registered — a retry with a
-                // fresh deadline must run, not dedup onto this rejection.
-                rec.idempotency_key = None;
-                rec.state = TxnState::Accepted;
-                self.records.insert(id, rec);
-                self.metrics.record_deadline_reject();
-                self.finalize_coded(
-                    id,
-                    TxnState::Aborted,
-                    Some(format!(
-                        "deadline ({deadline} ms) expired before admission (now {now} ms)"
-                    )),
-                    Some(AbortCode::DeadlineExpired),
-                );
-                return;
-            }
-        }
-        if let Some(key) = &rec.idempotency_key {
-            self.idemp.insert(key.clone(), id);
+        if let Some(original) = self.retention.admit(&rec) {
+            // Dedup: a redirect at this id's record path resolves the
+            // submitter's handle to the original transaction's outcome.
+            self.metrics.record_idempotent_hit();
+            let alias = encode("alias", &TxnAlias { alias_of: original })?;
+            self.batch.put(layout::txn(id), alias, false);
+            return Ok(());
         }
         rec.state = TxnState::Accepted;
+        self.persist_record(&rec, false)?;
+        let now = self.clock.now_ms();
+        if let Some(deadline) = rec.deadline_ms.filter(|&d| now > d) {
+            // Expired before admission: abort without ever scheduling.
+            self.metrics.record_deadline_reject();
+            let error = format!("deadline ({deadline} ms) expired before admission (now {now} ms)");
+            let code = Some(AbortCode::DeadlineExpired);
+            return self.finalize(rec, TxnState::Aborted, Some(error), code);
+        }
         let priority = rec.priority;
-        self.persist_record(&rec);
         self.records.insert(id, rec);
         self.metrics.record_admission(priority);
         self.todo[priority.index()].push_back(id);
-    }
-
-    /// Persists an idempotency redirect (`alias` → `original`) at the
-    /// alias id's record path and indexes it for GC.
-    fn persist_alias(&mut self, alias: TxnId, original: TxnId) {
-        let data =
-            serde_json::to_vec(&TxnAlias { alias_of: original }).expect("serializable alias");
-        self.batch.put(layout::txn(alias), data, false);
-        self.alias_targets.insert(alias, original);
-        self.aliases_of.entry(original).or_default().push(alias);
+        Ok(())
     }
 
     /// Step 5 of Figure 2: clean up after physical execution.
-    fn handle_result(&mut self, id: TxnId, outcome: PhysicalOutcome) {
-        let Some(rec) = self.records.get_mut(&id) else {
-            return;
+    fn handle_result(&mut self, id: TxnId, outcome: PhysicalOutcome) -> Result<(), PlatformError> {
+        let Some(mut rec) = self.take_started(id) else {
+            // Finished already (e.g. by KILL): drop the stale result.
+            return Ok(());
         };
-        if rec.state != TxnState::Started {
-            // Already finalized (e.g. by KILL); drop the stale result.
-            return;
-        }
-        let log = rec.log.clone();
         match outcome {
-            PhysicalOutcome::Committed => self.finalize(id, TxnState::Committed, None),
+            PhysicalOutcome::Committed => self.finalize(rec, TxnState::Committed, None, None),
             PhysicalOutcome::Aborted { failed_seq, error } => {
-                self.rollback_in_logical(&log);
+                self.rollback_in_logical(&rec.log);
                 // Seq 0: no action failed (TERM, or a worker that refused
                 // the transaction), so the error is the whole reason.
                 let at =
                     (failed_seq > 0).then(|| format!("physical action #{failed_seq} failed: "));
-                self.finalize(id, TxnState::Aborted, Some(at.unwrap_or_default() + &error));
+                let error = at.unwrap_or_default() + &error;
+                self.finalize(rec, TxnState::Aborted, Some(error), None)
             }
             PhysicalOutcome::Failed {
                 failed_seq,
@@ -689,16 +578,16 @@ impl<'a> Controller<'a> {
                 undo_error,
                 inconsistent_object,
             } => {
-                self.rollback_in_logical(&log);
+                self.rollback_in_logical(&rec.log);
                 self.mark_inconsistent(&inconsistent_object);
                 let error = format!("action #{failed_seq} failed ({error}); undo #{undo_failed_seq} also failed ({undo_error})");
-                self.finalize(id, TxnState::Failed, Some(error));
+                self.finalize(rec, TxnState::Failed, Some(error), None)
             }
             PhysicalOutcome::Killed { .. } => {
                 // The controller killed this transaction already; if we get
                 // here the record is somehow still Started, so abort it the
                 // KILL way for safety.
-                self.kill_logically(id, "worker abandoned after KILL");
+                self.kill_logically(rec, "worker abandoned after KILL")
             }
             PhysicalOutcome::Reconciled {
                 calls,
@@ -710,67 +599,62 @@ impl<'a> Controller<'a> {
                 // operator's episode learns what they left behind, and what
                 // drifted to begin with from attempt 1.
                 rec.log = calls;
-                if let Some((_, mut episode)) = RepairEpisode::of(rec) {
+                if let Some((_, mut episode)) = RepairEpisode::of(&rec) {
                     if episode.attempt == 1 {
                         episode.drifted = drifted;
                     }
                     (episode.remaining, episode.unmatched) = (remaining, unmatched);
                     rec.labels = episode.labels();
                 }
-                self.finalize(id, TxnState::Committed, None);
+                self.finalize(rec, TxnState::Committed, None, None)
             }
-            PhysicalOutcome::Retrieved(subtree) => match self.absorb_reload(id, subtree) {
-                Ok(()) => self.finalize(id, TxnState::Committed, None),
-                Err(refusal) => self.finalize(id, TxnState::Aborted, Some(refusal)),
+            PhysicalOutcome::Retrieved(subtree) => match self.absorb_reload(&mut rec, subtree) {
+                Ok(()) => self.finalize(rec, TxnState::Committed, None, None),
+                Err(refusal) => self.finalize(rec, TxnState::Aborted, Some(refusal), None),
             },
         }
     }
 
-    fn handle_signal(&mut self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
-        let Some(rec) = self.records.get(&id) else {
-            return Ok(());
-        };
-        if rec.state != TxnState::Started {
-            return Ok(());
+    /// Takes `id`'s record out of the live set if it is `Started`: only
+    /// such a transaction takes a worker's result or a signal.
+    fn take_started(&mut self, id: TxnId) -> Option<TxnRecord> {
+        match self.records.entry(id) {
+            Entry::Occupied(e) if e.get().state == TxnState::Started => Some(e.remove()),
+            _ => None,
         }
-        match signal {
-            Signal::Term => self.send_signal(id, Signal::Term)?,
-            Signal::Kill => {
-                self.send_signal(id, Signal::Kill)?;
-                self.kill_logically(id, "killed by operator");
-            }
-        }
-        Ok(())
     }
 
-    /// Writes the transaction's signal znode for its worker to poll, and
-    /// remembers that it exists so GC can delete it with the record.
+    fn handle_signal(&mut self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
+        let Some(rec) = self.take_started(id) else {
+            return Ok(());
+        };
+        self.send_signal(id, signal)?;
+        match signal {
+            Signal::Term => {
+                self.records.insert(id, rec);
+                Ok(())
+            }
+            Signal::Kill => self.kill_logically(rec, "killed by operator"),
+        }
+    }
+
+    /// Writes the transaction's signal znode for its worker to poll;
+    /// retention remembers it, so collection deletes it with the record.
     fn send_signal(&mut self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
-        self.client.put_json(&layout::signal(id), &signal)?;
-        self.signaled.insert(id);
-        Ok(())
+        self.retention.signal(id);
+        Ok(self.client.put_json(&layout::signal(id), &signal)?)
     }
 
     /// The KILL semantics of §4: abort immediately in the logical layer
     /// only; physical state may now diverge, so every object the execution
     /// log touches is marked inconsistent pending `repair`.
-    fn kill_logically(&mut self, id: TxnId, reason: &str) {
-        let Some(rec) = self.records.get(&id) else {
-            return;
-        };
-        let log = rec.log.clone();
-        self.rollback_in_logical(&log);
-        let mut objects: Vec<Path> = log.iter().map(|r| r.object.clone()).collect();
-        objects.dedup();
-        for object in objects {
-            self.mark_inconsistent(&object);
+    fn kill_logically(&mut self, rec: TxnRecord, reason: &str) -> Result<(), PlatformError> {
+        self.rollback_in_logical(&rec.log);
+        for log_rec in &rec.log {
+            self.mark_inconsistent(&log_rec.object);
         }
-        self.finalize_coded(
-            id,
-            TxnState::Aborted,
-            Some(reason.to_owned()),
-            Some(AbortCode::Killed),
-        )
+        let code = Some(AbortCode::Killed);
+        self.finalize(rec, TxnState::Aborted, Some(reason.to_owned()), code)
     }
 
     fn rollback_in_logical(&mut self, log: &[LogRecord]) {
@@ -779,7 +663,7 @@ impl<'a> Controller<'a> {
             // A logical undo that cannot apply means the cached tree is
             // unreliable; quarantine the affected subtree.
             if let Some(first) = log.first() {
-                self.mark_inconsistent(&first.object.clone());
+                self.mark_inconsistent(&first.object);
             }
             self.metrics.record_event(
                 self.clock.now_ms(),
@@ -795,18 +679,18 @@ impl<'a> Controller<'a> {
     /// conflict. Head-of-line blocking is per lane, so a deferred batch
     /// transaction never holds up the high lane. Returns the number of
     /// transactions moved to the physical layer or finalized.
-    fn schedule(&mut self) -> usize {
-        let mut moved = 0;
-        for lane in 0..self.todo.len() {
-            moved += self.schedule_lane(lane);
-        }
-        moved
+    fn schedule(&mut self) -> Result<usize, PlatformError> {
+        (0..self.todo.len())
+            .map(|lane| self.schedule_lane(lane))
+            .sum()
     }
 
-    fn schedule_lane(&mut self, lane: usize) -> usize {
+    /// Simulates each head of `lane` on the record taken out of the live
+    /// set, so every outcome ends in one re-insert or one finalize.
+    fn schedule_lane(&mut self, lane: usize) -> Result<usize, PlatformError> {
         let mut moved = 0;
         while let Some(&id) = self.todo[lane].front() {
-            let Some(mut rec) = self.records.get(&id).cloned() else {
+            let Some(mut rec) = self.records.remove(&id) else {
                 self.todo[lane].pop_front();
                 continue;
             };
@@ -816,38 +700,18 @@ impl<'a> Controller<'a> {
             let now = self.clock.now_ms();
             if let Some(deadline) = rec.deadline_ms.filter(|&d| now > d) {
                 self.todo[lane].pop_front();
-                // Unregister the idempotency key (and strip it from the
-                // persisted record, so recovery does not re-register it):
-                // as at the admission gate, a retry with a fresh deadline
-                // must run, not dedup onto this rejection.
-                if let Some(key) = rec.idempotency_key.take() {
-                    if self.idemp.get(&key) == Some(&id) {
-                        self.idemp.remove(&key);
-                    }
-                }
-                self.records.insert(id, rec);
                 self.metrics.record_deadline_reject();
-                self.finalize_coded(
-                    id,
-                    TxnState::Aborted,
-                    Some(format!(
-                        "deadline ({deadline} ms) expired in todoQ (now {now} ms)"
-                    )),
-                    Some(AbortCode::DeadlineExpired),
-                );
+                let error = format!("deadline ({deadline} ms) expired in todoQ (now {now} ms)");
+                let code = Some(AbortCode::DeadlineExpired);
+                self.finalize(rec, TxnState::Aborted, Some(error), code)?;
                 moved += 1;
                 continue;
             }
             let Some(proc_) = self.procs.get(&rec.proc_name) else {
                 self.todo[lane].pop_front();
-                let proc_name = rec.proc_name.clone();
-                self.records.insert(id, rec);
-                self.finalize_coded(
-                    id,
-                    TxnState::Aborted,
-                    Some(format!("unknown procedure `{proc_name}`")),
-                    Some(AbortCode::UnknownProcedure),
-                );
+                let error = format!("unknown procedure `{}`", rec.proc_name);
+                let code = Some(AbortCode::UnknownProcedure);
+                self.finalize(rec, TxnState::Aborted, Some(error), code)?;
                 moved += 1;
                 continue;
             };
@@ -868,11 +732,10 @@ impl<'a> Controller<'a> {
                     rec.lsn = Some(self.next_lsn);
                     self.next_lsn += 1;
                     rec.locks = self.locks.locks_of(id);
-                    self.persist_record(&rec);
+                    self.persist_record(&rec, true)?;
                     self.records.insert(id, rec);
-                    self.running.insert(id);
-                    self.started_at.insert(id, self.clock.now_ms());
-                    let task = serde_json::to_vec(&PhyTask { id }).expect("serializable");
+                    self.running.insert(id, self.clock.now_ms());
+                    let task = encode("phyQ task", &PhyTask { id })?;
                     let q = DistributedQueue::bind(self.client, layout::phy_q());
                     // The task becomes visible to workers atomically with
                     // the Started record at the round flush.
@@ -890,92 +753,70 @@ impl<'a> Controller<'a> {
                 }
                 LogicalOutcome::Aborted { reason } => {
                     self.todo[lane].pop_front();
-                    self.records.insert(id, rec);
                     self.metrics.record_violation();
-                    self.finalize(id, TxnState::Aborted, Some(reason));
+                    self.finalize(rec, TxnState::Aborted, Some(reason), None)?;
                     moved += 1;
                 }
             }
         }
-        moved
+        Ok(moved)
     }
 
-    /// Finalizes a transaction: persist the terminal state, release locks,
-    /// record metrics, and queue the record for GC.
-    fn finalize(&mut self, id: TxnId, state: TxnState, error: Option<String>) {
-        self.finalize_coded(id, state, error, None);
-    }
-
-    /// [`Controller::finalize`] carrying a machine-readable abort code for
-    /// platform-originated rejections.
-    fn finalize_coded(
+    /// Finalizes a live transaction: persist the terminal state — the
+    /// record's last write, which it moves into — release locks, record
+    /// metrics, and leave retention an entry to collect it by. `abort_code`
+    /// classifies platform-originated rejections.
+    fn finalize(
         &mut self,
-        id: TxnId,
+        mut rec: TxnRecord,
         state: TxnState,
         error: Option<String>,
         abort_code: Option<AbortCode>,
-    ) {
-        let now = self.clock.now_ms();
-        let Some(rec) = self.records.get_mut(&id) else {
-            return;
-        };
-        rec.state = state;
-        rec.error = error;
-        rec.abort_code = abort_code;
+    ) -> Result<(), PlatformError> {
+        let (id, now) = (rec.id, self.clock.now_ms());
+        (rec.state, rec.error, rec.abort_code) = (state, error, abort_code);
         rec.finished_ms = Some(now);
-        let rec_clone = rec.clone();
-        self.persist_record(&rec_clone);
+        self.retention.finalize(&mut rec, now);
+        self.persist_record(&rec, true)?;
         self.locks.release_all(id);
         self.running.remove(&id);
-        self.started_at.remove(&id);
         self.metrics.record_txn(TxnSample {
             id,
-            submitted_ms: rec_clone.submitted_ms,
+            submitted_ms: rec.submitted_ms,
             finished_ms: now,
             state,
-            defer_count: rec_clone.defer_count,
+            defer_count: rec.defer_count,
         });
-        self.finalized_since_ckpt += 1;
-        self.gc_queue.push_back((id, now));
-        self.episode_step(&rec_clone);
+        self.episode_step(&rec)
     }
 
     /// TERM, then KILL, transactions stuck in physical execution (paper §4).
     fn check_timeouts(&mut self) -> Result<(), PlatformError> {
         let now = self.clock.now_ms();
-        let stalled: Vec<(TxnId, u64)> = self
-            .running
-            .iter()
-            .filter_map(|id| {
-                self.started_at
-                    .get(id)
-                    .map(|s| (*id, now.saturating_sub(*s)))
-            })
+        let running = self.running.iter();
+        let stalled: Vec<_> = running
+            .map(|(&id, &at)| (id, now.saturating_sub(at)))
             .collect();
         for (id, elapsed) in stalled {
-            if let Some(kill_ms) = self.cfg.kill_timeout_ms {
-                if elapsed > kill_ms {
+            if self.cfg.kill_timeout_ms.is_some_and(|ms| elapsed > ms) {
+                if let Some(rec) = self.take_started(id) {
                     self.send_signal(id, Signal::Kill)?;
-                    self.kill_logically(id, "killed after stall timeout");
-                    continue;
+                    self.kill_logically(rec, "killed after stall timeout")?;
                 }
-            }
-            if let Some(term_ms) = self.cfg.term_timeout_ms {
-                if elapsed > term_ms && !self.signaled.contains(&id) {
-                    self.send_signal(id, Signal::Term)?;
-                }
+            } else if self.cfg.term_timeout_ms.is_some_and(|ms| elapsed > ms)
+                && self.retention.signal(id)
+            {
+                // TERM once: the first signal marks it.
+                self.client.put_json(&layout::signal(id), &Signal::Term)?;
             }
         }
         Ok(())
     }
 
-    /// Quiescent checkpointing. Remembers the watermark it durably wrote:
-    /// record GC collects nothing above it.
+    /// Quiescent checkpointing. Retention learns the watermark it durably
+    /// wrote: record GC collects nothing above it.
     fn maybe_checkpoint(&mut self) -> Result<(), PlatformError> {
-        if self.cfg.checkpoint_every == 0
-            || self.finalized_since_ckpt < self.cfg.checkpoint_every
-            || !self.running.is_empty()
-        {
+        if !self.retention.checkpoint_due(self.cfg.checkpoint_every) || !self.running.is_empty() {
             return Ok(());
         }
         let watermark = self.next_lsn - 1;
@@ -987,74 +828,9 @@ impl<'a> Controller<'a> {
             watermark_lsn: watermark,
         };
         self.client.put_json(&layout::checkpoint(), &ckpt)?;
-        self.ckpt_watermark = watermark;
-        self.finalized_since_ckpt = 0;
+        self.retention.checkpointed(watermark);
         self.metrics.record_checkpoint();
         Ok(())
-    }
-
-    /// Collects the oldest retained records — at most [`GC_PER_ROUND`] —
-    /// into the round batch, while the oldest is covered by the last
-    /// checkpoint (recovery would otherwise lose its logical effects) and
-    /// is either past the grace period or pushed out by [`RETAIN_MAX`]
-    /// newer ones, and the operator results past the grace period — at most
-    /// as many again. Deletes only znodes known to exist: one missing path
-    /// would fail the whole round's multi.
-    ///
-    /// The deletes ride a flush that is happening anyway. A round with
-    /// nothing else to flush would pay a quorum write for them alone, so it
-    /// collects by age only once the oldest entry is a second grace period
-    /// old — then everything due goes at once, not one entry per idle tick.
-    fn collect_garbage(&mut self) {
-        let now = self.clock.now_ms();
-        let fronts = [self.gc_queue.front(), self.admin_gc.front()];
-        let Some(oldest) = fronts.into_iter().flatten().map(|&(_, at)| at).min() else {
-            return;
-        };
-        if self.batch.ops.is_empty()
-            && now.saturating_sub(oldest) < 2 * GC_GRACE_MS
-            && self.gc_queue.len() <= RETAIN_MAX
-        {
-            return;
-        }
-        let due = |&mut (_, at): &mut (u64, u64)| now.saturating_sub(at) >= GC_GRACE_MS;
-        let results = std::iter::from_fn(|| self.admin_gc.pop_front_if(due));
-        for (admin_id, _) in results.take(GC_PER_ROUND) {
-            self.batch.delete(layout::admin(admin_id));
-        }
-        for _ in 0..GC_PER_ROUND {
-            let Some(&(id, finalized_at)) = self.gc_queue.front() else {
-                break;
-            };
-            let due =
-                now.saturating_sub(finalized_at) >= GC_GRACE_MS || self.gc_queue.len() > RETAIN_MAX;
-            let covered = self
-                .records
-                .get(&id)
-                .and_then(|r| r.lsn)
-                .is_none_or(|lsn| lsn <= self.ckpt_watermark);
-            if !due || !covered {
-                break;
-            }
-            self.gc_queue.pop_front();
-            if self.persisted.remove(&id) {
-                self.batch.delete(layout::txn(id));
-            }
-            if self.signaled.remove(&id) {
-                self.batch.delete(layout::signal(id));
-            }
-            // The dedup window closes with the record: drop its
-            // idempotency key and any aliases pointing at it.
-            if let Some(key) = self.records.remove(&id).and_then(|r| r.idempotency_key) {
-                if self.idemp.get(&key) == Some(&id) {
-                    self.idemp.remove(&key);
-                }
-            }
-            for alias in self.aliases_of.remove(&id).unwrap_or_default() {
-                self.batch.delete(layout::txn(alias));
-                self.alias_targets.remove(&alias);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1089,13 +865,9 @@ impl<'a> Controller<'a> {
             // Never stack a second repair behind one still holding the
             // scope's locks (it would head-of-line block its lane);
             // re-detection waits for the in-flight outcome instead.
-            if let Some(&tid) = self.twin_inflight.get(&mount) {
-                let done = self
-                    .records
-                    .get(&tid)
-                    .map(|r| r.state.is_final())
-                    .unwrap_or(true);
-                if !done {
+            // A transaction no longer live has finished.
+            if let Some(tid) = self.twin_inflight.get(&mount) {
+                if self.records.contains_key(tid) {
                     continue;
                 }
                 self.twin_inflight.remove(&mount);
@@ -1171,7 +943,8 @@ impl<'a> Controller<'a> {
                 // after backoff mints a fresh attempt number and runs.
                 let key = format!("twin:{mount}:{fp:x}:{attempt}");
                 let labels = vec![("origin".to_owned(), "twin".to_owned())];
-                let id = self.admit_internal(TWIN_REPAIR_PROC, &mount, priority, Some(key), labels);
+                let id =
+                    self.admit_internal(TWIN_REPAIR_PROC, &mount, priority, Some(key), labels)?;
                 self.twin_inflight.insert(mount.clone(), id);
                 if self.twin.phase_of(&mount) == Some(TwinPhase::Reconciling) {
                     self.publish_twin(
@@ -1246,18 +1019,16 @@ impl<'a> Controller<'a> {
         proc_name: &str,
         scope: &Path,
         priority: Priority,
-        idempotency_key: Option<String>,
+        key: Option<String>,
         labels: Vec<(String, String)>,
-    ) -> TxnId {
+    ) -> Result<TxnId, PlatformError> {
         let id = TWIN_TXN_BASE + self.twin_next_seq;
         self.twin_next_seq += 1;
         let args = vec![Value::from(scope.to_string())];
         let mut rec = TxnRecord::new(id, proc_name, args, self.clock.now_ms());
-        rec.priority = priority;
-        rec.idempotency_key = idempotency_key;
-        rec.labels = labels;
-        self.handle_submit(rec);
-        id
+        (rec.priority, rec.idempotency_key, rec.labels) = (priority, key, labels);
+        self.handle_submit(rec)?;
+        Ok(id)
     }
 
     /// `repair` pushes the logical layer's view onto drifted devices;
@@ -1270,7 +1041,13 @@ impl<'a> Controller<'a> {
     /// `self.tree` already holds a `Started` one's effects, and a repair
     /// planned under it would push its not-yet-executed actions onto the
     /// devices.
-    fn start_episode(&mut self, verb: &str, proc_name: &str, scope: &Path, admin_id: u64) {
+    fn start_episode(
+        &mut self,
+        verb: &str,
+        proc_name: &str,
+        scope: &Path,
+        admin_id: u64,
+    ) -> Result<(), PlatformError> {
         let episode = RepairEpisode {
             admin_id,
             attempt: 1,
@@ -1281,12 +1058,14 @@ impl<'a> Controller<'a> {
         self.locks.release_all(ADMIN_TXN_BASE);
         if let Some(at) = conflict.map(|c| c.path) {
             let message = format!("{verb} conflicts with outstanding transaction at {at}");
-            return self.answer(&episode, false, message);
+            self.answer(&episode, false, message);
+            return Ok(());
         }
         if proc_name == TWIN_REPAIR_PROC {
             self.metrics.record_repair();
         }
-        self.admit_internal(proc_name, scope, Priority::High, None, episode.labels());
+        self.admit_internal(proc_name, scope, Priority::High, None, episode.labels())?;
+        Ok(())
     }
 
     /// Continues the operator episode a just-finalized record carries, if
@@ -1295,9 +1074,9 @@ impl<'a> Controller<'a> {
     /// [`REPAIR_ATTEMPTS`]; otherwise the answer rides this round's multi,
     /// beside the record it reports on. A transaction that did not commit
     /// (refused outside physical mode, TERMed, KILLed) answers its error.
-    fn episode_step(&mut self, rec: &TxnRecord) {
+    fn episode_step(&mut self, rec: &TxnRecord) -> Result<(), PlatformError> {
         let Some((scope, mut episode)) = RepairEpisode::of(rec) else {
-            return;
+            return Ok(());
         };
         let committed = rec.state == TxnState::Committed;
         let repair = rec.proc_name == TWIN_REPAIR_PROC;
@@ -1306,8 +1085,8 @@ impl<'a> Controller<'a> {
             if episode.remaining > 0 && !rec.log.is_empty() && episode.attempt < REPAIR_ATTEMPTS {
                 episode.attempt += 1;
                 let labels = episode.labels();
-                self.admit_internal(TWIN_REPAIR_PROC, &scope, Priority::High, None, labels);
-                return;
+                self.admit_internal(TWIN_REPAIR_PROC, &scope, Priority::High, None, labels)?;
+                return Ok(());
             }
         }
         let (left, unmatched) = (episode.remaining, episode.unmatched);
@@ -1323,6 +1102,7 @@ impl<'a> Controller<'a> {
             self.clear_inconsistent_under(&scope);
         }
         self.answer(&episode, ok, message);
+        Ok(())
     }
 
     /// A reload's finalize: swap the subtree its worker retrieved into the
@@ -1332,9 +1112,8 @@ impl<'a> Controller<'a> {
     /// `__replaceSubtree` log recovery replays in lsn order; otherwise
     /// restore the old subtree and abort. The scope stayed W-locked since
     /// the reload was scheduled, so nothing else changed it meanwhile.
-    fn absorb_reload(&mut self, id: TxnId, subtree: Option<Node>) -> Result<(), String> {
-        let rec = self.records.get(&id);
-        let (scope, mut episode) = rec.and_then(RepairEpisode::of).ok_or("not a reload")?;
+    fn absorb_reload(&mut self, rec: &mut TxnRecord, subtree: Option<Node>) -> Result<(), String> {
+        let (scope, mut episode) = RepairEpisode::of(rec).ok_or("not a reload")?;
         let subtree = subtree.ok_or_else(|| format!("no physical state at {scope}"))?;
         let snapshot = serde_json::to_string(&subtree)
             .map_err(|e| format!("reload aborted: cannot encode {scope}: {e}"))?;
@@ -1348,10 +1127,7 @@ impl<'a> Controller<'a> {
         episode.drifted =
             distinct_paths(&Tree::mounted(&scope, Some(old)).diff(&self.tree, &scope)) as u64;
         let swap = ActionCall::new(scope.clone(), "__replaceSubtree", vec![snapshot.into()]);
-        let swap = LogRecord::irreversible(1, swap);
-        if let Some(rec) = self.records.get_mut(&id) {
-            (rec.log, rec.labels) = (vec![swap], episode.labels());
-        }
+        (rec.log, rec.labels) = (vec![LogRecord::irreversible(1, swap)], episode.labels());
         self.metrics.record_reload();
         Ok(())
     }
@@ -1360,11 +1136,12 @@ impl<'a> Controller<'a> {
     // Helpers.
     // ------------------------------------------------------------------
 
-    fn persist_record(&mut self, rec: &TxnRecord) {
-        let data = serde_json::to_vec(rec).expect("serializable record");
-        let exists = self.persisted.contains(&rec.id);
+    /// Buffers `rec`'s write: a create in the round that admits it
+    /// (`exists` false), a set in every later one.
+    fn persist_record(&mut self, rec: &TxnRecord, exists: bool) -> Result<(), PlatformError> {
+        let data = encode("record", rec)?;
         self.batch.put(layout::txn(rec.id), data, exists);
-        self.persisted.insert(rec.id);
+        Ok(())
     }
 
     /// Answers the operator waiting on `episode`, with what it has counted
@@ -1381,8 +1158,8 @@ impl<'a> Controller<'a> {
         };
         if let Ok(data) = serde_json::to_vec(&result) {
             self.batch.put(layout::admin(episode.admin_id), data, false);
-            self.admin_gc
-                .push_back((episode.admin_id, self.clock.now_ms()));
+            self.retention
+                .answered(episode.admin_id, self.clock.now_ms());
         }
     }
 
@@ -1412,10 +1189,17 @@ impl<'a> Controller<'a> {
     fn persist_inconsistent(&mut self) {
         let paths: Vec<&Path> = self.inconsistent.iter().collect();
         let data = serde_json::to_vec(&paths).expect("serializable paths");
-        let exists = self.inconsistent_persisted;
+        let exists = self.inconsistent_exists;
         self.batch.put(layout::inconsistent(), data, exists);
-        self.inconsistent_persisted = true;
+        self.inconsistent_exists = true;
     }
+}
+
+/// Encodes a store payload. A value that cannot encode fail-stops the
+/// leader the way a failed flush does.
+fn encode<T: serde::Serialize>(what: &str, value: &T) -> Result<Vec<u8>, PlatformError> {
+    serde_json::to_vec(value)
+        .map_err(|e| PlatformError::Coord(format!("cannot encode {what}: {e}")))
 }
 
 /// Registers what the controller itself relies on. Its own procedures each
@@ -1455,7 +1239,7 @@ fn register_builtins(actions: &mut ActionRegistry, procs: &mut ProcRegistry) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::msg::encode_input;
     use crate::physical::{execute_record, ExecMode};
@@ -1518,7 +1302,7 @@ mod tests {
     }
 
     /// Claims the one queued phyQ task and returns its record.
-    fn claim(client: &CoordClient) -> TxnRecord {
+    pub(crate) fn claim(client: &CoordClient) -> TxnRecord {
         let phy_q = DistributedQueue::bind(client, layout::phy_q());
         let (_, task) = phy_q.try_dequeue_batch(1).unwrap().remove(0);
         let id = serde_json::from_slice::<PhyTask>(&task).unwrap().id;
@@ -1596,12 +1380,19 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Record GC. The tests play client and worker by hand: submissions go
-    // to the normal lane, results and signals to the high lane (drained
-    // first), and a manual clock walks records past the grace period.
+    // Shared with the retention tests, which play client and worker by
+    // hand: submissions go to the normal lane, results and signals to the
+    // high lane (drained first), and a manual clock walks records past the
+    // grace period.
     // ------------------------------------------------------------------
 
-    fn noop_service() -> ServiceDefinition {
+    impl Controller<'_> {
+        pub(crate) fn retention(&self) -> &Retention {
+            &self.retention
+        }
+    }
+
+    pub(crate) fn noop_service() -> ServiceDefinition {
         let mut service = ServiceDefinition::default();
         service
             .procs
@@ -1610,7 +1401,7 @@ mod tests {
     }
 
     /// A controller over `noop` on a manual clock.
-    fn gc_controller<'a>(
+    pub(crate) fn gc_controller<'a>(
         client: &'a CoordClient,
         clock: &Arc<tropic_model::ManualClock>,
         checkpoint_every: u64,
@@ -1618,7 +1409,7 @@ mod tests {
         controller_on(client, noop_service(), clock.clone(), checkpoint_every)
     }
 
-    fn submit(client: &CoordClient, id: TxnId, key: Option<&str>) {
+    pub(crate) fn submit(client: &CoordClient, id: TxnId, key: Option<&str>) {
         let mut request = crate::api::TxnRequest::new("noop");
         if let Some(key) = key {
             request = request.idempotency_key(key);
@@ -1629,24 +1420,24 @@ mod tests {
             .unwrap();
     }
 
-    fn send(client: &CoordClient, msg: InputMsg) {
+    pub(crate) fn send(client: &CoordClient, msg: InputMsg) {
         DistributedQueue::bind(client, layout::input_lane(Priority::High))
             .enqueue(encode_input(msg))
             .unwrap();
     }
 
-    fn commit(client: &CoordClient, id: TxnId) {
+    pub(crate) fn commit(client: &CoordClient, id: TxnId) {
         let outcome = PhysicalOutcome::Committed;
         send(client, InputMsg::Result { id, outcome });
     }
 
-    fn children(client: &CoordClient, base: Path) -> Vec<String> {
+    pub(crate) fn children(client: &CoordClient, base: Path) -> Vec<String> {
         client.get_children(&base).unwrap_or_default()
     }
 
     /// Steps once and returns the (multis, single writes, batched ops) the
     /// step cost, checkpoint puts excluded.
-    fn step_cost(
+    pub(crate) fn step_cost(
         coord: &tropic_coord::CoordService,
         controller: &mut Controller<'_>,
     ) -> (u64, u64, u64) {
@@ -1701,48 +1492,14 @@ mod tests {
         assert_eq!(reads(), 1, "wait on a finished transaction: one read");
     }
 
+    /// A finished transaction is no longer live, and until its record is
+    /// collected every message naming it is a no-op: a redelivered
+    /// `Submit`, a `Signal` and a stale worker `Result` each cost only
+    /// their own `inputQ` removal and leave the record and signal znodes
+    /// alone. Once the record is collected the dedup window has closed, and
+    /// the same `Submit` runs again.
     #[test]
-    fn retention_is_bounded_by_count_and_gc_rides_the_round_multi() {
-        const CHUNK: u64 = INPUT_BATCH as u64;
-        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
-        let client = coord.connect("controller-under-test");
-        let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, CHUNK);
-        let phy_q = DistributedQueue::bind(&client, layout::phy_q());
-        let total = 3 * RETAIN_MAX as u64;
-        let mut last_ops = 0;
-        for first in (1..=total).step_by(CHUNK as usize) {
-            for id in first..first + CHUNK {
-                submit(&client, id, None);
-            }
-            let (multis, singles, _) = step_cost(&coord, &mut controller);
-            assert_eq!((multis, singles), (1, 0), "one write per round");
-            for (_, task) in phy_q.try_dequeue_batch(INPUT_BATCH).unwrap() {
-                commit(
-                    &client,
-                    serde_json::from_slice::<PhyTask>(&task).unwrap().id,
-                );
-            }
-            let (multis, singles, ops) = step_cost(&coord, &mut controller);
-            assert_eq!((multis, singles), (1, 0), "one write per round");
-            last_ops = ops;
-            assert_eq!(controller.running_len(), 0);
-            assert!(controller.records.len() <= RETAIN_MAX, "{first}");
-            if first % (16 * CHUNK) == 1 {
-                assert!(children(&client, layout::txns()).len() <= RETAIN_MAX);
-            }
-        }
-        assert_eq!(controller.records.len(), RETAIN_MAX);
-        assert_eq!(children(&client, layout::txns()).len(), RETAIN_MAX);
-        assert!(!controller.records.contains_key(&1), "oldest goes first");
-        assert!(controller.records.contains_key(&total));
-        // At the cap a round collects what it finalizes, in its own multi:
-        // CHUNK inputQ removals + CHUNK record puts + CHUNK GC deletes.
-        assert_eq!(last_ops, 3 * CHUNK);
-    }
-
-    #[test]
-    fn gc_never_collects_above_the_checkpoint_watermark() {
+    fn a_finished_id_is_answered_from_retention_until_collected() {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
@@ -1751,196 +1508,33 @@ mod tests {
         controller.step().unwrap();
         commit(&client, 1);
         controller.step().unwrap();
-        assert_eq!(controller.ckpt_watermark, 1, "quiescent: checkpointed");
-        // 2 finalizes while 3 is still running, so no checkpoint covers it.
-        submit(&client, 2, None);
-        submit(&client, 3, None);
-        controller.step().unwrap();
-        commit(&client, 2);
-        controller.step().unwrap();
-        assert_eq!(controller.ckpt_watermark, 1);
-        clock.advance(100 * GC_GRACE_MS);
-        for _ in 0..3 {
-            controller.step().unwrap();
-        }
-        assert!(!controller.records.contains_key(&1), "covered and old");
-        assert!(controller.records.contains_key(&2), "lsn 2 > watermark 1");
-        assert!(client.exists(&layout::txn(2)).unwrap());
-        // Once a checkpoint covers it, age alone decides.
-        commit(&client, 3);
-        controller.step().unwrap();
-        assert_eq!(controller.ckpt_watermark, 3);
-        controller.step().unwrap();
-        assert!(!client.exists(&layout::txn(2)).unwrap());
-        assert!(client.exists(&layout::txn(3)).unwrap(), "inside its grace");
-        // Past it, the delete waits for a flush to ride rather than buy a
-        // write of its own: inputQ removal + record put + phyQ append + it.
-        clock.advance(GC_GRACE_MS);
-        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
-        submit(&client, 4, None);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
-        assert!(!client.exists(&layout::txn(3)).unwrap());
-    }
+        assert!(
+            !controller.records.contains_key(&1),
+            "finished, so not live"
+        );
+        let record = client.get_data(&layout::txn(1)).unwrap();
 
-    #[test]
-    fn gc_deletes_a_signal_znode_only_where_one_was_written() {
-        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
-        let client = coord.connect("controller-under-test");
-        let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
         submit(&client, 1, None);
-        submit(&client, 2, None);
-        controller.step().unwrap();
-        commit(&client, 2);
-        controller.step().unwrap();
-        // 2 is past its grace when the KILL round runs, but no checkpoint
-        // covers it until that round has made the platform quiescent.
-        clock.advance(3 * GC_GRACE_MS / 2);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1), "Submit");
         let signal = Signal::Kill;
         send(&client, InputMsg::Signal { id: 1, signal });
-        controller.step().unwrap();
-        assert!(client.exists(&layout::signal(1)).unwrap());
-        assert!(client.exists(&layout::txn(2)).unwrap());
-        assert_eq!(controller.ckpt_watermark, 2);
-
-        // Idle rounds collect once the oldest record is two grace periods
-        // old. The unsignalled record costs one delete op; a blind delete
-        // of its (missing) signal znode would fail the round.
-        clock.advance(GC_GRACE_MS / 2 - 1);
-        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
-        clock.advance(1);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1));
-        assert!(!client.exists(&layout::txn(2)).unwrap());
-        assert!(client.exists(&layout::txn(1)).unwrap());
-        // The killed one's record and signal znode go in one multi.
-        clock.advance(3 * GC_GRACE_MS / 2);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 2));
-        assert!(!client.exists(&layout::txn(1)).unwrap());
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1), "Signal");
+        let outcome = PhysicalOutcome::Aborted {
+            failed_seq: 1,
+            error: "late".into(),
+        };
+        send(&client, InputMsg::Result { id: 1, outcome });
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1), "Result");
+        assert_eq!(client.get_data(&layout::txn(1)).unwrap(), record);
         assert!(!client.exists(&layout::signal(1)).unwrap());
-        assert!(controller.signaled.is_empty());
-        // Nothing left: an idle round writes nothing.
-        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
-    }
+        assert_eq!(controller.running_len(), 0);
 
-    #[test]
-    fn gc_collects_an_alias_with_its_target_and_frees_the_key() {
-        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
-        let client = coord.connect("controller-under-test");
-        let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
-        submit(&client, 1, Some("k"));
-        controller.step().unwrap();
-        commit(&client, 1);
-        submit(&client, 2, Some("k"));
-        controller.step().unwrap();
-        assert_eq!(controller.alias_targets.get(&2), Some(&1));
-        assert!(client.exists(&layout::txn(2)).unwrap());
-
-        clock.advance(2 * GC_GRACE_MS);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 2));
-        assert!(children(&client, layout::txns()).is_empty());
-        assert!(controller.alias_targets.is_empty() && controller.aliases_of.is_empty());
-        // The dedup window closed with the record: the key runs again.
-        submit(&client, 3, Some("k"));
-        assert!(controller.step().unwrap());
-        assert_eq!(controller.records[&3].state, TxnState::Started);
-    }
-
-    #[test]
-    fn gc_resumes_after_failover_without_failing_a_round() {
-        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
-        let client = coord.connect("controller-under-test");
-        let clock = tropic_model::ManualClock::new();
-        let mut old_leader = gc_controller(&client, &clock, 1);
-        for id in [1, 3, 4] {
-            submit(&client, id, (id == 1).then_some("k"));
-        }
-        old_leader.step().unwrap();
-        commit(&client, 1);
-        commit(&client, 4);
-        let signal = Signal::Kill;
-        send(&client, InputMsg::Signal { id: 3, signal });
-        submit(&client, 2, Some("k"));
-        old_leader.step().unwrap();
-        assert_eq!(old_leader.ckpt_watermark, 3);
-        clock.advance(GC_GRACE_MS / 2);
-        old_leader.step().unwrap();
-        assert_eq!(children(&client, layout::txns()).len(), 4, "mid-retention");
-        drop(old_leader);
-
-        let mut controller = gc_controller(&client, &clock, 1);
-        assert_eq!(controller.gc_queue.len(), 3);
-        assert_eq!(controller.signaled, HashSet::from([3]));
-        // The grace restarts at recovery (finalize times are the old
-        // leader's), then one round collects everything that exists — three
-        // records, the alias, the signal znode — and nothing that does not.
-        clock.advance(2 * GC_GRACE_MS - 1);
-        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
-        clock.advance(1);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
-        assert!(children(&client, layout::txns()).is_empty());
-        assert!(children(&client, layout::signals()).is_empty());
-        assert!(controller.records.is_empty() && controller.idemp.is_empty());
-    }
-
-    /// Operator results follow the records' retention rule: an answer past
-    /// the grace period goes with the next round that flushes, inside that
-    /// round's multi, and a new leader relearns the ones left to collect.
-    #[test]
-    fn admin_results_are_collected_in_the_round_multi() {
-        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
-        let client = coord.connect("controller-under-test");
-        let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
-        // Logical-only workers refuse both repairs, and the refusal is the
-        // result the operator reads.
-        for admin_id in [1, 2] {
-            let scope = Path::root();
-            send(&client, InputMsg::Repair { scope, admin_id });
-            controller.step().unwrap();
-            let attempt = claim(&client);
-            let rules = crate::reconcile::RepairRules::new();
-            let outcome = execute_record(&attempt, &ExecMode::LogicalOnly, &rules, || None);
-            send(
-                &client,
-                InputMsg::Result {
-                    id: attempt.id,
-                    outcome,
-                },
-            );
-            controller.step().unwrap();
-            clock.advance(GC_GRACE_MS / 2);
-        }
-        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
-        assert_eq!(
-            (result.ok, result.message.as_str()),
-            (false, "repair requires physical mode")
-        );
-        assert_eq!(children(&client, layout::admins()).len(), 2);
-
-        assert_eq!(
-            step_cost(&coord, &mut controller),
-            (0, 0, 0),
-            "no flush to ride"
-        );
+        clock.advance(2 * crate::retention::GC_GRACE_MS);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1), "collected");
+        assert!(!client.exists(&layout::txn(1)).unwrap());
         submit(&client, 1, None);
-        // inputQ removal + record put + phyQ append + the old result's
-        // delete + its attempt's record delete.
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
-        assert!(!client.exists(&layout::admin(1)).unwrap());
-        assert!(
-            client.exists(&layout::admin(2)).unwrap(),
-            "inside its grace"
-        );
-        drop(controller);
-
-        // The grace restarts at recovery, as a record's does.
-        let mut controller = gc_controller(&client, &clock, 1);
-        assert_eq!(controller.admin_gc.len(), 1);
-        clock.advance(GC_GRACE_MS);
-        submit(&client, 2, None);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
-        assert!(children(&client, layout::admins()).is_empty());
+        assert!(controller.step().unwrap());
+        assert_eq!(controller.records[&1].state, TxnState::Started);
     }
 
     /// Operator `repair` is the twin's corrective transaction: admitted on

@@ -45,6 +45,7 @@ pub mod txn;
 pub mod worker;
 
 mod platform;
+mod retention;
 
 pub use actions::{ActionDef, ActionRegistry, UndoSpec};
 pub use api::{
