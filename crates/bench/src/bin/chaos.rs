@@ -25,7 +25,7 @@
 use std::time::Duration;
 
 use tropic_bench::{emit_row, env_f64, env_usize};
-use tropic_coord::{CoordConfig, DurabilityOptions, SyncPolicy, TempDir};
+use tropic_coord::{CoordConfig, DurabilityOptions, TempDir};
 use tropic_core::{ExecMode, PlatformConfig, Tropic, TxnRequest, TxnState};
 use tropic_devices::LatencyModel;
 use tropic_tcloud::TopologySpec;
@@ -66,7 +66,6 @@ fn platform_config(data_dir: Option<&std::path::Path>) -> PlatformConfig {
             tick_ms: 25,
             durability: if data_dir.is_some() {
                 DurabilityOptions {
-                    sync_policy: SyncPolicy::EveryBatch,
                     snapshot_every_ops: 64,
                     ..DurabilityOptions::default()
                 }

@@ -1,6 +1,12 @@
 //! Compact binary encoding shared by the write-ahead log and snapshots.
 //! Little-endian fixed-width integers, length-prefixed byte strings, and a
 //! tag byte per op variant; checksummed at the framing layer with CRC-32.
+//!
+//! Encoders write to any [`Write`]: a `Vec<u8>` for one WAL frame, or a
+//! [`CrcWriter`] over a buffered file, so a snapshot streams to disk
+//! without ever being held whole in memory.
+
+use std::io::{self, Write};
 
 use bytes::Bytes;
 use tropic_model::Path;
@@ -36,48 +42,102 @@ const fn make_crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = make_crc_table();
 
+/// Incremental IEEE CRC-32 (the ZIP/zlib polynomial): feeding the input in
+/// any number of pieces gives the same checksum as [`crc32`] over the whole.
+pub struct Crc32(u32);
+
+impl Crc32 {
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 = CRC_TABLE[((self.0 ^ u32::from(b)) & 0xFF) as usize] ^ (self.0 >> 8);
+        }
+    }
+
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
 /// IEEE CRC-32 (the ZIP/zlib polynomial).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A writer that checksums and counts every byte it passes through.
+pub struct CrcWriter<W> {
+    inner: W,
+    crc: Crc32,
+    len: u64,
+}
+
+impl<W: Write> CrcWriter<W> {
+    pub fn new(inner: W) -> Self {
+        CrcWriter {
+            inner,
+            crc: Crc32::new(),
+            len: 0,
+        }
     }
-    c ^ 0xFFFF_FFFF
+
+    /// The wrapped writer, the CRC-32 and the byte count of what passed.
+    pub fn finish(self) -> (W, u32, u64) {
+        (self.inner, self.crc.finish(), self.len)
+    }
 }
 
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        let written = buf.get(..n).unwrap_or(buf);
+        self.crc.update(written);
+        self.len += written.len() as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u8<W: Write>(out: &mut W, v: u8) -> io::Result<()> {
+    out.write_all(&[v])
 }
 
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32<W: Write>(out: &mut W, v: u32) -> io::Result<()> {
+    out.write_all(&v.to_le_bytes())
 }
 
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+pub fn put_u64<W: Write>(out: &mut W, v: u64) -> io::Result<()> {
+    out.write_all(&v.to_le_bytes())
 }
 
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+pub fn put_bytes<W: Write>(out: &mut W, b: &[u8]) -> io::Result<()> {
+    put_u32(out, b.len() as u32)?;
+    out.write_all(b)
 }
 
-pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+pub fn put_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    put_bytes(out, s.as_bytes())
+}
+
+pub fn put_opt_u64<W: Write>(out: &mut W, v: Option<u64>) -> io::Result<()> {
     match v {
         Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
+            put_u8(out, 1)?;
+            put_u64(out, x)
         }
         None => put_u8(out, 0),
     }
 }
 
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, u8::from(v));
+pub fn put_bool<W: Write>(out: &mut W, v: bool) -> io::Result<()> {
+    put_u8(out, u8::from(v))
 }
 
 /// Reads a little-endian u32 at `pos`, or `None` past the end.
@@ -158,7 +218,7 @@ const TAG_DELETE: u8 = 3;
 const TAG_PURGE: u8 = 4;
 const TAG_MULTI: u8 = 5;
 
-pub fn encode_op(op: &Op, out: &mut Vec<u8>) {
+pub fn encode_op<W: Write>(op: &Op, out: &mut W) -> io::Result<()> {
     match op {
         Op::Create {
             path,
@@ -166,40 +226,41 @@ pub fn encode_op(op: &Op, out: &mut Vec<u8>) {
             ephemeral_owner,
             sequential,
         } => {
-            put_u8(out, TAG_CREATE);
-            put_str(out, &path.to_string());
-            put_bytes(out, data);
-            put_opt_u64(out, *ephemeral_owner);
-            put_bool(out, *sequential);
+            put_u8(out, TAG_CREATE)?;
+            put_str(out, &path.to_string())?;
+            put_bytes(out, data)?;
+            put_opt_u64(out, *ephemeral_owner)?;
+            put_bool(out, *sequential)
         }
         Op::SetData {
             path,
             data,
             expected_version,
         } => {
-            put_u8(out, TAG_SET);
-            put_str(out, &path.to_string());
-            put_bytes(out, data);
-            put_opt_u64(out, *expected_version);
+            put_u8(out, TAG_SET)?;
+            put_str(out, &path.to_string())?;
+            put_bytes(out, data)?;
+            put_opt_u64(out, *expected_version)
         }
         Op::Delete {
             path,
             expected_version,
         } => {
-            put_u8(out, TAG_DELETE);
-            put_str(out, &path.to_string());
-            put_opt_u64(out, *expected_version);
+            put_u8(out, TAG_DELETE)?;
+            put_str(out, &path.to_string())?;
+            put_opt_u64(out, *expected_version)
         }
         Op::PurgeSession { session } => {
-            put_u8(out, TAG_PURGE);
-            put_u64(out, *session);
+            put_u8(out, TAG_PURGE)?;
+            put_u64(out, *session)
         }
         Op::Multi { ops } => {
-            put_u8(out, TAG_MULTI);
-            put_u32(out, ops.len() as u32);
+            put_u8(out, TAG_MULTI)?;
+            put_u32(out, ops.len() as u32)?;
             for sub in ops {
-                encode_op(sub, out);
+                encode_op(sub, out)?;
             }
+            Ok(())
         }
     }
 }

@@ -23,7 +23,8 @@
 //! `last_zxid`; a follower behind the truncation horizon receives a full
 //! snapshot transfer instead.
 //!
-//! Under [`crate::wal::SyncPolicy::Pipelined`], a committed batch is settled
+//! Under [`crate::wal::SyncPolicy::Pipelined`] (the default at `depth: 0`),
+//! a committed batch is settled
 //! in two phases: every acking replica's fsync is *started*
 //! (`begin_batch_sync`) before any replica blocks on its own
 //! (`finish_batch`), so the ensemble's per-batch fsyncs run concurrently
@@ -392,6 +393,17 @@ impl Ensemble {
     /// Last committed zxid of replica `id`.
     pub fn replica_last_zxid(&self, id: NodeId) -> Option<u64> {
         self.replicas.get(id).map(|r| r.last_zxid)
+    }
+
+    /// Durability counters of replica `id` alone (`None` for an in-memory
+    /// replica), where [`Ensemble::stats`] sums them.
+    #[cfg(test)]
+    fn replica_durability_stats(&self, id: NodeId) -> Option<crate::wal::DurabilityStats> {
+        self.replicas
+            .get(id)?
+            .durability
+            .as_ref()
+            .map(Durability::stats)
     }
 
     /// Crashes a replica: it stops acking and serving until restarted.
@@ -815,6 +827,41 @@ mod tests {
         back.submit(create_op("/after")).0.unwrap();
         assert!(back.replica_last_zxid(0).unwrap() > before);
         assert!(back.replicas_consistent());
+    }
+
+    #[test]
+    fn default_policy_acks_only_what_every_acker_has_fsynced() {
+        // The default overlaps the replicas' fsyncs; it must not weaken
+        // the ack: when `submit` returns, each acking replica has fsynced
+        // every byte it appended — with no drain in between, and across
+        // segment rotations and snapshots alike.
+        let tmp = TempDir::new("tropic-ens-default-ack");
+        let opts = DurabilityOptions {
+            snapshot_every_ops: 8,
+            segment_max_bytes: 256,
+            ..DurabilityOptions::default()
+        };
+        let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts).unwrap();
+        for i in 0..40 {
+            let op = if i % 3 == 0 {
+                Op::Multi {
+                    ops: (0..4).map(|j| create_op(&format!("/m{i}-{j}"))).collect(),
+                }
+            } else {
+                create_op(&format!("/n{i}"))
+            };
+            e.submit(op).0.unwrap();
+            for id in 0..3 {
+                let s = e.replica_durability_stats(id).expect("durable replica");
+                assert_eq!(
+                    s.bytes_fsynced, s.wal_bytes,
+                    "replica {id} acked batch {i} before its fsync landed"
+                );
+            }
+        }
+        let s = e.stats();
+        assert!(s.segments_rotated > 0, "batches must cross a rotation");
+        assert!(s.snapshots_written > 0, "batches must cross a snapshot");
     }
 
     #[test]

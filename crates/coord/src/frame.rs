@@ -85,10 +85,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
         len: u32::MAX,
         max: u32::MAX,
     })?;
-    let mut head = Vec::with_capacity(8);
-    codec::put_u32(&mut head, len);
-    codec::put_u32(&mut head, codec::crc32(payload));
     let io = |e: io::Error| FrameError::Io(e.to_string());
+    // One header write, so an unbuffered socket sees two writes per frame.
+    let mut head = Vec::with_capacity(8);
+    codec::put_u32(&mut head, len).map_err(io)?;
+    codec::put_u32(&mut head, codec::crc32(payload)).map_err(io)?;
     w.write_all(&head).map_err(io)?;
     w.write_all(payload).map_err(io)?;
     w.flush().map_err(io)?;

@@ -669,7 +669,9 @@ impl CoordClient {
     /// Serializes `value` as JSON into the znode at `path`, creating it if
     /// missing. Convenience used for transaction records and checkpoints.
     pub fn put_json<T: serde::Serialize>(&self, path: &Path, value: &T) -> CoordResult<()> {
-        let data = serde_json::to_vec(value).expect("serializable value");
+        // Converted once: the create fallback below clones an `Arc`, not
+        // the (possibly multi-MB) value.
+        let data = Bytes::from(serde_json::to_vec(value).expect("serializable value"));
         match self.set_data(path, data.clone(), None) {
             Ok(_) => Ok(()),
             Err(CoordError::NoNode(_)) => {

@@ -18,14 +18,17 @@
 //! (ZooKeeper's snapshot + txn-log recovery scheme, paper §2.3).
 //!
 //! Files are written atomically (temp file, fsync, rename, directory
-//! fsync) and carry a magic header plus a trailing CRC-32; loaders skip
+//! fsync) and carry a magic header plus a trailing CRC-32. The body is
+//! encoded straight into a buffered file while the CRC is updated as bytes
+//! pass, so a multi-MB store is never built whole in memory (ZooKeeper
+//! serializes its fuzzy snapshots to a stream the same way). Loaders skip
 //! anything that fails validation, falling back to the previous full
 //! generation or the longest valid chain prefix. Old directories that hold
 //! only `snap-*` files load unchanged: a chain of length zero.
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path as StdPath, PathBuf};
 
 use tropic_model::Path;
@@ -40,6 +43,8 @@ const DELTA_PREFIX: &str = "delta-";
 const SUFFIX: &str = ".bin";
 const TAG_PUT: u8 = 1;
 const TAG_TOMBSTONE: u8 = 2;
+/// Write buffer of one snapshot file: the most a snapshot write holds.
+const WRITE_BUFFER_BYTES: usize = 64 << 10;
 
 /// The paths the next delta snapshot must contain: every path a
 /// [`StoreEvent`] has named since the last snapshot. Events are the store's
@@ -120,10 +125,10 @@ pub fn list_deltas(dir: &StdPath) -> Vec<(u64, PathBuf)> {
 /// Atomically writes a full snapshot of `store` tagged with `zxid`,
 /// returning the file size in bytes.
 pub fn write(dir: &StdPath, zxid: u64, store: &ZnodeStore) -> io::Result<u64> {
-    let mut body = Vec::with_capacity(4_096);
-    codec::put_u64(&mut body, zxid);
-    store.encode_into(&mut body);
-    write_atomic(dir, &file_name(zxid), MAGIC, &body)
+    write_atomic(dir, &file_name(zxid), MAGIC, |out| {
+        codec::put_u64(out, zxid)?;
+        store.encode_into(out)
+    })
 }
 
 /// Atomically writes a delta snapshot with tip `zxid` chained onto the
@@ -134,36 +139,47 @@ pub fn write_delta(
     zxid: u64,
     records: &[DeltaRecord],
 ) -> io::Result<u64> {
-    let mut body = Vec::with_capacity(1_024);
-    codec::put_u64(&mut body, zxid);
-    codec::put_u64(&mut body, base_zxid);
-    codec::put_u32(&mut body, records.len() as u32);
-    for rec in records {
-        encode_delta_record(rec, &mut body);
-    }
-    write_atomic(dir, &delta_file_name(zxid), DELTA_MAGIC, &body)
+    write_atomic(dir, &delta_file_name(zxid), DELTA_MAGIC, |out| {
+        codec::put_u64(out, zxid)?;
+        codec::put_u64(out, base_zxid)?;
+        codec::put_u32(out, records.len() as u32)?;
+        records
+            .iter()
+            .try_for_each(|rec| encode_delta_record(rec, out))
+    })
 }
 
-fn write_atomic(dir: &StdPath, name: &str, magic: &[u8; 8], body: &[u8]) -> io::Result<u64> {
-    let crc = codec::crc32(body);
+/// The file a snapshot body is encoded into: buffered, and checksummed as
+/// the bytes pass, so no write path holds more than the buffer.
+type BodyWriter = codec::CrcWriter<BufWriter<fs::File>>;
+
+/// Writes `magic ‖ body ‖ crc32(body)` to a temp file, where `encode`
+/// streams the body, then fsyncs it, renames it over `name` and fsyncs
+/// the directory. Returns the file size in bytes.
+fn write_atomic(
+    dir: &StdPath,
+    name: &str,
+    magic: &[u8; 8],
+    encode: impl FnOnce(&mut BodyWriter) -> io::Result<()>,
+) -> io::Result<u64> {
     let final_path = dir.join(name);
     let tmp_path = dir.join(format!("{name}.tmp"));
-    {
-        let mut file = fs::File::create(&tmp_path)?;
-        file.write_all(magic)?;
-        file.write_all(body)?;
-        file.write_all(&crc.to_le_bytes())?;
-        file.sync_data()?;
-    }
+    let mut file = BufWriter::with_capacity(WRITE_BUFFER_BYTES, fs::File::create(&tmp_path)?);
+    file.write_all(magic)?;
+    let mut body = codec::CrcWriter::new(file);
+    encode(&mut body)?;
+    let (mut file, crc, body_len) = body.finish();
+    file.write_all(&crc.to_le_bytes())?;
+    file.into_inner().map_err(|e| e.into_error())?.sync_data()?;
     fs::rename(&tmp_path, &final_path)?;
     // The rename is only durable once the directory is fsynced; this must
     // succeed before the caller may truncate the WAL the snapshot covers,
     // so a failure propagates instead of being swallowed.
     fs::File::open(dir)?.sync_all()?;
-    Ok((magic.len() + body.len() + 4) as u64)
+    Ok(magic.len() as u64 + body_len + 4)
 }
 
-fn encode_delta_record(rec: &DeltaRecord, out: &mut Vec<u8>) {
+fn encode_delta_record<W: Write>(rec: &DeltaRecord, out: &mut W) -> io::Result<()> {
     match rec {
         DeltaRecord::Put {
             path,
@@ -174,18 +190,18 @@ fn encode_delta_record(rec: &DeltaRecord, out: &mut Vec<u8>) {
             ephemeral_owner,
             cseq,
         } => {
-            codec::put_u8(out, TAG_PUT);
-            codec::put_str(out, &path.to_string());
-            codec::put_bytes(out, data);
-            codec::put_u64(out, *czxid);
-            codec::put_u64(out, *mzxid);
-            codec::put_u64(out, *version);
-            codec::put_opt_u64(out, *ephemeral_owner);
-            codec::put_u64(out, *cseq);
+            codec::put_u8(out, TAG_PUT)?;
+            codec::put_str(out, &path.to_string())?;
+            codec::put_bytes(out, data)?;
+            codec::put_u64(out, *czxid)?;
+            codec::put_u64(out, *mzxid)?;
+            codec::put_u64(out, *version)?;
+            codec::put_opt_u64(out, *ephemeral_owner)?;
+            codec::put_u64(out, *cseq)
         }
         DeltaRecord::Tombstone { path } => {
-            codec::put_u8(out, TAG_TOMBSTONE);
-            codec::put_str(out, &path.to_string());
+            codec::put_u8(out, TAG_TOMBSTONE)?;
+            codec::put_str(out, &path.to_string())
         }
     }
 }
@@ -324,47 +340,45 @@ pub fn sweep_tmp(dir: &StdPath) -> usize {
     removed
 }
 
-fn load_file(path: &StdPath, expect_zxid: u64) -> Option<ZnodeStore> {
+/// Reads the snapshot file at `path` and checks what both kinds share: the
+/// `magic` header, the trailing CRC-32 over the body, and the body's
+/// leading zxid against `expect_zxid` (the one in the file name). Then
+/// `decode` reads the rest of the body, which it must consume exactly.
+/// `None` on any malformed input.
+fn load_checked<T>(
+    path: &StdPath,
+    magic: &[u8; 8],
+    expect_zxid: u64,
+    decode: impl FnOnce(&mut codec::Cursor<'_>) -> Option<T>,
+) -> Option<T> {
     let data = fs::read(path).ok()?;
-    if data.len() < MAGIC.len() + 12 || &data[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let body = &data[MAGIC.len()..data.len() - 4];
-    let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
-    if codec::crc32(body) != stored_crc {
+    let rest = data.strip_prefix(magic.as_slice())?;
+    let (body, crc) = rest.split_at_checked(rest.len().checked_sub(4)?)?;
+    if codec::crc32(body) != codec::le_u32_at(crc, 0)? {
         return None;
     }
     let mut cur = codec::Cursor::new(body);
-    let zxid = cur.u64()?;
-    if zxid != expect_zxid {
+    if cur.u64()? != expect_zxid {
         return None;
     }
-    let store = ZnodeStore::decode_from(&mut cur)?;
-    cur.is_done().then_some(store)
+    let value = decode(&mut cur)?;
+    cur.is_done().then_some(value)
+}
+
+fn load_file(path: &StdPath, expect_zxid: u64) -> Option<ZnodeStore> {
+    load_checked(path, MAGIC, expect_zxid, ZnodeStore::decode_from)
 }
 
 fn load_delta_file(path: &StdPath, expect_zxid: u64) -> Option<(u64, Vec<DeltaRecord>)> {
-    let data = fs::read(path).ok()?;
-    if data.len() < DELTA_MAGIC.len() + 12 || &data[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-        return None;
-    }
-    let body = &data[DELTA_MAGIC.len()..data.len() - 4];
-    let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
-    if codec::crc32(body) != stored_crc {
-        return None;
-    }
-    let mut cur = codec::Cursor::new(body);
-    let zxid = cur.u64()?;
-    if zxid != expect_zxid {
-        return None;
-    }
-    let base_zxid = cur.u64()?;
-    let count = cur.u32()?;
-    let mut records = Vec::new();
-    for _ in 0..count {
-        records.push(decode_delta_record(&mut cur)?);
-    }
-    cur.is_done().then_some((base_zxid, records))
+    load_checked(path, DELTA_MAGIC, expect_zxid, |cur| {
+        let base_zxid = cur.u64()?;
+        let count = cur.u32()?;
+        let mut records = Vec::new();
+        for _ in 0..count {
+            records.push(decode_delta_record(cur)?);
+        }
+        Some((base_zxid, records))
+    })
 }
 
 /// Deletes all but the newest `keep` full-snapshot generations, plus every
@@ -445,6 +459,81 @@ mod tests {
         assert_eq!(zxid, 3);
         assert_eq!(back, store);
         assert_eq!(format!("{back:?}"), format!("{store:?}"));
+    }
+
+    #[test]
+    fn streamed_snapshot_matches_the_in_memory_encoding_byte_for_byte() {
+        let tmp = TempDir::new("tropic-snap-streamed");
+        let mut store = populated_store();
+        for (zxid, op) in [
+            (
+                4u64,
+                Op::Create {
+                    path: Path::parse("/big").unwrap(),
+                    // Larger than the write buffer: bypasses it.
+                    data: Bytes::from(vec![0xA5; (1 << 20) + 3]),
+                    ephemeral_owner: None,
+                    sequential: false,
+                },
+            ),
+            (
+                5,
+                Op::Create {
+                    path: Path::parse("/empty").unwrap(),
+                    data: Bytes::new(),
+                    ephemeral_owner: None,
+                    sequential: false,
+                },
+            ),
+        ] {
+            store.apply(zxid, &op).0.unwrap();
+        }
+        // `/q` carries an ephemeral child owned by session 9 and a
+        // sequential counter already advanced past zero.
+        assert_eq!(store.ephemeral_sessions(), vec![9]);
+
+        let size = write(tmp.path(), 5, &store).unwrap();
+        let mut body = Vec::new();
+        codec::put_u64(&mut body, 5).unwrap();
+        store.encode_into(&mut body).unwrap();
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&body);
+        expected.extend_from_slice(&codec::crc32(&body).to_le_bytes());
+        let on_disk = fs::read(tmp.path().join(file_name(5))).unwrap();
+        assert_eq!(size, expected.len() as u64);
+        assert!(
+            on_disk == expected,
+            "streamed file differs from the encoding"
+        );
+
+        let (zxid, back) = load_latest(tmp.path()).expect("snapshot loads");
+        assert_eq!(zxid, 5);
+        assert_eq!(back, store);
+    }
+
+    #[test]
+    fn malformed_snapshot_files_are_rejected_not_panicking() {
+        let tmp = TempDir::new("tropic-snap-malformed");
+        let store = populated_store();
+        write(tmp.path(), 3, &store).unwrap();
+        let good = fs::read(tmp.path().join(file_name(3))).unwrap();
+        let path = tmp.path().join("probe.bin");
+        for cut in [
+            0,
+            3,
+            MAGIC.len(),
+            MAGIC.len() + 3,
+            MAGIC.len() + 11,
+            good.len() - 1,
+        ] {
+            fs::write(&path, &good[..cut]).unwrap();
+            assert!(load_file(&path, 3).is_none(), "{cut}-byte prefix");
+            assert!(load_delta_file(&path, 3).is_none(), "{cut}-byte prefix");
+        }
+        fs::write(&path, &good).unwrap();
+        assert!(load_file(&path, 3).is_some());
+        assert!(load_file(&path, 4).is_none(), "zxid must match the name");
+        assert!(load_delta_file(&path, 3).is_none(), "wrong magic");
     }
 
     #[test]

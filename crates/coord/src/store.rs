@@ -12,6 +12,7 @@
 //! [`ZnodeStore::apply`] returns.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{self, Write};
 
 use bytes::Bytes;
 use tropic_model::Path;
@@ -379,9 +380,10 @@ impl ZnodeStore {
     }
 
     /// Serializes the full store — data, zxids, versions, ephemeral owners,
-    /// and sequential counters — into the snapshot wire format.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_znode(&self.root, out);
+    /// and sequential counters — into the snapshot wire format, streaming
+    /// node by node into `out`.
+    pub(crate) fn encode_into<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        encode_znode(&self.root, out)
     }
 
     /// Inverse of [`ZnodeStore::encode_into`]; `None` on malformed input.
@@ -732,18 +734,19 @@ impl ZnodeStore {
     }
 }
 
-fn encode_znode(node: &Znode, out: &mut Vec<u8>) {
-    codec::put_bytes(out, &node.data);
-    codec::put_u64(out, node.czxid);
-    codec::put_u64(out, node.mzxid);
-    codec::put_u64(out, node.version);
-    codec::put_opt_u64(out, node.ephemeral_owner);
-    codec::put_u64(out, node.cseq);
-    codec::put_u32(out, node.children.len() as u32);
+fn encode_znode<W: Write>(node: &Znode, out: &mut W) -> io::Result<()> {
+    codec::put_bytes(out, &node.data)?;
+    codec::put_u64(out, node.czxid)?;
+    codec::put_u64(out, node.mzxid)?;
+    codec::put_u64(out, node.version)?;
+    codec::put_opt_u64(out, node.ephemeral_owner)?;
+    codec::put_u64(out, node.cseq)?;
+    codec::put_u32(out, node.children.len() as u32)?;
     for (name, child) in &node.children {
-        codec::put_str(out, name);
-        encode_znode(child, out);
+        codec::put_str(out, name)?;
+        encode_znode(child, out)?;
     }
+    Ok(())
 }
 
 fn decode_znode(cur: &mut codec::Cursor<'_>) -> Option<Znode> {
@@ -1256,7 +1259,7 @@ mod tests {
         .0
         .unwrap();
         let mut buf = Vec::new();
-        s.encode_into(&mut buf);
+        s.encode_into(&mut buf).unwrap();
         let mut cur = codec::Cursor::new(&buf);
         let back = ZnodeStore::decode_from(&mut cur).expect("decodes");
         assert!(cur.is_done());

@@ -4,9 +4,9 @@
 //! length-prefixed, CRC-checksummed record *before* it is applied, mirroring
 //! ZooKeeper's transaction log — the durable half of the paper's
 //! "highly-available transactional orchestration" claim (§2.3, §6.1).
-//! Because PR 2's group commit folds a whole scheduling round into one
-//! [`Op::Multi`], a single appended record (and a single fsync under
-//! [`SyncPolicy::EveryBatch`]) covers the entire batch.
+//! Because group commit folds a whole scheduling round into one
+//! [`Op::Multi`], a single appended record (and a single fsync under the
+//! default [`SyncPolicy::Pipelined`] `{ depth: 0 }`) covers the entire batch.
 //!
 //! The log is segmented: a segment file is named after the zxid of its
 //! first record and rotated once it exceeds
@@ -83,11 +83,21 @@ fn wal_io(op: &'static str) -> impl FnOnce(io::Error) -> WalError {
 }
 
 /// When the write-ahead log is forced to stable storage.
+///
+/// The default is `Pipelined { depth: 0 }`. Its acknowledgement contract is
+/// `EveryBatch`'s: a replica acks a batch only after that batch's own fsync
+/// has landed, so an acknowledged transaction survives losing every
+/// replica. What differs is scheduling: the ensemble starts every acking
+/// replica's fsync before it waits on any, so one batch costs one fsync of
+/// wall time instead of one per replica (paper §6.1: logging I/O dominates
+/// a transaction's cost).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// One fsync per committed batch (every ensemble submit — a multi pays
-    /// it once for the whole group). The paper's safety posture: an
-    /// acknowledged transaction survives losing every replica.
+    /// it once for the whole group), issued and awaited inline, so the
+    /// ensemble's replicas fsync one after another. The same safety
+    /// posture as the default; kept as the serial baseline that benches
+    /// measure the default against.
     EveryBatch,
     /// One fsync per `every_ops` appended records (plus one at every
     /// snapshot). Trades a bounded window of acknowledged writes for
@@ -100,10 +110,12 @@ pub enum SyncPolicy {
     /// dedicated sync thread, and the commit path only blocks while more
     /// than `depth` batches remain unsynced. Every batch *is* fsynced, in
     /// order, and a batch is never reported synced before its own fsync
-    /// lands — but only `depth: 0` keeps [`SyncPolicy::EveryBatch`]'s
-    /// safety posture: each replica's ack still waits for its own batch,
-    /// and the gain is that the ensemble's fsyncs overlap across replicas
-    /// (see `Ensemble::submit`). With `depth > 0` the fsync of batch N
+    /// lands — but only `depth: 0` (the default) keeps
+    /// [`SyncPolicy::EveryBatch`]'s safety posture: each replica's ack
+    /// still waits for its own batch, and the gain is that the ensemble's
+    /// fsyncs overlap across replicas (see `Ensemble::submit`); each such
+    /// wait that blocks counts one `pipeline_stalls`, so at most one per
+    /// batch per replica. With `depth > 0` the fsync of batch N
     /// also overlaps the encode and append of batch N+1, and the commit
     /// path returns once at most `depth` batches are unsynced — so an
     /// acknowledgement can run up to `depth` batches ahead of the disk, a
@@ -119,7 +131,8 @@ pub enum SyncPolicy {
 /// Durability tuning for one replica.
 #[derive(Clone, Debug)]
 pub struct DurabilityOptions {
-    /// When appended records are fsynced.
+    /// When appended records are fsynced (default `Pipelined { depth: 0 }`,
+    /// see [`SyncPolicy`]).
     pub sync_policy: SyncPolicy,
     /// Write a snapshot (and truncate the log) after this many appended
     /// records. `0` disables the op-count trigger.
@@ -137,9 +150,12 @@ pub struct DurabilityOptions {
 }
 
 impl Default for DurabilityOptions {
+    /// `Pipelined { depth: 0 }`: every acknowledged batch is on disk on
+    /// each acking replica, exactly as under `EveryBatch`, but the
+    /// replicas' fsyncs for one batch overlap instead of running in turn.
     fn default() -> Self {
         DurabilityOptions {
-            sync_policy: SyncPolicy::EveryBatch,
+            sync_policy: SyncPolicy::Pipelined { depth: 0 },
             snapshot_every_ops: 1_024,
             snapshot_max_wal_bytes: 4 << 20,
             segment_max_bytes: 1 << 20,
@@ -360,6 +376,21 @@ pub fn recover_dir(dir: &StdPath) -> io::Result<WalRecovery> {
         valid_bytes,
         truncated_tail,
     })
+}
+
+/// Encodes one WAL record, `[len][crc32][zxid ‖ op]`, in a single buffer:
+/// the header is reserved, the payload encoded after it, and the header
+/// filled in last, so the payload is never copied.
+fn encode_frame(zxid: u64, op: &Op) -> io::Result<Vec<u8>> {
+    let mut frame = vec![0u8; 8];
+    codec::put_u64(&mut frame, zxid)?;
+    codec::encode_op(op, &mut frame)?;
+    let (len_field, rest) = frame.split_at_mut(4);
+    let (crc_field, payload) = rest.split_at_mut(4);
+    let len = u32::try_from(payload.len()).map_err(io::Error::other)?;
+    len_field.copy_from_slice(&len.to_le_bytes());
+    crc_field.copy_from_slice(&codec::crc32(payload).to_le_bytes());
+    Ok(frame)
 }
 
 /// Decodes `(valid_byte_len, records, torn)` from one segment's contents.
@@ -663,13 +694,7 @@ impl Durability {
 
     /// Appends one committed op to the log (before it is applied).
     pub fn append(&mut self, zxid: u64, op: &Op) -> WalResult<()> {
-        let mut payload = Vec::with_capacity(64);
-        codec::put_u64(&mut payload, zxid);
-        codec::encode_op(op, &mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        codec::put_u32(&mut frame, payload.len() as u32);
-        codec::put_u32(&mut frame, codec::crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let frame = encode_frame(zxid, op).map_err(wal_io("encode"))?;
         let rotated = self
             .wal
             .append_frame(zxid, &frame)
@@ -939,7 +964,7 @@ mod tests {
         ];
         for op in &ops {
             let mut buf = Vec::new();
-            codec::encode_op(op, &mut buf);
+            codec::encode_op(op, &mut buf).unwrap();
             let mut cur = codec::Cursor::new(&buf);
             let back = codec::decode_op(&mut cur).expect("decodes");
             assert!(cur.is_done());
@@ -952,6 +977,12 @@ mod tests {
         // The classic test vector for the IEEE polynomial.
         assert_eq!(codec::crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(codec::crc32(b""), 0);
+        // Fed in pieces, the incremental form agrees.
+        let mut crc = codec::Crc32::new();
+        for piece in [&b"1234"[..], b"", b"56789"] {
+            crc.update(piece);
+        }
+        assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 
     #[test]
@@ -1013,6 +1044,39 @@ mod tests {
         let rec = recover_dir(tmp.path()).unwrap();
         assert_eq!(rec.ops.len(), 5);
         assert!(!rec.truncated_tail);
+    }
+
+    #[test]
+    fn large_record_round_trips_and_a_torn_tail_after_it_is_truncated() {
+        let tmp = TempDir::new("tropic-wal-large");
+        let big = Op::SetData {
+            path: p("/ckpt"),
+            data: Bytes::from(vec![0x3C; (1 << 20) + 5]),
+            expected_version: Some(2),
+        };
+        let mut d = Durability::create(tmp.path(), DurabilityOptions::default()).unwrap();
+        d.append(1, &create_op("/ckpt")).unwrap();
+        d.append(2, &big).unwrap();
+        let wal_bytes = d.stats().wal_bytes;
+        drop(d);
+        let (_, seg) = list_segments(tmp.path()).unwrap().pop().unwrap();
+        let mut data = fs::read(&seg).unwrap();
+        let clean_len = data.len();
+        assert_eq!(clean_len as u64, wal_bytes);
+        // A third record torn mid-payload: its header promises more than
+        // the file holds.
+        let mut torn = encode_frame(3, &big).unwrap();
+        torn.truncate(torn.len() / 2);
+        data.extend_from_slice(&torn);
+        fs::write(&seg, &data).unwrap();
+
+        let rec = recover_dir(tmp.path()).unwrap();
+        assert!(rec.truncated_tail);
+        assert_eq!(rec.valid_bytes, clean_len as u64);
+        let zxids: Vec<u64> = rec.ops.iter().map(|(z, _)| *z).collect();
+        assert_eq!(zxids, vec![1, 2]);
+        assert!(format!("{:?}", rec.ops[1].1) == format!("{big:?}"));
+        assert_eq!(fs::read(&seg).unwrap().len(), clean_len);
     }
 
     #[test]
@@ -1146,6 +1210,7 @@ mod tests {
         let mut d = Durability::create(
             tmp.path(),
             DurabilityOptions {
+                sync_policy: SyncPolicy::EveryBatch,
                 snapshot_every_ops: 0,
                 snapshot_max_wal_bytes: 0,
                 ..DurabilityOptions::default()

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use tropic::coord::{CoordConfig, DurabilityOptions, SyncPolicy, TempDir};
+use tropic::coord::{CoordConfig, DurabilityOptions, TempDir};
 use tropic::core::{ExecMode, PlatformConfig, Priority, Tropic, TxnRequest, TxnState};
 use tropic::tcloud::TopologySpec;
 
@@ -32,9 +32,9 @@ fn main() {
         checkpoint_every: 0,
         coord: CoordConfig {
             durability: DurabilityOptions {
-                // One fsync per committed batch: an acknowledged
-                // transaction survives losing every replica at once.
-                sync_policy: SyncPolicy::EveryBatch,
+                // The default sync policy acks a batch only after every
+                // acking replica's fsync: an acknowledged transaction
+                // survives losing every replica at once.
                 snapshot_every_ops: 16,
                 ..DurabilityOptions::default()
             },

@@ -63,6 +63,17 @@ fn full_datacenter_power_loss_loses_no_acknowledged_txn() {
     power_loss_scenario("tropic-power-loss-test", SyncPolicy::EveryBatch);
 }
 
+/// The same acceptance scenario under the policy that ships
+/// (`Pipelined { depth: 0 }`: overlapped fsyncs, ack after each replica's
+/// own fsync).
+#[test]
+fn full_datacenter_power_loss_under_the_default_policy_loses_no_acknowledged_txn() {
+    power_loss_scenario(
+        "tropic-power-loss-default",
+        DurabilityOptions::default().sync_policy,
+    );
+}
+
 /// The same acceptance scenario under the pipelined group-fsync policy.
 /// At `depth: 4` an acknowledgement may run up to four batches ahead of
 /// the disk (only `depth: 0` keeps `EveryBatch`'s posture), so this is not
