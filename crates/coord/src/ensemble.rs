@@ -23,11 +23,12 @@
 //! `last_zxid`; a follower behind the truncation horizon receives a full
 //! snapshot transfer instead.
 //!
-//! Under [`crate::wal::SyncPolicy::Pipelined`] (the default at `depth: 0`),
-//! a committed batch is settled
-//! in two phases: every acking replica's fsync is *started*
-//! (`begin_batch_sync`) before any replica blocks on its own
-//! (`finish_batch`), so the ensemble's per-batch fsyncs run concurrently
+//! Writes commit in groups ([`Ensemble::submit_group`]): each op keeps its
+//! own zxid, WAL record and result, and the group shares one fsync round
+//! per replica. Under [`crate::wal::SyncPolicy::Pipelined`] (the default at
+//! `depth: 0`), that round runs in two phases: every acking replica's fsync
+//! is *started* (`begin_batch_sync`) before any replica blocks on its own
+//! (`finish_batch`), so the ensemble's per-group fsyncs run concurrently
 //! instead of end-to-end.
 
 use std::io;
@@ -36,7 +37,7 @@ use std::path::Path as StdPath;
 use crate::error::{CoordError, CoordResult};
 use crate::net::{NodeId, SimNet};
 use crate::store::{Op, OpResult, StoreEvent, ZnodeStore};
-use crate::wal::{Durability, DurabilityOptions};
+use crate::wal::{encode_frame, Durability, DurabilityOptions};
 
 /// How many log entries an in-memory (non-durable) replica retains before
 /// taking a "virtual snapshot": its store already holds the state, so old
@@ -71,11 +72,31 @@ impl Replica {
         }
     }
 
-    fn append_and_apply(&mut self, zxid: u64, op: &Op) -> (CoordResult<OpResult>, Vec<StoreEvent>) {
+    /// Logs and applies one op. `frame` is the op's WAL record when the
+    /// caller already encoded it; without one, a durable replica encodes
+    /// its own.
+    fn append_and_apply(
+        &mut self,
+        zxid: u64,
+        op: &Op,
+        frame: Option<&[u8]>,
+    ) -> (CoordResult<OpResult>, Vec<StoreEvent>) {
+        if !self.alive {
+            // Fail-stopped earlier in this group: the rest of it is not
+            // logged here; the replica heals by transfer after a restart.
+            return (
+                Err(CoordError::Durability("replica fail-stopped".into())),
+                Vec::new(),
+            );
+        }
         // Log before apply: a crash between the two replays the op, which is
         // deterministic and therefore converges to the same state.
         if let Some(d) = self.durability.as_mut() {
-            if let Err(e) = d.append(zxid, op) {
+            let appended = match frame {
+                Some(frame) => d.append_frame(zxid, frame),
+                None => d.append(zxid, op),
+            };
+            if let Err(e) = appended {
                 // Fail-stop: a replica that cannot persist must not ack, or
                 // it would report durability it does not have. It rejoins
                 // via snapshot transfer once healed.
@@ -164,8 +185,11 @@ impl Replica {
 /// experiments and the CI stats surfaces.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EnsembleStats {
-    /// Committed writes.
+    /// Committed writes (ops, one zxid each).
     pub committed: u64,
+    /// Commit groups: writes committed together share one fsync round per
+    /// replica, so `committed / groups` is the mean group size.
+    pub groups: u64,
     /// Writes rejected for lack of quorum.
     pub no_quorum: u64,
     /// Ensemble-internal leader elections.
@@ -460,7 +484,7 @@ impl Ensemble {
             let r = &mut self.replicas[id];
             for (zxid, op) in suffix {
                 // Per-op failures replay identically on every replica.
-                let _ = r.append_and_apply(zxid, &op);
+                let _ = r.append_and_apply(zxid, &op, None);
             }
             r.begin_batch_sync();
             r.finish_batch(cap);
@@ -512,81 +536,119 @@ impl Ensemble {
             .collect()
     }
 
-    /// Submits a write through the broadcast protocol.
+    fn is_alive(&self, id: NodeId) -> bool {
+        self.replicas.get(id).is_some_and(|r| r.alive)
+    }
+
+    /// Submits one write through the broadcast protocol: a group of one
+    /// (see [`Ensemble::submit_group`]).
     ///
     /// Returns the leader's apply result and the store events the op
     /// produced, or [`CoordError::NoQuorum`] when too few replicas ack (in
     /// which case nothing is applied anywhere).
     pub fn submit(&mut self, op: Op) -> (CoordResult<OpResult>, Vec<StoreEvent>) {
-        let Some(leader) = self.leader.filter(|&l| self.replicas[l].alive) else {
+        let mut results = self.submit_group(std::slice::from_ref(&op));
+        results
+            .pop()
+            .unwrap_or((Err(CoordError::Unavailable), Vec::new()))
+    }
+
+    /// Commits `ops` as one group. Each op takes the next zxid and gets its
+    /// own WAL record, its own apply and its own result, in order — a
+    /// failing op fails alone while its neighbours commit. What the group
+    /// shares is the fsync round: one `begin_batch_sync` and one
+    /// `finish_batch` per acking replica. Each op's WAL record is encoded
+    /// once and the same bytes are appended on every replica.
+    ///
+    /// Returns one `(result, events)` per op, in order: the leader's apply
+    /// result and the store events it produced. When too few replicas ack,
+    /// every op fails with [`CoordError::NoQuorum`] and nothing is applied
+    /// anywhere.
+    pub fn submit_group(&mut self, ops: &[Op]) -> Vec<(CoordResult<OpResult>, Vec<StoreEvent>)> {
+        let fail_all = |e: CoordError| ops.iter().map(|_| (Err(e.clone()), Vec::new())).collect();
+        if ops.is_empty() {
+            return Vec::new();
+        }
+        let Some(leader) = self.leader.filter(|&l| self.is_alive(l)) else {
             self.elect();
-            let Some(_) = self.leader else {
-                return (Err(CoordError::Unavailable), Vec::new());
-            };
-            return self.submit(op);
+            if self.leader.is_none() {
+                return fail_all(CoordError::Unavailable);
+            }
+            return self.submit_group(ops);
         };
 
         // Propose phase: count replicas that receive and ack the proposal.
         let ackers = self.reachable_from_leader(leader);
         if ackers.len() < self.quorum() {
-            self.stats.no_quorum += 1;
-            return (
-                Err(CoordError::NoQuorum {
-                    acks: ackers.len(),
-                    needed: self.quorum(),
-                }),
-                Vec::new(),
-            );
+            self.stats.no_quorum += ops.len() as u64;
+            return fail_all(CoordError::NoQuorum {
+                acks: ackers.len(),
+                needed: self.quorum(),
+            });
         }
 
         // An acking replica that missed earlier commits (a dropped delivery
         // or healed partition advanced `last_committed_zxid` past it) must
-        // catch up *before* this op applies — otherwise its `last_zxid`
+        // catch up *before* this group applies — otherwise its `last_zxid`
         // would advance over a hole and suffix resync could never heal it.
         for &id in &ackers {
-            if id != leader && self.replicas[id].last_zxid != self.last_committed_zxid {
+            let lagging =
+                (self.replicas.get(id)).is_some_and(|r| r.last_zxid != self.last_committed_zxid);
+            if id != leader && lagging {
                 self.sync_follower(leader, id);
             }
         }
 
-        // Commit phase: assign the zxid, log + apply on every acking
-        // replica, then settle each replica's batch (group fsync, snapshot
-        // policy). One submit is one batch — a multi therefore pays one
-        // fsync for its whole group of sub-ops.
-        self.counter += 1;
-        let zxid = (self.epoch << 32) | self.counter;
+        // Commit phase: the group takes the next `ops.len()` zxids. A
+        // record that fails to encode here is left to each replica, which
+        // encodes it again, fails the same way and fail-stops.
+        let (epoch, first) = (self.epoch, self.counter + 1);
+        let zxid_of = |i: usize| (epoch << 32) | (first + i as u64);
+        self.counter += ops.len() as u64;
+        let frames: Vec<Option<Vec<u8>>> = if self.replicas.iter().any(|r| r.durability.is_some()) {
+            let encode = |(i, op)| encode_frame(zxid_of(i), op).ok();
+            ops.iter().enumerate().map(encode).collect()
+        } else {
+            Vec::new()
+        };
         let cap = self.memory_log_cap;
-        let mut leader_result = None;
-        let mut leader_events = Vec::new();
-        // Phase one: append + apply on every acker, starting each replica's
-        // group fsync (pipelined policy) before moving to the next — the
-        // ensemble's fsyncs for this batch run concurrently.
+        let mut results = Vec::with_capacity(ops.len());
+        // Phase one: append + apply the group on every acker, starting each
+        // replica's fsync (pipelined policy) before moving to the next —
+        // the ensemble's fsyncs for this group run concurrently.
         for &id in &ackers {
-            let r = &mut self.replicas[id];
-            let (result, events) = r.append_and_apply(zxid, &op);
-            r.begin_batch_sync();
-            if id == leader {
-                leader_result = Some(result);
-                leader_events = events;
+            let Some(r) = self.replicas.get_mut(id) else {
+                continue;
+            };
+            for (i, op) in ops.iter().enumerate() {
+                let frame = frames.get(i).and_then(Option::as_deref);
+                let applied = r.append_and_apply(zxid_of(i), op, frame);
+                if id == leader {
+                    results.push(applied);
+                }
             }
+            r.begin_batch_sync();
         }
-        // Phase two: settle each replica's batch (wait for its sync window,
+        // Every acker has written the records: free them (a checkpoint put
+        // is megabytes) before the fsync waits and any snapshot.
+        drop(frames);
+        // Phase two: settle each replica's group (wait for its sync window,
         // snapshot per policy). Serial policies do all their work here.
         for &id in &ackers {
-            self.replicas[id].finish_batch(cap);
+            if let Some(r) = self.replicas.get_mut(id) {
+                r.finish_batch(cap);
+            }
         }
         // Replicas whose durability I/O failed fail-stopped during the
         // phases above; they are counted here (after both loops, so one
         // failure doesn't hide another's) and heal via snapshot transfer
         // after a restart.
-        let fail_stopped = ackers
-            .iter()
-            .filter(|&&id| !self.replicas[id].alive)
-            .count() as u64;
-        self.stats.wal_fail_stops += fail_stopped;
-        self.stats.committed += 1;
-        self.last_committed_zxid = zxid;
-        (leader_result.expect("leader acked"), leader_events)
+        let fail_stopped = ackers.iter().filter(|&&id| !self.is_alive(id)).count();
+        self.stats.wal_fail_stops += fail_stopped as u64;
+        self.stats.committed += ops.len() as u64;
+        self.stats.groups += 1;
+        self.last_committed_zxid = (epoch << 32) | self.counter;
+        results
     }
 
     /// Reads from the leader's store. Returns an error when no leader holds
@@ -830,38 +892,124 @@ mod tests {
     }
 
     #[test]
+    fn a_group_takes_consecutive_zxids_and_a_failing_op_fails_alone() {
+        let mut e = Ensemble::new(3, 1);
+        e.submit(create_op("/a")).0.unwrap();
+        let before = e.replica_last_zxid(0).unwrap();
+        let group = [
+            create_op("/b"),
+            create_op("/a"), // exists: fails alone
+            Op::Multi {
+                ops: vec![create_op("/c"), create_op("/c/d")],
+            },
+            create_op("/e"),
+        ];
+        let results = e.submit_group(&group);
+        assert_eq!(results.len(), 4);
+        assert!(matches!(results[0].0, Ok(OpResult::Created(_))));
+        assert!(matches!(results[1].0, Err(CoordError::NodeExists(_))));
+        assert!(results[1].1.is_empty(), "a failed op fires nothing");
+        assert!(matches!(&results[2].0, Ok(OpResult::Multi(r)) if r.len() == 2));
+        assert!(matches!(results[3].0, Ok(OpResult::Created(_))));
+        for r in &e.replicas {
+            let zxids: Vec<u64> = r.log.iter().skip(1).map(|(z, _)| *z).collect();
+            assert_eq!(zxids, (1..=4).map(|i| before + i).collect::<Vec<_>>());
+            assert_eq!(r.last_zxid, before + 4);
+            let czxid = |path: &str| r.store.get(&p(path)).unwrap().1.czxid;
+            assert_eq!(czxid("/b"), before + 1);
+            assert_eq!((czxid("/c"), czxid("/c/d")), (before + 3, before + 3));
+            assert_eq!(czxid("/e"), before + 4);
+        }
+        assert!(e.replicas_consistent());
+        let s = e.stats();
+        assert_eq!((s.committed, s.groups), (5, 2));
+    }
+
+    #[test]
     fn default_policy_acks_only_what_every_acker_has_fsynced() {
         // The default overlaps the replicas' fsyncs; it must not weaken
-        // the ack: when `submit` returns, each acking replica has fsynced
-        // every byte it appended — with no drain in between, and across
-        // segment rotations and snapshots alike.
-        let tmp = TempDir::new("tropic-ens-default-ack");
-        let opts = DurabilityOptions {
-            snapshot_every_ops: 8,
-            segment_max_bytes: 256,
-            ..DurabilityOptions::default()
-        };
-        let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts).unwrap();
-        for i in 0..40 {
-            let op = if i % 3 == 0 {
-                Op::Multi {
-                    ops: (0..4).map(|j| create_op(&format!("/m{i}-{j}"))).collect(),
-                }
-            } else {
-                create_op(&format!("/n{i}"))
+        // the ack: when `submit_group` returns, each acking replica has
+        // fsynced every byte it appended — with no drain in between, across
+        // segment rotations and snapshots, for single writes and groups
+        // alike.
+        for group in [1, 3] {
+            let tmp = TempDir::new("tropic-ens-default-ack");
+            let opts = DurabilityOptions {
+                snapshot_every_ops: 8,
+                segment_max_bytes: 256,
+                ..DurabilityOptions::default()
             };
-            e.submit(op).0.unwrap();
-            for id in 0..3 {
-                let s = e.replica_durability_stats(id).expect("durable replica");
-                assert_eq!(
-                    s.bytes_fsynced, s.wal_bytes,
-                    "replica {id} acked batch {i} before its fsync landed"
-                );
+            let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts).unwrap();
+            for i in 0..40 {
+                let op = |k: usize| {
+                    if (i + k).is_multiple_of(3) {
+                        Op::Multi {
+                            ops: (0..4)
+                                .map(|j| create_op(&format!("/m{i}-{k}-{j}")))
+                                .collect(),
+                        }
+                    } else {
+                        create_op(&format!("/n{i}-{k}"))
+                    }
+                };
+                let ops: Vec<Op> = (0..group).map(op).collect();
+                for (result, _) in e.submit_group(&ops) {
+                    result.unwrap();
+                }
+                for id in 0..3 {
+                    let s = e.replica_durability_stats(id).expect("durable replica");
+                    assert_eq!(
+                        s.bytes_fsynced, s.wal_bytes,
+                        "replica {id} acked group {i} (size {group}) before its fsync landed"
+                    );
+                }
             }
+            let s = e.stats();
+            assert!(s.segments_rotated > 0, "groups must cross a rotation");
+            assert!(s.snapshots_written > 0, "groups must cross a snapshot");
+            assert_eq!((s.committed, s.groups), (40 * group as u64, 40));
         }
-        let s = e.stats();
-        assert!(s.segments_rotated > 0, "batches must cross a rotation");
-        assert!(s.snapshots_written > 0, "batches must cross a snapshot");
+    }
+
+    #[test]
+    fn a_data_dir_written_by_groups_recovers_like_one_written_op_by_op() {
+        let ops: Vec<Op> = (0..40)
+            .map(|i| match i % 4 {
+                0 => create_op(&format!("/n{i}")),
+                1 => Op::SetData {
+                    path: p(&format!("/n{}", i - 1)),
+                    data: Bytes::from(format!("v{i}")),
+                    expected_version: None,
+                },
+                2 => Op::Multi {
+                    ops: vec![create_op(&format!("/m{i}")), create_op(&format!("/m{i}/c"))],
+                },
+                _ => create_op("/n0"), // exists: fails, still takes a zxid
+            })
+            .collect();
+        let (grouped, serial) = (
+            TempDir::new("tropic-ens-grouped"),
+            TempDir::new("tropic-ens-serial"),
+        );
+        let mut g = Ensemble::with_durability(3, 1, grouped.path(), quick_opts()).unwrap();
+        for chunk in ops.chunks(7) {
+            g.submit_group(chunk);
+        }
+        let mut s = Ensemble::with_durability(3, 1, serial.path(), quick_opts()).unwrap();
+        for op in &ops {
+            let _ = s.submit(op.clone());
+        }
+        assert!(g.stats().groups < s.stats().groups);
+        drop((g, s));
+
+        let mut g = Ensemble::recover(3, 1, grouped.path(), quick_opts()).unwrap();
+        let mut s = Ensemble::recover(3, 1, serial.path(), quick_opts()).unwrap();
+        let store = s.read(|st| st.clone()).unwrap();
+        assert_eq!(store.node_count(), 1 + 10 + 20, "root, /n*, /m* and /m*/c");
+        assert_eq!(g.read(|st| st.clone()).unwrap(), store);
+        for r in &g.replicas {
+            assert_eq!(r.store, store, "replica {}", r.id);
+        }
     }
 
     #[test]

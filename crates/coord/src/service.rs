@@ -18,6 +18,12 @@
 //! `CoordClient` deliberately has no `Drop`: a crashed component *is* a
 //! dropped client, and its ephemerals must linger for the session timeout.
 //!
+//! Writes from every session commit in groups, as ZooKeeper's leader
+//! flushes its log: a write that arrives while a group is committing
+//! queues, and everything queued is committed together as the next group
+//! ([`Ensemble::submit_group`]) — each op with its own zxid and result,
+//! all of them sharing one fsync round.
+//!
 //! Watches are one-shot notifications, as in ZooKeeper, and registering
 //! one is a set insert: a session re-arming a watch that has not fired yet
 //! still holds exactly one registration per `(path, kind)`, so one store
@@ -51,10 +57,12 @@ pub struct CoordConfig {
     pub session_timeout_ms: u64,
     /// Expiry-check period.
     pub tick_ms: u64,
-    /// Simulated I/O latency added to every write while the ensemble lock is
-    /// held. Models the ZooKeeper logging cost the paper identifies as the
-    /// dominant overhead (§6.1); writes serialize behind it, bounding global
-    /// write throughput at roughly `1 / write_latency`.
+    /// Simulated I/O latency added to every commit group while the ensemble
+    /// lock is held. Models the ZooKeeper logging cost the paper identifies
+    /// as the dominant overhead (§6.1); groups serialize behind it, bounding
+    /// global group throughput at roughly `1 / write_latency`. A lone writer
+    /// pays it on every write; concurrent writers that queue behind a group
+    /// share the next one's.
     pub write_latency: Duration,
     /// On-disk durability root. `None` keeps the ensemble in memory; with a
     /// directory, every replica write-ahead-logs and snapshots under
@@ -183,8 +191,69 @@ pub struct ServiceStats {
     pub sessions: u64,
 }
 
+/// One op's outcome on the ensemble leader: its result and the store
+/// events it produced.
+type Applied = (CoordResult<OpResult>, Vec<StoreEvent>);
+
+/// A write waiting for the group that commits it.
+struct QueuedWrite {
+    ticket: u64,
+    op: Op,
+    reply: Sender<Reply>,
+}
+
+/// What a queued writer is told.
+enum Reply {
+    /// Its op was committed (or failed) in another writer's group.
+    Done(Applied),
+    /// A turn ended with this write queued first: its writer may take the
+    /// next one, unless a newer writer took it first.
+    Lead,
+}
+
+/// The group-commit queue: writes wait here while a group is committing,
+/// and the next group is everything queued when the committer takes it.
+#[derive(Default)]
+struct WriteQueue {
+    queued: Vec<QueuedWrite>,
+    /// A writer holds the committer's turn.
+    committing: bool,
+    next_ticket: u64,
+}
+
+impl WriteQueue {
+    /// Takes the committer's turn for the queued write `ticket` when the
+    /// turn is free and that write is still queued, and returns its op: a
+    /// writer only ever commits a group its own op is in.
+    fn take_turn(&mut self, ticket: u64) -> Option<Op> {
+        if self.committing {
+            return None;
+        }
+        let at = self.queued.iter().position(|w| w.ticket == ticket)?;
+        self.committing = true;
+        Some(self.queued.remove(at).op)
+    }
+}
+
+/// The committer's turn. Dropping it — on return or on unwind alike —
+/// frees the turn and wakes the oldest queued write's writer to take it,
+/// so a queue never waits without a committer; a writer that arrives first
+/// takes it instead.
+struct Turn<'a>(&'a ServiceInner);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut writes = self.0.writes.lock();
+        writes.committing = false;
+        if let Some(next) = writes.queued.first() {
+            let _ = next.reply.send(Reply::Lead);
+        }
+    }
+}
+
 pub(crate) struct ServiceInner {
     ensemble: Mutex<Ensemble>,
+    writes: Mutex<WriteQueue>,
     sessions: Mutex<HashMap<u64, Session>>,
     watches: Mutex<WatchTable>,
     clock: SharedClock,
@@ -196,7 +265,8 @@ pub(crate) struct ServiceInner {
 
 impl ServiceInner {
     // Lock order: `watches` may be held while taking `sessions`, never
-    // the reverse; neither is held across an ensemble submit.
+    // the reverse; neither is held across an ensemble submit. `writes` may
+    // be taken under `ensemble`, never the reverse.
     fn dispatch_events(&self, events: &[StoreEvent]) {
         if events.is_empty() {
             return;
@@ -253,19 +323,76 @@ impl ServiceInner {
                 stats.batched_ops += ops.len() as u64;
             }
         }
-        let (result, events) = {
-            let mut ensemble = self.ensemble.lock();
-            // The latency sleep sits inside the ensemble lock on purpose:
-            // ZooKeeper serializes writes through its leader's log, so the
-            // simulated I/O cost must bound *global* write throughput.
-            if !self.config.write_latency.is_zero() {
-                // analyze:allow(blocking-under-lock): models the leader's serialized log I/O; see comment above
-                self.clock.sleep(self.config.write_latency);
-            }
-            ensemble.submit(op)
-        };
+        let (result, events) = self.write(op);
         self.dispatch_events(&events);
         result
+    }
+
+    /// The one path every write takes to the ensemble (group commit). A
+    /// writer that finds no group committing commits its op at once, as a
+    /// group of one; writes that queue while a group commits are committed
+    /// together as the next group, by one of their writers. A writer whose
+    /// op another writer committed returns as soon as its result is
+    /// published: it never waits on the ensemble lock for a group it is
+    /// not in. There is no timer and no size limit — a group is whatever
+    /// queued behind the previous one.
+    fn write(&self, op: Op) -> Applied {
+        let (ticket, replies) = {
+            let mut writes = self.writes.lock();
+            if !writes.committing {
+                writes.committing = true;
+                drop(writes);
+                return self.commit_group(op);
+            }
+            let (reply, replies) = unbounded();
+            let ticket = writes.next_ticket;
+            writes.next_ticket += 1;
+            writes.queued.push(QueuedWrite { ticket, op, reply });
+            (ticket, replies)
+        };
+        loop {
+            match replies.recv() {
+                Ok(Reply::Done(applied)) => return applied,
+                Ok(Reply::Lead) => {
+                    let turn = self.writes.lock().take_turn(ticket);
+                    if let Some(op) = turn {
+                        return self.commit_group(op);
+                    }
+                }
+                // The committer holding this write unwound without
+                // publishing its result.
+                Err(_) => return (Err(CoordError::Unavailable), Vec::new()),
+            }
+        }
+    }
+
+    /// Holds the committer's turn: commits `own` and everything queued as
+    /// one group, publishes every queued write's result to its writer, and
+    /// returns `own`'s.
+    fn commit_group(&self, own: Op) -> Applied {
+        let _turn = Turn(self);
+        let mut ensemble = self.ensemble.lock();
+        let queued = std::mem::take(&mut self.writes.lock().queued);
+        let (mut ops, mut replies) = (vec![own], Vec::with_capacity(queued.len()));
+        for w in queued {
+            ops.push(w.op);
+            replies.push(w.reply);
+        }
+        // The latency sleep sits inside the ensemble lock on purpose:
+        // ZooKeeper serializes writes through its leader's log, so the
+        // simulated I/O cost must bound *global* write throughput. It is
+        // paid once per group, as the log write it models is.
+        if !self.config.write_latency.is_zero() {
+            // analyze:allow(blocking-under-lock): models the leader's serialized log I/O; see comment above
+            self.clock.sleep(self.config.write_latency);
+        }
+        let mut results = ensemble.submit_group(&ops).into_iter();
+        drop(ensemble);
+        let mine = results.next();
+        for (reply, applied) in replies.iter().zip(results) {
+            let _ = reply.send(Reply::Done(applied));
+        }
+        mine.unwrap_or((Err(CoordError::Unavailable), Vec::new()))
     }
 
     /// The one way a session ends: `close()`, timeout expiry and
@@ -280,10 +407,7 @@ impl ServiceInner {
         if !row.owns_ephemerals {
             return;
         }
-        let (result, events) = {
-            let mut ensemble = self.ensemble.lock();
-            ensemble.submit(Op::PurgeSession { session })
-        };
+        let (result, events) = self.write(Op::PurgeSession { session });
         // Purge is best-effort when the ensemble lacks quorum; the paths
         // remain until quorum returns (the next successful write or restart
         // re-runs no purge, matching ZooKeeper, where the purge is part of
@@ -351,6 +475,7 @@ impl CoordService {
         let ensemble = Self::build_ensemble(&config, recover);
         let inner = Arc::new(ServiceInner {
             ensemble: Mutex::new(ensemble),
+            writes: Mutex::new(WriteQueue::default()),
             sessions: Mutex::new(HashMap::new()),
             watches: Mutex::new(WatchTable::default()),
             clock,
@@ -365,8 +490,7 @@ impl CoordService {
             // clients gone, no heartbeat would ever stop and expire them.
             // Purge them now so the recovered platform elects cleanly. The
             // purges replicate (and WAL) like any other write.
-            let mut ensemble = inner.ensemble.lock();
-            let orphans = ensemble
+            let orphans = (inner.ensemble.lock())
                 .read(|s| s.ephemeral_sessions())
                 .unwrap_or_default();
             if !orphans.is_empty() {
@@ -377,11 +501,10 @@ impl CoordService {
                     .collect();
                 // One atomic batch: one broadcast, one WAL record, one
                 // fsync — and no half-purged state if this boot crashes.
-                if ensemble.submit(Op::Multi { ops }).0.is_ok() {
+                if inner.write(Op::Multi { ops }).0.is_ok() {
                     inner.stats.lock().recovery_purged_sessions = count;
                 }
             }
-            drop(ensemble);
         }
         let expiry_inner = Arc::clone(&inner);
         let expiry_thread = std::thread::Builder::new()
@@ -491,6 +614,12 @@ impl CoordService {
     /// The configured session timeout in milliseconds.
     pub fn session_timeout_ms(&self) -> u64 {
         self.inner.config.session_timeout_ms
+    }
+
+    /// Whether writes are logged to disk ([`CoordConfig::data_dir`]), so
+    /// each waits for an fsync round.
+    pub fn is_durable(&self) -> bool {
+        self.inner.config.data_dir.is_some()
     }
 }
 
@@ -1275,6 +1404,99 @@ mod tests {
             "orphaned ephemeral must be purged on recovery"
         );
         assert!(svc.stats().recovery_purged_sessions >= 1);
+    }
+
+    #[test]
+    fn concurrent_writers_share_groups_and_every_acked_write_survives_recovery() {
+        const THREADS: usize = 8;
+        const WRITES: usize = 20;
+        let tmp = crate::testutil::TempDir::new("tropic-svc-groups");
+        let config = CoordConfig {
+            session_timeout_ms: 10_000,
+            data_dir: Some(tmp.path().to_path_buf()),
+            ..CoordConfig::default()
+        };
+        let acked: Vec<Path> = {
+            let svc = Arc::new(CoordService::start(config.clone()));
+            svc.set_simulated_fsync_latency(Duration::from_millis(1));
+            let setup = svc.connect("setup");
+            setup.create_all(&p("/seq")).unwrap();
+            let watched = |t: usize, i: usize| p(&format!("/w{t}-{i}"));
+            for (t, i) in (0..THREADS).flat_map(|t| (0..WRITES).map(move |i| (t, i))) {
+                setup.watch(&watched(t, i), WatchKind::Node).unwrap();
+            }
+            let before = svc.ensemble_stats();
+            let writers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let svc = Arc::clone(&svc);
+                    std::thread::spawn(move || {
+                        let c = svc.connect("writer");
+                        let mut acked = Vec::new();
+                        for i in 0..WRITES {
+                            let seq = CreateMode::PersistentSequential;
+                            acked.push(c.create(&p("/seq/item-"), Bytes::new(), seq).unwrap());
+                            let plain = CreateMode::Persistent;
+                            acked.push(c.create(&watched(t, i), Bytes::new(), plain).unwrap());
+                        }
+                        acked
+                    })
+                })
+                .collect();
+            let acked: Vec<Path> = writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect();
+            let after = svc.ensemble_stats();
+            let writes = after.committed - before.committed;
+            assert_eq!(writes, (THREADS * WRITES * 2) as u64);
+            assert!(
+                after.groups - before.groups < writes,
+                "{} groups for {writes} concurrent writes",
+                after.groups - before.groups
+            );
+
+            let names: std::collections::HashSet<&Path> = acked.iter().collect();
+            assert_eq!(names.len(), acked.len(), "sequential names collided");
+            // Each writer dispatched its own events before returning.
+            let mut fired = std::collections::HashSet::new();
+            while let Ok(ev) = setup.events().try_recv() {
+                let StoreEvent::Created(path) = ev.event else {
+                    panic!("unexpected {ev:?}");
+                };
+                assert!(fired.insert(path.clone()), "{path} fired twice");
+            }
+            assert_eq!(fired.len(), THREADS * WRITES, "one event per armed watch");
+            assert_eq!(svc.stats().watch_registrations, 0);
+            acked
+        };
+        let svc = CoordService::recover(config);
+        let c = svc.connect("reader");
+        for path in &acked {
+            assert!(c.exists(path).unwrap(), "acked {path} lost");
+        }
+    }
+
+    #[test]
+    fn a_lone_writer_commits_one_group_per_write_without_waiting() {
+        // The clock never moves, so a batch window timed on it would never
+        // close; the wall-clock bound catches any other added wait.
+        let clock = ManualClock::new();
+        let svc = manual_service(&clock);
+        let c = svc.connect("lone");
+        let before = svc.ensemble_stats();
+        let started = std::time::Instant::now();
+        for i in 0..100 {
+            c.create(
+                &p(&format!("/lone{i}")),
+                Bytes::new(),
+                CreateMode::Persistent,
+            )
+            .unwrap();
+        }
+        assert!(started.elapsed() < Duration::from_secs(1));
+        let after = svc.ensemble_stats();
+        assert_eq!(after.committed - before.committed, 100);
+        assert_eq!(after.groups - before.groups, 100);
     }
 
     #[test]

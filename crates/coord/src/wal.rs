@@ -4,9 +4,10 @@
 //! length-prefixed, CRC-checksummed record *before* it is applied, mirroring
 //! ZooKeeper's transaction log — the durable half of the paper's
 //! "highly-available transactional orchestration" claim (§2.3, §6.1).
-//! Because group commit folds a whole scheduling round into one
-//! [`Op::Multi`], a single appended record (and a single fsync under the
-//! default [`SyncPolicy::Pipelined`] `{ depth: 0 }`) covers the entire batch.
+//! A whole scheduling round is one [`Op::Multi`], so one appended record
+//! covers it; and the ensemble commits writes from concurrent sessions as
+//! one group, so one fsync (under the default [`SyncPolicy::Pipelined`]
+//! `{ depth: 0 }`) covers every record of the group.
 //!
 //! The log is segmented: a segment file is named after the zxid of its
 //! first record and rotated once it exceeds
@@ -93,8 +94,8 @@ fn wal_io(op: &'static str) -> impl FnOnce(io::Error) -> WalError {
 /// a transaction's cost).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// One fsync per committed batch (every ensemble submit — a multi pays
-    /// it once for the whole group), issued and awaited inline, so the
+    /// One fsync per committed batch (every ensemble commit group — all its
+    /// records pay it once), issued and awaited inline, so the
     /// ensemble's replicas fsync one after another. The same safety
     /// posture as the default; kept as the serial baseline that benches
     /// measure the default against.
@@ -113,7 +114,7 @@ pub enum SyncPolicy {
     /// lands — but only `depth: 0` (the default) keeps
     /// [`SyncPolicy::EveryBatch`]'s safety posture: each replica's ack
     /// still waits for its own batch, and the gain is that the ensemble's
-    /// fsyncs overlap across replicas (see `Ensemble::submit`); each such
+    /// fsyncs overlap across replicas (see `Ensemble::submit_group`); each such
     /// wait that blocks counts one `pipeline_stalls`, so at most one per
     /// batch per replica. With `depth > 0` the fsync of batch N
     /// also overlaps the encode and append of batch N+1, and the commit
@@ -380,8 +381,10 @@ pub fn recover_dir(dir: &StdPath) -> io::Result<WalRecovery> {
 
 /// Encodes one WAL record, `[len][crc32][zxid ‖ op]`, in a single buffer:
 /// the header is reserved, the payload encoded after it, and the header
-/// filled in last, so the payload is never copied.
-fn encode_frame(zxid: u64, op: &Op) -> io::Result<Vec<u8>> {
+/// filled in last, so the payload is never copied. The ensemble encodes
+/// each committed op once and hands the same bytes to every replica's
+/// [`Durability::append_frame`].
+pub(crate) fn encode_frame(zxid: u64, op: &Op) -> io::Result<Vec<u8>> {
     let mut frame = vec![0u8; 8];
     codec::put_u64(&mut frame, zxid)?;
     codec::encode_op(op, &mut frame)?;
@@ -695,9 +698,15 @@ impl Durability {
     /// Appends one committed op to the log (before it is applied).
     pub fn append(&mut self, zxid: u64, op: &Op) -> WalResult<()> {
         let frame = encode_frame(zxid, op).map_err(wal_io("encode"))?;
+        self.append_frame(zxid, &frame)
+    }
+
+    /// Appends one committed op already encoded by `encode_frame`, so
+    /// replicas logging the same op share one encode.
+    pub fn append_frame(&mut self, zxid: u64, frame: &[u8]) -> WalResult<()> {
         let rotated = self
             .wal
-            .append_frame(zxid, &frame)
+            .append_frame(zxid, frame)
             .map_err(wal_io("append"))?;
         if rotated {
             self.stats.segments_rotated += 1;

@@ -9,11 +9,21 @@
 //! (`physical::execute_record`). Signals posted by the controller
 //! are polled between actions so stalled transactions can be TERMed or
 //! KILLed (paper §4).
+//!
+//! Each outcome is written the moment its task finishes. On an in-memory
+//! store the worker writes it itself. On a durable store every write waits
+//! for an fsync round, so the worker hands each outcome to its reporter
+//! thread, which writes every result that is ready in one write — a plain
+//! enqueue for one, a multi of enqueues for several. Results that finish
+//! while a write is in flight then share the next one, as the coordination
+//! service's group commit does for writes across sessions, and no result
+//! waits behind a device call or the next task.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use tropic_coord::{CoordService, DistributedQueue};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use tropic_coord::{CoordClient, CoordService, DistributedQueue};
 
 use crate::api::Priority;
 use crate::msg::{encode_input, layout, InputMsg, PhyTask, Signal};
@@ -22,10 +32,10 @@ use crate::reconcile::RepairRules;
 use crate::txn::TxnRecord;
 
 /// Maximum tasks claimed per round, in one atomic multi. Small, so one
-/// worker cannot starve the others under load. Outcomes are still reported
-/// the moment each task finishes — withholding a finished result until its
-/// batch-mates execute would stretch commit latency and invite spurious
-/// TERM/KILL on already-committed work.
+/// worker cannot starve the others under load. Each result still goes out
+/// the moment its task finishes — withholding it until its batch-mates
+/// execute would stretch commit latency and invite spurious TERM/KILL on
+/// already-committed work.
 const CLAIM_BATCH: usize = 4;
 /// Initial idle wait when `phyQ` is empty.
 const IDLE_BACKOFF_START: Duration = Duration::from_millis(50);
@@ -58,6 +68,36 @@ pub fn run_worker(
     let Ok(input_q) = DistributedQueue::new(&client, layout::input_lane(Priority::High)) else {
         return;
     };
+    let (ready, results) = unbounded();
+    std::thread::scope(|scope| {
+        let reporter = if coord.is_durable() {
+            let spawned = std::thread::Builder::new()
+                .name(format!("{name}-report"))
+                .spawn_scoped(scope, || report(&client, &input_q, &results));
+            if spawned.is_err() {
+                return;
+            }
+            Some(&ready)
+        } else {
+            None
+        };
+        execute_claims(&client, &phy_q, &input_q, &mode, &rules, stop, reporter);
+        // The reporter writes what is still queued, then exits.
+        drop(ready);
+    });
+}
+
+/// Claims and executes tasks until `stop`, handing each outcome to the
+/// `reporter` when there is one and writing it to `input_q` otherwise.
+fn execute_claims(
+    client: &CoordClient,
+    phy_q: &DistributedQueue<'_>,
+    input_q: &DistributedQueue<'_>,
+    mode: &ExecMode,
+    rules: &RepairRules,
+    stop: &AtomicBool,
+    reporter: Option<&Sender<Vec<u8>>>,
+) {
     let mut idle_wait = IDLE_BACKOFF_START;
     while !stop.load(Ordering::SeqCst) {
         // Claim the head of the queue — everything already waiting, bounded,
@@ -100,18 +140,43 @@ pub fn run_worker(
                 continue;
             };
             let signal_path = layout::signal(task.id);
-            let outcome = execute_record(&rec, &mode, &rules, || {
+            let outcome = execute_record(&rec, mode, rules, || {
                 client.get_json::<Signal>(&signal_path).ok().flatten()
             });
-            let msg = InputMsg::Result {
+            let msg = encode_input(InputMsg::Result {
                 id: task.id,
                 outcome,
-            };
-            // Best-effort, and immediately per task: if the enqueue fails
-            // (quorum loss), the transaction stalls and the controller's
-            // TERM/KILL timeouts take over — the paper's answer to
-            // unresponsive transactions.
-            let _ = input_q.enqueue(encode_input(msg));
+            });
+            // Best-effort, as in `report`.
+            match reporter {
+                Some(ready) => {
+                    let _ = ready.send(msg);
+                }
+                None => {
+                    let _ = input_q.enqueue(msg);
+                }
+            }
+        }
+    }
+}
+
+/// The reporter: writes to `inputQ` every result queued by the time the
+/// previous write returned, in one write — a plain enqueue for one, a multi
+/// of enqueues for several — until the worker hangs up. Best-effort: if a
+/// write fails (quorum loss), those transactions stall and the
+/// controller's TERM/KILL timeouts take over — the paper's answer to
+/// unresponsive transactions.
+fn report(client: &CoordClient, input_q: &DistributedQueue<'_>, results: &Receiver<Vec<u8>>) {
+    while let Ok(first) = results.recv() {
+        let mut more = Vec::new();
+        while let Ok(msg) = results.try_recv() {
+            more.push(msg);
+        }
+        if more.is_empty() {
+            let _ = input_q.enqueue(first);
+        } else {
+            let msgs = std::iter::once(first).chain(more);
+            let _ = client.multi(msgs.map(|m| input_q.enqueue_op(m)).collect());
         }
     }
 }
@@ -213,6 +278,152 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
         assert!(phy_q.is_empty().unwrap());
+    }
+
+    /// Persists a Started record for each id, with `log`, and queues its task.
+    fn queue_tasks(client: &tropic_coord::CoordClient, ids: &[u64], log: &[LogRecord]) {
+        let phy_q = DistributedQueue::new(client, layout::phy_q()).unwrap();
+        for &id in ids {
+            let mut rec = TxnRecord::new(id, "noop", vec![], 0);
+            rec.state = TxnState::Started;
+            rec.log = log.to_vec();
+            client.put_json(&layout::txn(id), &rec).unwrap();
+            phy_q
+                .enqueue(serde_json::to_vec(&PhyTask { id }).unwrap())
+                .unwrap();
+        }
+    }
+
+    /// Polls until `q` holds `n` items; false after 5 s.
+    fn await_len(q: &DistributedQueue<'_>, n: usize) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while q.len().unwrap() < n {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    #[test]
+    fn the_reporter_writes_the_results_ready_together_in_one_write() {
+        let coord = CoordService::start(CoordConfig::default());
+        let client = coord.connect("test");
+        let input_q = DistributedQueue::new(&client, layout::input_lane(Priority::High)).unwrap();
+        let result = |id| {
+            encode_input(InputMsg::Result {
+                id,
+                outcome: crate::physical::PhysicalOutcome::Committed,
+            })
+        };
+        // (results ready at once, writes, multis, ops batched in them)
+        for (ready, expected) in [(4, (1, 1, 4)), (1, (1, 0, 0))] {
+            let (tx, rx) = unbounded();
+            for id in 0..ready {
+                tx.send(result(id)).unwrap();
+            }
+            drop(tx);
+            let before = coord.stats();
+            report(&client, &input_q, &rx);
+            let after = coord.stats();
+            let written = (
+                after.writes - before.writes,
+                after.multis - before.multis,
+                after.batched_ops - before.batched_ops,
+            );
+            assert_eq!(written, expected, "{ready} results ready together");
+        }
+        assert_eq!(input_q.len().unwrap(), 5);
+    }
+
+    /// A device whose first call returns at once and whose later calls
+    /// block until the test opens the gate (or 10 s pass).
+    struct GatedDevice {
+        mount: Path,
+        calls: std::sync::atomic::AtomicUsize,
+        gate: crossbeam::channel::Receiver<()>,
+        faults: tropic_devices::FaultPlan,
+    }
+
+    impl tropic_devices::Device for GatedDevice {
+        fn name(&self) -> &str {
+            "gated"
+        }
+        fn mount(&self) -> &Path {
+            &self.mount
+        }
+        fn invoke(&self, _: &tropic_devices::ActionCall) -> tropic_devices::DeviceResult<()> {
+            if self.calls.fetch_add(1, Ordering::SeqCst) > 0 {
+                let _ = self.gate.recv_timeout(Duration::from_secs(10));
+            }
+            Ok(())
+        }
+        fn export_state(&self) -> tropic_model::Node {
+            tropic_model::Node::new("gated")
+        }
+        fn fault_plan(&self) -> &tropic_devices::FaultPlan {
+            &self.faults
+        }
+    }
+
+    #[test]
+    fn no_result_waits_behind_the_next_device_call() {
+        // In memory the worker writes each result itself; on a durable
+        // store its reporter thread does.
+        for durable in [false, true] {
+            let tmp = tropic_coord::TempDir::new("tropic-worker-gated");
+            let config = CoordConfig {
+                data_dir: durable.then(|| tmp.path().to_path_buf()),
+                ..CoordConfig::default()
+            };
+            let coord = Arc::new(CoordService::start(config));
+            let client = coord.connect("test");
+            let input_q =
+                DistributedQueue::new(&client, layout::input_lane(Priority::High)).unwrap();
+            let mount = Path::parse("/gated").unwrap();
+            let step = LogRecord {
+                seq: 1,
+                object: mount.clone(),
+                action: "act".into(),
+                args: vec![],
+                undo_action: None,
+                undo_object: None,
+                undo_args: vec![],
+                best_effort: false,
+            };
+            queue_tasks(&client, &[1, 2], &[step]);
+            let (open, gate) = crossbeam::channel::unbounded();
+            let registry = tropic_devices::DeviceRegistry::new(tropic_model::Tree::new());
+            registry.register(Arc::new(GatedDevice {
+                mount,
+                calls: Default::default(),
+                gate,
+                faults: tropic_devices::FaultPlan::none(),
+            }));
+            let before = coord.stats();
+
+            let stop = Arc::new(AtomicBool::new(false));
+            let mode = ExecMode::Physical(Arc::new(registry));
+            let handle = spawn_worker(Arc::clone(&coord), mode, Arc::clone(&stop));
+            // Task 2's device call holds at the gate; task 1's result must
+            // land regardless.
+            let first_landed = await_len(&input_q, 1);
+            open.send(()).unwrap();
+            assert!(await_len(&input_q, 2));
+            stop.store(true, Ordering::SeqCst);
+            handle.join().unwrap();
+            assert!(
+                first_landed,
+                "durable: {durable}: task 1's result waited behind task 2's device call"
+            );
+
+            // The claim multi, then one plain enqueue per result: the
+            // results were never ready together.
+            let after = coord.stats();
+            assert_eq!(after.multis - before.multis, 1);
+            assert_eq!(after.writes - before.writes, 3);
+        }
     }
 
     #[test]
