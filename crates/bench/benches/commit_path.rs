@@ -13,24 +13,24 @@
 //! is amortized across the transactions sharing it — a single submit→wait
 //! pair mostly measures scheduling-round alignment.
 //!
-//! Four more run the *real* durability layer (replica WALs on disk, a
-//! modeled per-fsync device latency) across a store-size dimension, so the
-//! numbers expose both delta-snapshot proportionality and the pipelined
-//! group-fsync payoff:
+//! Three more run the *real* durability layer (replica WALs on disk, a
+//! modeled per-fsync device latency), where every replica fsyncs each
+//! commit group before it acks:
 //!
-//! * `serial_fsync_1k` / `serial_fsync_16k`       — `SyncPolicy::EveryBatch`:
-//!   each replica's fsync blocks the commit path in turn.
-//! * `pipelined_fsync_1k` / `pipelined_fsync_16k` — `SyncPolicy::Pipelined`:
-//!   per-replica sync threads overlap fsyncs across replicas and batches.
+//! * `durable_3r_1k` / `durable_3r_16k` — three replicas, 1k and 16k filler
+//!   znodes: the store-size dimension exposes delta-snapshot
+//!   proportionality.
+//! * `durable_1r_16k` — one replica at 16k: the floor the three-replica
+//!   run approaches when the replicas' fsyncs overlap.
 //!
-//! `ci.sh --bench-snapshot` records all five means in
-//! `BENCH_commit_path.json` (ungated: the per-record path the old ratio
-//! gate compared against no longer exists); the durable-variant means feed
-//! `BENCH_snapshot.json`, gated on `serial_fsync_16k / pipelined_fsync_16k`.
+//! `ci.sh --bench-snapshot` records all four means in
+//! `BENCH_commit_path.json` and gates on `durable_3r_16k / durable_1r_16k`
+//! (`replica_fsync_overlap_16k`): replicas settling one after another
+//! would pay about three fsyncs per group instead of one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use tropic_coord::{CoordConfig, DurabilityOptions, Op, SyncPolicy, TempDir};
+use tropic_coord::{CoordConfig, DurabilityOptions, Op, TempDir};
 use tropic_core::{ExecMode, PlatformConfig, Tropic, TxnState};
 use tropic_model::Path;
 use tropic_tcloud::TopologySpec;
@@ -47,8 +47,8 @@ const WRITE_LATENCY: Duration = Duration::from_millis(2);
 const WINDOW: u64 = 8;
 
 /// Modeled device flush for the durable variants (an enterprise-SSD-class
-/// fsync). The serial policy pays it once per replica per batch, in
-/// sequence; the pipelined policy overlaps those flushes.
+/// fsync). Every replica pays it once per commit group; the replicas pay
+/// it at the same time.
 const FSYNC_LATENCY: Duration = Duration::from_micros(400);
 
 fn spec() -> TopologySpec {
@@ -79,15 +79,15 @@ fn platform() -> Tropic {
     )
 }
 
-fn durable_platform(dir: &std::path::Path, sync_policy: SyncPolicy) -> Tropic {
+fn durable_platform(dir: &std::path::Path, replicas: usize) -> Tropic {
     Tropic::start(
         PlatformConfig {
             controllers: 1,
             workers: 1,
             checkpoint_every: 0,
             coord: CoordConfig {
+                replicas,
                 durability: DurabilityOptions {
-                    sync_policy,
                     // Frequent snapshots keep the snapshot encoder on the
                     // measured path, so store size shows up honestly.
                     snapshot_every_ops: 256,
@@ -180,14 +180,9 @@ fn run_commit_loop(c: &mut Criterion, name: &str, platform: &Tropic) {
     group.finish();
 }
 
-fn bench_durable_variant(
-    c: &mut Criterion,
-    name: &str,
-    sync_policy: SyncPolicy,
-    store_nodes: usize,
-) {
+fn bench_durable_variant(c: &mut Criterion, name: &str, replicas: usize, store_nodes: usize) {
     let tmp = TempDir::new("tropic-bench-commit-durable");
-    let platform = durable_platform(tmp.path(), sync_policy);
+    let platform = durable_platform(tmp.path(), replicas);
     populate_filler(&platform, store_nodes);
     // Population ran at device speed zero; measurement models the flush.
     platform.coord().set_simulated_fsync_latency(FSYNC_LATENCY);
@@ -199,20 +194,9 @@ fn bench(c: &mut Criterion) {
     let platform = platform();
     run_commit_loop(c, "group_commit", &platform);
     platform.shutdown();
-    bench_durable_variant(c, "serial_fsync_1k", SyncPolicy::EveryBatch, 1_024);
-    bench_durable_variant(
-        c,
-        "pipelined_fsync_1k",
-        SyncPolicy::Pipelined { depth: 4 },
-        1_024,
-    );
-    bench_durable_variant(c, "serial_fsync_16k", SyncPolicy::EveryBatch, 16_384);
-    bench_durable_variant(
-        c,
-        "pipelined_fsync_16k",
-        SyncPolicy::Pipelined { depth: 4 },
-        16_384,
-    );
+    bench_durable_variant(c, "durable_3r_1k", 3, 1_024);
+    bench_durable_variant(c, "durable_3r_16k", 3, 16_384);
+    bench_durable_variant(c, "durable_1r_16k", 1, 16_384);
 }
 
 criterion_group!(benches, bench);

@@ -24,12 +24,12 @@
 //! snapshot transfer instead.
 //!
 //! Writes commit in groups ([`Ensemble::submit_group`]): each op keeps its
-//! own zxid, WAL record and result, and the group shares one fsync round
-//! per replica. Under [`crate::wal::SyncPolicy::Pipelined`] (the default at
-//! `depth: 0`), that round runs in two phases: every acking replica's fsync
-//! is *started* (`begin_batch_sync`) before any replica blocks on its own
-//! (`finish_batch`), so the ensemble's per-group fsyncs run concurrently
-//! instead of end-to-end.
+//! own zxid, WAL record and result, and the group shares one fsync per
+//! replica. Every acking replica fsyncs the group before the group is
+//! acknowledged, and a group is acknowledged only when a quorum of
+//! replicas has done so. The replicas settle in parallel — each follower
+//! on its own scoped thread, the leader on the caller's — so a group costs
+//! about one fsync of wall time rather than one per replica.
 
 use std::io;
 use std::path::Path as StdPath;
@@ -113,20 +113,8 @@ impl Replica {
         (result, events)
     }
 
-    /// Starts this replica's group fsync without waiting on it (pipelined
-    /// policy only; a no-op otherwise). Calling this on every acking
-    /// replica before any `finish_batch` lets the ensemble's fsyncs for one
-    /// batch overlap.
-    fn begin_batch_sync(&mut self) {
-        if let Some(d) = self.durability.as_mut() {
-            if d.begin_batch_sync().is_err() {
-                self.alive = false;
-            }
-        }
-    }
-
-    /// Ends a committed batch on this replica: fsync per policy, snapshot
-    /// per policy (truncating WAL segments and the in-memory log), or — for
+    /// Ends a committed batch on this replica: fsync, then snapshot per
+    /// policy (truncating WAL segments and the in-memory log), or — for
     /// in-memory replicas — enforce the log cap.
     fn finish_batch(&mut self, memory_log_cap: usize) {
         let last_zxid = self.last_zxid;
@@ -207,10 +195,10 @@ pub struct EnsembleStats {
     /// Directory fsyncs (renames, new segments, deletions) across all
     /// replicas.
     pub dir_fsyncs: u64,
-    /// Pipelined commit paths that blocked on a full sync window.
+    /// Always 0: every replica fsyncs each group before it acks, so no
+    /// commit path waits on a sync window. Kept only because the
+    /// end-to-end benchmark still reports it.
     pub pipeline_stalls: u64,
-    /// Batches settled by a shared (coalesced) sync round.
-    pub pipeline_coalesced: u64,
     /// Replicas recovered from disk (snapshot + log-suffix replay).
     pub recoveries: u64,
     /// Follower resyncs served as a log suffix since `last_zxid`.
@@ -384,8 +372,6 @@ impl Ensemble {
                 s.bytes_fsynced += ds.bytes_fsynced;
                 s.fsyncs += ds.fsyncs;
                 s.dir_fsyncs += ds.dir_fsyncs;
-                s.pipeline_stalls += ds.pipeline_stalls;
-                s.pipeline_coalesced += ds.pipeline_coalesced;
             }
         }
         s
@@ -399,7 +385,7 @@ impl Ensemble {
 
     /// Sets the modeled per-fsync device latency on every durable replica
     /// (zero, the initial value, adds nothing). Benches use this to populate
-    /// a store at full speed and then measure commit policies against a
+    /// a store at full speed and then measure the commit path against a
     /// realistic device.
     pub fn set_simulated_fsync_latency(&mut self, latency: std::time::Duration) {
         for r in &mut self.replicas {
@@ -486,7 +472,6 @@ impl Ensemble {
                 // Per-op failures replay identically on every replica.
                 let _ = r.append_and_apply(zxid, &op, None);
             }
-            r.begin_batch_sync();
             r.finish_batch(cap);
             self.stats.suffix_syncs += 1;
         } else {
@@ -556,14 +541,16 @@ impl Ensemble {
     /// Commits `ops` as one group. Each op takes the next zxid and gets its
     /// own WAL record, its own apply and its own result, in order — a
     /// failing op fails alone while its neighbours commit. What the group
-    /// shares is the fsync round: one `begin_batch_sync` and one
-    /// `finish_batch` per acking replica. Each op's WAL record is encoded
-    /// once and the same bytes are appended on every replica.
+    /// shares is the fsync: one `finish_batch` per acking replica, the
+    /// replicas settling in parallel. Each op's WAL record is encoded once
+    /// and the same bytes are appended on every replica.
     ///
     /// Returns one `(result, events)` per op, in order: the leader's apply
     /// result and the store events it produced. When too few replicas ack,
     /// every op fails with [`CoordError::NoQuorum`] and nothing is applied
-    /// anywhere.
+    /// anywhere. When too few ackers survive the group's durability I/O,
+    /// every op fails with [`CoordError::NoQuorum`] and no events: the
+    /// survivors logged the group, but it is never acknowledged.
     pub fn submit_group(&mut self, ops: &[Op]) -> Vec<(CoordResult<OpResult>, Vec<StoreEvent>)> {
         let fail_all = |e: CoordError| ops.iter().map(|_| (Err(e.clone()), Vec::new())).collect();
         if ops.is_empty() {
@@ -605,17 +592,15 @@ impl Ensemble {
         let (epoch, first) = (self.epoch, self.counter + 1);
         let zxid_of = |i: usize| (epoch << 32) | (first + i as u64);
         self.counter += ops.len() as u64;
-        let frames: Vec<Option<Vec<u8>>> = if self.replicas.iter().any(|r| r.durability.is_some()) {
+        let durable = self.replicas.iter().any(|r| r.durability.is_some());
+        let frames: Vec<Option<Vec<u8>>> = if durable {
             let encode = |(i, op)| encode_frame(zxid_of(i), op).ok();
             ops.iter().enumerate().map(encode).collect()
         } else {
             Vec::new()
         };
-        let cap = self.memory_log_cap;
         let mut results = Vec::with_capacity(ops.len());
-        // Phase one: append + apply the group on every acker, starting each
-        // replica's fsync (pipelined policy) before moving to the next —
-        // the ensemble's fsyncs for this group run concurrently.
+        // Phase one: append + apply the group on every acker.
         for &id in &ackers {
             let Some(r) = self.replicas.get_mut(id) else {
                 continue;
@@ -627,28 +612,74 @@ impl Ensemble {
                     results.push(applied);
                 }
             }
-            r.begin_batch_sync();
         }
         // Every acker has written the records: free them (a checkpoint put
         // is megabytes) before the fsync waits and any snapshot.
         drop(frames);
-        // Phase two: settle each replica's group (wait for its sync window,
-        // snapshot per policy). Serial policies do all their work here.
-        for &id in &ackers {
-            if let Some(r) = self.replicas.get_mut(id) {
-                r.finish_batch(cap);
+        // Phase two: settle each acker's group — fsync, then snapshot per
+        // policy.
+        if durable {
+            self.settle_in_parallel(leader, &ackers);
+        } else {
+            let cap = self.memory_log_cap;
+            for &id in &ackers {
+                if let Some(r) = self.replicas.get_mut(id) {
+                    r.finish_batch(cap);
+                }
             }
         }
+        // The survivors logged the group, so followers must catch up to it
+        // whether or not it is acknowledged.
+        self.last_committed_zxid = (epoch << 32) | self.counter;
         // Replicas whose durability I/O failed fail-stopped during the
         // phases above; they are counted here (after both loops, so one
         // failure doesn't hide another's) and heal via snapshot transfer
         // after a restart.
-        let fail_stopped = ackers.iter().filter(|&&id| !self.is_alive(id)).count();
-        self.stats.wal_fail_stops += fail_stopped as u64;
+        let acks = ackers.iter().filter(|&&id| self.is_alive(id)).count();
+        self.stats.wal_fail_stops += (ackers.len() - acks) as u64;
+        if acks < self.quorum() {
+            self.stats.no_quorum += ops.len() as u64;
+            return fail_all(CoordError::NoQuorum {
+                acks,
+                needed: self.quorum(),
+            });
+        }
         self.stats.committed += ops.len() as u64;
         self.stats.groups += 1;
-        self.last_committed_zxid = (epoch << 32) | self.counter;
         results
+    }
+
+    /// Runs `finish_batch` on every acker at once: each follower on its own
+    /// scoped thread, the leader on the calling thread, so the group's
+    /// fsyncs overlap. A follower whose thread cannot be spawned has not
+    /// fsynced, so it fail-stops.
+    fn settle_in_parallel(&mut self, leader: NodeId, ackers: &[NodeId]) {
+        let cap = self.memory_log_cap;
+        let mut unspawned = Vec::new();
+        std::thread::scope(|scope| {
+            let mut on_caller = None;
+            for r in self.replicas.iter_mut().filter(|r| ackers.contains(&r.id)) {
+                if r.id == leader {
+                    on_caller = Some(r);
+                    continue;
+                }
+                let id = r.id;
+                let settle = std::thread::Builder::new()
+                    .name(format!("tropic-settle-{id}"))
+                    .spawn_scoped(scope, move || r.finish_batch(cap));
+                if settle.is_err() {
+                    unspawned.push(id);
+                }
+            }
+            if let Some(r) = on_caller {
+                r.finish_batch(cap);
+            }
+        });
+        for id in unspawned {
+            if let Some(r) = self.replicas.get_mut(id) {
+                r.alive = false;
+            }
+        }
     }
 
     /// Reads from the leader's store. Returns an error when no leader holds
@@ -693,6 +724,7 @@ mod tests {
     use super::*;
     use crate::testutil::TempDir;
     use bytes::Bytes;
+    use std::time::{Duration, Instant};
     use tropic_model::Path;
 
     fn p(s: &str) -> Path {
@@ -710,7 +742,6 @@ mod tests {
 
     fn quick_opts() -> DurabilityOptions {
         DurabilityOptions {
-            sync_policy: crate::wal::SyncPolicy::Periodic { every_ops: 16 },
             snapshot_every_ops: 8,
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 1 << 16,
@@ -968,6 +999,46 @@ mod tests {
             assert!(s.segments_rotated > 0, "groups must cross a rotation");
             assert!(s.snapshots_written > 0, "groups must cross a snapshot");
             assert_eq!((s.committed, s.groups), (40 * group as u64, 40));
+        }
+    }
+
+    #[test]
+    fn a_group_is_acked_only_when_a_quorum_has_fsynced_it() {
+        let tmp = TempDir::new("tropic-ens-durable-quorum");
+        let opts = DurabilityOptions {
+            segment_max_bytes: 1, // every append opens a new segment file
+            ..DurabilityOptions::default()
+        };
+        let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts).unwrap();
+        e.submit(create_op("/a")).0.unwrap();
+        // Two followers lose their disks: their next append cannot open a
+        // segment, so they fail-stop, and the leader alone is durable.
+        for id in [1, 2] {
+            std::fs::remove_dir_all(tmp.path().join(replica_dir_name(id))).unwrap();
+        }
+        let (res, events) = e.submit(create_op("/b"));
+        assert!(
+            matches!(res, Err(CoordError::NoQuorum { acks: 1, needed: 2 })),
+            "acked a write only the leader fsynced: {res:?}"
+        );
+        assert!(events.is_empty(), "no watch may fire for an unacked write");
+        let s = e.stats();
+        assert_eq!((s.wal_fail_stops, s.no_quorum, s.committed), (2, 1, 1));
+    }
+
+    #[test]
+    fn replicas_settle_a_group_in_parallel() {
+        let tmp = TempDir::new("tropic-ens-parallel-settle");
+        let mut e = Ensemble::with_durability(3, 1, tmp.path(), quick_opts()).unwrap();
+        e.set_simulated_fsync_latency(Duration::from_millis(100));
+        let started = Instant::now();
+        e.submit(create_op("/a")).0.unwrap();
+        let took = started.elapsed();
+        // Three replicas settling one after another would take >= 300 ms.
+        assert!(took < Duration::from_millis(250), "took {took:?}");
+        for id in 0..3 {
+            let s = e.replica_durability_stats(id).expect("durable replica");
+            assert_eq!(s.bytes_fsynced, s.wal_bytes, "replica {id}");
         }
     }
 

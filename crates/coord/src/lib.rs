@@ -59,4 +59,4 @@ pub use service::{
 };
 pub use store::{DeltaRecord, Op, OpResult, Stat, StoreEvent, ZnodeStore};
 pub use testutil::TempDir;
-pub use wal::{Durability, DurabilityOptions, DurabilityStats, SyncPolicy};
+pub use wal::{Durability, DurabilityOptions, DurabilityStats};

@@ -70,8 +70,9 @@ pub struct CoordConfig {
     /// the whole store after a total shutdown. [`CoordService::start`]
     /// *formats* the directory.
     pub data_dir: Option<PathBuf>,
-    /// Per-replica durability tuning (sync policy, snapshot triggers,
-    /// segment size); only meaningful with a `data_dir`. Disabling both
+    /// Per-replica durability tuning (snapshot triggers, segment size);
+    /// only meaningful with a `data_dir`. There is no fsync setting: each
+    /// replica fsyncs every commit group before it acks. Disabling both
     /// snapshot triggers keeps every record on disk — full-log mode, for
     /// benchmarks — though the in-memory replica logs stay capped
     /// regardless.
@@ -866,7 +867,6 @@ impl Drop for KeepAlive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::SyncPolicy;
     use tropic_model::{Clock, ManualClock};
 
     fn p(s: &str) -> Path {
@@ -1342,7 +1342,6 @@ mod tests {
             tick_ms: 10,
             data_dir: Some(dir.to_path_buf()),
             durability: DurabilityOptions {
-                sync_policy: SyncPolicy::Periodic { every_ops: 8 },
                 snapshot_every_ops: 4,
                 ..DurabilityOptions::default()
             },

@@ -6,8 +6,13 @@
 //! "highly-available transactional orchestration" claim (§2.3, §6.1).
 //! A whole scheduling round is one [`Op::Multi`], so one appended record
 //! covers it; and the ensemble commits writes from concurrent sessions as
-//! one group, so one fsync (under the default [`SyncPolicy::Pipelined`]
-//! `{ depth: 0 }`) covers every record of the group.
+//! one group, so one fsync covers every record of the group.
+//!
+//! There is one fsync discipline, ZooKeeper's: [`Durability::commit_batch`]
+//! forces everything the group appended to disk before it returns, so a
+//! replica never acknowledges a record that a power loss could take back.
+//! The ensemble overlaps the replicas' fsyncs by settling each acking
+//! replica on its own thread (see `Ensemble::submit_group`).
 //!
 //! The log is segmented: a segment file is named after the zxid of its
 //! first record and rotated once it exceeds
@@ -28,12 +33,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path as StdPath, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{self, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use crate::codec;
 use crate::snapshot::{self, DirtySet};
@@ -55,18 +55,12 @@ pub enum WalError {
         /// The underlying error, stringified for cloneability.
         error: String,
     },
-    /// The pipelined sync thread reported an fsync failure.
-    SyncFailed(String),
-    /// The pipelined sync thread is no longer running.
-    SyncThreadDead,
 }
 
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Io { op, error } => write!(f, "WAL {op} I/O failed: {error}"),
-            WalError::SyncFailed(e) => write!(f, "WAL fsync failed: {e}"),
-            WalError::SyncThreadDead => write!(f, "WAL sync thread terminated"),
         }
     }
 }
@@ -83,58 +77,9 @@ fn wal_io(op: &'static str) -> impl FnOnce(io::Error) -> WalError {
     }
 }
 
-/// When the write-ahead log is forced to stable storage.
-///
-/// The default is `Pipelined { depth: 0 }`. Its acknowledgement contract is
-/// `EveryBatch`'s: a replica acks a batch only after that batch's own fsync
-/// has landed, so an acknowledged transaction survives losing every
-/// replica. What differs is scheduling: the ensemble starts every acking
-/// replica's fsync before it waits on any, so one batch costs one fsync of
-/// wall time instead of one per replica (paper §6.1: logging I/O dominates
-/// a transaction's cost).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// One fsync per committed batch (every ensemble commit group — all its
-    /// records pay it once), issued and awaited inline, so the
-    /// ensemble's replicas fsync one after another. The same safety
-    /// posture as the default; kept as the serial baseline that benches
-    /// measure the default against.
-    EveryBatch,
-    /// One fsync per `every_ops` appended records (plus one at every
-    /// snapshot). Trades a bounded window of acknowledged writes for
-    /// throughput, like ZooKeeper's group-flush knobs.
-    Periodic {
-        /// Appended records between forced syncs (clamped to at least 1).
-        every_ops: u64,
-    },
-    /// Group fsync off the critical path: every batch is handed to a
-    /// dedicated sync thread, and the commit path only blocks while more
-    /// than `depth` batches remain unsynced. Every batch *is* fsynced, in
-    /// order, and a batch is never reported synced before its own fsync
-    /// lands — but only `depth: 0` (the default) keeps
-    /// [`SyncPolicy::EveryBatch`]'s safety posture: each replica's ack
-    /// still waits for its own batch, and the gain is that the ensemble's
-    /// fsyncs overlap across replicas (see `Ensemble::submit_group`); each such
-    /// wait that blocks counts one `pipeline_stalls`, so at most one per
-    /// batch per replica. With `depth > 0` the fsync of batch N
-    /// also overlaps the encode and append of batch N+1, and the commit
-    /// path returns once at most `depth` batches are unsynced — so an
-    /// acknowledgement can run up to `depth` batches ahead of the disk, a
-    /// bounded window a crash (not a clean shutdown, which drains the
-    /// pipeline) can lose.
-    Pipelined {
-        /// Max batches allowed in flight (unsynced) before the commit path
-        /// stalls waiting on the sync thread.
-        depth: u64,
-    },
-}
-
 /// Durability tuning for one replica.
 #[derive(Clone, Debug)]
 pub struct DurabilityOptions {
-    /// When appended records are fsynced (default `Pipelined { depth: 0 }`,
-    /// see [`SyncPolicy`]).
-    pub sync_policy: SyncPolicy,
     /// Write a snapshot (and truncate the log) after this many appended
     /// records. `0` disables the op-count trigger.
     pub snapshot_every_ops: u64,
@@ -151,12 +96,8 @@ pub struct DurabilityOptions {
 }
 
 impl Default for DurabilityOptions {
-    /// `Pipelined { depth: 0 }`: every acknowledged batch is on disk on
-    /// each acking replica, exactly as under `EveryBatch`, but the
-    /// replicas' fsyncs for one batch overlap instead of running in turn.
     fn default() -> Self {
         DurabilityOptions {
-            sync_policy: SyncPolicy::Pipelined { depth: 0 },
             snapshot_every_ops: 1_024,
             snapshot_max_wal_bytes: 4 << 20,
             segment_max_bytes: 1 << 20,
@@ -185,14 +126,6 @@ pub struct DurabilityStats {
     pub snapshots_written: u64,
     /// The subset of `snapshots_written` that were deltas.
     pub delta_snapshots_written: u64,
-    /// Times the pipelined commit path blocked because `depth` batches
-    /// were already in flight.
-    pub pipeline_stalls: u64,
-    /// Batches settled by a sync round they shared with other batches
-    /// (the fsyncs the pipeline's coalescing saved).
-    pub pipeline_coalesced: u64,
-    /// Max batches observed in flight (unsynced) at once.
-    pub pipeline_depth_peak: u64,
 }
 
 /// A recovered snapshot: the zxid it reflects plus the decoded store.
@@ -252,9 +185,7 @@ pub struct Wal {
 }
 
 struct Segment {
-    /// Shared so the pipelined sync thread can fsync a segment the writer
-    /// has already rotated away from (or is still appending to).
-    file: Arc<File>,
+    file: File,
     bytes: u64,
 }
 
@@ -280,8 +211,10 @@ impl Wal {
         };
         if need_new {
             if let Some(old) = self.current.take() {
-                // The outgoing segment may hold unsynced records under a
-                // periodic policy; settle them before abandoning the handle.
+                // Rotation in the middle of a group leaves the group's
+                // earlier records unsynced in the outgoing segment; settle
+                // them before abandoning the handle, since the group's
+                // fsync only reaches the new one.
                 old.file.sync_data()?;
                 rotated = true;
             }
@@ -294,16 +227,13 @@ impl Wal {
             File::open(&self.dir)?.sync_all()?;
             self.dir_fsyncs += 1;
             let bytes = file.metadata()?.len();
-            self.current = Some(Segment {
-                file: Arc::new(file),
-                bytes,
-            });
+            self.current = Some(Segment { file, bytes });
         }
         let Some(seg) = self.current.as_mut() else {
             // Unreachable: the branch above always installs a segment.
             return Err(io::Error::other("no current WAL segment"));
         };
-        (&*seg.file).write_all(frame)?;
+        seg.file.write_all(frame)?;
         seg.bytes += frame.len() as u64;
         Ok(rotated)
     }
@@ -314,12 +244,6 @@ impl Wal {
             seg.file.sync_data()?;
         }
         Ok(())
-    }
-
-    /// A shared handle to the current segment's file, for handing to the
-    /// pipelined sync thread.
-    fn current_file(&self) -> Option<Arc<File>> {
-        self.current.as_ref().map(|s| Arc::clone(&s.file))
     }
 
     /// Directory fsyncs issued by this log (new-segment creation, segment
@@ -428,162 +352,6 @@ fn scan_segment(data: &[u8]) -> (usize, Vec<(u64, Op)>, bool) {
     }
 }
 
-/// One queued fsync request: all bytes appended for one committed batch,
-/// tagged with a monotonically increasing ticket.
-struct SyncJob {
-    ticket: u64,
-    file: Arc<File>,
-    bytes: u64,
-}
-
-/// Progress the sync thread publishes back to the commit path.
-#[derive(Default)]
-struct SyncProgress {
-    /// Highest ticket whose fsync has landed (tickets complete in order).
-    completed: u64,
-    /// fsync calls the thread has issued.
-    fsyncs: u64,
-    /// Jobs settled by a round they shared with other jobs.
-    coalesced: u64,
-    /// Bytes covered by completed fsyncs.
-    bytes_fsynced: u64,
-    /// First fsync failure, if any; waiting commit paths surface it as
-    /// [`WalError::SyncFailed`].
-    failed: Option<String>,
-}
-
-struct SyncShared {
-    progress: Mutex<SyncProgress>,
-    cv: Condvar,
-}
-
-/// The pipelined policy's dedicated sync thread. Jobs are drained in
-/// batches: every job queued at wake-up joins one sync round, each distinct
-/// segment file is fsynced once, and the round's highest ticket publishes as
-/// completed — so k queued batches on one segment cost one fsync.
-struct Syncer {
-    tx: Option<Sender<SyncJob>>,
-    shared: Arc<SyncShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Syncer {
-    fn spawn(latency_ns: Arc<AtomicU64>) -> WalResult<Self> {
-        let (tx, rx) = channel::unbounded::<SyncJob>();
-        let shared = Arc::new(SyncShared {
-            progress: Mutex::new(SyncProgress::default()),
-            cv: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name("tropic-wal-sync".into())
-            .spawn(move || {
-                while let Ok(first) = rx.recv() {
-                    let first_ticket = first.ticket;
-                    let mut jobs = vec![first];
-                    while let Ok(more) = rx.try_recv() {
-                        jobs.push(more);
-                    }
-                    let latency = Duration::from_nanos(latency_ns.load(Ordering::Relaxed));
-                    let mut fsyncs = 0u64;
-                    let mut failed: Option<String> = None;
-                    for i in 0..jobs.len() {
-                        // One fsync per distinct file settles every job on
-                        // it: all their appends happened before they were
-                        // queued. (Rotation keeps at most two files per
-                        // round in practice.)
-                        let dup = jobs[..i]
-                            .iter()
-                            .any(|prev| Arc::ptr_eq(&prev.file, &jobs[i].file));
-                        if dup {
-                            continue;
-                        }
-                        if !latency.is_zero() {
-                            std::thread::sleep(latency);
-                        }
-                        if let Err(e) = jobs[i].file.sync_data() {
-                            failed = Some(e.to_string());
-                            break;
-                        }
-                        fsyncs += 1;
-                    }
-                    let last_ticket = jobs.last().map_or(first_ticket, |j| j.ticket);
-                    let bytes: u64 = jobs.iter().map(|j| j.bytes).sum();
-                    let mut p = thread_shared.progress.lock();
-                    if let Some(e) = failed {
-                        if p.failed.is_none() {
-                            p.failed = Some(e);
-                        }
-                    }
-                    // Publish completion even on failure so waiters wake and
-                    // observe `failed` instead of hanging.
-                    p.completed = last_ticket;
-                    p.fsyncs += fsyncs;
-                    p.coalesced += jobs.len() as u64 - fsyncs.min(jobs.len() as u64);
-                    p.bytes_fsynced += bytes;
-                    drop(p);
-                    thread_shared.cv.notify_all();
-                }
-            })
-            .map_err(wal_io("sync thread spawn"))?;
-        Ok(Syncer {
-            tx: Some(tx),
-            shared,
-            thread: Some(thread),
-        })
-    }
-
-    fn enqueue(&self, job: SyncJob) -> WalResult<()> {
-        match self.tx.as_ref() {
-            Some(tx) if tx.send(job).is_ok() => Ok(()),
-            _ => Err(WalError::SyncThreadDead),
-        }
-    }
-
-    fn completed(&self) -> u64 {
-        self.shared.progress.lock().completed
-    }
-
-    /// Blocks until at most `depth` of `submitted` tickets remain unsynced.
-    /// Returns whether it had to block, or [`WalError::SyncFailed`] when
-    /// the sync thread reported an fsync failure.
-    fn wait_outstanding_le(&self, submitted: u64, depth: u64) -> WalResult<bool> {
-        let target = submitted.saturating_sub(depth);
-        let mut p = self.shared.progress.lock();
-        let mut stalled = false;
-        while p.completed < target {
-            if let Some(e) = &p.failed {
-                return Err(WalError::SyncFailed(e.clone()));
-            }
-            stalled = true;
-            self.shared.cv.wait(&mut p);
-        }
-        if let Some(e) = &p.failed {
-            return Err(WalError::SyncFailed(e.clone()));
-        }
-        Ok(stalled)
-    }
-
-    /// Drains the queue without panicking; used from `Drop`.
-    fn drain_best_effort(&self, submitted: u64) {
-        let mut p = self.shared.progress.lock();
-        while p.completed < submitted && p.failed.is_none() {
-            self.shared.cv.wait(&mut p);
-        }
-    }
-}
-
-impl Drop for Syncer {
-    fn drop(&mut self) {
-        // Closing the channel ends the thread's recv loop after it drains
-        // what is already queued.
-        self.tx.take();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// One replica's durability handle: its write-ahead log, snapshot policy,
 /// and counters. Owned by an ensemble replica; every committed op flows
 /// through [`Durability::append`] before it is applied, and every committed
@@ -595,15 +363,10 @@ pub struct Durability {
     stats: DurabilityStats,
     ops_since_snapshot: u64,
     wal_bytes_since_snapshot: u64,
-    appends_since_sync: u64,
     unsynced_bytes: u64,
-    /// Modeled fsync latency, shared with the sync thread so it can be
-    /// changed after construction (benches populate fast, then measure).
-    simulated_fsync_latency_ns: Arc<AtomicU64>,
-    /// Lazily spawned by the first pipelined batch.
-    syncer: Option<Syncer>,
-    /// Tickets handed to the sync thread so far.
-    submitted_tickets: u64,
+    /// Modeled device latency added to every fsync; changeable after
+    /// construction so benches can populate fast, then measure.
+    simulated_fsync_latency: Duration,
     /// Zxid of the newest snapshot (full or delta) in `dir`; the base the
     /// next delta chains onto.
     chain_tip: Option<u64>,
@@ -633,11 +396,8 @@ impl Durability {
             stats: DurabilityStats::default(),
             ops_since_snapshot: 0,
             wal_bytes_since_snapshot: 0,
-            appends_since_sync: 0,
             unsynced_bytes: 0,
-            simulated_fsync_latency_ns: Arc::new(AtomicU64::new(0)),
-            syncer: None,
-            submitted_tickets: 0,
+            simulated_fsync_latency: Duration::ZERO,
             chain_tip: None,
             chain_len: 0,
             dirty: DirtySet::default(),
@@ -712,17 +472,15 @@ impl Durability {
             self.stats.segments_rotated += 1;
             // Rotation fsyncs the outgoing segment (before this frame was
             // written), settling everything unsynced so far; account for
-            // it here or the next policy sync would double-count the bytes.
+            // it here or the group's fsync would double-count the bytes.
             self.stats.fsyncs += 1;
             self.stats.bytes_fsynced += self.unsynced_bytes;
             self.unsynced_bytes = 0;
-            self.appends_since_sync = 0;
         }
         let len = frame.len() as u64;
         self.stats.wal_records += 1;
         self.stats.wal_bytes += len;
         self.unsynced_bytes += len;
-        self.appends_since_sync += 1;
         self.ops_since_snapshot += 1;
         self.wal_bytes_since_snapshot += len;
         Ok(())
@@ -736,63 +494,13 @@ impl Durability {
         self.dirty.mark(events);
     }
 
-    /// Under [`SyncPolicy::Pipelined`], hands everything appended since the
-    /// last sync point to the sync thread *without waiting*, so the fsync
-    /// overlaps whatever the caller does next (encoding the next batch,
-    /// appending on the next replica). A no-op for other policies or when
-    /// nothing is pending; idempotent within a batch. The matching wait
-    /// happens in [`Durability::commit_batch`].
-    pub fn begin_batch_sync(&mut self) -> WalResult<()> {
-        let SyncPolicy::Pipelined { .. } = self.opts.sync_policy else {
-            return Ok(());
-        };
-        if self.appends_since_sync == 0 {
-            return Ok(());
-        }
-        let Some(file) = self.wal.current_file() else {
-            return Ok(());
-        };
-        if self.syncer.is_none() {
-            let latency = Arc::clone(&self.simulated_fsync_latency_ns);
-            self.syncer = Some(Syncer::spawn(latency)?);
-        }
-        let Some(syncer) = self.syncer.as_ref() else {
-            return Err(WalError::SyncThreadDead);
-        };
-        self.submitted_tickets += 1;
-        syncer.enqueue(SyncJob {
-            ticket: self.submitted_tickets,
-            file,
-            bytes: self.unsynced_bytes,
-        })?;
-        let outstanding = self.submitted_tickets - syncer.completed();
-        self.stats.pipeline_depth_peak = self.stats.pipeline_depth_peak.max(outstanding);
-        self.unsynced_bytes = 0;
-        self.appends_since_sync = 0;
-        Ok(())
-    }
-
-    /// Ends a committed batch: syncs per policy and writes a snapshot of
-    /// `store` when the policy triggers, truncating every segment. Returns
-    /// the snapshot zxid when one was taken, so the owner can truncate its
-    /// in-memory log to the same horizon.
+    /// Ends a committed batch: fsyncs what the batch appended, then writes
+    /// a snapshot of `store` when the policy triggers, truncating every
+    /// segment. Returns the snapshot zxid when one was taken, so the owner
+    /// can truncate its in-memory log to the same horizon. When this
+    /// returns `Ok`, every record appended so far is on disk.
     pub fn commit_batch(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<Option<u64>> {
-        match self.opts.sync_policy {
-            SyncPolicy::EveryBatch => self.sync_now()?,
-            SyncPolicy::Periodic { every_ops } => {
-                if self.appends_since_sync >= every_ops.max(1) {
-                    self.sync_now()?;
-                }
-            }
-            SyncPolicy::Pipelined { depth } => {
-                self.begin_batch_sync()?;
-                if let Some(syncer) = &self.syncer {
-                    if syncer.wait_outstanding_le(self.submitted_tickets, depth)? {
-                        self.stats.pipeline_stalls += 1;
-                    }
-                }
-            }
-        }
+        self.sync_now()?;
         let by_ops = self.opts.snapshot_every_ops > 0
             && self.ops_since_snapshot >= self.opts.snapshot_every_ops;
         let by_bytes = self.opts.snapshot_max_wal_bytes > 0
@@ -814,10 +522,6 @@ impl Durability {
     }
 
     fn take_snapshot(&mut self, zxid: u64, store: &ZnodeStore, force_full: bool) -> WalResult<()> {
-        // Settle the pipeline first: the snapshot supersedes the segments
-        // about to be truncated, and the counters below assume no sync is
-        // in flight.
-        self.drain_pipeline()?;
         // A delta records dirty paths with their full path strings; past
         // half the store it stops being the cheaper encoding.
         let delta_base = if !force_full
@@ -849,73 +553,38 @@ impl Durability {
         self.stats.snapshots_written += 1;
         self.ops_since_snapshot = 0;
         self.wal_bytes_since_snapshot = 0;
-        self.appends_since_sync = 0;
         self.unsynced_bytes = 0;
         Ok(())
     }
 
+    /// Forces everything appended since the last sync to disk.
     fn sync_now(&mut self) -> WalResult<()> {
-        if self.appends_since_sync == 0 {
+        if self.unsynced_bytes == 0 {
             return Ok(());
         }
-        let latency_ns = self.simulated_fsync_latency_ns.load(Ordering::Relaxed);
-        if latency_ns > 0 {
-            std::thread::sleep(Duration::from_nanos(latency_ns));
+        if !self.simulated_fsync_latency.is_zero() {
+            std::thread::sleep(self.simulated_fsync_latency);
         }
         self.wal.sync().map_err(wal_io("fsync"))?;
         self.stats.fsyncs += 1;
         self.stats.bytes_fsynced += self.unsynced_bytes;
         self.unsynced_bytes = 0;
-        self.appends_since_sync = 0;
-        Ok(())
-    }
-
-    /// Blocks until every queued pipelined fsync has landed. A no-op for
-    /// serial policies.
-    pub fn drain_pipeline(&mut self) -> WalResult<()> {
-        if let Some(syncer) = &self.syncer {
-            if syncer.wait_outstanding_le(self.submitted_tickets, 0)? {
-                self.stats.pipeline_stalls += 1;
-            }
-        }
         Ok(())
     }
 
     /// Changes the modeled device latency added to every fsync (zero — the
-    /// initial value — adds nothing). Takes effect on the next sync (serial
-    /// policies and the sync thread both read it per round), so benches can
-    /// populate a store quickly and then measure with a realistic device
-    /// model.
+    /// initial value — adds nothing). Takes effect on the next sync, so
+    /// benches can populate a store quickly and then measure with a
+    /// realistic device model.
     pub fn set_simulated_fsync_latency(&mut self, latency: Duration) {
-        self.simulated_fsync_latency_ns.store(
-            u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        self.simulated_fsync_latency = latency;
     }
 
-    /// This replica's durability counters, including the sync thread's.
+    /// This replica's durability counters.
     pub fn stats(&self) -> DurabilityStats {
         let mut stats = self.stats;
         stats.dir_fsyncs += self.wal.dir_fsyncs();
-        if let Some(syncer) = &self.syncer {
-            let p = syncer.shared.progress.lock();
-            stats.fsyncs += p.fsyncs;
-            stats.bytes_fsynced += p.bytes_fsynced;
-            stats.pipeline_coalesced += p.coalesced;
-        }
         stats
-    }
-}
-
-impl Drop for Durability {
-    fn drop(&mut self) {
-        // Settle queued fsyncs before the handle disappears, so a clean
-        // shutdown leaves nothing racing recovery (and crash-consistency
-        // proptests see deterministic on-disk state). Best-effort: a failed
-        // fsync here must not double-panic during unwind.
-        if let Some(syncer) = &self.syncer {
-            syncer.drain_best_effort(self.submitted_tickets);
-        }
     }
 }
 
@@ -1190,36 +859,34 @@ mod tests {
     fn rotation_sync_never_double_counts_bytes() {
         let tmp = TempDir::new("tropic-wal-rotate-sync");
         let opts = DurabilityOptions {
-            sync_policy: SyncPolicy::Periodic { every_ops: 7 },
             snapshot_every_ops: 0,
             snapshot_max_wal_bytes: 0,
-            segment_max_bytes: 64, // rotate mid sync-window
+            segment_max_bytes: 64, // rotate in the middle of a batch
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts).unwrap();
         let store = ZnodeStore::new();
-        for i in 1..=50u64 {
-            d.append(i, &create_op(&format!("/node{i}"))).unwrap();
-            d.commit_batch(i, &store).unwrap();
+        for batch in 0..10u64 {
+            for k in 1..=5u64 {
+                let zxid = batch * 5 + k;
+                d.append(zxid, &create_op(&format!("/node{zxid}"))).unwrap();
+            }
+            d.commit_batch(batch * 5 + 5, &store).unwrap();
+            let s = d.stats();
+            assert_eq!(
+                s.bytes_fsynced, s.wal_bytes,
+                "batch {batch}: every appended byte is fsynced exactly once"
+            );
         }
-        d.commit_batch(50, &store).unwrap();
-        let s = d.stats();
-        assert!(s.segments_rotated > 0);
-        assert!(
-            s.bytes_fsynced <= s.wal_bytes,
-            "fsynced {} exceeds written {}",
-            s.bytes_fsynced,
-            s.wal_bytes
-        );
+        assert!(d.stats().segments_rotated > 0);
     }
 
     #[test]
-    fn every_batch_policy_fsyncs_per_batch() {
+    fn commit_batch_fsyncs_once_per_batch() {
         let tmp = TempDir::new("tropic-wal-sync");
         let mut d = Durability::create(
             tmp.path(),
             DurabilityOptions {
-                sync_policy: SyncPolicy::EveryBatch,
                 snapshot_every_ops: 0,
                 snapshot_max_wal_bytes: 0,
                 ..DurabilityOptions::default()
@@ -1231,6 +898,8 @@ mod tests {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
             d.commit_batch(i, &store).unwrap();
         }
+        // A batch with nothing appended has nothing to sync.
+        d.commit_batch(3, &store).unwrap();
         let s = d.stats();
         assert_eq!(s.fsyncs, 3);
         assert_eq!(s.bytes_fsynced, s.wal_bytes);
@@ -1240,7 +909,6 @@ mod tests {
     fn pipelined_policy_syncs_every_batch_and_recovers_all_records() {
         let tmp = TempDir::new("tropic-wal-pipelined");
         let opts = DurabilityOptions {
-            sync_policy: SyncPolicy::Pipelined { depth: 4 },
             snapshot_every_ops: 0,
             snapshot_max_wal_bytes: 0,
             ..DurabilityOptions::default()
@@ -1251,42 +919,17 @@ mod tests {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
             d.commit_batch(i, &store).unwrap();
         }
-        d.drain_pipeline().unwrap();
         let s = d.stats();
-        assert!(s.fsyncs > 0, "the sync thread must actually fsync");
+        assert_eq!(s.fsyncs, 20);
         assert_eq!(
             s.bytes_fsynced, s.wal_bytes,
-            "after a drain every appended byte is settled"
+            "every committed batch is settled when commit_batch returns"
         );
         drop(d);
         let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
         assert!(snap.is_none());
         assert_eq!(suffix.len(), 20, "no acknowledged record may be lost");
         assert_eq!(suffix.last().unwrap().0, 20);
-    }
-
-    #[test]
-    fn pipelined_depth_zero_stalls_every_batch() {
-        let tmp = TempDir::new("tropic-wal-pipelined-strict");
-        let opts = DurabilityOptions {
-            sync_policy: SyncPolicy::Pipelined { depth: 0 },
-            snapshot_every_ops: 0,
-            snapshot_max_wal_bytes: 0,
-            ..DurabilityOptions::default()
-        };
-        let mut d = Durability::create(tmp.path(), opts).unwrap();
-        let store = ZnodeStore::new();
-        for i in 1..=5u64 {
-            d.append(i, &create_op(&format!("/n{i}"))).unwrap();
-            d.commit_batch(i, &store).unwrap();
-        }
-        let s = d.stats();
-        assert_eq!(
-            s.pipeline_stalls, 5,
-            "depth 0 waits for its own fsync on every batch"
-        );
-        assert!(s.pipeline_depth_peak >= 1);
-        assert_eq!(s.bytes_fsynced, s.wal_bytes);
     }
 
     #[test]

@@ -32,9 +32,9 @@ fn main() {
         checkpoint_every: 0,
         coord: CoordConfig {
             durability: DurabilityOptions {
-                // The default sync policy acks a batch only after every
-                // acking replica's fsync: an acknowledged transaction
-                // survives losing every replica at once.
+                // A batch is acked only after every acking replica has
+                // fsynced it: an acknowledged transaction survives losing
+                // every replica at once.
                 snapshot_every_ops: 16,
                 ..DurabilityOptions::default()
             },

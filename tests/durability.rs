@@ -6,7 +6,7 @@ mod common;
 
 use std::time::Duration;
 
-use tropic::coord::{wal, CoordConfig, DurabilityOptions, Ensemble, Op, SyncPolicy, TempDir};
+use tropic::coord::{wal, CoordConfig, DurabilityOptions, Ensemble, Op, TempDir};
 use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
 use tropic::model::Path;
 use tropic::tcloud::TopologySpec;
@@ -28,7 +28,6 @@ fn create_op(path: &str) -> Op {
 
 fn quick_opts(snapshot_every_ops: u64) -> DurabilityOptions {
     DurabilityOptions {
-        sync_policy: SyncPolicy::Periodic { every_ops: 16 },
         snapshot_every_ops,
         snapshot_max_wal_bytes: 0,
         segment_max_bytes: 1 << 16,
@@ -36,7 +35,7 @@ fn quick_opts(snapshot_every_ops: u64) -> DurabilityOptions {
     }
 }
 
-fn durable_platform_config(dir: &std::path::Path, sync_policy: SyncPolicy) -> PlatformConfig {
+fn durable_platform_config(dir: &std::path::Path) -> PlatformConfig {
     PlatformConfig {
         controllers: 1,
         workers: 1,
@@ -44,7 +43,6 @@ fn durable_platform_config(dir: &std::path::Path, sync_policy: SyncPolicy) -> Pl
         coord: CoordConfig {
             durability: DurabilityOptions {
                 snapshot_every_ops: 32,
-                sync_policy,
                 ..DurabilityOptions::default()
             },
             ..CoordConfig::default()
@@ -60,44 +58,14 @@ fn durable_platform_config(dir: &std::path::Path, sync_policy: SyncPolicy) -> Pl
 /// transactions resume and finish.
 #[test]
 fn full_datacenter_power_loss_loses_no_acknowledged_txn() {
-    power_loss_scenario("tropic-power-loss-test", SyncPolicy::EveryBatch);
-}
-
-/// The same acceptance scenario under the policy that ships
-/// (`Pipelined { depth: 0 }`: overlapped fsyncs, ack after each replica's
-/// own fsync).
-#[test]
-fn full_datacenter_power_loss_under_the_default_policy_loses_no_acknowledged_txn() {
-    power_loss_scenario(
-        "tropic-power-loss-default",
-        DurabilityOptions::default().sync_policy,
-    );
-}
-
-/// The same acceptance scenario under the pipelined group-fsync policy.
-/// At `depth: 4` an acknowledgement may run up to four batches ahead of
-/// the disk (only `depth: 0` keeps `EveryBatch`'s posture), so this is not
-/// a real-crash guarantee: the in-process "power loss" drops the replicas,
-/// and `Drop` drains the sync pipeline first. What it pins is that the
-/// drain is complete and ordered — nothing acknowledged is missing from
-/// what was handed to the sync thread.
-#[test]
-fn full_datacenter_power_loss_with_pipelined_fsync_loses_no_acknowledged_txn() {
-    power_loss_scenario(
-        "tropic-power-loss-pipelined",
-        SyncPolicy::Pipelined { depth: 4 },
-    );
-}
-
-fn power_loss_scenario(tag: &str, sync_policy: SyncPolicy) {
-    let tmp = TempDir::new(tag);
+    let tmp = TempDir::new("tropic-power-loss-test");
     let spec = TopologySpec {
         compute_hosts: 4,
         storage_hosts: 1,
         routers: 0,
         ..Default::default()
     };
-    let config = durable_platform_config(tmp.path(), sync_policy);
+    let config = durable_platform_config(tmp.path());
 
     let mut acked = Vec::new();
     let mut in_flight = Vec::new();
@@ -182,11 +150,7 @@ fn power_loss_scenario(tag: &str, sync_policy: SyncPolicy) {
 #[test]
 fn replica_log_is_bounded_by_snapshot_truncation() {
     let tmp = TempDir::new("tropic-log-bound");
-    let opts = DurabilityOptions {
-        sync_policy: SyncPolicy::EveryBatch,
-        ..quick_opts(8)
-    };
-    let mut e = Ensemble::with_durability(1, 1, tmp.path(), opts).unwrap();
+    let mut e = Ensemble::with_durability(1, 1, tmp.path(), quick_opts(8)).unwrap();
     for i in 0..200 {
         e.submit(create_op(&format!("/n{i}"))).0.unwrap();
     }
@@ -206,23 +170,21 @@ fn replica_log_is_bounded_by_snapshot_truncation() {
 #[test]
 fn pipelined_ensemble_recovers_every_acknowledged_write() {
     let tmp = TempDir::new("tropic-pipelined-ensemble");
-    let opts = DurabilityOptions {
-        sync_policy: SyncPolicy::Pipelined { depth: 4 },
-        ..quick_opts(16)
-    };
+    let opts = quick_opts(16);
     {
         let mut e = Ensemble::with_durability(3, 7, tmp.path(), opts.clone()).unwrap();
         for i in 0..60 {
             e.submit(create_op(&format!("/n{i}"))).0.unwrap();
         }
         let stats = e.stats();
-        assert!(stats.bytes_fsynced > 0, "sync thread must account fsyncs");
+        assert_eq!(stats.fsyncs, 3 * 60, "each replica fsyncs each group");
+        assert!(stats.bytes_fsynced > 0);
         assert!(stats.dir_fsyncs > 0, "snapshot renames fsync the directory");
         assert!(
             stats.delta_snapshots_written > 0,
             "a 16-op dirty window over a 60-node store must go delta"
         );
-    } // power loss: Drop drains each replica's pipeline
+    } // power loss: every acknowledged group is already on disk
     let mut back = Ensemble::recover(3, 7, tmp.path(), opts).unwrap();
     assert_eq!(
         back.read(|s| s.node_count()).unwrap(),
@@ -312,7 +274,6 @@ fn durable_queues_survive_restart() {
         data_dir: Some(tmp.path().to_path_buf()),
         durability: DurabilityOptions {
             snapshot_every_ops: 4,
-            sync_policy: SyncPolicy::EveryBatch,
             ..DurabilityOptions::default()
         },
         ..CoordConfig::default()

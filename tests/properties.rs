@@ -425,7 +425,7 @@ proptest! {
 // Durability: snapshot + WAL-suffix replay reconstructs the live store.
 // ---------------------------------------------------------------------
 
-use tropic::coord::{DurabilityOptions, Ensemble, SyncPolicy, TempDir};
+use tropic::coord::{DurabilityOptions, Ensemble, TempDir};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -443,7 +443,6 @@ proptest! {
     ) {
         let tmp = TempDir::new("tropic-prop-durable");
         let opts = DurabilityOptions {
-            sync_policy: SyncPolicy::Periodic { every_ops: 8 },
             snapshot_every_ops: snapshot_every,
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 256, // tiny segments: rotation is exercised
@@ -487,7 +486,6 @@ proptest! {
     ) {
         let tmp = TempDir::new("tropic-prop-delta-chain");
         let opts = DurabilityOptions {
-            sync_policy: SyncPolicy::Periodic { every_ops: 8 },
             snapshot_every_ops: snapshot_every,
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 256,
@@ -579,7 +577,6 @@ proptest! {
     ) {
         let tmp = TempDir::new("tropic-prop-crash-window");
         let opts = DurabilityOptions {
-            sync_policy: SyncPolicy::Periodic { every_ops: 4 },
             snapshot_every_ops: 0, // never auto-snapshot: every record stays
             snapshot_max_wal_bytes: 0,
             ..DurabilityOptions::default()
