@@ -27,11 +27,11 @@
 #                        against the latest baseline point
 #   --md-links           check that relative links and #anchors in README,
 #                        ROADMAP, CHANGES, and docs/*.md resolve
-#   --bench-snapshot     run the commit_path, coord_store, snapshot, recovery
-#                        and rpc_roundtrip benches (quick mode unless
+#   --bench-snapshot     run the commit_path, coord_store, recovery and
+#                        rpc_roundtrip benches (quick mode unless
 #                        TROPIC_BENCH_QUICK=0) plus the chaos and reconcile
 #                        bench runs into one row stream, then bench-gate
-#                        snapshot: write the six BENCH_*.json perf-trajectory
+#                        snapshot: write the five BENCH_*.json perf-trajectory
 #                        points and gate them. Every threshold is a constant in
 #                        crates/bench/src/gate.rs (see docs/ARCHITECTURE.md).
 set -euo pipefail
@@ -55,7 +55,7 @@ bench_snapshot() {
     # EXIT, not RETURN: a failed gate exits the script from inside `run`.
     trap "rm -f '$raw'" EXIT
     export TROPIC_BENCH_JSON="$raw" TROPIC_BENCH_QUICK="${TROPIC_BENCH_QUICK:-1}"
-    for bench in commit_path coord_store snapshot recovery rpc_roundtrip; do
+    for bench in commit_path coord_store recovery rpc_roundtrip; do
         run cargo bench --bench "$bench"
     done
     run cargo build --release -p tropic-bench --bin chaos --bin reconcile

@@ -15,7 +15,7 @@
 //!   additive too); anything else requires a `WIRE_VERSION` bump.
 //! - `wal` (binary log records): any drift requires a `FORMAT_VERSION`
 //!   bump — there is no additive escape hatch for a positional codec.
-//! - `snapshot` (snapshot/delta headers): the magic constants *are*
+//! - `snapshot` (snapshot file header): the magic constant *is*
 //!   the version, so a change is self-anchoring but must still be
 //!   blessed so the lock-file diff is visible in review.
 
@@ -32,7 +32,7 @@ pub enum Family {
     Wire,
     /// Binary WAL record codec (anchor: `FORMAT_VERSION`).
     Wal,
-    /// Snapshot/delta file headers (self-anchored magic constants).
+    /// Snapshot file header (a self-anchored magic constant).
     Snapshot,
 }
 
@@ -161,9 +161,7 @@ impl Registry {
         ] {
             entries.push(e(Wal, codec, Const, name));
         }
-        for name in ["MAGIC", "DELTA_MAGIC", "TAG_PUT", "TAG_TOMBSTONE"] {
-            entries.push(e(Snapshot, snap, Const, name));
-        }
+        entries.push(e(Snapshot, snap, Const, "MAGIC"));
         Registry { entries }
     }
 

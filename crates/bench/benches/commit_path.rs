@@ -18,8 +18,8 @@
 //! commit group before it acks:
 //!
 //! * `durable_3r_1k` / `durable_3r_16k` — three replicas, 1k and 16k filler
-//!   znodes: the store-size dimension exposes delta-snapshot
-//!   proportionality.
+//!   znodes: the store-size dimension shows what the periodic full
+//!   snapshot costs as the store grows.
 //! * `durable_1r_16k` — one replica at 16k: the floor the three-replica
 //!   run approaches when the replicas' fsyncs overlap.
 //!

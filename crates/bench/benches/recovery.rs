@@ -37,7 +37,6 @@ fn opts(snapshot_every_ops: u64) -> DurabilityOptions {
         snapshot_every_ops,
         snapshot_max_wal_bytes: 0,
         segment_max_bytes: 1 << 20,
-        ..DurabilityOptions::default()
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! * `bench-gate snapshot <raw>` — `<raw>` is the `TROPIC_BENCH_JSON`
 //!   stream of one `./ci.sh --bench-snapshot` run; writes and prints the
-//!   six `BENCH_*.json` files in the working directory.
+//!   five `BENCH_*.json` files in the working directory.
 //! * `bench-gate chaos-trend` — gates `CHAOS_report.json` (or
 //!   `TROPIC_CHAOS_REPORT`) against the committed `CHAOS_baseline.jsonl`.
 //!

@@ -5,7 +5,7 @@
 //! emitters through [`emit_row`], the vendored criterion stub in its own
 //! `{"name","mean_ns","iterations"}` shape (read as `unit = "ns"`).
 //! [`parse_rows`] reads that stream back, [`snapshots`] splits it into the
-//! six `BENCH_*.json` files under one schema and evaluates `GATES`, the
+//! five `BENCH_*.json` files under one schema and evaluates `GATES`, the
 //! single table of every threshold CI enforces on bench output. The
 //! `bench-gate` binary is the only caller outside tests.
 
@@ -147,8 +147,6 @@ const fn gate(file: &'static str, name: &'static str, source: Source, cmp: Cmp, 
 const GATES: &[Gate] = {
     use {Cmp::*, Source::*};
     &[
-    // A delta snapshot at 5 % dirty stays a small fraction of a full one.
-    gate("BENCH_snapshot.json", "delta_over_full_bytes", Ratio("snapshot/delta_bytes", "snapshot/full_bytes"), Le, 0.25),
     // Each replica fsyncs every group before it acks; three replicas cost about one fsync per group, not three,
     // only while their fsyncs overlap (a serial design measured 2.2-2.4).
     gate("BENCH_commit_path.json", "replica_fsync_overlap_16k", Ratio("commit_path/durable_3r_16k", "commit_path/durable_1r_16k"), Le, 1.8),
@@ -236,7 +234,7 @@ pub struct Host {
     pub nproc: u64,
 }
 
-/// The one schema all six `BENCH_*.json` files share.
+/// The one schema all five `BENCH_*.json` files share.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Subsystem the file covers.
@@ -258,14 +256,13 @@ pub struct Snapshot {
 #[rustfmt::skip]
 pub const SNAPSHOT_FILES: &[(&str, &str, &[&str])] = &[
     ("BENCH_commit_path.json", "commit_path", &["commit_path/", "coord_store/"]),
-    ("BENCH_snapshot.json", "snapshot", &["snapshot/"]),
     ("BENCH_recovery.json", "recovery", &["recovery/"]),
     ("BENCH_rpc.json", "rpc_roundtrip", &["rpc_roundtrip/"]),
     ("BENCH_chaos.json", "chaos", &["chaos/"]),
     ("BENCH_reconcile.json", "reconcile", &["reconcile/"]),
 ];
 
-/// Splits one run's rows into the six snapshots and gates each.
+/// Splits one run's rows into the five snapshots and gates each.
 pub fn snapshots(
     rows: &[Row],
     commit: &str,
@@ -390,9 +387,9 @@ mod tests {
         ] {
             assert_eq!(parse_rows(line).unwrap(), vec![want.clone()], "{line}");
         }
-        let own = r#"{"name":"snapshot/full_bytes","value":9,"unit":"bytes","samples":1}"#;
+        let own = r#"{"name":"chaos/acked_lost","value":9,"unit":"count","samples":1}"#;
         let rows = parse_rows(&format!("\n{own}\n")).unwrap();
-        assert_eq!((rows[0].value, rows[0].unit.as_str()), (9, "bytes"));
+        assert_eq!((rows[0].value, rows[0].unit.as_str()), (9, "count"));
     }
 
     #[test]
@@ -432,10 +429,10 @@ mod tests {
 
     #[test]
     fn zero_denominator_is_missing_data_not_infinity() {
-        let (delta, full) = ("snapshot/delta_bytes", "snapshot/full_bytes");
-        let rows = [row(delta, 5), row(full, 0)];
-        let missing = GateError::MissingRow("snapshot/full_bytes".into());
-        assert_eq!(evaluate("BENCH_snapshot.json", &rows), Err(missing));
+        let (replay, suffix) = ("recovery/full_log_replay", "recovery/snapshot_suffix");
+        let rows = [row(replay, 5), row(suffix, 0)];
+        let missing = GateError::MissingRow(suffix.into());
+        assert_eq!(evaluate("BENCH_recovery.json", &rows), Err(missing));
     }
 
     #[test]

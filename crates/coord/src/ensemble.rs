@@ -11,14 +11,11 @@
 //!
 //! With a data directory ([`Ensemble::with_durability`]), each replica owns
 //! a [`Durability`] handle: every committed op is appended to a segmented
-//! write-ahead log before it is applied, and a fuzzy snapshot — full, or a
-//! delta covering just the paths dirtied since the last one, which the
-//! handle tracks from each apply's events (an in-memory replica has no
-//! handle and tracks nothing) — is written on a size/op-count policy, after
-//! which both the on-disk segments and the in-memory `Replica.log` are
-//! truncated, bounding memory and disk.
+//! write-ahead log before it is applied, and a full fuzzy snapshot is
+//! written on a size/op-count policy, after which both the on-disk segments
+//! and the in-memory `Replica.log` are truncated, bounding memory and disk.
 //! [`Ensemble::recover`] rebuilds every replica from its latest valid
-//! snapshot chain plus the log suffix, then lets laggards catch up from the
+//! snapshot plus the log suffix, then lets laggards catch up from the
 //! leader. Follower resync ships only the suffix since the follower's
 //! `last_zxid`; a follower behind the truncation horizon receives a full
 //! snapshot transfer instead.
@@ -106,11 +103,7 @@ impl Replica {
         }
         self.log.push((zxid, op.clone()));
         self.last_zxid = zxid;
-        let (result, events) = self.store.apply(zxid, op);
-        if let Some(d) = self.durability.as_mut() {
-            d.mark_dirty(&events);
-        }
-        (result, events)
+        self.store.apply(zxid, op)
     }
 
     /// Ends a committed batch on this replica: fsync, then snapshot per
@@ -184,7 +177,8 @@ pub struct EnsembleStats {
     pub elections: u64,
     /// Snapshots written across all replicas (policy and transfers).
     pub snapshots_written: u64,
-    /// The subset of `snapshots_written` that were incremental (delta).
+    /// Always 0: every snapshot is full. Kept only because the benchmark
+    /// harness still reports it.
     pub delta_snapshots_written: u64,
     /// WAL segment files rotated across all replicas.
     pub segments_rotated: u64,
@@ -290,7 +284,7 @@ impl Ensemble {
         let mut recoveries = 0u64;
         for id in 0..n {
             let dir = data_dir.join(replica_dir_name(id));
-            let (mut durability, snapshot, suffix) = Durability::open(&dir, opts.clone())?;
+            let (durability, snapshot, suffix) = Durability::open(&dir, opts.clone())?;
             let (mut store, horizon) = match snapshot {
                 Some((zxid, store)) => (store, zxid),
                 None => (ZnodeStore::new(), 0),
@@ -298,11 +292,8 @@ impl Ensemble {
             let mut last_zxid = horizon;
             for (zxid, op) in &suffix {
                 // Replay is silent by construction: events never reach the
-                // watch tables, which live a layer above the ensemble. They
-                // do reach the durability handle: the suffix sits past the
-                // snapshot chain's tip, so the next delta must cover it.
-                let (_, events) = store.apply(*zxid, op);
-                durability.mark_dirty(&events);
+                // watch tables, which live a layer above the ensemble.
+                let _ = store.apply(*zxid, op);
                 last_zxid = *zxid;
             }
             let mut r = Replica::new(id);
@@ -367,7 +358,6 @@ impl Ensemble {
             if let Some(d) = &r.durability {
                 let ds = d.stats();
                 s.snapshots_written += ds.snapshots_written;
-                s.delta_snapshots_written += ds.delta_snapshots_written;
                 s.segments_rotated += ds.segments_rotated;
                 s.bytes_fsynced += ds.bytes_fsynced;
                 s.fsyncs += ds.fsyncs;
@@ -711,7 +701,7 @@ impl Ensemble {
         self.replicas
             .iter()
             .filter(|r| r.alive && r.last_zxid == reference.last_zxid)
-            .all(|r| r.store.node_count() == reference.store.node_count())
+            .all(|r| r.store == reference.store)
     }
 }
 
@@ -745,7 +735,6 @@ mod tests {
             snapshot_every_ops: 8,
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 1 << 16,
-            ..DurabilityOptions::default()
         }
     }
 
@@ -1084,8 +1073,8 @@ mod tests {
     }
 
     #[test]
-    fn recovered_wal_suffix_is_covered_by_the_next_delta() {
-        let tmp = TempDir::new("tropic-ens-suffix-delta");
+    fn recovered_wal_suffix_is_covered_by_the_next_snapshot() {
+        let tmp = TempDir::new("tropic-ens-suffix-snapshot");
         let opts = |snapshot_every_ops| DurabilityOptions {
             snapshot_every_ops,
             ..quick_opts()
@@ -1115,18 +1104,39 @@ mod tests {
         drop(e);
 
         // The replayed suffix plus one more write reach the op-count
-        // trigger: a delta that must carry the suffix's three paths too.
+        // trigger: a snapshot that must carry the suffix's three sets too.
         let mut e = Ensemble::recover(3, 1, tmp.path(), opts(4)).unwrap();
         submit(&mut e, set_op("/n3", b"after the restart"));
-        assert_eq!(e.stats().delta_snapshots_written, 3);
+        assert_eq!(e.stats().snapshots_written, 3);
         drop(e);
 
-        // Nothing is left in the WAL: full + delta alone must be the state.
+        // Nothing is left in the WAL: the snapshot alone must be the state.
         let e = Ensemble::recover(3, 1, tmp.path(), opts(4)).unwrap();
         for r in &e.replicas {
             assert!(r.log.is_empty());
             assert_eq!(r.store, reference, "replica {}", r.id);
         }
+    }
+
+    #[test]
+    fn replicas_consistent_compares_data_not_just_node_counts() {
+        let mut e = Ensemble::new(3, 1);
+        e.submit(create_op("/a")).0.unwrap();
+        assert!(e.replicas_consistent());
+        let leader = e.leader().unwrap();
+        let follower = (leader + 1) % 3;
+        let zxid = e.replicas[follower].last_zxid;
+        let diverge = Op::SetData {
+            path: p("/a"),
+            data: Bytes::from_static(b"diverged"),
+            expected_version: None,
+        };
+        e.replicas[follower].store.apply(zxid, &diverge).0.unwrap();
+        assert_eq!(
+            e.replicas[follower].store.node_count(),
+            e.replicas[leader].store.node_count()
+        );
+        assert!(!e.replicas_consistent(), "same count, different bytes");
     }
 
     #[test]

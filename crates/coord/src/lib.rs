@@ -57,6 +57,6 @@ pub use service::{
     CoordClient, CoordConfig, CoordService, CreateMode, KeepAlive, ServiceStats, WatchEvent,
     WatchKind,
 };
-pub use store::{DeltaRecord, Op, OpResult, Stat, StoreEvent, ZnodeStore};
+pub use store::{Op, OpResult, Stat, StoreEvent, ZnodeStore};
 pub use testutil::TempDir;
 pub use wal::{Durability, DurabilityOptions, DurabilityStats};

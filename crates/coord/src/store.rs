@@ -5,13 +5,10 @@
 //! state. Application is deterministic: sequential-node counters live in the
 //! parent znode and are part of replicated state.
 //!
-//! The store holds replicated state and nothing else. Which paths the next
-//! delta snapshot must contain is a per-replica durability decision: it
-//! lives in [`crate::snapshot::DirtySet`], owned by
-//! [`crate::wal::Durability`] and fed from the [`StoreEvent`]s
-//! [`ZnodeStore::apply`] returns.
+//! The store holds replicated state and nothing else: it is written to
+//! disk whole, as a full snapshot (see [`crate::snapshot`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 use bytes::Bytes;
@@ -181,38 +178,6 @@ enum Undo {
     Purged { nodes: Vec<(Path, Znode)> },
 }
 
-/// One entry of an incremental (delta) snapshot: the post-state of a znode
-/// touched since the delta's base snapshot, or a tombstone for one that no
-/// longer exists. A `Put` carries every scalar field but not children —
-/// membership changes under a node are always covered by the children's own
-/// records, because creates and deletes emit events for both child and parent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeltaRecord {
-    /// Upsert: create the node if missing, else overwrite its scalars while
-    /// keeping its children.
-    Put {
-        /// Absolute path of the node.
-        path: Path,
-        /// Node payload at the delta's zxid.
-        data: Bytes,
-        /// Creation zxid.
-        czxid: u64,
-        /// Last-modification zxid.
-        mzxid: u64,
-        /// Data version.
-        version: u64,
-        /// Owning session for ephemeral nodes.
-        ephemeral_owner: Option<u64>,
-        /// Sequential-child counter.
-        cseq: u64,
-    },
-    /// The path was dirtied and no longer exists at the delta's zxid.
-    Tombstone {
-        /// Absolute path of the deleted node.
-        path: Path,
-    },
-}
-
 /// One replica's copy of the znode tree.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ZnodeStore {
@@ -231,92 +196,6 @@ impl ZnodeStore {
         ZnodeStore {
             root: Znode::new(Bytes::new(), 0, None),
         }
-    }
-
-    /// The incremental snapshot of `paths`: tombstones for paths that no
-    /// longer exist, then upserts in lexicographic path order (which puts
-    /// every ancestor before its descendants, the order
-    /// [`ZnodeStore::apply_delta`] relies on).
-    pub fn delta_records(&self, paths: &BTreeSet<Path>) -> Vec<DeltaRecord> {
-        let mut tombstones = Vec::new();
-        let mut puts = Vec::new();
-        for path in paths {
-            match self.get_node(path) {
-                Some(n) => puts.push(DeltaRecord::Put {
-                    path: path.clone(),
-                    data: n.data.clone(),
-                    czxid: n.czxid,
-                    mzxid: n.mzxid,
-                    version: n.version,
-                    ephemeral_owner: n.ephemeral_owner,
-                    cseq: n.cseq,
-                }),
-                None => tombstones.push(DeltaRecord::Tombstone { path: path.clone() }),
-            }
-        }
-        tombstones.extend(puts);
-        tombstones
-    }
-
-    /// Applies a decoded delta on top of this store (which must be the
-    /// delta's base state). Tombstones remove whole subtrees and ignore
-    /// already-missing paths (a deleted ancestor's tombstone subsumes its
-    /// descendants'). Returns `None` when a record is inconsistent with the
-    /// tree — a root tombstone or an upsert under an absent parent — which
-    /// chain recovery treats as corruption.
-    pub fn apply_delta(&mut self, records: &[DeltaRecord]) -> Option<()> {
-        for rec in records {
-            match rec {
-                DeltaRecord::Tombstone { path } => {
-                    let leaf = path.leaf()?.to_owned();
-                    let parent_path = path.parent().expect("non-root");
-                    if let Some(parent) = self.get_node_mut(&parent_path) {
-                        parent.children.remove(&leaf);
-                    }
-                }
-                DeltaRecord::Put {
-                    path,
-                    data,
-                    czxid,
-                    mzxid,
-                    version,
-                    ephemeral_owner,
-                    cseq,
-                } => match path.leaf() {
-                    // Root upsert: scalars only (top-level sequential
-                    // creates bump its cseq).
-                    None => {
-                        let root = &mut self.root;
-                        root.data = data.clone();
-                        root.czxid = *czxid;
-                        root.mzxid = *mzxid;
-                        root.version = *version;
-                        root.ephemeral_owner = *ephemeral_owner;
-                        root.cseq = *cseq;
-                    }
-                    Some(leaf) => {
-                        let leaf = leaf.to_owned();
-                        let parent_path = path.parent().expect("non-root");
-                        let parent = self.get_node_mut(&parent_path)?;
-                        if let Some(node) = parent.children.get_mut(&leaf) {
-                            node.data = data.clone();
-                            node.czxid = *czxid;
-                            node.mzxid = *mzxid;
-                            node.version = *version;
-                            node.ephemeral_owner = *ephemeral_owner;
-                            node.cseq = *cseq;
-                        } else {
-                            let mut node = Znode::new(data.clone(), *czxid, *ephemeral_owner);
-                            node.mzxid = *mzxid;
-                            node.version = *version;
-                            node.cseq = *cseq;
-                            parent.children.insert(leaf, node);
-                        }
-                    }
-                },
-            }
-        }
-        Some(())
     }
 
     fn get_node(&self, path: &Path) -> Option<&Znode> {

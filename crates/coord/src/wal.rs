@@ -24,11 +24,8 @@
 //! corrupt record: the tail is truncated (it was never acknowledged) and
 //! later segments, which would sit beyond the tear, are discarded.
 //!
-//! [`Durability`] also owns the snapshot policy's one input that is not on
-//! disk: the [`DirtySet`] of paths touched since the newest snapshot, fed
-//! through [`Durability::mark_dirty`] by whoever applies ops to the store
-//! the handle snapshots. The record encoding lives in `crate::codec`, the
-//! socket framing that shares its layout in [`crate::frame`].
+//! The record encoding lives in `crate::codec`, the socket framing that
+//! shares its layout in [`crate::frame`].
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -36,8 +33,8 @@ use std::path::{Path as StdPath, PathBuf};
 use std::time::Duration;
 
 use crate::codec;
-use crate::snapshot::{self, DirtySet};
-use crate::store::{Op, StoreEvent, ZnodeStore};
+use crate::snapshot;
+use crate::store::{Op, ZnodeStore};
 
 pub use crate::codec::FORMAT_VERSION;
 
@@ -88,11 +85,6 @@ pub struct DurabilityOptions {
     pub snapshot_max_wal_bytes: u64,
     /// Rotate to a new segment file once the current one exceeds this size.
     pub segment_max_bytes: u64,
-    /// Max incremental (delta) snapshots chained onto one full snapshot
-    /// before the next snapshot is forced full (compaction). A delta is
-    /// written when the dirty set is small relative to the store; `0`
-    /// forces every snapshot full.
-    pub delta_chain_max: u64,
 }
 
 impl Default for DurabilityOptions {
@@ -101,7 +93,6 @@ impl Default for DurabilityOptions {
             snapshot_every_ops: 1_024,
             snapshot_max_wal_bytes: 4 << 20,
             segment_max_bytes: 1 << 20,
-            delta_chain_max: 8,
         }
     }
 }
@@ -121,11 +112,8 @@ pub struct DurabilityStats {
     pub dir_fsyncs: u64,
     /// Segment files rotated out.
     pub segments_rotated: u64,
-    /// Snapshots written (full and delta, policy-triggered and snapshot
-    /// transfers).
+    /// Snapshots written (policy-triggered and snapshot transfers).
     pub snapshots_written: u64,
-    /// The subset of `snapshots_written` that were deltas.
-    pub delta_snapshots_written: u64,
 }
 
 /// A recovered snapshot: the zxid it reflects plus the decoded store.
@@ -367,14 +355,6 @@ pub struct Durability {
     /// Modeled device latency added to every fsync; changeable after
     /// construction so benches can populate fast, then measure.
     simulated_fsync_latency: Duration,
-    /// Zxid of the newest snapshot (full or delta) in `dir`; the base the
-    /// next delta chains onto.
-    chain_tip: Option<u64>,
-    /// Deltas chained onto the newest full snapshot.
-    chain_len: u64,
-    /// Paths touched since the newest snapshot: what the next delta must
-    /// contain, and the input to the delta-vs-full policy.
-    dirty: DirtySet,
 }
 
 impl std::fmt::Debug for Durability {
@@ -398,9 +378,6 @@ impl Durability {
             wal_bytes_since_snapshot: 0,
             unsynced_bytes: 0,
             simulated_fsync_latency: Duration::ZERO,
-            chain_tip: None,
-            chain_len: 0,
-            dirty: DirtySet::default(),
         }
     }
 
@@ -417,25 +394,25 @@ impl Durability {
     /// latest valid snapshot (if any), and the log suffix strictly after
     /// it. Purely read-only unless it has crash debris to clean (a torn
     /// WAL tail, a half-written snapshot), so repeated opens of a
-    /// cleanly-closed directory are idempotent.
+    /// cleanly-closed directory are idempotent. A directory holding an
+    /// incremental snapshot from an earlier version is refused with
+    /// [`io::ErrorKind::InvalidData`] (see [`snapshot::refuse_incremental`]).
     pub fn open(dir: &StdPath, opts: DurabilityOptions) -> io::Result<OpenedDurability> {
         fs::create_dir_all(dir)?;
         let swept = snapshot::sweep_tmp(dir);
-        let chain = snapshot::load_chain(dir);
-        let snap = chain.snapshot;
+        snapshot::refuse_incremental(dir)?;
+        let (snap, newer_corrupt) = snapshot::load_latest_detailed(dir);
         let horizon = snap.as_ref().map(|(zxid, _)| *zxid).unwrap_or(0);
         let mut d = Self::fresh(dir, opts);
         if swept > 0 {
             d.stats.dir_fsyncs += 1;
         }
-        d.chain_tip = snap.as_ref().map(|(zxid, _)| *zxid);
-        d.chain_len = chain.chain_len;
-        if chain.newer_corrupt {
-            // The live segments extend the (corrupt or unlinkable) newest
-            // generation, not the chain prefix loaded: replaying them here
-            // would splice a hole over the lost history. Drop them — the
-            // replica recovers to a *consistent* earlier state and catches
-            // the rest up from the leader via snapshot transfer.
+        if newer_corrupt {
+            // The live segments extend the corrupt newest generation, not
+            // the older one loaded: replaying them here would splice a hole
+            // over the lost history. Drop them — the replica recovers to a
+            // *consistent* earlier state and catches the rest up from the
+            // leader via snapshot transfer.
             d.wal.clear()?;
             return Ok((d, snap, Vec::new()));
         }
@@ -486,14 +463,6 @@ impl Durability {
         Ok(())
     }
 
-    /// Records the paths an applied op touched, so the next delta snapshot
-    /// carries them. Every op applied to the store this handle snapshots
-    /// must be reported — the commit path and recovery's WAL-suffix replay
-    /// alike — or the next delta silently omits what it changed.
-    pub fn mark_dirty(&mut self, events: &[StoreEvent]) {
-        self.dirty.mark(events);
-    }
-
     /// Ends a committed batch: fsyncs what the batch appended, then writes
     /// a snapshot of `store` when the policy triggers, truncating every
     /// segment. Returns the snapshot zxid when one was taken, so the owner
@@ -506,7 +475,7 @@ impl Durability {
         let by_bytes = self.opts.snapshot_max_wal_bytes > 0
             && self.wal_bytes_since_snapshot >= self.opts.snapshot_max_wal_bytes;
         if by_ops || by_bytes {
-            self.take_snapshot(zxid, store, false)?;
+            self.take_snapshot(zxid, store)?;
             Ok(Some(zxid))
         } else {
             Ok(None)
@@ -515,40 +484,17 @@ impl Durability {
 
     /// Persists a full-state snapshot received from the leader (a follower
     /// lagging beyond the truncation horizon) and resets the local log.
-    /// Always full: the store did not evolve from this replica's previous
-    /// snapshot, so a delta could not chain onto it.
     pub fn install_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
-        self.take_snapshot(zxid, store, true)
+        self.take_snapshot(zxid, store)
     }
 
-    fn take_snapshot(&mut self, zxid: u64, store: &ZnodeStore, force_full: bool) -> WalResult<()> {
-        // A delta records dirty paths with their full path strings; past
-        // half the store it stops being the cheaper encoding.
-        let delta_base = if !force_full
-            && self.chain_len < self.opts.delta_chain_max
-            && self.dirty.paths().len().saturating_mul(2) < store.node_count()
-        {
-            self.chain_tip.filter(|tip| *tip < zxid)
-        } else {
-            None
-        };
-        if let Some(base) = delta_base {
-            let records = store.delta_records(self.dirty.paths());
-            snapshot::write_delta(&self.dir, base, zxid, &records)
-                .map_err(wal_io("delta snapshot"))?;
-            self.chain_len += 1;
-            self.stats.delta_snapshots_written += 1;
-        } else {
-            snapshot::write(&self.dir, zxid, store).map_err(wal_io("snapshot"))?;
-            self.chain_len = 0;
-        }
-        // write/write_delta fsync the directory after their rename.
+    fn take_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
+        snapshot::write(&self.dir, zxid, store).map_err(wal_io("snapshot"))?;
+        // write fsyncs the directory after its rename.
         self.stats.dir_fsyncs += 1;
-        self.chain_tip = Some(zxid);
         if snapshot::retain_latest(&self.dir, 2) > 0 {
             self.stats.dir_fsyncs += 1;
         }
-        self.dirty.clear();
         self.wal.clear().map_err(wal_io("truncate"))?;
         self.stats.snapshots_written += 1;
         self.ops_since_snapshot = 0;
@@ -609,11 +555,10 @@ mod tests {
     }
 
     /// One committed op the way a replica drives the handle: log, apply,
-    /// report the touched paths, settle the batch.
+    /// settle the batch.
     fn commit(d: &mut Durability, store: &mut ZnodeStore, zxid: u64, op: &Op) {
         d.append(zxid, op).unwrap();
-        let (_, events) = store.apply(zxid, op);
-        d.mark_dirty(&events);
+        store.apply(zxid, op).0.unwrap();
         d.commit_batch(zxid, store).unwrap();
     }
 
@@ -685,7 +630,6 @@ mod tests {
             segment_max_bytes: 64,
             snapshot_every_ops: 0,
             snapshot_max_wal_bytes: 0,
-            ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts).unwrap();
         for i in 1..=50u64 {
@@ -862,7 +806,6 @@ mod tests {
             snapshot_every_ops: 0,
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 64, // rotate in the middle of a batch
-            ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts).unwrap();
         let store = ZnodeStore::new();
@@ -933,79 +876,8 @@ mod tests {
     }
 
     #[test]
-    fn small_dirty_set_snapshots_as_delta_and_recovers() {
-        let tmp = TempDir::new("tropic-wal-delta");
-        let opts = DurabilityOptions {
-            snapshot_every_ops: 10,
-            snapshot_max_wal_bytes: 0,
-            ..DurabilityOptions::default()
-        };
-        let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
-        let mut store = ZnodeStore::new();
-        // Round one dirties the whole store (10 creates on 11 nodes): full.
-        for i in 1..=10u64 {
-            let op = create_op(&format!("/n{i}"));
-            commit(&mut d, &mut store, i, &op);
-        }
-        // Round two touches a single node out of 11: delta.
-        for i in 11..=20u64 {
-            let op = Op::SetData {
-                path: p("/n1"),
-                data: Bytes::from(format!("v{i}")),
-                expected_version: None,
-            };
-            commit(&mut d, &mut store, i, &op);
-        }
-        let s = d.stats();
-        assert_eq!(s.snapshots_written, 2);
-        assert_eq!(s.delta_snapshots_written, 1, "second round is a delta");
-        assert!(tmp.path().join(snapshot::file_name(10)).exists());
-        assert!(tmp.path().join(snapshot::delta_file_name(20)).exists());
-        drop(d);
-        let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
-        let (zxid, recovered) = snap.expect("chain recovers");
-        assert_eq!(zxid, 20);
-        assert!(suffix.is_empty());
-        assert_eq!(recovered, store);
-    }
-
-    #[test]
-    fn delta_chain_max_forces_periodic_full_compaction() {
-        let tmp = TempDir::new("tropic-wal-delta-compact");
-        let opts = DurabilityOptions {
-            snapshot_every_ops: 2,
-            snapshot_max_wal_bytes: 0,
-            delta_chain_max: 1,
-            ..DurabilityOptions::default()
-        };
-        let mut d = Durability::create(tmp.path(), opts).unwrap();
-        let mut store = ZnodeStore::new();
-        for i in 1..=10u64 {
-            let op = create_op(&format!("/n{i}"));
-            commit(&mut d, &mut store, i, &op);
-        }
-        // Ten single-touch rounds of two ops each: snapshot every round.
-        for i in 11..=30u64 {
-            let op = Op::SetData {
-                path: p("/n1"),
-                data: Bytes::from(format!("v{i}")),
-                expected_version: None,
-            };
-            commit(&mut d, &mut store, i, &op);
-        }
-        let s = d.stats();
-        assert!(s.delta_snapshots_written > 0);
-        assert!(
-            s.snapshots_written > 2 * s.delta_snapshots_written,
-            "chain_max 1 alternates full/delta: {} snapshots, {} deltas",
-            s.snapshots_written,
-            s.delta_snapshots_written
-        );
-    }
-
-    #[test]
-    fn reverted_multi_leaves_no_delta_records() {
-        let tmp = TempDir::new("tropic-wal-reverted-multi");
+    fn a_data_dir_holding_an_incremental_snapshot_is_refused() {
+        let tmp = TempDir::new("tropic-wal-refuse-delta");
         let opts = DurabilityOptions {
             snapshot_every_ops: 4,
             snapshot_max_wal_bytes: 0,
@@ -1013,41 +885,24 @@ mod tests {
         };
         let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
         let mut store = ZnodeStore::new();
-        for i in 1..=4u64 {
+        for i in 1..=6u64 {
             commit(&mut d, &mut store, i, &create_op(&format!("/n{i}")));
         }
-        assert_eq!(d.stats().snapshots_written, 1, "full snapshot at zxid 4");
-        // Two sub-ops apply and are reverted when the third fails: the log
-        // grows, the store does not change.
-        let failing = Op::Multi {
-            ops: vec![
-                create_op("/reverted"),
-                Op::SetData {
-                    path: p("/n1"),
-                    data: Bytes::from_static(b"reverted"),
-                    expected_version: None,
-                },
-                create_op("/n1"),
-            ],
-        };
-        let before = store.clone();
-        for i in 5..=8u64 {
-            commit(&mut d, &mut store, i, &failing);
-        }
-        assert_eq!(store, before);
-        assert_eq!(d.stats().delta_snapshots_written, 1, "delta at zxid 8");
-        // Byte-for-byte the delta that carries no record at all.
-        let empty = TempDir::new("tropic-wal-reverted-multi-empty");
-        snapshot::write_delta(empty.path(), 4, 8, &[]).unwrap();
-        let name = snapshot::delta_file_name(8);
-        assert_eq!(
-            fs::read(tmp.path().join(&name)).unwrap(),
-            fs::read(empty.path().join(&name)).unwrap()
-        );
         drop(d);
+        // A delta an earlier version wrote at zxid 6 would have truncated
+        // the WAL: recovering the full snapshot at 4 without it loses 5-6.
+        let delta = tmp.path().join(format!("delta-{:016x}.bin", 6));
+        fs::write(&delta, b"TRPCDLT1").unwrap();
+        let err = Durability::open(tmp.path(), opts.clone()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let name = delta.file_name().unwrap().to_str().unwrap();
+        assert!(err.to_string().contains(name), "{err}");
+        assert!(delta.exists(), "the refused directory is left as it was");
+        // Without the delta the same directory opens as before.
+        fs::remove_file(&delta).unwrap();
         let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
-        assert!(suffix.is_empty());
-        assert_eq!(snap.expect("chain recovers"), (8, store));
+        assert_eq!(snap.map(|(zxid, _)| zxid), Some(4));
+        assert_eq!(suffix.len(), 2, "zxids 5 and 6");
     }
 
     mod frame_layer {

@@ -1,4 +1,4 @@
-//! The six committed `BENCH_*.json` perf-trajectory points must be what
+//! The five committed `BENCH_*.json` perf-trajectory points must be what
 //! `bench-gate snapshot` writes: one schema, no row in two files, and gate
 //! verdicts that re-derive from the recorded rows under today's `GATES`
 //! table. A hand-edited or stale-shaped snapshot fails here, in tier-1,

@@ -31,7 +31,6 @@ fn quick_opts(snapshot_every_ops: u64) -> DurabilityOptions {
         snapshot_every_ops,
         snapshot_max_wal_bytes: 0,
         segment_max_bytes: 1 << 16,
-        ..DurabilityOptions::default()
     }
 }
 
@@ -195,10 +194,6 @@ fn pipelined_ensemble_recovers_every_acknowledged_write() {
         assert_eq!(stats.fsyncs, 3 * 60, "each replica fsyncs each group");
         assert!(stats.bytes_fsynced > 0);
         assert!(stats.dir_fsyncs > 0, "snapshot renames fsync the directory");
-        assert!(
-            stats.delta_snapshots_written > 0,
-            "a 16-op dirty window over a 60-node store must go delta"
-        );
     } // power loss: every acknowledged group is already on disk
     let mut back = Ensemble::recover(3, 7, tmp.path(), opts).unwrap();
     assert_eq!(

@@ -446,7 +446,6 @@ proptest! {
             snapshot_every_ops: snapshot_every,
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 256, // tiny segments: rotation is exercised
-            ..DurabilityOptions::default()
         };
         let mut live = Ensemble::with_durability(1, 1, tmp.path(), opts.clone()).unwrap();
         for op in &ops {
@@ -468,57 +467,26 @@ proptest! {
     }
 }
 
-use tropic::coord::snapshot::{self, DirtySet};
+use tropic::coord::snapshot;
 use tropic::coord::Durability;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The byte-identical replay law holds for every delta-chain bound:
-    /// `0` disables deltas outright, small bounds force frequent full
-    /// compaction, larger bounds recover through `full + delta chain +
-    /// WAL suffix`. The recovered bytes must not depend on the bound.
+    /// A crash mid-snapshot-write leaves either a half-written `.tmp` next
+    /// to the valid generations (the rename never happened) or a torn
+    /// newest snapshot (the rename happened over torn sectors). Recovery
+    /// must sweep the former losing nothing, and fall back to the previous
+    /// generation — a consistent earlier state, never a panic — for the
+    /// latter.
     #[test]
-    fn delta_chain_replay_is_byte_identical_for_any_chain_bound(
-        ops in prop::collection::vec(znode_op(), 1..40),
-        snapshot_every in 1u64..6,
-        chain_max in 0u64..4,
-    ) {
-        let tmp = TempDir::new("tropic-prop-delta-chain");
-        let opts = DurabilityOptions {
-            snapshot_every_ops: snapshot_every,
-            snapshot_max_wal_bytes: 0,
-            segment_max_bytes: 256,
-            delta_chain_max: chain_max,
-        };
-        let mut live = Ensemble::with_durability(1, 1, tmp.path(), opts.clone()).unwrap();
-        for op in &ops {
-            let _ = live.submit(op.clone());
-        }
-        let live_store = live.read(|s| s.clone()).unwrap();
-        let live_zxid = live.replica_last_zxid(0).unwrap();
-        drop(live);
-
-        let mut recovered = Ensemble::recover(1, 1, tmp.path(), opts).unwrap();
-        let recovered_store = recovered.read(|s| s.clone()).unwrap();
-        prop_assert_eq!(&recovered_store, &live_store);
-        prop_assert_eq!(format!("{recovered_store:?}"), format!("{live_store:?}"));
-        prop_assert_eq!(recovered.replica_last_zxid(0).unwrap(), live_zxid);
-    }
-
-    /// A crash mid-delta-write leaves either a half-written `.tmp` next to
-    /// a valid chain (the rename never happened) or a torn delta file (the
-    /// rename happened over torn sectors). Recovery must sweep the former
-    /// losing nothing, and fall back to the longest valid chain prefix —
-    /// a consistent earlier state, never a panic — for the latter.
-    #[test]
-    fn torn_delta_write_recovers_longest_valid_chain_prefix(
+    fn torn_snapshot_write_recovers_the_previous_generation(
         seed in prop::collection::vec(znode_op(), 1..15),
         chunks in prop::collection::vec(prop::collection::vec(znode_op(), 1..6), 1..4),
         torn_rename in 0u8..2,
     ) {
         let torn_rename = torn_rename == 1;
-        let tmp = TempDir::new("tropic-prop-torn-delta");
+        let tmp = TempDir::new("tropic-prop-torn-snapshot");
         let mut store = ZnodeStore::new();
         let mut zxid = 0u64;
         for op in &seed {
@@ -526,32 +494,29 @@ proptest! {
             let _ = store.apply(zxid, op);
         }
         snapshot::write(tmp.path(), zxid, &store).unwrap();
-        let mut dirty = DirtySet::default();
-        // Checkpoints: the consistent on-disk state after each chain link.
+        // Checkpoints: the consistent on-disk state after each generation.
         let mut checkpoints = vec![(zxid, store.clone())];
         for chunk in &chunks {
-            let base = zxid;
             for op in chunk {
                 zxid += 1;
-                dirty.mark(&store.apply(zxid, op).1);
+                let _ = store.apply(zxid, op);
             }
-            let records = store.delta_records(dirty.paths());
-            snapshot::write_delta(tmp.path(), base, zxid, &records).unwrap();
-            dirty.clear();
+            snapshot::write(tmp.path(), zxid, &store).unwrap();
             checkpoints.push((zxid, store.clone()));
         }
 
-        let debris = tmp.path().join(format!("{}.tmp", snapshot::delta_file_name(zxid + 1)));
+        let debris = tmp.path().join(format!("{}.tmp", snapshot::file_name(zxid + 1)));
         let expect = if torn_rename {
-            // The newest delta itself is torn: recovery falls back one link.
-            let victim = tmp.path().join(snapshot::delta_file_name(zxid));
+            // The newest snapshot itself is torn: recovery falls back one
+            // generation.
+            let victim = tmp.path().join(snapshot::file_name(zxid));
             let mut bytes = std::fs::read(&victim).unwrap();
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0xFF;
             std::fs::write(&victim, &bytes).unwrap();
             &checkpoints[checkpoints.len() - 2]
         } else {
-            // The next delta never finished renaming: only debris remains.
+            // The next snapshot never finished renaming: only debris remains.
             std::fs::write(&debris, b"half-written").unwrap();
             checkpoints.last().unwrap()
         };
@@ -559,16 +524,16 @@ proptest! {
         let (_, snap, suffix) = Durability::open(tmp.path(), DurabilityOptions::default()).unwrap();
         prop_assert!(!debris.exists(), "tmp debris must be swept at open");
         prop_assert!(suffix.is_empty());
-        let (snap_zxid, snap_store) = snap.expect("chain prefix recovers");
+        let (snap_zxid, snap_store) = snap.expect("a valid generation recovers");
         prop_assert_eq!(snap_zxid, expect.0);
         prop_assert_eq!(&snap_store, &expect.1);
         prop_assert_eq!(format!("{snap_store:?}"), format!("{:?}", expect.1));
     }
 
     /// A crash *between* the snapshot rename and the WAL truncation leaves
-    /// records at or below the chain tip in the live segments. Replay must
-    /// skip them — applying them twice would corrupt versions and cseq —
-    /// and still reconstruct the live bytes from chain + suffix.
+    /// records at or below the snapshot's zxid in the live segments. Replay
+    /// must skip them — applying them twice would corrupt versions and
+    /// cseq — and still reconstruct the live bytes from snapshot + suffix.
     #[test]
     fn crash_between_snapshot_and_wal_truncation_is_idempotent(
         ops in prop::collection::vec(znode_op(), 2..30),
@@ -592,8 +557,8 @@ proptest! {
         let live = store;
         drop(d);
 
-        // Manufacture the crash window: a full snapshot at t1 and a delta
-        // at t2 hit disk, but the WAL still holds records 1..=n.
+        // Manufacture the crash window: snapshots at t1 and t2 hit disk,
+        // but the WAL still holds records 1..=n.
         let n = ops.len() as u64;
         let t1 = a % n + 1;
         let t2 = (b % n + 1).max(t1);
@@ -607,23 +572,21 @@ proptest! {
         }
         snapshot::write(tmp.path(), t1, &replay).unwrap();
         if t2 > t1 {
-            let mut dirty = DirtySet::default();
             for (i, op) in ops.iter().enumerate() {
                 let zxid = i as u64 + 1;
                 if zxid <= t1 || zxid > t2 {
                     continue;
                 }
-                dirty.mark(&replay.apply(zxid, op).1);
+                let _ = replay.apply(zxid, op);
             }
-            let records = replay.delta_records(dirty.paths());
-            snapshot::write_delta(tmp.path(), t1, t2, &records).unwrap();
+            snapshot::write(tmp.path(), t2, &replay).unwrap();
         }
 
         let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
-        let (snap_zxid, mut recovered) = snap.expect("chain recovers");
+        let (snap_zxid, mut recovered) = snap.expect("snapshot recovers");
         prop_assert_eq!(snap_zxid, t2);
         for (zxid, op) in &suffix {
-            prop_assert!(*zxid > t2, "suffix must skip records at or below the tip");
+            prop_assert!(*zxid > t2, "suffix must skip records at or below the snapshot");
             let _ = recovered.apply(*zxid, op);
         }
         prop_assert_eq!(&recovered, &live);
