@@ -67,7 +67,6 @@ fn platform() -> Tropic {
         PlatformConfig {
             controllers: 1,
             workers: 1,
-            checkpoint_every: 0,
             coord: CoordConfig {
                 write_latency: WRITE_LATENCY,
                 ..CoordConfig::default()
@@ -84,7 +83,6 @@ fn durable_platform(dir: &std::path::Path, replicas: usize) -> Tropic {
         PlatformConfig {
             controllers: 1,
             workers: 1,
-            checkpoint_every: 0,
             coord: CoordConfig {
                 replicas,
                 durability: DurabilityOptions {

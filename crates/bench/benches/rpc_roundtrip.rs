@@ -64,7 +64,6 @@ fn platform() -> Tropic {
         PlatformConfig {
             controllers: 1,
             workers: 1,
-            checkpoint_every: 0,
             ..Default::default()
         },
         spec().service(),

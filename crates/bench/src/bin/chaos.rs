@@ -57,7 +57,6 @@ fn platform_config(data_dir: Option<&std::path::Path>) -> PlatformConfig {
     let mut config = PlatformConfig {
         controllers: 3,
         workers: 2,
-        checkpoint_every: 0,
         coord: CoordConfig {
             // Aggressive failure detection so a leader kill resolves well
             // inside the smoke budget (the §6.4 sweep shows recovery ≈

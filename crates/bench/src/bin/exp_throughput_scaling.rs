@@ -36,14 +36,14 @@ fn main() {
                 controllers: 1,
                 workers: 1,
                 coord: CoordConfig::default(),
-                checkpoint_every: 0,
                 ..Default::default()
             },
             spec.service(),
             ExecMode::LogicalOnly,
         );
-        // Warm up: absorb the one-time leader bootstrap (initial-tree
-        // checkpoint) so the timed burst measures steady-state service rate.
+        // Warm up: absorb the one-time leader bootstrap (the initial
+        // tree's granule) so the timed burst measures steady-state service
+        // rate.
         let warmup = Ec2Trace::from_counts(vec![20]);
         let _ = replay_ec2(
             &platform,

@@ -78,7 +78,6 @@ fn measure(hosts: usize, drifts: usize, timeout: Duration) -> SizeReport {
     let config = PlatformConfig {
         controllers: 1,
         workers: 2,
-        checkpoint_every: 0,
         twin: twin_from_env(),
         ..Default::default()
     };

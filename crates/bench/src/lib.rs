@@ -76,8 +76,6 @@ pub fn perf_platform_at(
                 data_dir,
                 ..CoordConfig::default()
             },
-            // Checkpoints off during measurement; bootstrap still runs once.
-            checkpoint_every: 0,
             ..Default::default()
         },
         spec.service(),

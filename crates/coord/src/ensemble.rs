@@ -603,8 +603,9 @@ impl Ensemble {
                 }
             }
         }
-        // Every acker has written the records: free them (a checkpoint put
-        // is megabytes) before the fsync waits and any snapshot.
+        // Every acker has written the records: free them (a bootstrap
+        // multi holds the whole initial tree) before the fsync waits and
+        // any snapshot.
         drop(frames);
         // Phase two: settle each acker's group — fsync, then snapshot per
         // policy.

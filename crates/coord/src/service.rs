@@ -797,10 +797,10 @@ impl CoordClient {
     }
 
     /// Serializes `value` as JSON into the znode at `path`, creating it if
-    /// missing. Convenience used for transaction records and checkpoints.
+    /// missing. Convenience used for signals and the twin's reports.
     pub fn put_json<T: serde::Serialize>(&self, path: &Path, value: &T) -> CoordResult<()> {
         // Converted once: the create fallback below clones an `Arc`, not
-        // the (possibly multi-MB) value.
+        // the value.
         let data = Bytes::from(serde_json::to_vec(value).expect("serializable value"));
         match self.set_data(path, data.clone(), None) {
             Ok(_) => Ok(()),

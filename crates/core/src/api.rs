@@ -232,6 +232,7 @@ impl From<PlatformError> for ApiError {
     fn from(e: PlatformError) -> Self {
         match e {
             PlatformError::Coord(s) => ApiError::Coordination(s),
+            e @ PlatformError::IncompatibleStore(_) => ApiError::Coordination(e.to_string()),
             PlatformError::UnknownProcedure(n) => ApiError::UnknownProcedure(n),
             PlatformError::Timeout => ApiError::WaitTimeout { id: 0 },
             PlatformError::ShuttingDown => ApiError::ShuttingDown,

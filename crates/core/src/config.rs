@@ -99,9 +99,6 @@ pub struct PlatformConfig {
     pub workers: usize,
     /// Coordination-service configuration.
     pub coord: CoordConfig,
-    /// Finalized transactions between logical-layer checkpoints
-    /// (0 disables checkpointing after bootstrap).
-    pub checkpoint_every: u64,
     /// Send TERM to transactions running longer than this (paper §4).
     pub term_timeout_ms: Option<u64>,
     /// KILL transactions running longer than this (must exceed the TERM
@@ -119,7 +116,6 @@ impl Default for PlatformConfig {
             controllers: 3,
             workers: 1,
             coord: CoordConfig::default(),
-            checkpoint_every: 256,
             term_timeout_ms: None,
             kill_timeout_ms: None,
             rpc: RpcConfig::default(),
@@ -148,7 +144,6 @@ mod tests {
         assert_eq!(cfg.controllers, 3);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.coord.replicas, 3);
-        assert!(cfg.checkpoint_every > 0);
         assert!(cfg.term_timeout_ms.is_none());
         assert!(cfg.kill_timeout_ms.is_none());
     }

@@ -19,6 +19,17 @@
 //! and the replicated log pays its (dominant, §6.1) per-write cost once per
 //! round instead of once per record.
 //!
+//! ## Committed state is written through
+//!
+//! The logical tree reaches the store as granules: one znode per object a
+//! finalized transaction logged, holding that object's subtree. `act`
+//! W-locks an object before changing it, and locks are held until
+//! finalize, so at finalize the subtree holds committed state only; the
+//! granule rides the multi that writes the record's final state (FORCE /
+//! NO-STEAL, Härder & Reuter 1983). Recovery assembles the granules and
+//! replays only the `Started` records on top, so a finalized record is
+//! never needed again and is collected by age alone.
+//!
 //! ## No device reads or calls
 //!
 //! The leader holds no device handle. Every repair — the twin's and the
@@ -30,6 +41,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,7 +77,9 @@ pub(crate) const ADMIN_TXN_BASE: TxnId = 1 << 62;
 /// order.
 pub(crate) const INPUT_BATCH: usize = 64;
 
-/// The logical-layer checkpoint the store holds.
+/// The whole-tree checkpoint an earlier version stored; nothing writes or
+/// reads one now. Kept only because the benchmark still encodes one for
+/// its `checkpoint_encode_ms` probe; ROADMAP item 12 retires it.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Checkpoint {
     /// JSON snapshot of the logical tree.
@@ -80,8 +94,6 @@ pub struct Checkpoint {
 pub struct ControllerConfig {
     /// Controller name (diagnostics, election payload).
     pub name: String,
-    /// Finalized transactions between checkpoints (0 = bootstrap only).
-    pub checkpoint_every: u64,
     /// TERM stalled transactions after this long.
     pub term_timeout_ms: Option<u64>,
     /// KILL stalled transactions after this long.
@@ -185,6 +197,9 @@ pub struct Controller<'a> {
     /// Transactions in physical execution, with their start time.
     running: HashMap<TxnId, u64>,
     inconsistent: BTreeSet<Path>,
+    /// Objects whose granule znode exists. `Path`'s order keeps an
+    /// object's descendants contiguous right after it.
+    granules: BTreeSet<Path>,
     next_lsn: u64,
     /// What is left of finished transactions until they are collected.
     retention: Retention,
@@ -235,6 +250,7 @@ impl<'a> Controller<'a> {
             records: HashMap::new(),
             running: HashMap::new(),
             inconsistent: BTreeSet::new(),
+            granules: BTreeSet::new(),
             next_lsn: 1,
             retention: Retention::default(),
             batch: RoundBatch::default(),
@@ -264,8 +280,8 @@ impl<'a> Controller<'a> {
     // ------------------------------------------------------------------
 
     /// Restores controller state from persistent storage. On the very first
-    /// leadership in a fresh deployment, bootstraps the checkpoint from the
-    /// service's initial tree.
+    /// leadership in a fresh deployment, bootstraps the committed tree from
+    /// the service's initial tree.
     pub fn recover(&mut self) -> Result<(), PlatformError> {
         self.client.create_all(&layout::txns())?;
         self.client.create_all(&layout::election())?;
@@ -277,38 +293,56 @@ impl<'a> Controller<'a> {
         self.client.create_all(&layout::phy_q())?;
         self.client.create_all(&layout::admins())?;
         self.client.create_all(&layout::signals())?;
+        self.client.create_all(&layout::tree())?;
         self.batch.take();
         self.inconsistent_exists = self.client.exists(&layout::inconsistent())?;
 
-        // 1. Logical tree from the checkpoint (or bootstrap).
-        let ckpt: Option<Checkpoint> = self.client.get_json(&layout::checkpoint())?;
-        let watermark = match ckpt {
-            Some(ckpt) => {
-                self.tree = Tree::from_snapshot(&ckpt.snapshot)
-                    .map_err(|e| PlatformError::Admin(format!("corrupt checkpoint: {e}")))?;
-                ckpt.watermark_lsn
+        // 1. The committed tree: every granule, shallow to deep (an
+        // ancestor sorts first), or the bootstrap granule at `/`.
+        let names = self.client.get_children(&layout::tree())?;
+        let objects = names.iter().filter_map(|n| layout::granule_object(n));
+        self.granules = objects.collect();
+        if self.granules.is_empty() {
+            if self.client.exists(&layout::checkpoint())? {
+                return Err(PlatformError::IncompatibleStore(layout::checkpoint()));
             }
-            None => {
-                self.tree = self.service.initial_tree.clone();
-                self.service
-                    .schemas
-                    .validate(&self.tree)
-                    .map_err(|e| PlatformError::Admin(format!("initial tree invalid: {e}")))?;
-                let ckpt = Checkpoint {
-                    snapshot: self
-                        .tree
-                        .to_snapshot()
-                        .map_err(|e| PlatformError::Admin(e.to_string()))?,
-                    watermark_lsn: 0,
-                };
-                self.client.put_json(&layout::checkpoint(), &ckpt)?;
-                0
+            self.tree = self.service.initial_tree.clone();
+            self.service
+                .schemas
+                .validate(&self.tree)
+                .map_err(|e| PlatformError::Admin(format!("initial tree invalid: {e}")))?;
+            self.put_granule(&Path::root())?;
+            self.flush_round()?;
+        } else {
+            self.tree = Tree::new();
+            for object in &self.granules {
+                let znode = layout::granule(object);
+                let corrupt = || PlatformError::Coord(format!("corrupt granule {znode}"));
+                let subtree = self.client.get_json::<Option<Node>>(&znode)?;
+                match subtree.ok_or_else(corrupt)? {
+                    Some(node) if self.tree.exists(object) => drop(self.tree.replace(object, node)),
+                    Some(node) => self.tree.insert(object, node).map_err(|_| corrupt())?,
+                    // Removed, or never there (a failed create logs it too).
+                    None => drop(self.tree.remove(object)),
+                }
             }
-        };
-        self.next_lsn = watermark + 1;
+        }
 
-        // 2. Load every transaction record and alias the store holds (an
-        // alias sits at the aliased id's record path).
+        // 2. Inconsistency marks: the store's set alone, whatever flags
+        // the granules carried.
+        if let Some(root) = self.tree.get_mut(&Path::root()) {
+            root.clear_inconsistent_subtree();
+        }
+        self.inconsistent.clear();
+        if let Some(paths) = self.client.get_json::<Vec<Path>>(&layout::inconsistent())? {
+            for p in paths {
+                let _ = self.tree.mark_inconsistent(&p, true);
+                self.inconsistent.insert(p);
+            }
+        }
+
+        // 3. Every transaction record and alias the store holds (an alias
+        // sits at the aliased id's record path).
         let names = self.client.get_children(&layout::txns())?;
         let (mut loaded, mut aliases) = (Vec::new(), Vec::new());
         for name in &names {
@@ -323,49 +357,35 @@ impl<'a> Controller<'a> {
             }
         }
 
-        // 3. Replay logical effects above the watermark in lsn order.
-        let mut replay: Vec<(u64, &TxnRecord)> = (loaded.iter())
-            .filter_map(|r| Some((r.lsn.filter(|&lsn| lsn > watermark)?, r)))
+        // 4. The granules hold every finalized transaction's effects; only
+        // the in-flight ones replay, in lsn order. Effects stay, locks are
+        // re-acquired, and the worker's result will arrive later.
+        let mut started: Vec<&TxnRecord> = (loaded.iter())
+            .filter(|r| r.state == TxnState::Started)
             .collect();
-        replay.sort_unstable_by_key(|&(lsn, _)| lsn);
+        started.sort_unstable_by_key(|r| r.lsn);
         let now = self.clock.now_ms();
-        for (lsn, rec) in replay {
+        for rec in started {
             // Twin repair logs carry *physical* corrections only — their
             // device actions were never applied logically (the logical tree
             // already holds desired state), so replaying them would corrupt
-            // it. Skip the log; lock/running bookkeeping below still runs.
-            let logical_log = rec.proc_name != TWIN_REPAIR_PROC;
-            if logical_log {
-                for log_rec in &rec.log {
-                    if let Some(def) = self.actions.get(&log_rec.action) {
-                        // Replay failures mean the persistent log disagrees
-                        // with the snapshot; quarantine the object rather
-                        // than halt.
-                        if def
-                            .apply_logical(&mut self.tree, &log_rec.object, &log_rec.args)
-                            .is_err()
-                        {
-                            let _ = self.tree.mark_inconsistent(&log_rec.object, true);
-                            self.inconsistent.insert(log_rec.object.clone());
-                        }
-                    }
+            // it.
+            let logical = rec.log.iter().filter(|_| rec.proc_name != TWIN_REPAIR_PROC);
+            for log_rec in logical {
+                let (def, object) = (self.actions.get(&log_rec.action), &log_rec.object);
+                let args = &log_rec.args;
+                // Replay failures mean the persistent log disagrees with
+                // the granules; quarantine the object rather than halt.
+                if def.is_some_and(|def| def.apply_logical(&mut self.tree, object, args).is_err()) {
+                    let _ = self.tree.mark_inconsistent(object, true);
+                    self.inconsistent.insert(object.clone());
                 }
             }
-            match rec.state {
-                // In-flight at crash time: effects stay, locks are
-                // re-acquired, and the worker's result will arrive later.
-                TxnState::Started => {
-                    let _ = self.locks.try_acquire(rec.id, &rec.locks);
-                    self.running.insert(rec.id, now);
-                }
-                // Finalized by rollback before the crash: reapply it.
-                TxnState::Aborted | TxnState::Failed if logical_log => {
-                    let _ = rollback_logical(&rec.log, &mut self.tree, &self.actions);
-                }
-                _ => {}
-            }
-            self.next_lsn = self.next_lsn.max(lsn + 1);
+            let _ = self.locks.try_acquire(rec.id, &rec.locks);
+            self.running.insert(rec.id, now);
         }
+        // Lsns stay unique among the records the store holds.
+        self.next_lsn = loaded.iter().filter_map(|r| r.lsn).max().unwrap_or(0) + 1;
 
         // Resume the controller-owned id sequence above every id the store
         // holds, so re-submissions after failover never collide.
@@ -376,17 +396,9 @@ impl<'a> Controller<'a> {
         self.twin_epoch_seen = None;
         self.twin_reported.clear();
 
-        // 4. Re-mark the inconsistencies the store holds.
-        if let Some(paths) = self.client.get_json::<Vec<Path>>(&layout::inconsistent())? {
-            for p in paths {
-                let _ = self.tree.mark_inconsistent(&p, true);
-                self.inconsistent.insert(p);
-            }
-        }
-
         // 5. Retention learns every record, alias, signal and operator
         // result; only the live records stay in memory.
-        self.retention = Retention::recover(self.client, &loaded, &aliases, watermark, now)?;
+        self.retention = Retention::recover(self.client, &loaded, &aliases, now)?;
         let live = loaded.into_iter().filter(|r| !r.state.is_final());
         self.records = live.map(|r| (r.id, r)).collect();
 
@@ -412,8 +424,9 @@ impl<'a> Controller<'a> {
 
     /// Performs one unit of controller work: drains a batch of `inputQ`
     /// messages, schedules from `todoQ`, checks stalled-transaction
-    /// timeouts, and checkpoints when due. Returns `true` if any message was
-    /// processed or transaction scheduled (callers idle-wait when `false`).
+    /// timeouts, and collects finished records. Returns `true` if any
+    /// message was processed or transaction scheduled (callers idle-wait
+    /// when `false`).
     pub fn step(&mut self) -> Result<bool, PlatformError> {
         let processed = self.process_input(INPUT_BATCH)?;
         let scheduled = self.schedule()?;
@@ -423,9 +436,8 @@ impl<'a> Controller<'a> {
         self.retention.collect(self.clock.now_ms(), &mut self.batch);
         // The round flush: everything the round decided becomes
         // durable — and visible to workers and clients — atomically, before
-        // any step it enables (checkpointing covers only flushed state).
+        // any step it enables.
         self.flush_round()?;
-        self.maybe_checkpoint()?;
         Ok(processed > 0 || scheduled > 0 || reconciled > 0)
     }
 
@@ -763,9 +775,10 @@ impl<'a> Controller<'a> {
     }
 
     /// Finalizes a live transaction: persist the terminal state — the
-    /// record's last write, which it moves into — release locks, record
-    /// metrics, and leave retention an entry to collect it by. `abort_code`
-    /// classifies platform-originated rejections.
+    /// record's last write, which it moves into — and, beside it, the
+    /// committed subtrees of the objects it logged; then release locks,
+    /// record metrics, and leave retention an entry to collect it by.
+    /// `abort_code` classifies platform-originated rejections.
     fn finalize(
         &mut self,
         mut rec: TxnRecord,
@@ -778,6 +791,14 @@ impl<'a> Controller<'a> {
         rec.finished_ms = Some(now);
         self.retention.finalize(&mut rec, now);
         self.persist_record(&rec, true)?;
+        // A twin repair's log is physical only: the tree never changed.
+        let logged = rec.log.iter().filter(|_| rec.proc_name != TWIN_REPAIR_PROC);
+        let objects: BTreeSet<&Path> = logged.map(|r| &r.object).collect();
+        for object in &objects {
+            if !objects.iter().any(|a| a.is_ancestor_of(object)) {
+                self.put_granule(object)?;
+            }
+        }
         self.locks.release_all(id);
         self.running.remove(&id);
         self.metrics.record_txn(TxnSample {
@@ -810,26 +831,6 @@ impl<'a> Controller<'a> {
                 self.client.put_json(&layout::signal(id), &Signal::Term)?;
             }
         }
-        Ok(())
-    }
-
-    /// Quiescent checkpointing. Retention learns the watermark it durably
-    /// wrote: record GC collects nothing above it.
-    fn maybe_checkpoint(&mut self) -> Result<(), PlatformError> {
-        if !self.retention.checkpoint_due(self.cfg.checkpoint_every) || !self.running.is_empty() {
-            return Ok(());
-        }
-        let watermark = self.next_lsn - 1;
-        let ckpt = Checkpoint {
-            snapshot: self
-                .tree
-                .to_snapshot()
-                .map_err(|e| PlatformError::Admin(e.to_string()))?,
-            watermark_lsn: watermark,
-        };
-        self.client.put_json(&layout::checkpoint(), &ckpt)?;
-        self.retention.checkpointed(watermark);
-        self.metrics.record_checkpoint();
         Ok(())
     }
 
@@ -1144,6 +1145,24 @@ impl<'a> Controller<'a> {
         Ok(())
     }
 
+    /// Buffers `object`'s granule: its subtree as the tree holds it now
+    /// (`None` once removed), replacing the granules strictly below it.
+    fn put_granule(&mut self, object: &Path) -> Result<(), PlatformError> {
+        let data = encode("granule", &self.tree.get(object))?;
+        let after = (Bound::Excluded(object), Bound::Unbounded);
+        let below = (self.granules.range(after))
+            .take_while(|p| object.is_ancestor_of(p))
+            .cloned()
+            .collect::<Vec<_>>();
+        for p in below {
+            self.granules.remove(&p);
+            self.batch.delete(layout::granule(&p));
+        }
+        let exists = !self.granules.insert(object.clone());
+        self.batch.put(layout::granule(object), data, exists);
+        Ok(())
+    }
+
     /// Answers the operator waiting on `episode`, with what it has counted
     /// so far. The answer rides the round batch: it becomes readable in the
     /// same multi as the effects it reports (the finalized reload, or a
@@ -1267,18 +1286,16 @@ pub(crate) mod tests {
     }
 
     fn controller_under_test(client: &CoordClient, service: ServiceDefinition) -> Controller<'_> {
-        controller_on(client, service, tropic_model::real_clock(), 0)
+        controller_on(client, service, tropic_model::real_clock())
     }
 
     fn controller_on(
         client: &CoordClient,
         service: ServiceDefinition,
         clock: SharedClock,
-        checkpoint_every: u64,
     ) -> Controller<'_> {
         let cfg = ControllerConfig {
             name: "c0".into(),
-            checkpoint_every,
             term_timeout_ms: None,
             kill_timeout_ms: None,
             twin: TwinConfig::default(),
@@ -1341,9 +1358,9 @@ pub(crate) mod tests {
     }
 
     /// The operator plane rides the same path: a reload's answer lands in
-    /// the multi that carries its committed `__reload` record and its
-    /// worker result's `inputQ` removal, so an operator can never read `ok`
-    /// ahead of the effects it reports.
+    /// the multi that carries its committed `__reload` record, the scope's
+    /// granule and its worker result's `inputQ` removal, so an operator can
+    /// never read `ok` ahead of the effects it reports.
     #[test]
     fn reload_result_lands_in_the_round_multi() {
         let host = Path::parse("/vmRoot/h1").unwrap();
@@ -1372,8 +1389,9 @@ pub(crate) mod tests {
         let after = coord.stats();
         assert_eq!(after.multis - before.multis, 1);
         assert_eq!(after.writes - before.writes, 1);
-        // inputQ removal + the committed `__reload` record + admin result.
-        assert_eq!(after.batched_ops - before.batched_ops, 3);
+        // inputQ removal + the committed `__reload` record + the scope's
+        // granule + admin result.
+        assert_eq!(after.batched_ops - before.batched_ops, 4);
         let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         assert!(lane.is_empty().unwrap());
@@ -1404,9 +1422,8 @@ pub(crate) mod tests {
     pub(crate) fn gc_controller<'a>(
         client: &'a CoordClient,
         clock: &Arc<tropic_model::ManualClock>,
-        checkpoint_every: u64,
     ) -> Controller<'a> {
-        controller_on(client, noop_service(), clock.clone(), checkpoint_every)
+        controller_on(client, noop_service(), clock.clone())
     }
 
     pub(crate) fn submit(client: &CoordClient, id: TxnId, key: Option<&str>) {
@@ -1436,19 +1453,18 @@ pub(crate) mod tests {
     }
 
     /// Steps once and returns the (multis, single writes, batched ops) the
-    /// step cost, checkpoint puts excluded.
+    /// step cost.
     pub(crate) fn step_cost(
         coord: &tropic_coord::CoordService,
         controller: &mut Controller<'_>,
     ) -> (u64, u64, u64) {
-        let (before, ckpts) = (coord.stats(), controller.metrics.counters().checkpoints);
+        let before = coord.stats();
         controller.step().unwrap();
         let after = coord.stats();
-        let ckpts = controller.metrics.counters().checkpoints - ckpts;
         let multis = after.multis - before.multis;
         (
             multis,
-            after.writes - before.writes - multis - ckpts,
+            after.writes - before.writes - multis,
             after.batched_ops - before.batched_ops,
         )
     }
@@ -1503,7 +1519,7 @@ pub(crate) mod tests {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         submit(&client, 1, None);
         controller.step().unwrap();
         commit(&client, 1);
@@ -1668,6 +1684,174 @@ pub(crate) mod tests {
         // A third leader's recovery replays `__replaceSubtree`.
         let third = controller_under_test(&client, service);
         assert_eq!(third.tree().root(), &absorbed);
+    }
+
+    /// [`host_service`] plus a child `c` under the host, both with `v = 0`,
+    /// and `set [object, v]`: one logged, undoable action setting `v`.
+    fn set_service(host: &Path) -> ServiceDefinition {
+        let mut service = host_service(host);
+        let tree = &mut service.initial_tree;
+        tree.insert(&host.join("c"), Node::new("vm")).unwrap();
+        for object in [host.clone(), host.join("c")] {
+            tree.set_attr(&object, "v", 0i64).unwrap();
+        }
+        service.actions.register(ActionDef::new(
+            "set",
+            |tree, object, args| {
+                let v = args.first().cloned().ok_or("missing value")?;
+                tree.set_attr(object, "v", v).map_err(|e| e.to_string())?;
+                Ok(())
+            },
+            |tree, object, _| {
+                Some(crate::actions::UndoSpec {
+                    object: object.clone(),
+                    action: "set".into(),
+                    args: vec![tree.attr(object, "v")?.clone()],
+                })
+            },
+        ));
+        service
+            .procs
+            .register(Arc::new(FnProcedure::new("set", |ctx| {
+                let object = Path::parse(&ctx.arg_str(0)?)?;
+                let v = Value::from(ctx.arg_int(1)?);
+                ctx.act(&object, "set", vec![v])
+            })));
+        service
+    }
+
+    fn submit_set(client: &CoordClient, id: TxnId, object: &Path, v: i64) {
+        let request = crate::api::TxnRequest::new("set")
+            .arg(object.to_string())
+            .arg(v);
+        let (msg, _) = request.into_msg(id, 0).unwrap();
+        DistributedQueue::bind(client, layout::input_lane(Priority::Normal))
+            .enqueue(encode_input(msg))
+            .unwrap();
+    }
+
+    fn granules(client: &CoordClient) -> Vec<Path> {
+        let names = children(client, layout::tree());
+        names
+            .iter()
+            .filter_map(|n| layout::granule_object(n))
+            .collect()
+    }
+
+    /// Each finalize writes its object's subtree beside the record; a
+    /// granule replaces the ones below it, and a successor assembles the
+    /// tree from granules alone — every record collected.
+    #[test]
+    fn committed_subtrees_are_written_through_and_reassembled() {
+        let host = Path::parse("/vmRoot/h1").unwrap();
+        let child = host.join("c");
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let clock = tropic_model::ManualClock::new();
+        let mut leader = controller_on(&client, set_service(&host), clock.clone());
+        assert_eq!(granules(&client), [Path::root()], "bootstrap");
+
+        submit_set(&client, 1, &child, 7);
+        leader.step().unwrap();
+        commit(&client, 1);
+        // inputQ removal + the committed record + the child's granule.
+        assert_eq!(step_cost(&coord, &mut leader), (1, 0, 3));
+        assert_eq!(granules(&client), [Path::root(), child.clone()]);
+        let granule: Option<Node> = client.get_json(&layout::granule(&child)).unwrap().unwrap();
+        assert_eq!(granule.as_ref(), leader.tree().get(&child));
+
+        submit_set(&client, 2, &host, 9);
+        leader.step().unwrap();
+        commit(&client, 2);
+        // ... + the host's granule + the child's granule, deleted.
+        assert_eq!(step_cost(&coord, &mut leader), (1, 0, 4));
+        assert_eq!(granules(&client), [Path::root(), host.clone()]);
+
+        clock.advance(3 * crate::retention::GC_GRACE_MS);
+        leader.step().unwrap();
+        assert!(children(&client, layout::txns()).is_empty(), "collected");
+        let committed = leader.tree().clone();
+        drop(leader);
+        let successor = controller_on(&client, set_service(&host), clock.clone());
+        assert_eq!(successor.tree(), &committed);
+        assert_eq!(successor.tree().attr(&child, "v"), Some(&Value::from(7i64)));
+    }
+
+    /// A KILL's aborted granule carries the mark it set. A repair that
+    /// clears the mark writes no granule (its log is physical), so
+    /// recovery must take the marks from the store's set alone, not from
+    /// the granules — or every transaction on the repaired node would be
+    /// refused with no drift left for anything to repair.
+    #[test]
+    fn recovery_does_not_resurrect_a_repaired_mark() {
+        let host = Path::parse("/vmRoot/h1").unwrap();
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let mut leader = controller_under_test(&client, set_service(&host));
+        submit_set(&client, 1, &host, 1);
+        leader.step().unwrap();
+        claim(&client);
+        let signal = Signal::Kill;
+        send(&client, InputMsg::Signal { id: 1, signal });
+        leader.step().unwrap();
+        assert!(leader.tree().is_inconsistent(&host));
+        let granule: Option<Node> = client.get_json(&layout::granule(&host)).unwrap().unwrap();
+        assert!(granule.unwrap().is_inconsistent(), "the KILL's granule");
+
+        let (scope, admin_id) = (host.clone(), 1);
+        send(&client, InputMsg::Repair { scope, admin_id });
+        leader.step().unwrap();
+        let id = claim(&client).id;
+        let outcome = PhysicalOutcome::Reconciled {
+            calls: Vec::new(),
+            drifted: 0,
+            remaining: 0,
+            unmatched: 0,
+        };
+        send(&client, InputMsg::Result { id, outcome });
+        leader.step().unwrap();
+        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        assert!(result.ok, "{}", result.message);
+        assert!(!leader.tree().is_inconsistent(&host));
+        drop(leader);
+
+        let mut successor = controller_under_test(&client, set_service(&host));
+        assert!(!successor.tree().is_inconsistent(&host));
+        submit_set(&client, 2, &host, 2);
+        successor.step().unwrap();
+        commit(&client, 2);
+        successor.step().unwrap();
+        let rec: TxnRecord = client.get_json(&layout::txn(2)).unwrap().unwrap();
+        assert_eq!(rec.state, TxnState::Committed, "{:?}", rec.error);
+        assert_eq!(successor.tree().attr(&host, "v"), Some(&Value::from(2i64)));
+    }
+
+    /// A store an earlier version wrote holds its tree in one checkpoint
+    /// znode and no granules. Bootstrapping over it would silently drop
+    /// every committed effect, so recovery refuses it, naming the znode.
+    #[test]
+    fn a_store_holding_a_whole_tree_checkpoint_is_refused() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let ckpt = Checkpoint {
+            snapshot: Tree::new().to_snapshot().unwrap(),
+            watermark_lsn: 3,
+        };
+        client.put_json(&layout::checkpoint(), &ckpt).unwrap();
+        let cfg = ControllerConfig {
+            name: "c0".into(),
+            term_timeout_ms: None,
+            kill_timeout_ms: None,
+            twin: TwinConfig::default(),
+            twin_feed: TwinFeed::new(),
+        };
+        let service = Arc::new(noop_service());
+        let clock = tropic_model::real_clock();
+        let mut controller = Controller::new(cfg, &client, service, clock, Metrics::new());
+        let err = controller.recover().unwrap_err();
+        assert_eq!(err, PlatformError::IncompatibleStore(layout::checkpoint()));
+        assert!(err.to_string().contains("/tropic/checkpoint"), "{err}");
+        assert!(granules(&client).is_empty(), "nothing bootstrapped");
     }
 
     #[test]

@@ -66,6 +66,10 @@ pub enum PlatformError {
     ShuttingDown,
     /// An administrative operation (repair/reload) failed.
     Admin(String),
+    /// The coordination store holds state in a layout this version does
+    /// not recover from; the znode names it. Recovering anyway would drop
+    /// every committed effect it holds.
+    IncompatibleStore(Path),
 }
 
 impl fmt::Display for PlatformError {
@@ -76,6 +80,9 @@ impl fmt::Display for PlatformError {
             PlatformError::Timeout => write!(f, "timed out waiting for transaction outcome"),
             PlatformError::ShuttingDown => write!(f, "platform is shutting down"),
             PlatformError::Admin(s) => write!(f, "admin operation failed: {s}"),
+            PlatformError::IncompatibleStore(z) => {
+                write!(f, "store holds an earlier version's {z}")
+            }
         }
     }
 }

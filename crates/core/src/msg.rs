@@ -245,9 +245,33 @@ pub mod layout {
         txns().join(&format!("{id:020}"))
     }
 
-    /// The logical-layer checkpoint (tree snapshot + watermark).
+    /// Where an earlier version kept its whole-tree checkpoint. A store
+    /// holding it and no granules is refused, not re-bootstrapped.
     pub fn checkpoint() -> Path {
         Path::parse("/tropic/checkpoint").expect("static path")
+    }
+
+    /// Base of the committed-subtree granules ([`granule`]).
+    pub fn tree() -> Path {
+        root().join("tree")
+    }
+
+    /// Granule znode holding the committed subtree at `object`. The name
+    /// is the object path's text in hex, so every path — the root too —
+    /// is one flat, valid znode name that [`granule_object`] decodes.
+    pub fn granule(object: &Path) -> Path {
+        let text = object.to_string();
+        let nibbles = text.bytes().flat_map(|b| [b >> 4, b & 15]);
+        let digits = nibbles.filter_map(|n| char::from_digit(n.into(), 16));
+        tree().join(&digits.collect::<String>())
+    }
+
+    /// The object path a granule znode's name encodes, or `None` for a
+    /// name [`granule`] never writes.
+    pub fn granule_object(name: &str) -> Option<Path> {
+        let pairs = name.as_bytes().chunks(2).map(std::str::from_utf8);
+        let bytes = pairs.map(|hex| u8::from_str_radix(hex.ok()?, 16).ok());
+        Path::parse(&String::from_utf8(bytes.collect::<Option<_>>()?).ok()?).ok()
     }
 
     /// The persisted set of inconsistency-marked paths.
@@ -418,6 +442,20 @@ mod tests {
             layout::twin_reported_item(&Path::parse("/a/b").unwrap()),
             layout::twin_reported_item(&Path::parse("/a/c").unwrap()),
         );
+    }
+
+    #[test]
+    fn granule_names_are_flat_and_decode_back() {
+        for text in ["/", "/vmRoot/host3", "/a.b/c-d_e"] {
+            let object = Path::parse(text).unwrap();
+            let znode = layout::granule(&object);
+            assert_eq!(znode.parent().unwrap(), layout::tree());
+            assert_eq!(layout::granule_object(znode.leaf().unwrap()), Some(object));
+        }
+        assert_eq!(layout::granule(&Path::root()).leaf(), Some("2f"));
+        for junk in ["2", "zz", "ff", "61"] {
+            assert_eq!(layout::granule_object(junk), None, "{junk}");
+        }
     }
 
     #[test]

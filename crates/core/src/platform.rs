@@ -28,7 +28,7 @@ use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
 
 /// How long an idle leader waits on its input-lane watches before running
-/// another round anyway (timeouts, twin ticks and checkpoints are
+/// another round anyway (timeouts, twin ticks and record collection are
 /// time-driven, not message-driven).
 const LEADER_IDLE_WAIT: Duration = Duration::from_millis(25);
 
@@ -115,7 +115,7 @@ impl Tropic {
     /// Recovers a durable platform from `config.coord.data_dir` after a
     /// full shutdown or crash ("power loss"): the coordination store is
     /// rebuilt from each replica's snapshot plus write-ahead-log suffix,
-    /// the elected controller resumes from the reconstructed checkpoint,
+    /// the elected controller resumes from the committed-subtree granules,
     /// transaction records, `inputQ`, and `phyQ`, and workers pick the
     /// surviving physical tasks back up — no acknowledged transaction is
     /// lost and in-flight ones run to completion.
@@ -195,7 +195,6 @@ impl Tropic {
                 let is_leader = Arc::clone(&is_leader);
                 let cfg = ControllerConfig {
                     name: name.clone(),
-                    checkpoint_every: config.checkpoint_every,
                     term_timeout_ms: config.term_timeout_ms,
                     kill_timeout_ms: config.kill_timeout_ms,
                     twin: config.twin.clone(),

@@ -5,18 +5,20 @@
 //! it (paper §2.3). Once a transaction finalizes, the controller drops its
 //! `TxnRecord` and this module keeps one small [`Entry`] — no log, args,
 //! locks or labels — holding only what collection and dedup need: the
-//! record's `lsn`, its idempotency key, the aliases pointing at it and
-//! whether a signal znode was written for it. Clients read outcomes from
-//! the store alone.
+//! record's idempotency key, the aliases pointing at it and whether a
+//! signal znode was written for it. Clients read outcomes from the store
+//! alone.
 //!
 //! A finalized record stays readable for [`GC_GRACE_MS`] or while it is
 //! among the newest [`RETAIN_MAX`] finalized records, whichever ends first.
 //! [`Retention::collect`] runs every round and puts its deletes in the
 //! round batch, so collection costs no write of its own (a round with
 //! nothing else to flush lets the due records pile up for a second grace
-//! period and then collects them in one multi). It only collects records
-//! the last durably written checkpoint covers, and only znodes that exist
-//! — a `Delete` of a missing znode would fail the whole round. That holds
+//! period and then collects them in one multi). A finalized record's
+//! effects are already durable without it — the multi that wrote its final
+//! state also wrote its objects' committed subtrees — so recovery never
+//! needs it. Collection only deletes znodes that exist — a `Delete` of a
+//! missing znode would fail the whole round. That holds
 //! by construction: an entry is made by the admission whose round creates
 //! the record (or by recovery, from the records it read), and a signal is
 //! remembered only where one was written. The idempotency-key dedup window
@@ -42,14 +44,12 @@ pub(crate) const GC_GRACE_MS: u64 = 10_000;
 const RETAIN_MAX: usize = 8_192;
 
 /// Records collected per round at most, so one round's multi stays small
-/// however large the backlog a checkpoint just made collectable.
+/// however large the backlog a recovery or an idle stretch left.
 const GC_PER_ROUND: usize = 256;
 
 /// What retention keeps of one transaction whose record znode exists.
 #[derive(Default)]
 struct Entry {
-    /// Set at finalize: collection waits for a checkpoint to cover it.
-    lsn: Option<u64>,
     /// The idempotency key the record holds, freed when it is collected.
     key: Option<String>,
     /// Aliases deduplicated onto this transaction, collected with it.
@@ -60,8 +60,7 @@ struct Entry {
 
 /// The leader's retention state: one [`Entry`] per transaction whose
 /// record znode exists, the finished ones in collection order, the dedup
-/// indexes, the operator results awaiting collection, and the checkpoint
-/// that bounds collection.
+/// indexes and the operator results awaiting collection.
 #[derive(Default)]
 pub(crate) struct Retention {
     entries: HashMap<TxnId, Entry>,
@@ -74,32 +73,24 @@ pub(crate) struct Retention {
     /// Written operator results (admin ids), oldest first, with their
     /// write time.
     admin: VecDeque<(u64, u64)>,
-    /// Watermark of the last checkpoint durably written (or recovered).
-    watermark: u64,
-    /// Transactions finalized since that checkpoint.
-    since_checkpoint: u64,
 }
 
 impl Retention {
     /// Rebuilds retention from what a new leader read: the records and
-    /// aliases under `txns`, the checkpoint's watermark, and the `signals`
-    /// and `admin` listings. Finalize times are the old leader's, so every
-    /// grace period restarts at `now`.
+    /// aliases under `txns`, and the `signals` and `admin` listings.
+    /// Finalize times are the old leader's, so every grace period restarts
+    /// at `now`.
     pub(crate) fn recover(
         client: &CoordClient,
         records: &[TxnRecord],
         aliases: &[(TxnId, TxnId)],
-        watermark: u64,
         now: u64,
     ) -> Result<Self, PlatformError> {
-        let mut retention = Retention {
-            watermark,
-            ..Retention::default()
-        };
+        let mut retention = Retention::default();
         let mut finished = Vec::new();
         for rec in records {
             let entry = retention.entries.entry(rec.id).or_default();
-            (entry.lsn, entry.key) = (rec.lsn, rec.idempotency_key.clone());
+            entry.key = rec.idempotency_key.clone();
             if let Some(key) = &entry.key {
                 retention.keys.insert(key.clone(), rec.id);
             }
@@ -169,10 +160,8 @@ impl Retention {
     /// caller writes — so a retry with a fresh deadline runs instead of
     /// deduplicating onto the rejection.
     pub(crate) fn finalize(&mut self, rec: &mut TxnRecord, now: u64) {
-        self.since_checkpoint += 1;
         self.finished.push_back((rec.id, now));
         let entry = self.entries.entry(rec.id).or_default();
-        entry.lsn = rec.lsn;
         if rec.abort_code == Some(AbortCode::DeadlineExpired) {
             rec.idempotency_key = None;
             let held = |key: &String| self.keys.get(key) == Some(&rec.id);
@@ -187,25 +176,11 @@ impl Retention {
         self.admin.push_back((admin_id, now));
     }
 
-    /// Whether `every` (> 0) transactions have finalized since the last
-    /// checkpoint.
-    pub(crate) fn checkpoint_due(&self, every: u64) -> bool {
-        every > 0 && self.since_checkpoint >= every
-    }
-
-    /// Records a durably written checkpoint: collection may now take
-    /// records up to `watermark`.
-    pub(crate) fn checkpointed(&mut self, watermark: u64) {
-        self.watermark = watermark;
-        self.since_checkpoint = 0;
-    }
-
     /// Collects the oldest finished records — at most [`GC_PER_ROUND`] —
-    /// into `batch`, while the oldest is covered by the last checkpoint
-    /// (recovery would otherwise lose its logical effects) and is either
-    /// past the grace period or pushed out by [`RETAIN_MAX`] newer ones,
-    /// and the operator results past the grace period — at most as many
-    /// again. Each record goes with its signal znode and its aliases.
+    /// into `batch`, while the oldest is either past the grace period or
+    /// pushed out by [`RETAIN_MAX`] newer ones, and the operator results
+    /// past the grace period — at most as many again. Each record goes with
+    /// its signal znode and its aliases.
     ///
     /// The deletes ride a flush that is happening anyway. A round with
     /// nothing else to flush would pay a quorum write for them alone, so it
@@ -228,16 +203,11 @@ impl Retention {
             batch.delete(layout::admin(admin_id));
         }
         for _ in 0..GC_PER_ROUND {
-            let Some(&(id, finalized_at)) = self.finished.front() else {
+            let full = self.finished.len() > RETAIN_MAX;
+            let due = |&mut (_, at): &mut (u64, u64)| full || now.saturating_sub(at) >= GC_GRACE_MS;
+            let Some((id, _)) = self.finished.pop_front_if(due) else {
                 break;
             };
-            let due =
-                now.saturating_sub(finalized_at) >= GC_GRACE_MS || self.finished.len() > RETAIN_MAX;
-            let lsn = self.entries.get(&id).and_then(|e| e.lsn);
-            if !due || lsn.is_some_and(|lsn| lsn > self.watermark) {
-                break;
-            }
-            self.finished.pop_front();
             let entry = self.entries.remove(&id).unwrap_or_default();
             batch.delete(layout::txn(id));
             if entry.signaled {
@@ -278,7 +248,7 @@ mod tests {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, CHUNK);
+        let mut controller = gc_controller(&client, &clock);
         let phy_q = DistributedQueue::bind(&client, layout::phy_q());
         let total = 3 * RETAIN_MAX as u64;
         let mut last_ops = 0;
@@ -317,49 +287,40 @@ mod tests {
         assert_eq!(last_ops, 3 * CHUNK);
     }
 
+    /// A leader that never quiesces still collects: with transaction 1
+    /// `Started` throughout, records finalized past the grace period go,
+    /// in a round that flushes anyway or, two grace periods on, alone.
     #[test]
-    fn gc_never_collects_above_the_checkpoint_watermark() {
+    fn gc_collects_while_a_transaction_stays_started() {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         submit(&client, 1, None);
         controller.step().unwrap();
-        commit(&client, 1);
-        controller.step().unwrap();
-        assert_eq!(
-            controller.retention().watermark,
-            1,
-            "quiescent: checkpointed"
-        );
-        // 2 finalizes while 3 is still running, so no checkpoint covers it.
         submit(&client, 2, None);
         submit(&client, 3, None);
         controller.step().unwrap();
         commit(&client, 2);
-        controller.step().unwrap();
-        assert_eq!(controller.retention().watermark, 1);
-        clock.advance(100 * GC_GRACE_MS);
-        for _ in 0..3 {
-            controller.step().unwrap();
-        }
-        assert!(!controller.retention().knows(1), "covered and old");
-        assert!(controller.retention().knows(2), "lsn 2 > watermark 1");
-        assert!(client.exists(&layout::txn(2)).unwrap());
-        // Once a checkpoint covers it, age alone decides.
         commit(&client, 3);
         controller.step().unwrap();
-        assert_eq!(controller.retention().watermark, 3);
-        controller.step().unwrap();
-        assert!(!client.exists(&layout::txn(2)).unwrap());
-        assert!(client.exists(&layout::txn(3)).unwrap(), "inside its grace");
-        // Past it, the delete waits for a flush to ride rather than buy a
-        // write of its own: inputQ removal + record put + phyQ append + it.
+        assert_eq!(controller.running_len(), 1);
+
         clock.advance(GC_GRACE_MS);
-        assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
         submit(&client, 4, None);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 4));
+        // inputQ removal + record put + phyQ append + two record deletes.
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 5));
+        assert!(!client.exists(&layout::txn(2)).unwrap());
         assert!(!client.exists(&layout::txn(3)).unwrap());
+        commit(&client, 4);
+        controller.step().unwrap();
+        clock.advance(2 * GC_GRACE_MS);
+        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1));
+        assert!(!client.exists(&layout::txn(4)).unwrap());
+        // The running one is live, not finished: never collected.
+        assert!(controller.retention().knows(1));
+        assert!(client.exists(&layout::txn(1)).unwrap());
+        assert_eq!(controller.running_len(), 1);
     }
 
     #[test]
@@ -367,33 +328,28 @@ mod tests {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         submit(&client, 1, None);
         submit(&client, 2, None);
         controller.step().unwrap();
         commit(&client, 2);
         controller.step().unwrap();
-        // 2 is past its grace when the KILL round runs, but no checkpoint
-        // covers it until that round has made the platform quiescent.
+        // 2 is past its grace when the KILL round runs, so its delete
+        // rides that round's multi: one op, since a blind delete of its
+        // (missing) signal znode would fail the round.
         clock.advance(3 * GC_GRACE_MS / 2);
         let signal = Signal::Kill;
         send(&client, InputMsg::Signal { id: 1, signal });
         controller.step().unwrap();
         assert!(client.exists(&layout::signal(1)).unwrap());
-        assert!(client.exists(&layout::txn(2)).unwrap());
-        assert_eq!(controller.retention().watermark, 2);
+        assert!(client.exists(&layout::txn(1)).unwrap());
+        assert!(!client.exists(&layout::txn(2)).unwrap());
 
         // Idle rounds collect once the oldest record is two grace periods
-        // old. The unsignalled record costs one delete op; a blind delete
-        // of its (missing) signal znode would fail the round.
-        clock.advance(GC_GRACE_MS / 2 - 1);
+        // old. The killed one's record and signal znode go in one multi.
+        clock.advance(2 * GC_GRACE_MS - 1);
         assert_eq!(step_cost(&coord, &mut controller), (0, 0, 0));
         clock.advance(1);
-        assert_eq!(step_cost(&coord, &mut controller), (1, 0, 1));
-        assert!(!client.exists(&layout::txn(2)).unwrap());
-        assert!(client.exists(&layout::txn(1)).unwrap());
-        // The killed one's record and signal znode go in one multi.
-        clock.advance(3 * GC_GRACE_MS / 2);
         assert_eq!(step_cost(&coord, &mut controller), (1, 0, 2));
         assert!(!client.exists(&layout::txn(1)).unwrap());
         assert!(!client.exists(&layout::signal(1)).unwrap());
@@ -407,7 +363,7 @@ mod tests {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         submit(&client, 1, Some("k"));
         controller.step().unwrap();
         commit(&client, 1);
@@ -436,7 +392,7 @@ mod tests {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut old_leader = gc_controller(&client, &clock, 1);
+        let mut old_leader = gc_controller(&client, &clock);
         for id in [1, 3, 4] {
             submit(&client, id, (id == 1).then_some("k"));
         }
@@ -447,13 +403,12 @@ mod tests {
         send(&client, InputMsg::Signal { id: 3, signal });
         submit(&client, 2, Some("k"));
         old_leader.step().unwrap();
-        assert_eq!(old_leader.retention().watermark, 3);
         clock.advance(GC_GRACE_MS / 2);
         old_leader.step().unwrap();
         assert_eq!(children(&client, layout::txns()).len(), 4, "mid-retention");
         drop(old_leader);
 
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         let retention = controller.retention();
         assert_eq!(retention.finished.len(), 3);
         let signaled = retention.entries.iter().filter(|(_, e)| e.signaled);
@@ -479,7 +434,7 @@ mod tests {
         let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("controller-under-test");
         let clock = tropic_model::ManualClock::new();
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         // Logical-only workers refuse both repairs, and the refusal is the
         // result the operator reads.
         for admin_id in [1, 2] {
@@ -523,7 +478,7 @@ mod tests {
         drop(controller);
 
         // The grace restarts at recovery, as a record's does.
-        let mut controller = gc_controller(&client, &clock, 1);
+        let mut controller = gc_controller(&client, &clock);
         assert_eq!(controller.retention().admin.len(), 1);
         clock.advance(GC_GRACE_MS);
         submit(&client, 2, None);

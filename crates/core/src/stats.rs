@@ -49,7 +49,8 @@ pub struct Counters {
     pub defers: u64,
     /// Constraint-violation aborts within `aborted`.
     pub violations: u64,
-    /// Checkpoints written.
+    /// Always 0: the whole-tree checkpoint it counted is gone. Kept only
+    /// because the benchmark still reads it; ROADMAP item 12 retires it.
     pub checkpoints: u64,
     /// Repair operations run.
     pub repairs: u64,
@@ -171,11 +172,6 @@ impl Metrics {
     /// Records a constraint-violation abort.
     pub fn record_violation(&self) {
         self.inner.lock().counters.violations += 1;
-    }
-
-    /// Records a checkpoint write.
-    pub fn record_checkpoint(&self) {
-        self.inner.lock().counters.checkpoints += 1;
     }
 
     /// Records a repair run.

@@ -143,6 +143,14 @@ impl Node {
         self.inconsistent = flag;
     }
 
+    /// Clears the inconsistency marker on this node and every descendant.
+    pub fn clear_inconsistent_subtree(&mut self) {
+        self.inconsistent = false;
+        for child in self.children.values_mut() {
+            child.clear_inconsistent_subtree();
+        }
+    }
+
     /// Approximate in-memory footprint of the subtree in bytes (§6.1
     /// memory-footprint experiment).
     pub fn approx_size(&self) -> usize {
@@ -213,6 +221,12 @@ mod tests {
         assert!(!n.is_inconsistent());
         n.set_inconsistent(true);
         assert!(n.is_inconsistent());
+        let mut host = Node::new("vmHost");
+        host.set_inconsistent(true);
+        host.insert_child("vm", n);
+        host.clear_inconsistent_subtree();
+        assert!(!host.is_inconsistent());
+        assert!(!host.child("vm").unwrap().is_inconsistent());
     }
 
     #[test]

@@ -291,8 +291,7 @@ impl Tree {
         false
     }
 
-    /// Serializes the tree to a JSON snapshot for checkpointing into the
-    /// coordination store.
+    /// Serializes the tree to a JSON snapshot.
     pub fn to_snapshot(&self) -> ModelResult<String> {
         serde_json::to_string(&self.root).map_err(|e| ModelError::Serde(e.to_string()))
     }

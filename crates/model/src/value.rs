@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// A dynamically-typed attribute value.
 ///
 /// `Value` deliberately mirrors the JSON data model so that logical-layer
-/// state can be checkpointed into the coordination store verbatim.
+/// state can be written into the coordination store verbatim.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Value {
     /// Absence of a value.

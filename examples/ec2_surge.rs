@@ -33,7 +33,6 @@ fn main() {
                 write_latency: Duration::from_micros(500),
                 ..CoordConfig::default()
             },
-            checkpoint_every: 0,
             ..Default::default()
         },
         spec.service(),

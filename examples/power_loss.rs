@@ -29,7 +29,6 @@ fn main() {
     let config = PlatformConfig {
         controllers: 1,
         workers: 1,
-        checkpoint_every: 0,
         coord: CoordConfig {
             durability: DurabilityOptions {
                 // A batch is acked only after every acking replica has

@@ -62,7 +62,6 @@ fn serialized_run(topo: &TopologySpec, spec: &ChaosSpec) -> (u64, u64, u64) {
         PlatformConfig {
             controllers: 1,
             workers: 1,
-            checkpoint_every: 0,
             ..Default::default()
         },
         topo.service(),
@@ -127,7 +126,6 @@ fn leader_kill_under_load_loses_nothing_acknowledged() {
         PlatformConfig {
             controllers: 3,
             workers: 1,
-            checkpoint_every: 0,
             coord: CoordConfig {
                 session_timeout_ms: 400,
                 tick_ms: 20,

@@ -38,7 +38,6 @@ fn durable_platform_config(dir: &std::path::Path, durability: DurabilityOptions)
     PlatformConfig {
         controllers: 1,
         workers: 1,
-        checkpoint_every: 0,
         coord: CoordConfig {
             durability,
             ..CoordConfig::default()

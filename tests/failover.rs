@@ -4,10 +4,17 @@
 
 mod common;
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
-use tropic::coord::CoordConfig;
-use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
+use tropic::coord::{CoordClient, CoordConfig, CoordService, DistributedQueue};
+use tropic::core::{
+    encode_input, layout, Controller, ControllerConfig, ExecMode, InputMsg, Metrics,
+    PhysicalOutcome, PlatformConfig, Priority, ServiceDefinition, Tropic, TwinConfig, TwinFeed,
+    TxnId, TxnRecord, TxnState,
+};
+use tropic::model::{Tree, Value};
 use tropic::tcloud::TopologySpec;
 
 use common::{submit, submit_and_wait};
@@ -263,4 +270,132 @@ fn recovery_time_dominated_by_failure_detection() {
         "recovery {recovery_ms} ms should be dominated by the 400 ms timeout"
     );
     platform.shutdown();
+}
+
+/// A leader over `service`, recovered from what `client`'s store holds.
+fn leader_on<'a>(client: &'a CoordClient, service: &ServiceDefinition) -> Controller<'a> {
+    let cfg = ControllerConfig {
+        name: "leader".into(),
+        term_timeout_ms: None,
+        kill_timeout_ms: None,
+        twin: TwinConfig::default(),
+        twin_feed: TwinFeed::new(),
+    };
+    let service = Arc::new(service.clone());
+    let clock = tropic::model::real_clock();
+    let mut leader = Controller::new(cfg, client, service, clock, Metrics::new());
+    leader.recover().expect("recover");
+    leader
+}
+
+fn enqueue(client: &CoordClient, priority: Priority, msg: InputMsg) {
+    DistributedQueue::bind(client, layout::input_lane(priority))
+        .enqueue(encode_input(msg))
+        .unwrap();
+}
+
+fn submit_msg(client: &CoordClient, id: TxnId, proc_name: &str, args: Vec<Value>) {
+    let msg = InputMsg::Submit {
+        id,
+        proc_name: proc_name.into(),
+        args,
+        submitted_ms: 0,
+        priority: Priority::Normal,
+        deadline_ms: None,
+        idempotency_key: None,
+        labels: Vec::new(),
+    };
+    enqueue(client, Priority::Normal, msg);
+}
+
+/// Plays the worker: transaction `id` committed physically.
+fn committed(client: &CoordClient, id: TxnId) {
+    let outcome = PhysicalOutcome::Committed;
+    enqueue(client, Priority::High, InputMsg::Result { id, outcome });
+}
+
+fn records(client: &CoordClient) -> BTreeMap<TxnId, TxnRecord> {
+    let names = client.get_children(&layout::txns()).unwrap();
+    let recs = names.iter().filter_map(|n| {
+        let rec: TxnRecord = client.get_json(&layout::txns().join(n)).unwrap()?;
+        Some((rec.id, rec))
+    });
+    recs.collect()
+}
+
+/// Write-through recovery: the leader crashes between two finalize
+/// rounds while a transaction is still `Started`. The successor's tree is
+/// the committed image — the initial tree with every committed log applied
+/// in lsn order — with the `Started` log replayed on top; the acknowledged
+/// outcomes are unchanged, and the in-flight transaction still finalizes.
+#[test]
+fn crash_between_finalize_rounds_recovers_the_committed_image() {
+    // Hosts 0 and 4 pair with different storage servers, so spawns on
+    // them lock disjoint subtrees and run side by side.
+    let spec = TopologySpec {
+        compute_hosts: 5,
+        storage_hosts: 2,
+        routers: 0,
+        ..Default::default()
+    };
+    let service = spec.service();
+    let coord = CoordService::start(CoordConfig::default());
+    let client = coord.connect("controllers");
+    let mut leader = leader_on(&client, &service);
+
+    submit_msg(&client, 1, "spawnVM", spec.spawn_args("a", 0, 2_048));
+    submit_msg(&client, 2, "spawnVM", spec.spawn_args("b", 4, 2_048));
+    leader.step().unwrap();
+    assert_eq!(leader.running_len(), 2);
+    committed(&client, 1);
+    leader.step().unwrap();
+    let host0 = TopologySpec::host_path(0).to_string();
+    submit_msg(&client, 3, "stopVM", vec![host0.into(), "a".into()]);
+    leader.step().unwrap();
+    committed(&client, 3);
+    leader.step().unwrap();
+
+    // Crash after the round that finalized 3, before the one that would
+    // finalize 2.
+    let before = records(&client);
+    let state = |id: TxnId| before[&id].state;
+    assert_eq!(
+        (state(1), state(2), state(3)),
+        (TxnState::Committed, TxnState::Started, TxnState::Committed)
+    );
+    let crashed_tree = leader.tree().clone();
+    drop(leader);
+
+    let mut expected = service.initial_tree.clone();
+    let apply = |tree: &mut Tree, rec: &TxnRecord| {
+        for log in &rec.log {
+            let def = service.actions.get(&log.action).unwrap();
+            def.apply_logical(tree, &log.object, &log.args).unwrap();
+        }
+    };
+    let mut by_lsn: Vec<&TxnRecord> = before.values().collect();
+    by_lsn.sort_by_key(|r| (r.state == TxnState::Started, r.lsn));
+    for rec in by_lsn {
+        apply(&mut expected, rec);
+    }
+    assert_eq!(crashed_tree, expected, "the crashed leader's own view");
+
+    let mut successor = leader_on(&client, &service);
+    assert_eq!(successor.tree(), &expected);
+    assert_eq!(successor.running_len(), 1);
+    let acknowledged = |recs: &BTreeMap<TxnId, TxnRecord>| -> Vec<(TxnId, TxnState)> {
+        let finals = recs.values().filter(|r| r.state.is_final());
+        finals.map(|r| (r.id, r.state)).collect()
+    };
+    assert_eq!(acknowledged(&records(&client)), acknowledged(&before));
+
+    committed(&client, 2);
+    successor.step().unwrap();
+    let after = records(&client);
+    assert_eq!(after[&2].state, TxnState::Committed);
+    assert_eq!(successor.running_len(), 0);
+    assert_eq!(successor.tree(), &expected);
+    drop(successor);
+    // Now every effect is in a granule: a third leader replays nothing.
+    assert_eq!(leader_on(&client, &service).tree(), &expected);
 }

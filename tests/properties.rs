@@ -214,6 +214,31 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The stored-procedure call `op` stands for on `spec`'s topology.
+fn op_call(spec: &TopologySpec, op: &Op) -> (&'static str, Vec<Value>) {
+    let host = |h: &u8| Value::from(TopologySpec::host_path(*h as usize).to_string());
+    match op {
+        Op::Spawn(h, v) => (
+            "spawnVM",
+            spec.spawn_args(&format!("vm{v}"), *h as usize, 2_048),
+        ),
+        Op::Stop(h, v) => ("stopVM", vec![host(h), Value::from(format!("vm{v}"))]),
+        Op::Start(h, v) => ("startVM", vec![host(h), Value::from(format!("vm{v}"))]),
+        Op::Migrate(s, d, v) => (
+            "migrateVM",
+            vec![host(s), host(d), Value::from(format!("vm{v}"))],
+        ),
+        Op::Destroy(h, v) => (
+            "destroyVM",
+            vec![
+                host(h),
+                Value::from(format!("vm{v}")),
+                Value::from(TopologySpec::storage_path(0).to_string()),
+            ],
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -237,42 +262,7 @@ proptest! {
 
         for op in &ops {
             txn_id += 1;
-            let (name, args) = match op {
-                Op::Spawn(h, v) => (
-                    "spawnVM",
-                    spec.spawn_args(&format!("vm{v}"), *h as usize, 2_048),
-                ),
-                Op::Stop(h, v) => (
-                    "stopVM",
-                    vec![
-                        Value::from(TopologySpec::host_path(*h as usize).to_string()),
-                        Value::from(format!("vm{v}")),
-                    ],
-                ),
-                Op::Start(h, v) => (
-                    "startVM",
-                    vec![
-                        Value::from(TopologySpec::host_path(*h as usize).to_string()),
-                        Value::from(format!("vm{v}")),
-                    ],
-                ),
-                Op::Migrate(s, d, v) => (
-                    "migrateVM",
-                    vec![
-                        Value::from(TopologySpec::host_path(*s as usize).to_string()),
-                        Value::from(TopologySpec::host_path(*d as usize).to_string()),
-                        Value::from(format!("vm{v}")),
-                    ],
-                ),
-                Op::Destroy(h, v) => (
-                    "destroyVM",
-                    vec![
-                        Value::from(TopologySpec::host_path(*h as usize).to_string()),
-                        Value::from(format!("vm{v}")),
-                        Value::from(TopologySpec::storage_path(0).to_string()),
-                    ],
-                ),
-            };
+            let (name, args) = op_call(&spec, op);
             let proc_ = proc_registry.get(name).unwrap();
             let before = tree.clone();
             let mut rec = TxnRecord::new(txn_id, name, args, 0);
@@ -319,6 +309,110 @@ proptest! {
         prop_assert_eq!(scaled.total(), base.total() * u64::from(factor));
         prop_assert_eq!(scaled.peak().0, base.peak().0 * factor);
         prop_assert_eq!(scaled.duration_s(), base.duration_s());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Write-through premise: an action changes only its object's subtree.
+// ---------------------------------------------------------------------
+
+/// One step against the evolving tree: a stored procedure whose logged
+/// actions replay one by one, or one raw action — any tcloud action, on
+/// any node, with arguments picked from a pool of plausible values.
+#[derive(Clone, Debug)]
+enum Step {
+    Proc(Op),
+    Raw(u8, u8, Vec<u8>),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        op_strategy().prop_map(Step::Proc),
+        (0u8..64, 0u8..64, prop::collection::vec(0u8..32, 0..5))
+            .prop_map(|(a, o, picks)| Step::Raw(a, o, picks)),
+    ]
+}
+
+/// `tree` with the subtree at `object` cut out, as bytes: what an action
+/// at `object` must leave untouched (nothing, at the root).
+fn outside(tree: &Tree, object: &Path) -> String {
+    let mut rest = tree.clone();
+    if rest.remove(object).is_err() && object.is_root() {
+        return String::new();
+    }
+    rest.to_snapshot().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The controller writes through only the subtrees of the objects a
+    /// finalized transaction logged, so recovery is exact only while
+    /// `apply_logical` leaves every node outside `object`'s subtree
+    /// byte-identical — succeeding or failing, on any object.
+    #[test]
+    fn apply_logical_changes_nothing_outside_the_object_subtree(
+        steps in prop::collection::vec(step_strategy(), 1..24)
+    ) {
+        let spec = TopologySpec {
+            compute_hosts: 3,
+            storage_hosts: 1,
+            routers: 1,
+            ..Default::default()
+        };
+        let registry = actions::all();
+        let names = registry.names();
+        let (constraint_set, proc_registry) = (constraints::all(), procs::all());
+        let mut pool: Vec<Value> = ["vm0", "vm1", "img0", "p0", "xen"].map(Value::from).into();
+        pool.push(Value::from(spec.template_name.as_str()));
+        pool.extend([0i64, 1, 2, 7, 512, 2_048].map(Value::Int));
+        pool.extend([Value::Bool(true), Value::Bool(false)]);
+        let mut tree = spec.build_tree();
+
+        for (txn_id, step) in (1u64..).zip(&steps) {
+            let calls: Vec<(Path, String, Vec<Value>)> = match step {
+                Step::Proc(op) => {
+                    let (name, args) = op_call(&spec, op);
+                    let proc_ = proc_registry.get(name).unwrap();
+                    let mut rec = TxnRecord::new(txn_id, name, args, 0);
+                    let outcome = simulate(
+                        &mut rec,
+                        proc_.as_ref(),
+                        &mut tree.clone(),
+                        &registry,
+                        &constraint_set,
+                        &mut LockManager::new(),
+                    );
+                    if outcome != LogicalOutcome::Runnable {
+                        continue;
+                    }
+                    rec.log.into_iter().map(|r| (r.object, r.action, r.args)).collect()
+                }
+                Step::Raw(a, o, picks) => {
+                    let nodes = tree.walk();
+                    let object = nodes[*o as usize % nodes.len()].0.clone();
+                    let action = names[*a as usize % names.len()].to_owned();
+                    let args = picks.iter().map(|&i| pool[i as usize % pool.len()].clone());
+                    vec![(object, action, args.collect())]
+                }
+            };
+            for (object, action, args) in calls {
+                let before = outside(&tree, &object);
+                let applied = registry
+                    .get(&action)
+                    .unwrap()
+                    .apply_logical(&mut tree, &object, &args);
+                prop_assert_eq!(
+                    outside(&tree, &object),
+                    before,
+                    "{} at {} with {:?} ({:?})",
+                    action,
+                    object,
+                    args,
+                    applied
+                );
+            }
+        }
     }
 }
 

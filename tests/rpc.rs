@@ -30,7 +30,6 @@ fn start() -> (Tropic, RpcServer) {
         PlatformConfig {
             controllers: 1,
             workers: 1,
-            checkpoint_every: 0,
             ..Default::default()
         },
         spec().service(),
@@ -348,7 +347,6 @@ fn wait_rpcs_leave_no_session_and_no_purge_behind() {
         PlatformConfig {
             controllers: 1,
             workers: 1,
-            checkpoint_every: 0,
             ..Default::default()
         }
         .with_data_dir(tmp.path()),
