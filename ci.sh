@@ -259,9 +259,10 @@ run cargo bench --no-run
 run cargo build --examples
 # The end-to-end benchmark driver (BENCHMARK.json) is a separate package the
 # pipeline builds from this checkout: a public-API removal that breaks it
-# must fail here, not there.
-run cargo build --release --manifest-path benchmark/Cargo.toml
-run cargo test -q --manifest-path benchmark/Cargo.toml
+# must fail here, not there. `--locked` fails a product change that would
+# rewrite benchmark/Cargo.lock instead of leaving it quietly dirty.
+run cargo build --release --locked --manifest-path benchmark/Cargo.toml
+run cargo test -q --locked --manifest-path benchmark/Cargo.toml
 check_markdown_links
 analyze_gate
 rpc_smoke

@@ -68,7 +68,7 @@ fn populate(e: &mut Ensemble) {
 /// snapshot cadence (0 = full-log mode, no snapshot ever written).
 fn build_history(snapshot_every_ops: u64) -> TempDir {
     let tmp = TempDir::new("tropic-bench-recovery");
-    let mut e = Ensemble::with_durability(1, 1, tmp.path(), opts(snapshot_every_ops))
+    let mut e = Ensemble::with_durability(1, tmp.path(), opts(snapshot_every_ops))
         .expect("durable ensemble");
     populate(&mut e);
     tmp
@@ -84,14 +84,14 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("snapshot_suffix", |b| {
         b.iter(|| {
-            let e = Ensemble::recover(1, 1, with_snapshots.path(), opts(512)).expect("recover");
+            let e = Ensemble::recover(1, with_snapshots.path(), opts(512)).expect("recover");
             black_box(e.replica_last_zxid(0));
         })
     });
 
     group.bench_function("full_log_replay", |b| {
         b.iter(|| {
-            let e = Ensemble::recover(1, 1, without_snapshots.path(), opts(0)).expect("recover");
+            let e = Ensemble::recover(1, without_snapshots.path(), opts(0)).expect("recover");
             black_box(e.replica_last_zxid(0));
         })
     });
@@ -104,7 +104,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("cold_resync", |b| {
         b.iter(|| {
             let _ = std::fs::remove_dir_all(with_snapshots.path().join("replica-1"));
-            let e = Ensemble::recover(2, 1, with_snapshots.path(), opts(512)).expect("recover");
+            let e = Ensemble::recover(2, with_snapshots.path(), opts(512)).expect("recover");
             assert_eq!(e.stats().snapshot_syncs, 1);
             black_box(e.replica_last_zxid(1));
         })

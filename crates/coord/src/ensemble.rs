@@ -3,22 +3,25 @@
 //! A leader replica assigns each write a zxid `(epoch << 32) | counter` and
 //! replicates it to the followers through the [`SimNet`]; the write commits
 //! once a quorum (including the leader) has acknowledged it, following the
-//! protocol sketch of Reed & Junqueira cited by the paper (\[21\]). When the
-//! leader replica crashes, the surviving replica with the longest log is
-//! elected and lagging replicas sync from it.
+//! protocol sketch of Reed & Junqueira cited by the paper (\[21\]). A leader
+//! is elected only while a quorum of replicas is alive: the alive replica
+//! with the highest zxid leads, and every other replica syncs from it.
+//!
+//! Replicas keep no op log. A follower that falls behind — crashed,
+//! partitioned away, diverged or ahead of a new leader — catches up by one
+//! state transfer: it installs a copy of the leader's store, as a Zab
+//! leader may sync any follower by snapshot.
 //!
 //! ## Durability
 //!
 //! With a data directory ([`Ensemble::with_durability`]), each replica owns
 //! a [`Durability`] handle: every committed op is appended to a segmented
 //! write-ahead log before it is applied, and a full fuzzy snapshot is
-//! written on a size/op-count policy, after which both the on-disk segments
-//! and the in-memory `Replica.log` are truncated, bounding memory and disk.
-//! [`Ensemble::recover`] rebuilds every replica from its latest valid
-//! snapshot plus the log suffix, then lets laggards catch up from the
-//! leader. Follower resync ships only the suffix since the follower's
-//! `last_zxid`; a follower behind the truncation horizon receives a full
-//! snapshot transfer instead.
+//! written on a size/op-count policy, after which the on-disk segments are
+//! truncated, bounding the disk. A state transfer is persisted as a
+//! snapshot. [`Ensemble::recover`] rebuilds every replica from its latest
+//! valid snapshot plus the log suffix, then lets laggards catch up from
+//! the leader.
 //!
 //! Writes commit in groups ([`Ensemble::submit_group`]): each op keeps its
 //! own zxid, WAL record and result, and the group shares one fsync per
@@ -36,21 +39,11 @@ use crate::net::{NodeId, SimNet};
 use crate::store::{Op, OpResult, StoreEvent, ZnodeStore};
 use crate::wal::{encode_frame, Durability, DurabilityOptions};
 
-/// How many log entries an in-memory (non-durable) replica retains before
-/// taking a "virtual snapshot": its store already holds the state, so old
-/// entries are dropped and laggards fall back to snapshot transfer.
-const DEFAULT_MEMORY_LOG_CAP: usize = 4_096;
-
-/// A single ensemble replica: an op log plus the store it materializes.
-/// `log` holds only entries with zxid greater than `log_start_zxid`; older
-/// history is covered by the replica's snapshot (durable mode) or simply by
-/// its live store (in-memory mode).
+/// A single ensemble replica: the store its committed ops materialize.
 #[derive(Debug)]
 struct Replica {
     id: NodeId,
     alive: bool,
-    log: Vec<(u64, Op)>,
-    log_start_zxid: u64,
     store: ZnodeStore,
     last_zxid: u64,
     durability: Option<Durability>,
@@ -61,8 +54,6 @@ impl Replica {
         Replica {
             id,
             alive: true,
-            log: Vec::new(),
-            log_start_zxid: 0,
             store: ZnodeStore::new(),
             last_zxid: 0,
             durability: None,
@@ -101,61 +92,28 @@ impl Replica {
                 return (Err(CoordError::Durability(e.to_string())), Vec::new());
             }
         }
-        self.log.push((zxid, op.clone()));
         self.last_zxid = zxid;
         self.store.apply(zxid, op)
     }
 
-    /// Ends a committed batch on this replica: fsync, then snapshot per
-    /// policy (truncating WAL segments and the in-memory log), or — for
-    /// in-memory replicas — enforce the log cap.
-    fn finish_batch(&mut self, memory_log_cap: usize) {
-        let last_zxid = self.last_zxid;
-        let snapshot_zxid = match self.durability.as_mut() {
-            Some(d) => match d.commit_batch(last_zxid, &self.store) {
-                Ok(z) => z,
-                Err(_) => {
-                    self.alive = false;
-                    return;
-                }
-            },
-            None => {
-                self.bound_memory(memory_log_cap);
-                return;
+    /// Settles a committed batch on a durable replica: fsync, then a
+    /// snapshot per policy. An in-memory replica has nothing to finish.
+    fn finish_batch(&mut self) {
+        if let Some(d) = self.durability.as_mut() {
+            if d.commit_batch(self.last_zxid, &self.store).is_err() {
+                self.alive = false;
             }
-        };
-        match snapshot_zxid {
-            Some(zxid) => {
-                self.log.retain(|(z, _)| *z > zxid);
-                self.log_start_zxid = self.log_start_zxid.max(zxid);
-            }
-            // Both snapshot triggers disabled (full-log mode): the WAL
-            // keeps all history by request, but the in-memory log still
-            // honours the cap — laggards past it get a snapshot transfer.
-            None => self.bound_memory(memory_log_cap),
         }
     }
 
-    /// Drops the oldest in-memory log entries once the log has grown well
-    /// past the cap (hysteresis keeps the drain amortized-cheap).
-    fn bound_memory(&mut self, cap: usize) {
-        if self.log.len() > cap + cap / 2 {
-            let drop_n = self.log.len() - cap;
-            self.log_start_zxid = self.log[drop_n - 1].0;
-            self.log.drain(..drop_n);
-        }
-    }
-
-    /// Adopts a full-state transfer from the leader. The local log resets
-    /// to the transfer point; durable replicas persist the state as a
-    /// snapshot so a later restart recovers without the leader.
+    /// Adopts a full-state transfer from the leader. Durable replicas
+    /// persist the state as a snapshot so a later restart recovers without
+    /// the leader.
     fn install_snapshot(&mut self, store: ZnodeStore, last_zxid: u64) {
         self.store = store;
         self.last_zxid = last_zxid;
-        self.log.clear();
-        self.log_start_zxid = last_zxid;
         if let Some(d) = self.durability.as_mut() {
-            if d.install_snapshot(last_zxid, &self.store).is_err() {
+            if d.write_snapshot(last_zxid, &self.store).is_err() {
                 self.alive = false;
             }
         }
@@ -195,10 +153,7 @@ pub struct EnsembleStats {
     pub pipeline_stalls: u64,
     /// Replicas recovered from disk (snapshot + log-suffix replay).
     pub recoveries: u64,
-    /// Follower resyncs served as a log suffix since `last_zxid`.
-    pub suffix_syncs: u64,
-    /// Follower resyncs that needed a full snapshot transfer (lagging
-    /// beyond the truncation horizon, or diverged).
+    /// Follower resyncs, each a full state transfer from the leader.
     pub snapshot_syncs: u64,
     /// Replicas that fail-stopped because their WAL/snapshot I/O failed:
     /// a replica that cannot persist stops acking rather than report
@@ -206,7 +161,7 @@ pub struct EnsembleStats {
     pub wal_fail_stops: u64,
 }
 
-/// A quorum-replicated log of store operations.
+/// A quorum-replicated znode store.
 pub struct Ensemble {
     replicas: Vec<Replica>,
     net: SimNet,
@@ -214,21 +169,19 @@ pub struct Ensemble {
     epoch: u64,
     counter: u64,
     stats: EnsembleStats,
-    memory_log_cap: usize,
     /// Zxid of the most recent committed write. An acking replica whose
-    /// `last_zxid` trails this has missed a commit (drop/partition) and is
+    /// `last_zxid` trails this has missed a commit (a partition) and is
     /// healed *before* the next op applies, so no replica ever holds a
-    /// hole below its own `last_zxid` — the invariant suffix resync relies
-    /// on.
+    /// hole below its own `last_zxid`.
     last_committed_zxid: u64,
 }
 
 impl Ensemble {
     /// Creates an in-memory ensemble of `n` replicas (odd sizes make
     /// sensible quorums) on a fresh simulated network.
-    pub fn new(n: usize, seed: u64) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(n >= 1, "ensemble needs at least one replica");
-        Self::assemble((0..n).map(Replica::new).collect(), seed)
+        Self::assemble((0..n).map(Replica::new).collect())
     }
 
     /// Creates a durable ensemble: each replica persists its log and
@@ -237,7 +190,6 @@ impl Ensemble {
     /// [`Ensemble::recover`] to resume from existing state instead.
     pub fn with_durability(
         n: usize,
-        seed: u64,
         data_dir: &StdPath,
         opts: DurabilityOptions,
     ) -> io::Result<Self> {
@@ -249,18 +201,17 @@ impl Ensemble {
             r.durability = Some(Durability::create(&dir, opts.clone())?);
             replicas.push(r);
         }
-        Ok(Self::assemble(replicas, seed))
+        Ok(Self::assemble(replicas))
     }
 
-    fn assemble(replicas: Vec<Replica>, seed: u64) -> Self {
+    fn assemble(replicas: Vec<Replica>) -> Self {
         let mut e = Ensemble {
             replicas,
-            net: SimNet::new(seed),
+            net: SimNet::new(),
             leader: Some(0),
             epoch: 1,
             counter: 0,
             stats: EnsembleStats::default(),
-            memory_log_cap: DEFAULT_MEMORY_LOG_CAP,
             last_committed_zxid: 0,
         };
         e.stats.elections = 1;
@@ -271,35 +222,24 @@ impl Ensemble {
     /// every replica loads its latest valid snapshot and silently replays
     /// its write-ahead-log suffix (no watch events fire during replay),
     /// the replica with the highest zxid leads under a fresh epoch, and
-    /// laggards catch up from it — by log suffix when possible, by snapshot
-    /// transfer when they sit beyond the truncation horizon.
-    pub fn recover(
-        n: usize,
-        seed: u64,
-        data_dir: &StdPath,
-        opts: DurabilityOptions,
-    ) -> io::Result<Self> {
+    /// laggards catch up from it by state transfer.
+    pub fn recover(n: usize, data_dir: &StdPath, opts: DurabilityOptions) -> io::Result<Self> {
         assert!(n >= 1, "ensemble needs at least one replica");
         let mut replicas = Vec::with_capacity(n);
         let mut recoveries = 0u64;
         for id in 0..n {
             let dir = data_dir.join(replica_dir_name(id));
             let (durability, snapshot, suffix) = Durability::open(&dir, opts.clone())?;
-            let (mut store, horizon) = match snapshot {
-                Some((zxid, store)) => (store, zxid),
-                None => (ZnodeStore::new(), 0),
-            };
-            let mut last_zxid = horizon;
-            for (zxid, op) in &suffix {
+            let (mut store, mut last_zxid) =
+                snapshot.map_or((ZnodeStore::new(), 0), |(z, s)| (s, z));
+            for (zxid, op) in suffix {
                 // Replay is silent by construction: events never reach the
                 // watch tables, which live a layer above the ensemble.
-                let _ = store.apply(*zxid, op);
-                last_zxid = *zxid;
+                let _ = store.apply(zxid, &op);
+                last_zxid = zxid;
             }
             let mut r = Replica::new(id);
             r.store = store;
-            r.log = suffix;
-            r.log_start_zxid = horizon;
             r.last_zxid = last_zxid;
             r.durability = Some(durability);
             recoveries += 1;
@@ -312,12 +252,11 @@ impl Ensemble {
         let max_zxid = replicas.iter().map(|r| r.last_zxid).max().unwrap_or(0);
         let mut e = Ensemble {
             replicas,
-            net: SimNet::new(seed),
+            net: SimNet::new(),
             leader,
             epoch: (max_zxid >> 32) + 1,
             counter: 0,
             stats: EnsembleStats::default(),
-            memory_log_cap: DEFAULT_MEMORY_LOG_CAP,
             last_committed_zxid: max_zxid,
         };
         e.stats.elections = 1;
@@ -367,12 +306,6 @@ impl Ensemble {
         s
     }
 
-    /// Caps the in-memory op log of non-durable replicas (experiments and
-    /// tests exercise truncation-horizon behaviour through this).
-    pub fn set_memory_log_cap(&mut self, cap: usize) {
-        self.memory_log_cap = cap.max(1);
-    }
-
     /// Sets the modeled per-fsync device latency on every durable replica
     /// (zero, the initial value, adds nothing). Benches use this to populate
     /// a store at full speed and then measure the commit path against a
@@ -383,11 +316,6 @@ impl Ensemble {
                 d.set_simulated_fsync_latency(latency);
             }
         }
-    }
-
-    /// In-memory log length of replica `id` (bounded-memory assertions).
-    pub fn replica_log_len(&self, id: NodeId) -> Option<usize> {
-        self.replicas.get(id).map(|r| r.log.len())
     }
 
     /// Last committed zxid of replica `id`.
@@ -416,74 +344,45 @@ impl Ensemble {
         }
     }
 
-    /// Restarts a crashed replica, which catches up from the leader: the
-    /// log suffix since its `last_zxid` when the leader still holds it, a
-    /// full snapshot transfer when the follower lags beyond the leader's
-    /// truncation horizon.
+    /// Restarts a crashed replica. When no alive replica leads, the
+    /// restart may complete a quorum and so elect one; the restarted
+    /// replica then catches up from the leader.
     pub fn restart_replica(&mut self, id: NodeId) {
-        let Some(leader) = self.leader.or_else(|| {
-            self.elect();
-            self.leader
-        }) else {
+        let Some(r) = self.replicas.get_mut(id) else {
             return;
         };
-        if id >= self.replicas.len() {
-            return;
+        r.alive = true;
+        if let Ok(leader) = self.lead() {
+            self.sync_follower(leader, id);
         }
-        self.replicas[id].alive = true;
-        self.sync_follower(leader, id);
     }
 
-    /// Brings `id` to the leader's state: a no-op when already caught up, a
-    /// log-suffix replay when the leader's log still covers the follower's
-    /// position, and a full snapshot transfer otherwise.
+    /// Brings `id` to the leader's state: nothing when it is caught up,
+    /// otherwise a transfer of the leader's whole store. That one path
+    /// serves a lagging, a diverged and an ahead-of-leader follower alike.
     fn sync_follower(&mut self, leader: NodeId, id: NodeId) {
-        if id == leader || id >= self.replicas.len() {
+        let l = &self.replicas[leader];
+        if id == leader || self.replicas[id].last_zxid == l.last_zxid {
             return;
         }
-        let (leader_last, leader_log_start) = {
-            let l = &self.replicas[leader];
-            (l.last_zxid, l.log_start_zxid)
-        };
-        let follower_last = self.replicas[id].last_zxid;
-        if follower_last == leader_last {
-            return;
-        }
-        if follower_last >= leader_log_start && follower_last < leader_last {
-            let suffix: Vec<(u64, Op)> = self.replicas[leader]
-                .log
-                .iter()
-                .filter(|(zxid, _)| *zxid > follower_last)
-                .cloned()
-                .collect();
-            let cap = self.memory_log_cap;
-            let r = &mut self.replicas[id];
-            for (zxid, op) in suffix {
-                // Per-op failures replay identically on every replica.
-                let _ = r.append_and_apply(zxid, &op, None);
-            }
-            r.finish_batch(cap);
-            self.stats.suffix_syncs += 1;
-        } else {
-            let (store, last_zxid) = {
-                let l = &self.replicas[leader];
-                (l.store.clone(), l.last_zxid)
-            };
-            self.replicas[id].install_snapshot(store, last_zxid);
-            self.stats.snapshot_syncs += 1;
-        }
+        let (store, last_zxid) = (l.store.clone(), l.last_zxid);
+        self.replicas[id].install_snapshot(store, last_zxid);
+        self.stats.snapshot_syncs += 1;
     }
 
-    /// Elects the alive replica with the longest log as leader, bumping the
-    /// epoch and syncing reachable followers from it. Called automatically
-    /// when the current leader crashes.
+    /// Elects the alive replica with the highest zxid as leader, bumping
+    /// the epoch and syncing reachable followers from it — but only while a
+    /// quorum of replicas is alive. A minority may lack acknowledged
+    /// writes, so without a quorum no replica leads.
     fn elect(&mut self) {
-        let new_leader = self
-            .replicas
-            .iter()
-            .filter(|r| r.alive)
-            .max_by_key(|r| (r.last_zxid, std::cmp::Reverse(r.id)))
-            .map(|r| r.id);
+        let alive = self.replicas.iter().filter(|r| r.alive);
+        let new_leader = if alive.clone().count() >= self.quorum() {
+            alive
+                .max_by_key(|r| (r.last_zxid, std::cmp::Reverse(r.id)))
+                .map(|r| r.id)
+        } else {
+            None
+        };
         self.leader = new_leader;
         if let Some(leader) = new_leader {
             self.epoch += 1;
@@ -509,6 +408,23 @@ impl Ensemble {
             .filter(|r| r.id == leader || self.net.deliver(leader, r.id))
             .map(|r| r.id)
             .collect()
+    }
+
+    /// The alive leader, elected first if there is none. Without one the
+    /// ensemble answers `NoQuorum` while too few replicas are alive to
+    /// elect, and `Unavailable` when none is.
+    fn lead(&mut self) -> CoordResult<NodeId> {
+        if !self.leader.is_some_and(|l| self.is_alive(l)) {
+            self.elect();
+        }
+        self.leader
+            .ok_or_else(|| match self.replicas.iter().filter(|r| r.alive).count() {
+                0 => CoordError::Unavailable,
+                acks => CoordError::NoQuorum {
+                    acks,
+                    needed: self.quorum(),
+                },
+            })
     }
 
     fn is_alive(&self, id: NodeId) -> bool {
@@ -546,12 +462,14 @@ impl Ensemble {
         if ops.is_empty() {
             return Vec::new();
         }
-        let Some(leader) = self.leader.filter(|&l| self.is_alive(l)) else {
-            self.elect();
-            if self.leader.is_none() {
-                return fail_all(CoordError::Unavailable);
+        let leader = match self.lead() {
+            Ok(leader) => leader,
+            Err(e) => {
+                if matches!(e, CoordError::NoQuorum { .. }) {
+                    self.stats.no_quorum += ops.len() as u64;
+                }
+                return fail_all(e);
             }
-            return self.submit_group(ops);
         };
 
         // Propose phase: count replicas that receive and ack the proposal.
@@ -564,10 +482,10 @@ impl Ensemble {
             });
         }
 
-        // An acking replica that missed earlier commits (a dropped delivery
-        // or healed partition advanced `last_committed_zxid` past it) must
-        // catch up *before* this group applies — otherwise its `last_zxid`
-        // would advance over a hole and suffix resync could never heal it.
+        // An acking replica that missed earlier commits (a healed partition
+        // advanced `last_committed_zxid` past it) must catch up *before*
+        // this group applies — otherwise its `last_zxid` would advance over
+        // a hole and it would ack a state no leader holds.
         for &id in &ackers {
             let lagging =
                 (self.replicas.get(id)).is_some_and(|r| r.last_zxid != self.last_committed_zxid);
@@ -611,13 +529,6 @@ impl Ensemble {
         // policy.
         if durable {
             self.settle_in_parallel(leader, &ackers);
-        } else {
-            let cap = self.memory_log_cap;
-            for &id in &ackers {
-                if let Some(r) = self.replicas.get_mut(id) {
-                    r.finish_batch(cap);
-                }
-            }
         }
         // The survivors logged the group, so followers must catch up to it
         // whether or not it is acknowledged.
@@ -645,7 +556,6 @@ impl Ensemble {
     /// fsyncs overlap. A follower whose thread cannot be spawned has not
     /// fsynced, so it fail-stops.
     fn settle_in_parallel(&mut self, leader: NodeId, ackers: &[NodeId]) {
-        let cap = self.memory_log_cap;
         let mut unspawned = Vec::new();
         std::thread::scope(|scope| {
             let mut on_caller = None;
@@ -657,13 +567,13 @@ impl Ensemble {
                 let id = r.id;
                 let settle = std::thread::Builder::new()
                     .name(format!("tropic-settle-{id}"))
-                    .spawn_scoped(scope, move || r.finish_batch(cap));
+                    .spawn_scoped(scope, move || r.finish_batch());
                 if settle.is_err() {
                     unspawned.push(id);
                 }
             }
             if let Some(r) = on_caller {
-                r.finish_batch(cap);
+                r.finish_batch();
             }
         });
         for id in unspawned {
@@ -674,18 +584,13 @@ impl Ensemble {
     }
 
     /// Reads from the leader's store. Returns an error when no leader holds
-    /// a quorum.
+    /// a quorum, whether it has led all along or was just elected.
     pub fn read<T>(&mut self, f: impl FnOnce(&ZnodeStore) -> T) -> CoordResult<T> {
-        let Some(leader) = self.leader.filter(|&l| self.replicas[l].alive) else {
-            self.elect();
-            let Some(leader) = self.leader else {
-                return Err(CoordError::Unavailable);
-            };
-            return Ok(f(&self.replicas[leader].store));
-        };
-        if self.reachable_from_leader(leader).len() < self.quorum() {
+        let leader = self.lead()?;
+        let acks = self.reachable_from_leader(leader).len();
+        if acks < self.quorum() {
             return Err(CoordError::NoQuorum {
-                acks: 1,
+                acks,
                 needed: self.quorum(),
             });
         }
@@ -741,12 +646,11 @@ mod tests {
 
     #[test]
     fn writes_replicate_to_all() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         e.submit(create_op("/a/b")).0.unwrap();
         for r in &e.replicas {
             assert_eq!(r.store.node_count(), 3);
-            assert_eq!(r.log.len(), 2);
         }
         assert!(e.replicas_consistent());
         assert_eq!(e.stats().committed, 2);
@@ -754,22 +658,31 @@ mod tests {
 
     #[test]
     fn survives_minority_crash() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         e.crash_replica(2);
         e.submit(create_op("/b")).0.unwrap();
         assert_eq!(e.replicas[0].store.node_count(), 3);
         assert_eq!(e.replicas[2].store.node_count(), 2);
-        // Restarted replica catches up from the suffix alone.
+        // The restarted replica catches up by one state transfer.
         e.restart_replica(2);
         assert_eq!(e.replicas[2].store.node_count(), 3);
-        assert_eq!(e.stats().suffix_syncs, 1);
-        assert_eq!(e.stats().snapshot_syncs, 0);
+        assert_eq!(e.stats().snapshot_syncs, 1);
+        // A longer outage heals the same way.
+        e.crash_replica(2);
+        for i in 0..20 {
+            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
+        }
+        e.restart_replica(2);
+        assert_eq!(e.stats().snapshot_syncs, 2);
+        assert_eq!(e.replicas[2].store.node_count(), 23);
+        assert_eq!(e.replicas[2].last_zxid, e.replicas[0].last_zxid);
+        assert!(e.replicas_consistent());
     }
 
     #[test]
     fn leader_crash_triggers_election() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         assert_eq!(e.leader(), Some(0));
         e.crash_replica(0);
@@ -785,7 +698,7 @@ mod tests {
 
     #[test]
     fn majority_crash_blocks_writes() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         e.crash_replica(1);
         e.crash_replica(2);
@@ -800,7 +713,7 @@ mod tests {
 
     #[test]
     fn partition_isolating_leader_blocks_writes() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         e.net().partition(vec![vec![0], vec![1, 2]]);
         let (res, _) = e.submit(create_op("/b"));
@@ -812,9 +725,8 @@ mod tests {
     #[test]
     fn acking_replica_that_missed_commits_heals_before_applying() {
         // A replica partitioned away while a quorum commits must not ack
-        // later writes over the hole: it catches up first, or suffix
-        // resync could never repair the divergence.
-        let mut e = Ensemble::new(3, 1);
+        // later writes over the hole: it catches up first.
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         e.net().partition(vec![vec![0, 1], vec![2]]);
         e.submit(create_op("/b")).0.unwrap(); // committed by {0, 1} only
@@ -824,12 +736,12 @@ mod tests {
         assert_eq!(e.replicas[2].store.node_count(), 4, "/b was skipped");
         assert_eq!(e.replicas[2].last_zxid, e.replicas[0].last_zxid);
         assert!(e.replicas_consistent());
-        assert_eq!(e.stats().suffix_syncs, 1);
+        assert_eq!(e.stats().snapshot_syncs, 1);
     }
 
     #[test]
     fn all_crashed_is_unavailable() {
-        let mut e = Ensemble::new(1, 1);
+        let mut e = Ensemble::new(1);
         e.crash_replica(0);
         let (res, _) = e.submit(create_op("/x"));
         assert!(matches!(res, Err(CoordError::Unavailable)));
@@ -837,7 +749,7 @@ mod tests {
 
     #[test]
     fn zxids_monotonic_across_epochs() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         let z1 = e.replicas[0].last_zxid;
         e.crash_replica(0);
@@ -849,7 +761,7 @@ mod tests {
 
     #[test]
     fn read_requires_quorum() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         let exists = e.read(|s| s.exists(&p("/a"))).unwrap();
         assert!(exists);
@@ -859,49 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn memory_log_cap_bounds_in_memory_replicas() {
-        let mut e = Ensemble::new(1, 1);
-        e.set_memory_log_cap(10);
-        for i in 0..40 {
-            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
-        }
-        let len = e.replica_log_len(0).unwrap();
-        assert!(len <= 15, "log length {len} exceeds cap + hysteresis");
-        assert!(e.replicas[0].log_start_zxid > 0);
-        // State is intact despite the truncated log.
-        assert_eq!(e.read(|s| s.node_count()).unwrap(), 41);
-    }
-
-    #[test]
-    fn lagging_replica_beyond_horizon_gets_snapshot_transfer() {
-        let mut e = Ensemble::new(3, 1);
-        e.set_memory_log_cap(4);
-        e.submit(create_op("/seed")).0.unwrap();
-        e.crash_replica(2);
-        for i in 0..20 {
-            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
-        }
-        // The leader's log no longer reaches back to the follower's zxid.
-        assert!(e.replicas[0].log_start_zxid > e.replicas[2].last_zxid);
-        e.restart_replica(2);
-        assert_eq!(e.stats().snapshot_syncs, 1);
-        assert_eq!(e.replicas[2].store.node_count(), 22);
-        assert_eq!(e.replicas[2].last_zxid, e.replicas[0].last_zxid);
-    }
-
-    #[test]
     fn durable_ensemble_recovers_after_total_loss() {
         let tmp = TempDir::new("tropic-ens-recover");
-        let mut e = Ensemble::with_durability(3, 1, tmp.path(), quick_opts()).unwrap();
+        let mut e = Ensemble::with_durability(3, tmp.path(), quick_opts()).unwrap();
         for i in 0..20 {
             e.submit(create_op(&format!("/n{i}"))).0.unwrap();
         }
         let live = e.read(|s| s.clone()).unwrap();
         assert!(e.stats().snapshots_written > 0);
-        // Log bounded by snapshot truncation.
-        assert!(e.replica_log_len(0).unwrap() <= 8);
         drop(e); // the whole data center powers off
-        let mut back = Ensemble::recover(3, 1, tmp.path(), quick_opts()).unwrap();
+        let mut back = Ensemble::recover(3, tmp.path(), quick_opts()).unwrap();
         assert_eq!(back.stats().recoveries, 3);
         let recovered = back.read(|s| s.clone()).unwrap();
         assert_eq!(recovered, live);
@@ -914,7 +793,8 @@ mod tests {
 
     #[test]
     fn a_group_takes_consecutive_zxids_and_a_failing_op_fails_alone() {
-        let mut e = Ensemble::new(3, 1);
+        let tmp = TempDir::new("tropic-ens-group-zxids");
+        let mut e = Ensemble::with_durability(3, tmp.path(), quick_opts()).unwrap();
         e.submit(create_op("/a")).0.unwrap();
         let before = e.replica_last_zxid(0).unwrap();
         let group = [
@@ -933,7 +813,10 @@ mod tests {
         assert!(matches!(&results[2].0, Ok(OpResult::Multi(r)) if r.len() == 2));
         assert!(matches!(results[3].0, Ok(OpResult::Created(_))));
         for r in &e.replicas {
-            let zxids: Vec<u64> = r.log.iter().skip(1).map(|(z, _)| *z).collect();
+            // The failing op still took its zxid and its WAL record.
+            let dir = tmp.path().join(replica_dir_name(r.id));
+            let records = crate::wal::recover_dir(&dir).unwrap().ops;
+            let zxids: Vec<u64> = records.iter().skip(1).map(|(z, _)| *z).collect();
             assert_eq!(zxids, (1..=4).map(|i| before + i).collect::<Vec<_>>());
             assert_eq!(r.last_zxid, before + 4);
             let czxid = |path: &str| r.store.get(&p(path)).unwrap().1.czxid;
@@ -960,7 +843,7 @@ mod tests {
                 segment_max_bytes: 256,
                 ..DurabilityOptions::default()
             };
-            let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts).unwrap();
+            let mut e = Ensemble::with_durability(3, tmp.path(), opts).unwrap();
             for i in 0..40 {
                 let op = |k: usize| {
                     if (i + k).is_multiple_of(3) {
@@ -999,7 +882,7 @@ mod tests {
             segment_max_bytes: 1, // every append opens a new segment file
             ..DurabilityOptions::default()
         };
-        let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts).unwrap();
+        let mut e = Ensemble::with_durability(3, tmp.path(), opts).unwrap();
         e.submit(create_op("/a")).0.unwrap();
         // Two followers lose their disks: their next append cannot open a
         // segment, so they fail-stop, and the leader alone is durable.
@@ -1019,7 +902,7 @@ mod tests {
     #[test]
     fn replicas_settle_a_group_in_parallel() {
         let tmp = TempDir::new("tropic-ens-parallel-settle");
-        let mut e = Ensemble::with_durability(3, 1, tmp.path(), quick_opts()).unwrap();
+        let mut e = Ensemble::with_durability(3, tmp.path(), quick_opts()).unwrap();
         e.set_simulated_fsync_latency(Duration::from_millis(100));
         let started = Instant::now();
         e.submit(create_op("/a")).0.unwrap();
@@ -1052,19 +935,19 @@ mod tests {
             TempDir::new("tropic-ens-grouped"),
             TempDir::new("tropic-ens-serial"),
         );
-        let mut g = Ensemble::with_durability(3, 1, grouped.path(), quick_opts()).unwrap();
+        let mut g = Ensemble::with_durability(3, grouped.path(), quick_opts()).unwrap();
         for chunk in ops.chunks(7) {
             g.submit_group(chunk);
         }
-        let mut s = Ensemble::with_durability(3, 1, serial.path(), quick_opts()).unwrap();
+        let mut s = Ensemble::with_durability(3, serial.path(), quick_opts()).unwrap();
         for op in &ops {
             let _ = s.submit(op.clone());
         }
         assert!(g.stats().groups < s.stats().groups);
         drop((g, s));
 
-        let mut g = Ensemble::recover(3, 1, grouped.path(), quick_opts()).unwrap();
-        let mut s = Ensemble::recover(3, 1, serial.path(), quick_opts()).unwrap();
+        let mut g = Ensemble::recover(3, grouped.path(), quick_opts()).unwrap();
+        let mut s = Ensemble::recover(3, serial.path(), quick_opts()).unwrap();
         let store = s.read(|st| st.clone()).unwrap();
         assert_eq!(store.node_count(), 1 + 10 + 20, "root, /n*, /m* and /m*/c");
         assert_eq!(g.read(|st| st.clone()).unwrap(), store);
@@ -1094,7 +977,7 @@ mod tests {
         };
 
         // Sixteen creates trip a full snapshot; three sets stay in the WAL.
-        let mut e = Ensemble::with_durability(3, 1, tmp.path(), opts(16)).unwrap();
+        let mut e = Ensemble::with_durability(3, tmp.path(), opts(16)).unwrap();
         for i in 0..16 {
             submit(&mut e, create_op(&format!("/n{i}")));
         }
@@ -1106,22 +989,23 @@ mod tests {
 
         // The replayed suffix plus one more write reach the op-count
         // trigger: a snapshot that must carry the suffix's three sets too.
-        let mut e = Ensemble::recover(3, 1, tmp.path(), opts(4)).unwrap();
+        let mut e = Ensemble::recover(3, tmp.path(), opts(4)).unwrap();
         submit(&mut e, set_op("/n3", b"after the restart"));
         assert_eq!(e.stats().snapshots_written, 3);
         drop(e);
 
         // Nothing is left in the WAL: the snapshot alone must be the state.
-        let e = Ensemble::recover(3, 1, tmp.path(), opts(4)).unwrap();
+        let e = Ensemble::recover(3, tmp.path(), opts(4)).unwrap();
         for r in &e.replicas {
-            assert!(r.log.is_empty());
+            let dir = tmp.path().join(replica_dir_name(r.id));
+            assert!(crate::wal::recover_dir(&dir).unwrap().ops.is_empty());
             assert_eq!(r.store, reference, "replica {}", r.id);
         }
     }
 
     #[test]
     fn replicas_consistent_compares_data_not_just_node_counts() {
-        let mut e = Ensemble::new(3, 1);
+        let mut e = Ensemble::new(3);
         e.submit(create_op("/a")).0.unwrap();
         assert!(e.replicas_consistent());
         let leader = e.leader().unwrap();
@@ -1143,7 +1027,7 @@ mod tests {
     #[test]
     fn recover_with_one_stale_replica_dir_syncs_it() {
         let tmp = TempDir::new("tropic-ens-stale");
-        let mut e = Ensemble::with_durability(2, 1, tmp.path(), quick_opts()).unwrap();
+        let mut e = Ensemble::with_durability(2, tmp.path(), quick_opts()).unwrap();
         for i in 0..12 {
             e.submit(create_op(&format!("/n{i}"))).0.unwrap();
         }
@@ -1151,7 +1035,7 @@ mod tests {
         drop(e);
         // Replica 1 loses its disk entirely (fresh node replacing it).
         std::fs::remove_dir_all(tmp.path().join("replica-1")).unwrap();
-        let mut back = Ensemble::recover(2, 1, tmp.path(), quick_opts()).unwrap();
+        let mut back = Ensemble::recover(2, tmp.path(), quick_opts()).unwrap();
         assert_eq!(
             back.stats().snapshot_syncs,
             1,
@@ -1159,5 +1043,69 @@ mod tests {
         );
         assert_eq!(back.read(|s| s.clone()).unwrap(), live);
         assert!(back.replicas_consistent());
+    }
+
+    #[test]
+    fn a_minority_never_elects_a_leader_that_lacks_acked_writes() {
+        let mut e = Ensemble::new(3);
+        e.submit(create_op("/a")).0.unwrap();
+        e.net().partition(vec![vec![0, 1], vec![2]]);
+        e.submit(create_op("/b")).0.unwrap(); // acked by {0, 1}
+        e.crash_replica(0);
+        e.crash_replica(1);
+        // Replica 2 alone never saw /b: it must not lead.
+        assert_eq!(e.leader(), None);
+        e.net().heal();
+        e.restart_replica(0);
+        e.submit(create_op("/c")).0.unwrap();
+        let (b, c) = e
+            .read(|s| (s.exists(&p("/b")), s.exists(&p("/c"))))
+            .unwrap();
+        assert!(b, "the acknowledged /b was lost");
+        assert!(c);
+        assert!(e.replicas_consistent());
+    }
+
+    #[test]
+    fn restarts_after_a_total_crash_restore_a_quorum() {
+        let mut e = Ensemble::new(3);
+        e.submit(create_op("/a")).0.unwrap();
+        for id in 0..3 {
+            e.crash_replica(id);
+        }
+        e.restart_replica(0);
+        let (res, _) = e.submit(create_op("/b"));
+        assert!(
+            matches!(res, Err(CoordError::NoQuorum { acks: 1, needed: 2 })),
+            "{res:?}"
+        );
+        e.restart_replica(1);
+        e.submit(create_op("/b")).0.unwrap();
+        assert!(e.read(|s| s.exists(&p("/a"))).unwrap());
+    }
+
+    #[test]
+    fn a_read_after_reelection_still_needs_a_quorum() {
+        let tmp = TempDir::new("tropic-ens-read-quorum");
+        let opts = DurabilityOptions {
+            segment_max_bytes: 1, // every append opens a new segment file
+            ..DurabilityOptions::default()
+        };
+        let mut e = Ensemble::with_durability(3, tmp.path(), opts).unwrap();
+        e.submit(create_op("/a")).0.unwrap();
+        // The leader loses its disk and fail-stops on its next append, so
+        // only replica 1 logs /b, which is never acknowledged.
+        std::fs::remove_dir_all(tmp.path().join(replica_dir_name(0))).unwrap();
+        e.net().partition(vec![vec![0, 1], vec![2]]);
+        let (res, _) = e.submit(create_op("/b"));
+        assert!(matches!(res, Err(CoordError::NoQuorum { acks: 1, .. })));
+        // The read elects replica 1, which cannot reach a quorum.
+        let read = e.read(|s| s.exists(&p("/b")));
+        assert!(
+            matches!(read, Err(CoordError::NoQuorum { acks: 1, needed: 2 })),
+            "served a read without a quorum: {read:?}"
+        );
+        e.net().heal();
+        assert!(e.read(|s| s.exists(&p("/a"))).unwrap());
     }
 }

@@ -51,7 +51,7 @@ pub use election::LeaderElection;
 pub use ensemble::{Ensemble, EnsembleStats};
 pub use error::{CoordError, CoordResult};
 pub use frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
-pub use net::{NetStats, NodeId, SimNet};
+pub use net::{NodeId, SimNet};
 pub use queue::DistributedQueue;
 pub use service::{
     CoordClient, CoordConfig, CoordService, CreateMode, KeepAlive, ServiceStats, WatchEvent,

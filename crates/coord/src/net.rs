@@ -1,60 +1,34 @@
 //! Simulated network between ensemble replicas.
 //!
 //! The broadcast protocol sends its propose/ack/commit traffic through a
-//! [`SimNet`], which can drop messages probabilistically and partition the
-//! replica set into isolated groups. This is how the test suite exercises
-//! quorum loss and leader changes without real sockets.
+//! [`SimNet`], which can partition the replica set into isolated groups.
+//! This is how the test suite exercises quorum loss and leader changes
+//! without real sockets.
 
 use std::collections::HashSet;
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Identifier of a replica endpoint on the simulated network.
 pub type NodeId = usize;
 
-/// Counters describing simulated network activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Messages dropped by fault injection or partitions.
-    pub dropped: u64,
-}
-
-struct NetState {
-    /// Disjoint groups of mutually-reachable nodes. Empty = fully connected.
-    partitions: Vec<HashSet<NodeId>>,
-    drop_prob: f64,
-    rng: StdRng,
-    stats: NetStats,
-}
-
-/// A fault-injectable message fabric.
+/// A partitionable message fabric.
+#[derive(Default)]
 pub struct SimNet {
-    state: Mutex<NetState>,
+    /// Disjoint groups of mutually-reachable nodes. Empty = fully connected.
+    partitions: Mutex<Vec<HashSet<NodeId>>>,
 }
 
 impl SimNet {
-    /// Creates a fully-connected, lossless network. `seed` makes drop rolls
-    /// reproducible.
-    pub fn new(seed: u64) -> Self {
-        SimNet {
-            state: Mutex::new(NetState {
-                partitions: Vec::new(),
-                drop_prob: 0.0,
-                rng: StdRng::seed_from_u64(seed),
-                stats: NetStats::default(),
-            }),
-        }
+    /// Creates a fully-connected network.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Splits the network into isolated groups. Nodes absent from every
     /// group can reach nobody.
     pub fn partition(&self, groups: Vec<Vec<NodeId>>) {
-        let mut st = self.state.lock();
-        st.partitions = groups
+        *self.partitions.lock() = groups
             .into_iter()
             .map(|g| g.into_iter().collect())
             .collect();
@@ -62,46 +36,18 @@ impl SimNet {
 
     /// Removes all partitions.
     pub fn heal(&self) {
-        self.state.lock().partitions.clear();
+        self.partitions.lock().clear();
     }
 
-    /// Sets the independent per-message drop probability.
-    pub fn set_drop_prob(&self, p: f64) {
-        self.state.lock().drop_prob = p.clamp(0.0, 1.0);
-    }
-
-    /// Decides whether a message from `from` to `to` is delivered, updating
-    /// the stats counters. Self-delivery always succeeds.
+    /// Whether a message from `from` reaches `to`: both sit in one group,
+    /// or the network is not partitioned. Self-delivery always succeeds.
     pub fn deliver(&self, from: NodeId, to: NodeId) -> bool {
-        let mut st = self.state.lock();
-        let ok = if from == to {
-            true
-        } else if !st.partitions.is_empty() {
-            let same_group = st
-                .partitions
+        let partitions = self.partitions.lock();
+        from == to
+            || partitions.is_empty()
+            || partitions
                 .iter()
-                .any(|g| g.contains(&from) && g.contains(&to));
-            if same_group {
-                let p = st.drop_prob;
-                !(p > 0.0 && st.rng.gen_bool(p))
-            } else {
-                false
-            }
-        } else {
-            let p = st.drop_prob;
-            !(p > 0.0 && st.rng.gen_bool(p))
-        };
-        if ok {
-            st.stats.delivered += 1;
-        } else {
-            st.stats.dropped += 1;
-        }
-        ok
-    }
-
-    /// Snapshot of delivery counters.
-    pub fn stats(&self) -> NetStats {
-        self.state.lock().stats
+                .any(|g| g.contains(&from) && g.contains(&to))
     }
 }
 
@@ -111,15 +57,14 @@ mod tests {
 
     #[test]
     fn fully_connected_by_default() {
-        let net = SimNet::new(1);
+        let net = SimNet::new();
         assert!(net.deliver(0, 1));
         assert!(net.deliver(2, 0));
-        assert_eq!(net.stats().delivered, 2);
     }
 
     #[test]
     fn partition_blocks_cross_group() {
-        let net = SimNet::new(1);
+        let net = SimNet::new();
         net.partition(vec![vec![0, 1], vec![2]]);
         assert!(net.deliver(0, 1));
         assert!(!net.deliver(0, 2));
@@ -132,28 +77,8 @@ mod tests {
 
     #[test]
     fn self_delivery_survives_partition() {
-        let net = SimNet::new(1);
+        let net = SimNet::new();
         net.partition(vec![vec![0], vec![1]]);
         assert!(net.deliver(1, 1));
-    }
-
-    #[test]
-    fn drop_prob_zero_and_one() {
-        let net = SimNet::new(7);
-        net.set_drop_prob(0.0);
-        assert!((0..100).all(|_| net.deliver(0, 1)));
-        net.set_drop_prob(1.0);
-        assert!((0..100).all(|_| !net.deliver(0, 1)));
-        let s = net.stats();
-        assert_eq!(s.delivered, 100);
-        assert_eq!(s.dropped, 100);
-    }
-
-    #[test]
-    fn drop_prob_is_probabilistic() {
-        let net = SimNet::new(42);
-        net.set_drop_prob(0.5);
-        let delivered = (0..1000).filter(|_| net.deliver(0, 1)).count();
-        assert!(delivered > 300 && delivered < 700, "delivered {delivered}");
     }
 }

@@ -74,8 +74,7 @@ pub struct CoordConfig {
     /// only meaningful with a `data_dir`. There is no fsync setting: each
     /// replica fsyncs every commit group before it acks. Disabling both
     /// snapshot triggers keeps every record on disk — full-log mode, for
-    /// benchmarks — though the in-memory replica logs stay capped
-    /// regardless.
+    /// benchmarks.
     pub durability: DurabilityOptions,
 }
 
@@ -454,18 +453,15 @@ impl CoordService {
     }
 
     fn build_ensemble(config: &CoordConfig, recover: bool) -> Ensemble {
-        // The service exposes partitions but never probabilistic message
-        // drops, so the simulated network's RNG seed is inert here.
-        const NET_SEED: u64 = 0;
         match &config.data_dir {
-            None => Ensemble::new(config.replicas, NET_SEED),
+            None => Ensemble::new(config.replicas),
             Some(dir) => {
                 let opts = config.durability.clone();
                 if recover {
-                    Ensemble::recover(config.replicas, NET_SEED, dir, opts)
+                    Ensemble::recover(config.replicas, dir, opts)
                         .expect("recover coordination state from data_dir")
                 } else {
-                    Ensemble::with_durability(config.replicas, NET_SEED, dir, opts)
+                    Ensemble::with_durability(config.replicas, dir, opts)
                         .expect("initialize durable coordination state in data_dir")
                 }
             }

@@ -18,7 +18,7 @@
 //! first record and rotated once it exceeds
 //! [`DurabilityOptions::segment_max_bytes`]. When a fuzzy snapshot is
 //! written (see [`crate::snapshot`]), every segment is fully covered by it
-//! and deleted, bounding disk *and* the replica's in-memory log.
+//! and deleted, bounding the disk.
 //!
 //! Recovery reads segments in zxid order and stops at the first torn or
 //! corrupt record: the tail is truncated (it was never acknowledged) and
@@ -464,31 +464,24 @@ impl Durability {
     }
 
     /// Ends a committed batch: fsyncs what the batch appended, then writes
-    /// a snapshot of `store` when the policy triggers, truncating every
-    /// segment. Returns the snapshot zxid when one was taken, so the owner
-    /// can truncate its in-memory log to the same horizon. When this
-    /// returns `Ok`, every record appended so far is on disk.
-    pub fn commit_batch(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<Option<u64>> {
+    /// a snapshot of `store` when the policy triggers. When this returns
+    /// `Ok`, every record appended so far is on disk.
+    pub fn commit_batch(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
         self.sync_now()?;
         let by_ops = self.opts.snapshot_every_ops > 0
             && self.ops_since_snapshot >= self.opts.snapshot_every_ops;
         let by_bytes = self.opts.snapshot_max_wal_bytes > 0
             && self.wal_bytes_since_snapshot >= self.opts.snapshot_max_wal_bytes;
         if by_ops || by_bytes {
-            self.take_snapshot(zxid, store)?;
-            Ok(Some(zxid))
-        } else {
-            Ok(None)
+            self.write_snapshot(zxid, store)?;
         }
+        Ok(())
     }
 
-    /// Persists a full-state snapshot received from the leader (a follower
-    /// lagging beyond the truncation horizon) and resets the local log.
-    pub fn install_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
-        self.take_snapshot(zxid, store)
-    }
-
-    fn take_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
+    /// Writes a full snapshot of `store` at `zxid` and truncates every WAL
+    /// segment: when the policy triggers, and when a follower installs a
+    /// state transfer from the leader.
+    pub fn write_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
         snapshot::write(&self.dir, zxid, store).map_err(wal_io("snapshot"))?;
         // write fsyncs the directory after its rename.
         self.stats.dir_fsyncs += 1;

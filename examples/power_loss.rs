@@ -130,7 +130,6 @@ fn main() {
     println!("| bytes fsynced | {} |", e.bytes_fsynced);
     println!("| fsyncs | {} |", e.fsyncs);
     println!("| replica recoveries | {} |", e.recoveries);
-    println!("| suffix resyncs | {} |", e.suffix_syncs);
     println!("| snapshot transfers | {} |", e.snapshot_syncs);
     println!(
         "| orphan sessions purged | {} |",

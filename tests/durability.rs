@@ -1,6 +1,6 @@
 //! Durability-subsystem integration tests: full-datacenter power loss and
-//! recovery from disk, bounded replica logs, torn-tail WAL handling, and
-//! suffix-vs-snapshot follower resync.
+//! recovery from disk, snapshot-bounded WALs, torn-tail WAL handling, and
+//! follower resync by state transfer.
 
 mod common;
 
@@ -163,12 +163,10 @@ fn power_loss_scenario(tag: &str, durability: DurabilityOptions) {
 #[test]
 fn replica_log_is_bounded_by_snapshot_truncation() {
     let tmp = TempDir::new("tropic-log-bound");
-    let mut e = Ensemble::with_durability(1, 1, tmp.path(), quick_opts(8)).unwrap();
+    let mut e = Ensemble::with_durability(1, tmp.path(), quick_opts(8)).unwrap();
     for i in 0..200 {
         e.submit(create_op(&format!("/n{i}"))).0.unwrap();
     }
-    let len = e.replica_log_len(0).unwrap();
-    assert!(len < 8, "in-memory log {len} not truncated at snapshots");
     let stats = e.stats();
     assert_eq!(stats.snapshots_written, 25, "one per 8 committed ops");
     assert!(stats.bytes_fsynced > 0);
@@ -185,7 +183,7 @@ fn pipelined_ensemble_recovers_every_acknowledged_write() {
     let tmp = TempDir::new("tropic-pipelined-ensemble");
     let opts = quick_opts(16);
     {
-        let mut e = Ensemble::with_durability(3, 7, tmp.path(), opts.clone()).unwrap();
+        let mut e = Ensemble::with_durability(3, tmp.path(), opts.clone()).unwrap();
         for i in 0..60 {
             e.submit(create_op(&format!("/n{i}"))).0.unwrap();
         }
@@ -194,7 +192,7 @@ fn pipelined_ensemble_recovers_every_acknowledged_write() {
         assert!(stats.bytes_fsynced > 0);
         assert!(stats.dir_fsyncs > 0, "snapshot renames fsync the directory");
     } // power loss: every acknowledged group is already on disk
-    let mut back = Ensemble::recover(3, 7, tmp.path(), opts).unwrap();
+    let mut back = Ensemble::recover(3, tmp.path(), opts).unwrap();
     assert_eq!(
         back.read(|s| s.node_count()).unwrap(),
         61,
@@ -208,7 +206,7 @@ fn recovery_replays_wal_records_that_failed_at_submit_time() {
     // Failed ops (e.g. NodeExists) are part of the replicated log; replay
     // must reproduce the same failures to stay deterministic.
     let tmp = TempDir::new("tropic-failed-ops");
-    let mut e = Ensemble::with_durability(1, 1, tmp.path(), quick_opts(0)).unwrap();
+    let mut e = Ensemble::with_durability(1, tmp.path(), quick_opts(0)).unwrap();
     e.submit(create_op("/a")).0.unwrap();
     assert!(
         e.submit(create_op("/a")).0.is_err(),
@@ -217,28 +215,28 @@ fn recovery_replays_wal_records_that_failed_at_submit_time() {
     e.submit(create_op("/b")).0.unwrap();
     let live = e.read(|s| s.clone()).unwrap();
     drop(e);
-    let mut back = Ensemble::recover(1, 1, tmp.path(), quick_opts(0)).unwrap();
+    let mut back = Ensemble::recover(1, tmp.path(), quick_opts(0)).unwrap();
     assert_eq!(back.read(|s| s.clone()).unwrap(), live);
 }
 
 #[test]
-fn suffix_resync_and_snapshot_transfer_are_both_counted() {
-    let mut e = Ensemble::new(3, 7);
+fn a_short_and_a_long_outage_both_heal_by_transfer() {
+    let mut e = Ensemble::new(3);
     e.submit(create_op("/base")).0.unwrap();
-    // Short outage: suffix resync.
+    // Short outage: one missed write.
     e.crash_replica(2);
     e.submit(create_op("/while-down")).0.unwrap();
     e.restart_replica(2);
-    assert_eq!(e.stats().suffix_syncs, 1);
-    assert_eq!(e.stats().snapshot_syncs, 0);
-    // Long outage past the truncation horizon: snapshot transfer.
-    e.set_memory_log_cap(2);
+    assert_eq!(e.stats().snapshot_syncs, 1);
+    assert!(e.replicas_consistent());
+    // Long outage: many missed writes, healed the same way.
     e.crash_replica(2);
     for i in 0..12 {
         e.submit(create_op(&format!("/long{i}"))).0.unwrap();
     }
     e.restart_replica(2);
-    assert_eq!(e.stats().snapshot_syncs, 1);
+    assert_eq!(e.stats().snapshot_syncs, 2);
+    assert_eq!(e.replica_last_zxid(2), e.replica_last_zxid(0));
     assert!(e.replicas_consistent());
 }
 
@@ -246,7 +244,7 @@ fn suffix_resync_and_snapshot_transfer_are_both_counted() {
 fn torn_wal_tail_recovers_to_last_valid_record() {
     let tmp = TempDir::new("tropic-torn-tail");
     {
-        let mut e = Ensemble::with_durability(1, 1, tmp.path(), quick_opts(0)).unwrap();
+        let mut e = Ensemble::with_durability(1, tmp.path(), quick_opts(0)).unwrap();
         for i in 0..10 {
             e.submit(create_op(&format!("/n{i}"))).0.unwrap();
         }
@@ -258,7 +256,7 @@ fn torn_wal_tail_recovers_to_last_valid_record() {
     bytes.extend_from_slice(&[0x5A; 21]);
     std::fs::write(&last_segment, &bytes).unwrap();
 
-    let mut back = Ensemble::recover(1, 1, tmp.path(), quick_opts(0)).unwrap();
+    let mut back = Ensemble::recover(1, tmp.path(), quick_opts(0)).unwrap();
     assert_eq!(
         back.read(|s| s.node_count()).unwrap(),
         11,
@@ -267,7 +265,7 @@ fn torn_wal_tail_recovers_to_last_valid_record() {
     // The log stays writable after the truncation.
     back.submit(create_op("/after-tear")).0.unwrap();
     drop(back);
-    let again = Ensemble::recover(1, 1, tmp.path(), quick_opts(0)).unwrap();
+    let again = Ensemble::recover(1, tmp.path(), quick_opts(0)).unwrap();
     assert_eq!(
         Ensemble::read(&mut { again }, |s| s.node_count()).unwrap(),
         12

@@ -541,7 +541,7 @@ proptest! {
             snapshot_max_wal_bytes: 0,
             segment_max_bytes: 256, // tiny segments: rotation is exercised
         };
-        let mut live = Ensemble::with_durability(1, 1, tmp.path(), opts.clone()).unwrap();
+        let mut live = Ensemble::with_durability(1, tmp.path(), opts.clone()).unwrap();
         for op in &ops {
             let _ = live.submit(op.clone()); // failures are logged + replayed too
         }
@@ -549,7 +549,7 @@ proptest! {
         let live_zxid = live.replica_last_zxid(0).unwrap();
         drop(live); // total power loss
 
-        let mut recovered = Ensemble::recover(1, 1, tmp.path(), opts).unwrap();
+        let mut recovered = Ensemble::recover(1, tmp.path(), opts).unwrap();
         let recovered_store = recovered.read(|s| s.clone()).unwrap();
         prop_assert_eq!(&recovered_store, &live_store);
         prop_assert_eq!(
@@ -699,7 +699,7 @@ fn corrupted_wal_tail_recovers_to_last_valid_record() {
         ..DurabilityOptions::default()
     };
     {
-        let mut e = Ensemble::with_durability(1, 1, tmp.path(), opts.clone()).unwrap();
+        let mut e = Ensemble::with_durability(1, tmp.path(), opts.clone()).unwrap();
         for i in 0..7 {
             e.submit(ZnodeOp::Create {
                 path: Path::parse(&format!("/t{i}")).unwrap(),
@@ -723,7 +723,7 @@ fn corrupted_wal_tail_recovers_to_last_valid_record() {
     bytes[last] ^= 0xFF;
     std::fs::write(&segment, &bytes).unwrap();
 
-    let mut recovered = Ensemble::recover(1, 1, tmp.path(), opts).unwrap();
+    let mut recovered = Ensemble::recover(1, tmp.path(), opts).unwrap();
     let count = recovered.read(|s| s.node_count()).unwrap();
     assert_eq!(
         count, 7,
@@ -739,6 +739,108 @@ fn corrupted_wal_tail_recovers_to_last_valid_record() {
         })
         .0
         .unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Ensemble fault schedules: no crash/partition interleaving loses an
+// acknowledged write.
+// ---------------------------------------------------------------------
+
+#[derive(Debug)]
+enum Fault {
+    Write,
+    Crash(usize),
+    Restart(usize),
+    /// Replicas whose bit is set form one side, the rest the other.
+    Partition(u8),
+    Heal,
+}
+
+fn fault_schedule() -> impl Strategy<Value = Vec<Fault>> {
+    // Three draws in seven are writes, so acknowledged writes accumulate
+    // between the faults.
+    let fault = (0u8..7, 0usize..3, 0u8..8).prop_map(|(kind, r, mask)| match kind {
+        0..=2 => Fault::Write,
+        3 => Fault::Crash(r),
+        4 => Fault::Restart(r),
+        5 => Fault::Partition(mask),
+        _ => Fault::Heal,
+    });
+    prop::collection::vec(fault, 1..40)
+}
+
+/// Runs `schedule` against a 3-replica ensemble. After every step where a
+/// read succeeds, each acknowledged create must exist; at the end, with
+/// the network healed, every replica restarted and one more write
+/// committed, every replica must hold the leader's store.
+fn check_fault_schedule(mut e: Ensemble, schedule: &[Fault]) -> TestCaseResult {
+    let node = |i: usize| Path::parse(&format!("/w{i}")).unwrap();
+    let create = |path: Path| ZnodeOp::Create {
+        path,
+        data: vec![b'w'].into(),
+        ephemeral_owner: None,
+        sequential: false,
+    };
+    let all_exist = |s: &ZnodeStore, acked: &[Path]| acked.iter().all(|p| s.exists(p));
+    let mut acked = Vec::new();
+    for (step, fault) in schedule.iter().enumerate() {
+        match fault {
+            Fault::Write => {
+                if e.submit(create(node(step))).0.is_ok() {
+                    acked.push(node(step));
+                }
+            }
+            Fault::Crash(r) => e.crash_replica(*r),
+            Fault::Restart(r) => e.restart_replica(*r),
+            Fault::Partition(mask) => {
+                let (a, b): (Vec<usize>, Vec<usize>) = (0..3).partition(|r| mask & (1 << r) != 0);
+                e.net().partition(vec![a, b]);
+            }
+            Fault::Heal => e.net().heal(),
+        }
+        if let Ok(held) = e.read(|s| all_exist(s, &acked)) {
+            prop_assert!(
+                held,
+                "step {} ({:?}) lost an acknowledged write",
+                step,
+                fault
+            );
+        }
+    }
+    e.net().heal();
+    for r in 0..3 {
+        e.restart_replica(r);
+    }
+    e.submit(create(node(schedule.len()))).0.unwrap();
+    acked.push(node(schedule.len()));
+    let leader = e.leader().expect("a healed ensemble leads");
+    for r in 0..3 {
+        prop_assert_eq!(e.replica_last_zxid(r), e.replica_last_zxid(leader));
+    }
+    prop_assert!(e.replicas_consistent());
+    prop_assert!(e.read(|s| all_exist(s, &acked)).unwrap());
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn no_fault_schedule_loses_an_acknowledged_write(schedule in fault_schedule()) {
+        check_fault_schedule(Ensemble::new(3), &schedule)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn no_fault_schedule_loses_an_acknowledged_durable_write(schedule in fault_schedule()) {
+        let tmp = TempDir::new("tropic-prop-fault-schedule");
+        let opts = DurabilityOptions {
+            snapshot_every_ops: 4,
+            ..DurabilityOptions::default()
+        };
+        check_fault_schedule(Ensemble::with_durability(3, tmp.path(), opts).unwrap(), &schedule)?;
+    }
 }
 
 // ---------------------------------------------------------------------
