@@ -3,15 +3,18 @@
 //!
 //! Three variants quantify what the socket costs on the commit path:
 //!
-//! * `in_process`    — `TropicClient` submits + waits (the PR 4 baseline).
-//! * `over_socket`   — the same transactions through `RemoteClient`: two
-//!   framed envelopes per call (submit, then a server-side blocking wait).
+//! * `in_process`    — a `TropicClient` on the in-process transport
+//!   submits + waits (the baseline).
+//! * `over_socket`   — the same transactions through a `TropicClient`
+//!   connected to the server: two framed envelopes per call (submit, then
+//!   a server-side blocking wait).
 //! * `batch_socket`  — a 16-request `submit_batch` over the socket, one
 //!   atomic enqueue per batch; the throughput shape.
 //!
-//! Both `in_process` and `over_socket` drive an *identical* pipelined
-//! window: submit `WINDOW` spawns, wait for all, submit `WINDOW` destroys,
-//! wait for all. A single submit→wait pair per iteration measured mostly
+//! `in_process` and `over_socket` run one function, [`wave`], on the one
+//! client type, so the gated ratio compares one code path over two
+//! transports. Each iteration is an *identical* pipelined window: submit
+//! `WINDOW` spawns, wait for all, submit `WINDOW` destroys, wait for all. A single submit→wait pair per iteration measured mostly
 //! controller scheduling-round alignment (the txn idles in `inputQ` until
 //! the next round fires), which once inverted the two numbers and made the
 //! overhead gate vacuous; the window amortizes that quantization equally
@@ -40,7 +43,7 @@ use std::time::Duration;
 use tropic_bench::{emit_row, gate::MIN_LIVE_CONNECTIONS};
 use tropic_coord::{write_frame, FrameReader};
 use tropic_core::rpc::{decode_response, encode_request, RpcRequest, RpcResponse};
-use tropic_core::{ExecMode, PlatformConfig, RemoteClient, Tropic, TxnRequest, TxnState};
+use tropic_core::{ExecMode, PlatformConfig, Tropic, TropicClient, TxnRequest, TxnState};
 use tropic_tcloud::TopologySpec;
 
 const BATCH: usize = 16;
@@ -119,16 +122,21 @@ fn hold_subscriptions(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
     held
 }
 
-/// One pipelined wave: submit every request (each its own submit call on
-/// the driver under test), then wait every outcome to Committed.
-fn run_wave<H>(
-    submit: &mut impl FnMut(TxnRequest) -> H,
-    wait: &mut impl FnMut(H) -> TxnState,
-    reqs: Vec<TxnRequest>,
-) {
-    let handles: Vec<H> = reqs.into_iter().map(&mut *submit).collect();
-    for h in handles {
-        assert_eq!(wait(h), TxnState::Committed);
+/// One pipelined window on `client`: submit `WINDOW` spawns (each its own
+/// submit call), wait every outcome to Committed, then the same for their
+/// destroys.
+fn wave(client: &TropicClient, spec: &TopologySpec, base: u64) {
+    let spawns = (0..WINDOW as u64).map(|n| spawn_request(spec, base + n));
+    let destroys = (0..WINDOW as u64).map(|n| destroy_request(base + n));
+    for reqs in [spawns.collect::<Vec<_>>(), destroys.collect()] {
+        let handles: Vec<_> = reqs
+            .into_iter()
+            .map(|req| client.submit_request(req).unwrap())
+            .collect();
+        for h in handles {
+            let outcome = h.wait_timeout(Duration::from_secs(60)).unwrap();
+            assert_eq!(outcome.state, TxnState::Committed);
+        }
     }
 }
 
@@ -137,63 +145,24 @@ fn bench(c: &mut Criterion) {
     let platform = platform();
     let server = platform.serve_rpc().expect("bind loopback");
     let local = platform.client();
-    let remote = RemoteClient::connect(server.addr()).expect("connect");
+    let remote = TropicClient::connect(server.addr()).expect("connect");
 
     let mut group = c.benchmark_group("rpc_roundtrip");
     group.sample_size(20);
     group.measurement_time(Duration::from_secs(8));
 
     // Baseline first, so a snapshot always has the "before" number.
-    let mut i = 0u64;
-    group.bench_function("in_process", |b| {
-        b.iter(|| {
-            let mut submit = |req: TxnRequest| local.submit_request(req).unwrap();
-            let mut wait =
-                |h: tropic_core::TxnHandle| h.wait_timeout(Duration::from_secs(60)).unwrap().state;
-            let base = i;
-            run_wave(
-                &mut submit,
-                &mut wait,
-                (0..WINDOW as u64)
-                    .map(|n| spawn_request(&spec, base + n))
-                    .collect(),
-            );
-            run_wave(
-                &mut submit,
-                &mut wait,
-                (0..WINDOW as u64)
-                    .map(|n| destroy_request(base + n))
-                    .collect(),
-            );
-            i += WINDOW as u64;
-        })
-    });
-
-    let mut j = 1_000_000u64;
-    group.bench_function("over_socket", |b| {
-        b.iter(|| {
-            let mut submit = |req: TxnRequest| remote.submit_request(req).unwrap();
-            let mut wait = |h: tropic_core::RemoteHandle<'_>| {
-                h.wait_timeout(Duration::from_secs(60)).unwrap().state
-            };
-            let base = j;
-            run_wave(
-                &mut submit,
-                &mut wait,
-                (0..WINDOW as u64)
-                    .map(|n| spawn_request(&spec, base + n))
-                    .collect(),
-            );
-            run_wave(
-                &mut submit,
-                &mut wait,
-                (0..WINDOW as u64)
-                    .map(|n| destroy_request(base + n))
-                    .collect(),
-            );
-            j += WINDOW as u64;
-        })
-    });
+    for (name, client, mut base) in [
+        ("in_process", &local, 0u64),
+        ("over_socket", &remote, 1_000_000),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                wave(client, &spec, base);
+                base += WINDOW as u64;
+            })
+        });
+    }
 
     // Batched submit: one atomic enqueue for BATCH spawns, then waits.
     let mut k = 2_000_000u64;

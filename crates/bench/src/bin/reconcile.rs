@@ -86,7 +86,10 @@ fn measure(hosts: usize, drifts: usize, timeout: Duration) -> SizeReport {
         topo.service(),
         ExecMode::Physical(std::sync::Arc::clone(&devices.registry)),
     );
-    let twin = platform.subscribe_twin();
+    let twin = platform
+        .client()
+        .subscribe_twin()
+        .expect("in-process twin feed");
 
     // Baseline: the reconciler publishes one InSync event per mount the
     // first time it observes the mount matching desired state. All

@@ -51,18 +51,6 @@ impl<'a> LeaderElection<'a> {
         Ok(children.iter().min().map(String::as_str) == Some(me))
     }
 
-    /// Name of the current leader candidate (znode payload), if any.
-    pub fn leader_name(&self) -> CoordResult<Option<String>> {
-        let children = self.client.get_children(&self.base)?;
-        let Some(head) = children.into_iter().min() else {
-            return Ok(None);
-        };
-        Ok(self
-            .client
-            .get_data(&self.base.join(&head))?
-            .map(|(data, _)| String::from_utf8_lossy(&data).into_owned()))
-    }
-
     /// Blocks until this candidate becomes leader or `timeout` elapses.
     /// Returns `true` on leadership.
     ///
@@ -129,8 +117,14 @@ mod tests {
         let e2 = LeaderElection::join(&c2, p("/election"), "b").unwrap();
         assert!(e1.is_leader().unwrap());
         assert!(!e2.is_leader().unwrap());
-        assert_eq!(e1.leader_name().unwrap().unwrap(), "a");
-        assert_eq!(e2.leader_name().unwrap().unwrap(), "a");
+        // Both candidates see the first joiner's node at the head, and it
+        // carries that candidate's name.
+        for c in [&c1, &c2] {
+            let head = c.get_children(&p("/election")).unwrap().into_iter().min();
+            assert_eq!(head.as_deref(), e1.my_node().leaf());
+            let (name, _) = c.get_data(e1.my_node()).unwrap().unwrap();
+            assert_eq!(&name[..], b"a");
+        }
     }
 
     #[test]

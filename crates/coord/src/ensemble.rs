@@ -275,7 +275,7 @@ impl Ensemble {
     }
 
     /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
+    fn replica_count(&self) -> usize {
         self.replicas.len()
     }
 

@@ -82,7 +82,7 @@ impl<'a> DistributedQueue<'a> {
     /// caller-assembled atomic batch. A missing item fails the whole batch
     /// — callers batch removals only for items they exclusively own, or
     /// retry on the lost race ([`DistributedQueue::try_dequeue_batch`]).
-    pub fn remove_op(&self, name: &str) -> Op {
+    fn remove_op(&self, name: &str) -> Op {
         Op::Delete {
             path: self.base.join(name),
             expected_version: None,

@@ -273,7 +273,7 @@ impl ZnodeStore {
     }
 
     /// Paths of all ephemeral znodes owned by `session`.
-    pub fn ephemerals_of(&self, session: u64) -> Vec<Path> {
+    fn ephemerals_of(&self, session: u64) -> Vec<Path> {
         let mut out = Vec::new();
         fn rec(path: &Path, node: &Znode, session: u64, out: &mut Vec<Path>) {
             if node.ephemeral_owner == Some(session) {

@@ -1,45 +1,29 @@
-//! The typed, versioned client API (paper §3, Figure 2 — the front door).
-//!
-//! This module is the supported way to talk to a running [`Tropic`]
-//! platform:
+//! The typed, versioned client API (paper §3, Figure 2 — the front door):
+//! what a client says and hears, whichever transport carries it (see
+//! [`crate::client`]).
 //!
 //! * [`TxnRequest`] — a builder for stored-procedure submissions carrying
 //!   a [`Priority`] lane, an admission deadline, an idempotency key, and
 //!   free-form labels.
-//! * [`TxnHandle`] — the future-like handle a submission returns, with a
-//!   non-blocking [`TxnHandle::try_outcome`] and an event-driven
-//!   [`TxnHandle::wait`] (one coordination watch + the client's event
-//!   channel; no fixed-interval polling).
-//! * [`Subscription`] / [`TxnEvent`] — a streaming feed of transaction
-//!   lifecycle transitions.
-//! * [`AdminClient`] — the operator plane (`repair`, `reload`, signals),
-//!   split off from the submission path.
+//! * [`TxnEvent`] — one transaction lifecycle transition, as a
+//!   [`crate::Subscription`] streams it.
 //! * [`ApiError`] — the structured error taxonomy, partitioned into
 //!   retryable and permanent failures.
 //!
 //! Requests travel to the controller in the versioned wire envelope of
 //! [`crate::msg::Envelope`].
-//!
-//! [`Tropic`]: crate::Tropic
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use tropic_coord::{CoordClient, CoordError, CoordService, DistributedQueue, WatchKind};
-use tropic_model::{Path, SharedClock, Value};
+use tropic_coord::CoordError;
+use tropic_model::Value;
 
 use crate::error::PlatformError;
-use crate::msg::{encode_input, layout, AdminResult, InputMsg, Signal};
-use crate::txn::{TxnAlias, TxnId, TxnOutcome, TxnRecord, TxnState};
-
-/// Fallback wait bound for handles whose request carries no deadline.
-const DEFAULT_WAIT: Duration = Duration::from_secs(60);
+use crate::msg::InputMsg;
+use crate::txn::{TxnId, TxnOutcome, TxnRecord, TxnState};
 
 // ---------------------------------------------------------------------
 // Priority lanes.
@@ -284,10 +268,11 @@ impl TxnOutcome {
 ///     .label("tenant", "acme");
 /// ```
 ///
-/// Requests are serializable so [`crate::rpc::RemoteClient`] can ship the
-/// *same* builder output over a socket; a relative [`TxnRequest::deadline`]
-/// is resolved against the platform clock when the server admits the
-/// request (so it spans queueing, not the network hop).
+/// Requests are serializable so a socket client
+/// ([`crate::TropicClient::connect`]) ships the *same* builder output; a
+/// relative [`TxnRequest::deadline`] is resolved against the platform
+/// clock when the request is admitted (so it spans queueing, not the
+/// network hop).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TxnRequest {
     proc_name: String,
@@ -401,136 +386,8 @@ impl TxnRequest {
     }
 }
 
-// ---------------------------------------------------------------------
-// Transaction handle.
-// ---------------------------------------------------------------------
-
-/// A handle to one submitted transaction, returned by
-/// [`crate::TropicClient::submit_request`]. Outcome reads follow
-/// idempotency aliases transparently: the outcome's `id` is the id of the
-/// transaction that actually ran.
-pub struct TxnHandle<'c> {
-    client: &'c CoordClient,
-    clock: SharedClock,
-    id: TxnId,
-    deadline_ms: Option<u64>,
-    /// Resolved alias target, cached once discovered.
-    resolved: std::cell::Cell<Option<TxnId>>,
-}
-
-impl<'c> TxnHandle<'c> {
-    pub(crate) fn new(
-        client: &'c CoordClient,
-        clock: SharedClock,
-        id: TxnId,
-        deadline_ms: Option<u64>,
-    ) -> Self {
-        TxnHandle {
-            client,
-            clock,
-            id,
-            deadline_ms,
-            resolved: std::cell::Cell::new(None),
-        }
-    }
-
-    /// The id assigned to this submission. If the submission deduplicated
-    /// onto an earlier transaction, the outcome will carry that original
-    /// id instead (see [`TxnHandle::resolved_id`]).
-    pub fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// The id of the transaction this handle actually tracks: the alias
-    /// target once idempotency dedup has been observed, otherwise the
-    /// submission id.
-    pub fn resolved_id(&self) -> TxnId {
-        self.resolved.get().unwrap_or(self.id)
-    }
-
-    /// The admission deadline carried by the request, if any (platform
-    /// clock, ms).
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
-    }
-
-    /// Non-blocking outcome poll: `Ok(Some(..))` once the transaction
-    /// reached a terminal state, `Ok(None)` while still in flight. One
-    /// store read per probe, plus one the first time an alias is followed.
-    pub fn try_outcome(&self) -> Result<Option<TxnOutcome>, ApiError> {
-        loop {
-            let target = self.resolved_id();
-            let Some((data, _)) = self.client.get_data(&layout::txn(target))? else {
-                return Ok(None);
-            };
-            if let Ok(rec) = serde_json::from_slice::<TxnRecord>(&data) {
-                return Ok(rec.state.is_final().then(|| outcome_of(target, &rec)));
-            }
-            // An alias is persisted at the submission's own record path; a
-            // real record there parses as `TxnRecord`, not `TxnAlias`.
-            match serde_json::from_slice::<TxnAlias>(&data) {
-                Ok(alias) if self.resolved.get().is_none() => {
-                    self.resolved.set(Some(alias.alias_of));
-                }
-                _ => return Ok(None),
-            }
-        }
-    }
-
-    /// Blocks until the transaction reaches a terminal state, driven by
-    /// coordination watches: the handle arms a watch on the record, blocks
-    /// on the client's event channel until the deadline, and re-checks
-    /// only when an event fires — no fixed-interval polling.
-    ///
-    /// The bound is the request's deadline when one was set, otherwise 60
-    /// seconds; use [`TxnHandle::wait_timeout`] for an explicit bound.
-    pub fn wait(&self) -> Result<TxnOutcome, ApiError> {
-        let timeout = match self.deadline_ms {
-            Some(d) => Duration::from_millis(d.saturating_sub(self.clock.now_ms()).max(1)),
-            None => DEFAULT_WAIT,
-        };
-        self.wait_timeout(timeout)
-    }
-
-    /// [`TxnHandle::wait`] with an explicit bound.
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<TxnOutcome, ApiError> {
-        // The record node is also where an alias would appear; once one is
-        // followed, the watch moves to the target's record.
-        let node = || layout::txn(self.resolved_id());
-        watch_then_wait(self.client, timeout, node, || self.try_outcome())?
-            .ok_or(ApiError::WaitTimeout { id: self.id })
-    }
-}
-
-/// The event-driven wait behind every blocking read of one znode: `probe`,
-/// arm one watch on `node`, probe again (a write landing between the first
-/// probe and the watch would otherwise be missed), then block on the
-/// client's event channel for the rest of the window. Watches are one-shot,
-/// so each event re-probes and re-arms. `Ok(None)` once `timeout` passes.
-fn watch_then_wait<T>(
-    client: &CoordClient,
-    timeout: Duration,
-    node: impl Fn() -> Path,
-    probe: impl Fn() -> Result<Option<T>, ApiError>,
-) -> Result<Option<T>, ApiError> {
-    let deadline = std::time::Instant::now() + timeout;
-    loop {
-        if let Some(found) = probe()? {
-            return Ok(Some(found));
-        }
-        let now = std::time::Instant::now();
-        if now >= deadline {
-            return Ok(None);
-        }
-        client.watch(&node(), WatchKind::Node)?;
-        if let Some(found) = probe()? {
-            return Ok(Some(found));
-        }
-        let _ = client.wait_event(deadline - now);
-    }
-}
-
-fn outcome_of(id: TxnId, rec: &TxnRecord) -> TxnOutcome {
+/// The outcome `rec` reads as, for transaction `id`.
+pub(crate) fn outcome_of(id: TxnId, rec: &TxnRecord) -> TxnOutcome {
     TxnOutcome {
         id,
         state: rec.state,
@@ -541,7 +398,7 @@ fn outcome_of(id: TxnId, rec: &TxnRecord) -> TxnOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Event subscriptions.
+// Lifecycle events.
 // ---------------------------------------------------------------------
 
 /// One observed transaction lifecycle transition.
@@ -559,287 +416,6 @@ pub struct TxnEvent {
     pub at_ms: u64,
     /// Failure description, for terminal failures.
     pub error: Option<String>,
-}
-
-/// A streaming feed of [`TxnEvent`]s, produced by a dedicated
-/// coordination session that watches the transaction-record subtree.
-///
-/// Delivery is *eventually consistent and coalescing*: every transaction's
-/// terminal state is always delivered, but a fast intermediate transition
-/// (e.g. `Accepted` → `Started` within one watch window) may be observed
-/// only as its latest state. Dropping the subscription stops the feed.
-pub struct Subscription {
-    rx: mpsc::Receiver<TxnEvent>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-static SUBSCRIBER_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl Subscription {
-    pub(crate) fn start(coord: Arc<CoordService>, clock: SharedClock) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let (tx, rx) = mpsc::channel();
-        let name = format!(
-            "tropic-subscriber-{}",
-            SUBSCRIBER_SEQ.fetch_add(1, Ordering::SeqCst)
-        );
-        let thread = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(move || subscription_thread(&coord, &name, clock, &stop2, &tx))
-            .expect("spawn subscription thread");
-        Subscription {
-            rx,
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Returns the next buffered event without blocking.
-    pub fn try_recv(&self) -> Option<TxnEvent> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Blocks up to `timeout` for the next event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<TxnEvent> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drains every currently-buffered event.
-    pub fn drain(&self) -> Vec<TxnEvent> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.try_recv() {
-            out.push(ev);
-        }
-        out
-    }
-}
-
-impl Drop for Subscription {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn subscription_thread(
-    coord: &CoordService,
-    name: &str,
-    clock: SharedClock,
-    stop: &AtomicBool,
-    tx: &mpsc::Sender<TxnEvent>,
-) {
-    let client = coord.connect(name);
-    let _keepalive = client.keepalive();
-    let mut last_seen: HashMap<TxnId, TxnState> = HashMap::new();
-    // Record watches currently armed, so idle loops skip re-reading records
-    // that cannot have changed.
-    let mut armed_nodes: HashSet<Path> = HashSet::new();
-    while !stop.load(Ordering::SeqCst) {
-        // Arm the subtree watch first so a record landing between the scan
-        // and the wait still wakes us (re-arming a pending watch is a no-op).
-        if client.watch(&layout::txns(), WatchKind::Children).is_err() && client.ping().is_err() {
-            return;
-        }
-        if scan_records(&client, &clock, &mut last_seen, &mut armed_nodes, tx).is_err() {
-            // Session or quorum trouble: the feed cannot continue on a
-            // dead session; end the stream (receivers see a closed
-            // channel).
-            if client.ping().is_err() {
-                return;
-            }
-        }
-        // Block on the event channel; the bounded slice only caps how long
-        // a missed watch (armed after the triggering write) goes unnoticed.
-        if let Some(fired) = client.wait_event(Duration::from_millis(200)) {
-            // A fired record watch is one-shot: mark it for re-arming.
-            if let tropic_coord::StoreEvent::Created(p)
-            | tropic_coord::StoreEvent::Deleted(p)
-            | tropic_coord::StoreEvent::DataChanged(p) = fired.event
-            {
-                armed_nodes.remove(&p);
-            }
-        }
-    }
-    client.close();
-}
-
-fn scan_records(
-    client: &CoordClient,
-    clock: &SharedClock,
-    last_seen: &mut HashMap<TxnId, TxnState>,
-    armed_nodes: &mut HashSet<Path>,
-    tx: &mpsc::Sender<TxnEvent>,
-) -> Result<(), CoordError> {
-    let mut ids: Vec<TxnId> = client
-        .get_children(&layout::txns())?
-        .into_iter()
-        .filter_map(|name| name.parse::<TxnId>().ok())
-        .filter(|id| *id < crate::controller::ADMIN_TXN_BASE)
-        .collect();
-    ids.sort_unstable();
-    let mut present: HashSet<TxnId> = HashSet::new();
-    for id in ids {
-        present.insert(id);
-        // Terminal states never change again; skip the read entirely.
-        if last_seen.get(&id).map(TxnState::is_final).unwrap_or(false) {
-            continue;
-        }
-        // Alias nodes parse as `None` here and are skipped: the original
-        // transaction's own record produces the events.
-        let Some(rec) = client.get_json::<TxnRecord>(&layout::txn(id))? else {
-            continue;
-        };
-        let changed = last_seen.get(&id) != Some(&rec.state);
-        if changed {
-            last_seen.insert(id, rec.state);
-            let _ = tx.send(TxnEvent {
-                id,
-                proc_name: rec.proc_name.clone(),
-                state: rec.state,
-                priority: rec.priority,
-                at_ms: clock.now_ms(),
-                error: rec.error.clone(),
-            });
-        }
-        if !rec.state.is_final() {
-            // Data watch so an in-place state transition (same child set)
-            // wakes the scan; armed at most once until it fires.
-            let path = layout::txn(id);
-            if !armed_nodes.contains(&path) && client.watch(&path, WatchKind::Node).is_ok() {
-                armed_nodes.insert(path);
-            }
-        }
-    }
-    // Forget garbage-collected records (and their pending watch marks).
-    last_seen.retain(|id, _| present.contains(id));
-    armed_nodes.retain(|path| {
-        path.leaf()
-            .and_then(|name| name.parse::<TxnId>().ok())
-            .map(|id| present.contains(&id))
-            .unwrap_or(false)
-    });
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Operator plane.
-// ---------------------------------------------------------------------
-
-/// The operator-facing client: reconciliation (`repair`/`reload`, paper
-/// §4) and transaction signals, split off from the submission path so the
-/// data plane and the control plane evolve independently. Obtain one with
-/// [`crate::Tropic::admin`].
-pub struct AdminClient {
-    coord: Arc<CoordService>,
-    client: CoordClient,
-    _keepalive: tropic_coord::KeepAlive,
-    next_admin_id: Arc<AtomicU64>,
-    clock: SharedClock,
-}
-
-impl AdminClient {
-    pub(crate) fn new(
-        coord: Arc<CoordService>,
-        name: &str,
-        next_admin_id: Arc<AtomicU64>,
-        clock: SharedClock,
-    ) -> Self {
-        let client = coord.connect(name);
-        let keepalive = client.keepalive();
-        AdminClient {
-            coord,
-            client,
-            _keepalive: keepalive,
-            next_admin_id,
-            clock,
-        }
-    }
-
-    /// Runs `repair` over `scope` (push the logical layer's view onto
-    /// drifted devices), blocking up to `timeout` for the result.
-    pub fn repair(&self, scope: &Path, timeout: Duration) -> Result<AdminResult, ApiError> {
-        self.admin_op(scope, timeout, true)
-    }
-
-    /// Runs `reload` over `scope` (replace the logical subtree with
-    /// freshly-retrieved physical state), blocking up to `timeout`.
-    pub fn reload(&self, scope: &Path, timeout: Duration) -> Result<AdminResult, ApiError> {
-        self.admin_op(scope, timeout, false)
-    }
-
-    /// Sends a TERM or KILL signal to a transaction (paper §4). Signals
-    /// ride the high-priority lane so they overtake queued submissions.
-    pub fn signal(&self, id: TxnId, signal: Signal) -> Result<(), ApiError> {
-        self.enqueue(InputMsg::Signal { id, signal })
-    }
-
-    /// The platform created the lanes at boot, so the lane binds unprobed.
-    fn enqueue(&self, msg: InputMsg) -> Result<(), ApiError> {
-        let lane = DistributedQueue::bind(&self.client, layout::input_lane(Priority::High));
-        lane.enqueue(encode_input(msg))?;
-        Ok(())
-    }
-
-    fn admin_op(
-        &self,
-        scope: &Path,
-        timeout: Duration,
-        repair: bool,
-    ) -> Result<AdminResult, ApiError> {
-        let admin_id = self.enqueue_admin(scope, repair)?;
-        self.wait_admin(admin_id, timeout)
-    }
-
-    /// Enqueues one repair/reload request and returns its admin id, without
-    /// waiting for the result. Split from [`AdminClient::wait_admin`] so a
-    /// caller that must interleave the wait with its own cancellation
-    /// checks (the RPC frontend's stop flag) can slice it without
-    /// re-enqueueing the operation.
-    pub(crate) fn enqueue_admin(&self, scope: &Path, repair: bool) -> Result<u64, ApiError> {
-        let admin_id = self.next_admin_id.fetch_add(1, Ordering::SeqCst);
-        let msg = if repair {
-            InputMsg::Repair {
-                scope: scope.clone(),
-                admin_id,
-            }
-        } else {
-            InputMsg::Reload {
-                scope: scope.clone(),
-                admin_id,
-            }
-        };
-        self.enqueue(msg)?;
-        Ok(admin_id)
-    }
-
-    /// Blocks up to `timeout` for the result of an already-enqueued admin
-    /// operation. Safe to call repeatedly for the same id.
-    pub(crate) fn wait_admin(
-        &self,
-        admin_id: u64,
-        timeout: Duration,
-    ) -> Result<AdminResult, ApiError> {
-        let node = || layout::admin(admin_id);
-        let probe = || Ok(self.client.get_json::<AdminResult>(&node())?);
-        watch_then_wait(&self.client, timeout, node, probe)?
-            .ok_or(ApiError::WaitTimeout { id: admin_id })
-    }
-
-    /// The platform clock (for computing absolute deadlines).
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-}
-
-impl Drop for AdminClient {
-    /// Like [`crate::TropicClient`], a handle: its session ends with it.
-    fn drop(&mut self) {
-        self.coord.expire_session(self.client.session_id());
-    }
 }
 
 #[cfg(test)]

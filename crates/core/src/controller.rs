@@ -1475,10 +1475,23 @@ pub(crate) mod tests {
     /// listing shows up here as a changed count.
     #[test]
     fn submit_commit_wait_costs_a_pinned_number_of_reads() {
-        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let coord = Arc::new(tropic_coord::CoordService::start(
+            tropic_coord::CoordConfig::default(),
+        ));
         let client = coord.connect("controller-under-test");
         let mut controller = controller_under_test(&client, noop_service());
         let user = coord.connect("client");
+        let reader = crate::TropicClient::local(
+            crate::platform::PlatformShared {
+                coord: Arc::clone(&coord),
+                clock: tropic_model::real_clock(),
+                metrics: Metrics::new(),
+                next_txn_id: Arc::default(),
+                next_admin_id: Arc::default(),
+                twin_feed: Default::default(),
+            },
+            "reader",
+        );
         let mut last = coord.stats().reads;
         let mut reads = || {
             let now = coord.stats().reads;
@@ -1491,7 +1504,7 @@ pub(crate) mod tests {
         let lane = DistributedQueue::bind(&user, layout::input_lane(Priority::Normal));
         lane.enqueue(encode_input(msg)).unwrap();
         assert_eq!(reads(), 0, "submit: the lane is bound, not probed");
-        let handle = crate::api::TxnHandle::new(&user, tropic_model::real_clock(), 1, None);
+        let handle = reader.handle(1);
         assert!(handle.try_outcome().unwrap().is_none());
         assert_eq!(reads(), 1, "probe before admission: the record path, once");
 

@@ -29,6 +29,7 @@
 
 pub mod actions;
 pub mod api;
+pub mod client;
 pub mod config;
 pub mod controller;
 pub mod error;
@@ -48,9 +49,8 @@ mod platform;
 mod retention;
 
 pub use actions::{ActionDef, ActionRegistry, UndoSpec};
-pub use api::{
-    AbortCode, AdminClient, ApiError, Priority, Subscription, TxnEvent, TxnHandle, TxnRequest,
-};
+pub use api::{AbortCode, ApiError, Priority, TxnEvent, TxnRequest};
+pub use client::{RemoteClient, Subscription, TropicClient, TxnHandle};
 pub use config::{PlatformConfig, RpcConfig, ServiceDefinition, TwinConfig};
 pub use controller::{Checkpoint, Controller, ControllerConfig};
 pub use error::{PlatformError, ProcError};
@@ -61,14 +61,14 @@ pub use msg::{
     WireError, WIRE_VERSION,
 };
 pub use physical::{execute_physical, ExecMode, PhysicalOutcome};
-pub use platform::{Tropic, TropicClient};
+pub use platform::Tropic;
 pub use proc::{FnProcedure, ProcRegistry, StoredProcedure, TxnContext};
 pub use reconcile::{RepairPlan, RepairRules};
-pub use rpc::{RemoteAdmin, RemoteClient, RemoteHandle, RemoteSubscription, RpcServer};
+pub use rpc::RpcServer;
 pub use stats::{Counters, Event, Metrics, TxnSample};
 pub use twin::{
     backoff_delay_ms, drift_fingerprint, DriftObservation, TwinEvent, TwinFeed, TwinPhase,
-    TwinSubscription, TwinTracker, TWIN_REPAIR_PROC,
+    TwinTracker, TWIN_REPAIR_PROC,
 };
 pub use txn::{format_execution_log, LogRecord, TxnAlias, TxnId, TxnOutcome, TxnRecord, TxnState};
 pub use worker::run_worker;

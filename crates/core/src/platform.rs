@@ -12,18 +12,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tropic_coord::{CoordClient, CoordService, DistributedQueue, LeaderElection, Op};
+use tropic_coord::{CoordClient, CoordService, DistributedQueue, LeaderElection};
 use tropic_model::{real_clock, SharedClock};
 
-use crate::api::{AdminClient, ApiError, Priority, Subscription, TxnHandle, TxnRequest};
+use crate::api::{ApiError, Priority};
+use crate::client::TropicClient;
 use crate::config::{PlatformConfig, RpcConfig, ServiceDefinition};
 use crate::controller::{Controller, ControllerConfig};
-use crate::error::PlatformError;
-use crate::msg::{decode_input, encode_input, layout, InputMsg};
+use crate::msg::{decode_input, layout, InputMsg};
 use crate::physical::ExecMode;
 use crate::stats::Metrics;
-use crate::twin::{RepairEpisode, TwinFeed, TwinSubscription};
-use crate::txn::{TxnId, TxnRecord};
+use crate::twin::{RepairEpisode, TwinFeed};
+use crate::txn::TxnRecord;
 use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
 
@@ -59,10 +59,9 @@ pub struct Tropic {
     stop: Arc<AtomicBool>,
 }
 
-/// The shared handles every client-producing surface needs. The RPC
-/// frontend clones one per connection so each remote session gets the same
-/// construction path (own coordination session, shared id counters) as a
-/// linked-in client.
+/// The shared handles an in-process client transport needs: the RPC
+/// server's dispatch threads each open one on the same path as a linked-in
+/// client (own coordination session, shared id counters).
 #[derive(Clone)]
 pub(crate) struct PlatformShared {
     pub(crate) coord: Arc<CoordService>,
@@ -71,36 +70,6 @@ pub(crate) struct PlatformShared {
     pub(crate) next_txn_id: Arc<AtomicU64>,
     pub(crate) next_admin_id: Arc<AtomicU64>,
     pub(crate) twin_feed: TwinFeed,
-}
-
-impl PlatformShared {
-    /// Opens a client handle on a fresh coordination session named `name`.
-    pub(crate) fn client(&self, name: &str) -> TropicClient {
-        let client = self.coord.connect(name);
-        let keepalive = client.keepalive();
-        TropicClient {
-            coord: Arc::clone(&self.coord),
-            client,
-            _keepalive: keepalive,
-            next_txn_id: Arc::clone(&self.next_txn_id),
-            clock: Arc::clone(&self.clock),
-        }
-    }
-
-    /// Opens the operator plane on a fresh coordination session.
-    pub(crate) fn admin(&self, name: &str) -> AdminClient {
-        AdminClient::new(
-            Arc::clone(&self.coord),
-            name,
-            Arc::clone(&self.next_admin_id),
-            Arc::clone(&self.clock),
-        )
-    }
-
-    /// Starts a lifecycle-event subscription on a dedicated session.
-    pub(crate) fn subscription(&self) -> Subscription {
-        Subscription::start(Arc::clone(&self.coord), Arc::clone(&self.clock))
-    }
 }
 
 impl Tropic {
@@ -280,31 +249,22 @@ impl Tropic {
         }
     }
 
-    /// The platform-wide twin event hub (digital-twin phase transitions).
-    pub fn twin_feed(&self) -> TwinFeed {
-        self.twin_feed.clone()
-    }
-
-    /// Subscribes to twin phase-transition events in-process.
-    pub fn subscribe_twin(&self) -> TwinSubscription {
-        self.twin_feed.subscribe()
-    }
-
-    /// Opens a client handle for submitting transactions.
+    /// Opens an in-process client on a coordination session of its own.
     pub fn client(&self) -> TropicClient {
-        self.shared().client("tropic-client")
+        TropicClient::local(self.shared(), "tropic-client")
     }
 
-    /// Opens the operator plane: `repair`, `reload`, and transaction
-    /// signals, on a dedicated coordination session.
-    pub fn admin(&self) -> AdminClient {
-        self.shared().admin("tropic-admin")
+    /// Opens an in-process client for the operator plane (`repair`,
+    /// `reload`, transaction signals): the same [`TropicClient`], on a
+    /// session named for the job.
+    pub fn admin(&self) -> TropicClient {
+        TropicClient::local(self.shared(), "tropic-admin")
     }
 
     /// Starts the network RPC frontend on `config.rpc` (see
-    /// [`crate::rpc`]): out-of-process clients get the same typed
-    /// `TxnRequest`/handle surface over a socket. Stop the returned server
-    /// **before** calling [`Tropic::shutdown`].
+    /// [`crate::rpc`]): [`TropicClient::connect`] then reaches the platform
+    /// over a socket. Stop the returned server **before** calling
+    /// [`Tropic::shutdown`].
     pub fn serve_rpc(&self) -> Result<crate::rpc::RpcServer, ApiError> {
         crate::rpc::RpcServer::start(self.shared(), self.rpc_cfg.clone())
     }
@@ -416,108 +376,6 @@ impl Tropic {
 impl Drop for Tropic {
     fn drop(&mut self) {
         self.shutdown_inner();
-    }
-}
-
-/// A client handle for submitting transactions and awaiting outcomes.
-///
-/// The typed surface is [`TropicClient::submit_request`] (builder in,
-/// [`TxnHandle`] out), [`TropicClient::submit_batch`] (atomic multi-request
-/// enqueue), and [`TropicClient::subscribe`] (streaming lifecycle events).
-///
-/// The handle pins its coordination session, so it survives arbitrary idle
-/// periods, and ends the session when dropped, so it leaves nothing behind.
-pub struct TropicClient {
-    coord: Arc<CoordService>,
-    client: CoordClient,
-    _keepalive: tropic_coord::KeepAlive,
-    next_txn_id: Arc<AtomicU64>,
-    clock: SharedClock,
-}
-
-impl TropicClient {
-    /// Submits a typed request (paper Figure 2, step 1): the request is
-    /// enveloped in the versioned wire format and enqueued on its
-    /// priority's input lane (bound unprobed: the platform created the
-    /// lanes at boot). Returns a [`TxnHandle`] immediately.
-    pub fn submit_request(&self, request: TxnRequest) -> Result<TxnHandle<'_>, ApiError> {
-        let id = self.next_txn_id.fetch_add(1, Ordering::SeqCst);
-        let lane =
-            DistributedQueue::bind(&self.client, layout::input_lane(request.priority_lane()));
-        let (msg, deadline_ms) = request.into_msg(id, self.clock.now_ms())?;
-        lane.enqueue(encode_input(msg))?;
-        Ok(TxnHandle::new(
-            &self.client,
-            Arc::clone(&self.clock),
-            id,
-            deadline_ms,
-        ))
-    }
-
-    /// Submits several requests as **one atomic enqueue**: a single
-    /// coordination-store multi lands every submission (each on its own
-    /// priority lane) or none of them. Returns one handle per request, in
-    /// order.
-    pub fn submit_batch(&self, requests: Vec<TxnRequest>) -> Result<Vec<TxnHandle<'_>>, ApiError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let now = self.clock.now_ms();
-        let mut ops: Vec<Op> = Vec::with_capacity(requests.len());
-        let mut handles: Vec<(TxnId, Option<u64>)> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let id = self.next_txn_id.fetch_add(1, Ordering::SeqCst);
-            let lane =
-                DistributedQueue::bind(&self.client, layout::input_lane(request.priority_lane()));
-            let (msg, deadline_ms) = request.into_msg(id, now)?;
-            ops.push(lane.enqueue_op(encode_input(msg)));
-            handles.push((id, deadline_ms));
-        }
-        self.client.multi(ops)?;
-        Ok(handles
-            .into_iter()
-            .map(|(id, deadline_ms)| {
-                TxnHandle::new(&self.client, Arc::clone(&self.clock), id, deadline_ms)
-            })
-            .collect())
-    }
-
-    /// Opens a streaming subscription to transaction lifecycle events, on
-    /// its own coordination session.
-    pub fn subscribe(&self) -> Subscription {
-        Subscription::start(Arc::clone(&self.coord), Arc::clone(&self.clock))
-    }
-
-    /// Re-attaches a handle to an already-submitted transaction id — e.g.
-    /// one submitted before a crash and resumed by [`Tropic::recover`], or
-    /// an id shared across processes.
-    pub fn handle(&self, id: TxnId) -> TxnHandle<'_> {
-        TxnHandle::new(&self.client, Arc::clone(&self.clock), id, None)
-    }
-
-    /// Reads the full durable record of a transaction, if still retained.
-    pub fn txn_record(&self, id: TxnId) -> Result<Option<TxnRecord>, PlatformError> {
-        Ok(self.client.get_json(&layout::txn(id))?)
-    }
-
-    /// Keeps the client session alive during long waits driven externally.
-    pub fn ping(&self) -> Result<(), PlatformError> {
-        self.client.ping()?;
-        Ok(())
-    }
-
-    /// The platform clock (for computing absolute deadlines).
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-}
-
-impl Drop for TropicClient {
-    /// A handle is never a crash-drill subject: its session ends with it
-    /// (for free, since it owns no ephemeral) instead of lingering until
-    /// the timeout.
-    fn drop(&mut self) {
-        self.coord.expire_session(self.client.session_id());
     }
 }
 

@@ -1,30 +1,29 @@
-//! Network RPC frontend: the typed client API over a socket.
+//! Network RPC frontend: the wire protocol and the socket server.
 //!
 //! TROPIC's controller is a shared service clients reach over the network
-//! (paper §3), not a library they link. This module puts the PR 4 client
-//! surface on a TCP socket:
+//! (paper §3), not a library they link. This module carries the one
+//! client surface ([`crate::TropicClient`]) over a TCP socket:
 //!
+//! * [`RpcRequest`] / [`RpcResponse`] — the complete operation list, which
+//!   both client transports speak ([`crate::client`]).
 //! * [`RpcServer`] — an event-driven socket server started with
 //!   [`crate::Tropic::serve_rpc`]. One **reactor** thread runs a
 //!   readiness-polling loop (`poll(2)` via the vendored `polling` shim)
 //!   over every nonblocking connection; each connection is a small state
 //!   machine around a [`FrameReader`] with buffered frame writes. Decoded
 //!   requests are handed to a fixed dispatch pool (blocking calls get
-//!   transient threads), and replies flow back to the reactor over a
-//!   completion channel plus a self-pipe wake — so 10k idle subscriptions
-//!   cost file descriptors, not threads (Welsh et al., SEDA, SOSP 2001).
+//!   transient threads), each answering with the client's in-process
+//!   transport, and replies flow back to the reactor over a completion
+//!   channel plus a self-pipe wake — so 10k idle subscriptions cost file
+//!   descriptors, not threads (Welsh et al., SEDA, SOSP 2001).
 //!   Subscription fan-out encodes each event **once** into a shared
 //!   [`bytes::Bytes`] frame and clones the handle onto every subscriber's
 //!   outbound queue.
-//! * [`RemoteClient`] — a drop-in mirror of the in-process builder API:
-//!   [`RemoteClient::submit_request`], [`RemoteClient::submit_batch`],
-//!   [`RemoteHandle::wait`]/[`RemoteHandle::try_outcome`],
-//!   [`RemoteClient::subscribe`] streaming [`TxnEvent`]s, and the operator
-//!   plane via [`RemoteClient::admin`].
 //!
-//! A server that closes a stream on purpose says why with a typed error
-//! frame first ([`ApiError::ShuttingDown`] for a planned stop); read it
-//! with [`RemoteSubscription::close_reason`].
+//! A client connects with [`crate::TropicClient::connect`]. A server that
+//! closes a stream on purpose says why with a typed error frame first
+//! ([`ApiError::ShuttingDown`] for a planned stop); read it with
+//! [`crate::Subscription::close_reason`].
 //!
 //! ## Wire format
 //!
@@ -48,25 +47,25 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use polling::{poll, PollFd, POLLIN, POLLOUT};
 use serde::{Deserialize, Serialize};
 use tropic_coord::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 use tropic_model::Path;
 
-use crate::api::{AdminClient, ApiError, TxnEvent, TxnRequest};
+use crate::api::{ApiError, TxnEvent, TxnRequest};
+use crate::client::{txn_feed, Local};
 use crate::config::RpcConfig;
 use crate::msg::{check_version, AdminResult, Signal, WireError, WIRE_VERSION};
-use crate::platform::{PlatformShared, TropicClient};
+use crate::platform::PlatformShared;
 use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
 
@@ -80,22 +79,6 @@ const REACTOR_POLL_MS: i32 = 20;
 /// starve the pool. Small is right: the pool bounds *concurrency*, not
 /// connections — 10k idle connections still cost zero threads.
 const DISPATCH_THREADS: usize = 4;
-/// Bound on a connect attempt.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
-/// Response bound for calls the server answers without blocking.
-const CALL_TIMEOUT: Duration = Duration::from_secs(30);
-/// Extra slack granted on top of a blocking call's own timeout before the
-/// client declares the transport dead.
-const READ_GRACE: Duration = Duration::from_secs(10);
-/// Fallback wait bound for remote handles without a deadline (mirrors the
-/// in-process default).
-const DEFAULT_WAIT: Duration = Duration::from_secs(60);
-/// Server-side slice for blocking waits, so shutdown is never delayed by a
-/// long-waiting remote caller.
-const WAIT_SLICE: Duration = Duration::from_millis(250);
-/// Bound on any single socket write: a peer that stopped reading (full
-/// kernel send buffer) fails the write instead of pinning the thread.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 // ---------------------------------------------------------------------
 // Wire messages.
@@ -267,7 +250,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<RpcResponse, WireError> {
         .map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-fn transport(e: impl std::fmt::Display) -> ApiError {
+pub(crate) fn transport(e: impl std::fmt::Display) -> ApiError {
     ApiError::Transport(e.to_string())
 }
 
@@ -566,11 +549,9 @@ impl Reactor {
             let shared = shared.clone();
             let jobs = jobs_rx.clone();
             let done = done.clone();
-            let stop = Arc::clone(&stop);
-            let shutdown_requested = Arc::clone(&shutdown_requested);
             if let Ok(h) = std::thread::Builder::new()
                 .name(format!("tropic-rpc-pool-{idx}"))
-                .spawn(move || worker_loop(shared, idx, jobs, done, stop, shutdown_requested))
+                .spawn(move || worker_loop(shared, idx, jobs, done))
             {
                 workers.push(h);
             }
@@ -877,31 +858,22 @@ impl Reactor {
     /// Runs one blocking call on a transient thread with its own
     /// coordination session, which ends — at no cost to the ensemble —
     /// before the reply is sent, so a finished call leaves nothing behind.
-    /// The sliced helpers it lands in re-check the stop flag every
-    /// [`WAIT_SLICE`].
+    /// Its wait re-checks the stop flag every slice.
     fn spawn_waiter(&mut self, token: u64, req: RpcRequest) {
         self.waiters.retain(|h| !h.is_finished());
         self.waiter_seq += 1;
         let seq = self.waiter_seq;
         let shared = self.shared.clone();
         let stop = Arc::clone(&self.stop);
-        let shutdown_requested = Arc::clone(&self.shutdown_requested);
         let done = self.done.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("tropic-rpc-wait-{seq}"))
             .spawn(move || {
-                let client = shared.client(&format!("rpc-wait-{seq}"));
-                let mut admin: Option<AdminClient> = None;
-                let resp = dispatch(
-                    &shared,
-                    &client,
-                    &mut admin,
-                    &stop,
-                    &shutdown_requested,
-                    req,
-                );
-                drop(admin);
-                drop(client);
+                let local = Local::open(shared, &format!("rpc-wait-{seq}"));
+                let resp = local
+                    .serve(req, Some(&stop))
+                    .unwrap_or_else(RpcResponse::Error);
+                drop(local);
                 done.send(Wake::Reply {
                     token,
                     frame: frame_response(resp),
@@ -940,12 +912,13 @@ impl Reactor {
         let spawned = std::thread::Builder::new()
             .name(name.into())
             .spawn(move || match feed {
-                // The in-process `Subscription`: its own quorum session.
+                // The in-process feed: its own quorum session.
                 Feed::Txn => {
-                    let sub = shared.subscription();
-                    pump(feed, &stop, &done, RpcResponse::Event, |t| {
-                        sub.recv_timeout(t)
-                    })
+                    if let Ok(sub) = txn_feed(&shared) {
+                        pump(feed, &stop, &done, RpcResponse::Event, |t| {
+                            sub.recv_timeout(t)
+                        })
+                    }
                 }
                 Feed::Twin => {
                     let sub = shared.twin_feed.subscribe();
@@ -1018,27 +991,17 @@ impl Reactor {
     }
 }
 
-/// One dispatch-pool worker: a long-lived coordination session answering
+/// One dispatch-pool worker: a long-lived in-process transport answering
 /// non-blocking calls pulled off the shared job queue.
 fn worker_loop(
     shared: PlatformShared,
     idx: usize,
     jobs: crossbeam::channel::Receiver<Job>,
     done: DoneTx,
-    stop: Arc<AtomicBool>,
-    shutdown_requested: Arc<AtomicBool>,
 ) {
-    let client = shared.client(&format!("rpc-pool-{idx}"));
-    let mut admin: Option<AdminClient> = None;
+    let local = Local::open(shared, &format!("rpc-pool-{idx}"));
     while let Ok(job) = jobs.recv() {
-        let resp = dispatch(
-            &shared,
-            &client,
-            &mut admin,
-            &stop,
-            &shutdown_requested,
-            job.req,
-        );
+        let resp = local.call(job.req).unwrap_or_else(RpcResponse::Error);
         done.send(Wake::Reply {
             token: job.token,
             frame: frame_response(resp),
@@ -1059,120 +1022,6 @@ fn frame_reject(err: &FrameError) -> ApiError {
     }
 }
 
-fn dispatch(
-    shared: &PlatformShared,
-    client: &TropicClient,
-    admin: &mut Option<AdminClient>,
-    stop: &AtomicBool,
-    shutdown_requested: &AtomicBool,
-    req: RpcRequest,
-) -> RpcResponse {
-    match req {
-        RpcRequest::Submit(request) => match client.submit_request(request) {
-            Ok(h) => RpcResponse::Submitted {
-                id: h.id(),
-                deadline_ms: h.deadline_ms(),
-            },
-            Err(e) => RpcResponse::Error(e),
-        },
-        RpcRequest::SubmitBatch(requests) => match client.submit_batch(requests) {
-            Ok(hs) => RpcResponse::SubmittedBatch {
-                handles: hs.iter().map(|h| (h.id(), h.deadline_ms())).collect(),
-            },
-            Err(e) => RpcResponse::Error(e),
-        },
-        RpcRequest::TryOutcome { id } => match client.handle(id).try_outcome() {
-            Ok(outcome) => RpcResponse::Outcome(outcome),
-            Err(e) => RpcResponse::Error(e),
-        },
-        RpcRequest::Wait { id, timeout_ms } => {
-            let handle = client.handle(id);
-            sliced(id, timeout_ms, stop, |slice| handle.wait_timeout(slice))
-                .map_or_else(RpcResponse::Error, |o| RpcResponse::Outcome(Some(o)))
-        }
-        RpcRequest::Record { id } => match client.txn_record(id) {
-            Ok(rec) => RpcResponse::Record(rec.map(Box::new)),
-            Err(e) => RpcResponse::Error(e.into()),
-        },
-        RpcRequest::Repair { scope, timeout_ms } => {
-            let admin = admin.get_or_insert_with(|| shared.admin("rpc-admin"));
-            admin_sliced(admin, &scope, timeout_ms, true, stop)
-        }
-        RpcRequest::Reload { scope, timeout_ms } => {
-            let admin = admin.get_or_insert_with(|| shared.admin("rpc-admin"));
-            admin_sliced(admin, &scope, timeout_ms, false, stop)
-        }
-        RpcRequest::Signal { id, signal } => {
-            let admin = admin.get_or_insert_with(|| shared.admin("rpc-admin"));
-            match admin.signal(id, signal) {
-                Ok(()) => RpcResponse::Signaled,
-                Err(e) => RpcResponse::Error(e),
-            }
-        }
-        // Subscribe switches the connection mode and is handled inline by
-        // the reactor before dispatch (as are Ping and Shutdown; the arms
-        // below keep dispatch total).
-        RpcRequest::Subscribe | RpcRequest::SubscribeTwin => RpcResponse::Subscribed,
-        RpcRequest::Ping => RpcResponse::Pong {
-            now_ms: shared.clock.now_ms(),
-        },
-        RpcRequest::Shutdown => {
-            shutdown_requested.store(true, Ordering::SeqCst);
-            RpcResponse::ShutdownAck
-        }
-    }
-}
-
-/// Enqueues one repair/reload, then waits for its result in slices.
-fn admin_sliced(
-    admin: &AdminClient,
-    scope: &Path,
-    timeout_ms: u64,
-    repair: bool,
-    stop: &AtomicBool,
-) -> RpcResponse {
-    admin
-        .enqueue_admin(scope, repair)
-        .and_then(|admin_id| {
-            sliced(admin_id, timeout_ms, stop, |slice| {
-                admin.wait_admin(admin_id, slice)
-            })
-        })
-        .map_or_else(RpcResponse::Error, RpcResponse::Admin)
-}
-
-/// Blocks toward the caller's deadline in short slices: `timeout_ms` is
-/// wire-controlled and unclamped, so a stopping server must never be pinned
-/// by a remote caller's long bound. `wait` makes one bounded attempt; `id`
-/// is the one an elapsed deadline's `WaitTimeout` names.
-fn sliced<T>(
-    id: TxnId,
-    timeout_ms: u64,
-    stop: &AtomicBool,
-    wait: impl Fn(Duration) -> Result<T, ApiError>,
-) -> Result<T, ApiError> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Err(ApiError::ShuttingDown);
-        }
-        // Always attempt at least one wait slice (both waits poll the
-        // result before sleeping), so an already-finished operation beats
-        // an elapsed bound — the in-process semantics.
-        let slice = deadline
-            .saturating_duration_since(Instant::now())
-            .min(WAIT_SLICE);
-        match wait(slice) {
-            Err(ApiError::WaitTimeout { .. }) => {
-                if Instant::now() >= deadline {
-                    return Err(ApiError::WaitTimeout { id });
-                }
-            }
-            other => return other,
-        }
-    }
-}
-
 /// Feeds the reactor one event feed until `stop`: each event `recv`
 /// yields is encoded into one shared frame here, and the reactor clones
 /// the handle onto every subscriber's outbound queue.
@@ -1189,465 +1038,6 @@ fn pump<E>(
                 feed,
                 frame: frame_response(wrap(ev)),
             });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Remote client.
-// ---------------------------------------------------------------------
-
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-}
-
-/// A client to a remote TROPIC platform, mirroring
-/// [`crate::TropicClient`]'s typed surface over one TCP connection.
-///
-/// Calls on one `RemoteClient` run in lockstep over its single connection
-/// (a long [`RemoteHandle::wait`] holds the line); open one client per
-/// concurrent caller — connections are cheap, and each gets its own
-/// coordination session server-side. [`RemoteClient::subscribe`] opens its
-/// own dedicated connection. A connection that can no longer correlate
-/// replies (response timeout, damaged frame, server close) is retired and
-/// transparently re-dialed on the next call.
-pub struct RemoteClient {
-    addr: SocketAddr,
-    /// `None` between a poisoned connection and the next call's re-dial.
-    io: Mutex<Option<Conn>>,
-}
-
-impl RemoteClient {
-    /// Connects to a serving [`RpcServer`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ApiError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(transport)?
-            .next()
-            .ok_or_else(|| ApiError::Transport("address resolved to nothing".into()))?;
-        let conn = Self::dial(&addr)?;
-        Ok(RemoteClient {
-            addr,
-            io: Mutex::new(Some(conn)),
-        })
-    }
-
-    fn dial(addr: &SocketAddr) -> Result<Conn, ApiError> {
-        let stream = TcpStream::connect_timeout(addr, CONNECT_TIMEOUT).map_err(transport)?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        Ok(Conn {
-            stream,
-            reader: FrameReader::new(),
-        })
-    }
-
-    /// The server address this client is connected to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// One framed request, one framed reply. `read_timeout` bounds how
-    /// long the server may take (plus [`READ_GRACE`] slack for transport).
-    ///
-    /// Request/response correlation is positional (one reply per request,
-    /// in order), so any failure that could leave a reply in flight — a
-    /// response timeout, a damaged frame, a mid-frame close — **poisons**
-    /// the connection: it is dropped, and the next call dials a fresh one.
-    /// A stale reply can therefore never be read as the answer to a later
-    /// call.
-    fn call(&self, req: RpcRequest, read_timeout: Duration) -> Result<RpcResponse, ApiError> {
-        let mut guard = self.io.lock();
-        let conn = match guard.as_mut() {
-            Some(conn) => conn,
-            None => guard.insert(Self::dial(&self.addr)?),
-        };
-        let Conn { stream, reader } = conn;
-        // Slice the socket timeout so the deadline loop below stays
-        // responsive regardless of how long the whole call may block.
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(transport)?;
-        if let Err(e) = write_frame(stream, &encode_request(req)?) {
-            *guard = None;
-            return Err(transport(e));
-        }
-        let deadline = Instant::now() + read_timeout + READ_GRACE;
-        loop {
-            // analyze:allow(blocking-under-lock): the io lock IS the line discipline — one in-flight call per connection
-            match reader.read_from(stream, DEFAULT_MAX_FRAME_BYTES) {
-                Ok(Some(payload)) => {
-                    return match decode_response(&payload).map_err(ApiError::from)? {
-                        RpcResponse::Error(e) => Err(e),
-                        ok => Ok(ok),
-                    };
-                }
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        // The server may still answer later; this stream
-                        // can no longer tell that stale reply apart from
-                        // the next call's, so retire it.
-                        *guard = None;
-                        return Err(ApiError::Transport(
-                            "timed out awaiting the RPC response".into(),
-                        ));
-                    }
-                }
-                Err(FrameError::Closed) => {
-                    *guard = None;
-                    return Err(ApiError::Transport("server closed the connection".into()));
-                }
-                Err(e @ FrameError::Oversized { .. }) => {
-                    // Permanent, mirroring the server's classification: a
-                    // reply past the frame cap fails identically on every
-                    // retry.
-                    *guard = None;
-                    return Err(ApiError::InvalidRequest(e.to_string()));
-                }
-                Err(e) => {
-                    *guard = None;
-                    return Err(transport(e));
-                }
-            }
-        }
-    }
-
-    /// Submits a typed request; the server assigns the transaction id.
-    /// Mirrors [`crate::TropicClient::submit_request`].
-    pub fn submit_request(&self, request: TxnRequest) -> Result<RemoteHandle<'_>, ApiError> {
-        match self.call(RpcRequest::Submit(request), CALL_TIMEOUT)? {
-            RpcResponse::Submitted { id, deadline_ms } => Ok(RemoteHandle {
-                client: self,
-                id,
-                deadline_ms,
-            }),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Submits several requests as one atomic enqueue. Mirrors
-    /// [`crate::TropicClient::submit_batch`].
-    pub fn submit_batch(
-        &self,
-        requests: Vec<TxnRequest>,
-    ) -> Result<Vec<RemoteHandle<'_>>, ApiError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        match self.call(RpcRequest::SubmitBatch(requests), CALL_TIMEOUT)? {
-            RpcResponse::SubmittedBatch { handles } => Ok(handles
-                .into_iter()
-                .map(|(id, deadline_ms)| RemoteHandle {
-                    client: self,
-                    id,
-                    deadline_ms,
-                })
-                .collect()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Re-attaches a handle to an already-submitted transaction id.
-    pub fn handle(&self, id: TxnId) -> RemoteHandle<'_> {
-        RemoteHandle {
-            client: self,
-            id,
-            deadline_ms: None,
-        }
-    }
-
-    /// Reads the full durable record of a transaction, if still retained.
-    pub fn txn_record(&self, id: TxnId) -> Result<Option<TxnRecord>, ApiError> {
-        match self.call(RpcRequest::Record { id }, CALL_TIMEOUT)? {
-            RpcResponse::Record(rec) => Ok(rec.map(|b| *b)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Liveness probe; returns the platform clock (ms) — also how remote
-    /// callers compute absolute deadlines without a local platform clock.
-    pub fn ping(&self) -> Result<u64, ApiError> {
-        match self.call(RpcRequest::Ping, CALL_TIMEOUT)? {
-            RpcResponse::Pong { now_ms } => Ok(now_ms),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Opens a streaming subscription to transaction lifecycle events on a
-    /// dedicated connection. Mirrors [`crate::TropicClient::subscribe`].
-    pub fn subscribe(&self) -> Result<RemoteSubscription<TxnEvent>, ApiError> {
-        RemoteSubscription::open(self.addr, RpcRequest::Subscribe, |resp| match resp {
-            RpcResponse::Event(ev) => Some(ev),
-            _ => None,
-        })
-    }
-
-    /// Opens a streaming subscription to digital-twin phase transitions on
-    /// a dedicated connection. Mirrors [`crate::Tropic::subscribe_twin`].
-    pub fn subscribe_twin(&self) -> Result<RemoteSubscription<TwinEvent>, ApiError> {
-        RemoteSubscription::open(self.addr, RpcRequest::SubscribeTwin, |resp| match resp {
-            RpcResponse::TwinEvent(ev) => Some(ev),
-            _ => None,
-        })
-    }
-
-    /// The operator plane, sharing this client's connection. Mirrors
-    /// [`crate::Tropic::admin`].
-    pub fn admin(&self) -> RemoteAdmin<'_> {
-        RemoteAdmin { client: self }
-    }
-
-    /// Asks the serving process to shut down (see
-    /// [`RpcServer::shutdown_requested`]).
-    pub fn shutdown_server(&self) -> Result<(), ApiError> {
-        match self.call(RpcRequest::Shutdown, CALL_TIMEOUT)? {
-            RpcResponse::ShutdownAck => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-}
-
-fn unexpected(resp: &RpcResponse) -> ApiError {
-    ApiError::Transport(format!("protocol violation: unexpected response {resp:?}"))
-}
-
-/// A handle to one transaction submitted over the wire, mirroring
-/// [`crate::api::TxnHandle`]. Outcome reads follow idempotency aliases
-/// transparently (the server resolves them).
-pub struct RemoteHandle<'c> {
-    client: &'c RemoteClient,
-    id: TxnId,
-    deadline_ms: Option<u64>,
-}
-
-impl RemoteHandle<'_> {
-    /// The server-assigned transaction id.
-    pub fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// The admission deadline resolved at submission (platform clock, ms).
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
-    }
-
-    /// Non-blocking outcome poll: `Ok(Some(..))` once terminal.
-    pub fn try_outcome(&self) -> Result<Option<TxnOutcome>, ApiError> {
-        match self
-            .client
-            .call(RpcRequest::TryOutcome { id: self.id }, CALL_TIMEOUT)?
-        {
-            RpcResponse::Outcome(outcome) => Ok(outcome),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Blocks until the transaction reaches a terminal state, bounded by
-    /// the request's deadline (fetched against the platform clock via
-    /// [`RemoteClient::ping`]) or 60 seconds when none was set.
-    pub fn wait(&self) -> Result<TxnOutcome, ApiError> {
-        let timeout = match self.deadline_ms {
-            Some(d) => {
-                let now = self.client.ping()?;
-                Duration::from_millis(d.saturating_sub(now).max(1))
-            }
-            None => DEFAULT_WAIT,
-        };
-        self.wait_timeout(timeout)
-    }
-
-    /// [`RemoteHandle::wait`] with an explicit bound. The server blocks on
-    /// the same watch-driven wait the in-process handle uses.
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<TxnOutcome, ApiError> {
-        let timeout_ms = timeout.as_millis().min(u64::MAX as u128) as u64;
-        let req = RpcRequest::Wait {
-            id: self.id,
-            timeout_ms,
-        };
-        match self.client.call(req, timeout)? {
-            RpcResponse::Outcome(Some(outcome)) => Ok(outcome),
-            RpcResponse::Outcome(None) => Err(ApiError::WaitTimeout { id: self.id }),
-            other => Err(unexpected(&other)),
-        }
-    }
-}
-
-/// The operator plane over the wire, mirroring [`crate::api::AdminClient`].
-pub struct RemoteAdmin<'c> {
-    client: &'c RemoteClient,
-}
-
-impl RemoteAdmin<'_> {
-    /// Runs `repair` over `scope`, blocking up to `timeout` for the result.
-    pub fn repair(&self, scope: &Path, timeout: Duration) -> Result<AdminResult, ApiError> {
-        let req = RpcRequest::Repair {
-            scope: scope.clone(),
-            timeout_ms: timeout.as_millis().min(u64::MAX as u128) as u64,
-        };
-        match self.client.call(req, timeout)? {
-            RpcResponse::Admin(result) => Ok(result),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Runs `reload` over `scope`, blocking up to `timeout` for the result.
-    pub fn reload(&self, scope: &Path, timeout: Duration) -> Result<AdminResult, ApiError> {
-        let req = RpcRequest::Reload {
-            scope: scope.clone(),
-            timeout_ms: timeout.as_millis().min(u64::MAX as u128) as u64,
-        };
-        match self.client.call(req, timeout)? {
-            RpcResponse::Admin(result) => Ok(result),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Sends a TERM or KILL signal to a transaction.
-    pub fn signal(&self, id: TxnId, signal: Signal) -> Result<(), ApiError> {
-        match self
-            .client
-            .call(RpcRequest::Signal { id, signal }, CALL_TIMEOUT)?
-        {
-            RpcResponse::Signaled => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-}
-
-/// A streaming feed of `E` from a remote platform: transaction lifecycle
-/// events ([`TxnEvent`], via [`RemoteClient::subscribe`]) or digital-twin
-/// phase transitions ([`TwinEvent`], via [`RemoteClient::subscribe_twin`]).
-/// Runs on its own connection; dropping it closes the socket and ends the
-/// feed.
-pub struct RemoteSubscription<E> {
-    rx: mpsc::Receiver<E>,
-    stream: TcpStream,
-    thread: Option<JoinHandle<()>>,
-    close_reason: Arc<Mutex<Option<ApiError>>>,
-}
-
-impl<E: Send + 'static> RemoteSubscription<E> {
-    /// Sends `subscribe`, awaits the mode-switch ack, then streams every
-    /// frame `pick` recognises as an `E`.
-    fn open(
-        addr: SocketAddr,
-        subscribe: RpcRequest,
-        pick: fn(RpcResponse) -> Option<E>,
-    ) -> Result<Self, ApiError> {
-        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(transport)?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(transport)?;
-        write_frame(&mut stream, &encode_request(subscribe)?).map_err(transport)?;
-        // Wait for the mode-switch ack before handing the socket to the
-        // reader thread, so connect errors surface typed right here.
-        let mut reader = FrameReader::new();
-        let deadline = Instant::now() + CALL_TIMEOUT;
-        loop {
-            match reader.read_from(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
-                Ok(Some(payload)) => match decode_response(&payload).map_err(ApiError::from)? {
-                    RpcResponse::Subscribed => break,
-                    RpcResponse::Error(e) => return Err(e),
-                    other => return Err(unexpected(&other)),
-                },
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        return Err(ApiError::Transport(
-                            "timed out awaiting the subscription ack".into(),
-                        ));
-                    }
-                }
-                Err(e) => return Err(transport(e)),
-            }
-        }
-        let (tx, rx) = mpsc::channel();
-        let close_reason: Arc<Mutex<Option<ApiError>>> = Arc::new(Mutex::new(None));
-        let thread = {
-            let mut stream = stream.try_clone().map_err(transport)?;
-            let close_reason = Arc::clone(&close_reason);
-            std::thread::Builder::new()
-                .name("tropic-remote-subscriber".into())
-                .spawn(move || {
-                    loop {
-                        match reader.read_from(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
-                            Ok(Some(payload)) => {
-                                // Anything that is not a decodable event is
-                                // tolerated and skipped: the stream must
-                                // survive frames a newer server might add.
-                                // An error frame is the server's stated
-                                // close reason: record it and end the feed.
-                                let delivered = match decode_response(&payload) {
-                                    Ok(RpcResponse::Error(e)) => {
-                                        *close_reason.lock() = Some(e);
-                                        return;
-                                    }
-                                    Ok(resp) => pick(resp).is_none_or(|ev| tx.send(ev).is_ok()),
-                                    Err(_) => true,
-                                };
-                                if !delivered {
-                                    return; // receiver dropped
-                                }
-                            }
-                            Ok(None) => {}    // idle; keep listening
-                            Err(_) => return, // closed or damaged: end the feed
-                        }
-                    }
-                })
-                .map_err(transport)?
-        };
-        Ok(RemoteSubscription {
-            rx,
-            stream,
-            thread: Some(thread),
-            close_reason,
-        })
-    }
-
-    /// Returns the next buffered event without blocking.
-    pub fn try_recv(&self) -> Option<E> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Blocks up to `timeout` for the next event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<E> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drains every currently-buffered event.
-    pub fn drain(&self) -> Vec<E> {
-        self.rx.try_iter().collect()
-    }
-
-    /// Whether the feed can still deliver new events. `false` once the
-    /// server closed the stream (shutdown, damaged frame): buffered events
-    /// remain readable, but nothing further will arrive — resubscribe via
-    /// [`RemoteClient::subscribe`] to continue.
-    pub fn is_live(&self) -> bool {
-        self.thread.as_ref().is_some_and(|t| !t.is_finished())
-    }
-
-    /// Why the server closed this feed, when it said so with a typed
-    /// error frame before closing: [`ApiError::ShuttingDown`] for a
-    /// planned stop (a pre-removal v1 server may also send the reserved,
-    /// retryable [`ApiError::LeaseExpired`] — back off and resubscribe).
-    /// `None` while the feed is live, and `None` after a close
-    /// the server never explained (crash, cut network) — so callers can
-    /// distinguish *all three* cases together with
-    /// [`RemoteSubscription::is_live`]. See `docs/WIRE_PROTOCOL.md`,
-    /// "Close reasons".
-    pub fn close_reason(&self) -> Option<ApiError> {
-        self.close_reason.lock().clone()
-    }
-}
-
-impl<E> Drop for RemoteSubscription<E> {
-    fn drop(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
         }
     }
 }

@@ -25,9 +25,9 @@
 //!   resource still retries at the backoff cap, so a healed device always
 //!   converges).
 //! * **Event feed** — every phase transition is published as a
-//!   [`TwinEvent`] through the in-process [`TwinFeed`], which the RPC
-//!   frontend streams to remote subscribers
-//!   (`RemoteSubscription<TwinEvent>`).
+//!   [`TwinEvent`] through the in-process [`TwinFeed`]; a client reads it
+//!   with [`crate::TropicClient::subscribe_twin`], which the RPC frontend
+//!   streams to socket clients.
 //!
 //! The operator's one-shot `repair` is the same corrective transaction,
 //! admitted on the High lane instead of the batch lane and answered when
@@ -39,14 +39,14 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use tropic_model::{DiffEntry, Path};
 
+use crate::client::Subscription;
 use crate::config::TwinConfig;
 use crate::txn::TxnRecord;
 
@@ -183,36 +183,15 @@ impl TwinFeed {
     }
 
     /// Opens a subscription receiving every event published from now on.
-    pub fn subscribe(&self) -> TwinSubscription {
+    pub fn subscribe(&self) -> Subscription<TwinEvent> {
         let (tx, rx) = channel();
         self.subscribers.lock().push(tx);
-        TwinSubscription { rx }
+        Subscription::fed(rx)
     }
 
     /// Number of live subscribers (diagnostics).
     pub fn subscriber_count(&self) -> usize {
         self.subscribers.lock().len()
-    }
-}
-
-/// The receiving end of a [`TwinFeed`] subscription. Dropping it
-/// unsubscribes (the feed prunes the dead sender on its next publish).
-pub struct TwinSubscription {
-    rx: Receiver<TwinEvent>,
-}
-
-impl TwinSubscription {
-    /// Waits up to `timeout` for the next event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<TwinEvent> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    /// Drains every event currently queued without blocking.
-    pub fn drain(&self) -> Vec<TwinEvent> {
-        self.rx.try_iter().collect()
     }
 }
 
@@ -392,13 +371,6 @@ impl TwinTracker {
             .collect()
     }
 
-    /// `true` when every tracked resource is in sync.
-    pub fn all_in_sync(&self) -> bool {
-        self.resources
-            .values()
-            .all(|s| s.phase == TwinPhase::InSync)
-    }
-
     /// Number of tracked resources.
     pub fn len(&self) -> usize {
         self.resources.len()
@@ -418,6 +390,7 @@ impl TwinTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn cfg() -> TwinConfig {
         TwinConfig {
@@ -508,7 +481,7 @@ mod tests {
         let mttr = t.observe_in_sync(&m, now).unwrap();
         assert_eq!(mttr, now); // Detected at 0.
         assert_eq!(t.phase_of(&m), Some(TwinPhase::InSync));
-        assert!(t.all_in_sync());
+        assert!(t.phases().values().all(|p| *p == TwinPhase::InSync));
     }
 
     #[test]

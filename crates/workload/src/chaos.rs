@@ -53,10 +53,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use tropic_core::{
-    ApiError, Priority, RemoteClient, Tropic, TropicClient, TwinPhase, TxnId, TxnOutcome,
-    TxnRequest, TxnState,
-};
+use tropic_core::{Priority, Tropic, TropicClient, TwinPhase, TxnId, TxnRequest, TxnState};
 use tropic_devices::Device;
 use tropic_tcloud::{TCloudDevices, TopologySpec};
 
@@ -420,7 +417,10 @@ pub fn run_drift_storm(
     spec: &ChaosSpec,
     convergence_timeout: Duration,
 ) -> DriftStormReport {
-    let sub = platform.subscribe_twin();
+    let sub = platform
+        .client()
+        .subscribe_twin()
+        .expect("the in-process twin feed always opens");
     let chaos = run_chaos(platform, topo, devices, spec);
 
     // Fold the feed into "latest phase per resource", continuing until
@@ -884,27 +884,6 @@ impl ChaosReport {
     }
 }
 
-enum AnyClient {
-    Local(TropicClient),
-    Remote(Box<RemoteClient>),
-}
-
-impl AnyClient {
-    fn submit(&self, request: TxnRequest) -> Result<TxnId, ApiError> {
-        match self {
-            AnyClient::Local(c) => c.submit_request(request).map(|h| h.id()),
-            AnyClient::Remote(c) => c.submit_request(request).map(|h| h.id()),
-        }
-    }
-
-    fn wait(&self, id: TxnId, timeout: Duration) -> Result<TxnOutcome, ApiError> {
-        match self {
-            AnyClient::Local(c) => c.handle(id).wait_timeout(timeout),
-            AnyClient::Remote(c) => c.handle(id).wait_timeout(timeout),
-        }
-    }
-}
-
 struct Sample {
     priority: Priority,
     state: Option<TxnState>,
@@ -1026,21 +1005,14 @@ pub fn run_chaos(
             let samples = &samples;
             let submit_errors = &submit_errors;
             scope.spawn(move || {
-                let client = if client_idx < spec.rpc_clients {
-                    match spec
-                        .rpc_addr
-                        .as_deref()
-                        .ok_or(())
-                        .and_then(|addr| RemoteClient::connect(addr).map_err(|_| ()))
-                    {
-                        Ok(remote) => AnyClient::Remote(Box::new(remote)),
-                        // No socket: fall back to the in-process API so the
-                        // load still runs.
-                        Err(()) => AnyClient::Local(platform.client()),
-                    }
-                } else {
-                    AnyClient::Local(platform.client())
-                };
+                // No socket: fall back to the in-process client so the load
+                // still runs.
+                let client = spec
+                    .rpc_addr
+                    .as_deref()
+                    .filter(|_| client_idx < spec.rpc_clients)
+                    .and_then(|addr| TropicClient::connect(addr).ok())
+                    .unwrap_or_else(|| platform.client());
 
                 let mut acked: Vec<(TxnId, Priority)> = Vec::new();
                 let mut errors: Vec<(Priority, u64)> = Vec::new();
@@ -1051,8 +1023,8 @@ pub fn run_chaos(
                         std::thread::sleep(target - now);
                     }
                     let request = spec.request_for(topo, &arrival.op, arrival.priority);
-                    match client.submit(request) {
-                        Ok(id) => acked.push((id, arrival.priority)),
+                    match client.submit_request(request) {
+                        Ok(h) => acked.push((h.id(), arrival.priority)),
                         Err(_) => errors.push((arrival.priority, 1)),
                     }
                 }
@@ -1069,7 +1041,7 @@ pub fn run_chaos(
                             break;
                         }
                         let slice = (drain_deadline - now).min(Duration::from_secs(2));
-                        match client.wait(id, slice) {
+                        match client.handle(id).wait_timeout(slice) {
                             Ok(outcome) => {
                                 resolved = Some(outcome);
                                 break;

@@ -1,6 +1,8 @@
-//! Quickstart: bring up a small TCloud on TROPIC and drive it through the
-//! typed client API — build a request, follow its handle, stream lifecycle
-//! events, batch-submit atomically, and watch a failure roll back cleanly.
+//! Quickstart: bring up a small TCloud on TROPIC and drive it through an
+//! in-process `TropicClient` — build a request, follow its handle, stream
+//! lifecycle events, batch-submit atomically, and watch a failure roll back
+//! cleanly. The same client type reaches a remote platform over a socket
+//! (`examples/remote_quickstart.rs`).
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -29,7 +31,7 @@ fn main() {
     let client = platform.client();
 
     // Stream lifecycle events while we work.
-    let events = client.subscribe();
+    let events = client.subscribe().expect("subscribe");
 
     // 1. Spawn a VM: one typed request, one ACID transaction over
     //    storage + compute devices. High priority, 60 s deadline, and an

@@ -6,7 +6,7 @@
 //! * `remote_quickstart serve <addr-file>` — start a platform, serve the
 //!   RPC frontend on an ephemeral loopback port, write the bound address
 //!   to `<addr-file>`, and run until a client asks for shutdown.
-//! * `remote_quickstart client <addr>` — connect a [`RemoteClient`] to a
+//! * `remote_quickstart client <addr>` — connect a [`TropicClient`] to a
 //!   serving process: submit a transaction, follow its handle, run the
 //!   operator plane (`repair` and `reload`), stream lifecycle events,
 //!   exercise the typed error taxonomy and the version-rejection policy,
@@ -21,7 +21,7 @@ use std::time::Duration;
 use tropic::coord::{write_frame, FrameReader};
 use tropic::core::rpc::{decode_response, RpcResponse};
 use tropic::core::{
-    ApiError, ExecMode, PlatformConfig, Priority, RemoteClient, Tropic, TxnRequest, TxnState,
+    ApiError, ExecMode, PlatformConfig, Priority, Tropic, TropicClient, TxnRequest, TxnState,
 };
 use tropic::devices::LatencyModel;
 use tropic::model::Path;
@@ -104,14 +104,14 @@ fn serve(addr_file: &str) {
 /// The client process: a genuinely separate OS process driving the
 /// platform purely through the socket.
 fn client(addr: &str) {
-    let remote = RemoteClient::connect(addr).expect("connect to server");
+    let remote = TropicClient::connect(addr).expect("connect to server");
     println!("client: connected to {addr}");
 
     // Stream lifecycle events on a dedicated connection while we work.
     let events = remote.subscribe().expect("subscribe");
 
-    // 1. One typed request over the wire: same builder, same handle
-    //    surface as the in-process API.
+    // 1. One typed request over the wire: the same client, builder and
+    //    handle as in-process — only the transport differs.
     println!("client: spawning web-1 remotely...");
     let handle = remote
         .submit_request(
@@ -158,14 +158,13 @@ fn client(addr: &str) {
     // 4. The operator plane over the wire: with the spawn committed the
     //    layers agree, so a whole-tree repair plans nothing and a reload
     //    of the spawn's host finds nothing drifted.
-    let admin = remote.admin();
-    let repair = admin
+    let repair = remote
         .repair(&Path::root(), Duration::from_secs(30))
         .expect("repair over socket");
     assert!(repair.ok && repair.actions == 0, "{}", repair.message);
     println!("client:   repair(/) -> {}", repair.message);
     let host0 = Path::parse("/vmRoot/host0").expect("static path");
-    let reload = admin
+    let reload = remote
         .reload(&host0, Duration::from_secs(30))
         .expect("reload over socket");
     assert!(reload.ok && reload.drifted == 0, "{}", reload.message);

@@ -30,9 +30,9 @@ fn main() {
         spec.service(),
         ExecMode::Physical(devices.registry.clone()),
     );
+    // One client submits work and runs the operator plane
+    // (repair/reload/signal).
     let client = platform.client();
-    // The operator plane (repair/reload/signal) is a separate client.
-    let admin = platform.admin();
 
     println!("provisioning three VMs...");
     for i in 0..3 {
@@ -52,7 +52,7 @@ fn main() {
     println!("\nscenario 1: host0 reboots out of band (all VMs power off)");
     let affected = devices.computes[0].oob_power_cycle();
     println!("  physically stopped: {affected:?}");
-    let result = admin
+    let result = client
         .repair(
             &Path::parse("/vmRoot/host0").unwrap(),
             Duration::from_secs(30),
@@ -71,7 +71,7 @@ fn main() {
     println!("\nscenario 2: an operator creates a rogue VM and deletes an image via the CLI");
     devices.computes[1].oob_create_vm("rogue", "app0-img", 512, true);
     devices.storages[0].oob_lose_image("app1-img");
-    let result = admin
+    let result = client
         .repair(&Path::root(), Duration::from_secs(30))
         .expect("repair");
     println!(
@@ -87,7 +87,7 @@ fn main() {
     // --- Scenario 3: adopting external state with reload. ---
     println!("\nscenario 3: adopting an externally-provisioned VM via reload");
     devices.computes[2].oob_create_vm("legacy", "legacy-img", 1_024, true);
-    let result = admin
+    let result = client
         .reload(
             &Path::parse("/vmRoot/host2").unwrap(),
             Duration::from_secs(30),
@@ -107,7 +107,7 @@ fn main() {
         .submit_request(TxnRequest::new("spawnVM").args(spec.spawn_args("stuck", 1, 2_048)))
         .expect("submit");
     std::thread::sleep(Duration::from_millis(300));
-    admin.signal(stuck.id(), Signal::Kill).expect("signal");
+    client.signal(stuck.id(), Signal::Kill).expect("signal");
     let o = stuck
         .wait_timeout(Duration::from_secs(30))
         .expect("outcome");
@@ -118,7 +118,7 @@ fn main() {
     );
     // The abandoned physical prefix (cloned/exported image) is drift now.
     std::thread::sleep(Duration::from_secs(3));
-    let result = admin
+    let result = client
         .repair(&Path::root(), Duration::from_secs(30))
         .expect("repair");
     println!(

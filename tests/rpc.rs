@@ -4,6 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -11,9 +12,11 @@ use proptest::prelude::*;
 use tropic::coord::{write_frame, FrameError, FrameReader, TempDir};
 use tropic::core::rpc::{decode_response, encode_request, RpcRequest, RpcResponse};
 use tropic::core::{
-    ApiError, ExecMode, PlatformConfig, Priority, RemoteClient, RemoteSubscription, RpcServer,
-    Tropic, TxnEvent, TxnRequest, TxnState,
+    ApiError, ExecMode, PlatformConfig, Priority, RpcServer, Subscription, Tropic, TropicClient,
+    TxnEvent, TxnRequest, TxnState,
 };
+use tropic::devices::LatencyModel;
+use tropic::model::Path;
 use tropic::tcloud::TopologySpec;
 
 fn spec() -> TopologySpec {
@@ -270,7 +273,7 @@ fn corrupt_crc_rejected_typed_then_closed() {
 fn remote_submit_wait_commits_and_records() {
     let (platform, server) = start();
     let spec = spec();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
 
     // The platform clock is wall time since start; give it a tick so the
     // probe can't legitimately answer 0 on a fast startup.
@@ -319,6 +322,129 @@ fn remote_submit_wait_commits_and_records() {
     platform.shutdown();
 }
 
+/// One client script: every observation it returns is free of ids, so
+/// runs over different transports compare equal.
+fn script(client: &TropicClient) -> Vec<String> {
+    static RUN: AtomicUsize = AtomicUsize::new(0);
+    let run = RUN.fetch_add(1, Ordering::SeqCst);
+    let spec = spec();
+    let spawn = |name: &str, host| {
+        TxnRequest::new("spawnVM").args(spec.spawn_args(&format!("{name}-{run}"), host, 256))
+    };
+    let events = client.subscribe().unwrap();
+    let mut seen = Vec::new();
+
+    let first = client.submit_request(spawn("parity", 0)).unwrap();
+    let outcome = first.wait().unwrap();
+    seen.push(format!("submit+wait: {:?}", outcome.state));
+
+    let batch = client
+        .submit_batch(vec![spawn("batch-a", 1), spawn("batch-b", 2)])
+        .unwrap();
+    let states: Vec<_> = batch.iter().map(|h| h.wait().unwrap().state).collect();
+    seen.push(format!("batch: {states:?}"));
+
+    let key = format!("parity-key-{run}");
+    let original = client
+        .submit_request(spawn("idem", 3).idempotency_key(key.clone()))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let again = client
+        .submit_request(spawn("idem", 3).idempotency_key(key))
+        .unwrap()
+        .wait()
+        .unwrap();
+    seen.push(format!(
+        "resubmit: {:?}, original id: {}",
+        again.state,
+        again.id == original.id
+    ));
+
+    while client.ping().unwrap() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let past = client.ping().unwrap() - 1;
+    let late = client
+        .submit_request(spawn("late", 0).deadline_at(past))
+        .unwrap();
+    let rejected = late.wait().unwrap();
+    let err = rejected.api_error().unwrap();
+    seen.push(format!(
+        "deadline: {:?} {:?}, typed and names the submission: {}, retryable: {}",
+        rejected.state,
+        rejected.abort_code,
+        err == ApiError::DeadlineExceeded { id: late.id() },
+        err.retryable()
+    ));
+
+    let polled = first.wait_timeout(Duration::ZERO).unwrap();
+    seen.push(format!("zero wait: {:?}", polled.state));
+
+    let record = client.txn_record(first.id()).unwrap().unwrap();
+    seen.push(format!(
+        "record: {} {:?}, logged: {}",
+        record.proc_name,
+        record.state,
+        !record.log.is_empty()
+    ));
+
+    seen.push(format!(
+        "signal: {:?}",
+        client.signal(first.id(), tropic::core::Signal::Term)
+    ));
+
+    let reload = client
+        .reload(&Path::root(), Duration::from_secs(30))
+        .unwrap();
+    seen.push(format!(
+        "reload: ok {}, drifted {}",
+        reload.ok, reload.drifted
+    ));
+
+    let ev = terminal_event(&events, first.id()).map(|ev| (ev.proc_name, ev.state));
+    seen.push(format!("event: {ev:?}"));
+    seen
+}
+
+/// The same script over the in-process transport and over the socket, on
+/// one platform with devices (so `reload` has something to read), observes
+/// the same things.
+#[test]
+fn one_client_script_agrees_over_both_transports() {
+    let devices = spec().build_devices(&LatencyModel::zero());
+    let platform = Tropic::start(
+        PlatformConfig {
+            controllers: 1,
+            workers: 1,
+            ..Default::default()
+        },
+        spec().service(),
+        ExecMode::Physical(devices.registry.clone()),
+    );
+    let server = platform.serve_rpc().expect("bind loopback");
+    let in_process = script(&platform.client());
+    let over_socket = script(&TropicClient::connect(server.addr()).unwrap());
+    assert_eq!(in_process, over_socket);
+    assert_eq!(
+        in_process,
+        [
+            "submit+wait: Committed",
+            "batch: [Committed, Committed]",
+            "resubmit: Committed, original id: true",
+            "deadline: Aborted Some(DeadlineExpired), typed and names the submission: true, retryable: false",
+            "zero wait: Committed",
+            "record: spawnVM Committed, logged: true",
+            "signal: Ok(())",
+            "reload: ok true, drifted 0",
+            "event: Some((\"spawnVM\", Committed))",
+        ]
+    );
+
+    server.stop();
+    platform.shutdown();
+}
+
 /// Sessions are state, not threads: each `Wait` runs on a transient thread
 /// with a coordination session of its own, and by the time its reply is in
 /// that session is gone — without having cost the ensemble a purge.
@@ -355,7 +481,7 @@ fn wait_rpcs_leave_no_session_and_no_purge_behind() {
     );
     let server = platform.serve_rpc().expect("bind loopback");
     let spec = spec();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
     let submit_and_wait = |request: TxnRequest| {
         let outcome = remote.submit_request(request).unwrap().wait().unwrap();
         assert_eq!(outcome.state, TxnState::Committed, "{:?}", outcome.error);
@@ -393,7 +519,7 @@ fn wait_rpcs_leave_no_session_and_no_purge_behind() {
 fn remote_batch_submit_lands_atomically() {
     let (platform, server) = start();
     let spec = spec();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
 
     let handles = remote
         .submit_batch(vec![
@@ -414,7 +540,7 @@ fn remote_batch_submit_lands_atomically() {
 }
 
 /// Blocks (bounded) for the terminal event of transaction `id`.
-fn terminal_event(events: &RemoteSubscription<TxnEvent>, id: u64) -> Option<TxnEvent> {
+fn terminal_event(events: &Subscription<TxnEvent>, id: u64) -> Option<TxnEvent> {
     let deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < deadline {
         match events.recv_timeout(Duration::from_millis(250)) {
@@ -429,7 +555,7 @@ fn terminal_event(events: &RemoteSubscription<TxnEvent>, id: u64) -> Option<TxnE
 fn remote_subscription_delivers_terminal_event() {
     let (platform, server) = start();
     let spec = spec();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
     let events = remote.subscribe().unwrap();
 
     let handle = remote
@@ -467,7 +593,7 @@ fn remote_subscription_delivers_terminal_event() {
 #[test]
 fn remote_error_taxonomy_preserves_retryable_partition() {
     let (platform, server) = start();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
 
     // A wait on a transaction that never existed times out server-side;
     // the typed error crosses the wire still marked retryable.
@@ -498,7 +624,7 @@ fn remote_error_taxonomy_preserves_retryable_partition() {
 fn remote_signal_rides_the_admin_plane() {
     let (platform, server) = start();
     let spec = spec();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
 
     let handle = remote
         .submit_request(TxnRequest::new("spawnVM").args(spec.spawn_args("sig-vm", 0, 512)))
@@ -506,7 +632,6 @@ fn remote_signal_rides_the_admin_plane() {
     // The transaction may already be done; the signal enqueue must still
     // succeed — delivery is the controller's concern.
     remote
-        .admin()
         .signal(handle.id(), tropic::core::Signal::Term)
         .unwrap();
     let _ = handle.wait_timeout(Duration::from_secs(30));
@@ -525,7 +650,7 @@ fn eight_concurrent_remote_clients_idempotent_resubmits_converge() {
     for t in 0..8 {
         let args = spec.spawn_args("contended-vm", 1, 2_048);
         threads.push(std::thread::spawn(move || {
-            let remote = RemoteClient::connect(addr).expect("connect");
+            let remote = TropicClient::connect(addr).expect("connect");
             let mut ids = Vec::new();
             for round in 0..3 {
                 let handle = remote
@@ -567,7 +692,7 @@ fn eight_concurrent_remote_clients_idempotent_resubmits_converge() {
 #[test]
 fn shutdown_request_sets_the_flag_but_keeps_serving() {
     let (platform, server) = start();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
 
     assert!(!server.shutdown_requested());
     remote.shutdown_server().unwrap();
@@ -606,7 +731,7 @@ fn thousand_idle_subscriptions_served_by_one_reactor() {
 
     // The request path stays interactive with 1 000 streams attached to
     // the same event loop.
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
     remote.ping().unwrap();
 
     let spec = spec();
@@ -682,7 +807,7 @@ fn corrupt_frame_closes_only_its_own_connection() {
 #[test]
 fn subscription_close_reason_distinguishes_shutdown() {
     let (platform, server) = start();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
     let events = remote.subscribe().unwrap();
     assert!(events.close_reason().is_none(), "no reason while live");
 
@@ -704,7 +829,7 @@ fn subscription_close_reason_distinguishes_shutdown() {
 fn event_stream_survives_any_single_replica_crash() {
     let (platform, server) = start();
     let spec = spec();
-    let remote = RemoteClient::connect(server.addr()).unwrap();
+    let remote = TropicClient::connect(server.addr()).unwrap();
     let events = remote.subscribe().unwrap();
 
     for replica in 0..3 {

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use tropic::core::{
-    ExecMode, PlatformConfig, RemoteClient, Tropic, TwinConfig, TwinEvent, TwinPhase, TxnState,
+    ExecMode, PlatformConfig, Tropic, TropicClient, TwinConfig, TwinEvent, TwinPhase, TxnState,
 };
 use tropic::devices::{Device, LatencyModel, VmPower};
 use tropic::model::Path;
@@ -103,15 +103,15 @@ fn has_phase_subsequence(events: &[TwinEvent], path: &str, phases: &[TwinPhase])
 
 /// The acceptance drill: a scripted host reboot drifts the physical layer,
 /// the reconciler detects it without operator action, pushes a corrective
-/// transaction through the normal lanes, and a `RemoteSubscription` client
-/// on the RPC socket observes the full `Drifted → Reconciling → Converged`
+/// transaction through the normal lanes, and a socket client's twin
+/// subscription observes the full `Drifted → Reconciling → Converged`
 /// sequence.
 #[test]
 fn reconciler_heals_host_reboot_and_streams_the_episode_over_rpc() {
     let spec = small_topo();
     let (platform, devices) = start_twin(&spec, fast_twin());
     let rpc = platform.serve_rpc().expect("rpc frontend");
-    let remote = RemoteClient::connect(rpc.addr()).expect("connect");
+    let remote = TropicClient::connect(rpc.addr()).expect("connect");
     let twin_sub = remote.subscribe_twin().expect("twin subscription");
 
     spawn_vms(&platform, &spec, 0, &["t0", "t1", "t2"]);
@@ -183,7 +183,7 @@ fn waker_escalates_to_degraded_then_converges_after_faults_clear() {
         ..fast_twin()
     };
     let (platform, devices) = start_twin(&spec, twin);
-    let feed = platform.subscribe_twin();
+    let feed = platform.client().subscribe_twin().unwrap();
     spawn_vms(&platform, &spec, 0, &["w0"]);
     std::thread::sleep(Duration::from_millis(300));
 
@@ -229,7 +229,7 @@ fn waker_escalates_to_degraded_then_converges_after_faults_clear() {
     platform.shutdown();
 }
 
-/// `AdminClient::reload` reports how many paths had drifted before it
+/// `TropicClient::reload` reports how many paths had drifted before it
 /// absorbed the physical state into the logical layer.
 #[test]
 fn reload_reports_drifted_path_count() {
