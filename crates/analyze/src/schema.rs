@@ -2,7 +2,7 @@
 //! `WIRE_SCHEMAS.lock`.
 //!
 //! A registry names the types and constants that define the repo's
-//! three serialized formats. For each, the analyzer extracts a
+//! four serialized formats. For each, the analyzer extracts a
 //! normalized fingerprint — field/variant lines with their serde
 //! attributes, or a constant's value — and compares it to the lock
 //! file. Any mismatch fails the check; the diagnostic says whether the
@@ -15,6 +15,9 @@
 //!   additive too); anything else requires a `WIRE_VERSION` bump.
 //! - `wal` (binary log records): any drift requires a `FORMAT_VERSION`
 //!   bump — there is no additive escape hatch for a positional codec.
+//! - `store` (binary store payloads: records, queue items, tasks,
+//!   granules): the same positional policy, anchored by
+//!   `STORE_FORMAT_VERSION`.
 //! - `snapshot` (snapshot file header): the magic constant *is*
 //!   the version, so a change is self-anchoring but must still be
 //!   blessed so the lock-file diff is visible in review.
@@ -32,6 +35,8 @@ pub enum Family {
     Wire,
     /// Binary WAL record codec (anchor: `FORMAT_VERSION`).
     Wal,
+    /// Binary store payload codec (anchor: `STORE_FORMAT_VERSION`).
+    Store,
     /// Snapshot file header (a self-anchored magic constant).
     Snapshot,
 }
@@ -41,6 +46,7 @@ impl Family {
         match self {
             Family::Wire => "wire",
             Family::Wal => "wal",
+            Family::Store => "store",
             Family::Snapshot => "snapshot",
         }
     }
@@ -113,25 +119,23 @@ impl Registry {
     /// in a serialized format.
     pub fn repo() -> Registry {
         use EntryKind::{Anchor, Const, Type};
-        use Family::{Snapshot, Wal, Wire};
+        use Family::{Snapshot, Store, Wal, Wire};
         let msg = "crates/core/src/msg.rs";
         let rpc = "crates/core/src/rpc.rs";
         let api = "crates/core/src/api.rs";
         let txn = "crates/core/src/txn.rs";
         let twin = "crates/core/src/twin.rs";
         let physical = "crates/core/src/physical.rs";
+        let locks = "crates/core/src/locks.rs";
+        let store_codec = "crates/core/src/codec.rs";
+        let node = "crates/model/src/node.rs";
+        let value = "crates/model/src/value.rs";
         let report = "crates/devices/src/report.rs";
         let codec = "crates/coord/src/codec.rs";
         let store = "crates/coord/src/store.rs";
         let snap = "crates/coord/src/snapshot.rs";
         let mut entries = vec![e(Wire, msg, Anchor, "WIRE_VERSION")];
-        for name in [
-            "Envelope",
-            "InputMsg",
-            "PhyTask",
-            "AdminResult",
-            "WireError",
-        ] {
+        for name in ["AdminResult", "WireError"] {
             entries.push(e(Wire, msg, Type, name));
         }
         for name in ["RpcRequest", "RpcResponse"] {
@@ -140,16 +144,39 @@ impl Registry {
         for name in ["TxnRequest", "ApiError"] {
             entries.push(e(Wire, api, Type, name));
         }
+        // `RpcResponse::Record` carries a record as JSON; an operator
+        // episode is stored durably in its record's labels.
         for name in ["LogRecord", "TxnRecord"] {
             entries.push(e(Wire, txn, Type, name));
         }
-        // Worker results travel inside `InputMsg::Result`; an operator
-        // episode is stored durably in its record's labels.
-        entries.push(e(Wire, physical, Type, "PhysicalOutcome"));
         for name in ["TwinEvent", "RepairEpisode"] {
             entries.push(e(Wire, twin, Type, name));
         }
         entries.push(e(Wire, report, Type, "StateReport"));
+        // Every type the store codec lays out, and its kind tags.
+        entries.push(e(Store, store_codec, Anchor, "STORE_FORMAT_VERSION"));
+        for name in [
+            "TAG_RECORD",
+            "TAG_ALIAS",
+            "TAG_INPUT",
+            "TAG_TASK",
+            "TAG_GRANULE",
+        ] {
+            entries.push(e(Store, store_codec, Const, name));
+        }
+        for name in ["TxnRecord", "TxnAlias", "TxnState", "LogRecord"] {
+            entries.push(e(Store, txn, Type, name));
+        }
+        for name in ["InputMsg", "PhyTask", "Signal"] {
+            entries.push(e(Store, msg, Type, name));
+        }
+        entries.push(e(Store, physical, Type, "PhysicalOutcome"));
+        for name in ["Priority", "AbortCode"] {
+            entries.push(e(Store, api, Type, name));
+        }
+        entries.push(e(Store, locks, Type, "LockMode"));
+        entries.push(e(Store, node, Type, "Node"));
+        entries.push(e(Store, value, Type, "Value"));
         entries.push(e(Wal, codec, Anchor, "FORMAT_VERSION"));
         entries.push(e(Wal, store, Type, "Op"));
         for name in [
@@ -584,7 +611,7 @@ pub fn compare(current: &Fingerprints, lock_text: Option<&str>, findings: &mut V
                 let bumped = anchor_bumped(current, &locked, family);
                 let legal = match family {
                     "wire" => bumped || is_additive(then, now),
-                    "wal" => bumped,
+                    "wal" | "store" => bumped,
                     // Snapshot magic constants are self-anchoring.
                     "snapshot" => true,
                     _ => false,
@@ -604,8 +631,12 @@ pub fn compare(current: &Fingerprints, lock_text: Option<&str>, findings: &mut V
                         "`{key}` drifted without a WIRE_VERSION bump; add #[serde(default)] to new fields or bump WIRE_VERSION, then run `tropic-analyze --bless`"
                     )
                 } else {
+                    let anchor = match family {
+                        "store" => "STORE_FORMAT_VERSION",
+                        _ => "FORMAT_VERSION",
+                    };
                     format!(
-                        "`{key}` drifted without a FORMAT_VERSION bump; bump the codec version, then run `tropic-analyze --bless`"
+                        "`{key}` drifted without a {anchor} bump; bump the codec version, then run `tropic-analyze --bless`"
                     )
                 };
                 findings.push(Finding {
@@ -649,7 +680,7 @@ pub fn illegal_drifts(current: &Fingerprints, lock_text: Option<&str>) -> Vec<St
             let legal = key.starts_with("anchor ")
                 || match family {
                     "wire" => bumped || is_additive(then, now),
-                    "wal" => bumped,
+                    "wal" | "store" => bumped,
                     "snapshot" => true,
                     _ => false,
                 };
@@ -745,6 +776,52 @@ mod tests {
         compare(&now, Some(&lock), &mut f);
         // Still findings (lock must be re-blessed), but marked legal.
         assert!(f.iter().all(|x| x.message.contains("bless")));
+    }
+
+    fn store_reg() -> Registry {
+        Registry {
+            entries: vec![
+                e(
+                    Family::Store,
+                    "c.rs",
+                    EntryKind::Anchor,
+                    "STORE_FORMAT_VERSION",
+                ),
+                e(Family::Store, "c.rs", EntryKind::Type, "PhyTask"),
+            ],
+        }
+    }
+
+    const STORE_BASE: &str = "pub const STORE_FORMAT_VERSION: u8 = 1;\n\
+        pub struct PhyTask { pub id: TxnId }";
+
+    #[test]
+    fn store_field_added_without_bump_is_illegal() {
+        let (old, _) = fp_of(STORE_BASE, "c.rs", &store_reg());
+        let lock = render_lock(&old);
+        // A positional layout has no additive escape hatch: a defaulted
+        // field is still a new field every old reader mis-reads.
+        let changed = STORE_BASE.replace(
+            "pub id: TxnId }",
+            "pub id: TxnId, #[serde(default)] pub attempt: u32 }",
+        );
+        let (now, _) = fp_of(&changed, "c.rs", &store_reg());
+        let mut f = Vec::new();
+        compare(&now, Some(&lock), &mut f);
+        assert_eq!(f.len(), 1);
+        assert!(
+            f[0].message.contains("without a STORE_FORMAT_VERSION bump"),
+            "{}",
+            f[0].message
+        );
+        assert_eq!(
+            illegal_drifts(&now, Some(&lock)),
+            ["type store c.rs::PhyTask"]
+        );
+
+        let bumped = changed.replace("u8 = 1", "u8 = 2");
+        let (now, _) = fp_of(&bumped, "c.rs", &store_reg());
+        assert!(illegal_drifts(&now, Some(&lock)).is_empty());
     }
 
     #[test]

@@ -47,18 +47,27 @@ static CRC_TABLE: [u32; 256] = make_crc_table();
 pub struct Crc32(u32);
 
 impl Crc32 {
+    /// A checksum over no bytes yet.
     pub fn new() -> Self {
         Crc32(0xFFFF_FFFF)
     }
 
+    /// Feeds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
         for &b in data {
             self.0 = CRC_TABLE[((self.0 ^ u32::from(b)) & 0xFF) as usize] ^ (self.0 >> 8);
         }
     }
 
+    /// The checksum of everything fed so far.
     pub fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -77,6 +86,7 @@ pub struct CrcWriter<W> {
 }
 
 impl<W: Write> CrcWriter<W> {
+    /// Wraps `inner`, starting from an empty checksum and count.
     pub fn new(inner: W) -> Self {
         CrcWriter {
             inner,
@@ -105,27 +115,33 @@ impl<W: Write> Write for CrcWriter<W> {
     }
 }
 
+/// Writes one byte.
 pub fn put_u8<W: Write>(out: &mut W, v: u8) -> io::Result<()> {
     out.write_all(&[v])
 }
 
+/// Writes a little-endian u32.
 pub fn put_u32<W: Write>(out: &mut W, v: u32) -> io::Result<()> {
     out.write_all(&v.to_le_bytes())
 }
 
+/// Writes a little-endian u64.
 pub fn put_u64<W: Write>(out: &mut W, v: u64) -> io::Result<()> {
     out.write_all(&v.to_le_bytes())
 }
 
+/// Writes a u32 length prefix, then the bytes.
 pub fn put_bytes<W: Write>(out: &mut W, b: &[u8]) -> io::Result<()> {
     put_u32(out, b.len() as u32)?;
     out.write_all(b)
 }
 
+/// Writes a string as length-prefixed UTF-8.
 pub fn put_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
     put_bytes(out, s.as_bytes())
 }
 
+/// Writes `0` for `None`, or `1` and the value.
 pub fn put_opt_u64<W: Write>(out: &mut W, v: Option<u64>) -> io::Result<()> {
     match v {
         Some(x) => {
@@ -136,8 +152,26 @@ pub fn put_opt_u64<W: Write>(out: &mut W, v: Option<u64>) -> io::Result<()> {
     }
 }
 
+/// Writes a bool as one byte, `0` or `1`.
 pub fn put_bool<W: Write>(out: &mut W, v: bool) -> io::Result<()> {
     put_u8(out, u8::from(v))
+}
+
+/// Writes an unsigned LEB128 varint: seven bits a byte, low bits first,
+/// the top bit set on every byte but the last. Small numbers — lengths,
+/// counts, ids — take one to three bytes instead of eight.
+pub fn put_varint<W: Write>(out: &mut W, mut v: u64) -> io::Result<()> {
+    while v >= 0x80 {
+        out.write_all(&[(v & 0x7F) as u8 | 0x80])?;
+        v >>= 7;
+    }
+    out.write_all(&[v as u8])
+}
+
+/// Writes a string as a varint length and its UTF-8 bytes.
+pub fn put_varint_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    put_varint(out, s.len() as u64)?;
+    out.write_all(s.as_bytes())
 }
 
 /// Reads a little-endian u32 at `pos`, or `None` past the end.
@@ -153,10 +187,12 @@ pub struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// A reader at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
+    /// Whether every byte has been read.
     pub fn is_done(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -170,31 +206,66 @@ impl<'a> Cursor<'a> {
         Some(slice)
     }
 
+    /// Reads one byte.
     pub fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|b| b[0])
     }
 
+    /// Reads a little-endian u32.
     pub fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .and_then(|b| b.try_into().ok())
             .map(u32::from_le_bytes)
     }
 
+    /// Reads a little-endian u64.
     pub fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .and_then(|b| b.try_into().ok())
             .map(u64::from_le_bytes)
     }
 
+    /// Reads what [`put_varint`] wrote. A number past 64 bits, or spelled
+    /// longer than [`put_varint`] spells it, reads nothing, so every
+    /// number has exactly one encoding.
+    pub fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7F);
+            // A zero last byte after the first pads a shorter number; the
+            // tenth byte carries only bit 63.
+            if (shift > 0 && byte == 0) || (shift == 63 && byte > 1) {
+                return None;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Reads what [`put_varint_str`] wrote; a length past the end reads
+    /// nothing.
+    pub fn varint_str(&mut self) -> Option<&'a str> {
+        let n = usize::try_from(self.varint()?).ok()?;
+        std::str::from_utf8(self.take(n)?).ok()
+    }
+
+    /// Reads a u32 length prefix and borrows that many bytes; a length
+    /// past the end reads nothing.
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
     }
 
+    /// Reads length-prefixed bytes that must be UTF-8.
     pub fn str(&mut self) -> Option<&'a str> {
         std::str::from_utf8(self.bytes()?).ok()
     }
 
+    /// Reads what [`put_opt_u64`] wrote.
     pub fn opt_u64(&mut self) -> Option<Option<u64>> {
         match self.u8()? {
             0 => Some(None),
@@ -203,6 +274,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads a `0` or `1` byte.
     pub fn bool(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
@@ -218,6 +290,7 @@ const TAG_DELETE: u8 = 3;
 const TAG_PURGE: u8 = 4;
 const TAG_MULTI: u8 = 5;
 
+/// Writes one WAL op, nested multis included.
 pub fn encode_op<W: Write>(op: &Op, out: &mut W) -> io::Result<()> {
     match op {
         Op::Create {
@@ -265,6 +338,7 @@ pub fn encode_op<W: Write>(op: &Op, out: &mut W) -> io::Result<()> {
     }
 }
 
+/// Reads one WAL op; `None` on truncated or invalid bytes.
 pub fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
     match cur.u8()? {
         TAG_CREATE => Some(Op::Create {
@@ -296,5 +370,44 @@ pub fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
             Some(Op::Multi { ops })
         }
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn varints_roundtrip_and_have_one_spelling() {
+        for v in [
+            0,
+            1,
+            0x7F,
+            0x80,
+            0x3FFF,
+            0x4000,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v).unwrap();
+            let mut cur = Cursor::new(&out);
+            assert_eq!(cur.varint(), Some(v));
+            assert!(cur.is_done());
+        }
+        assert_eq!(Cursor::new(&[0x80, 0x01]).varint(), Some(128));
+        for padded in [
+            &[0x80, 0x00][..],
+            &[0xFF; 10],
+            &[0x80; 9],
+            &[0xFF, 0xFF, 0xFF],
+        ] {
+            assert_eq!(Cursor::new(padded).varint(), None, "{padded:?}");
+        }
+        let mut out = Vec::new();
+        put_varint_str(&mut out, "vmRoot").unwrap();
+        assert_eq!(out.len(), 7);
+        assert_eq!(Cursor::new(&out).varint_str(), Some("vmRoot"));
+        assert_eq!(Cursor::new(&out[..6]).varint_str(), None);
     }
 }

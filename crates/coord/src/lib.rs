@@ -34,7 +34,7 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
-pub(crate) mod codec;
+pub mod codec;
 pub mod election;
 pub mod ensemble;
 pub mod error;

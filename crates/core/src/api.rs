@@ -10,8 +10,8 @@
 //! * [`ApiError`] — the structured error taxonomy, partitioned into
 //!   retryable and permanent failures.
 //!
-//! Requests travel to the controller in the versioned wire envelope of
-//! [`crate::msg::Envelope`].
+//! Requests travel to the controller as binary `inputQ` messages
+//! ([`crate::codec`]).
 
 #![warn(missing_docs)]
 

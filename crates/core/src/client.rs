@@ -35,11 +35,12 @@ use tropic_coord::{
 use tropic_model::{Path, SharedClock};
 
 use crate::api::{outcome_of, ApiError, Priority, TxnEvent, TxnRequest};
+use crate::codec::{decode_record_node, read_record, RecordNode};
 use crate::msg::{encode_input, layout, AdminResult, InputMsg, Signal};
 use crate::platform::PlatformShared;
 use crate::rpc::{decode_response, encode_request, transport, RpcRequest, RpcResponse};
 use crate::twin::TwinEvent;
-use crate::txn::{TxnAlias, TxnId, TxnOutcome, TxnRecord, TxnState};
+use crate::txn::{TxnId, TxnOutcome, TxnRecord, TxnState};
 
 /// Response bound for calls the server answers without blocking.
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
@@ -484,9 +485,9 @@ fn scan_records(
         if last_seen.get(&id).map(TxnState::is_final).unwrap_or(false) {
             continue;
         }
-        // Alias nodes parse as `None` here and are skipped: the original
+        // Alias nodes read as `None` here and are skipped: the original
         // transaction's own record produces the events.
-        let Some(rec) = client.get_json::<TxnRecord>(&layout::txn(id))? else {
+        let Some(rec) = read_record(client, id)? else {
             continue;
         };
         let changed = last_seen.get(&id) != Some(&rec.state);
@@ -580,7 +581,7 @@ impl Local {
                 RpcResponse::Outcome(Some(outcome))
             }
             RpcRequest::Record { id } => {
-                RpcResponse::Record(self.session.get_json(&layout::txn(id))?.map(Box::new))
+                RpcResponse::Record(read_record(&self.session, id)?.map(Box::new))
             }
             RpcRequest::Repair { scope, timeout_ms } => {
                 RpcResponse::Admin(self.admin(scope, true, timeout_ms, stop)?)
@@ -645,11 +646,11 @@ impl Local {
         let Some((data, _)) = self.session.get_data(&layout::txn(id))? else {
             return Ok((id, None));
         };
-        if let Ok(rec) = serde_json::from_slice::<TxnRecord>(&data) {
-            return Ok((id, rec.state.is_final().then(|| outcome_of(id, &rec))));
-        }
-        match serde_json::from_slice::<TxnAlias>(&data) {
-            Ok(alias) if follow => self.read_outcome(alias.alias_of, false),
+        match decode_record_node(&data) {
+            Ok(RecordNode::Record(rec)) => {
+                Ok((id, rec.state.is_final().then(|| outcome_of(id, &rec))))
+            }
+            Ok(RecordNode::Alias(alias)) if follow => self.read_outcome(alias.alias_of, false),
             _ => Ok((id, None)),
         }
     }

@@ -52,6 +52,10 @@ use tropic_devices::{ActionCall, StateReport};
 
 use crate::actions::{ActionDef, ActionRegistry};
 use crate::api::{AbortCode, Priority};
+use crate::codec::{
+    decode_granule, decode_record_node, encode_alias, encode_granule, encode_record, encode_task,
+    RecordNode,
+};
 use crate::config::{ServiceDefinition, TwinConfig};
 use crate::error::PlatformError;
 use crate::locks::LockManager;
@@ -311,15 +315,15 @@ impl<'a> Controller<'a> {
                 .schemas
                 .validate(&self.tree)
                 .map_err(|e| PlatformError::Admin(format!("initial tree invalid: {e}")))?;
-            self.put_granule(&Path::root())?;
+            self.put_granule(&Path::root());
             self.flush_round()?;
         } else {
             self.tree = Tree::new();
             for object in &self.granules {
                 let znode = layout::granule(object);
                 let corrupt = || PlatformError::Coord(format!("corrupt granule {znode}"));
-                let subtree = self.client.get_json::<Option<Node>>(&znode)?;
-                match subtree.ok_or_else(corrupt)? {
+                let data = self.client.get_data(&znode)?.ok_or_else(corrupt)?.0;
+                match decode_granule(&data).map_err(|_| corrupt())? {
                     Some(node) if self.tree.exists(object) => drop(self.tree.replace(object, node)),
                     Some(node) => self.tree.insert(object, node).map_err(|_| corrupt())?,
                     // Removed, or never there (a failed create logs it too).
@@ -346,14 +350,15 @@ impl<'a> Controller<'a> {
         let names = self.client.get_children(&layout::txns())?;
         let (mut loaded, mut aliases) = (Vec::new(), Vec::new());
         for name in &names {
-            let path = layout::txns().join(name);
-            if let Some(rec) = self.client.get_json::<TxnRecord>(&path)? {
-                loaded.push(rec);
-            } else if let (Ok(alias_id), Some(alias)) = (
-                name.parse::<TxnId>(),
-                self.client.get_json::<TxnAlias>(&path)?,
-            ) {
-                aliases.push((alias_id, alias.alias_of));
+            let Some((data, _)) = self.client.get_data(&layout::txns().join(name))? else {
+                continue;
+            };
+            match (decode_record_node(&data), name.parse::<TxnId>()) {
+                (Ok(RecordNode::Record(rec)), _) => loaded.push(*rec),
+                (Ok(RecordNode::Alias(alias)), Ok(alias_id)) => {
+                    aliases.push((alias_id, alias.alias_of));
+                }
+                _ => {}
             }
         }
 
@@ -545,12 +550,12 @@ impl<'a> Controller<'a> {
             // Dedup: a redirect at this id's record path resolves the
             // submitter's handle to the original transaction's outcome.
             self.metrics.record_idempotent_hit();
-            let alias = encode("alias", &TxnAlias { alias_of: original })?;
+            let alias = encode_alias(&TxnAlias { alias_of: original });
             self.batch.put(layout::txn(id), alias, false);
             return Ok(());
         }
         rec.state = TxnState::Accepted;
-        self.persist_record(&rec, false)?;
+        self.persist_record(&rec, false);
         let now = self.clock.now_ms();
         if let Some(deadline) = rec.deadline_ms.filter(|&d| now > d) {
             // Expired before admission: abort without ever scheduling.
@@ -744,10 +749,10 @@ impl<'a> Controller<'a> {
                     rec.lsn = Some(self.next_lsn);
                     self.next_lsn += 1;
                     rec.locks = self.locks.locks_of(id);
-                    self.persist_record(&rec, true)?;
+                    self.persist_record(&rec, true);
                     self.records.insert(id, rec);
                     self.running.insert(id, self.clock.now_ms());
-                    let task = encode("phyQ task", &PhyTask { id })?;
+                    let task = encode_task(&PhyTask { id });
                     let q = DistributedQueue::bind(self.client, layout::phy_q());
                     // The task becomes visible to workers atomically with
                     // the Started record at the round flush.
@@ -790,13 +795,13 @@ impl<'a> Controller<'a> {
         (rec.state, rec.error, rec.abort_code) = (state, error, abort_code);
         rec.finished_ms = Some(now);
         self.retention.finalize(&mut rec, now);
-        self.persist_record(&rec, true)?;
+        self.persist_record(&rec, true);
         // A twin repair's log is physical only: the tree never changed.
         let logged = rec.log.iter().filter(|_| rec.proc_name != TWIN_REPAIR_PROC);
         let objects: BTreeSet<&Path> = logged.map(|r| &r.object).collect();
         for object in &objects {
             if !objects.iter().any(|a| a.is_ancestor_of(object)) {
-                self.put_granule(object)?;
+                self.put_granule(object);
             }
         }
         self.locks.release_all(id);
@@ -1139,16 +1144,15 @@ impl<'a> Controller<'a> {
 
     /// Buffers `rec`'s write: a create in the round that admits it
     /// (`exists` false), a set in every later one.
-    fn persist_record(&mut self, rec: &TxnRecord, exists: bool) -> Result<(), PlatformError> {
-        let data = encode("record", rec)?;
-        self.batch.put(layout::txn(rec.id), data, exists);
-        Ok(())
+    fn persist_record(&mut self, rec: &TxnRecord, exists: bool) {
+        self.batch
+            .put(layout::txn(rec.id), encode_record(rec), exists);
     }
 
     /// Buffers `object`'s granule: its subtree as the tree holds it now
     /// (`None` once removed), replacing the granules strictly below it.
-    fn put_granule(&mut self, object: &Path) -> Result<(), PlatformError> {
-        let data = encode("granule", &self.tree.get(object))?;
+    fn put_granule(&mut self, object: &Path) {
+        let data = encode_granule(self.tree.get(object));
         let after = (Bound::Excluded(object), Bound::Unbounded);
         let below = (self.granules.range(after))
             .take_while(|p| object.is_ancestor_of(p))
@@ -1160,7 +1164,6 @@ impl<'a> Controller<'a> {
         }
         let exists = !self.granules.insert(object.clone());
         self.batch.put(layout::granule(object), data, exists);
-        Ok(())
     }
 
     /// Answers the operator waiting on `episode`, with what it has counted
@@ -1214,13 +1217,6 @@ impl<'a> Controller<'a> {
     }
 }
 
-/// Encodes a store payload. A value that cannot encode fail-stops the
-/// leader the way a failed flush does.
-fn encode<T: serde::Serialize>(what: &str, value: &T) -> Result<Vec<u8>, PlatformError> {
-    serde_json::to_vec(value)
-        .map_err(|e| PlatformError::Coord(format!("cannot encode {what}: {e}")))
-}
-
 /// Registers what the controller itself relies on. Its own procedures each
 /// W-lock the scope their first argument names: a repair attempt also logs
 /// the `__reconcile` step its worker plans from, while a reload logs
@@ -1260,6 +1256,7 @@ fn register_builtins(actions: &mut ActionRegistry, procs: &mut ProcRegistry) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::codec::{decode_task, read_record};
     use crate::msg::encode_input;
     use crate::physical::{execute_record, ExecMode};
 
@@ -1322,8 +1319,8 @@ pub(crate) mod tests {
     pub(crate) fn claim(client: &CoordClient) -> TxnRecord {
         let phy_q = DistributedQueue::bind(client, layout::phy_q());
         let (_, task) = phy_q.try_dequeue_batch(1).unwrap().remove(0);
-        let id = serde_json::from_slice::<PhyTask>(&task).unwrap().id;
-        client.get_json(&layout::txn(id)).unwrap().unwrap()
+        let id = decode_task(&task).unwrap().id;
+        read_record(client, id).unwrap().unwrap()
     }
 
     /// The commit path's shape, pinned: whatever a round decides reaches
@@ -1751,6 +1748,12 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// The subtree `object`'s granule holds.
+    fn granule(client: &CoordClient, object: &Path) -> Option<Node> {
+        let (data, _) = client.get_data(&layout::granule(object)).unwrap().unwrap();
+        decode_granule(&data).unwrap()
+    }
+
     /// Each finalize writes its object's subtree beside the record; a
     /// granule replaces the ones below it, and a successor assembles the
     /// tree from granules alone — every record collected.
@@ -1770,8 +1773,7 @@ pub(crate) mod tests {
         // inputQ removal + the committed record + the child's granule.
         assert_eq!(step_cost(&coord, &mut leader), (1, 0, 3));
         assert_eq!(granules(&client), [Path::root(), child.clone()]);
-        let granule: Option<Node> = client.get_json(&layout::granule(&child)).unwrap().unwrap();
-        assert_eq!(granule.as_ref(), leader.tree().get(&child));
+        assert_eq!(granule(&client, &child).as_ref(), leader.tree().get(&child));
 
         submit_set(&client, 2, &host, 9);
         leader.step().unwrap();
@@ -1808,8 +1810,8 @@ pub(crate) mod tests {
         send(&client, InputMsg::Signal { id: 1, signal });
         leader.step().unwrap();
         assert!(leader.tree().is_inconsistent(&host));
-        let granule: Option<Node> = client.get_json(&layout::granule(&host)).unwrap().unwrap();
-        assert!(granule.unwrap().is_inconsistent(), "the KILL's granule");
+        let killed = granule(&client, &host).unwrap();
+        assert!(killed.is_inconsistent(), "the KILL's granule");
 
         let (scope, admin_id) = (host.clone(), 1);
         send(&client, InputMsg::Repair { scope, admin_id });
@@ -1834,7 +1836,7 @@ pub(crate) mod tests {
         successor.step().unwrap();
         commit(&client, 2);
         successor.step().unwrap();
-        let rec: TxnRecord = client.get_json(&layout::txn(2)).unwrap().unwrap();
+        let rec = read_record(&client, 2).unwrap().unwrap();
         assert_eq!(rec.state, TxnState::Committed, "{:?}", rec.error);
         assert_eq!(successor.tree().attr(&host, "v"), Some(&Value::from(2i64)));
     }

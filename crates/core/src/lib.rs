@@ -30,6 +30,7 @@
 pub mod actions;
 pub mod api;
 pub mod client;
+pub mod codec;
 pub mod config;
 pub mod controller;
 pub mod error;
@@ -57,8 +58,8 @@ pub use error::{PlatformError, ProcError};
 pub use locks::{with_intentions, LockConflict, LockManager, LockMode, LockRequest};
 pub use logical::{rollback_logical, simulate, LogicalOutcome};
 pub use msg::{
-    decode_input, encode_input, layout, AdminResult, Envelope, InputMsg, PhyTask, Signal,
-    WireError, WIRE_VERSION,
+    decode_input, encode_input, layout, AdminResult, InputMsg, PhyTask, Signal, WireError,
+    WIRE_VERSION,
 };
 pub use physical::{execute_physical, ExecMode, PhysicalOutcome};
 pub use platform::Tropic;

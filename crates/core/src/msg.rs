@@ -7,16 +7,19 @@
 //!
 //! ## Wire versioning
 //!
-//! Every queued message is wrapped in a versioned [`Envelope`]
-//! (`{"v": 1, "msg": ...}`); bytes without a version field are
-//! [`WireError::Malformed`]. The policy is:
+//! Queued messages are binary, laid out by [`crate::codec`]: a kind tag,
+//! the store format version, then the message's fields in declaration
+//! order. [`decode_input`] checks the version before the payload and
+//! rejects any version it does not read with
+//! [`WireError::UnsupportedVersion`]; bytes that do not decode are
+//! [`WireError::Malformed`]. The layout is positional, so any change to
+//! [`InputMsg`] or a type it carries bumps
+//! [`crate::codec::STORE_FORMAT_VERSION`]. JSON messages an earlier
+//! build queued (`{"v": 1, "msg": ...}`) still decode.
 //!
-//! * **Additive change** (new optional field, new variant): keep `v` as is.
-//!   New fields carry `#[serde(default)]`, and decoders ignore unknown
-//!   fields, so old and new builds interoperate in both directions.
-//! * **Breaking change** (field removed or re-interpreted): bump
-//!   [`WIRE_VERSION`]. A decoder rejects envelopes newer than itself with
-//!   [`WireError::UnsupportedVersion`] rather than mis-reading them.
+//! The RPC frames stay versioned JSON ([`crate::rpc`]) under
+//! [`WIRE_VERSION`]: an additive change (a new `#[serde(default)]` field,
+//! a new variant) keeps `v`, a breaking one bumps it.
 
 use serde::{Deserialize, Serialize};
 use tropic_model::{Path, Value};
@@ -25,24 +28,18 @@ use crate::api::Priority;
 use crate::physical::PhysicalOutcome;
 use crate::txn::TxnId;
 
-/// Version stamped on every [`Envelope`] this build writes.
+pub use crate::codec::{decode_input, encode_input};
+
+/// Version stamped on every RPC frame this build writes.
 pub const WIRE_VERSION: u32 = 1;
 
-/// The versioned wire frame wrapping every queued message.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Envelope {
-    /// Wire-format version (see the module docs for the bump policy).
-    pub v: u32,
-    /// The payload.
-    pub msg: InputMsg,
-}
-
-/// Errors decoding a queued message.
+/// Errors decoding a queued message, a store payload or an RPC frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The envelope version is newer than this build understands.
+    /// The bytes carry a format version this build does not read (a newer
+    /// build wrote them).
     UnsupportedVersion(u32),
-    /// The bytes carry no version field or do not parse as an [`Envelope`].
+    /// The bytes carry no version or do not decode.
     Malformed(String),
 }
 
@@ -50,10 +47,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
-                )
+                write!(f, "unsupported format version {v}")
             }
             WireError::Malformed(e) => write!(f, "malformed message: {e}"),
         }
@@ -62,39 +56,22 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encodes a message in the current wire format (enveloped, versioned).
-pub fn encode_input(msg: InputMsg) -> Vec<u8> {
-    serde_json::to_vec(&Envelope {
-        v: WIRE_VERSION,
-        msg,
-    })
-    .expect("serializable message")
-}
-
 /// The version field alone, whatever the payload beside it.
 #[derive(Deserialize)]
 struct VersionProbe {
     v: u32,
 }
 
-/// Version gate of every decoder, queue and socket alike: probed before
-/// the payload is parsed, so a future-version envelope whose payload this
-/// build cannot even represent still fails with the version error, and
-/// bytes with no version field at all are malformed.
+/// Version gate of every JSON frame, RPC and legacy queued message alike:
+/// probed before the payload is parsed, so a future-version envelope whose
+/// payload this build cannot even represent still fails with the version
+/// error, and bytes with no version field at all are malformed.
 pub(crate) fn check_version(bytes: &[u8]) -> Result<(), WireError> {
     match serde_json::from_slice::<VersionProbe>(bytes) {
         Ok(probe) if probe.v > WIRE_VERSION => Err(WireError::UnsupportedVersion(probe.v)),
         Ok(_) => Ok(()),
         Err(_) => Err(WireError::Malformed("missing wire version field".into())),
     }
-}
-
-/// Decodes a queued message, rejecting future versions at the boundary.
-pub fn decode_input(bytes: &[u8]) -> Result<InputMsg, WireError> {
-    check_version(bytes)?;
-    serde_json::from_slice::<Envelope>(bytes)
-        .map(|env| env.msg)
-        .map_err(|e| WireError::Malformed(e.to_string()))
 }
 
 /// Signals for unresponsive transactions (paper §4).
@@ -376,20 +353,24 @@ mod tests {
 
     #[test]
     fn future_wire_version_is_rejected() {
-        let msg = encode_input(submit_msg());
-        let bumped = String::from_utf8(msg)
-            .unwrap()
-            .replacen("\"v\":1", "\"v\":99", 1);
+        let mut msg = encode_input(submit_msg());
+        msg[1] = 99;
         assert!(matches!(
-            decode_input(bumped.as_bytes()),
+            decode_input(&msg),
             Err(WireError::UnsupportedVersion(99))
         ));
     }
 
     #[test]
     fn future_version_rejected_even_with_unparseable_payload() {
-        // A v2 build may carry a payload shape this build cannot parse;
-        // the version must still be the reported failure.
+        // A newer build may carry a payload shape this build cannot parse;
+        // the version must still be the reported failure, in the binary
+        // format and in the JSON earlier builds queued.
+        let binary = [crate::codec::TAG_INPUT, 2, 0xFF];
+        assert_eq!(
+            decode_input(&binary).unwrap_err(),
+            WireError::UnsupportedVersion(2)
+        );
         let bytes = br#"{"v":2,"msg":{"BrandNewVariant":{"x":1}}}"#;
         assert!(matches!(
             decode_input(bytes),
@@ -403,10 +384,18 @@ mod tests {
             decode_input(b"not json"),
             Err(WireError::Malformed(_))
         ));
-        // So is a well-formed message without its envelope: there is no
-        // bare encoding.
+        // So is a well-formed JSON message without its envelope: there was
+        // never a bare encoding.
         let bare = serde_json::to_vec(&submit_msg()).unwrap();
         assert!(matches!(decode_input(&bare), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn json_an_earlier_build_queued_still_decodes() {
+        let json = serde_json::to_string(&submit_msg()).unwrap();
+        let legacy = format!(r#"{{"v":1,"msg":{json}}}"#);
+        let back = decode_input(legacy.as_bytes()).unwrap();
+        assert_eq!(encode_input(back), encode_input(submit_msg()));
     }
 
     #[test]

@@ -17,13 +17,13 @@ use tropic_model::{real_clock, SharedClock};
 
 use crate::api::{ApiError, Priority};
 use crate::client::TropicClient;
+use crate::codec::read_record;
 use crate::config::{PlatformConfig, RpcConfig, ServiceDefinition};
 use crate::controller::{Controller, ControllerConfig};
 use crate::msg::{decode_input, layout, InputMsg};
 use crate::physical::ExecMode;
 use crate::stats::Metrics;
 use crate::twin::{RepairEpisode, TwinFeed};
-use crate::txn::TxnRecord;
 use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
 
@@ -392,7 +392,7 @@ fn next_free_ids(client: &CoordClient) -> (u64, u64) {
         for id in children.iter().filter_map(|name| name.parse::<u64>().ok()) {
             if id < crate::controller::ADMIN_TXN_BASE {
                 max_txn_id = max_txn_id.max(id);
-            } else if let Ok(Some(rec)) = client.get_json::<TxnRecord>(&layout::txn(id)) {
+            } else if let Ok(Some(rec)) = read_record(client, id) {
                 if let Some((_, episode)) = RepairEpisode::of(&rec) {
                     max_admin_id = max_admin_id.max(episode.admin_id);
                 }
@@ -589,6 +589,8 @@ fn controller_thread(
 mod tests {
     use super::*;
     use crate::twin::{RELOAD_PROC, TWIN_REPAIR_PROC, TWIN_TXN_BASE};
+    use crate::txn::TxnRecord;
+    use tropic_coord::CreateMode;
 
     /// A repair or reload still running at a restart writes its result
     /// only after recovery, so its admin id must not be handed out again:
@@ -611,7 +613,10 @@ mod tests {
                 ..RepairEpisode::default()
             };
             rec.labels = episode.labels();
-            client.put_json(&layout::txn(rec.id), &rec).unwrap();
+            let record = crate::codec::encode_record(&rec);
+            client
+                .create(&layout::txn(rec.id), record, CreateMode::Persistent)
+                .unwrap();
         };
         running(1, TWIN_REPAIR_PROC, 7);
         assert_eq!(next_free_ids(&client), (1, 8));

@@ -236,7 +236,7 @@ mod tests {
         children, claim, commit, gc_controller, send, step_cost, submit,
     };
     use crate::controller::INPUT_BATCH;
-    use crate::msg::{AdminResult, InputMsg, PhyTask, Signal};
+    use crate::msg::{AdminResult, InputMsg, Signal};
     use crate::physical::{execute_record, ExecMode};
     use crate::txn::TxnState;
     use tropic_coord::DistributedQueue;
@@ -259,10 +259,7 @@ mod tests {
             let (multis, singles, _) = step_cost(&coord, &mut controller);
             assert_eq!((multis, singles), (1, 0), "one write per round");
             for (_, task) in phy_q.try_dequeue_batch(INPUT_BATCH).unwrap() {
-                commit(
-                    &client,
-                    serde_json::from_slice::<PhyTask>(&task).unwrap().id,
-                );
+                commit(&client, crate::codec::decode_task(&task).unwrap().id);
             }
             let (multis, singles, ops) = step_cost(&coord, &mut controller);
             assert_eq!((multis, singles), (1, 0), "one write per round");
@@ -383,7 +380,7 @@ mod tests {
         // The dedup window closed with the record: the key runs again.
         submit(&client, 3, Some("k"));
         assert!(controller.step().unwrap());
-        let rec: TxnRecord = client.get_json(&layout::txn(3)).unwrap().unwrap();
+        let rec = crate::codec::read_record(&client, 3).unwrap().unwrap();
         assert_eq!(rec.state, TxnState::Started);
     }
 

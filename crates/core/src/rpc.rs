@@ -30,8 +30,8 @@
 //! Every message is one frame of the length-prefixed CRC-32 stream codec
 //! the write-ahead log already uses on disk
 //! ([`tropic_coord::frame`]): `[len: u32 LE][crc32: u32 LE][payload]`.
-//! The payload is a versioned JSON envelope `{"v": 1, "msg": ...}` — the
-//! same `v` and bump policy as [`crate::msg::Envelope`] ([`WIRE_VERSION`]).
+//! The payload is a versioned JSON envelope `{"v": 1, "msg": ...}`, under
+//! the bump policy of [`WIRE_VERSION`].
 //! The version is probed **at the frame boundary, before the payload is
 //! parsed**: a future-version envelope is rejected with the typed
 //! [`ApiError::UnsupportedWireVersion`], never misparsed. Partial reads

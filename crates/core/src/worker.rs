@@ -26,10 +26,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use tropic_coord::{CoordClient, CoordService, DistributedQueue};
 
 use crate::api::Priority;
-use crate::msg::{encode_input, layout, InputMsg, PhyTask, Signal};
+use crate::codec::{decode_task, read_record};
+use crate::msg::{encode_input, layout, InputMsg, Signal};
 use crate::physical::{execute_record, ExecMode};
 use crate::reconcile::RepairRules;
-use crate::txn::TxnRecord;
 
 /// Maximum tasks claimed per round, in one atomic multi. Small, so one
 /// worker cannot starve the others under load. Each result still goes out
@@ -132,10 +132,10 @@ fn execute_claims(
             }
         };
         for (_, item) in claimed {
-            let Ok(task) = serde_json::from_slice::<PhyTask>(&item) else {
+            let Ok(task) = decode_task(&item) else {
                 continue;
             };
-            let Ok(Some(rec)) = client.get_json::<TxnRecord>(&layout::txn(task.id)) else {
+            let Ok(Some(rec)) = read_record(client, task.id) else {
                 // Record GC'd or unreadable; nothing to execute.
                 continue;
             };
@@ -184,10 +184,12 @@ fn report(client: &CoordClient, input_q: &DistributedQueue<'_>, results: &Receiv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{LogRecord, TxnState};
+    use crate::codec::{encode_record, encode_task};
+    use crate::msg::PhyTask;
+    use crate::txn::{LogRecord, TxnRecord, TxnState};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-    use tropic_coord::CoordConfig;
+    use tropic_coord::{CoordConfig, CreateMode};
     use tropic_model::{Path, Value};
 
     fn spawn_worker(
@@ -203,10 +205,8 @@ mod tests {
     fn worker_executes_task_and_reports() {
         let coord = Arc::new(CoordService::start(CoordConfig::default()));
         let client = coord.connect("test");
-        // Persist a Started record with a trivial log.
-        let mut rec = TxnRecord::new(5, "noop", vec![], 0);
-        rec.state = TxnState::Started;
-        rec.log = vec![LogRecord {
+        // A Started record with a trivial log.
+        let log = [LogRecord {
             seq: 1,
             object: Path::parse("/x").unwrap(),
             action: "anything".into(),
@@ -216,11 +216,7 @@ mod tests {
             undo_args: vec![],
             best_effort: false,
         }];
-        client.put_json(&layout::txn(5), &rec).unwrap();
-        let phy_q = DistributedQueue::new(&client, layout::phy_q()).unwrap();
-        phy_q
-            .enqueue(serde_json::to_vec(&PhyTask { id: 5 }).unwrap())
-            .unwrap();
+        queue_tasks(&client, &[5], &log);
 
         let stop = Arc::new(AtomicBool::new(false));
         let handle = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly, Arc::clone(&stop));
@@ -246,14 +242,7 @@ mod tests {
         let coord = Arc::new(CoordService::start(CoordConfig::default()));
         let client = coord.connect("test");
         let phy_q = DistributedQueue::new(&client, layout::phy_q()).unwrap();
-        for id in 1..=3u64 {
-            let mut rec = TxnRecord::new(id, "noop", vec![], 0);
-            rec.state = TxnState::Started;
-            client.put_json(&layout::txn(id), &rec).unwrap();
-            phy_q
-                .enqueue(serde_json::to_vec(&PhyTask { id }).unwrap())
-                .unwrap();
-        }
+        queue_tasks(&client, &[1, 2, 3], &[]);
 
         let stop = Arc::new(AtomicBool::new(false));
         let handle = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly, Arc::clone(&stop));
@@ -282,15 +271,17 @@ mod tests {
 
     /// Persists a Started record for each id, with `log`, and queues its task.
     fn queue_tasks(client: &tropic_coord::CoordClient, ids: &[u64], log: &[LogRecord]) {
+        client.create_all(&layout::txns()).unwrap();
         let phy_q = DistributedQueue::new(client, layout::phy_q()).unwrap();
         for &id in ids {
             let mut rec = TxnRecord::new(id, "noop", vec![], 0);
             rec.state = TxnState::Started;
             rec.log = log.to_vec();
-            client.put_json(&layout::txn(id), &rec).unwrap();
-            phy_q
-                .enqueue(serde_json::to_vec(&PhyTask { id }).unwrap())
+            let record = encode_record(&rec);
+            client
+                .create(&layout::txn(id), record, CreateMode::Persistent)
                 .unwrap();
+            phy_q.enqueue(encode_task(&PhyTask { id })).unwrap();
         }
     }
 

@@ -151,6 +151,42 @@ impl Node {
         }
     }
 
+    /// Every field, borrowed, in declaration order: entity, attributes,
+    /// children, inconsistency marker. Binary codecs lay a node out from
+    /// this, so a field added to `Node` stops them compiling until they
+    /// handle it.
+    pub fn as_parts(
+        &self,
+    ) -> (
+        &str,
+        &BTreeMap<String, Value>,
+        &BTreeMap<String, Node>,
+        bool,
+    ) {
+        let Node {
+            entity,
+            attrs,
+            children,
+            inconsistent,
+        } = self;
+        (entity, attrs, children, *inconsistent)
+    }
+
+    /// The inverse of [`Node::as_parts`]: a node from every field, owned.
+    pub fn from_parts(
+        entity: String,
+        attrs: BTreeMap<String, Value>,
+        children: BTreeMap<String, Node>,
+        inconsistent: bool,
+    ) -> Node {
+        Node {
+            entity,
+            attrs,
+            children,
+            inconsistent,
+        }
+    }
+
     /// Approximate in-memory footprint of the subtree in bytes (§6.1
     /// memory-footprint experiment).
     pub fn approx_size(&self) -> usize {

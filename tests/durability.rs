@@ -6,8 +6,17 @@ mod common;
 
 use std::time::Duration;
 
-use tropic::coord::{wal, CoordConfig, DurabilityOptions, Ensemble, Op, TempDir};
-use tropic::core::{ExecMode, PlatformConfig, Tropic, TxnState};
+use tropic::coord::{
+    wal, CoordClient, CoordConfig, CoordService, DistributedQueue, DurabilityOptions, Ensemble, Op,
+    TempDir,
+};
+use tropic::core::codec::{
+    decode_granule, decode_record_node, RecordNode, TAG_GRANULE, TAG_RECORD,
+};
+use tropic::core::{
+    layout, simulate, ExecMode, InputMsg, LockManager, LogicalOutcome, PhyTask, PlatformConfig,
+    Priority, Tropic, TxnRecord, TxnState,
+};
 use tropic::model::Path;
 use tropic::tcloud::TopologySpec;
 
@@ -157,6 +166,125 @@ fn power_loss_scenario(tag: &str, durability: DurabilityOptions) {
     .unwrap();
     assert_eq!(outcome.state, TxnState::Committed);
     assert!(outcome.id > *in_flight.last().unwrap());
+    platform.shutdown();
+}
+
+/// A data dir an earlier build wrote, whose store payloads are JSON: the
+/// committed tree as granules, a record `Accepted`, a record `Started`
+/// with its phyQ task, and a submission still queued. Recovery reads all
+/// of it and finishes every one of those transactions; what the new
+/// build writes afterwards is binary, and the mixed store recovers again.
+#[test]
+fn a_data_dir_with_json_payloads_recovers_and_is_rewritten_binary() {
+    let tmp = TempDir::new("tropic-json-upgrade");
+    let spec = TopologySpec {
+        compute_hosts: 2,
+        storage_hosts: 1,
+        routers: 0,
+        ..Default::default()
+    };
+    let service = spec.service();
+    let config = durable_platform_config(tmp.path(), DurabilityOptions::default());
+    let hosts = [TopologySpec::host_path(0), TopologySpec::host_path(1)];
+    {
+        let coord = CoordService::start(config.coord.clone());
+        let client = coord.connect("earlier-build");
+        let tree = &service.initial_tree;
+        for object in [Path::root(), hosts[0].clone()] {
+            let granule = layout::granule(&object);
+            client.put_json(&granule, &tree.get(&object)).unwrap();
+        }
+        let mut accepted = TxnRecord::new(1, "spawnVM", spec.spawn_args("vm1", 0, 1_024), 0);
+        accepted.state = TxnState::Accepted;
+        client.put_json(&layout::txn(1), &accepted).unwrap();
+        let mut started = TxnRecord::new(2, "spawnVM", spec.spawn_args("vm2", 1, 1_024), 0);
+        let mut locks = LockManager::new();
+        let outcome = simulate(
+            &mut started,
+            service.procs.get("spawnVM").unwrap().as_ref(),
+            &mut tree.clone(),
+            &service.actions,
+            &service.constraints,
+            &mut locks,
+        );
+        assert!(matches!(outcome, LogicalOutcome::Runnable), "{outcome:?}");
+        (started.state, started.lsn) = (TxnState::Started, Some(1));
+        started.locks = locks.locks_of(2);
+        client.put_json(&layout::txn(2), &started).unwrap();
+        let phy_q = DistributedQueue::new(&client, layout::phy_q()).unwrap();
+        phy_q
+            .enqueue(serde_json::to_vec(&PhyTask { id: 2 }).unwrap())
+            .unwrap();
+        let submit = InputMsg::Submit {
+            id: 3,
+            proc_name: "spawnVM".into(),
+            args: spec.spawn_args("vm3", 0, 1_024),
+            submitted_ms: 0,
+            priority: Priority::Normal,
+            deadline_ms: None,
+            idempotency_key: None,
+            labels: Vec::new(),
+        };
+        let envelope = format!(
+            r#"{{"v":1,"msg":{}}}"#,
+            serde_json::to_string(&submit).unwrap()
+        );
+        let lane = DistributedQueue::new(&client, layout::input_lane(Priority::Normal)).unwrap();
+        lane.enqueue(envelope.into_bytes()).unwrap();
+    }
+
+    let platform = Tropic::recover(config.clone(), spec.service(), ExecMode::LogicalOnly);
+    let client = platform.client();
+    for id in 1..=3 {
+        let outcome = client
+            .handle(id)
+            .wait_timeout(Duration::from_secs(30))
+            .unwrap();
+        assert_eq!(
+            outcome.state,
+            TxnState::Committed,
+            "txn {id}: {:?}",
+            outcome.error
+        );
+    }
+    let inspector = platform.coord().connect("inspector");
+    let raw = |client: &CoordClient, path: &Path| client.get_data(path).unwrap().unwrap().0;
+    for id in 1..=3 {
+        let data = raw(&inspector, &layout::txn(id));
+        assert_eq!(data[0], TAG_RECORD, "txn {id}'s record");
+        assert!(matches!(
+            decode_record_node(&data),
+            Ok(RecordNode::Record(_))
+        ));
+    }
+    // Both hosts' granules are the new build's, holding their new VMs;
+    // the root's is still the earlier build's JSON.
+    for (host, vms) in hosts.iter().zip([&["vm1", "vm3"][..], &["vm2"]]) {
+        let data = raw(&inspector, &layout::granule(host));
+        assert_eq!(data[0], TAG_GRANULE, "{host}'s granule");
+        let granule = decode_granule(&data).unwrap().expect("host present");
+        assert!(
+            vms.iter().all(|vm| granule.has_child(vm)),
+            "{host}: {granule:?}"
+        );
+    }
+    assert_eq!(raw(&inspector, &layout::granule(&Path::root()))[0], b'{');
+    inspector.close();
+    platform.shutdown();
+
+    // The mixed store recovers too, and the tree it yields holds vm1.
+    let platform = Tropic::recover(config, spec.service(), ExecMode::LogicalOnly);
+    let client = platform.client();
+    for id in 1..=3 {
+        let rec = client.txn_record(id).unwrap().expect("record");
+        assert_eq!(rec.state, TxnState::Committed, "txn {id}");
+    }
+    let again = submit(&client, "spawnVM", spec.spawn_args("vm1", 0, 1_024)).unwrap();
+    let outcome = client
+        .handle(again)
+        .wait_timeout(Duration::from_secs(30))
+        .unwrap();
+    assert_eq!(outcome.state, TxnState::Aborted, "vm1 exists already");
     platform.shutdown();
 }
 

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tropic::coord::{CoordClient, CoordConfig, CoordService, DistributedQueue};
+use tropic::core::codec::read_record;
 use tropic::core::{
     encode_input, layout, Controller, ControllerConfig, ExecMode, InputMsg, Metrics,
     PhysicalOutcome, PlatformConfig, Priority, ServiceDefinition, Tropic, TwinConfig, TwinFeed,
@@ -317,7 +318,7 @@ fn committed(client: &CoordClient, id: TxnId) {
 fn records(client: &CoordClient) -> BTreeMap<TxnId, TxnRecord> {
     let names = client.get_children(&layout::txns()).unwrap();
     let recs = names.iter().filter_map(|n| {
-        let rec: TxnRecord = client.get_json(&layout::txns().join(n)).unwrap()?;
+        let rec = read_record(client, n.parse().ok()?).unwrap()?;
         Some((rec.id, rec))
     });
     recs.collect()

@@ -933,3 +933,521 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Store payload codec: exact round trips, and hostile bytes.
+// ---------------------------------------------------------------------
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tropic::coord::codec::put_varint;
+use tropic::core::codec::{
+    decode_granule, decode_record_node, decode_task, encode_alias, encode_granule, encode_record,
+    encode_task, RecordNode, STORE_FORMAT_VERSION, TAG_GRANULE, TAG_INPUT, TAG_RECORD, TAG_TASK,
+};
+use tropic::core::{AbortCode, LogRecord, PhyTask, PhysicalOutcome, Signal, TxnAlias, TxnState};
+
+thread_local! {
+    /// Bytes this thread has allocated, for the allocation bound below.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting what each thread allocates. A
+/// const-initialized `Cell` needs no allocation and no destructor, so the
+/// counter is safe to touch from inside the allocator.
+struct CountingAlloc;
+
+// SAFETY: every call forwards to `System` unchanged; the only addition
+// is a thread-local counter update, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: the caller upholds `alloc`'s contract, passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + new_size));
+        // SAFETY: the caller upholds `realloc`'s contract, passed on as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// What running `f` allocated on this thread, in bytes.
+fn allocated_by(f: impl FnOnce()) -> usize {
+    let before = ALLOCATED.with(Cell::get);
+    f();
+    ALLOCATED.with(Cell::get) - before
+}
+
+fn leaf_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+        (i64::MIN..i64::MAX).prop_map(Value::Int),
+        (-1e12f64..1e12).prop_map(Value::Float),
+        Just(Value::Float(-0.0)),
+        "[a-zA-Z0-9 /._-]{0,12}".prop_map(Value::Str),
+    ]
+}
+
+fn map_value() -> impl Strategy<Value = Value> {
+    prop::collection::vec(("[a-z]{1,6}", leaf_value()), 0..4)
+        .prop_map(|kv| Value::Map(kv.into_iter().collect()))
+}
+
+/// Values nested up to three deep: lists of maps of leaves.
+fn value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        leaf_value(),
+        map_value(),
+        prop::collection::vec(leaf_value(), 0..4).prop_map(Value::List),
+        prop::collection::vec(map_value(), 0..3).prop_map(Value::List),
+    ]
+}
+
+fn values() -> impl Strategy<Value = Vec<Value>> {
+    prop::collection::vec(value_strategy(), 0..4)
+}
+
+fn flag() -> impl Strategy<Value = bool> {
+    (0u8..2).prop_map(|b| b == 1)
+}
+
+/// Nodes `depth` levels deep, with attributes and children at each level.
+fn node_strategy(depth: u32) -> BoxedStrategy<Node> {
+    let children = match depth {
+        0 => Just(Vec::new()).boxed(),
+        _ => prop::collection::vec((segment(), node_strategy(depth - 1)), 0..3).boxed(),
+    };
+    let attrs = prop::collection::vec(("[a-zA-Z]{1,8}", value_strategy()), 0..4);
+    ("[a-zA-Z]{1,8}", attrs, children, flag())
+        .prop_map(|(entity, attrs, children, inconsistent)| {
+            let mut node = Node::new(entity);
+            for (k, v) in attrs {
+                node.set_attr(k, v);
+            }
+            for (name, child) in children {
+                node.insert_child(name, child);
+            }
+            node.set_inconsistent(inconsistent);
+            node
+        })
+        .boxed()
+}
+
+fn state_strategy() -> impl Strategy<Value = TxnState> {
+    prop_oneof![
+        Just(TxnState::Initialized),
+        Just(TxnState::Accepted),
+        Just(TxnState::Started),
+        Just(TxnState::Committed),
+        Just(TxnState::Aborted),
+        Just(TxnState::Failed),
+    ]
+}
+
+fn abort_code_strategy() -> impl Strategy<Value = AbortCode> {
+    prop_oneof![
+        Just(AbortCode::DeadlineExpired),
+        Just(AbortCode::UnknownProcedure),
+        Just(AbortCode::Killed),
+    ]
+}
+
+fn log_record_strategy() -> impl Strategy<Value = LogRecord> {
+    (
+        (0usize..1_000, path_strategy(), wire_token(), values()),
+        (
+            prop::option::of(wire_token()),
+            prop::option::of(path_strategy()),
+            values(),
+            flag(),
+        ),
+    )
+        .prop_map(
+            |((seq, object, action, args), (undo_action, undo_object, undo_args, best_effort))| {
+                LogRecord {
+                    seq,
+                    object,
+                    action,
+                    args,
+                    undo_action,
+                    undo_object,
+                    undo_args,
+                    best_effort,
+                }
+            },
+        )
+}
+
+fn opt_u64() -> impl Strategy<Value = Option<u64>> {
+    prop::option::of(0u64..u64::MAX)
+}
+
+fn record_strategy() -> impl Strategy<Value = TxnRecord> {
+    (
+        (
+            0u64..u64::MAX,
+            wire_token(),
+            values(),
+            state_strategy(),
+            prop::collection::vec(log_record_strategy(), 0..4),
+        ),
+        (
+            opt_u64(),
+            prop::collection::vec((path_strategy(), mode_strategy()), 0..4),
+            prop::option::of("[a-z :]{0,20}"),
+            prop::option::of(abort_code_strategy()),
+            0u64..u64::MAX,
+        ),
+        (
+            opt_u64(),
+            0u32..u32::MAX,
+            priority_strategy(),
+            opt_u64(),
+            prop::option::of(wire_token()),
+        ),
+        label_strategy(),
+    )
+        .prop_map(|(a, b, c, labels)| {
+            let (id, proc_name, args, state, log) = a;
+            let (lsn, locks, error, abort_code, submitted_ms) = b;
+            let (finished_ms, defer_count, priority, deadline_ms, idempotency_key) = c;
+            TxnRecord {
+                id,
+                proc_name,
+                args,
+                state,
+                log,
+                lsn,
+                locks,
+                error,
+                abort_code,
+                submitted_ms,
+                finished_ms,
+                defer_count,
+                priority,
+                deadline_ms,
+                idempotency_key,
+                labels,
+            }
+        })
+}
+
+fn outcome_strategy() -> impl Strategy<Value = PhysicalOutcome> {
+    prop_oneof![
+        Just(PhysicalOutcome::Committed),
+        (0usize..100, "[a-z ]{0,16}")
+            .prop_map(|(failed_seq, error)| PhysicalOutcome::Aborted { failed_seq, error }),
+        (
+            0usize..100,
+            "[a-z ]{0,16}",
+            0usize..100,
+            "[a-z ]{0,16}",
+            path_strategy()
+        )
+            .prop_map(|(failed_seq, error, undo_failed_seq, undo_error, object)| {
+                PhysicalOutcome::Failed {
+                    failed_seq,
+                    error,
+                    undo_failed_seq,
+                    undo_error,
+                    inconsistent_object: object,
+                }
+            }),
+        (0usize..100).prop_map(|reached_seq| PhysicalOutcome::Killed { reached_seq }),
+        (
+            prop::collection::vec(log_record_strategy(), 0..3),
+            0u64..u64::MAX,
+            0u64..u64::MAX,
+            0u64..u64::MAX
+        )
+            .prop_map(|(calls, drifted, remaining, unmatched)| {
+                PhysicalOutcome::Reconciled {
+                    calls,
+                    drifted,
+                    remaining,
+                    unmatched,
+                }
+            }),
+        prop::option::of(node_strategy(2)).prop_map(PhysicalOutcome::Retrieved),
+    ]
+}
+
+fn input_strategy() -> impl Strategy<Value = InputMsg> {
+    prop_oneof![
+        (
+            (0u64..u64::MAX, wire_token(), values(), 0u64..u64::MAX),
+            (
+                priority_strategy(),
+                opt_u64(),
+                prop::option::of(wire_token()),
+                label_strategy()
+            ),
+        )
+            .prop_map(|((id, proc_name, args, submitted_ms), rest)| {
+                let (priority, deadline_ms, idempotency_key, labels) = rest;
+                InputMsg::Submit {
+                    id,
+                    proc_name,
+                    args,
+                    submitted_ms,
+                    priority,
+                    deadline_ms,
+                    idempotency_key,
+                    labels,
+                }
+            }),
+        (0u64..u64::MAX, outcome_strategy())
+            .prop_map(|(id, outcome)| InputMsg::Result { id, outcome }),
+        (path_strategy(), 0u64..u64::MAX)
+            .prop_map(|(scope, admin_id)| InputMsg::Repair { scope, admin_id }),
+        (path_strategy(), 0u64..u64::MAX)
+            .prop_map(|(scope, admin_id)| InputMsg::Reload { scope, admin_id }),
+        (
+            0u64..u64::MAX,
+            prop_oneof![Just(Signal::Term), Just(Signal::Kill)]
+        )
+            .prop_map(|(id, signal)| InputMsg::Signal { id, signal }),
+    ]
+}
+
+/// A `spawnVM` record as the leader persists it at `Started`: the
+/// simulated log and the lock set.
+fn spawn_record() -> TxnRecord {
+    let spec = TopologySpec {
+        compute_hosts: 2,
+        storage_hosts: 1,
+        routers: 0,
+        ..Default::default()
+    };
+    let mut tree = spec.build_tree();
+    let mut locks = LockManager::new();
+    let mut rec = TxnRecord::new(7, "spawnVM", spec.spawn_args("vm7", 1, 2_048), 1_000);
+    let outcome = simulate(
+        &mut rec,
+        procs::all().get("spawnVM").unwrap().as_ref(),
+        &mut tree,
+        &actions::all(),
+        &constraints::all(),
+        &mut locks,
+    );
+    assert!(matches!(outcome, LogicalOutcome::Runnable), "{outcome:?}");
+    rec.state = TxnState::Started;
+    rec.lsn = Some(3);
+    rec.locks = locks.locks_of(7);
+    rec
+}
+
+/// A granule of a small datacenter's whole tree, as a fresh deployment
+/// writes at `/`.
+fn bootstrap_granule() -> Vec<u8> {
+    let spec = TopologySpec {
+        compute_hosts: 2,
+        storage_hosts: 1,
+        routers: 1,
+        ..Default::default()
+    };
+    encode_granule(spec.build_tree().get(&Path::root()))
+}
+
+/// Runs every store decoder over `bytes`; none may panic, and they
+/// report only whether each decoded.
+fn decode_all(bytes: &[u8]) -> [bool; 4] {
+    [
+        decode_record_node(bytes).is_ok(),
+        decode_input(bytes).is_ok(),
+        decode_task(bytes).is_ok(),
+        decode_granule(bytes).is_ok(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Records and aliases round-trip exactly: the decoded value prints
+    /// and re-encodes identically.
+    #[test]
+    fn store_records_roundtrip_exactly(rec in record_strategy(), alias_of in 0u64..u64::MAX) {
+        let bytes = encode_record(&rec);
+        prop_assert_eq!(bytes[0], TAG_RECORD);
+        match decode_record_node(&bytes).expect("decodable") {
+            RecordNode::Record(back) => {
+                prop_assert_eq!(format!("{back:?}"), format!("{rec:?}"));
+                prop_assert_eq!(encode_record(&back), bytes);
+            }
+            other => prop_assert!(false, "decoded {:?}", other),
+        }
+        let alias = TxnAlias { alias_of };
+        match decode_record_node(&encode_alias(&alias)).expect("decodable") {
+            RecordNode::Alias(back) => prop_assert_eq!(back, alias),
+            other => prop_assert!(false, "decoded {:?}", other),
+        }
+    }
+
+    /// Every input message variant, results carrying every physical
+    /// outcome among them, round-trips exactly; so do phyQ tasks.
+    #[test]
+    fn store_input_messages_and_tasks_roundtrip_exactly(
+        msg in input_strategy(),
+        id in 0u64..u64::MAX,
+    ) {
+        let bytes = encode_input(msg.clone());
+        prop_assert_eq!(bytes[0], TAG_INPUT);
+        let back = decode_input(&bytes).expect("decodable");
+        prop_assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+        prop_assert_eq!(encode_input(back), bytes);
+        let task = encode_task(&PhyTask { id });
+        prop_assert_eq!(task[0], TAG_TASK);
+        prop_assert_eq!(decode_task(&task).expect("decodable").id, id);
+    }
+
+    /// Granules round-trip exactly, a removed object's `None` included.
+    #[test]
+    fn store_granules_roundtrip_exactly(subtree in prop::option::of(node_strategy(3))) {
+        let bytes = encode_granule(subtree.as_ref());
+        prop_assert_eq!(bytes[0], TAG_GRANULE);
+        let back = decode_granule(&bytes).expect("decodable");
+        prop_assert_eq!(format!("{back:?}"), format!("{subtree:?}"));
+        prop_assert_eq!(encode_granule(back.as_ref()), bytes);
+    }
+
+    /// Random bytes never panic a decoder, bare or behind a valid header.
+    #[test]
+    fn store_decoders_never_panic_on_random_bytes(
+        junk in prop::collection::vec(0u8..=255, 0..96),
+        tag in 1u8..6,
+    ) {
+        decode_all(&junk);
+        let mut framed = vec![tag, STORE_FORMAT_VERSION];
+        framed.extend_from_slice(&junk);
+        decode_all(&framed);
+    }
+
+    /// Flipping one byte of a real record or granule never panics, and
+    /// what still decodes re-encodes to the bytes it came from.
+    #[test]
+    fn store_decoders_survive_a_corrupted_byte(at in 0usize..4_096, to in 0u8..=255) {
+        for mut bytes in [encode_record(&spawn_record()), bootstrap_granule()] {
+            let at = at % bytes.len();
+            bytes[at] = to;
+            if let Ok(RecordNode::Record(rec)) = decode_record_node(&bytes) {
+                prop_assert_eq!(encode_record(&rec), bytes.clone());
+            }
+            if let Ok(subtree) = decode_granule(&bytes) {
+                prop_assert_eq!(encode_granule(subtree.as_ref()), bytes.clone());
+            }
+        }
+    }
+}
+
+/// A real `spawnVM` record and a real granule, cut at every byte offset,
+/// never decode and never panic: every field is read in full or not at
+/// all, and a decoder that stops early fails on the leftover bytes.
+#[test]
+fn truncated_store_payloads_never_decode() {
+    let record = encode_record(&spawn_record());
+    let granule = bootstrap_granule();
+    assert!(matches!(
+        decode_record_node(&record),
+        Ok(RecordNode::Record(_))
+    ));
+    assert!(decode_granule(&granule).unwrap().is_some());
+    for cut in 0..record.len() {
+        assert!(
+            decode_record_node(&record[..cut]).is_err(),
+            "record cut at {cut}"
+        );
+        assert_eq!(
+            decode_all(&record[..cut]),
+            [false; 4],
+            "record cut at {cut}"
+        );
+    }
+    for cut in 0..granule.len() {
+        assert!(
+            decode_granule(&granule[..cut]).is_err(),
+            "granule cut at {cut}"
+        );
+    }
+}
+
+/// A length or count prefix claiming more than the input holds makes
+/// the decoder fail without allocating for the claim.
+#[test]
+fn store_decoders_allocate_nothing_for_claimed_lengths() {
+    let claim = |bytes: &mut Vec<u8>| put_varint(bytes, u64::MAX).unwrap();
+    let mut cases = Vec::new();
+    // A record whose procedure name claims 16 EiB.
+    let mut name = vec![TAG_RECORD, STORE_FORMAT_VERSION, 7];
+    claim(&mut name);
+    name.extend_from_slice(b"spawnVM");
+    cases.push(name);
+    // A record whose argument list claims 2^64 values.
+    let mut args = vec![TAG_RECORD, STORE_FORMAT_VERSION, 7, 0];
+    claim(&mut args);
+    args.extend_from_slice(&[0, 0, 0]);
+    cases.push(args);
+    // A submission whose labels claim 2^64 pairs.
+    let submit = encode_input(InputMsg::Submit {
+        id: 1,
+        proc_name: "p".into(),
+        args: Vec::new(),
+        submitted_ms: 0,
+        priority: Priority::Normal,
+        deadline_ms: None,
+        idempotency_key: None,
+        labels: Vec::new(),
+    });
+    let mut labels = submit[..submit.len() - 1].to_vec();
+    claim(&mut labels);
+    labels.extend_from_slice(&[1, b'k']);
+    cases.push(labels);
+    // A granule whose root claims 2^64 children, and one whose entity
+    // name claims 16 EiB.
+    let mut children = vec![TAG_GRANULE, STORE_FORMAT_VERSION, 1, 1, b'n', 0];
+    claim(&mut children);
+    cases.push(children);
+    let mut entity = vec![TAG_GRANULE, STORE_FORMAT_VERSION, 1];
+    claim(&mut entity);
+    cases.push(entity);
+
+    for bytes in &cases {
+        let mut decoded = [true; 4];
+        let bytes_allocated = allocated_by(|| decoded = decode_all(bytes));
+        assert_eq!(decoded, [false; 4], "{bytes:?}");
+        // Error messages and the few items the input really holds: a few
+        // hundred bytes, nowhere near the claim.
+        assert!(bytes_allocated < 4_096, "{bytes_allocated} B for {bytes:?}");
+    }
+}
+
+/// Nesting deeper than the decoders follow is refused, not a stack
+/// overflow.
+#[test]
+fn store_decoders_refuse_runaway_nesting() {
+    let mut value = Value::Null;
+    for _ in 0..200 {
+        value = Value::List(vec![value]);
+    }
+    let mut node = Node::new("leaf");
+    node.set_attr("deep", value);
+    let bytes = encode_granule(Some(&node));
+    assert!(decode_granule(&bytes).is_err());
+    // A hostile list of lists, 100 000 deep, in 200 kB.
+    let mut hostile = vec![TAG_GRANULE, STORE_FORMAT_VERSION, 1, 1, b'n', 1, 1, b'k'];
+    for _ in 0..100_000 {
+        hostile.extend_from_slice(&[5, 1]);
+    }
+    assert!(decode_granule(&hostile).is_err());
+}
