@@ -23,28 +23,54 @@
 //! valid snapshot plus the log suffix, then lets laggards catch up from
 //! the leader.
 //!
-//! Writes commit in groups ([`Ensemble::submit_group`]): each op keeps its
-//! own zxid, WAL record and result, and the group shares one fsync per
-//! replica. Every acking replica fsyncs the group before the group is
-//! acknowledged, and a group is acknowledged only when a quorum of
-//! replicas has done so. The replicas settle in parallel — each follower
-//! on its own scoped thread, the leader on the caller's — so a group costs
-//! about one fsync of wall time rather than one per replica.
+//! ## Commit groups: log, fsync, apply
+//!
+//! Writes commit in groups: each op keeps its own zxid, WAL record and
+//! result, and the group shares one fsync per replica. As a ZooKeeper
+//! leader applies a proposal only once a quorum has logged it, a group
+//! commits in three steps:
+//!
+//! 1. `begin_group` elects if need be, heals lagging ackers, assigns the
+//!    zxids and appends each op's WAL record, encoded once, on every
+//!    acking replica. Nothing is applied.
+//! 2. `Group::sync` fsyncs every acker at once, each on its own thread. It
+//!    borrows nothing of the ensemble, so its caller can release the lock,
+//!    and a read served meanwhile sees the state before the group — whose
+//!    writers have not been answered yet. An in-memory group has nothing
+//!    to fsync.
+//! 3. `end_group` records the fsyncs, fail-stops every acker whose log
+//!    write failed, applies the group in zxid order on the others, and
+//!    acknowledges it only if a quorum of them is left. It hands back the
+//!    snapshots the policy asks for; `write_snapshots` writes them with no
+//!    lock held and `end_snapshots` truncates the WAL they cover.
+//!
+//! While a group is in flight the replicas' membership must not change, so
+//! callers wait out `Ensemble::group_in_flight` before crashing,
+//! restarting or partitioning replicas. [`Ensemble::submit_group`] runs the
+//! steps back to back.
 
 use std::io;
 use std::path::Path as StdPath;
+use std::sync::Arc;
 
 use crate::error::{CoordError, CoordResult};
 use crate::net::{NodeId, SimNet};
 use crate::store::{Op, OpResult, StoreEvent, ZnodeStore};
-use crate::wal::{encode_frame, Durability, DurabilityOptions};
+use crate::wal::{
+    encode_frame, DueSnapshot, Durability, DurabilityOptions, PendingSync, WalError, WalResult,
+};
+
+/// One op's outcome: its result and the store events it produced.
+pub(crate) type Applied = (CoordResult<OpResult>, Vec<StoreEvent>);
 
 /// A single ensemble replica: the store its committed ops materialize.
 #[derive(Debug)]
 struct Replica {
     id: NodeId,
     alive: bool,
-    store: ZnodeStore,
+    /// Shared only while a policy snapshot of it is being written, which
+    /// ends before the next group applies.
+    store: Arc<ZnodeStore>,
     last_zxid: u64,
     durability: Option<Durability>,
 }
@@ -54,63 +80,39 @@ impl Replica {
         Replica {
             id,
             alive: true,
-            store: ZnodeStore::new(),
+            store: Arc::new(ZnodeStore::new()),
             last_zxid: 0,
             durability: None,
         }
     }
 
-    /// Logs and applies one op. `frame` is the op's WAL record when the
-    /// caller already encoded it; without one, a durable replica encodes
-    /// its own.
-    fn append_and_apply(
+    /// Appends a group's records, encoded once for every replica, and
+    /// hands back the fsync they owe (none on an in-memory replica). A
+    /// record that failed to encode fails the replica as a failed write
+    /// does.
+    fn log(
         &mut self,
-        zxid: u64,
-        op: &Op,
-        frame: Option<&[u8]>,
-    ) -> (CoordResult<OpResult>, Vec<StoreEvent>) {
-        if !self.alive {
-            // Fail-stopped earlier in this group: the rest of it is not
-            // logged here; the replica heals by transfer after a restart.
-            return (
-                Err(CoordError::Durability("replica fail-stopped".into())),
-                Vec::new(),
-            );
+        first_zxid: u64,
+        frames: &[io::Result<Vec<u8>>],
+    ) -> WalResult<Option<PendingSync>> {
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(None);
+        };
+        for (frame, zxid) in frames.iter().zip(first_zxid..) {
+            let frame = frame.as_ref().map_err(|e| WalError::Io {
+                op: "encode",
+                error: e.to_string(),
+            })?;
+            d.append_frame(zxid, frame)?;
         }
-        // Log before apply: a crash between the two replays the op, which is
-        // deterministic and therefore converges to the same state.
-        if let Some(d) = self.durability.as_mut() {
-            let appended = match frame {
-                Some(frame) => d.append_frame(zxid, frame),
-                None => d.append(zxid, op),
-            };
-            if let Err(e) = appended {
-                // Fail-stop: a replica that cannot persist must not ack, or
-                // it would report durability it does not have. It rejoins
-                // via snapshot transfer once healed.
-                self.alive = false;
-                return (Err(CoordError::Durability(e.to_string())), Vec::new());
-            }
-        }
-        self.last_zxid = zxid;
-        self.store.apply(zxid, op)
-    }
-
-    /// Settles a committed batch on a durable replica: fsync, then a
-    /// snapshot per policy. An in-memory replica has nothing to finish.
-    fn finish_batch(&mut self) {
-        if let Some(d) = self.durability.as_mut() {
-            if d.commit_batch(self.last_zxid, &self.store).is_err() {
-                self.alive = false;
-            }
-        }
+        d.pending_sync()
     }
 
     /// Adopts a full-state transfer from the leader. Durable replicas
     /// persist the state as a snapshot so a later restart recovers without
     /// the leader.
     fn install_snapshot(&mut self, store: ZnodeStore, last_zxid: u64) {
-        self.store = store;
+        self.store = Arc::new(store);
         self.last_zxid = last_zxid;
         if let Some(d) = self.durability.as_mut() {
             if d.write_snapshot(last_zxid, &self.store).is_err() {
@@ -118,6 +120,62 @@ impl Replica {
             }
         }
     }
+}
+
+/// A commit group between `Ensemble::begin_group` and
+/// `Ensemble::end_group`: logged on every acking replica, applied on none.
+pub(crate) struct Group<'a> {
+    ops: &'a [Op],
+    first_zxid: u64,
+    ackers: Vec<NodeId>,
+    /// Ackers whose log write failed: they fail-stop when the group ends.
+    failed: Vec<NodeId>,
+    /// The fsync each durable acker owes the group.
+    syncs: Vec<(NodeId, PendingSync)>,
+}
+
+impl Group<'_> {
+    /// Fsyncs every durable acker at once. It borrows nothing of the
+    /// ensemble, so it runs with no lock held.
+    pub(crate) fn sync(&mut self) {
+        in_parallel(&mut self.syncs, |(_, sync)| sync.run());
+    }
+}
+
+/// Writes the snapshots `Ensemble::end_group` handed back, all at once.
+/// It borrows nothing of the ensemble, so it runs with no lock held.
+pub(crate) fn write_snapshots(
+    mut snapshots: Vec<(NodeId, DueSnapshot)>,
+) -> Vec<(NodeId, DueSnapshot)> {
+    in_parallel(&mut snapshots, |(_, snap)| snap.write());
+    snapshots
+}
+
+/// Runs `f` on every item at once: the first on the calling thread, each
+/// other on a scoped thread of its own. An item whose thread cannot be
+/// spawned is left as it was, which its owner reads as a failure.
+fn in_parallel<'a, T: Send + 'a>(
+    items: impl IntoIterator<Item = &'a mut T>,
+    f: impl Fn(&mut T) + Sync,
+) {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return;
+    };
+    let f = &f;
+    std::thread::scope(|scope| {
+        for item in items {
+            let _ = std::thread::Builder::new()
+                .name("tropic-settle".into())
+                .spawn_scoped(scope, move || f(item));
+        }
+        f(first);
+    });
+}
+
+/// `n` copies of one failure, one per op of a group.
+pub(crate) fn fail_all(n: usize, e: CoordError) -> Vec<Applied> {
+    (0..n).map(|_| (Err(e.clone()), Vec::new())).collect()
 }
 
 /// Counters describing broadcast and durability activity, reported by
@@ -174,6 +232,9 @@ pub struct Ensemble {
     /// healed *before* the next op applies, so no replica ever holds a
     /// hole below its own `last_zxid`.
     last_committed_zxid: u64,
+    /// A group has begun and not ended (snapshots included): membership
+    /// must not change until it ends.
+    in_flight: bool,
 }
 
 impl Ensemble {
@@ -213,6 +274,7 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             last_committed_zxid: 0,
+            in_flight: false,
         };
         e.stats.elections = 1;
         e
@@ -239,7 +301,7 @@ impl Ensemble {
                 last_zxid = zxid;
             }
             let mut r = Replica::new(id);
-            r.store = store;
+            r.store = Arc::new(store);
             r.last_zxid = last_zxid;
             r.durability = Some(durability);
             recoveries += 1;
@@ -258,6 +320,7 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             last_committed_zxid: max_zxid,
+            in_flight: false,
         };
         e.stats.elections = 1;
         e.stats.recoveries = recoveries;
@@ -306,11 +369,18 @@ impl Ensemble {
         s
     }
 
+    /// Whether a commit group has begun and not yet ended. Crashing,
+    /// restarting or partitioning replicas must wait until it has.
+    pub(crate) fn group_in_flight(&self) -> bool {
+        self.in_flight
+    }
+
     /// Sets the modeled per-fsync device latency on every durable replica
     /// (zero, the initial value, adds nothing). Benches use this to populate
     /// a store at full speed and then measure the commit path against a
     /// realistic device.
     pub fn set_simulated_fsync_latency(&mut self, latency: std::time::Duration) {
+        debug_assert!(!self.in_flight, "fsync latency changed mid-group");
         for r in &mut self.replicas {
             if let Some(d) = r.durability.as_mut() {
                 d.set_simulated_fsync_latency(latency);
@@ -336,6 +406,7 @@ impl Ensemble {
 
     /// Crashes a replica: it stops acking and serving until restarted.
     pub fn crash_replica(&mut self, id: NodeId) {
+        debug_assert!(!self.in_flight, "replica crashed mid-group");
         if let Some(r) = self.replicas.get_mut(id) {
             r.alive = false;
         }
@@ -348,6 +419,7 @@ impl Ensemble {
     /// restart may complete a quorum and so elect one; the restarted
     /// replica then catches up from the leader.
     pub fn restart_replica(&mut self, id: NodeId) {
+        debug_assert!(!self.in_flight, "replica restarted mid-group");
         let Some(r) = self.replicas.get_mut(id) else {
             return;
         };
@@ -365,7 +437,9 @@ impl Ensemble {
         if id == leader || self.replicas[id].last_zxid == l.last_zxid {
             return;
         }
-        let (store, last_zxid) = (l.store.clone(), l.last_zxid);
+        // A deep copy: a store shared between replicas would be copied
+        // again by the next apply.
+        let (store, last_zxid) = (ZnodeStore::clone(&l.store), l.last_zxid);
         self.replicas[id].install_snapshot(store, last_zxid);
         self.stats.snapshot_syncs += 1;
     }
@@ -434,9 +508,9 @@ impl Ensemble {
     /// Submits one write through the broadcast protocol: a group of one
     /// (see [`Ensemble::submit_group`]).
     ///
-    /// Returns the leader's apply result and the store events the op
-    /// produced, or [`CoordError::NoQuorum`] when too few replicas ack (in
-    /// which case nothing is applied anywhere).
+    /// Returns the op's apply result and the store events it produced, or
+    /// [`CoordError::NoQuorum`] when too few replicas ack (in which case
+    /// nothing is applied anywhere).
     pub fn submit(&mut self, op: Op) -> (CoordResult<OpResult>, Vec<StoreEvent>) {
         let mut results = self.submit_group(std::slice::from_ref(&op));
         results
@@ -444,39 +518,50 @@ impl Ensemble {
             .unwrap_or((Err(CoordError::Unavailable), Vec::new()))
     }
 
-    /// Commits `ops` as one group. Each op takes the next zxid and gets its
-    /// own WAL record, its own apply and its own result, in order — a
-    /// failing op fails alone while its neighbours commit. What the group
-    /// shares is the fsync: one `finish_batch` per acking replica, the
-    /// replicas settling in parallel. Each op's WAL record is encoded once
-    /// and the same bytes are appended on every replica.
+    /// Commits `ops` as one group, running its three steps (see the module
+    /// docs) back to back. Each op takes the next zxid and gets its own WAL
+    /// record, its own apply and its own result, in order — a failing op
+    /// fails alone while its neighbours commit. What the group shares is
+    /// the fsync: one per acking replica, the replicas fsyncing in
+    /// parallel.
     ///
-    /// Returns one `(result, events)` per op, in order: the leader's apply
-    /// result and the store events it produced. When too few replicas ack,
-    /// every op fails with [`CoordError::NoQuorum`] and nothing is applied
-    /// anywhere. When too few ackers survive the group's durability I/O,
-    /// every op fails with [`CoordError::NoQuorum`] and no events: the
-    /// survivors logged the group, but it is never acknowledged.
+    /// Returns one `(result, events)` per op, in order. When too few
+    /// replicas ack, every op fails with [`CoordError::NoQuorum`] and
+    /// nothing is applied anywhere. When too few ackers survive the group's
+    /// durability I/O, every op fails with [`CoordError::NoQuorum`] and no
+    /// events: the survivors logged and applied the group, but it is never
+    /// acknowledged.
     pub fn submit_group(&mut self, ops: &[Op]) -> Vec<(CoordResult<OpResult>, Vec<StoreEvent>)> {
-        let fail_all = |e: CoordError| ops.iter().map(|_| (Err(e.clone()), Vec::new())).collect();
         if ops.is_empty() {
             return Vec::new();
         }
-        let leader = match self.lead() {
-            Ok(leader) => leader,
-            Err(e) => {
-                if matches!(e, CoordError::NoQuorum { .. }) {
-                    self.stats.no_quorum += ops.len() as u64;
-                }
-                return fail_all(e);
-            }
+        let mut group = match self.begin_group(ops) {
+            Ok(group) => group,
+            Err(e) => return fail_all(ops.len(), e),
         };
+        group.sync();
+        let (results, snapshots) = self.end_group(group);
+        self.end_snapshots(write_snapshots(snapshots));
+        results
+    }
+
+    /// The log step of a group: elects a leader if need be, picks the
+    /// ackers, heals any that lag, assigns the zxids and appends each op's
+    /// WAL record on every durable acker. Nothing is applied. Fails, with
+    /// nothing logged, when no leader reaches a quorum.
+    pub(crate) fn begin_group<'a>(&mut self, ops: &'a [Op]) -> CoordResult<Group<'a>> {
+        debug_assert!(!self.in_flight, "a group began while another is in flight");
+        let leader = self.lead().inspect_err(|e| {
+            if matches!(e, CoordError::NoQuorum { .. }) {
+                self.stats.no_quorum += ops.len() as u64;
+            }
+        })?;
 
         // Propose phase: count replicas that receive and ack the proposal.
         let ackers = self.reachable_from_leader(leader);
         if ackers.len() < self.quorum() {
             self.stats.no_quorum += ops.len() as u64;
-            return fail_all(CoordError::NoQuorum {
+            return Err(CoordError::NoQuorum {
                 acks: ackers.len(),
                 needed: self.quorum(),
             });
@@ -494,93 +579,132 @@ impl Ensemble {
             }
         }
 
-        // Commit phase: the group takes the next `ops.len()` zxids. A
-        // record that fails to encode here is left to each replica, which
-        // encodes it again, fails the same way and fail-stops.
-        let (epoch, first) = (self.epoch, self.counter + 1);
-        let zxid_of = |i: usize| (epoch << 32) | (first + i as u64);
+        // The group takes the next `ops.len()` zxids.
+        let first_zxid = (self.epoch << 32) | (self.counter + 1);
         self.counter += ops.len() as u64;
+        let mut group = Group {
+            ops,
+            first_zxid,
+            ackers,
+            failed: Vec::new(),
+            syncs: Vec::new(),
+        };
+        // Each record is encoded once and the same bytes are appended on
+        // every acker.
         let durable = self.replicas.iter().any(|r| r.durability.is_some());
-        let frames: Vec<Option<Vec<u8>>> = if durable {
-            let encode = |(i, op)| encode_frame(zxid_of(i), op).ok();
-            ops.iter().enumerate().map(encode).collect()
+        let frames: Vec<io::Result<Vec<u8>>> = if durable {
+            let encode = |(op, zxid)| encode_frame(zxid, op);
+            ops.iter().zip(first_zxid..).map(encode).collect()
         } else {
             Vec::new()
         };
-        let mut results = Vec::with_capacity(ops.len());
-        // Phase one: append + apply the group on every acker.
-        for &id in &ackers {
+        for &id in &group.ackers {
             let Some(r) = self.replicas.get_mut(id) else {
                 continue;
             };
-            for (i, op) in ops.iter().enumerate() {
-                let frame = frames.get(i).and_then(Option::as_deref);
-                let applied = r.append_and_apply(zxid_of(i), op, frame);
-                if id == leader {
-                    results.push(applied);
-                }
+            match r.log(first_zxid, &frames) {
+                Ok(Some(sync)) => group.syncs.push((id, sync)),
+                Ok(None) => {}
+                Err(_) => group.failed.push(id),
             }
         }
-        // Every acker has written the records: free them (a bootstrap
-        // multi holds the whole initial tree) before the fsync waits and
-        // any snapshot.
-        drop(frames);
-        // Phase two: settle each acker's group — fsync, then snapshot per
-        // policy.
-        if durable {
-            self.settle_in_parallel(leader, &ackers);
-        }
-        // The survivors logged the group, so followers must catch up to it
-        // whether or not it is acknowledged.
-        self.last_committed_zxid = (epoch << 32) | self.counter;
-        // Replicas whose durability I/O failed fail-stopped during the
-        // phases above; they are counted here (after both loops, so one
-        // failure doesn't hide another's) and heal via snapshot transfer
-        // after a restart.
-        let acks = ackers.iter().filter(|&&id| self.is_alive(id)).count();
-        self.stats.wal_fail_stops += (ackers.len() - acks) as u64;
-        if acks < self.quorum() {
-            self.stats.no_quorum += ops.len() as u64;
-            return fail_all(CoordError::NoQuorum {
-                acks,
-                needed: self.quorum(),
-            });
-        }
-        self.stats.committed += ops.len() as u64;
-        self.stats.groups += 1;
-        results
+        self.in_flight = true;
+        Ok(group)
     }
 
-    /// Runs `finish_batch` on every acker at once: each follower on its own
-    /// scoped thread, the leader on the calling thread, so the group's
-    /// fsyncs overlap. A follower whose thread cannot be spawned has not
-    /// fsynced, so it fail-stops.
-    fn settle_in_parallel(&mut self, leader: NodeId, ackers: &[NodeId]) {
-        let mut unspawned = Vec::new();
-        std::thread::scope(|scope| {
-            let mut on_caller = None;
-            for r in self.replicas.iter_mut().filter(|r| ackers.contains(&r.id)) {
-                if r.id == leader {
-                    on_caller = Some(r);
-                    continue;
-                }
-                let id = r.id;
-                let settle = std::thread::Builder::new()
-                    .name(format!("tropic-settle-{id}"))
-                    .spawn_scoped(scope, move || r.finish_batch());
-                if settle.is_err() {
-                    unspawned.push(id);
-                }
+    /// The apply step of a group, once [`Group::sync`] has run: records
+    /// each acker's fsync, fail-stops the ackers whose log write failed —
+    /// a replica that cannot persist must not ack, or it would report
+    /// durability it does not have — and applies the group in zxid order
+    /// on every other acker. Returns one `(result, events)` per op (see
+    /// [`Ensemble::submit_group`]) and the snapshots the policy asks for,
+    /// which the caller writes with `write_snapshots` and hands to
+    /// `end_snapshots`; without any, the group ends here.
+    pub(crate) fn end_group(
+        &mut self,
+        group: Group<'_>,
+    ) -> (Vec<Applied>, Vec<(NodeId, DueSnapshot)>) {
+        let (ops, first_zxid, ackers) = (group.ops, group.first_zxid, group.ackers);
+        let mut failed = group.failed;
+        for (id, sync) in group.syncs {
+            let durability = self
+                .replicas
+                .get_mut(id)
+                .and_then(|r| r.durability.as_mut());
+            if durability.is_none_or(|d| d.synced(sync).is_err()) {
+                failed.push(id);
             }
-            if let Some(r) = on_caller {
-                r.finish_batch();
-            }
-        });
-        for id in unspawned {
+        }
+        for &id in &failed {
             if let Some(r) = self.replicas.get_mut(id) {
                 r.alive = false;
             }
         }
+        let last_zxid = first_zxid + ops.len() as u64 - 1;
+        let (mut results, mut snapshots) = (None, Vec::new());
+        for r in self
+            .replicas
+            .iter_mut()
+            .filter(|r| r.alive && ackers.contains(&r.id))
+        {
+            debug_assert_eq!(
+                Arc::strong_count(&r.store),
+                1,
+                "a snapshot still shares replica {}'s store: the apply would copy it",
+                r.id
+            );
+            let store = Arc::make_mut(&mut r.store);
+            let apply = |(op, zxid)| store.apply(zxid, op);
+            let applied: Vec<Applied> = ops.iter().zip(first_zxid..).map(apply).collect();
+            r.last_zxid = last_zxid;
+            // Every acker applies the same ops to the same state, so any
+            // one's results are the group's.
+            results.get_or_insert(applied);
+            let due = r
+                .durability
+                .as_ref()
+                .and_then(|d| d.due_snapshot(last_zxid, &r.store));
+            snapshots.extend(due.map(|snap| (r.id, snap)));
+        }
+        // The survivors logged the group, so followers must catch up to it
+        // whether or not it is acknowledged.
+        self.last_committed_zxid = last_zxid;
+        // Failed replicas are counted after every acker settled, so one
+        // failure doesn't hide another's; they heal via snapshot transfer
+        // after a restart.
+        let acks = ackers.iter().filter(|&&id| self.is_alive(id)).count();
+        self.stats.wal_fail_stops += (ackers.len() - acks) as u64;
+        self.in_flight = !snapshots.is_empty();
+        if acks < self.quorum() {
+            self.stats.no_quorum += ops.len() as u64;
+            let needed = self.quorum();
+            return (
+                fail_all(ops.len(), CoordError::NoQuorum { acks, needed }),
+                snapshots,
+            );
+        }
+        self.stats.committed += ops.len() as u64;
+        self.stats.groups += 1;
+        (results.unwrap_or_default(), snapshots)
+    }
+
+    /// Ends a group that asked for snapshots, once `write_snapshots` has
+    /// written them: each replica truncates the WAL its snapshot covers,
+    /// and one whose snapshot failed fail-stops.
+    pub(crate) fn end_snapshots(&mut self, snapshots: Vec<(NodeId, DueSnapshot)>) {
+        for (id, snap) in snapshots {
+            let Some(r) = self.replicas.get_mut(id) else {
+                continue;
+            };
+            if r.durability
+                .as_mut()
+                .is_some_and(|d| d.snapshot_written(snap).is_err())
+            {
+                r.alive = false;
+                self.stats.wal_fail_stops += 1;
+            }
+        }
+        self.in_flight = false;
     }
 
     /// Reads from the leader's store. Returns an error when no leader holds
@@ -923,6 +1047,46 @@ mod tests {
     }
 
     #[test]
+    fn begin_logs_a_group_end_applies_it_and_its_snapshots_end_it() {
+        let tmp = TempDir::new("tropic-ens-steps");
+        let mut e = Ensemble::with_durability(3, tmp.path(), quick_opts()).unwrap();
+        for i in 0..7 {
+            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
+        }
+        let ops = [create_op("/eighth")];
+        let mut group = e.begin_group(&ops).unwrap();
+        assert!(e.group_in_flight());
+        let zxid = e.replica_last_zxid(0).unwrap() + 1;
+        for id in 0..3 {
+            let dir = tmp.path().join(replica_dir_name(id));
+            let logged = crate::wal::recover_dir(&dir).unwrap().ops;
+            assert_eq!(logged.last().map(|(z, _)| *z), Some(zxid), "replica {id}");
+        }
+        assert!(
+            !e.read(|s| s.exists(&p("/eighth"))).unwrap(),
+            "applied early"
+        );
+
+        group.sync();
+        let (results, snapshots) = e.end_group(group);
+        results.into_iter().for_each(|(r, _)| drop(r.unwrap()));
+        assert!(e.read(|s| s.exists(&p("/eighth"))).unwrap());
+        // The eighth op trips every replica's snapshot policy: the group
+        // stays in flight until the snapshots are on disk.
+        assert_eq!(snapshots.len(), 3);
+        assert!(e.group_in_flight());
+        let before = e.stats().snapshots_written;
+        e.end_snapshots(write_snapshots(snapshots));
+        assert!(!e.group_in_flight());
+        assert_eq!(e.stats().snapshots_written, before + 3);
+        for r in &e.replicas {
+            let dir = tmp.path().join(replica_dir_name(r.id));
+            assert!(crate::wal::recover_dir(&dir).unwrap().ops.is_empty());
+            assert_eq!(Arc::strong_count(&r.store), 1, "replica {}", r.id);
+        }
+    }
+
+    #[test]
     fn a_data_dir_written_by_groups_recovers_like_one_written_op_by_op() {
         let ops: Vec<Op> = (0..40)
             .map(|i| match i % 4 {
@@ -959,7 +1123,7 @@ mod tests {
         assert_eq!(store.node_count(), 1 + 10 + 20, "root, /n*, /m* and /m*/c");
         assert_eq!(g.read(|st| st.clone()).unwrap(), store);
         for r in &g.replicas {
-            assert_eq!(r.store, store, "replica {}", r.id);
+            assert_eq!(*r.store, store, "replica {}", r.id);
         }
     }
 
@@ -1006,7 +1170,7 @@ mod tests {
         for r in &e.replicas {
             let dir = tmp.path().join(replica_dir_name(r.id));
             assert!(crate::wal::recover_dir(&dir).unwrap().ops.is_empty());
-            assert_eq!(r.store, reference, "replica {}", r.id);
+            assert_eq!(*r.store, reference, "replica {}", r.id);
         }
     }
 
@@ -1023,7 +1187,10 @@ mod tests {
             data: Bytes::from_static(b"diverged"),
             expected_version: None,
         };
-        e.replicas[follower].store.apply(zxid, &diverge).0.unwrap();
+        Arc::make_mut(&mut e.replicas[follower].store)
+            .apply(zxid, &diverge)
+            .0
+            .unwrap();
         assert_eq!(
             e.replicas[follower].store.node_count(),
             e.replicas[leader].store.node_count()

@@ -21,8 +21,14 @@
 //! Writes from every session commit in groups, as ZooKeeper's leader
 //! flushes its log: a write that arrives while a group is committing
 //! queues, and everything queued is committed together as the next group
-//! ([`Ensemble::submit_group`]) — each op with its own zxid and result,
-//! all of them sharing one fsync round.
+//! — each op with its own zxid and result, all of them sharing one fsync
+//! round. A group is logged under the ensemble lock, fsynced with the lock
+//! released, and applied under it again (see [`crate::ensemble`]'s commit
+//! groups), and its writers are answered only after the apply. So a read
+//! never waits on the log: while a group's fsync is in flight, reads see
+//! the state before it, which is exactly what has been acknowledged.
+//! Writes still serialize through the committer's turn, one group at a
+//! time, so global write throughput stays bounded by the group's log cost.
 //!
 //! Watches are one-shot notifications, as in ZooKeeper, and registering
 //! one is a set insert: a session re-arming a watch that has not fired yet
@@ -31,17 +37,17 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use tropic_model::{real_clock, Path, SharedClock};
 
-use crate::ensemble::{Ensemble, EnsembleStats};
+use crate::ensemble::{fail_all, write_snapshots, Applied, Ensemble, EnsembleStats};
 use crate::error::{CoordError, CoordResult};
 use crate::store::{Op, OpResult, Stat, StoreEvent};
 use crate::wal::DurabilityOptions;
@@ -57,12 +63,13 @@ pub struct CoordConfig {
     pub session_timeout_ms: u64,
     /// Expiry-check period.
     pub tick_ms: u64,
-    /// Simulated I/O latency added to every commit group while the ensemble
-    /// lock is held. Models the ZooKeeper logging cost the paper identifies
-    /// as the dominant overhead (§6.1); groups serialize behind it, bounding
-    /// global group throughput at roughly `1 / write_latency`. A lone writer
-    /// pays it on every write; concurrent writers that queue behind a group
-    /// share the next one's.
+    /// Simulated I/O latency added to every commit group, between its log
+    /// and its apply, with the ensemble lock released. Models the ZooKeeper
+    /// logging cost the paper identifies as the dominant overhead (§6.1);
+    /// groups serialize behind it through the committer's turn, bounding
+    /// global group throughput at roughly `1 / write_latency`. A lone
+    /// writer pays it on every write; concurrent writers that queue behind
+    /// a group share the next one's. Reads never wait on it.
     pub write_latency: Duration,
     /// On-disk durability root. `None` keeps the ensemble in memory; with a
     /// directory, every replica write-ahead-logs and snapshots under
@@ -191,10 +198,6 @@ pub struct ServiceStats {
     pub sessions: u64,
 }
 
-/// One op's outcome on the ensemble leader: its result and the store
-/// events it produced.
-type Applied = (CoordResult<OpResult>, Vec<StoreEvent>);
-
 /// A write waiting for the group that commits it.
 struct QueuedWrite {
     ticket: u64,
@@ -253,6 +256,12 @@ impl Drop for Turn<'_> {
 
 pub(crate) struct ServiceInner {
     ensemble: Mutex<Ensemble>,
+    /// Signalled on `ensemble` when a commit group ends while a thread
+    /// waits in `settled_ensemble`.
+    group_ended: Condvar,
+    /// Threads waiting in `settled_ensemble`; changed only under
+    /// `ensemble`, so a committer that reads it there misses none.
+    settle_waiters: AtomicUsize,
     writes: Mutex<WriteQueue>,
     sessions: Mutex<HashMap<u64, Session>>,
     watches: Mutex<WatchTable>,
@@ -265,7 +274,7 @@ pub(crate) struct ServiceInner {
 
 impl ServiceInner {
     // Lock order: `watches` may be held while taking `sessions`, never
-    // the reverse; neither is held across an ensemble submit. `writes` may
+    // the reverse; neither is held across an ensemble call. `writes` may
     // be taken under `ensemble`, never the reverse.
     fn dispatch_events(&self, events: &[StoreEvent]) {
         if events.is_empty() {
@@ -367,32 +376,73 @@ impl ServiceInner {
     }
 
     /// Holds the committer's turn: commits `own` and everything queued as
-    /// one group, publishes every queued write's result to its writer, and
-    /// returns `own`'s.
+    /// one group, answers every queued write, and returns `own`'s result.
+    /// The group is logged under the ensemble lock, waits out the modeled
+    /// latency and its fsyncs with no lock held, and is applied under the
+    /// lock again; the snapshots it triggers are written with no lock held
+    /// too. The turn is held throughout, so no later group can log behind
+    /// a snapshot and have its records truncated away.
     fn commit_group(&self, own: Op) -> Applied {
         let _turn = Turn(self);
         let mut ensemble = self.ensemble.lock();
+        // Taken once the lock is ours, so writes that queued while the
+        // committer waited for it join this group.
         let queued = std::mem::take(&mut self.writes.lock().queued);
         let (mut ops, mut replies) = (vec![own], Vec::with_capacity(queued.len()));
         for w in queued {
             ops.push(w.op);
             replies.push(w.reply);
         }
-        // The latency sleep sits inside the ensemble lock on purpose:
-        // ZooKeeper serializes writes through its leader's log, so the
-        // simulated I/O cost must bound *global* write throughput. It is
-        // paid once per group, as the log write it models is.
-        if !self.config.write_latency.is_zero() {
-            // analyze:allow(blocking-under-lock): models the leader's serialized log I/O; see comment above
-            self.clock.sleep(self.config.write_latency);
-        }
-        let mut results = ensemble.submit_group(&ops).into_iter();
+        let begun = ensemble.begin_group(&ops);
         drop(ensemble);
+        let (results, snapshots) = match begun {
+            Ok(mut group) => {
+                // The modeled log I/O is paid once per group, as the log
+                // write it stands for. Groups serialize through the turn,
+                // so it still bounds *global* write throughput, as
+                // ZooKeeper's leader log does.
+                if !self.config.write_latency.is_zero() {
+                    self.clock.sleep(self.config.write_latency);
+                }
+                group.sync();
+                self.ending_group(|ensemble| ensemble.end_group(group))
+            }
+            Err(e) => (fail_all(ops.len(), e), Vec::new()),
+        };
+        let mut results = results.into_iter();
         let mine = results.next();
         for (reply, applied) in replies.iter().zip(results) {
             let _ = reply.send(Reply::Done(applied));
         }
+        if !snapshots.is_empty() {
+            let written = write_snapshots(snapshots);
+            self.ending_group(|ensemble| ensemble.end_snapshots(written));
+        }
         mine.unwrap_or((Err(CoordError::Unavailable), Vec::new()))
+    }
+
+    /// Runs a step that may end the group in flight, and wakes whoever
+    /// waits for it to end. A wake-up costs a system call, so it is only
+    /// sent when someone waits.
+    fn ending_group<T>(&self, step: impl FnOnce(&mut Ensemble) -> T) -> T {
+        let mut ensemble = self.ensemble.lock();
+        let out = step(&mut ensemble);
+        if !ensemble.group_in_flight() && self.settle_waiters.load(Ordering::SeqCst) > 0 {
+            self.group_ended.notify_all();
+        }
+        out
+    }
+
+    /// The ensemble, locked once no commit group is in flight: what
+    /// changes the replicas' membership waits here. Reads never do.
+    fn settled_ensemble(&self) -> MutexGuard<'_, Ensemble> {
+        let mut ensemble = self.ensemble.lock();
+        while ensemble.group_in_flight() {
+            self.settle_waiters.fetch_add(1, Ordering::SeqCst);
+            self.group_ended.wait(&mut ensemble);
+            self.settle_waiters.fetch_sub(1, Ordering::SeqCst);
+        }
+        ensemble
     }
 
     /// The one way a session ends: `close()`, timeout expiry and
@@ -472,6 +522,8 @@ impl CoordService {
         let ensemble = Self::build_ensemble(&config, recover);
         let inner = Arc::new(ServiceInner {
             ensemble: Mutex::new(ensemble),
+            group_ended: Condvar::new(),
+            settle_waiters: AtomicUsize::new(0),
             writes: Mutex::new(WriteQueue::default()),
             sessions: Mutex::new(HashMap::new()),
             watches: Mutex::new(WatchTable::default()),
@@ -557,14 +609,16 @@ impl CoordService {
         }
     }
 
-    /// Crashes an ensemble replica.
+    /// Crashes an ensemble replica, once any commit group in flight has
+    /// ended.
     pub fn crash_replica(&self, id: usize) {
-        self.inner.ensemble.lock().crash_replica(id);
+        self.inner.settled_ensemble().crash_replica(id);
     }
 
-    /// Restarts a crashed ensemble replica (it syncs from the leader).
+    /// Restarts a crashed ensemble replica (it syncs from the leader), once
+    /// any commit group in flight has ended.
     pub fn restart_replica(&self, id: usize) {
-        self.inner.ensemble.lock().restart_replica(id);
+        self.inner.settled_ensemble().restart_replica(id);
     }
 
     /// Changes the modeled per-fsync device latency on every durable
@@ -573,8 +627,7 @@ impl CoordService {
     /// realistic device before measuring. A no-op without a `data_dir`.
     pub fn set_simulated_fsync_latency(&self, latency: Duration) {
         self.inner
-            .ensemble
-            .lock()
+            .settled_ensemble()
             .set_simulated_fsync_latency(latency);
     }
 
@@ -585,14 +638,16 @@ impl CoordService {
         self.inner.end_session(session);
     }
 
-    /// Partitions the replica network into groups.
+    /// Partitions the replica network into groups, once any commit group
+    /// in flight has ended.
     pub fn partition(&self, groups: Vec<Vec<usize>>) {
-        self.inner.ensemble.lock().net().partition(groups);
+        self.inner.settled_ensemble().net().partition(groups);
     }
 
-    /// Heals all replica-network partitions.
+    /// Heals all replica-network partitions, once any commit group in
+    /// flight has ended.
     pub fn heal(&self) {
-        self.inner.ensemble.lock().net().heal();
+        self.inner.settled_ensemble().net().heal();
     }
 
     /// Service-level statistics.
@@ -1405,10 +1460,17 @@ mod tests {
     fn concurrent_writers_share_groups_and_every_acked_write_survives_recovery() {
         const THREADS: usize = 8;
         const WRITES: usize = 20;
+        const READERS: usize = 2;
         let tmp = crate::testutil::TempDir::new("tropic-svc-groups");
         let config = CoordConfig {
             session_timeout_ms: 10_000,
             data_dir: Some(tmp.path().to_path_buf()),
+            // Small enough that the run takes several policy snapshots,
+            // each written while readers keep reading.
+            durability: DurabilityOptions {
+                snapshot_every_ops: 32,
+                ..DurabilityOptions::default()
+            },
             ..CoordConfig::default()
         };
         let acked: Vec<Path> = {
@@ -1421,6 +1483,25 @@ mod tests {
                 setup.watch(&watched(t, i), WatchKind::Node).unwrap();
             }
             let before = svc.ensemble_stats();
+            // Readers run beside the writers: every read succeeds, and the
+            // state it sees never goes back in time.
+            let writing = Arc::new(AtomicBool::new(true));
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let (svc, writing) = (Arc::clone(&svc), Arc::clone(&writing));
+                    std::thread::spawn(move || {
+                        let c = svc.connect("reader");
+                        let (mut seen, mut reads) = (0, 0u64);
+                        while writing.load(Ordering::SeqCst) {
+                            let now = c.get_children(&p("/seq")).unwrap().len();
+                            assert!(now >= seen, "a read went back from {seen} to {now} items");
+                            seen = now;
+                            reads += 1;
+                        }
+                        reads
+                    })
+                })
+                .collect();
             let writers: Vec<_> = (0..THREADS)
                 .map(|t| {
                     let svc = Arc::clone(&svc);
@@ -1441,6 +1522,10 @@ mod tests {
                 .into_iter()
                 .flat_map(|w| w.join().unwrap())
                 .collect();
+            writing.store(false, Ordering::SeqCst);
+            for reader in readers {
+                assert!(reader.join().unwrap() > 0, "a reader never got a read in");
+            }
             let after = svc.ensemble_stats();
             let writes = after.committed - before.committed;
             assert_eq!(writes, (THREADS * WRITES * 2) as u64);
@@ -1448,6 +1533,11 @@ mod tests {
                 after.groups - before.groups < writes,
                 "{} groups for {writes} concurrent writes",
                 after.groups - before.groups
+            );
+            let snapshots = after.snapshots_written - before.snapshots_written;
+            assert!(
+                snapshots >= 6,
+                "{snapshots} snapshots across three replicas"
             );
 
             let names: std::collections::HashSet<&Path> = acked.iter().collect();
@@ -1469,6 +1559,87 @@ mod tests {
         for path in &acked {
             assert!(c.exists(path).unwrap(), "acked {path} lost");
         }
+    }
+
+    /// A durable service whose every fsync takes 200 ms, and a writer
+    /// thread creating `path` on it.
+    fn slow_fsync_create(
+        tmp: &crate::testutil::TempDir,
+        path: &'static str,
+    ) -> (Arc<CoordService>, JoinHandle<CoordResult<Path>>) {
+        let config = CoordConfig {
+            session_timeout_ms: 10_000, // outlasts the slow fsync
+            ..durable_config(tmp.path())
+        };
+        let svc = Arc::new(CoordService::start(config));
+        svc.set_simulated_fsync_latency(Duration::from_millis(200));
+        let writer_svc = Arc::clone(&svc);
+        let writer = std::thread::spawn(move || {
+            let c = writer_svc.connect("writer");
+            c.create(&p(path), Bytes::new(), CreateMode::Persistent)
+        });
+        (svc, writer)
+    }
+
+    /// Waits until the ensemble lock, once taken, shows a commit group in
+    /// flight. `false` when the writer finished first: every look at the
+    /// ensemble had to wait for its group to end.
+    fn sees_group_in_flight(svc: &CoordService, writer: &JoinHandle<CoordResult<Path>>) -> bool {
+        while !writer.is_finished() {
+            if svc.inner.ensemble.lock().group_in_flight() {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
+    }
+
+    #[test]
+    fn a_read_completes_during_a_group_fsync_and_sees_the_state_before_it() {
+        let tmp = crate::testutil::TempDir::new("tropic-svc-read-in-flight");
+        let (svc, writer) = slow_fsync_create(&tmp, "/in-flight");
+        let reader = svc.connect("reader");
+        assert!(
+            sees_group_in_flight(&svc, &writer),
+            "the ensemble lock was held across the writer's whole group"
+        );
+        assert!(
+            !reader.exists(&p("/in-flight")).unwrap(),
+            "a read saw a create that was not acknowledged yet"
+        );
+        assert!(
+            !writer.is_finished(),
+            "the read waited for the writer's group to end"
+        );
+        let path = writer.join().unwrap().unwrap();
+        assert!(
+            reader.exists(&path).unwrap(),
+            "an acknowledged create is unseen"
+        );
+    }
+
+    #[test]
+    fn a_replica_crash_waits_for_the_group_in_flight_to_end() {
+        let tmp = crate::testutil::TempDir::new("tropic-svc-crash-in-flight");
+        let (svc, writer) = slow_fsync_create(&tmp, "/before-crash");
+        let before = svc.ensemble_stats().committed;
+        assert!(sees_group_in_flight(&svc, &writer));
+        let leader = svc.inner.ensemble.lock().leader().unwrap();
+        svc.crash_replica(leader);
+        // Had the crash landed mid-group, the old leader would have gone
+        // down without applying the create.
+        let ensemble = svc.inner.ensemble.lock();
+        let new_leader = ensemble.leader().unwrap();
+        assert_ne!(new_leader, leader);
+        assert_eq!(ensemble.stats().committed, before + 1);
+        assert_eq!(
+            ensemble.replica_last_zxid(leader),
+            ensemble.replica_last_zxid(new_leader),
+            "the crashed replica missed the group it was acking"
+        );
+        drop(ensemble);
+        let path = writer.join().unwrap().unwrap();
+        assert!(svc.connect("reader").exists(&path).unwrap());
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! covers it; and the ensemble commits writes from concurrent sessions as
 //! one group, so one fsync covers every record of the group.
 //!
-//! There is one fsync discipline, ZooKeeper's: [`Durability::commit_batch`]
-//! forces everything the group appended to disk before it returns, so a
-//! replica never acknowledges a record that a power loss could take back.
-//! The ensemble overlaps the replicas' fsyncs by settling each acking
-//! replica on its own thread (see `Ensemble::submit_group`).
+//! There is one fsync discipline, ZooKeeper's: every record a group
+//! appended is on disk before the group is acknowledged, so a replica never
+//! acknowledges a record that a power loss could take back. The fsync is
+//! handed out as a [`PendingSync`] — a handle on the current segment that
+//! borrows nothing — so the ensemble runs it on every acking replica at
+//! once with no lock held, and records its outcome with
+//! [`Durability::synced`]. A snapshot the policy asks for is handed out the
+//! same way, as a `DueSnapshot`, and recorded with
+//! `Durability::snapshot_written` (see `Ensemble::begin_group`).
 //!
 //! The log is segmented: a segment file is named after the zxid of its
 //! first record and rotated once it exceeds
@@ -30,6 +34,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path as StdPath, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::codec;
@@ -226,12 +231,13 @@ impl Wal {
         Ok(rotated)
     }
 
-    /// Forces the current segment to stable storage.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if let Some(seg) = &self.current {
-            seg.file.sync_data()?;
+    /// A second handle on the current segment, for an fsync that runs
+    /// without borrowing the log.
+    fn current_file(&self) -> io::Result<File> {
+        match &self.current {
+            Some(seg) => seg.file.try_clone(),
+            None => Err(io::Error::other("no current WAL segment")),
         }
-        Ok(())
     }
 
     /// Directory fsyncs issued by this log (new-segment creation, segment
@@ -340,10 +346,55 @@ fn scan_segment(data: &[u8]) -> (usize, Vec<(u64, Op)>, bool) {
     }
 }
 
+/// An fsync of one replica's current segment, detached from its
+/// [`Durability`] so it can run with no lock held: it owns a second handle
+/// on the file, the modeled device latency and the byte count it covers.
+/// [`PendingSync::run`] performs it; [`Durability::synced`] records it.
+pub struct PendingSync {
+    file: File,
+    latency: Duration,
+    bytes: u64,
+    outcome: Option<io::Result<()>>,
+}
+
+impl PendingSync {
+    /// Waits out the modeled device latency, then forces the segment to
+    /// stable storage.
+    pub fn run(&mut self) {
+        if !self.latency.is_zero() {
+            std::thread::sleep(self.latency);
+        }
+        self.outcome = Some(self.file.sync_data());
+    }
+}
+
+/// A snapshot the policy asked for, detached from its [`Durability`] so it
+/// can be written with no lock held. It shares the replica's store, which
+/// must not change until [`DueSnapshot::write`] has released it.
+/// [`Durability::snapshot_written`] records it.
+pub(crate) struct DueSnapshot {
+    dir: PathBuf,
+    zxid: u64,
+    store: Option<Arc<ZnodeStore>>,
+    outcome: Option<io::Result<usize>>,
+}
+
+impl DueSnapshot {
+    /// Streams the snapshot to disk and prunes old generations, then
+    /// releases the store.
+    pub(crate) fn write(&mut self) {
+        if let Some(store) = self.store.take() {
+            let written = snapshot::write(&self.dir, self.zxid, &store);
+            self.outcome = Some(written.map(|_| snapshot::retain_latest(&self.dir, 2)));
+        }
+    }
+}
+
 /// One replica's durability handle: its write-ahead log, snapshot policy,
-/// and counters. Owned by an ensemble replica; every committed op flows
-/// through [`Durability::append`] before it is applied, and every committed
-/// batch ends with [`Durability::commit_batch`].
+/// and counters. Owned by an ensemble replica. A commit group is appended
+/// with [`Durability::append_frame`] before it is applied, made durable
+/// through [`Durability::pending_sync`] and [`Durability::synced`], and may
+/// end with the `Durability::due_snapshot` the policy asks for.
 pub struct Durability {
     dir: PathBuf,
     opts: DurabilityOptions,
@@ -463,29 +514,64 @@ impl Durability {
         Ok(())
     }
 
-    /// Ends a committed batch: fsyncs what the batch appended, then writes
-    /// a snapshot of `store` when the policy triggers. When this returns
-    /// `Ok`, every record appended so far is on disk.
-    pub fn commit_batch(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
-        self.sync_now()?;
+    /// The fsync that makes everything appended so far durable, or `None`
+    /// when nothing is waiting for one.
+    pub fn pending_sync(&self) -> WalResult<Option<PendingSync>> {
+        if self.unsynced_bytes == 0 {
+            return Ok(None);
+        }
+        let file = self.wal.current_file().map_err(wal_io("fsync"))?;
+        Ok(Some(PendingSync {
+            file,
+            latency: self.simulated_fsync_latency,
+            bytes: self.unsynced_bytes,
+            outcome: None,
+        }))
+    }
+
+    /// Records the outcome of a [`PendingSync`] taken from this handle. A
+    /// sync that never ran counts as failed.
+    pub fn synced(&mut self, sync: PendingSync) -> WalResult<()> {
+        let outcome = sync
+            .outcome
+            .unwrap_or_else(|| Err(io::Error::other("fsync never ran")));
+        outcome.map_err(wal_io("fsync"))?;
+        self.stats.fsyncs += 1;
+        self.stats.bytes_fsynced += sync.bytes;
+        self.unsynced_bytes = self.unsynced_bytes.saturating_sub(sync.bytes);
+        Ok(())
+    }
+
+    /// The snapshot of `store` at `zxid` that the policy asks for once a
+    /// group is durable, if it asks for one.
+    pub(crate) fn due_snapshot(&self, zxid: u64, store: &Arc<ZnodeStore>) -> Option<DueSnapshot> {
         let by_ops = self.opts.snapshot_every_ops > 0
             && self.ops_since_snapshot >= self.opts.snapshot_every_ops;
         let by_bytes = self.opts.snapshot_max_wal_bytes > 0
             && self.wal_bytes_since_snapshot >= self.opts.snapshot_max_wal_bytes;
-        if by_ops || by_bytes {
-            self.write_snapshot(zxid, store)?;
-        }
-        Ok(())
+        (by_ops || by_bytes).then(|| self.snapshot_of(zxid, store))
     }
 
-    /// Writes a full snapshot of `store` at `zxid` and truncates every WAL
-    /// segment: when the policy triggers, and when a follower installs a
-    /// state transfer from the leader.
-    pub fn write_snapshot(&mut self, zxid: u64, store: &ZnodeStore) -> WalResult<()> {
-        snapshot::write(&self.dir, zxid, store).map_err(wal_io("snapshot"))?;
-        // write fsyncs the directory after its rename.
+    fn snapshot_of(&self, zxid: u64, store: &Arc<ZnodeStore>) -> DueSnapshot {
+        DueSnapshot {
+            dir: self.dir.clone(),
+            zxid,
+            store: Some(Arc::clone(store)),
+            outcome: None,
+        }
+    }
+
+    /// Records a [`DueSnapshot`] taken from this handle and, once it is on
+    /// disk, truncates every WAL segment it covers. A snapshot that was
+    /// never written counts as failed.
+    pub(crate) fn snapshot_written(&mut self, snap: DueSnapshot) -> WalResult<()> {
+        let outcome = snap
+            .outcome
+            .unwrap_or_else(|| Err(io::Error::other("snapshot never written")));
+        let removed = outcome.map_err(wal_io("snapshot"))?;
+        // snapshot::write fsyncs the directory after its rename.
         self.stats.dir_fsyncs += 1;
-        if snapshot::retain_latest(&self.dir, 2) > 0 {
+        if removed > 0 {
             self.stats.dir_fsyncs += 1;
         }
         self.wal.clear().map_err(wal_io("truncate"))?;
@@ -496,19 +582,13 @@ impl Durability {
         Ok(())
     }
 
-    /// Forces everything appended since the last sync to disk.
-    fn sync_now(&mut self) -> WalResult<()> {
-        if self.unsynced_bytes == 0 {
-            return Ok(());
-        }
-        if !self.simulated_fsync_latency.is_zero() {
-            std::thread::sleep(self.simulated_fsync_latency);
-        }
-        self.wal.sync().map_err(wal_io("fsync"))?;
-        self.stats.fsyncs += 1;
-        self.stats.bytes_fsynced += self.unsynced_bytes;
-        self.unsynced_bytes = 0;
-        Ok(())
+    /// Writes a full snapshot of `store` at `zxid` in place and truncates
+    /// every WAL segment: a follower installing a state transfer from the
+    /// leader persists it this way.
+    pub fn write_snapshot(&mut self, zxid: u64, store: &Arc<ZnodeStore>) -> WalResult<()> {
+        let mut snap = self.snapshot_of(zxid, store);
+        snap.write();
+        self.snapshot_written(snap)
     }
 
     /// Changes the modeled device latency added to every fsync (zero — the
@@ -547,12 +627,25 @@ mod tests {
         }
     }
 
-    /// One committed op the way a replica drives the handle: log, apply,
-    /// settle the batch.
-    fn commit(d: &mut Durability, store: &mut ZnodeStore, zxid: u64, op: &Op) {
+    /// Makes everything appended so far durable, as the ensemble does for
+    /// each acking replica of a group.
+    fn fsync(d: &mut Durability) {
+        if let Some(mut sync) = d.pending_sync().unwrap() {
+            sync.run();
+            d.synced(sync).unwrap();
+        }
+    }
+
+    /// One committed op the way a replica drives the handle: log, fsync,
+    /// apply, then the snapshot the policy asks for.
+    fn commit(d: &mut Durability, store: &mut Arc<ZnodeStore>, zxid: u64, op: &Op) {
         d.append(zxid, op).unwrap();
-        store.apply(zxid, op).0.unwrap();
-        d.commit_batch(zxid, store).unwrap();
+        fsync(d);
+        Arc::make_mut(store).apply(zxid, op).0.unwrap();
+        if let Some(mut snap) = d.due_snapshot(zxid, store) {
+            snap.write();
+            d.snapshot_written(snap).unwrap();
+        }
     }
 
     #[test]
@@ -722,7 +815,7 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
-        let mut store = ZnodeStore::new();
+        let mut store = Arc::new(ZnodeStore::new());
         for i in 1..=10u64 {
             let op = create_op(&format!("/n{i}"));
             commit(&mut d, &mut store, i, &op);
@@ -747,7 +840,7 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
-        let mut store = ZnodeStore::new();
+        let mut store = Arc::new(ZnodeStore::new());
         for i in 1..=10u64 {
             let op = create_op(&format!("/n{i}"));
             commit(&mut d, &mut store, i, &op);
@@ -801,13 +894,12 @@ mod tests {
             segment_max_bytes: 64, // rotate in the middle of a batch
         };
         let mut d = Durability::create(tmp.path(), opts).unwrap();
-        let store = ZnodeStore::new();
         for batch in 0..10u64 {
             for k in 1..=5u64 {
                 let zxid = batch * 5 + k;
                 d.append(zxid, &create_op(&format!("/node{zxid}"))).unwrap();
             }
-            d.commit_batch(batch * 5 + 5, &store).unwrap();
+            fsync(&mut d);
             let s = d.stats();
             assert_eq!(
                 s.bytes_fsynced, s.wal_bytes,
@@ -829,13 +921,12 @@ mod tests {
             },
         )
         .unwrap();
-        let store = ZnodeStore::new();
         for i in 1..=3u64 {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
-            d.commit_batch(i, &store).unwrap();
+            fsync(&mut d);
         }
         // A batch with nothing appended has nothing to sync.
-        d.commit_batch(3, &store).unwrap();
+        assert!(d.pending_sync().unwrap().is_none());
         let s = d.stats();
         assert_eq!(s.fsyncs, 3);
         assert_eq!(s.bytes_fsynced, s.wal_bytes);
@@ -850,16 +941,15 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
-        let store = ZnodeStore::new();
         for i in 1..=20u64 {
             d.append(i, &create_op(&format!("/n{i}"))).unwrap();
-            d.commit_batch(i, &store).unwrap();
+            fsync(&mut d);
         }
         let s = d.stats();
         assert_eq!(s.fsyncs, 20);
         assert_eq!(
             s.bytes_fsynced, s.wal_bytes,
-            "every committed batch is settled when commit_batch returns"
+            "every committed batch is settled once its fsync is recorded"
         );
         drop(d);
         let (_, snap, suffix) = Durability::open(tmp.path(), opts).unwrap();
@@ -877,7 +967,7 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let mut d = Durability::create(tmp.path(), opts.clone()).unwrap();
-        let mut store = ZnodeStore::new();
+        let mut store = Arc::new(ZnodeStore::new());
         for i in 1..=6u64 {
             commit(&mut d, &mut store, i, &create_op(&format!("/n{i}")));
         }

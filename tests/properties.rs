@@ -645,8 +645,10 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             let zxid = i as u64 + 1;
             d.append(zxid, op).unwrap();
+            let mut sync = d.pending_sync().unwrap().expect("an append awaits its fsync");
+            sync.run();
+            d.synced(sync).unwrap();
             let _ = store.apply(zxid, op);
-            d.commit_batch(zxid, &store).unwrap();
         }
         let live = store;
         drop(d);
@@ -1270,6 +1272,19 @@ fn decode_all(bytes: &[u8]) -> [bool; 4] {
         decode_task(bytes).is_ok(),
         decode_granule(bytes).is_ok(),
     ]
+}
+
+/// Data dirs from earlier builds hold JSON, which every decoder still
+/// reads behind a leading `{`. A deeply nested one is rejected like any
+/// other malformed payload, on a spawned thread's smaller stack too.
+#[test]
+fn store_decoders_reject_deeply_nested_legacy_json() {
+    let mut bytes = br#"{"v":1,"msg":"#.to_vec();
+    bytes.resize(bytes.len() + 100_000, b'[');
+    let decoded = std::thread::spawn(move || decode_all(&bytes))
+        .join()
+        .unwrap();
+    assert_eq!(decoded, [false; 4]);
 }
 
 proptest! {

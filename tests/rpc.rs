@@ -10,10 +10,10 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use tropic::coord::{write_frame, FrameError, FrameReader, TempDir};
-use tropic::core::rpc::{decode_response, encode_request, RpcRequest, RpcResponse};
+use tropic::core::rpc::{decode_request, decode_response, encode_request, RpcRequest, RpcResponse};
 use tropic::core::{
     ApiError, ExecMode, PlatformConfig, Priority, RpcServer, Subscription, Tropic, TropicClient,
-    TxnEvent, TxnRequest, TxnState,
+    TxnEvent, TxnRequest, TxnState, WireError,
 };
 use tropic::devices::LatencyModel;
 use tropic::model::Path;
@@ -189,6 +189,50 @@ fn malformed_payload_rejected_connection_survives() {
     let mut reader = FrameReader::new();
 
     write_frame(&mut stream, b"not json at all").unwrap();
+    match read_response(&mut stream, &mut reader).unwrap() {
+        RpcResponse::Error(e) => assert!(matches!(e, ApiError::InvalidRequest(_)), "{e}"),
+        other => panic!("unexpected {other:?}"),
+    }
+
+    write_frame(&mut stream, &encode_request(RpcRequest::Ping).unwrap()).unwrap();
+    assert!(matches!(
+        read_response(&mut stream, &mut reader).unwrap(),
+        RpcResponse::Pong { .. }
+    ));
+
+    server.stop();
+    platform.shutdown();
+}
+
+/// `{"v":1,"msg":` and then 100 000 `[`: 100 kB, far under the frame cap,
+/// and deep enough to overflow the stack of a parser that recurses without
+/// a limit — which aborts the whole process, not just the connection.
+fn deeply_nested_request() -> Vec<u8> {
+    let mut frame = br#"{"v":1,"msg":"#.to_vec();
+    frame.resize(frame.len() + 100_000, b'[');
+    frame
+}
+
+#[test]
+fn a_deeply_nested_request_is_malformed_not_a_stack_overflow() {
+    // A spawned thread has a smaller stack than the test's main thread,
+    // like the server's reactor thread.
+    let decoded = std::thread::spawn(|| decode_request(&deeply_nested_request()))
+        .join()
+        .unwrap();
+    assert!(
+        matches!(decoded, Err(WireError::Malformed(_))),
+        "{decoded:?}"
+    );
+}
+
+#[test]
+fn a_deeply_nested_frame_leaves_the_server_answering_pings() {
+    let (platform, server) = start();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = FrameReader::new();
+
+    write_frame(&mut stream, &deeply_nested_request()).unwrap();
     match read_response(&mut stream, &mut reader).unwrap() {
         RpcResponse::Error(e) => assert!(matches!(e, ApiError::InvalidRequest(_)), "{e}"),
         other => panic!("unexpected {other:?}"),
