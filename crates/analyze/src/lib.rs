@@ -1,6 +1,6 @@
 //! `tropic-analyze`: repo-specific static analysis for TROPIC.
 //!
-//! Four check families over `crates/*/src` and `src/`:
+//! Five check families over `crates/*/src` and `src/`:
 //!
 //! - **lock-order** — per-function lock-acquisition sequences folded
 //!   into a global graph; cycles (and recursive acquisitions) fail.
@@ -11,6 +11,9 @@
 //! - **panic-path** — unwrap/expect/panic!/indexing in production code
 //!   of the product crates (`panics::CENSUS_ROOTS`; the tool crates are
 //!   exempt) vs the per-file budgets in `analyze/allow.toml`.
+//! - **sleep-site** — `thread::sleep` in production code of the product
+//!   crates outside `crates/model/src/clock.rs`: every product wait is a
+//!   clock wait.
 //!
 //! Deliberate sites are annotated inline with
 //! `// analyze:allow(<check>): <reason>`. See `docs/STATIC_ANALYSIS.md`.
@@ -27,6 +30,7 @@ pub mod panics;
 pub mod report;
 pub mod schema;
 pub mod scope;
+pub mod sleeps;
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -123,7 +127,7 @@ pub fn collect_sources(root: &Path) -> Vec<(String, PathBuf)> {
     out
 }
 
-/// Runs all four checks over the tree. Errors are I/O or config
+/// Runs all five checks over the tree. Errors are I/O or config
 /// problems (unreadable allowlist), not findings.
 pub fn analyze(opts: &Options) -> Result<Analysis, String> {
     let sources = collect_sources(&opts.root);
@@ -152,6 +156,7 @@ pub fn analyze(opts: &Options) -> Result<Analysis, String> {
 
         if let Some(root) = panics::census_root(rel) {
             *product_sizes.entry(root).or_default() += scope::product_lines(&lexed, &scopes);
+            sleeps::check(rel, &lexed, &scopes, &mut findings);
             let sites = panics::collect(&lexed, &scopes);
             if !sites.is_empty() {
                 panic_counts.insert(rel.clone(), sites.len());
@@ -233,6 +238,7 @@ pub fn self_test(fixtures: &Path) -> Result<String, String> {
         check::BLOCKING,
         check::SCHEMA,
         check::PANIC,
+        check::SLEEP,
     ] {
         if !v.findings.iter().any(|f| f.check == id) {
             missing.push(id);
@@ -259,7 +265,7 @@ pub fn self_test(fixtures: &Path) -> Result<String, String> {
     }
 
     Ok(format!(
-        "self-test OK: {} seeded finding(s) fired across all 4 checks; clean tree passed",
+        "self-test OK: {} seeded finding(s) fired across all 5 checks; clean tree passed",
         v.findings.len()
     ))
 }

@@ -37,6 +37,13 @@ pub(crate) fn census_root(file: &str) -> Option<&'static str> {
 /// Macros that abort the thread.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
 
+/// Keywords that can stand before a slice type or an array literal
+/// (`&mut [T]`, `for x in [a, b]`, `-> impl [..]`): an identifier token
+/// the lexer reports, but never the indexed expression of `expr[…]`.
+const NOT_INDEXED: &[&str] = &[
+    "mut", "in", "return", "break", "else", "dyn", "impl", "as", "match", "if", "while",
+];
+
 /// One panic-capable site.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
@@ -69,13 +76,15 @@ pub fn collect(lexed: &Lexed, scopes: &FileScopes) -> Vec<PanicSite> {
             Some(format!("{}!", t.text))
         } else if t.is_punct("[")
             && i > 0
-            && (toks[i - 1].kind == TokKind::Ident
+            && ((toks[i - 1].kind == TokKind::Ident
+                && !NOT_INDEXED.contains(&toks[i - 1].text.as_str()))
                 || toks[i - 1].is_punct(")")
                 || toks[i - 1].is_punct("]"))
         {
             // Indexing expression `expr[…]`. Pattern positions such as
             // `let [a, b] = …` have a preceding `let`/`,`/`(`, which the
-            // ident/`)`/`]` requirement already excludes.
+            // ident/`)`/`]` requirement already excludes; slice types and
+            // array literals after a keyword are skipped by name.
             Some("index".to_string())
         } else {
             None
@@ -147,6 +156,18 @@ mod tests {
             sites("#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f(v: Vec<u8>) { let x = v[0]; }");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].what, "index");
+    }
+
+    #[test]
+    fn keywords_before_slice_types_and_array_literals_are_not_indexing() {
+        let src = "fn f(s: &mut [u8], v: Vec<u8>) -> u8 {\n\
+                   for x in [1, 2] { let _ = x; }\n\
+                   let b: Box<dyn [u8]> = x as [u8; 2];\n\
+                   if c { return [0] } else [1];\n\
+                   v[0] }";
+        let got = sites(src);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].line, got[0].what.as_str()), (5, "index"));
     }
 
     #[test]

@@ -13,6 +13,8 @@ pub mod check {
     pub const SCHEMA: &str = "schema-drift";
     /// Panic-capable call in production code over the allowlisted budget.
     pub const PANIC: &str = "panic-path";
+    /// `thread::sleep` in production code outside the clock.
+    pub const SLEEP: &str = "sleep-site";
 }
 
 /// One diagnostic produced by a check.

@@ -28,6 +28,7 @@ fn violations_fire_every_check_family() {
         check::BLOCKING,
         check::SCHEMA,
         check::PANIC,
+        check::SLEEP,
     ] {
         assert!(
             v.findings.iter().any(|f| f.check == id),
@@ -93,6 +94,19 @@ fn panic_findings_skip_test_code() {
     // panicky.rs holds two production sites and one inside #[cfg(test)].
     assert_eq!(panics.len(), 2, "report:\n{}", v.report);
     assert!(panics.iter().all(|f| f.file == "src/panicky.rs"));
+}
+
+#[test]
+fn sleep_findings_skip_allowed_and_test_sites() {
+    let v = run("violations");
+    let sleeps: Vec<_> = v
+        .findings
+        .iter()
+        .filter(|f| f.check == check::SLEEP)
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    // sleepy.rs holds one bare product sleep, one allowed, one in a test.
+    assert_eq!(sleeps, vec![("src/sleepy.rs", 7)], "report:\n{}", v.report);
 }
 
 #[test]

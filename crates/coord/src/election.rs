@@ -6,8 +6,6 @@
 //! candidate observes leadership. This is the standard ZooKeeper recipe the
 //! paper's controllers use to pick the single active controller.
 
-use std::time::Duration;
-
 use bytes::Bytes;
 use tropic_model::Path;
 
@@ -51,43 +49,39 @@ impl<'a> LeaderElection<'a> {
         Ok(children.iter().min().map(String::as_str) == Some(me))
     }
 
-    /// Blocks until this candidate becomes leader or `timeout` elapses.
-    /// Returns `true` on leadership.
+    /// Blocks until this candidate becomes leader (`true`), or until the
+    /// service clock reaches `deadline_ms` or `stop()` holds once a stopper
+    /// notified the session (`false`).
     ///
     /// Rather than herd on the whole children list, each candidate watches
     /// its immediate predecessor znode, per the standard recipe.
-    pub fn wait_leadership(&self, timeout: Duration) -> CoordResult<bool> {
-        let deadline = std::time::Instant::now() + timeout;
+    pub fn wait_leadership(
+        &self,
+        deadline_ms: Option<u64>,
+        stop: impl Fn() -> bool,
+    ) -> CoordResult<bool> {
+        let probe = || Ok(self.is_leader()?.then_some(()));
+        let led =
+            (self.client).wait_watched(deadline_ms, stop, || self.watch_predecessor(), probe)?;
+        Ok(led.is_some())
+    }
+
+    /// Arms a watch on this candidate's predecessor, if it has one. A
+    /// predecessor that vanishes before its watch is armed would never
+    /// fire it, so the watch moves down the list until it sits on a live
+    /// node.
+    fn watch_predecessor(&self) -> CoordResult<()> {
+        let me = self.my_node.leaf().expect("named node");
         loop {
-            if self.is_leader()? {
-                return Ok(true);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(false);
-            }
-            // Find my predecessor and watch it.
-            let me = self.my_node.leaf().expect("named node").to_owned();
             let mut children = self.client.get_children(&self.base)?;
             children.sort();
-            let my_index = children.iter().position(|c| *c == me);
-            let predecessor: Option<String> = match my_index {
-                Some(i) if i > 0 => Some(children[i - 1].clone()),
-                _ => None,
+            let Some(pred) = children.iter().take_while(|c| c.as_str() < me).last() else {
+                return Ok(());
             };
-            match predecessor {
-                Some(pred) => {
-                    let pred_path = self.base.join(&pred);
-                    self.client.watch(&pred_path, WatchKind::Node)?;
-                    // The predecessor may have vanished between list and
-                    // watch; re-check before blocking.
-                    if !self.client.exists(&pred_path)? {
-                        continue;
-                    }
-                    let _ = self.client.wait_event(deadline - now);
-                }
-                // No predecessor: loop re-checks leadership immediately.
-                None => continue,
+            let pred_path = self.base.join(pred);
+            self.client.watch(&pred_path, WatchKind::Node)?;
+            if self.client.exists(&pred_path)? {
+                return Ok(());
             }
         }
     }
@@ -103,6 +97,7 @@ mod tests {
     use super::*;
     use crate::service::{CoordConfig, CoordService};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -159,7 +154,8 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             let c2 = svc2.connect("b");
             let e2 = LeaderElection::join(&c2, p("/election"), "b").unwrap();
-            e2.wait_leadership(Duration::from_secs(5)).unwrap()
+            e2.wait_leadership(Some(c2.now_ms() + 5_000), || false)
+                .unwrap()
         });
         std::thread::sleep(Duration::from_millis(100));
         svc.expire_session(c1.session_id());
@@ -173,7 +169,8 @@ mod tests {
         let c2 = svc.connect("b");
         let _e1 = LeaderElection::join(&c1, p("/election"), "a").unwrap();
         let e2 = LeaderElection::join(&c2, p("/election"), "b").unwrap();
-        assert!(!e2.wait_leadership(Duration::from_millis(150)).unwrap());
+        let deadline = c2.now_ms() + 150;
+        assert!(!e2.wait_leadership(Some(deadline), || false).unwrap());
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! `inputQ` is three such queues, one per priority lane, under a common
 //! parent that is itself never enqueued on or drained.
 //!
-//! Consumers idle behind children watches ([`DistributedQueue::await_any`]
-//! is the one wait loop; `await_items` is its single-queue case). Because
-//! the service registers a watch at most once per `(path, kind, session)`,
-//! a consumer that re-arms every lane on every idle call still holds one
-//! registration per lane and is woken once per arrival.
+//! Consumers idle behind children watches: [`DistributedQueue::await_any`]
+//! and [`DistributedQueue::dequeue_timeout`] are calls to the session's
+//! one watch wait ([`CoordClient::wait_watched`]), so an idle consumer
+//! makes no reads until an item lands, its deadline comes due on the
+//! service clock, or a stopper notifies its session. Because the service
+//! registers a watch at most once per `(path, kind, session)`, a consumer
+//! that re-arms every lane on every idle call still holds one registration
+//! per lane and is woken once per arrival.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -147,52 +149,35 @@ impl<'a> DistributedQueue<'a> {
         }
     }
 
-    /// [`DistributedQueue::await_any`] over this queue alone.
-    pub fn await_items(&self, timeout: Duration, stop: &AtomicBool) -> CoordResult<()> {
-        Self::await_any(&[self], timeout, stop)
-    }
-
-    /// Blocks until *any* of `queues` is likely non-empty, `timeout`
-    /// passes, or `stop` becomes true — without claiming anything. Arms one
-    /// children watch per queue, then waits on the shared event channel in
-    /// short slices, so idling costs no store writes and a shutdown flag
-    /// interrupts the wait within one slice regardless of how long
-    /// `timeout` is. All queues must be bound to the same client session.
-    /// Watch registration is idempotent, so the lanes whose watch did not
-    /// fire keep their one registration across any number of idle calls.
+    /// Blocks until *any* of `queues` is likely non-empty, the service
+    /// clock reaches `deadline_ms`, or `stop()` holds once a stopper
+    /// notified the session — without claiming anything. Arms one children
+    /// watch per queue, so idling costs no store writes and no reads. All
+    /// queues must be bound to the same client session. Watch registration
+    /// is idempotent, so the lanes whose watch did not fire keep their one
+    /// registration across any number of idle calls.
     pub fn await_any(
         queues: &[&DistributedQueue<'_>],
-        timeout: Duration,
-        stop: &AtomicBool,
+        deadline_ms: Option<u64>,
+        stop: impl Fn() -> bool,
     ) -> CoordResult<()> {
         let Some(first) = queues.first() else {
             return Ok(());
         };
-        for q in queues {
-            if q.len()? > 0 {
-                return Ok(());
+        let arm = || {
+            queues
+                .iter()
+                .try_for_each(|q| q.client.watch(&q.base, WatchKind::Children))
+        };
+        let probe = || -> CoordResult<Option<()>> {
+            for q in queues {
+                if q.len()? > 0 {
+                    return Ok(Some(()));
+                }
             }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        for q in queues {
-            q.client.watch(&q.base, WatchKind::Children)?;
-        }
-        // Re-check after arming the watches to close the landing race.
-        for q in queues {
-            if q.len()? > 0 {
-                return Ok(());
-            }
-        }
-        while !stop.load(Ordering::SeqCst) {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(());
-            }
-            let slice = (deadline - now).min(Duration::from_millis(25));
-            if first.client.wait_event(slice).is_some() {
-                return Ok(());
-            }
-        }
+            Ok(None)
+        };
+        first.client.wait_watched(deadline_ms, stop, arm, probe)?;
         Ok(())
     }
 
@@ -230,23 +215,10 @@ impl<'a> DistributedQueue<'a> {
     /// Blocks up to `timeout` for an item, using a children watch to avoid
     /// busy-polling.
     pub fn dequeue_timeout(&self, timeout: Duration) -> CoordResult<Option<(String, Bytes)>> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(item) = self.try_dequeue()? {
-                return Ok(Some(item));
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            self.client.watch(&self.base, WatchKind::Children)?;
-            // Re-check after registering the watch: an item may have landed
-            // in between, in which case the watch may never fire for it.
-            if let Some(item) = self.try_dequeue()? {
-                return Ok(Some(item));
-            }
-            let _ = self.client.wait_event(deadline - now);
-        }
+        let deadline = self.client.now_ms() + timeout.as_millis() as u64;
+        let arm = || self.client.watch(&self.base, WatchKind::Children);
+        self.client
+            .wait_watched(Some(deadline), || false, arm, || self.try_dequeue())
     }
 }
 
@@ -435,9 +407,9 @@ mod tests {
             let c = svc2.connect("waiter");
             let hi = DistributedQueue::new(&c, p("/q/hi")).unwrap();
             let lo = DistributedQueue::new(&c, p("/q/lo")).unwrap();
-            let stop = AtomicBool::new(false);
             let t0 = std::time::Instant::now();
-            DistributedQueue::await_any(&[&hi, &lo], Duration::from_secs(10), &stop).unwrap();
+            let deadline = c.now_ms() + 10_000;
+            DistributedQueue::await_any(&[&hi, &lo], Some(deadline), || false).unwrap();
             (t0.elapsed(), lo.len().unwrap())
         });
         std::thread::sleep(Duration::from_millis(100));
@@ -458,9 +430,8 @@ mod tests {
             .map(|base| DistributedQueue::new(&c, p(base)).unwrap())
             .collect();
         let lanes: Vec<&DistributedQueue<'_>> = lanes.iter().collect();
-        let stop = AtomicBool::new(false);
         for _ in 0..100 {
-            DistributedQueue::await_any(&lanes, Duration::ZERO, &stop).unwrap();
+            DistributedQueue::await_any(&lanes, Some(c.now_ms()), || false).unwrap();
         }
         assert_eq!(svc.stats().watch_registrations, 4, "one per lane");
         assert_eq!(svc.stats().watch_events, 0);

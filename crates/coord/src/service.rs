@@ -34,10 +34,16 @@
 //! one is a set insert: a session re-arming a watch that has not fired yet
 //! still holds exactly one registration per `(path, kind)`, so one store
 //! event buys one wake-up however often an idle loop re-arms.
+//!
+//! Each session owns a [`Wake`]: a fired watch notifies it, and so does the
+//! session's end. [`CoordClient::wait_watched`] is the one wait on a watch
+//! (probe, arm, probe again, block on the clock), and every blocking
+//! recipe — the queue, the election, the platform's waits — is a call to
+//! it.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -45,7 +51,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use tropic_model::{real_clock, Path, SharedClock};
+use tropic_model::{real_clock, Path, SharedClock, Wake};
 
 use crate::ensemble::{fail_all, write_snapshots, Applied, Ensemble, EnsembleStats};
 use crate::error::{CoordError, CoordResult};
@@ -118,6 +124,8 @@ pub struct WatchEvent {
 struct Session {
     /// Where the session's fired watches are delivered.
     events: Sender<WatchEvent>,
+    /// Notified on every delivery and when the session ends.
+    wake: Arc<Wake>,
     last_seen_ms: u64,
     /// Live [`KeepAlive`] guards; a pinned session never times out.
     pins: u32,
@@ -268,7 +276,8 @@ pub(crate) struct ServiceInner {
     clock: SharedClock,
     config: CoordConfig,
     next_session: AtomicU64,
-    shutdown: AtomicBool,
+    /// Notified once, when the service drops: the expiry thread's stop.
+    stopped: Arc<Wake>,
     stats: Mutex<ServiceStats>,
 }
 
@@ -295,6 +304,7 @@ impl ServiceInner {
                     let _ = session.events.send(WatchEvent {
                         event: event.clone(),
                     });
+                    session.wake.notify();
                     fired += 1;
                 }
             }
@@ -452,6 +462,7 @@ impl ServiceInner {
         let Some(row) = self.sessions.lock().remove(&session) else {
             return;
         };
+        row.wake.notify();
         self.watches.lock().purge(session);
         self.stats.lock().expired_sessions += 1;
         if !row.owns_ephemerals {
@@ -530,7 +541,7 @@ impl CoordService {
             clock,
             config,
             next_session: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
+            stopped: Arc::default(),
             stats: Mutex::new(ServiceStats::default()),
         });
         if recover {
@@ -559,12 +570,12 @@ impl CoordService {
         let expiry_thread = std::thread::Builder::new()
             .name("coord-expiry".into())
             .spawn(move || {
-                while !expiry_inner.shutdown.load(Ordering::SeqCst) {
-                    expiry_inner.clock.sleep_interruptible(
-                        Duration::from_millis(expiry_inner.config.tick_ms),
-                        &expiry_inner.shutdown,
-                    );
-                    let now = expiry_inner.clock.now_ms();
+                let (clock, stopped) = (&expiry_inner.clock, &expiry_inner.stopped);
+                let tick_ms = expiry_inner.config.tick_ms;
+                // Generation 0 until the drop: a wait that returns woken is
+                // the stop, whenever it was raised.
+                while !clock.wait(stopped, 0, Some(clock.now_ms() + tick_ms)) {
+                    let now = clock.now_ms();
                     let timeout = expiry_inner.config.session_timeout_ms;
                     let stale: Vec<u64> = {
                         let sessions = expiry_inner.sessions.lock();
@@ -590,13 +601,21 @@ impl CoordService {
 
     /// Opens a client session. The name documents the caller at the call
     /// site; the service keeps nothing of it.
-    pub fn connect(&self, _name: &str) -> CoordClient {
+    pub fn connect(&self, name: &str) -> CoordClient {
+        self.connect_with_wake(name, Arc::default())
+    }
+
+    /// [`CoordService::connect`] with the session's [`Wake`] supplied by
+    /// the caller: a component that reconnects keeps one wake across its
+    /// sessions, so whoever stops it notifies that one wake.
+    pub fn connect_with_wake(&self, _name: &str, wake: Arc<Wake>) -> CoordClient {
         let session = self.inner.next_session.fetch_add(1, Ordering::SeqCst);
         let (events, rx) = unbounded();
         self.inner.sessions.lock().insert(
             session,
             Session {
                 events,
+                wake: Arc::clone(&wake),
                 last_seen_ms: self.inner.clock.now_ms(),
                 pins: 0,
                 owns_ephemerals: false,
@@ -606,6 +625,7 @@ impl CoordService {
             inner: Arc::clone(&self.inner),
             session,
             events: rx,
+            wake,
         }
     }
 
@@ -677,7 +697,7 @@ impl CoordService {
 
 impl Drop for CoordService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.stopped.notify();
         if let Some(handle) = self.expiry_thread.take() {
             let _ = handle.join();
         }
@@ -702,6 +722,7 @@ pub struct CoordClient {
     inner: Arc<ServiceInner>,
     session: u64,
     events: Receiver<WatchEvent>,
+    wake: Arc<Wake>,
 }
 
 impl CoordClient {
@@ -825,7 +846,8 @@ impl CoordClient {
 
     /// Registers a one-shot watch. `Node` watches fire on create, delete, or
     /// data change of `path`; `Children` watches fire when the child set of
-    /// `path` changes. Fired watches arrive on [`CoordClient::events`].
+    /// `path` changes. A fired watch notifies [`CoordClient::wake`], and
+    /// [`CoordClient::wait_event`] reads it.
     /// Re-arming a watch this session already holds is a no-op, so the
     /// event it eventually fires is delivered exactly once.
     pub fn watch(&self, path: &Path, kind: WatchKind) -> CoordResult<()> {
@@ -837,14 +859,63 @@ impl CoordClient {
         Ok(())
     }
 
-    /// The channel on which fired watches are delivered.
-    pub fn events(&self) -> &Receiver<WatchEvent> {
-        &self.events
-    }
-
     /// Waits up to `timeout` for the next watch event.
     pub fn wait_event(&self, timeout: Duration) -> Option<WatchEvent> {
         self.events.recv_timeout(timeout).ok()
+    }
+
+    /// The session's wake: notified when one of its watches fires or the
+    /// session ends. A component stopping a waiter on this session raises
+    /// its stop flag, then notifies this.
+    pub fn wake(&self) -> &Arc<Wake> {
+        &self.wake
+    }
+
+    /// The service clock's time.
+    pub fn now_ms(&self) -> u64 {
+        self.inner.clock.now_ms()
+    }
+
+    /// The one wait on a watch. `probe`s; when that finds nothing, `arm`s
+    /// the watches whose firing could change the answer, probes again (a
+    /// change landing before the watch would otherwise be missed) and
+    /// blocks on the clock until this session's wake is notified — a watch
+    /// fired, the session ended, or a stopper notified it — then repeats.
+    /// `Ok(None)` once `stop()` holds or the clock reaches `deadline_ms`;
+    /// with neither, only a result ends the wait. Watches are one-shot and
+    /// re-arming a pending one is a no-op, so every round may re-arm.
+    pub fn wait_watched<T, E: From<CoordError>>(
+        &self,
+        deadline_ms: Option<u64>,
+        stop: impl Fn() -> bool,
+        mut arm: impl FnMut() -> Result<(), E>,
+        mut probe: impl FnMut() -> Result<Option<T>, E>,
+    ) -> Result<Option<T>, E> {
+        loop {
+            if let Some(found) = probe()? {
+                return Ok(Some(found));
+            }
+            let seen = self.wake.seen();
+            arm()?;
+            if let Some(found) = probe()? {
+                return Ok(Some(found));
+            }
+            if stop() || deadline_ms.is_some_and(|d| self.now_ms() >= d) {
+                return Ok(None);
+            }
+            self.inner.clock.wait(&self.wake, seen, deadline_ms);
+            // The wake carries the news; the events are for callers that
+            // read them, so a waiter never lets them pile up.
+            while self.events.try_recv().is_ok() {}
+        }
+    }
+
+    /// Waits `ms` on the service clock, for an error path that has no
+    /// watch to wait on. A stop that notifies this session's wake ends it
+    /// early.
+    pub fn pause(&self, ms: u64, stop: impl Fn() -> bool) {
+        let nothing = || Ok::<_, CoordError>(None::<()>);
+        let _ = self.wait_watched(Some(self.now_ms() + ms), stop, || Ok(()), nothing);
     }
 
     /// Serializes `value` as JSON into the znode at `path`, creating it if
@@ -918,6 +989,7 @@ impl Drop for KeepAlive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use tropic_model::{Clock, ManualClock};
 
     fn p(s: &str) -> Path {
@@ -1119,6 +1191,52 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         panic!("condition still false after 10 s of manual-clock time");
+    }
+
+    /// The watch wait steps with a manual clock: it ends once the clock
+    /// reaches its deadline and not before, and a stop ends it at once,
+    /// with no time passing. No real-time slice is involved: the test only
+    /// advances the clock and exchanges messages with the waiter.
+    #[test]
+    fn a_watch_wait_ends_at_its_clock_deadline_or_at_once_on_a_stop() {
+        let clock = ManualClock::new();
+        let svc = manual_service(&clock);
+        let client = svc.connect("waiter");
+        let wake = Arc::clone(client.wake());
+        let stop = Arc::new(AtomicBool::new(false));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let waiter = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let never = |deadline| {
+                    let arm = || client.watch(&p("/never"), WatchKind::Node);
+                    let probe = || Ok(client.exists(&p("/never"))?.then_some(()));
+                    let stopped = || stop.load(Ordering::SeqCst);
+                    let waited: CoordResult<Option<()>> =
+                        client.wait_watched(Some(deadline), stopped, arm, probe);
+                    (waited.unwrap(), client.now_ms())
+                };
+                done_tx.send(never(100)).unwrap();
+                done_tx.send(never(1_000)).unwrap();
+            })
+        };
+        clock.advance(99);
+        assert!(
+            done.recv_timeout(Duration::from_millis(200)).is_err(),
+            "the wait ended before its deadline"
+        );
+        clock.advance(1);
+        assert_eq!(done.recv().unwrap(), (None, 100), "ends at the deadline");
+
+        stop.store(true, Ordering::SeqCst);
+        wake.notify();
+        let stopped = done.recv_timeout(Duration::from_secs(5));
+        assert_eq!(
+            stopped,
+            Ok((None, 100)),
+            "a stop ends it with no time passing"
+        );
+        waiter.join().unwrap();
     }
 
     #[test]
@@ -1544,7 +1662,7 @@ mod tests {
             assert_eq!(names.len(), acked.len(), "sequential names collided");
             // Each writer dispatched its own events before returning.
             let mut fired = std::collections::HashSet::new();
-            while let Ok(ev) = setup.events().try_recv() {
+            while let Some(ev) = setup.wait_event(Duration::ZERO) {
                 let StoreEvent::Created(path) = ev.event else {
                     panic!("unexpected {ev:?}");
                 };

@@ -32,12 +32,12 @@ use tropic_coord::{
     write_frame, CoordClient, CoordError, DistributedQueue, FrameError, FrameReader, KeepAlive,
     WatchKind, DEFAULT_MAX_FRAME_BYTES,
 };
-use tropic_model::{Path, SharedClock};
+use tropic_model::{Path, SharedClock, Wake};
 
 use crate::api::{outcome_of, ApiError, Priority, TxnEvent, TxnRequest};
 use crate::codec::{decode_record_node, read_record, RecordNode};
 use crate::msg::{encode_input, layout, AdminResult, InputMsg, Signal};
-use crate::platform::PlatformShared;
+use crate::platform::{PlatformShared, RETRY_MS};
 use crate::rpc::{decode_response, encode_request, transport, RpcRequest, RpcResponse};
 use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord, TxnState};
@@ -46,9 +46,6 @@ use crate::txn::{TxnId, TxnOutcome, TxnRecord, TxnState};
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// Fallback wait bound for handles whose request carries no deadline.
 const DEFAULT_WAIT: Duration = Duration::from_secs(60);
-/// Server-side slice for blocking waits, so shutdown is never delayed by a
-/// long-waiting remote caller.
-const WAIT_SLICE: Duration = Duration::from_millis(250);
 /// Bound on a connect attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Extra slack granted on top of a blocking call's own timeout before the
@@ -208,7 +205,16 @@ impl TropicClient {
     /// the socket.
     pub fn subscribe(&self) -> Result<Subscription<TxnEvent>, ApiError> {
         match &self.transport {
-            Transport::Local(local) => txn_feed(&local.shared),
+            Transport::Local(local) => {
+                let (tx, rx) = mpsc::channel();
+                let feed = txn_feed(&local.shared, move |ev| {
+                    let _ = tx.send(ev);
+                })?;
+                Ok(Subscription {
+                    rx,
+                    feed: Some(feed),
+                })
+            }
             Transport::Socket(socket) => {
                 socket.open_feed(RpcRequest::Subscribe, |resp| match resp {
                     RpcResponse::Event(ev) => Some(ev),
@@ -320,44 +326,65 @@ impl TxnHandle<'_> {
 /// window) may be observed only as its latest state.
 pub struct Subscription<E> {
     rx: mpsc::Receiver<E>,
-    stop: Arc<AtomicBool>,
     /// The producer; `None` for a feed the in-process twin hub fills.
+    feed: Option<FeedThread>,
+}
+
+impl<E> Subscription<E> {
+    /// A feed filled through `rx` by a hub that outlives it.
+    pub(crate) fn fed(rx: mpsc::Receiver<E>) -> Self {
+        Subscription { rx, feed: None }
+    }
+}
+
+/// A thread producing one feed. It runs its body until the body returns —
+/// the result is the close reason — or until the handle drops, which
+/// raises the body's stop flag and notifies `wake`, the wake its waits end
+/// on.
+pub(crate) struct FeedThread {
+    stop: Arc<AtomicBool>,
+    wake: Arc<Wake>,
     thread: Option<JoinHandle<()>>,
     close_reason: Arc<OnceLock<ApiError>>,
 }
 
-impl<E: Send + 'static> Subscription<E> {
-    /// A feed filled through `rx` by a hub that outlives it.
-    pub(crate) fn fed(rx: mpsc::Receiver<E>) -> Self {
-        Subscription {
-            rx,
-            stop: Arc::default(),
-            thread: None,
-            close_reason: Arc::default(),
-        }
-    }
-
-    /// Runs `feed` on a thread of its own until it returns — its result is
-    /// the close reason — or until the subscription drops and raises the
-    /// stop flag.
+impl FeedThread {
     fn spawn(
         name: String,
-        feed: impl FnOnce(&AtomicBool, &mpsc::Sender<E>) -> Option<ApiError> + Send + 'static,
+        wake: Arc<Wake>,
+        body: impl FnOnce(&AtomicBool) -> Option<ApiError> + Send + 'static,
     ) -> Result<Self, ApiError> {
-        let (tx, rx) = mpsc::channel();
-        let mut sub = Subscription::fed(rx);
-        let stop = Arc::clone(&sub.stop);
-        let close_reason = Arc::clone(&sub.close_reason);
-        let thread = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                if let Some(reason) = feed(&stop, &tx) {
-                    let _ = close_reason.set(reason);
-                }
-            })
-            .map_err(|e| ApiError::Transport(format!("cannot start a subscription thread: {e}")))?;
-        sub.thread = Some(thread);
-        Ok(sub)
+        let stop = Arc::new(AtomicBool::new(false));
+        let close_reason = Arc::new(OnceLock::new());
+        let thread = {
+            let (stop, close_reason) = (Arc::clone(&stop), Arc::clone(&close_reason));
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || {
+                    if let Some(reason) = body(&stop) {
+                        let _ = close_reason.set(reason);
+                    }
+                })
+                .map_err(|e| {
+                    ApiError::Transport(format!("cannot start a subscription thread: {e}"))
+                })?
+        };
+        Ok(FeedThread {
+            stop,
+            wake,
+            thread: Some(thread),
+            close_reason,
+        })
+    }
+}
+
+impl Drop for FeedThread {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake.notify();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -383,7 +410,8 @@ impl<E> Subscription<E> {
     /// arrive — subscribe again to continue. An in-process twin feed lives
     /// as long as its platform.
     pub fn is_live(&self) -> bool {
-        self.thread.as_ref().is_none_or(|t| !t.is_finished())
+        let thread = self.feed.as_ref().and_then(|f| f.thread.as_ref());
+        thread.is_none_or(|t| !t.is_finished())
     }
 
     /// Why the server closed this feed, when it said so with a typed
@@ -395,71 +423,54 @@ impl<E> Subscription<E> {
     /// three* cases together with [`Subscription::is_live`]. See
     /// `docs/WIRE_PROTOCOL.md`, "Close reasons".
     pub fn close_reason(&self) -> Option<ApiError> {
-        self.close_reason.get().cloned()
-    }
-}
-
-impl<E> Drop for Subscription<E> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.feed.as_ref()?.close_reason.get().cloned()
     }
 }
 
 static SUBSCRIBER_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Starts an in-process lifecycle feed: a thread with a coordination
-/// session of its own watching the transaction-record subtree.
-pub(crate) fn txn_feed(shared: &PlatformShared) -> Result<Subscription<TxnEvent>, ApiError> {
+/// session of its own watching the transaction-record subtree, handing
+/// each event to `sink`.
+pub(crate) fn txn_feed(
+    shared: &PlatformShared,
+    sink: impl Fn(TxnEvent) + Send + 'static,
+) -> Result<FeedThread, ApiError> {
     let name = format!(
         "tropic-subscriber-{}",
         SUBSCRIBER_SEQ.fetch_add(1, Ordering::SeqCst)
     );
     let client = shared.coord.connect(&name);
     let clock = Arc::clone(&shared.clock);
-    Subscription::spawn(name, move |stop, tx| {
+    FeedThread::spawn(name, Arc::clone(client.wake()), move |stop| {
         let _keepalive = client.keepalive();
-        watch_records(&client, &clock, stop, tx);
+        watch_records(&client, &clock, stop, &sink);
         client.close();
         None
     })
 }
 
+/// Scans the records on every wake of the feed's session until `stop`.
+/// The scan arms the watches — the subtree's, and one on each live record
+/// — so it is the wait's arming step and there is nothing to probe.
 fn watch_records(
     client: &CoordClient,
     clock: &SharedClock,
     stop: &AtomicBool,
-    tx: &mpsc::Sender<TxnEvent>,
+    sink: &dyn Fn(TxnEvent),
 ) {
     let mut last_seen: HashMap<TxnId, TxnState> = HashMap::new();
-    // Record watches currently armed, so idle loops skip re-reading records
-    // that cannot have changed.
-    let mut armed_nodes: HashSet<Path> = HashSet::new();
-    while !stop.load(Ordering::SeqCst) {
-        // Arm the subtree watch first so a record landing between the scan
-        // and the wait still wakes us (re-arming a pending watch is a no-op).
-        if client.watch(&layout::txns(), WatchKind::Children).is_err() && client.ping().is_err() {
-            return;
-        }
-        if scan_records(client, clock, &mut last_seen, &mut armed_nodes, tx).is_err() {
-            // Session or quorum trouble: the feed cannot continue on a
-            // dead session; end the stream.
-            if client.ping().is_err() {
-                return;
-            }
-        }
-        // Block on the event channel; the bounded slice only caps how long
-        // a missed watch (armed after the triggering write) goes unnoticed.
-        if let Some(fired) = client.wait_event(Duration::from_millis(200)) {
-            // A fired record watch is one-shot: mark it for re-arming.
-            if let tropic_coord::StoreEvent::Created(p)
-            | tropic_coord::StoreEvent::Deleted(p)
-            | tropic_coord::StoreEvent::DataChanged(p) = fired.event
-            {
-                armed_nodes.remove(&p);
-            }
+    let stopped = || stop.load(Ordering::SeqCst);
+    let mut scan = || {
+        client.watch(&layout::txns(), WatchKind::Children)?;
+        scan_records(client, clock, &mut last_seen, sink)
+    };
+    while !stopped() {
+        match client.wait_watched(None, stopped, &mut scan, || Ok(None::<()>)) {
+            // Quorum trouble on a live session: retry after a pause. The
+            // feed cannot continue on a dead session; end the stream.
+            Err(_) if client.ping().is_ok() => client.pause(RETRY_MS, stopped),
+            _ => return,
         }
     }
 }
@@ -468,8 +479,7 @@ fn scan_records(
     client: &CoordClient,
     clock: &SharedClock,
     last_seen: &mut HashMap<TxnId, TxnState>,
-    armed_nodes: &mut HashSet<Path>,
-    tx: &mpsc::Sender<TxnEvent>,
+    sink: &dyn Fn(TxnEvent),
 ) -> Result<(), CoordError> {
     let mut ids: Vec<TxnId> = client
         .get_children(&layout::txns())?
@@ -493,7 +503,7 @@ fn scan_records(
         let changed = last_seen.get(&id) != Some(&rec.state);
         if changed {
             last_seen.insert(id, rec.state);
-            let _ = tx.send(TxnEvent {
+            sink(TxnEvent {
                 id,
                 proc_name: rec.proc_name.clone(),
                 state: rec.state,
@@ -504,21 +514,12 @@ fn scan_records(
         }
         if !rec.state.is_final() {
             // Data watch so an in-place state transition (same child set)
-            // wakes the scan; armed at most once until it fires.
-            let path = layout::txn(id);
-            if !armed_nodes.contains(&path) && client.watch(&path, WatchKind::Node).is_ok() {
-                armed_nodes.insert(path);
-            }
+            // wakes the scan; re-arming a pending one is a no-op.
+            client.watch(&layout::txn(id), WatchKind::Node)?;
         }
     }
-    // Forget garbage-collected records (and their pending watch marks).
+    // Forget garbage-collected records.
     last_seen.retain(|id, _| present.contains(id));
-    armed_nodes.retain(|path| {
-        path.leaf()
-            .and_then(|name| name.parse::<TxnId>().ok())
-            .map(|id| present.contains(&id))
-            .unwrap_or(false)
-    });
     Ok(())
 }
 
@@ -548,21 +549,21 @@ impl Local {
     }
 
     /// Answers one call. `Wait`, `Repair` and `Reload` block for their
-    /// whole bound; see [`Local::serve`] for the sliced form.
+    /// whole bound; see [`Local::serve`] for the stoppable form.
     pub(crate) fn call(&self, req: RpcRequest) -> Result<RpcResponse, ApiError> {
-        self.serve(req, None)
+        self.serve(req, &|| false)
     }
 
-    /// [`Local::call`], with `Wait`, `Repair` and `Reload` waiting in
-    /// [`WAIT_SLICE`] slices that re-check `stop` when it is given: the
-    /// RPC server's bounds are wire-controlled and unclamped, so a
-    /// stopping server must never be pinned by a remote caller's long
-    /// bound. A repair or reload is enqueued once, whatever the slicing.
-    /// `Ping`, `Shutdown` and the subscriptions belong to the server.
+    /// [`Local::call`], with `Wait`, `Repair` and `Reload` also ended —
+    /// with [`ApiError::ShuttingDown`] — once `stop()` holds and this
+    /// transport's session wake is notified: the RPC server's bounds are
+    /// wire-controlled and unclamped, so a stopping server must never be
+    /// pinned by a remote caller's long bound. `Ping`, `Shutdown` and the
+    /// subscriptions belong to the server.
     pub(crate) fn serve(
         &self,
         req: RpcRequest,
-        stop: Option<&AtomicBool>,
+        stop: &dyn Fn() -> bool,
     ) -> Result<RpcResponse, ApiError> {
         Ok(match req {
             RpcRequest::Submit(request) => {
@@ -577,8 +578,7 @@ impl Local {
             },
             RpcRequest::TryOutcome { id } => RpcResponse::Outcome(self.read_outcome(id, true)?.1),
             RpcRequest::Wait { id, timeout_ms } => {
-                let outcome = bounded(id, timeout_ms, stop, |t| self.wait_outcome(id, t))?;
-                RpcResponse::Outcome(Some(outcome))
+                RpcResponse::Outcome(Some(self.wait_outcome(id, timeout_ms, stop)?))
             }
             RpcRequest::Record { id } => {
                 RpcResponse::Record(read_record(&self.session, id)?.map(Box::new))
@@ -655,7 +655,12 @@ impl Local {
         }
     }
 
-    fn wait_outcome(&self, id: TxnId, timeout: Duration) -> Result<Option<TxnOutcome>, ApiError> {
+    fn wait_outcome(
+        &self,
+        id: TxnId,
+        timeout_ms: u64,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<TxnOutcome, ApiError> {
         // The record node is also where an alias appears; once one is
         // followed, the watch moves to the target's record.
         let target = std::cell::Cell::new(id);
@@ -664,7 +669,31 @@ impl Local {
             target.set(read);
             Ok(outcome)
         };
-        watch_then_wait(&self.session, timeout, || layout::txn(target.get()), probe)
+        self.watch_node(id, timeout_ms, stop, || layout::txn(target.get()), probe)
+    }
+
+    /// The wait behind every blocking read of one znode: `probe` until it
+    /// finds something, with one watch on `node` re-armed after each
+    /// event. Fails with `WaitTimeout` naming `id` once `timeout_ms`
+    /// passes on the platform clock, and with `ShuttingDown` on a stop.
+    fn watch_node<T>(
+        &self,
+        id: u64,
+        timeout_ms: u64,
+        stop: &dyn Fn() -> bool,
+        node: impl Fn() -> Path,
+        probe: impl FnMut() -> Result<Option<T>, ApiError>,
+    ) -> Result<T, ApiError> {
+        let deadline = self.shared.clock.now_ms().saturating_add(timeout_ms);
+        let arm = || Ok(self.session.watch(&node(), WatchKind::Node)?);
+        match self
+            .session
+            .wait_watched(Some(deadline), stop, arm, probe)?
+        {
+            Some(found) => Ok(found),
+            None if stop() => Err(ApiError::ShuttingDown),
+            None => Err(ApiError::WaitTimeout { id }),
+        }
     }
 
     /// Enqueues one repair or reload, then waits for its result znode.
@@ -673,7 +702,7 @@ impl Local {
         scope: Path,
         repair: bool,
         timeout_ms: u64,
-        stop: Option<&AtomicBool>,
+        stop: &dyn Fn() -> bool,
     ) -> Result<AdminResult, ApiError> {
         let admin_id = self.shared.next_admin_id.fetch_add(1, Ordering::SeqCst);
         let msg = if repair {
@@ -684,9 +713,12 @@ impl Local {
         self.lane(Priority::High).enqueue(encode_input(msg))?;
         let node = || layout::admin(admin_id);
         let probe = || Ok(self.session.get_json::<AdminResult>(&node())?);
-        bounded(admin_id, timeout_ms, stop, |t| {
-            watch_then_wait(&self.session, t, node, probe)
-        })
+        self.watch_node(admin_id, timeout_ms, stop, node, probe)
+    }
+
+    /// The session's wake, which a stopper of [`Local::serve`] notifies.
+    pub(crate) fn wake(&self) -> &Arc<Wake> {
+        self.session.wake()
     }
 }
 
@@ -696,60 +728,6 @@ impl Drop for Local {
     /// the timeout.
     fn drop(&mut self) {
         self.shared.coord.expire_session(self.session.session_id());
-    }
-}
-
-/// Waits toward `timeout_ms` with `wait`, which makes one bounded attempt;
-/// sliced against `stop` when given. Always attempts once (every wait
-/// probes before it sleeps), so a finished operation beats an elapsed
-/// bound. `id` is the one an elapsed bound's `WaitTimeout` names.
-fn bounded<T>(
-    id: u64,
-    timeout_ms: u64,
-    stop: Option<&AtomicBool>,
-    wait: impl Fn(Duration) -> Result<Option<T>, ApiError>,
-) -> Result<T, ApiError> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    loop {
-        if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
-            return Err(ApiError::ShuttingDown);
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if let Some(done) = wait(stop.map_or(left, |_| left.min(WAIT_SLICE)))? {
-            return Ok(done);
-        }
-        if Instant::now() >= deadline {
-            return Err(ApiError::WaitTimeout { id });
-        }
-    }
-}
-
-/// The event-driven wait behind every blocking read of one znode: `probe`,
-/// arm one watch on `node`, probe again (a write landing between the first
-/// probe and the watch would otherwise be missed), then block on the
-/// session's event channel for the rest of the window. Watches are
-/// one-shot, so each event re-probes and re-arms. `Ok(None)` once
-/// `timeout` passes.
-fn watch_then_wait<T>(
-    client: &CoordClient,
-    timeout: Duration,
-    node: impl Fn() -> Path,
-    probe: impl Fn() -> Result<Option<T>, ApiError>,
-) -> Result<Option<T>, ApiError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(found) = probe()? {
-            return Ok(Some(found));
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Ok(None);
-        }
-        client.watch(&node(), WatchKind::Node)?;
-        if let Some(found) = probe()? {
-            return Ok(Some(found));
-        }
-        let _ = client.wait_event(deadline - now);
     }
 }
 
@@ -815,29 +793,40 @@ impl Socket {
         // The mode-switch ack arrives before the socket goes to the feed
         // thread, so connect errors surface typed right here.
         reply!(conn.exchange(subscribe, CALL_TIMEOUT)??, RpcResponse::Subscribed => ())?;
-        Subscription::spawn("tropic-remote-subscriber".into(), move |stop, tx| {
-            while !stop.load(Ordering::SeqCst) {
-                match conn
-                    .reader
-                    .read_from(&mut conn.stream, DEFAULT_MAX_FRAME_BYTES)
-                {
-                    // An error frame is the server's stated close reason.
-                    Ok(Some(payload)) => match decode_response(&payload) {
-                        Ok(RpcResponse::Error(e)) => return Some(e),
-                        // Anything that is not an `E` is skipped: the
-                        // stream must survive frames a newer server adds.
-                        Ok(resp) => {
-                            if pick(resp).is_some_and(|ev| tx.send(ev).is_err()) {
-                                return None; // receiver dropped
+        let (tx, rx) = mpsc::channel();
+        // The thread reads the socket in `READ_SLICE`s and checks `stop`
+        // between them, so its wake has no waiter.
+        let feed = FeedThread::spawn(
+            "tropic-remote-subscriber".into(),
+            Arc::default(),
+            move |stop| {
+                while !stop.load(Ordering::SeqCst) {
+                    match conn
+                        .reader
+                        .read_from(&mut conn.stream, DEFAULT_MAX_FRAME_BYTES)
+                    {
+                        // An error frame is the server's stated close reason.
+                        Ok(Some(payload)) => match decode_response(&payload) {
+                            Ok(RpcResponse::Error(e)) => return Some(e),
+                            // Anything that is not an `E` is skipped: the
+                            // stream must survive frames a newer server adds.
+                            Ok(resp) => {
+                                if pick(resp).is_some_and(|ev| tx.send(ev).is_err()) {
+                                    return None; // receiver dropped
+                                }
                             }
-                        }
-                        Err(_) => {}
-                    },
-                    Ok(None) => {}         // idle; keep listening
-                    Err(_) => return None, // closed or damaged: end the feed
+                            Err(_) => {}
+                        },
+                        Ok(None) => {}         // idle; keep listening
+                        Err(_) => return None, // closed or damaged: end the feed
+                    }
                 }
-            }
-            None
+                None
+            },
+        )?;
+        Ok(Subscription {
+            rx,
+            feed: Some(feed),
         })
     }
 }

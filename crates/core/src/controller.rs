@@ -43,7 +43,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tropic_coord::{CoordClient, CoordError, DistributedQueue, Op};
 use tropic_model::{Node, Path, SharedClock, Tree, Value};
@@ -458,15 +458,41 @@ impl<'a> Controller<'a> {
         Ok(())
     }
 
-    /// Blocks until any input lane has an item or `timeout` passes. Uses
-    /// one children watch per lane so idling costs no polling writes. The
-    /// lane bases exist from [`Controller::recover`], so the queues bind
-    /// without probing.
-    pub fn wait_for_input(&self, timeout: Duration) {
+    /// Blocks until any input lane has an item, the clock reaches the
+    /// next round's due time (`next_due_ms`), or `stop()` holds once a
+    /// stopper notified the session. Uses one children watch per lane, so an idle
+    /// leader with nothing due makes no reads at all. The lane bases exist
+    /// from [`Controller::recover`], so the queues bind without probing.
+    pub fn wait_for_input(&self, stop: impl Fn() -> bool) {
+        let due = self.next_due_ms();
+        if due.is_some_and(|d| d <= self.clock.now_ms()) {
+            return;
+        }
         let lanes =
             Priority::ALL.map(|p| DistributedQueue::bind(self.client, layout::input_lane(p)));
-        let no_stop = std::sync::atomic::AtomicBool::new(false);
-        let _ = DistributedQueue::await_any(&lanes.each_ref(), timeout, &no_stop);
+        let _ = DistributedQueue::await_any(&lanes.each_ref(), due, stop);
+    }
+
+    /// When a round with no input next has work: the earliest of the next
+    /// twin tick, the next TERM or KILL, a deferred lane head's admission
+    /// deadline and retention's next collection. `None` when nothing is
+    /// time-driven — the twin off, no timeouts set, nothing to collect.
+    fn next_due_ms(&self) -> Option<u64> {
+        let twin =
+            (self.cfg.twin.enabled).then(|| self.twin_last_tick_ms + self.cfg.twin.interval_ms);
+        // A TERM is due once: an already-signaled transaction waits for
+        // its KILL or its result.
+        let timeouts = self.running.iter().flat_map(|(id, &at)| {
+            let term = (self.cfg.term_timeout_ms).filter(|_| self.retention.may_signal(*id));
+            [self.cfg.kill_timeout_ms, term].map(|ms| ms.map(|ms| at + ms + 1))
+        });
+        let heads = (self.todo.iter())
+            .filter_map(|lane| Some(self.records.get(lane.front()?)?.deadline_ms? + 1));
+        (twin.into_iter())
+            .chain(timeouts.flatten())
+            .chain(heads)
+            .chain(self.retention.next_due_ms())
+            .min()
     }
 
     /// Drains up to `max` messages, strictly by lane: the high lane is
@@ -1259,6 +1285,7 @@ pub(crate) mod tests {
     use crate::codec::{decode_task, read_record};
     use crate::msg::encode_input;
     use crate::physical::{execute_record, ExecMode};
+    use std::time::Duration;
 
     #[test]
     fn builtin_replace_subtree_applies() {

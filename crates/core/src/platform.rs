@@ -10,10 +10,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use tropic_coord::{CoordClient, CoordService, DistributedQueue, LeaderElection};
-use tropic_model::{real_clock, SharedClock};
+use tropic_model::{real_clock, SharedClock, Wake};
 
 use crate::api::{ApiError, Priority};
 use crate::client::TropicClient;
@@ -27,20 +26,18 @@ use crate::twin::{RepairEpisode, TwinFeed};
 use crate::worker::run_worker;
 use tropic_devices::{report_channel, DeviceRegistry, ReportLedger};
 
-/// How long an idle leader waits on its input-lane watches before running
-/// another round anyway (timeouts, twin ticks and record collection are
-/// time-driven, not message-driven).
-const LEADER_IDLE_WAIT: Duration = Duration::from_millis(25);
+/// The pause before an error path with no watch to wait on retries: a
+/// failed claim, an unarmable watch, a failed election join. A stop cuts
+/// it short.
+pub(crate) const RETRY_MS: u64 = 50;
 
 struct ControllerHandle {
     name: String,
     crash: Arc<AtomicBool>,
     is_leader: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-struct WorkerHandle {
-    thread: Option<JoinHandle<()>>,
+    /// The wake every session of this controller waits on; a crash, a
+    /// restart and the shutdown notify it.
+    wake: Arc<Wake>,
 }
 
 /// A running TROPIC platform.
@@ -54,8 +51,8 @@ pub struct Tropic {
     rpc_cfg: RpcConfig,
     twin_feed: TwinFeed,
     controllers: Vec<ControllerHandle>,
-    workers: Vec<WorkerHandle>,
-    reporter: Option<JoinHandle<()>>,
+    /// Every component thread, with the wake its waits end on.
+    threads: Vec<(JoinHandle<()>, Arc<Wake>)>,
     stop: Arc<AtomicBool>,
 }
 
@@ -150,10 +147,12 @@ impl Tropic {
         let twin_feed = TwinFeed::new();
 
         let mut controllers = Vec::new();
+        let mut threads = Vec::new();
         for i in 0..config.controllers.max(1) {
             let name = format!("controller-{i}");
             let crash = Arc::new(AtomicBool::new(false));
             let is_leader = Arc::new(AtomicBool::new(false));
+            let wake = Arc::new(Wake::default());
             let thread = {
                 let coord = Arc::clone(&coord);
                 let service = Arc::clone(&service);
@@ -162,6 +161,7 @@ impl Tropic {
                 let stop = Arc::clone(&stop);
                 let crash = Arc::clone(&crash);
                 let is_leader = Arc::clone(&is_leader);
+                let wake = Arc::clone(&wake);
                 let cfg = ControllerConfig {
                     name: name.clone(),
                     term_timeout_ms: config.term_timeout_ms,
@@ -173,54 +173,51 @@ impl Tropic {
                     .name(name.clone())
                     .spawn(move || {
                         controller_thread(
-                            cfg, coord, service, clock, metrics, stop, crash, is_leader,
+                            cfg, coord, service, clock, metrics, stop, crash, is_leader, wake,
                         )
                     })
                     .expect("spawn controller thread")
             };
+            threads.push((thread, Arc::clone(&wake)));
             controllers.push(ControllerHandle {
                 name,
                 crash,
                 is_leader,
-                thread: Some(thread),
+                wake,
             });
         }
 
-        let mut workers = Vec::new();
         for i in 0..config.workers.max(1) {
             let name = format!("worker-{i}");
             let coord = Arc::clone(&coord);
             let mode = mode.clone();
             let rules = service.repair_rules.clone();
             let stop = Arc::clone(&stop);
+            let wake = Arc::new(Wake::default());
+            let waker = Arc::clone(&wake);
             let thread = std::thread::Builder::new()
                 .name(name.clone())
-                .spawn(move || run_worker(&name, &coord, mode, rules, &stop))
+                .spawn(move || run_worker(&name, &coord, mode, rules, &stop, waker))
                 .expect("spawn worker thread");
-            workers.push(WorkerHandle {
-                thread: Some(thread),
-            });
+            threads.push((thread, wake));
         }
 
         // The report pump is platform-level, not controller-level: device
         // reports keep flowing across controller failover, and the new
         // leader resumes reconciliation from the persisted twin subtree.
-        let reporter = match (config.twin.enabled, &mode) {
-            (true, ExecMode::Physical(registry)) => {
-                let coord = Arc::clone(&coord);
-                let registry = Arc::clone(registry);
-                let clock = Arc::clone(&clock);
-                let stop = Arc::clone(&stop);
-                let interval_ms = config.twin.report_interval_ms.max(1);
-                Some(
-                    std::thread::Builder::new()
-                        .name("twin-reporter".into())
-                        .spawn(move || reporter_thread(coord, registry, clock, interval_ms, stop))
-                        .expect("spawn twin reporter thread"),
-                )
-            }
-            _ => None,
-        };
+        if let (true, ExecMode::Physical(registry)) = (config.twin.enabled, &mode) {
+            let coord = Arc::clone(&coord);
+            let registry = Arc::clone(registry);
+            let stop = Arc::clone(&stop);
+            let wake = Arc::new(Wake::default());
+            let waker = Arc::clone(&wake);
+            let interval_ms = config.twin.report_interval_ms.max(1);
+            let thread = std::thread::Builder::new()
+                .name("twin-reporter".into())
+                .spawn(move || reporter_thread(coord, registry, interval_ms, stop, waker))
+                .expect("spawn twin reporter thread");
+            threads.push((thread, wake));
+        }
 
         Tropic {
             coord,
@@ -232,8 +229,7 @@ impl Tropic {
             rpc_cfg: config.rpc,
             twin_feed,
             controllers,
-            workers,
-            reporter,
+            threads,
             stop,
         }
     }
@@ -326,6 +322,7 @@ impl Tropic {
             return false;
         };
         c.crash.store(true, Ordering::SeqCst);
+        c.wake.notify();
         self.metrics
             .record_event(self.clock.now_ms(), &c.name, "crashed");
         true
@@ -345,6 +342,7 @@ impl Tropic {
             return false;
         };
         c.crash.store(false, Ordering::SeqCst);
+        c.wake.notify();
         self.metrics
             .record_event(self.clock.now_ms(), &c.name, "restarted");
         true
@@ -357,18 +355,11 @@ impl Tropic {
 
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for c in &mut self.controllers {
-            if let Some(t) = c.thread.take() {
-                let _ = t.join();
-            }
+        for (_, wake) in &self.threads {
+            wake.notify();
         }
-        for w in &mut self.workers {
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
-        if let Some(t) = self.reporter.take() {
-            let _ = t.join();
+        for (thread, _) in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -432,26 +423,28 @@ fn next_free_ids(client: &CoordClient) -> (u64, u64) {
     (max_txn_id + 1, max_admin_id + 1)
 }
 
-/// The device-report pump (digital twin ingestion): periodically asks the
-/// registry to export every device's state, persists the reports that
-/// changed under the `twin/` subtree, and bumps the twin epoch counter.
-/// Platform-level so reports keep flowing across controller failover; the
-/// epoch znode has a single writer, so the blind read-modify-write is safe.
+/// The device-report pump (digital twin ingestion): every `interval_ms`
+/// of the platform clock it asks the registry to export every device's
+/// state, persists the reports that changed under the `twin/` subtree, and
+/// bumps the twin epoch counter. Platform-level so reports keep flowing
+/// across controller failover; the epoch znode has a single writer, so the
+/// blind read-modify-write is safe.
 fn reporter_thread(
     coord: Arc<CoordService>,
     registry: Arc<DeviceRegistry>,
-    clock: SharedClock,
     interval_ms: u64,
     stop: Arc<AtomicBool>,
+    wake: Arc<Wake>,
 ) {
     let ledger = ReportLedger::new();
     let (tx, rx) = report_channel();
-    while !stop.load(Ordering::SeqCst) {
-        let client = coord.connect("twin-reporter");
+    let stopped = || stop.load(Ordering::SeqCst);
+    while !stopped() {
+        let client = coord.connect_with_wake("twin-reporter", Arc::clone(&wake));
         let keepalive = client.keepalive();
         if client.create_all(&layout::twin_reported()).is_err() {
             drop(keepalive);
-            std::thread::sleep(Duration::from_millis(interval_ms));
+            client.pause(interval_ms, stopped);
             continue;
         }
         let mut epoch: u64 = client
@@ -460,9 +453,8 @@ fn reporter_thread(
             .flatten()
             .unwrap_or(0);
         let mut session_ok = true;
-        while session_ok && !stop.load(Ordering::SeqCst) {
-            let now = clock.now_ms();
-            if registry.publish_reports(&ledger, &tx, now) > 0 {
+        while session_ok && !stopped() {
+            if registry.publish_reports(&ledger, &tx, client.now_ms()) > 0 {
                 let mut wrote = false;
                 for report in rx.drain() {
                     match client.put_json(&layout::twin_reported_item(&report.mount), &report) {
@@ -482,7 +474,7 @@ fn reporter_thread(
                     }
                 }
             }
-            std::thread::sleep(Duration::from_millis(interval_ms));
+            client.pause(interval_ms, stopped);
         }
         drop(keepalive);
         client.close();
@@ -491,6 +483,8 @@ fn reporter_thread(
 
 /// The controller thread body: connect → elect → recover → lead, forever,
 /// honouring crash/restart flags (paper §2.3's follower-takeover protocol).
+/// Every session it opens waits on `wake`, which a crash, a restart and
+/// the shutdown notify.
 #[allow(clippy::too_many_arguments)]
 fn controller_thread(
     cfg: ControllerConfig,
@@ -501,52 +495,41 @@ fn controller_thread(
     stop: Arc<AtomicBool>,
     crash: Arc<AtomicBool>,
     is_leader: Arc<AtomicBool>,
+    wake: Arc<Wake>,
 ) {
+    let halted = || stop.load(Ordering::SeqCst) || crash.load(Ordering::SeqCst);
     'outer: while !stop.load(Ordering::SeqCst) {
         // Simulated crash: do absolutely nothing (no heartbeats!) until
         // restarted. The coordination session expires meanwhile.
         if crash.load(Ordering::SeqCst) {
             is_leader.store(false, Ordering::SeqCst);
+            let mut seen = wake.seen();
             while crash.load(Ordering::SeqCst) && !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(5));
+                clock.wait(&wake, seen, None);
+                seen = wake.seen();
             }
             continue;
         }
 
-        // Fresh session + election candidacy.
-        let client = coord.connect(&cfg.name);
+        // Fresh session + election candidacy. The session stays pinned
+        // while this incarnation lives, follower and leader alike; a crash
+        // drops the pin, and the session expires one timeout later.
+        let client = coord.connect_with_wake(&cfg.name, Arc::clone(&wake));
+        let _keepalive = client.keepalive();
         let election = match LeaderElection::join(&client, layout::election(), &cfg.name) {
             Ok(e) => e,
             Err(_) => {
-                std::thread::sleep(Duration::from_millis(20));
+                client.pause(RETRY_MS, halted);
                 continue;
             }
         };
 
-        // Follower: wait for leadership in short slices, heartbeating.
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                break 'outer;
-            }
-            if crash.load(Ordering::SeqCst) {
-                continue 'outer;
-            }
-            match election.wait_leadership(Duration::from_millis(50)) {
-                Ok(true) => break,
-                Ok(false) => {
-                    if client.ping().is_err() {
-                        continue 'outer;
-                    }
-                }
-                Err(_) => continue 'outer,
-            }
+        // Follower: wait for leadership, or a crash or a stop.
+        if !matches!(election.wait_leadership(None, halted), Ok(true)) {
+            continue;
         }
 
-        // Leader: recover, then serve. Recovery can block on long
-        // deserialization work, so pin the session; the guard drops (and
-        // the timeout restarts) on every exit path below, including
-        // simulated crashes.
-        let keepalive = client.keepalive();
+        // Leader: recover, then serve.
         metrics.record_event(clock.now_ms(), &cfg.name, "leader-elected");
         let mut controller = Controller::new(
             cfg.clone(),
@@ -566,12 +549,11 @@ fn controller_thread(
             }
             if crash.load(Ordering::SeqCst) {
                 is_leader.store(false, Ordering::SeqCst);
-                drop(keepalive);
                 continue 'outer;
             }
             match controller.step() {
                 Ok(true) => {}
-                Ok(false) => controller.wait_for_input(LEADER_IDLE_WAIT),
+                Ok(false) => controller.wait_for_input(halted),
                 Err(_) => {
                     // Session expired or quorum lost: resign and retry from
                     // scratch; persistent state carries everything needed.

@@ -155,6 +155,25 @@ impl Retention {
         entry.is_some_and(|e| !std::mem::replace(&mut e.signaled, true))
     }
 
+    /// Whether a TERM of `id` would be its first signal (see
+    /// [`Retention::signal`]).
+    pub(crate) fn may_signal(&self, id: TxnId) -> bool {
+        self.entries.get(&id).is_some_and(|e| !e.signaled)
+    }
+
+    /// When a round with nothing else to flush next collects (see
+    /// [`Retention::collect`]): once the oldest entry is two grace periods
+    /// old, or at once while more than [`RETAIN_MAX`] finished records
+    /// remain. `None` with nothing to collect.
+    pub(crate) fn next_due_ms(&self) -> Option<u64> {
+        if self.finished.len() > RETAIN_MAX {
+            return Some(0);
+        }
+        let fronts = [self.finished.front(), self.admin.front()];
+        let oldest = fronts.into_iter().flatten().map(|&(_, at)| at).min()?;
+        Some(oldest + 2 * GC_GRACE_MS)
+    }
+
     /// Queues the just-finalized `rec` for collection. A deadline rejection
     /// gives up its idempotency key — in the index and in the record the
     /// caller writes — so a retry with a fresh deadline runs instead of

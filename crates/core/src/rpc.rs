@@ -59,20 +59,16 @@ use bytes::Bytes;
 use polling::{poll, PollFd, POLLIN, POLLOUT};
 use serde::{Deserialize, Serialize};
 use tropic_coord::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
-use tropic_model::Path;
+use tropic_model::{Path, Wake};
 
 use crate::api::{ApiError, TxnEvent, TxnRequest};
-use crate::client::{txn_feed, Local};
+use crate::client::{txn_feed, FeedThread, Local};
 use crate::config::RpcConfig;
 use crate::msg::{check_version, AdminResult, Signal, WireError, WIRE_VERSION};
 use crate::platform::PlatformShared;
 use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
 
-/// Upper bound on the reactor's readiness-poll timeout: the event loop
-/// wakes at least this often to re-check the shutdown flag even when no
-/// socket is ready.
-const REACTOR_POLL_MS: i32 = 20;
 /// Size of the dispatch pool the reactor hands non-blocking requests to.
 /// Each worker owns one coordination session; blocking calls (`Wait`,
 /// `Repair`, `Reload`) run on transient threads instead so they can never
@@ -388,29 +384,35 @@ fn frame_response(resp: RpcResponse) -> Bytes {
 }
 
 /// A completion flowing back into the reactor from a dispatch worker, a
-/// transient wait thread, or an event-feed pump.
-enum Wake {
+/// transient wait thread, or an event feed.
+enum Done {
     /// The reply to one dispatched request, for one connection.
     Reply { token: u64, frame: Bytes },
     /// One event frame, encoded once, for every subscriber of `feed`.
     Broadcast { feed: Feed, frame: Bytes },
 }
 
-/// Completion-channel handle handed to dispatch workers and feed pumps: a
-/// message plus one self-pipe byte, so a sleeping `poll(2)` wakes
-/// immediately instead of at the next timeout tick.
+/// Completion-channel handle handed to dispatch workers and event feeds:
+/// a message plus one self-pipe byte, so a sleeping `poll(2)` wakes.
 #[derive(Clone)]
 struct DoneTx {
-    tx: crossbeam::channel::Sender<Wake>,
+    tx: crossbeam::channel::Sender<Done>,
     pipe: Arc<UnixStream>,
 }
 
 impl DoneTx {
-    fn send(&self, wake: Wake) {
-        let _ = self.tx.send(wake);
-        // A full (nonblocking) pipe already guarantees a pending wake.
-        let _ = (&*self.pipe).write(&[1u8]);
+    /// Hands `done` to the reactor; `false` once the reactor is gone.
+    fn send(&self, done: Done) -> bool {
+        let sent = self.tx.send(done).is_ok();
+        wake_reactor(&self.pipe);
+        sent
     }
+}
+
+/// Writes one self-pipe byte, so the reactor's `poll(2)` returns. A full
+/// (nonblocking) pipe already guarantees a pending wake.
+fn wake_reactor(pipe: &UnixStream) {
+    let _ = (&*pipe).write(&[1u8]);
 }
 
 /// One queued unit of pool dispatch.
@@ -436,6 +438,8 @@ fn is_blocking(req: &RpcRequest) -> bool {
 pub struct RpcServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// The self-pipe's write end, which wakes the reactor to see `stop`.
+    pipe: Arc<UnixStream>,
     shutdown_requested: Arc<AtomicBool>,
     reactor: Option<JoinHandle<()>>,
 }
@@ -452,19 +456,22 @@ impl RpcServer {
         let (wake_tx, wake_rx) = UnixStream::pair().map_err(transport)?;
         wake_tx.set_nonblocking(true).map_err(transport)?;
         wake_rx.set_nonblocking(true).map_err(transport)?;
+        let pipe = Arc::new(wake_tx);
         let reactor = {
             let stop = Arc::clone(&stop);
             let shutdown_requested = Arc::clone(&shutdown_requested);
+            let pipe = Arc::clone(&pipe);
             std::thread::Builder::new()
                 .name("tropic-rpc-reactor".into())
                 .spawn(move || {
-                    Reactor::new(listener, shared, stop, shutdown_requested, wake_tx, wake_rx).run()
+                    Reactor::new(listener, shared, stop, shutdown_requested, pipe, wake_rx).run()
                 })
                 .map_err(transport)?
         };
         Ok(RpcServer {
             addr,
             stop,
+            pipe,
             shutdown_requested,
             reactor: Some(reactor),
         })
@@ -491,6 +498,7 @@ impl RpcServer {
 
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        wake_reactor(&self.pipe);
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
         }
@@ -507,7 +515,7 @@ impl Drop for RpcServer {
 /// `poll(2)` over the listener, the self-pipe, and each nonblocking
 /// socket. Work that can block — coordination submits, waits, admin calls
 /// — leaves the loop through the dispatch pool or a transient thread and
-/// returns as a [`Wake`] completion.
+/// returns as a [`Done`] completion.
 struct Reactor {
     listener: TcpListener,
     shared: PlatformShared,
@@ -516,17 +524,19 @@ struct Reactor {
     conns: HashMap<u64, ConnState>,
     next_token: u64,
     wake_rx: UnixStream,
-    done_rx: crossbeam::channel::Receiver<Wake>,
+    done_rx: crossbeam::channel::Receiver<Done>,
     done: DoneTx,
     /// `None` once teardown closes the job queue.
     jobs_tx: Option<crossbeam::channel::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Transient threads serving blocking calls; pruned as they finish.
-    waiters: Vec<JoinHandle<()>>,
+    /// Transient threads serving blocking calls, each with its session's
+    /// wake; pruned as they finish.
+    waiters: Vec<(JoinHandle<()>, Arc<Wake>)>,
     waiter_seq: u64,
-    /// Lazily-started event-feed pumps (txn, twin).
-    pumps: Vec<JoinHandle<()>>,
-    pump_started: (bool, bool),
+    /// The lifecycle feed, started on the first subscription.
+    txn_feed: Option<FeedThread>,
+    /// Whether the twin hub delivers to the reactor yet.
+    twin_attached: bool,
 }
 
 impl Reactor {
@@ -535,14 +545,11 @@ impl Reactor {
         shared: PlatformShared,
         stop: Arc<AtomicBool>,
         shutdown_requested: Arc<AtomicBool>,
-        wake_tx: UnixStream,
+        pipe: Arc<UnixStream>,
         wake_rx: UnixStream,
     ) -> Self {
         let (done_tx, done_rx) = crossbeam::channel::unbounded();
-        let done = DoneTx {
-            tx: done_tx,
-            pipe: Arc::new(wake_tx),
-        };
+        let done = DoneTx { tx: done_tx, pipe };
         let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded::<Job>();
         let mut workers = Vec::new();
         for idx in 0..DISPATCH_THREADS {
@@ -570,15 +577,17 @@ impl Reactor {
             workers,
             waiters: Vec::new(),
             waiter_seq: 0,
-            pumps: Vec::new(),
-            pump_started: (false, false),
+            txn_feed: None,
+            twin_attached: false,
         }
     }
 
     fn run(mut self) {
         while !self.stop.load(Ordering::SeqCst) {
             let (mut fds, tokens) = self.build_pollfds();
-            let _ = poll(&mut fds, REACTOR_POLL_MS);
+            // No timeout: every completion and the stop write the
+            // self-pipe.
+            let _ = poll(&mut fds, -1);
             self.drain_wake_pipe();
             self.drain_completions();
             if fds.first().is_some_and(PollFd::readable) {
@@ -638,9 +647,9 @@ impl Reactor {
     }
 
     fn drain_completions(&mut self) {
-        while let Ok(wake) = self.done_rx.try_recv() {
-            match wake {
-                Wake::Reply { token, frame } => {
+        while let Ok(done) = self.done_rx.try_recv() {
+            match done {
+                Done::Reply { token, frame } => {
                     if let Some(conn) = self.conns.get_mut(&token) {
                         conn.inflight = false;
                         conn.enqueue(frame);
@@ -648,7 +657,7 @@ impl Reactor {
                     }
                     self.pump_dispatch(token);
                 }
-                Wake::Broadcast { feed, frame } => {
+                Done::Broadcast { feed, frame } => {
                     // Counted before the first byte leaves, so a subscriber
                     // that has seen the event also sees it counted.
                     let delivered = self.conns.values().filter(|c| c.streams(feed)).count();
@@ -848,7 +857,7 @@ impl Reactor {
                     return;
                 }
                 After::Pump(feed) => {
-                    self.ensure_pump(feed);
+                    self.ensure_feed(feed);
                     return;
                 }
             }
@@ -858,77 +867,63 @@ impl Reactor {
     /// Runs one blocking call on a transient thread with its own
     /// coordination session, which ends — at no cost to the ensemble —
     /// before the reply is sent, so a finished call leaves nothing behind.
-    /// Its wait re-checks the stop flag every slice.
+    /// Its wait ends at the stop, which notifies the session's wake.
     fn spawn_waiter(&mut self, token: u64, req: RpcRequest) {
-        self.waiters.retain(|h| !h.is_finished());
+        self.waiters.retain(|(h, _)| !h.is_finished());
         self.waiter_seq += 1;
         let seq = self.waiter_seq;
-        let shared = self.shared.clone();
+        let local = Local::open(self.shared.clone(), &format!("rpc-wait-{seq}"));
+        let wake = Arc::clone(local.wake());
         let stop = Arc::clone(&self.stop);
         let done = self.done.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("tropic-rpc-wait-{seq}"))
             .spawn(move || {
-                let local = Local::open(shared, &format!("rpc-wait-{seq}"));
                 let resp = local
-                    .serve(req, Some(&stop))
+                    .serve(req, &|| stop.load(Ordering::SeqCst))
                     .unwrap_or_else(RpcResponse::Error);
                 drop(local);
-                done.send(Wake::Reply {
+                done.send(Done::Reply {
                     token,
                     frame: frame_response(resp),
                 });
             });
         match spawned {
-            Ok(h) => self.waiters.push(h),
-            Err(_) => self.done.send(Wake::Reply {
-                token,
-                frame: frame_response(RpcResponse::Error(ApiError::Transport(
-                    "server cannot spawn a wait thread".into(),
-                ))),
-            }),
+            Ok(h) => self.waiters.push((h, wake)),
+            Err(_) => {
+                self.done.send(Done::Reply {
+                    token,
+                    frame: frame_response(RpcResponse::Error(ApiError::Transport(
+                        "server cannot spawn a wait thread".into(),
+                    ))),
+                });
+            }
         }
     }
 
-    /// Starts the feed pump on first subscription: one thread per feed,
-    /// regardless of subscriber count — it encodes each event once and
-    /// the reactor clones the frame handle per subscriber.
-    fn ensure_pump(&mut self, feed: Feed) {
-        let started = match feed {
-            Feed::Txn => &mut self.pump_started.0,
-            Feed::Twin => &mut self.pump_started.1,
-        };
-        if *started {
-            return;
-        }
-        *started = true;
-        let shared = self.shared.clone();
-        let stop = Arc::clone(&self.stop);
+    /// Starts delivering `feed` on its first subscription: once, however
+    /// many subscribers — each event is encoded once here and the reactor
+    /// clones the frame handle per subscriber.
+    fn ensure_feed(&mut self, feed: Feed) {
         let done = self.done.clone();
-        let name = match feed {
-            Feed::Txn => "tropic-rpc-txn-pump",
-            Feed::Twin => "tropic-rpc-twin-pump",
+        let broadcast = move |resp| {
+            let frame = frame_response(resp);
+            done.send(Done::Broadcast { feed, frame })
         };
-        let spawned = std::thread::Builder::new()
-            .name(name.into())
-            .spawn(move || match feed {
-                // The in-process feed: its own quorum session.
-                Feed::Txn => {
-                    if let Ok(sub) = txn_feed(&shared) {
-                        pump(feed, &stop, &done, RpcResponse::Event, |t| {
-                            sub.recv_timeout(t)
-                        })
-                    }
-                }
-                Feed::Twin => {
-                    let sub = shared.twin_feed.subscribe();
-                    pump(feed, &stop, &done, RpcResponse::TwinEvent, |t| {
-                        sub.recv_timeout(t)
-                    })
-                }
-            });
-        if let Ok(h) = spawned {
-            self.pumps.push(h);
+        match feed {
+            // The in-process feed: its own quorum session.
+            Feed::Txn if self.txn_feed.is_none() => {
+                let deliver = move |ev| {
+                    broadcast(RpcResponse::Event(ev));
+                };
+                self.txn_feed = txn_feed(&self.shared, deliver).ok();
+            }
+            Feed::Twin if !self.twin_attached => {
+                self.twin_attached = true;
+                let deliver = move |ev: &TwinEvent| broadcast(RpcResponse::TwinEvent(ev.clone()));
+                self.shared.twin_feed.attach(deliver);
+            }
+            _ => {}
         }
     }
 
@@ -938,8 +933,11 @@ impl Reactor {
         for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
         }
-        // Transient waiters observe the stop flag within one wait slice.
-        for w in std::mem::take(&mut self.waiters) {
+        // Transient waiters see the stop flag once their session wakes.
+        for (_, wake) in &self.waiters {
+            wake.notify();
+        }
+        for (w, _) in std::mem::take(&mut self.waiters) {
             let _ = w.join();
         }
         // Everything that was in flight has now sent its completion.
@@ -982,12 +980,11 @@ impl Reactor {
                 conn.outbound.pop_front();
             }
         }
-        // Dropping the map closes every socket.
+        // Dropping the map closes every socket; dropping the lifecycle
+        // feed stops it. The twin hub drops its delivery at the next
+        // event, when the reactor is gone.
         self.conns.clear();
-        // Pumps exit on their next stop-flag check.
-        for p in std::mem::take(&mut self.pumps) {
-            let _ = p.join();
-        }
+        self.txn_feed = None;
     }
 }
 
@@ -1002,7 +999,7 @@ fn worker_loop(
     let local = Local::open(shared, &format!("rpc-pool-{idx}"));
     while let Ok(job) = jobs.recv() {
         let resp = local.call(job.req).unwrap_or_else(RpcResponse::Error);
-        done.send(Wake::Reply {
+        done.send(Done::Reply {
             token: job.token,
             frame: frame_response(resp),
         });
@@ -1019,26 +1016,6 @@ fn frame_reject(err: &FrameError) -> ApiError {
             "frame of {len} bytes exceeds the server's {max}-byte cap"
         )),
         other => ApiError::Transport(other.to_string()),
-    }
-}
-
-/// Feeds the reactor one event feed until `stop`: each event `recv`
-/// yields is encoded into one shared frame here, and the reactor clones
-/// the handle onto every subscriber's outbound queue.
-fn pump<E>(
-    feed: Feed,
-    stop: &AtomicBool,
-    done: &DoneTx,
-    wrap: fn(E) -> RpcResponse,
-    recv: impl Fn(Duration) -> Option<E>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        if let Some(ev) = recv(Duration::from_millis(100)) {
-            done.send(Wake::Broadcast {
-                feed,
-                frame: frame_response(wrap(ev)),
-            });
-        }
     }
 }
 

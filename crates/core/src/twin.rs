@@ -39,7 +39,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -157,8 +157,11 @@ pub struct TwinEvent {
 /// survives leader failover; the RPC frontend bridges it onto the network.
 #[derive(Clone, Default)]
 pub struct TwinFeed {
-    subscribers: Arc<Mutex<Vec<Sender<TwinEvent>>>>,
+    subscribers: Arc<Mutex<Vec<Deliver>>>,
 }
+
+/// One subscriber's delivery: `false` once nobody listens.
+type Deliver = Box<dyn Fn(&TwinEvent) -> bool + Send>;
 
 impl std::fmt::Debug for TwinFeed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -177,16 +180,20 @@ impl TwinFeed {
     /// Publishes one event to every live subscriber; dead subscribers are
     /// pruned.
     pub fn publish(&self, event: &TwinEvent) {
-        self.subscribers
-            .lock()
-            .retain(|tx| tx.send(event.clone()).is_ok());
+        self.subscribers.lock().retain(|deliver| deliver(event));
     }
 
     /// Opens a subscription receiving every event published from now on.
     pub fn subscribe(&self) -> Subscription<TwinEvent> {
         let (tx, rx) = channel();
-        self.subscribers.lock().push(tx);
+        self.attach(move |event| tx.send(event.clone()).is_ok());
         Subscription::fed(rx)
+    }
+
+    /// Delivers every event published from now on to `deliver`, until it
+    /// returns `false`.
+    pub(crate) fn attach(&self, deliver: impl Fn(&TwinEvent) -> bool + Send + 'static) {
+        self.subscribers.lock().push(Box::new(deliver));
     }
 
     /// Number of live subscribers (diagnostics).

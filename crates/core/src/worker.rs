@@ -20,15 +20,17 @@
 //! waits behind a device call or the next task.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use tropic_coord::{CoordClient, CoordService, DistributedQueue};
+use tropic_model::Wake;
 
 use crate::api::Priority;
 use crate::codec::{decode_task, read_record};
 use crate::msg::{encode_input, layout, InputMsg, Signal};
 use crate::physical::{execute_record, ExecMode};
+use crate::platform::RETRY_MS;
 use crate::reconcile::RepairRules;
 
 /// Maximum tasks claimed per round, in one atomic multi. Small, so one
@@ -37,24 +39,20 @@ use crate::reconcile::RepairRules;
 /// execute would stretch commit latency and invite spurious TERM/KILL on
 /// already-committed work.
 const CLAIM_BATCH: usize = 4;
-/// Initial idle wait when `phyQ` is empty.
-const IDLE_BACKOFF_START: Duration = Duration::from_millis(50);
-/// Ceiling of the exponential idle backoff. A children watch still wakes the
-/// worker the moment an item lands, so long waits add no dispatch latency —
-/// they only shed idle re-polling load.
-const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(1_600);
 
-/// Runs one worker until `stop` becomes true. Designed to be spawned on a
-/// dedicated thread by the platform. `rules` are the service's repair
-/// rules, which repair attempts plan with.
+/// Runs one worker until `stop` becomes true; whoever raises it then
+/// notifies `wake`, which the worker's session waits on. Designed to be
+/// spawned on a dedicated thread by the platform. `rules` are the
+/// service's repair rules, which repair attempts plan with.
 pub fn run_worker(
     name: &str,
     coord: &CoordService,
     mode: ExecMode,
     rules: RepairRules,
     stop: &AtomicBool,
+    wake: Arc<Wake>,
 ) {
-    let client = coord.connect(name);
+    let client = coord.connect_with_wake(name, wake);
     // Workers block inside device calls for arbitrarily long; the pin
     // keeps the session alive meanwhile (a crashed worker thread still
     // expires, because the keepalive guard dies with it).
@@ -98,36 +96,19 @@ fn execute_claims(
     stop: &AtomicBool,
     reporter: Option<&Sender<Vec<u8>>>,
 ) {
-    let mut idle_wait = IDLE_BACKOFF_START;
-    while !stop.load(Ordering::SeqCst) {
+    let stopped = || stop.load(Ordering::SeqCst);
+    while !stopped() {
         // Claim the head of the queue — everything already waiting, bounded,
         // in one atomic multi.
         let claimed = match phy_q.try_dequeue_batch(CLAIM_BATCH) {
-            Ok(items) if !items.is_empty() => {
-                idle_wait = IDLE_BACKOFF_START;
-                items
-            }
-            Ok(_) => {
-                // Idle: wait behind one children watch, backing off
-                // exponentially while the queue stays empty. The wait is
-                // stop-aware, so long backoffs never delay shutdown.
-                let _ = phy_q.await_items(idle_wait, stop);
-                idle_wait = (idle_wait * 2).min(IDLE_BACKOFF_MAX);
-                continue;
-            }
-            Err(_) => {
-                // Quorum loss or session trouble: wait behind the same
-                // children watch as the idle path instead of bare-sleeping,
-                // so recovery wakes the worker the instant an item lands.
-                // When even the watch cannot be armed (store unreachable),
-                // fall back to a stop-aware pause at the current backoff.
-                if phy_q.await_items(idle_wait, stop).is_err() {
-                    let deadline = std::time::Instant::now() + idle_wait;
-                    while std::time::Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-                idle_wait = (idle_wait * 2).min(IDLE_BACKOFF_MAX);
+            Ok(items) if !items.is_empty() => items,
+            // Idle: wait behind one children watch, with no deadline, until
+            // an item lands or a stop.
+            Ok(_) if DistributedQueue::await_any(&[phy_q], None, stopped).is_ok() => continue,
+            // Quorum loss, session trouble or an unarmable watch: no watch
+            // to wait on, so retry after a pause a stop cuts short.
+            _ => {
+                client.pause(RETRY_MS, stopped);
                 continue;
             }
         };
@@ -187,18 +168,24 @@ mod tests {
     use crate::codec::{encode_record, encode_task};
     use crate::msg::PhyTask;
     use crate::txn::{LogRecord, TxnRecord, TxnState};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::time::Duration;
     use tropic_coord::{CoordConfig, CreateMode};
     use tropic_model::{Path, Value};
 
-    fn spawn_worker(
-        coord: Arc<CoordService>,
-        mode: ExecMode,
-        stop: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<()> {
-        let rules = RepairRules::new();
-        std::thread::spawn(move || run_worker("w-test", &coord, mode, rules, &stop))
+    /// Runs a worker on a thread of its own; the returned closure stops
+    /// and joins it.
+    fn spawn_worker(coord: Arc<CoordService>, mode: ExecMode) -> impl FnOnce() {
+        let (stop, wake) = (Arc::new(AtomicBool::new(false)), Arc::new(Wake::default()));
+        let handle = {
+            let (stop, wake) = (Arc::clone(&stop), Arc::clone(&wake));
+            let rules = RepairRules::new();
+            std::thread::spawn(move || run_worker("w-test", &coord, mode, rules, &stop, wake))
+        };
+        move || {
+            stop.store(true, Ordering::SeqCst);
+            wake.notify();
+            handle.join().unwrap();
+        }
     }
 
     #[test]
@@ -218,14 +205,12 @@ mod tests {
         }];
         queue_tasks(&client, &[5], &log);
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly, Arc::clone(&stop));
+        let stop_worker = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly);
 
         // The result lands in the high-priority input lane.
         let input_q = DistributedQueue::new(&client, layout::input_lane(Priority::High)).unwrap();
         let got = input_q.dequeue_timeout(Duration::from_secs(5)).unwrap();
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        stop_worker();
         let (_, data) = got.expect("worker result");
         let msg: InputMsg = crate::msg::decode_input(&data).unwrap();
         match msg {
@@ -244,8 +229,7 @@ mod tests {
         let phy_q = DistributedQueue::new(&client, layout::phy_q()).unwrap();
         queue_tasks(&client, &[1, 2, 3], &[]);
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly, Arc::clone(&stop));
+        let stop_worker = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly);
 
         let input_q = DistributedQueue::new(&client, layout::input_lane(Priority::High)).unwrap();
         let mut seen = Vec::new();
@@ -262,8 +246,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        stop_worker();
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
         assert!(phy_q.is_empty().unwrap());
@@ -394,16 +377,14 @@ mod tests {
             }));
             let before = coord.stats();
 
-            let stop = Arc::new(AtomicBool::new(false));
             let mode = ExecMode::Physical(Arc::new(registry));
-            let handle = spawn_worker(Arc::clone(&coord), mode, Arc::clone(&stop));
+            let stop_worker = spawn_worker(Arc::clone(&coord), mode);
             // Task 2's device call holds at the gate; task 1's result must
             // land regardless.
             let first_landed = await_len(&input_q, 1);
             open.send(()).unwrap();
             assert!(await_len(&input_q, 2));
-            stop.store(true, Ordering::SeqCst);
-            handle.join().unwrap();
+            stop_worker();
             assert!(
                 first_landed,
                 "durable: {durable}: task 1's result waited behind task 2's device call"
@@ -424,11 +405,9 @@ mod tests {
         let phy_q = DistributedQueue::new(&client, layout::phy_q()).unwrap();
         phy_q.enqueue(&b"not json"[..]).unwrap();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly, Arc::clone(&stop));
+        let stop_worker = spawn_worker(Arc::clone(&coord), ExecMode::LogicalOnly);
         std::thread::sleep(Duration::from_millis(200));
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        stop_worker();
         // The corrupt item was consumed and produced no result.
         assert!(phy_q.is_empty().unwrap());
         let input_q = DistributedQueue::new(&client, layout::input_lane(Priority::High)).unwrap();

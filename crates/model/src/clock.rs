@@ -6,6 +6,11 @@
 //! component reads time through a [`Clock`]. Experiments run on the
 //! [`RealClock`] with scaled-down intervals; unit tests drive a
 //! [`ManualClock`] deterministically.
+//!
+//! Every wait in the product is one [`Clock::wait`] on a [`Wake`]: it ends
+//! when the wake is notified (a watch fired, a session ended, a stop was
+//! raised) or when the clock reaches a deadline. Nothing polls, so an idle
+//! component does nothing, and a [`ManualClock`] steps every wait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,22 +18,69 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+/// A wake-up source: a generation counter that [`Wake::notify`] bumps. A
+/// waiter reads [`Wake::seen`] *before* it checks whatever it waits for,
+/// then passes that generation to [`Clock::wait`], so a notification that
+/// lands between the check and the wait is never lost.
+#[derive(Debug, Default)]
+pub struct Wake {
+    generation: Mutex<u64>,
+    cond: Condvar,
+}
+
+impl Wake {
+    /// The current generation.
+    pub fn seen(&self) -> u64 {
+        *self.generation.lock()
+    }
+
+    /// Wakes every waiter on this wake.
+    pub fn notify(&self) {
+        *self.generation.lock() += 1;
+        self.cond.notify_all();
+    }
+
+    /// Wakes the waiters without a new generation, so each re-reads the
+    /// clock (a [`ManualClock`] moved).
+    fn poke(&self) {
+        let _generation = self.generation.lock();
+        self.cond.notify_all();
+    }
+
+    /// Blocks until notified past `seen` (`true`) or until `left` reports
+    /// no time left (`false`); while `left` is `None`, only a notification
+    /// or a poke ends a block.
+    fn block(&self, seen: u64, left: impl Fn() -> Option<Duration>) -> bool {
+        let mut generation = self.generation.lock();
+        while *generation == seen {
+            match left() {
+                None => self.cond.wait(&mut generation),
+                Some(left) if left.is_zero() => return false,
+                Some(left) => _ = self.cond.wait_for(&mut generation, left),
+            }
+        }
+        true
+    }
+}
+
 /// A monotonic clock measured in milliseconds since an arbitrary epoch.
 pub trait Clock: Send + Sync {
     /// Milliseconds since the clock's epoch.
     fn now_ms(&self) -> u64;
 
-    /// Blocks the calling thread for `d` (or until the manual clock is
-    /// advanced past the deadline).
-    fn sleep(&self, d: Duration);
+    /// Blocks until `wake` moves past generation `seen` (returns `true`) or
+    /// this clock reaches `deadline_ms` (returns `false`). With no
+    /// deadline, only a notification ends the wait.
+    fn wait(&self, wake: &Arc<Wake>, seen: u64, deadline_ms: Option<u64>) -> bool;
 
-    /// Like [`Clock::sleep`] but returns early once `stop` becomes true.
-    /// Background threads use this so shutdown is never blocked on a clock
-    /// that has stopped advancing.
-    fn sleep_interruptible(&self, d: Duration, stop: &std::sync::atomic::AtomicBool);
+    /// Blocks the calling thread for `d` of this clock's time.
+    fn sleep(&self, d: Duration) {
+        let deadline = self.now_ms().saturating_add(d.as_millis() as u64);
+        self.wait(&Arc::default(), 0, Some(deadline));
+    }
 }
 
-/// A [`Clock`] backed by [`Instant`] and [`std::thread::sleep`].
+/// A [`Clock`] backed by [`Instant`].
 #[derive(Debug)]
 pub struct RealClock {
     epoch: Instant,
@@ -54,30 +106,29 @@ impl Clock for RealClock {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
+    fn wait(&self, wake: &Arc<Wake>, seen: u64, deadline_ms: Option<u64>) -> bool {
+        let deadline = deadline_ms.map(Duration::from_millis);
+        wake.block(seen, || {
+            deadline.map(|d| d.saturating_sub(self.epoch.elapsed()))
+        })
     }
 
-    fn sleep_interruptible(&self, d: Duration, stop: &std::sync::atomic::AtomicBool) {
-        let deadline = Instant::now() + d;
-        while !stop.load(Ordering::SeqCst) {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
-        }
+    /// Sub-millisecond exact, unlike a deadline on [`Clock::now_ms`]: the
+    /// modeled write latency is often a fraction of a millisecond.
+    fn sleep(&self, d: Duration) {
+        std::thread::sleep(d);
     }
 }
 
 /// A manually-advanced clock for deterministic tests.
 ///
-/// `sleep` blocks until another thread advances the clock past the sleeper's
-/// deadline, so multi-threaded components can be driven step by step.
+/// A [`Clock::wait`] with a deadline blocks until another thread advances
+/// the clock past it (or notifies the wake), so multi-threaded components
+/// can be driven step by step.
 pub struct ManualClock {
     now_ms: AtomicU64,
-    lock: Mutex<()>,
-    cond: Condvar,
+    /// The wakes of the waits in progress, poked on every advance.
+    waiters: Mutex<Vec<Arc<Wake>>>,
 }
 
 impl ManualClock {
@@ -85,25 +136,22 @@ impl ManualClock {
     pub fn new() -> Arc<Self> {
         Arc::new(ManualClock {
             now_ms: AtomicU64::new(0),
-            lock: Mutex::new(()),
-            cond: Condvar::new(),
+            waiters: Mutex::new(Vec::new()),
         })
     }
 
-    /// Advances the clock by `ms` milliseconds, waking sleepers whose
+    /// Advances the clock by `ms` milliseconds, waking waiters whose
     /// deadlines have passed.
     pub fn advance(&self, ms: u64) {
         self.now_ms.fetch_add(ms, Ordering::SeqCst);
-        let _guard = self.lock.lock();
-        self.cond.notify_all();
+        self.waiters.lock().iter().for_each(|w| w.poke());
     }
 
     /// Sets the clock to an absolute time, which must not move backwards.
     pub fn set(&self, ms: u64) {
         let prev = self.now_ms.swap(ms, Ordering::SeqCst);
         debug_assert!(ms >= prev, "manual clock moved backwards");
-        let _guard = self.lock.lock();
-        self.cond.notify_all();
+        self.waiters.lock().iter().for_each(|w| w.poke());
     }
 }
 
@@ -112,22 +160,18 @@ impl Clock for ManualClock {
         self.now_ms.load(Ordering::SeqCst)
     }
 
-    fn sleep(&self, d: Duration) {
-        let deadline = self.now_ms().saturating_add(d.as_millis() as u64);
-        let mut guard = self.lock.lock();
-        while self.now_ms() < deadline {
-            // A short real-time timeout guards against lost wakeups if the
-            // advancing thread races the sleeper registering.
-            self.cond.wait_for(&mut guard, Duration::from_millis(50));
+    fn wait(&self, wake: &Arc<Wake>, seen: u64, deadline_ms: Option<u64>) -> bool {
+        // Registered before the clock is read: an advance either comes
+        // after the read below, and pokes this wake, or before it, and the
+        // read sees it.
+        self.waiters.lock().push(Arc::clone(wake));
+        let due = || deadline_ms.filter(|&d| self.now_ms() >= d);
+        let woke = wake.block(seen, || due().map(|_| Duration::ZERO));
+        let mut waiters = self.waiters.lock();
+        if let Some(i) = waiters.iter().position(|w| Arc::ptr_eq(w, wake)) {
+            waiters.swap_remove(i);
         }
-    }
-
-    fn sleep_interruptible(&self, d: Duration, stop: &std::sync::atomic::AtomicBool) {
-        let deadline = self.now_ms().saturating_add(d.as_millis() as u64);
-        let mut guard = self.lock.lock();
-        while self.now_ms() < deadline && !stop.load(Ordering::SeqCst) {
-            self.cond.wait_for(&mut guard, Duration::from_millis(10));
-        }
+        woke
     }
 }
 
@@ -181,5 +225,24 @@ mod tests {
     fn manual_clock_zero_sleep_returns() {
         let c = ManualClock::new();
         c.sleep(Duration::from_millis(0));
+    }
+
+    #[test]
+    fn a_wait_ends_on_a_notify_or_at_its_deadline() {
+        for clock in [real_clock(), ManualClock::new() as SharedClock] {
+            let wake = Arc::new(Wake::default());
+            let seen = wake.seen();
+            wake.notify();
+            assert!(clock.wait(&wake, seen, None), "a notify before the wait");
+            let now = clock.now_ms();
+            assert!(
+                !clock.wait(&wake, wake.seen(), Some(now)),
+                "a past deadline"
+            );
+        }
+        let real = RealClock::new();
+        let wake = Arc::new(Wake::default());
+        assert!(!real.wait(&wake, wake.seen(), Some(real.now_ms() + 20)));
+        assert!(real.now_ms() >= 20);
     }
 }

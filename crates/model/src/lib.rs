@@ -36,7 +36,7 @@ pub mod schema;
 pub mod tree;
 pub mod value;
 
-pub use clock::{real_clock, Clock, ManualClock, RealClock, SharedClock};
+pub use clock::{real_clock, Clock, ManualClock, RealClock, SharedClock, Wake};
 pub use constraint::{Constraint, ConstraintSet, ConstraintViolation, FnConstraint};
 pub use error::{ModelError, ModelResult};
 pub use node::Node;

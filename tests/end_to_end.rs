@@ -530,3 +530,42 @@ fn todo_q_deadline_expiry_releases_idempotency_key() {
     assert_ne!(outcome.id, late.id(), "a fresh transaction ran");
     platform.shutdown();
 }
+
+/// An idle platform does nothing until something happens. With the twin
+/// off and no TERM/KILL timeouts nothing in it is time-driven, so once a
+/// commit has settled the leader and the workers block on their watches
+/// and make no coordination reads at all.
+#[test]
+fn an_idle_platform_makes_no_coordination_reads() {
+    let spec = small_spec();
+    let (platform, _devices) = start(&spec);
+    let client = platform.client();
+    let outcome = run(&client, spawn_req(&spec, "idle", 0, 1024));
+    assert_eq!(outcome.state, TxnState::Committed, "{:?}", outcome.error);
+    // Let the leader's closing round and the workers' return to their
+    // watches settle: up to 5 s for the count to hold still over 100 ms.
+    let reads = || platform.coord().stats().reads;
+    let mut before = reads();
+    for _ in 0..50 {
+        std::thread::sleep(Duration::from_millis(100));
+        if std::mem::replace(&mut before, reads()) == before {
+            break;
+        }
+    }
+    std::thread::sleep(Duration::from_millis(500));
+    let idle_reads = reads() - before;
+    assert_eq!(idle_reads, 0, "reads over 500 ms of idleness");
+    platform.shutdown();
+}
+
+/// A stop wakes every waiter at once: shutting down a platform that has
+/// idled for a while waits on no timer.
+#[test]
+fn shutting_down_an_idle_platform_is_prompt() {
+    let (platform, _devices) = start(&small_spec());
+    std::thread::sleep(Duration::from_secs(2));
+    let t0 = std::time::Instant::now();
+    platform.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+}
