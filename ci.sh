@@ -5,9 +5,10 @@
 #                 --chaos-smoke | --chaos-trend | --md-links | --analyze]
 #   --no-clippy          skip the clippy pass (e.g. when the component is absent)
 #   --analyze            run only the static-analysis gate: tropic-analyze's
-#                        fixture self-test, then the five repo checks
+#                        fixture self-test, then the six repo checks
 #                        (lock-order, blocking-under-lock, schema-drift,
-#                        panic-path, sleep-site; see docs/STATIC_ANALYSIS.md),
+#                        panic-path, sleep-site, json-edge; see
+#                        docs/STATIC_ANALYSIS.md),
 #                        writing
 #                        ANALYZE_report.txt
 #   --doc                run only the documentation gate: `cargo doc --no-deps`
@@ -234,7 +235,7 @@ doc_gate() {
 
 # Static-analysis gate: the analyzer first proves itself against the seeded
 # fixture trees (every check must fire on the violations tree, none on the
-# clean one), then runs the five repo checks. Findings fail the build; the
+# clean one), then runs the six repo checks. Findings fail the build; the
 # rendered report lands in ANALYZE_report.txt either way.
 analyze_gate() {
     run cargo build --release -p tropic-analyze

@@ -1,6 +1,6 @@
 //! `tropic-analyze`: repo-specific static analysis for TROPIC.
 //!
-//! Five check families over `crates/*/src` and `src/`:
+//! Six check families over `crates/*/src` and `src/`:
 //!
 //! - **lock-order** — per-function lock-acquisition sequences folded
 //!   into a global graph; cycles (and recursive acquisitions) fail.
@@ -14,6 +14,9 @@
 //! - **sleep-site** — `thread::sleep` in production code of the product
 //!   crates outside `crates/model/src/clock.rs`: every product wait is a
 //!   clock wait.
+//! - **json-edge** — `serde_json` in production code of the product
+//!   crates outside `crates/core/src/rpc.rs`: every store payload is
+//!   binary, and JSON is left to the RPC frames.
 //!
 //! Deliberate sites are annotated inline with
 //! `// analyze:allow(<check>): <reason>`. See `docs/STATIC_ANALYSIS.md`.
@@ -24,6 +27,7 @@
 
 pub mod allow;
 pub mod graph;
+pub mod json_edge;
 pub mod lexer;
 pub mod locks;
 pub mod panics;
@@ -127,7 +131,7 @@ pub fn collect_sources(root: &Path) -> Vec<(String, PathBuf)> {
     out
 }
 
-/// Runs all five checks over the tree. Errors are I/O or config
+/// Runs all six checks over the tree. Errors are I/O or config
 /// problems (unreadable allowlist), not findings.
 pub fn analyze(opts: &Options) -> Result<Analysis, String> {
     let sources = collect_sources(&opts.root);
@@ -157,6 +161,7 @@ pub fn analyze(opts: &Options) -> Result<Analysis, String> {
         if let Some(root) = panics::census_root(rel) {
             *product_sizes.entry(root).or_default() += scope::product_lines(&lexed, &scopes);
             sleeps::check(rel, &lexed, &scopes, &mut findings);
+            json_edge::check(rel, &lexed, &scopes, &mut findings);
             let sites = panics::collect(&lexed, &scopes);
             if !sites.is_empty() {
                 panic_counts.insert(rel.clone(), sites.len());
@@ -239,6 +244,7 @@ pub fn self_test(fixtures: &Path) -> Result<String, String> {
         check::SCHEMA,
         check::PANIC,
         check::SLEEP,
+        check::JSON,
     ] {
         if !v.findings.iter().any(|f| f.check == id) {
             missing.push(id);
@@ -265,7 +271,7 @@ pub fn self_test(fixtures: &Path) -> Result<String, String> {
     }
 
     Ok(format!(
-        "self-test OK: {} seeded finding(s) fired across all 5 checks; clean tree passed",
+        "self-test OK: {} seeded finding(s) fired across all 6 checks; clean tree passed",
         v.findings.len()
     ))
 }

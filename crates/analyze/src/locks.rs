@@ -29,7 +29,8 @@ const BLOCKING: &[&str] = &[
     "sync_data",
     "fsync",
     "sleep",
-    "sleep_interruptible",
+    "wait_watched",
+    "pause",
     "recv",
     "recv_timeout",
     "recv_deadline",

@@ -15,6 +15,8 @@ pub mod check {
     pub const PANIC: &str = "panic-path";
     /// `thread::sleep` in production code outside the clock.
     pub const SLEEP: &str = "sleep-site";
+    /// `serde_json` in production code outside the RPC edge.
+    pub const JSON: &str = "json-edge";
 }
 
 /// One diagnostic produced by a check.

@@ -16,7 +16,8 @@
 //! - `wal` (binary log records): any drift requires a `FORMAT_VERSION`
 //!   bump — there is no additive escape hatch for a positional codec.
 //! - `store` (binary store payloads: records, queue items, tasks,
-//!   granules): the same positional policy, anchored by
+//!   granules and the operator plane's signals, results, inconsistent
+//!   set and twin reports): the same positional policy, anchored by
 //!   `STORE_FORMAT_VERSION`.
 //! - `snapshot` (snapshot file header): the magic constant *is*
 //!   the version, so a change is self-anchoring but must still be
@@ -161,15 +162,20 @@ impl Registry {
             "TAG_INPUT",
             "TAG_TASK",
             "TAG_GRANULE",
+            "TAG_SIGNAL",
+            "TAG_ADMIN_RESULT",
+            "TAG_INCONSISTENT",
+            "TAG_TWIN_REPORT",
         ] {
             entries.push(e(Store, store_codec, Const, name));
         }
         for name in ["TxnRecord", "TxnAlias", "TxnState", "LogRecord"] {
             entries.push(e(Store, txn, Type, name));
         }
-        for name in ["InputMsg", "PhyTask", "Signal"] {
+        for name in ["InputMsg", "PhyTask", "Signal", "AdminResult"] {
             entries.push(e(Store, msg, Type, name));
         }
+        entries.push(e(Store, report, Type, "StateReport"));
         entries.push(e(Store, physical, Type, "PhysicalOutcome"));
         for name in ["Priority", "AbortCode"] {
             entries.push(e(Store, api, Type, name));

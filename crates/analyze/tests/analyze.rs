@@ -29,6 +29,7 @@ fn violations_fire_every_check_family() {
         check::SCHEMA,
         check::PANIC,
         check::SLEEP,
+        check::JSON,
     ] {
         assert!(
             v.findings.iter().any(|f| f.check == id),
@@ -107,6 +108,19 @@ fn sleep_findings_skip_allowed_and_test_sites() {
         .collect();
     // sleepy.rs holds one bare product sleep, one allowed, one in a test.
     assert_eq!(sleeps, vec![("src/sleepy.rs", 7)], "report:\n{}", v.report);
+}
+
+#[test]
+fn json_findings_skip_allowed_and_test_sites() {
+    let v = run("violations");
+    let jsons: Vec<_> = v
+        .findings
+        .iter()
+        .filter(|f| f.check == check::JSON)
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    // jsony.rs holds one bare product site, one allowed, one in a test.
+    assert_eq!(jsons, vec![("src/jsony.rs", 5)], "report:\n{}", v.report);
 }
 
 #[test]

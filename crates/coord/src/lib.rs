@@ -54,8 +54,7 @@ pub use frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 pub use net::{NodeId, SimNet};
 pub use queue::DistributedQueue;
 pub use service::{
-    CoordClient, CoordConfig, CoordService, CreateMode, KeepAlive, ServiceStats, WatchEvent,
-    WatchKind,
+    CoordClient, CoordConfig, CoordService, CreateMode, KeepAlive, ServiceStats, WatchKind,
 };
 pub use store::{Op, OpResult, Stat, StoreEvent, ZnodeStore};
 pub use testutil::TempDir;

@@ -437,14 +437,16 @@ mod tests {
         assert_eq!(svc.stats().watch_events, 0);
 
         let producer = svc.connect("producer");
+        let seen = c.wake().seen();
         DistributedQueue::bind(&producer, p("/q/norm"))
             .enqueue(Bytes::from_static(b"x"))
             .unwrap();
-        assert!(c.wait_event(Duration::from_secs(1)).is_some());
-        assert!(
-            c.wait_event(Duration::from_millis(50)).is_none(),
-            "one enqueue woke the session more than once"
+        assert_eq!(
+            c.wake().seen(),
+            seen + 1,
+            "one enqueue woke the session other than once"
         );
+        assert_eq!(lanes[2].len().unwrap(), 1);
         assert_eq!(svc.stats().watch_events, 1);
         assert_eq!(
             svc.stats().watch_registrations,

@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use tropic_model::{real_clock, Path, SharedClock, Wake};
 
@@ -113,17 +113,8 @@ pub enum WatchKind {
     Children,
 }
 
-/// A fired watch delivered to a client's event channel.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WatchEvent {
-    /// The store event that fired the watch.
-    pub event: StoreEvent,
-}
-
 /// One live session. Ended sessions have no row.
 struct Session {
-    /// Where the session's fired watches are delivered.
-    events: Sender<WatchEvent>,
     /// Notified on every delivery and when the session ends.
     wake: Arc<Wake>,
     last_seen_ms: u64,
@@ -301,9 +292,6 @@ impl ServiceInner {
             };
             for target in targets {
                 if let Some(session) = sessions.get(&target) {
-                    let _ = session.events.send(WatchEvent {
-                        event: event.clone(),
-                    });
                     session.wake.notify();
                     fired += 1;
                 }
@@ -610,11 +598,9 @@ impl CoordService {
     /// sessions, so whoever stops it notifies that one wake.
     pub fn connect_with_wake(&self, _name: &str, wake: Arc<Wake>) -> CoordClient {
         let session = self.inner.next_session.fetch_add(1, Ordering::SeqCst);
-        let (events, rx) = unbounded();
         self.inner.sessions.lock().insert(
             session,
             Session {
-                events,
                 wake: Arc::clone(&wake),
                 last_seen_ms: self.inner.clock.now_ms(),
                 pins: 0,
@@ -624,7 +610,6 @@ impl CoordService {
         CoordClient {
             inner: Arc::clone(&self.inner),
             session,
-            events: rx,
             wake,
         }
     }
@@ -721,7 +706,6 @@ pub enum CreateMode {
 pub struct CoordClient {
     inner: Arc<ServiceInner>,
     session: u64,
-    events: Receiver<WatchEvent>,
     wake: Arc<Wake>,
 }
 
@@ -846,8 +830,7 @@ impl CoordClient {
 
     /// Registers a one-shot watch. `Node` watches fire on create, delete, or
     /// data change of `path`; `Children` watches fire when the child set of
-    /// `path` changes. A fired watch notifies [`CoordClient::wake`], and
-    /// [`CoordClient::wait_event`] reads it.
+    /// `path` changes. A fired watch notifies [`CoordClient::wake`].
     /// Re-arming a watch this session already holds is a no-op, so the
     /// event it eventually fires is delivered exactly once.
     pub fn watch(&self, path: &Path, kind: WatchKind) -> CoordResult<()> {
@@ -857,11 +840,6 @@ impl CoordClient {
         self.inner.check_session(self.session)?;
         watches.register(path, kind, self.session);
         Ok(())
-    }
-
-    /// Waits up to `timeout` for the next watch event.
-    pub fn wait_event(&self, timeout: Duration) -> Option<WatchEvent> {
-        self.events.recv_timeout(timeout).ok()
     }
 
     /// The session's wake: notified when one of its watches fires or the
@@ -904,9 +882,6 @@ impl CoordClient {
                 return Ok(None);
             }
             self.inner.clock.wait(&self.wake, seen, deadline_ms);
-            // The wake carries the news; the events are for callers that
-            // read them, so a waiter never lets them pile up.
-            while self.events.try_recv().is_ok() {}
         }
     }
 
@@ -916,37 +891,6 @@ impl CoordClient {
     pub fn pause(&self, ms: u64, stop: impl Fn() -> bool) {
         let nothing = || Ok::<_, CoordError>(None::<()>);
         let _ = self.wait_watched(Some(self.now_ms() + ms), stop, || Ok(()), nothing);
-    }
-
-    /// Serializes `value` as JSON into the znode at `path`, creating it if
-    /// missing. Convenience used for signals and the twin's reports.
-    pub fn put_json<T: serde::Serialize>(&self, path: &Path, value: &T) -> CoordResult<()> {
-        // Converted once: the create fallback below clones an `Arc`, not
-        // the value.
-        let data = Bytes::from(serde_json::to_vec(value).expect("serializable value"));
-        match self.set_data(path, data.clone(), None) {
-            Ok(_) => Ok(()),
-            Err(CoordError::NoNode(_)) => {
-                if let Some(parent) = path.parent() {
-                    self.create_all(&parent)?;
-                }
-                match self.create(path, data.clone(), CreateMode::Persistent) {
-                    Ok(_) => Ok(()),
-                    // Lost a create race: fall back to set.
-                    Err(CoordError::NodeExists(_)) => self.set_data(path, data, None).map(|_| ()),
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Reads and deserializes a JSON znode, or `None` when absent.
-    pub fn get_json<T: serde::de::DeserializeOwned>(&self, path: &Path) -> CoordResult<Option<T>> {
-        match self.get_data(path)? {
-            Some((data, _)) => Ok(serde_json::from_slice(&data).ok()),
-            None => Ok(None),
-        }
     }
 
     /// Pins the session: until the returned guard drops, the expiry scan
@@ -1040,14 +984,17 @@ mod tests {
         c2.create(&p("/w"), Bytes::new(), CreateMode::Persistent)
             .unwrap();
         c1.watch(&p("/w"), WatchKind::Node).unwrap();
+        let seen = c1.wake().seen();
         c2.set_data(&p("/w"), Bytes::from_static(b"x"), None)
             .unwrap();
-        let ev = c1.wait_event(Duration::from_secs(1)).unwrap();
-        assert_eq!(ev.event, StoreEvent::DataChanged(p("/w")));
+        // The writer delivers the event before its write returns.
+        assert_eq!(c1.wake().seen(), seen + 1);
+        assert_eq!(&c1.get_data(&p("/w")).unwrap().unwrap().0[..], b"x");
         // One-shot: a second write does not fire again.
         c2.set_data(&p("/w"), Bytes::from_static(b"y"), None)
             .unwrap();
-        assert!(c1.wait_event(Duration::from_millis(50)).is_none());
+        assert_eq!(c1.wake().seen(), seen + 1);
+        assert_eq!(svc.stats().watch_events, 1);
     }
 
     #[test]
@@ -1064,12 +1011,13 @@ mod tests {
         c2.watch(&p("/w"), WatchKind::Node).unwrap();
         // One per (path, kind, session), however often it was re-armed.
         assert_eq!(svc.stats().watch_registrations, 3);
+        let seen = c1.wake().seen();
         c2.set_data(&p("/w"), Bytes::from_static(b"x"), None)
             .unwrap();
-        assert!(c1.wait_event(Duration::from_secs(1)).is_some());
-        assert!(
-            c1.wait_event(Duration::from_millis(50)).is_none(),
-            "a re-armed watch delivered a duplicate event"
+        assert_eq!(
+            c1.wake().seen(),
+            seen + 1,
+            "a re-armed watch woke its session more than once"
         );
         assert_eq!(svc.stats().watch_events, 2, "one event per session");
         assert_eq!(svc.stats().watch_registrations, 1, "children watch");
@@ -1091,9 +1039,10 @@ mod tests {
         svc.expire_session(expired.session_id());
         assert_eq!(svc.stats().watch_registrations, 2);
         // The survivor's watches still fire.
+        let seen = live.wake().seen();
         live.create(&p("/a"), Bytes::new(), CreateMode::Persistent)
             .unwrap();
-        assert!(live.wait_event(Duration::from_secs(1)).is_some());
+        assert_eq!(live.wake().seen(), seen + 1);
         assert_eq!(svc.stats().watch_registrations, 1);
     }
 
@@ -1105,10 +1054,16 @@ mod tests {
         c2.create(&p("/q"), Bytes::new(), CreateMode::Persistent)
             .unwrap();
         c1.watch(&p("/q"), WatchKind::Children).unwrap();
+        let seen = c1.wake().seen();
         c2.create(&p("/q/i"), Bytes::new(), CreateMode::Persistent)
             .unwrap();
-        let ev = c1.wait_event(Duration::from_secs(1)).unwrap();
-        assert_eq!(ev.event, StoreEvent::ChildrenChanged(p("/q")));
+        assert_eq!(c1.wake().seen(), seen + 1);
+        assert_eq!(c1.get_children(&p("/q")).unwrap(), ["i"]);
+        // Data changes below it are not the watched set's.
+        c1.watch(&p("/q"), WatchKind::Children).unwrap();
+        c2.set_data(&p("/q/i"), Bytes::from_static(b"x"), None)
+            .unwrap();
+        assert_eq!(c1.wake().seen(), seen + 1);
     }
 
     #[test]
@@ -1139,11 +1094,13 @@ mod tests {
         c1.create(&p("/lead"), Bytes::new(), CreateMode::Ephemeral)
             .unwrap();
         c2.watch(&p("/lead"), WatchKind::Node).unwrap();
+        let seen = c2.wake().seen();
         // c2 keeps pinging; c1 goes silent.
         for _ in 0..30 {
             clock.advance(100);
             let _ = c2.ping();
-            if c2.wait_event(Duration::from_millis(20)).is_some() {
+            std::thread::sleep(Duration::from_millis(20));
+            if c2.wake().seen() != seen {
                 // Deletion observed.
                 assert!(!c2.exists(&p("/lead")).unwrap());
                 assert!(matches!(c1.ping(), Err(CoordError::SessionExpired)));
@@ -1362,28 +1319,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let svc = quick_service();
-        let c = svc.connect("t");
-        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
-        struct Rec {
-            id: u64,
-            name: String,
-        }
-        let rec = Rec {
-            id: 7,
-            name: "spawnVM".into(),
-        };
-        c.put_json(&p("/tropic/txns/7"), &rec).unwrap();
-        // Overwrite works too.
-        c.put_json(&p("/tropic/txns/7"), &rec).unwrap();
-        let back: Rec = c.get_json(&p("/tropic/txns/7")).unwrap().unwrap();
-        assert_eq!(back, rec);
-        let missing: Option<Rec> = c.get_json(&p("/tropic/txns/8")).unwrap();
-        assert!(missing.is_none());
-    }
-
-    #[test]
     fn replica_crash_transparent_below_quorum_loss() {
         let svc = quick_service();
         let c = svc.connect("t");
@@ -1456,6 +1391,7 @@ mod tests {
         c.create(&p("/seen"), Bytes::new(), CreateMode::Persistent)
             .unwrap();
         w.watch(&p("/seen"), WatchKind::Node).unwrap();
+        let seen = w.wake().seen();
         let err = c
             .multi(vec![
                 Op::SetData {
@@ -1473,10 +1409,8 @@ mod tests {
         let (data, stat) = c.get_data(&p("/seen")).unwrap().unwrap();
         assert!(data.is_empty());
         assert_eq!(stat.version, 0);
-        assert!(
-            w.wait_event(Duration::from_millis(50)).is_none(),
-            "failed batch must not fire watches"
-        );
+        assert_eq!(w.wake().seen(), seen, "failed batch must not fire watches");
+        assert_eq!(svc.stats().watch_events, 0);
     }
 
     #[test]
@@ -1600,7 +1534,7 @@ mod tests {
             for (t, i) in (0..THREADS).flat_map(|t| (0..WRITES).map(move |i| (t, i))) {
                 setup.watch(&watched(t, i), WatchKind::Node).unwrap();
             }
-            let before = svc.ensemble_stats();
+            let (before, seen) = (svc.ensemble_stats(), setup.wake().seen());
             // Readers run beside the writers: every read succeeds, and the
             // state it sees never goes back in time.
             let writing = Arc::new(AtomicBool::new(true));
@@ -1660,16 +1594,15 @@ mod tests {
 
             let names: std::collections::HashSet<&Path> = acked.iter().collect();
             assert_eq!(names.len(), acked.len(), "sequential names collided");
-            // Each writer dispatched its own events before returning.
-            let mut fired = std::collections::HashSet::new();
-            while let Some(ev) = setup.wait_event(Duration::ZERO) {
-                let StoreEvent::Created(path) = ev.event else {
-                    panic!("unexpected {ev:?}");
-                };
-                assert!(fired.insert(path.clone()), "{path} fired twice");
-            }
-            assert_eq!(fired.len(), THREADS * WRITES, "one event per armed watch");
+            // Each writer dispatched its own events before returning: one
+            // wake-up per armed watch, and every watched path is there.
+            let armed = THREADS * WRITES;
+            assert_eq!(setup.wake().seen() - seen, armed as u64);
+            assert_eq!(svc.stats().watch_events, armed as u64);
             assert_eq!(svc.stats().watch_registrations, 0);
+            for (t, i) in (0..THREADS).flat_map(|t| (0..WRITES).map(move |i| (t, i))) {
+                assert!(setup.exists(&watched(t, i)).unwrap());
+            }
             acked
         };
         let svc = CoordService::recover(config);

@@ -567,8 +567,8 @@ mod tests {
         let (msg_b, dl_b) = back.into_msg(5, 1_000).unwrap();
         assert_eq!(dl_a, dl_b);
         assert_eq!(
-            serde_json::to_vec(&msg_a).unwrap(),
-            serde_json::to_vec(&msg_b).unwrap(),
+            crate::codec::encode_input(msg_a),
+            crate::codec::encode_input(msg_b),
             "wire roundtrip lowers to the identical queue message"
         );
     }

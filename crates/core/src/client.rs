@@ -35,7 +35,7 @@ use tropic_coord::{
 use tropic_model::{Path, SharedClock, Wake};
 
 use crate::api::{outcome_of, ApiError, Priority, TxnEvent, TxnRequest};
-use crate::codec::{decode_record_node, read_record, RecordNode};
+use crate::codec::{decode_admin_result, decode_record_node, read, read_record, RecordNode};
 use crate::msg::{encode_input, layout, AdminResult, InputMsg, Signal};
 use crate::platform::{PlatformShared, RETRY_MS};
 use crate::rpc::{decode_response, encode_request, transport, RpcRequest, RpcResponse};
@@ -712,7 +712,7 @@ impl Local {
         };
         self.lane(Priority::High).enqueue(encode_input(msg))?;
         let node = || layout::admin(admin_id);
-        let probe = || Ok(self.session.get_json::<AdminResult>(&node())?);
+        let probe = || Ok(read(&self.session, &node(), decode_admin_result)?);
         self.watch_node(admin_id, timeout_ms, stop, node, probe)
     }
 

@@ -1,13 +1,16 @@
 //! The byte layout of every payload the platform keeps in the
-//! coordination store on the commit path: transaction records and their
-//! idempotency aliases, `inputQ` messages, `phyQ` tasks and
-//! committed-subtree granules.
+//! coordination store: transaction records and their idempotency aliases,
+//! `inputQ` messages, `phyQ` tasks, committed-subtree granules, and the
+//! operator plane's signals, admin results, inconsistent set and twin
+//! reports (the twin epoch znode holds none: its data version is the
+//! counter). The store itself holds opaque bytes; this module is the only
+//! one that knows how they are laid out.
 //!
 //! ## Format
 //!
-//! Each payload is one kind tag ([`TAG_RECORD`] and its siblings, never
-//! `{`), one format-version byte ([`STORE_FORMAT_VERSION`]), then the
-//! fields in declaration order, written with the WAL's primitives
+//! Each payload is one kind tag ([`TAG_RECORD`] and its siblings), one
+//! format-version byte ([`STORE_FORMAT_VERSION`]), then the fields in
+//! declaration order, written with the WAL's primitives
 //! (`tropic_coord::codec`): integers, lengths and counts as LEB128
 //! varints (signed ones zigzagged), floats as their eight little-endian
 //! bytes, one byte per `Option`, `bool` and enum variant. A path is its
@@ -20,33 +23,28 @@
 //! Decoders return an error on any truncated, trailing or invalid byte and
 //! never panic. They allocate only for what the input actually holds: a
 //! count read off the wire bounds a loop, never a reservation, and nesting
-//! deeper than [`MAX_DEPTH`] is refused.
-//!
-//! ## JSON from earlier builds
-//!
-//! Builds before this format wrote these payloads as JSON. Every decoder
-//! still reads that JSON (first byte `{`, or `null` for a removed
-//! granule), so a data dir an earlier build wrote recovers; nothing
-//! writes it any more.
+//! deeper than [`MAX_DEPTH`] is refused. A payload an earlier format wrote
+//! (the JSON of builds before this layout, or an older version byte) does
+//! not decode either: recovery refuses a store holding one by name.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use serde::Deserialize;
 use tropic_coord::codec::{put_bool, put_u64, put_u8, put_varint, put_varint_str, Cursor};
 use tropic_coord::{CoordClient, CoordResult};
+use tropic_devices::StateReport;
 use tropic_model::{Node, Path, Value};
 
 use crate::api::{AbortCode, Priority};
 use crate::locks::LockMode;
-use crate::msg::{check_version, layout, InputMsg, PhyTask, Signal, WireError};
+use crate::msg::{layout, AdminResult, InputMsg, PhyTask, Signal, WireError};
 use crate::physical::PhysicalOutcome;
 use crate::txn::{LogRecord, TxnAlias, TxnId, TxnRecord, TxnState};
 
 /// Version of the store payload layout, written after every kind tag.
 /// Bump it on any change to a laid-out type or to a tag below, then
 /// record the change with `tropic-analyze --bless`.
-pub const STORE_FORMAT_VERSION: u8 = 1;
+pub const STORE_FORMAT_VERSION: u8 = 2;
 
 /// Kind tag of a [`TxnRecord`] at a record znode.
 pub const TAG_RECORD: u8 = 1;
@@ -58,6 +56,14 @@ pub const TAG_INPUT: u8 = 3;
 pub const TAG_TASK: u8 = 4;
 /// Kind tag of a committed-subtree granule.
 pub const TAG_GRANULE: u8 = 5;
+/// Kind tag of a transaction's [`Signal`] at its signal znode.
+pub const TAG_SIGNAL: u8 = 6;
+/// Kind tag of an operator's [`AdminResult`].
+pub const TAG_ADMIN_RESULT: u8 = 7;
+/// Kind tag of the set of inconsistency-marked paths.
+pub const TAG_INCONSISTENT: u8 = 8;
+/// Kind tag of one device's [`StateReport`] under the twin's subtree.
+pub const TAG_TWIN_REPORT: u8 = 9;
 
 /// Deepest nesting of values and nodes a decoder follows; anything
 /// deeper is refused rather than risking the stack. Model trees and
@@ -86,29 +92,32 @@ pub fn encode_alias(alias: &TxnAlias) -> Vec<u8> {
 
 /// Decodes a record znode: a record or an alias.
 pub fn decode_record_node(bytes: &[u8]) -> Result<RecordNode, WireError> {
-    const WHAT: &str = "transaction record";
-    if bytes.first() == Some(&b'{') {
-        return legacy_record_node(bytes);
-    }
-    let (kind, mut cur) = header(bytes, &[TAG_RECORD, TAG_ALIAS], WHAT)?;
-    let node = match kind {
-        TAG_RECORD => record(&mut cur).map(|rec| RecordNode::Record(Box::new(rec))),
-        TAG_ALIAS => cur
-            .varint()
-            .map(|alias_of| RecordNode::Alias(TxnAlias { alias_of })),
-        _ => None,
-    };
-    finish(&cur, node, WHAT)
+    decoded(bytes, &[TAG_RECORD, TAG_ALIAS], "record", |kind, cur| {
+        Some(match kind {
+            TAG_RECORD => RecordNode::Record(Box::new(record(cur)?)),
+            _ => RecordNode::Alias(TxnAlias {
+                alias_of: cur.varint()?,
+            }),
+        })
+    })
+}
+
+/// Reads the payload at `path`: `None` when its znode is absent or does
+/// not `decode`.
+pub fn read<T>(
+    client: &CoordClient,
+    path: &Path,
+    decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+) -> CoordResult<Option<T>> {
+    let data = client.get_data(path)?;
+    Ok(data.and_then(|(data, _)| decode(&data).ok()))
 }
 
 /// Reads transaction `id`'s record: `None` when its znode is absent,
 /// holds an alias, or does not decode.
 pub fn read_record(client: &CoordClient, id: TxnId) -> CoordResult<Option<TxnRecord>> {
-    let Some((data, _)) = client.get_data(&layout::txn(id))? else {
-        return Ok(None);
-    };
-    Ok(match decode_record_node(&data) {
-        Ok(RecordNode::Record(rec)) => Some(*rec),
+    Ok(match read(client, &layout::txn(id), decode_record_node)? {
+        Some(RecordNode::Record(rec)) => Some(*rec),
         _ => None,
     })
 }
@@ -122,13 +131,7 @@ pub fn encode_input(msg: InputMsg) -> Vec<u8> {
 /// payload, so a message from a newer build fails with
 /// [`WireError::UnsupportedVersion`] whatever it carries.
 pub fn decode_input(bytes: &[u8]) -> Result<InputMsg, WireError> {
-    const WHAT: &str = "input message";
-    if bytes.first() == Some(&b'{') {
-        return legacy_input(bytes);
-    }
-    let (_, mut cur) = header(bytes, &[TAG_INPUT], WHAT)?;
-    let msg = input(&mut cur);
-    finish(&cur, msg, WHAT)
+    decoded(bytes, &[TAG_INPUT], "input message", |_, cur| input(cur))
 }
 
 /// Encodes a `phyQ` task.
@@ -139,13 +142,9 @@ pub fn encode_task(task: &PhyTask) -> Vec<u8> {
 
 /// Decodes a `phyQ` task.
 pub fn decode_task(bytes: &[u8]) -> Result<PhyTask, WireError> {
-    const WHAT: &str = "phyQ task";
-    if bytes.first() == Some(&b'{') {
-        return serde_json::from_slice(bytes).map_err(|_| malformed(WHAT));
-    }
-    let (_, mut cur) = header(bytes, &[TAG_TASK], WHAT)?;
-    let task = cur.varint().map(|id| PhyTask { id });
-    finish(&cur, task, WHAT)
+    decoded(bytes, &[TAG_TASK], "phyQ task", |_, cur| {
+        cur.varint().map(|id| PhyTask { id })
+    })
 }
 
 /// Encodes the granule of one object: its committed subtree, or `None`
@@ -156,13 +155,90 @@ pub fn encode_granule(subtree: Option<&Node>) -> Vec<u8> {
 
 /// Decodes a granule.
 pub fn decode_granule(bytes: &[u8]) -> Result<Option<Node>, WireError> {
-    const WHAT: &str = "granule";
-    if bytes.first() == Some(&b'{') || bytes == b"null" {
-        return serde_json::from_slice(bytes).map_err(|_| malformed(WHAT));
-    }
-    let (_, mut cur) = header(bytes, &[TAG_GRANULE], WHAT)?;
-    let subtree = option(&mut cur, |cur| node(cur, 0));
-    finish(&cur, subtree, WHAT)
+    decoded(bytes, &[TAG_GRANULE], "granule", |_, cur| {
+        option(cur, |cur| node(cur, 0))
+    })
+}
+
+/// Encodes the signal a transaction's worker polls for.
+pub fn encode_signal(s: Signal) -> Vec<u8> {
+    encoded(TAG_SIGNAL, |out| put_signal(out, s))
+}
+
+/// Decodes a signal.
+pub fn decode_signal(bytes: &[u8]) -> Result<Signal, WireError> {
+    decoded(bytes, &[TAG_SIGNAL], "signal", |_, cur| signal(cur))
+}
+
+/// Encodes the result an operator's repair or reload waits for.
+pub fn encode_admin_result(result: &AdminResult) -> Vec<u8> {
+    let AdminResult {
+        ok,
+        message,
+        actions,
+        drifted,
+    } = result;
+    encoded(TAG_ADMIN_RESULT, |out| {
+        put_bool(out, *ok)?;
+        put_varint_str(out, message)?;
+        put_usize(out, *actions)?;
+        put_usize(out, *drifted)
+    })
+}
+
+/// Decodes an operator result.
+pub fn decode_admin_result(bytes: &[u8]) -> Result<AdminResult, WireError> {
+    decoded(bytes, &[TAG_ADMIN_RESULT], "operator result", |_, cur| {
+        Some(AdminResult {
+            ok: cur.bool()?,
+            message: string(cur)?,
+            actions: usize_(cur)?,
+            drifted: usize_(cur)?,
+        })
+    })
+}
+
+/// Encodes the set of inconsistency-marked paths.
+pub fn encode_inconsistent<'a>(paths: impl ExactSizeIterator<Item = &'a Path>) -> Vec<u8> {
+    encoded(TAG_INCONSISTENT, |out| put_seq(out, paths, put_path))
+}
+
+/// Decodes the inconsistent set.
+pub fn decode_inconsistent(bytes: &[u8]) -> Result<Vec<Path>, WireError> {
+    decoded(bytes, &[TAG_INCONSISTENT], "inconsistent set", |_, cur| {
+        seq(cur, path)
+    })
+}
+
+/// Encodes one device's reported state.
+pub fn encode_twin_report(report: &StateReport) -> Vec<u8> {
+    let StateReport {
+        mount,
+        state,
+        down,
+        seq,
+        at_ms,
+    } = report;
+    encoded(TAG_TWIN_REPORT, |out| {
+        put_path(out, mount)?;
+        put_node(out, state)?;
+        put_bool(out, *down)?;
+        put_varint(out, *seq)?;
+        put_varint(out, *at_ms)
+    })
+}
+
+/// Decodes a device's reported state.
+pub fn decode_twin_report(bytes: &[u8]) -> Result<StateReport, WireError> {
+    decoded(bytes, &[TAG_TWIN_REPORT], "twin report", |_, cur| {
+        Some(StateReport {
+            mount: path(cur)?,
+            state: node(cur, 0)?,
+            down: cur.bool()?,
+            seq: cur.varint()?,
+            at_ms: cur.varint()?,
+        })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -176,28 +252,28 @@ fn encoded(kind: u8, body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Vec<u
     out
 }
 
-fn malformed(what: &str) -> WireError {
-    WireError::Malformed(format!("truncated or invalid {what}"))
-}
-
-/// The payload's kind, one of `kinds`, and a cursor past its header. A
-/// known kind from a newer build fails on its version, whatever follows.
-fn header<'a>(bytes: &'a [u8], kinds: &[u8], what: &str) -> Result<(u8, Cursor<'a>), WireError> {
+/// Reads a payload of one of `kinds`: `body` decodes what follows the
+/// header, given the kind, and must use every byte. A known kind from a
+/// newer build fails on its version, whatever follows.
+fn decoded<'a, T>(
+    bytes: &'a [u8],
+    kinds: &[u8],
+    what: &str,
+    body: impl FnOnce(u8, &mut Cursor<'a>) -> Option<T>,
+) -> Result<T, WireError> {
+    let malformed = || WireError::Malformed(format!("truncated or invalid {what}"));
     let mut cur = Cursor::new(bytes);
-    let kind = cur.u8().filter(|k| kinds.contains(k));
-    let kind = kind.ok_or_else(|| malformed(what))?;
+    let kind = cur
+        .u8()
+        .filter(|k| kinds.contains(k))
+        .ok_or_else(malformed)?;
     match cur.u8() {
-        Some(STORE_FORMAT_VERSION) => Ok((kind, cur)),
-        Some(version) => Err(WireError::UnsupportedVersion(version.into())),
-        None => Err(malformed(what)),
+        Some(STORE_FORMAT_VERSION) => {}
+        Some(version) => return Err(WireError::UnsupportedVersion(version.into())),
+        None => return Err(malformed()),
     }
-}
-
-/// The decoded value, if it used every byte.
-fn finish<T>(cur: &Cursor<'_>, value: Option<T>, what: &str) -> Result<T, WireError> {
-    value
-        .filter(|_| cur.is_done())
-        .ok_or_else(|| malformed(what))
+    let value = body(kind, &mut cur);
+    value.filter(|_| cur.is_done()).ok_or_else(malformed)
 }
 
 // ---------------------------------------------------------------------
@@ -702,30 +778,4 @@ fn input(cur: &mut Cursor<'_>) -> Option<InputMsg> {
         },
         _ => return None,
     })
-}
-
-// ---------------------------------------------------------------------
-// The JSON earlier builds wrote.
-// ---------------------------------------------------------------------
-
-/// The versioned JSON frame earlier builds wrapped every queued message in.
-#[derive(Deserialize)]
-struct Envelope {
-    msg: InputMsg,
-}
-
-fn legacy_input(bytes: &[u8]) -> Result<InputMsg, WireError> {
-    check_version(bytes)?;
-    serde_json::from_slice::<Envelope>(bytes)
-        .map(|env| env.msg)
-        .map_err(|e| WireError::Malformed(e.to_string()))
-}
-
-fn legacy_record_node(bytes: &[u8]) -> Result<RecordNode, WireError> {
-    if let Ok(rec) = serde_json::from_slice::<TxnRecord>(bytes) {
-        return Ok(RecordNode::Record(Box::new(rec)));
-    }
-    serde_json::from_slice::<TxnAlias>(bytes)
-        .map(RecordNode::Alias)
-        .map_err(|e| WireError::Malformed(e.to_string()))
 }

@@ -13,8 +13,9 @@
 //! ## The commit path
 //!
 //! The hot path's writes — transaction records, `inputQ` removals, `phyQ`
-//! moves — accumulate in a round batch over one scheduling round and flush
-//! as a single atomic coordination-store multi. A follower resuming from
+//! moves — and the operator plane's — signals, admin results, the
+//! inconsistent set — accumulate in a round batch over one scheduling
+//! round and flush as a single atomic coordination-store multi. A follower resuming from
 //! persistent state therefore sees either the whole round or none of it,
 //! and the replicated log pays its (dominant, §6.1) per-write cost once per
 //! round instead of once per record.
@@ -45,7 +46,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tropic_coord::{CoordClient, CoordError, DistributedQueue, Op};
+use tropic_coord::{CoordClient, DistributedQueue, Op};
 use tropic_model::{Node, Path, SharedClock, Tree, Value};
 
 use tropic_devices::{ActionCall, StateReport};
@@ -53,8 +54,9 @@ use tropic_devices::{ActionCall, StateReport};
 use crate::actions::{ActionDef, ActionRegistry};
 use crate::api::{AbortCode, Priority};
 use crate::codec::{
-    decode_granule, decode_record_node, encode_alias, encode_granule, encode_record, encode_task,
-    RecordNode,
+    decode_granule, decode_inconsistent, decode_record_node, decode_twin_report,
+    encode_admin_result, encode_alias, encode_granule, encode_inconsistent, encode_record,
+    encode_signal, encode_task, read, RecordNode,
 };
 use crate::config::{ServiceDefinition, TwinConfig};
 use crate::error::PlatformError;
@@ -299,7 +301,6 @@ impl<'a> Controller<'a> {
         self.client.create_all(&layout::signals())?;
         self.client.create_all(&layout::tree())?;
         self.batch.take();
-        self.inconsistent_exists = self.client.exists(&layout::inconsistent())?;
 
         // 1. The committed tree: every granule, shallow to deep (an
         // ancestor sorts first), or the bootstrap granule at `/`.
@@ -321,11 +322,11 @@ impl<'a> Controller<'a> {
             self.tree = Tree::new();
             for object in &self.granules {
                 let znode = layout::granule(object);
-                let corrupt = || PlatformError::Coord(format!("corrupt granule {znode}"));
-                let data = self.client.get_data(&znode)?.ok_or_else(corrupt)?.0;
-                match decode_granule(&data).map_err(|_| corrupt())? {
+                let refuse = || PlatformError::IncompatibleStore(znode.clone());
+                let data = self.client.get_data(&znode)?.ok_or_else(refuse)?.0;
+                match decode_granule(&data).map_err(|_| refuse())? {
                     Some(node) if self.tree.exists(object) => drop(self.tree.replace(object, node)),
-                    Some(node) => self.tree.insert(object, node).map_err(|_| corrupt())?,
+                    Some(node) => self.tree.insert(object, node).map_err(|_| refuse())?,
                     // Removed, or never there (a failed create logs it too).
                     None => drop(self.tree.remove(object)),
                 }
@@ -338,19 +339,24 @@ impl<'a> Controller<'a> {
             root.clear_inconsistent_subtree();
         }
         self.inconsistent.clear();
-        if let Some(paths) = self.client.get_json::<Vec<Path>>(&layout::inconsistent())? {
-            for p in paths {
+        let marks = self.client.get_data(&layout::inconsistent())?;
+        self.inconsistent_exists = marks.is_some();
+        if let Some((data, _)) = marks {
+            let refuse = |_| PlatformError::IncompatibleStore(layout::inconsistent());
+            for p in decode_inconsistent(&data).map_err(refuse)? {
                 let _ = self.tree.mark_inconsistent(&p, true);
                 self.inconsistent.insert(p);
             }
         }
 
         // 3. Every transaction record and alias the store holds (an alias
-        // sits at the aliased id's record path).
+        // sits at the aliased id's record path). One that does not decode
+        // refuses the store: skipping it would drop its locks and effects.
         let names = self.client.get_children(&layout::txns())?;
         let (mut loaded, mut aliases) = (Vec::new(), Vec::new());
         for name in &names {
-            let Some((data, _)) = self.client.get_data(&layout::txns().join(name))? else {
+            let znode = layout::txns().join(name);
+            let Some((data, _)) = self.client.get_data(&znode)? else {
                 continue;
             };
             match (decode_record_node(&data), name.parse::<TxnId>()) {
@@ -358,7 +364,7 @@ impl<'a> Controller<'a> {
                 (Ok(RecordNode::Alias(alias)), Ok(alias_id)) => {
                     aliases.push((alias_id, alias.alias_of));
                 }
-                _ => {}
+                _ => return Err(PlatformError::IncompatibleStore(znode)),
             }
         }
 
@@ -671,7 +677,7 @@ impl<'a> Controller<'a> {
         let Some(rec) = self.take_started(id) else {
             return Ok(());
         };
-        self.send_signal(id, signal)?;
+        self.send_signal(id, signal);
         match signal {
             Signal::Term => {
                 self.records.insert(id, rec);
@@ -681,11 +687,13 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// Writes the transaction's signal znode for its worker to poll;
-    /// retention remembers it, so collection deletes it with the record.
-    fn send_signal(&mut self, id: TxnId, signal: Signal) -> Result<(), PlatformError> {
-        self.retention.signal(id);
-        Ok(self.client.put_json(&layout::signal(id), &signal)?)
+    /// Puts the transaction's signal znode, for its worker to poll, in the
+    /// round batch; retention remembers it, so collection deletes it with
+    /// the record. Only the first signal creates it.
+    fn send_signal(&mut self, id: TxnId, signal: Signal) {
+        let first = self.retention.signal(id);
+        self.batch
+            .put(layout::signal(id), encode_signal(signal), !first);
     }
 
     /// The KILL semantics of §4: abort immediately in the logical layer
@@ -852,14 +860,14 @@ impl<'a> Controller<'a> {
         for (id, elapsed) in stalled {
             if self.cfg.kill_timeout_ms.is_some_and(|ms| elapsed > ms) {
                 if let Some(rec) = self.take_started(id) {
-                    self.send_signal(id, Signal::Kill)?;
+                    self.send_signal(id, Signal::Kill);
                     self.kill_logically(rec, "killed after stall timeout")?;
                 }
             } else if self.cfg.term_timeout_ms.is_some_and(|ms| elapsed > ms)
-                && self.retention.signal(id)
+                && self.retention.may_signal(id)
             {
                 // TERM once: the first signal marks it.
-                self.client.put_json(&layout::signal(id), &Signal::Term)?;
+                self.send_signal(id, Signal::Term);
             }
         }
         Ok(())
@@ -998,26 +1006,23 @@ impl<'a> Controller<'a> {
     /// available at all (no reports — reporter not running — disables the
     /// pass entirely).
     fn refresh_reported(&mut self) -> Result<bool, PlatformError> {
-        let Some(epoch) = self.client.get_json::<u64>(&layout::twin_epoch())? else {
+        let Some((_, epoch)) = self.client.get_data(&layout::twin_epoch())? else {
             return Ok(false);
         };
-        if self.twin_epoch_seen == Some(epoch) {
+        if self.twin_epoch_seen == Some(epoch.version) {
             return Ok(!self.twin_reported.is_empty());
         }
-        let names = match self.client.get_children(&layout::twin_reported()) {
-            Ok(names) => names,
-            Err(CoordError::NoNode(_)) => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
+        // The reporter creates `reported` before the epoch.
+        let names = self.client.get_children(&layout::twin_reported())?;
         let mut reported = HashMap::new();
         for name in names {
             let znode = layout::twin_reported().join(&name);
-            if let Some(rep) = self.client.get_json::<StateReport>(&znode)? {
+            if let Some(rep) = read(self.client, &znode, decode_twin_report)? {
                 reported.insert(rep.mount.clone(), rep);
             }
         }
         self.twin_reported = reported;
-        self.twin_epoch_seen = Some(epoch);
+        self.twin_epoch_seen = Some(epoch.version);
         Ok(!self.twin_reported.is_empty())
     }
 
@@ -1147,6 +1152,7 @@ impl<'a> Controller<'a> {
     fn absorb_reload(&mut self, rec: &mut TxnRecord, subtree: Option<Node>) -> Result<(), String> {
         let (scope, mut episode) = RepairEpisode::of(rec).ok_or("not a reload")?;
         let subtree = subtree.ok_or_else(|| format!("no physical state at {scope}"))?;
+        // analyze:allow(json-edge): `__replaceSubtree` carries JSON text as an argument
         let snapshot = serde_json::to_string(&subtree)
             .map_err(|e| format!("reload aborted: cannot encode {scope}: {e}"))?;
         episode.actions = subtree.subtree_size() as u64;
@@ -1204,11 +1210,10 @@ impl<'a> Controller<'a> {
             actions: episode.actions as usize,
             drifted: episode.drifted as usize,
         };
-        if let Ok(data) = serde_json::to_vec(&result) {
-            self.batch.put(layout::admin(episode.admin_id), data, false);
-            self.retention
-                .answered(episode.admin_id, self.clock.now_ms());
-        }
+        let data = encode_admin_result(&result);
+        self.batch.put(layout::admin(episode.admin_id), data, false);
+        self.retention
+            .answered(episode.admin_id, self.clock.now_ms());
     }
 
     fn mark_inconsistent(&mut self, path: &Path) {
@@ -1235,8 +1240,7 @@ impl<'a> Controller<'a> {
     }
 
     fn persist_inconsistent(&mut self) {
-        let paths: Vec<&Path> = self.inconsistent.iter().collect();
-        let data = serde_json::to_vec(&paths).expect("serializable paths");
+        let data = encode_inconsistent(self.inconsistent.iter());
         let exists = self.inconsistent_exists;
         self.batch.put(layout::inconsistent(), data, exists);
         self.inconsistent_exists = true;
@@ -1271,6 +1275,7 @@ fn register_builtins(actions: &mut ActionRegistry, procs: &mut ProcRegistry) {
                 .first()
                 .and_then(Value::as_str)
                 .ok_or("missing subtree snapshot argument")?;
+            // analyze:allow(json-edge): `__replaceSubtree` carries JSON text as an argument
             let node: tropic_model::Node = serde_json::from_str(json).map_err(|e| e.to_string())?;
             tree.replace(object, node).map_err(|e| e.to_string())?;
             Ok(())
@@ -1282,7 +1287,7 @@ fn register_builtins(actions: &mut ActionRegistry, procs: &mut ProcRegistry) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::codec::{decode_task, read_record};
+    use crate::codec::{decode_admin_result, decode_task, read_record};
     use crate::msg::encode_input;
     use crate::physical::{execute_record, ExecMode};
     use std::time::Duration;
@@ -1318,6 +1323,17 @@ pub(crate) mod tests {
         service: ServiceDefinition,
         clock: SharedClock,
     ) -> Controller<'_> {
+        let mut controller = unrecovered(client, service, clock);
+        controller.recover().unwrap();
+        controller
+    }
+
+    /// A controller that has not yet run [`Controller::recover`].
+    fn unrecovered(
+        client: &CoordClient,
+        service: ServiceDefinition,
+        clock: SharedClock,
+    ) -> Controller<'_> {
         let cfg = ControllerConfig {
             name: "c0".into(),
             term_timeout_ms: None,
@@ -1325,9 +1341,7 @@ pub(crate) mod tests {
             twin: TwinConfig::default(),
             twin_feed: TwinFeed::new(),
         };
-        let mut controller = Controller::new(cfg, client, Arc::new(service), clock, Metrics::new());
-        controller.recover().unwrap();
-        controller
+        Controller::new(cfg, client, Arc::new(service), clock, Metrics::new())
     }
 
     /// A service whose initial tree is one bare `vmHost` at `host`.
@@ -1416,7 +1430,8 @@ pub(crate) mod tests {
         // inputQ removal + the committed `__reload` record + the scope's
         // granule + admin result.
         assert_eq!(after.batched_ops - before.batched_ops, 4);
-        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        let result = read(&client, &layout::admin(1), decode_admin_result);
+        let result = result.unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         assert!(lane.is_empty().unwrap());
     }
@@ -1656,7 +1671,8 @@ pub(crate) mod tests {
 
         let mut successor = controller_under_test(&client, service);
         assert!(successor.step().unwrap());
-        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        let result = read(&client, &layout::admin(1), decode_admin_result);
+        let result = result.unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         assert_eq!((result.actions, result.drifted), (1, 1));
         let running = Some(tropic_devices::VmPower::Running);
@@ -1710,7 +1726,8 @@ pub(crate) mod tests {
 
         let mut successor = controller_under_test(&client, service.clone());
         assert!(successor.step().unwrap());
-        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        let result = read(&client, &layout::admin(1), decode_admin_result);
+        let result = result.unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         // Two nodes replaced; the host's attribute and the VM drifted.
         assert_eq!((result.actions, result.drifted), (2, 2));
@@ -1852,7 +1869,8 @@ pub(crate) mod tests {
         };
         send(&client, InputMsg::Result { id, outcome });
         leader.step().unwrap();
-        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        let result = read(&client, &layout::admin(1), decode_admin_result);
+        let result = result.unwrap().unwrap();
         assert!(result.ok, "{}", result.message);
         assert!(!leader.tree().is_inconsistent(&host));
         drop(leader);
@@ -1879,21 +1897,41 @@ pub(crate) mod tests {
             snapshot: Tree::new().to_snapshot().unwrap(),
             watermark_lsn: 3,
         };
-        client.put_json(&layout::checkpoint(), &ckpt).unwrap();
-        let cfg = ControllerConfig {
-            name: "c0".into(),
-            term_timeout_ms: None,
-            kill_timeout_ms: None,
-            twin: TwinConfig::default(),
-            twin_feed: TwinFeed::new(),
-        };
-        let service = Arc::new(noop_service());
-        let clock = tropic_model::real_clock();
-        let mut controller = Controller::new(cfg, &client, service, clock, Metrics::new());
+        let ckpt = serde_json::to_vec(&ckpt).unwrap();
+        let persistent = tropic_coord::CreateMode::Persistent;
+        client.create_all(&layout::root()).unwrap();
+        client
+            .create(&layout::checkpoint(), ckpt, persistent)
+            .unwrap();
+        let mut controller = unrecovered(&client, noop_service(), tropic_model::real_clock());
         let err = controller.recover().unwrap_err();
         assert_eq!(err, PlatformError::IncompatibleStore(layout::checkpoint()));
         assert!(err.to_string().contains("/tropic/checkpoint"), "{err}");
         assert!(granules(&client).is_empty(), "nothing bootstrapped");
+    }
+
+    /// A record znode that does not decode refuses recovery, naming it.
+    /// Skipping it would leave a `Started` transaction's locks free and
+    /// drop its worker's result as unknown.
+    #[test]
+    fn an_undecodable_record_refuses_recovery() {
+        let coord = tropic_coord::CoordService::start(tropic_coord::CoordConfig::default());
+        let client = coord.connect("controller-under-test");
+        let mut leader = controller_under_test(&client, noop_service());
+        submit(&client, 1, None);
+        leader.step().unwrap();
+        drop(leader);
+        let mut started = read_record(&client, 1).unwrap().expect("record 1");
+        assert_eq!(started.state, TxnState::Started);
+        // The same record, one byte past its end: nothing decodes it.
+        started.id = 2;
+        let mut bytes = encode_record(&started);
+        bytes.push(0);
+        let persistent = tropic_coord::CreateMode::Persistent;
+        client.create(&layout::txn(2), bytes, persistent).unwrap();
+        let mut successor = unrecovered(&client, noop_service(), tropic_model::real_clock());
+        let err = successor.recover().unwrap_err();
+        assert_eq!(err, PlatformError::IncompatibleStore(layout::txn(2)));
     }
 
     #[test]

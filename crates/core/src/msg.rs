@@ -14,8 +14,8 @@
 //! [`WireError::UnsupportedVersion`]; bytes that do not decode are
 //! [`WireError::Malformed`]. The layout is positional, so any change to
 //! [`InputMsg`] or a type it carries bumps
-//! [`crate::codec::STORE_FORMAT_VERSION`]. JSON messages an earlier
-//! build queued (`{"v": 1, "msg": ...}`) still decode.
+//! [`crate::codec::STORE_FORMAT_VERSION`]. The JSON messages builds before
+//! that layout queued (`{"v": 1, "msg": ...}`) are malformed.
 //!
 //! The RPC frames stay versioned JSON ([`crate::rpc`]) under
 //! [`WIRE_VERSION`]: an additive change (a new `#[serde(default)]` field,
@@ -56,24 +56,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The version field alone, whatever the payload beside it.
-#[derive(Deserialize)]
-struct VersionProbe {
-    v: u32,
-}
-
-/// Version gate of every JSON frame, RPC and legacy queued message alike:
-/// probed before the payload is parsed, so a future-version envelope whose
-/// payload this build cannot even represent still fails with the version
-/// error, and bytes with no version field at all are malformed.
-pub(crate) fn check_version(bytes: &[u8]) -> Result<(), WireError> {
-    match serde_json::from_slice::<VersionProbe>(bytes) {
-        Ok(probe) if probe.v > WIRE_VERSION => Err(WireError::UnsupportedVersion(probe.v)),
-        Ok(_) => Ok(()),
-        Err(_) => Err(WireError::Malformed("missing wire version field".into())),
-    }
-}
-
 /// Signals for unresponsive transactions (paper §4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Signal {
@@ -86,7 +68,7 @@ pub enum Signal {
 }
 
 /// A message consumed by the (leader) controller from `inputQ`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum InputMsg {
     /// A client submitted a transaction.
     Submit {
@@ -99,20 +81,16 @@ pub enum InputMsg {
         args: Vec<Value>,
         /// Submission timestamp (platform clock, ms).
         submitted_ms: u64,
-        /// Scheduling lane (`Normal` when absent).
-        #[serde(default)]
+        /// Scheduling lane.
         priority: Priority,
         /// Admission deadline (platform clock, ms): the controller aborts
         /// the submission instead of admitting it past this instant.
-        #[serde(default)]
         deadline_ms: Option<u64>,
         /// Client-chosen dedup key: a resubmission carrying a key already
         /// admitted resolves to the original transaction instead of
         /// running again.
-        #[serde(default)]
         idempotency_key: Option<String>,
         /// Free-form key/value labels carried into the durable record.
-        #[serde(default)]
         labels: Vec<(String, String)>,
     },
     /// A worker finished a transaction's physical execution.
@@ -149,7 +127,7 @@ pub enum InputMsg {
 
 /// A task in `phyQ`: the worker loads the full transaction record (with its
 /// execution log) from the coordination store by id.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PhyTask {
     /// The transaction to execute physically.
     pub id: TxnId,
@@ -294,9 +272,9 @@ pub mod layout {
         twin_reported().join(&encoded)
     }
 
-    /// Monotonic epoch counter bumped whenever any reported-state znode
-    /// changes, so the reconciler can skip re-reading an unchanged `twin/`
-    /// subtree.
+    /// Epoch counter bumped whenever any reported-state znode changes, so
+    /// the reconciler can skip re-reading an unchanged `twin/` subtree. It
+    /// holds no payload: the znode's data version is the counter.
     pub fn twin_epoch() -> Path {
         Path::parse("/tropic/twin/epoch").expect("static path")
     }
@@ -321,9 +299,7 @@ mod tests {
 
     #[test]
     fn input_msg_roundtrip() {
-        let json = serde_json::to_vec(&submit_msg()).unwrap();
-        let back: InputMsg = serde_json::from_slice(&json).unwrap();
-        match back {
+        match decode_input(&encode_input(submit_msg())).unwrap() {
             InputMsg::Submit {
                 id,
                 proc_name,
@@ -364,18 +340,12 @@ mod tests {
     #[test]
     fn future_version_rejected_even_with_unparseable_payload() {
         // A newer build may carry a payload shape this build cannot parse;
-        // the version must still be the reported failure, in the binary
-        // format and in the JSON earlier builds queued.
-        let binary = [crate::codec::TAG_INPUT, 2, 0xFF];
+        // the version must still be the reported failure.
+        let binary = [crate::codec::TAG_INPUT, 9, 0xFF];
         assert_eq!(
             decode_input(&binary).unwrap_err(),
-            WireError::UnsupportedVersion(2)
+            WireError::UnsupportedVersion(9)
         );
-        let bytes = br#"{"v":2,"msg":{"BrandNewVariant":{"x":1}}}"#;
-        assert!(matches!(
-            decode_input(bytes),
-            Err(WireError::UnsupportedVersion(2))
-        ));
     }
 
     #[test]
@@ -384,18 +354,14 @@ mod tests {
             decode_input(b"not json"),
             Err(WireError::Malformed(_))
         ));
-        // So is a well-formed JSON message without its envelope: there was
-        // never a bare encoding.
-        let bare = serde_json::to_vec(&submit_msg()).unwrap();
-        assert!(matches!(decode_input(&bare), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn json_an_earlier_build_queued_still_decodes() {
-        let json = serde_json::to_string(&submit_msg()).unwrap();
-        let legacy = format!(r#"{{"v":1,"msg":{json}}}"#);
-        let back = decode_input(legacy.as_bytes()).unwrap();
-        assert_eq!(encode_input(back), encode_input(submit_msg()));
+        // So is the JSON envelope builds before the binary layout queued,
+        // and one claiming a newer version.
+        for json in [
+            &br#"{"v":1,"msg":{"Signal":{"id":1,"signal":"Term"}}}"#[..],
+            br#"{"v":2,"msg":{"BrandNewVariant":{"x":1}}}"#,
+        ] {
+            assert!(matches!(decode_input(json), Err(WireError::Malformed(_))));
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use tropic_model::{Node, Path, Tree, Value};
 
 use crate::msg::Signal;
@@ -27,7 +26,7 @@ pub enum ExecMode {
 }
 
 /// How a transaction's physical execution ended (paper §3.2).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PhysicalOutcome {
     /// Every action succeeded.
     Committed,
@@ -125,6 +124,7 @@ fn repair(
 ) -> Result<PhysicalOutcome, String> {
     let step = rec.log.first().ok_or("repair without a reconcile step")?;
     let (scope, desired) = (&step.object, step.args.first().and_then(Value::as_str));
+    // analyze:allow(json-edge): `__reconcile` carries JSON text as an argument
     let desired = (desired.map(serde_json::from_str::<Node>).transpose())
         .map_err(|e| format!("corrupt desired state at {scope}: {e}"))?;
     let desired = Tree::mounted(scope, desired);

@@ -11,12 +11,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use tropic_coord::{CoordClient, CoordService, DistributedQueue, LeaderElection};
-use tropic_model::{real_clock, SharedClock, Wake};
+use tropic_coord::{
+    CoordClient, CoordError, CoordService, CreateMode, DistributedQueue, LeaderElection,
+};
+use tropic_model::{real_clock, Path, SharedClock, Wake};
 
 use crate::api::{ApiError, Priority};
 use crate::client::TropicClient;
-use crate::codec::read_record;
+use crate::codec::{encode_twin_report, read_record};
 use crate::config::{PlatformConfig, RpcConfig, ServiceDefinition};
 use crate::controller::{Controller, ControllerConfig};
 use crate::msg::{decode_input, layout, InputMsg};
@@ -426,9 +428,10 @@ fn next_free_ids(client: &CoordClient) -> (u64, u64) {
 /// The device-report pump (digital twin ingestion): every `interval_ms`
 /// of the platform clock it asks the registry to export every device's
 /// state, persists the reports that changed under the `twin/` subtree, and
-/// bumps the twin epoch counter. Platform-level so reports keep flowing
-/// across controller failover; the epoch znode has a single writer, so the
-/// blind read-modify-write is safe.
+/// bumps the twin epoch (a write to its znode, whose version is the
+/// counter). Platform-level so reports keep flowing across controller
+/// failover; the `twin/` znodes have a single writer, so the
+/// set-else-create is safe.
 fn reporter_thread(
     coord: Arc<CoordService>,
     registry: Arc<DeviceRegistry>,
@@ -442,36 +445,34 @@ fn reporter_thread(
     while !stopped() {
         let client = coord.connect_with_wake("twin-reporter", Arc::clone(&wake));
         let keepalive = client.keepalive();
-        if client.create_all(&layout::twin_reported()).is_err() {
+        let epoch = layout::twin_epoch();
+        let bound = client.create_all(&layout::twin_reported());
+        if bound.and_then(|()| client.create_all(&epoch)).is_err() {
             drop(keepalive);
             client.pause(interval_ms, stopped);
             continue;
         }
-        let mut epoch: u64 = client
-            .get_json(&layout::twin_epoch())
-            .ok()
-            .flatten()
-            .unwrap_or(0);
+        let put = |path: &Path, data: Vec<u8>| match client.set_data(path, data.clone(), None) {
+            Err(CoordError::NoNode(_)) => client.create(path, data, CreateMode::Persistent).is_ok(),
+            set => set.is_ok(),
+        };
         let mut session_ok = true;
         while session_ok && !stopped() {
             if registry.publish_reports(&ledger, &tx, client.now_ms()) > 0 {
                 let mut wrote = false;
                 for report in rx.drain() {
-                    match client.put_json(&layout::twin_reported_item(&report.mount), &report) {
-                        Ok(()) => wrote = true,
-                        Err(_) => {
-                            // Un-advance the ledger so the report republishes
-                            // once the session is healthy again.
-                            ledger.forget(&report.mount);
-                            session_ok = false;
-                        }
-                    }
-                }
-                if wrote {
-                    epoch += 1;
-                    if client.put_json(&layout::twin_epoch(), &epoch).is_err() {
+                    let znode = layout::twin_reported_item(&report.mount);
+                    if put(&znode, encode_twin_report(&report)) {
+                        wrote = true;
+                    } else {
+                        // Un-advance the ledger so the report republishes
+                        // once the session is healthy again.
+                        ledger.forget(&report.mount);
                         session_ok = false;
                     }
+                }
+                if wrote && client.set_data(&epoch, Vec::new(), None).is_err() {
+                    session_ok = false;
                 }
             }
             client.pause(interval_ms, stopped);
@@ -570,9 +571,9 @@ fn controller_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::AdminResult;
     use crate::twin::{RELOAD_PROC, TWIN_REPAIR_PROC, TWIN_TXN_BASE};
     use crate::txn::TxnRecord;
-    use tropic_coord::CreateMode;
 
     /// A repair or reload still running at a restart writes its result
     /// only after recovery, so its admin id must not be handed out again:
@@ -583,8 +584,15 @@ mod tests {
         let coord = CoordService::start(tropic_coord::CoordConfig::default());
         let client = coord.connect("boot");
         client.create_all(&layout::admins()).unwrap();
+        let older = AdminResult {
+            ok: true,
+            message: "an older result".into(),
+            actions: 0,
+            drifted: 0,
+        };
+        let older = crate::codec::encode_admin_result(&older);
         client
-            .put_json(&layout::admin(3), &"an older result")
+            .create(&layout::admin(3), older, CreateMode::Persistent)
             .unwrap();
         client.create_all(&layout::txns()).unwrap();
         let running = |seq, proc_name, admin_id| {

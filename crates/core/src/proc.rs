@@ -276,6 +276,7 @@ impl<'a> TxnContext<'a> {
     /// while the worker runs.
     pub fn reconcile(&mut self, scope: &Path) -> Result<(), ProcError> {
         self.lock_scope(scope)?;
+        // analyze:allow(json-edge): `__reconcile` carries JSON text as an argument
         let desired = (self.tree.get(scope).map(serde_json::to_string).transpose())
             .map_err(|e| ProcError::Logic(format!("cannot encode {scope}: {e}")))?;
         let args = desired.into_iter().map(Value::from).collect();

@@ -251,11 +251,12 @@ mod tests {
     //! alongside what retention remembers.
 
     use super::*;
+    use crate::codec::{decode_admin_result, read};
     use crate::controller::tests::{
         children, claim, commit, gc_controller, send, step_cost, submit,
     };
     use crate::controller::INPUT_BATCH;
-    use crate::msg::{AdminResult, InputMsg, Signal};
+    use crate::msg::{InputMsg, Signal};
     use crate::physical::{execute_record, ExecMode};
     use crate::txn::TxnState;
     use tropic_coord::DistributedQueue;
@@ -470,7 +471,8 @@ mod tests {
             controller.step().unwrap();
             clock.advance(GC_GRACE_MS / 2);
         }
-        let result: AdminResult = client.get_json(&layout::admin(1)).unwrap().unwrap();
+        let result = read(&client, &layout::admin(1), decode_admin_result);
+        let result = result.unwrap().unwrap();
         assert_eq!(
             (result.ok, result.message.as_str()),
             (false, "repair requires physical mode")

@@ -64,7 +64,7 @@ use tropic_model::{Path, Wake};
 use crate::api::{ApiError, TxnEvent, TxnRequest};
 use crate::client::{txn_feed, FeedThread, Local};
 use crate::config::RpcConfig;
-use crate::msg::{check_version, AdminResult, Signal, WireError, WIRE_VERSION};
+use crate::msg::{AdminResult, Signal, WireError, WIRE_VERSION};
 use crate::platform::PlatformShared;
 use crate::twin::TwinEvent;
 use crate::txn::{TxnId, TxnOutcome, TxnRecord};
@@ -227,6 +227,24 @@ fn encode_response_or_error(msg: RpcResponse) -> Vec<u8> {
             )
             .into_bytes()
         }),
+    }
+}
+
+/// The version field alone, whatever the payload beside it.
+#[derive(Deserialize)]
+struct VersionProbe {
+    v: u32,
+}
+
+/// Version gate of every RPC frame, the only JSON the platform reads:
+/// probed before the payload is parsed, so a future-version envelope whose
+/// payload this build cannot even represent still fails with the version
+/// error, and bytes with no version field at all are malformed.
+fn check_version(bytes: &[u8]) -> Result<(), WireError> {
+    match serde_json::from_slice::<VersionProbe>(bytes) {
+        Ok(probe) if probe.v > WIRE_VERSION => Err(WireError::UnsupportedVersion(probe.v)),
+        Ok(_) => Ok(()),
+        Err(_) => Err(WireError::Malformed("missing wire version field".into())),
     }
 }
 

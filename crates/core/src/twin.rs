@@ -102,6 +102,7 @@ pub(crate) struct RepairEpisode {
 impl RepairEpisode {
     /// The episode as record labels.
     pub fn labels(&self) -> Vec<(String, String)> {
+        // analyze:allow(json-edge): the `RepairEpisode` record label is JSON text
         let json = serde_json::to_string(self).unwrap_or_default();
         vec![("repair".to_owned(), json)]
     }
@@ -111,6 +112,7 @@ impl RepairEpisode {
     pub fn of(rec: &TxnRecord) -> Option<(Path, Self)> {
         let (_, json) = rec.labels.iter().find(|(k, _)| k == "repair")?;
         let scope = Path::parse(rec.args.first()?.as_str()?).ok()?;
+        // analyze:allow(json-edge): the `RepairEpisode` record label is JSON text
         let episode = serde_json::from_str(json).ok()?;
         (rec.id >= TWIN_TXN_BASE).then_some((scope, episode))
     }

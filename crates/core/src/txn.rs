@@ -152,7 +152,7 @@ pub struct TxnRecord {
 /// the controller stores `TxnAlias { alias_of: original }` at the new id's
 /// record path instead of running the procedure again. Clients waiting on
 /// the new id follow the alias to the original outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxnAlias {
     /// The transaction this id deduplicated onto.
     pub alias_of: TxnId,

@@ -27,8 +27,8 @@ use tropic_coord::{CoordClient, CoordService, DistributedQueue};
 use tropic_model::Wake;
 
 use crate::api::Priority;
-use crate::codec::{decode_task, read_record};
-use crate::msg::{encode_input, layout, InputMsg, Signal};
+use crate::codec::{decode_signal, decode_task, read, read_record};
+use crate::msg::{encode_input, layout, InputMsg};
 use crate::physical::{execute_record, ExecMode};
 use crate::platform::RETRY_MS;
 use crate::reconcile::RepairRules;
@@ -122,7 +122,7 @@ fn execute_claims(
             };
             let signal_path = layout::signal(task.id);
             let outcome = execute_record(&rec, mode, rules, || {
-                client.get_json::<Signal>(&signal_path).ok().flatten()
+                read(client, &signal_path, decode_signal).ok().flatten()
             });
             let msg = encode_input(InputMsg::Result {
                 id: task.id,

@@ -158,6 +158,7 @@ impl DeviceRegistry {
 /// only depends on the state's value, not on in-memory layout.
 fn report_fingerprint(state: &tropic_model::Node, down: bool) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    // analyze:allow(json-edge): hashes canonical text; nothing is stored
     match serde_json::to_string(state) {
         Ok(json) => json.hash(&mut hasher),
         Err(_) => "unencodable".hash(&mut hasher),

@@ -4,20 +4,18 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use tropic::coord::{
-    wal, CoordClient, CoordConfig, CoordService, DistributedQueue, DurabilityOptions, Ensemble, Op,
-    TempDir,
+    wal, CoordConfig, CoordService, CreateMode, DurabilityOptions, Ensemble, Op, TempDir,
 };
-use tropic::core::codec::{
-    decode_granule, decode_record_node, RecordNode, TAG_GRANULE, TAG_RECORD,
-};
+use tropic::core::codec::encode_granule;
 use tropic::core::{
-    layout, simulate, ExecMode, InputMsg, LockManager, LogicalOutcome, PhyTask, PlatformConfig,
-    Priority, Tropic, TxnRecord, TxnState,
+    layout, Controller, ControllerConfig, ExecMode, Metrics, PlatformConfig, PlatformError, Tropic,
+    TwinConfig, TwinFeed, TxnRecord, TxnState,
 };
-use tropic::model::Path;
+use tropic::model::{real_clock, Path};
 use tropic::tcloud::TopologySpec;
 
 use common::{submit, submit_and_wait};
@@ -169,123 +167,56 @@ fn power_loss_scenario(tag: &str, durability: DurabilityOptions) {
     platform.shutdown();
 }
 
-/// A data dir an earlier build wrote, whose store payloads are JSON: the
-/// committed tree as granules, a record `Accepted`, a record `Started`
-/// with its phyQ task, and a submission still queued. Recovery reads all
-/// of it and finishes every one of those transactions; what the new
-/// build writes afterwards is binary, and the mixed store recovers again.
+/// A data dir a build before the binary store layout wrote holds JSON
+/// payloads. Recovery refuses each kind it reads instead of skipping it,
+/// naming the znode: a JSON granule, a JSON record and a JSON
+/// inconsistent set, each beside an otherwise binary store.
 #[test]
-fn a_data_dir_with_json_payloads_recovers_and_is_rewritten_binary() {
-    let tmp = TempDir::new("tropic-json-upgrade");
+fn a_data_dir_with_json_payloads_is_refused_by_name() {
     let spec = TopologySpec {
         compute_hosts: 2,
         storage_hosts: 1,
         routers: 0,
         ..Default::default()
     };
-    let service = spec.service();
-    let config = durable_platform_config(tmp.path(), DurabilityOptions::default());
-    let hosts = [TopologySpec::host_path(0), TopologySpec::host_path(1)];
-    {
-        let coord = CoordService::start(config.coord.clone());
-        let client = coord.connect("earlier-build");
-        let tree = &service.initial_tree;
-        for object in [Path::root(), hosts[0].clone()] {
-            let granule = layout::granule(&object);
-            client.put_json(&granule, &tree.get(&object)).unwrap();
+    let tree = spec.service().initial_tree;
+    let host = TopologySpec::host_path(0);
+    let record = TxnRecord::new(1, "spawnVM", spec.spawn_args("vm1", 0, 1_024), 0);
+    let json = [
+        (layout::granule(&host), serde_json::to_vec(&tree.get(&host))),
+        (layout::txn(1), serde_json::to_vec(&record)),
+        (layout::inconsistent(), serde_json::to_vec(&vec![&host])),
+    ];
+    for (znode, payload) in json {
+        let tmp = TempDir::new("tropic-json-refused");
+        let config = durable_platform_config(tmp.path(), DurabilityOptions::default());
+        {
+            let coord = CoordService::start(config.coord.clone());
+            let client = coord.connect("earlier-build");
+            let root = encode_granule(tree.get(&Path::root()));
+            client.create_all(&layout::tree()).unwrap();
+            client.create_all(&layout::txns()).unwrap();
+            let persistent = CreateMode::Persistent;
+            client
+                .create(&layout::granule(&Path::root()), root, persistent)
+                .unwrap();
+            client.create(&znode, payload.unwrap(), persistent).unwrap();
         }
-        let mut accepted = TxnRecord::new(1, "spawnVM", spec.spawn_args("vm1", 0, 1_024), 0);
-        accepted.state = TxnState::Accepted;
-        client.put_json(&layout::txn(1), &accepted).unwrap();
-        let mut started = TxnRecord::new(2, "spawnVM", spec.spawn_args("vm2", 1, 1_024), 0);
-        let mut locks = LockManager::new();
-        let outcome = simulate(
-            &mut started,
-            service.procs.get("spawnVM").unwrap().as_ref(),
-            &mut tree.clone(),
-            &service.actions,
-            &service.constraints,
-            &mut locks,
-        );
-        assert!(matches!(outcome, LogicalOutcome::Runnable), "{outcome:?}");
-        (started.state, started.lsn) = (TxnState::Started, Some(1));
-        started.locks = locks.locks_of(2);
-        client.put_json(&layout::txn(2), &started).unwrap();
-        let phy_q = DistributedQueue::new(&client, layout::phy_q()).unwrap();
-        phy_q
-            .enqueue(serde_json::to_vec(&PhyTask { id: 2 }).unwrap())
-            .unwrap();
-        let submit = InputMsg::Submit {
-            id: 3,
-            proc_name: "spawnVM".into(),
-            args: spec.spawn_args("vm3", 0, 1_024),
-            submitted_ms: 0,
-            priority: Priority::Normal,
-            deadline_ms: None,
-            idempotency_key: None,
-            labels: Vec::new(),
+        let coord = CoordService::recover(config.coord.clone());
+        let client = coord.connect("controller");
+        let cfg = ControllerConfig {
+            name: "c0".into(),
+            term_timeout_ms: None,
+            kill_timeout_ms: None,
+            twin: TwinConfig::default(),
+            twin_feed: TwinFeed::new(),
         };
-        let envelope = format!(
-            r#"{{"v":1,"msg":{}}}"#,
-            serde_json::to_string(&submit).unwrap()
-        );
-        let lane = DistributedQueue::new(&client, layout::input_lane(Priority::Normal)).unwrap();
-        lane.enqueue(envelope.into_bytes()).unwrap();
+        let service = Arc::new(spec.service());
+        let mut controller = Controller::new(cfg, &client, service, real_clock(), Metrics::new());
+        let err = controller.recover().unwrap_err();
+        assert_eq!(err, PlatformError::IncompatibleStore(znode.clone()));
+        assert!(err.to_string().contains(&znode.to_string()), "{err}");
     }
-
-    let platform = Tropic::recover(config.clone(), spec.service(), ExecMode::LogicalOnly);
-    let client = platform.client();
-    for id in 1..=3 {
-        let outcome = client
-            .handle(id)
-            .wait_timeout(Duration::from_secs(30))
-            .unwrap();
-        assert_eq!(
-            outcome.state,
-            TxnState::Committed,
-            "txn {id}: {:?}",
-            outcome.error
-        );
-    }
-    let inspector = platform.coord().connect("inspector");
-    let raw = |client: &CoordClient, path: &Path| client.get_data(path).unwrap().unwrap().0;
-    for id in 1..=3 {
-        let data = raw(&inspector, &layout::txn(id));
-        assert_eq!(data[0], TAG_RECORD, "txn {id}'s record");
-        assert!(matches!(
-            decode_record_node(&data),
-            Ok(RecordNode::Record(_))
-        ));
-    }
-    // Both hosts' granules are the new build's, holding their new VMs;
-    // the root's is still the earlier build's JSON.
-    for (host, vms) in hosts.iter().zip([&["vm1", "vm3"][..], &["vm2"]]) {
-        let data = raw(&inspector, &layout::granule(host));
-        assert_eq!(data[0], TAG_GRANULE, "{host}'s granule");
-        let granule = decode_granule(&data).unwrap().expect("host present");
-        assert!(
-            vms.iter().all(|vm| granule.has_child(vm)),
-            "{host}: {granule:?}"
-        );
-    }
-    assert_eq!(raw(&inspector, &layout::granule(&Path::root()))[0], b'{');
-    inspector.close();
-    platform.shutdown();
-
-    // The mixed store recovers too, and the tree it yields holds vm1.
-    let platform = Tropic::recover(config, spec.service(), ExecMode::LogicalOnly);
-    let client = platform.client();
-    for id in 1..=3 {
-        let rec = client.txn_record(id).unwrap().expect("record");
-        assert_eq!(rec.state, TxnState::Committed, "txn {id}");
-    }
-    let again = submit(&client, "spawnVM", spec.spawn_args("vm1", 0, 1_024)).unwrap();
-    let outcome = client
-        .handle(again)
-        .wait_timeout(Duration::from_secs(30))
-        .unwrap();
-    assert_eq!(outcome.state, TxnState::Aborted, "vm1 exists already");
-    platform.shutdown();
 }
 
 #[test]

@@ -928,10 +928,7 @@ proptest! {
         ] {
             let bytes = encode_input(msg.clone());
             let back = decode_input(&bytes).expect("decodable");
-            prop_assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&msg).unwrap()
-            );
+            prop_assert_eq!(format!("{back:?}"), format!("{msg:?}"));
         }
     }
 }
@@ -945,10 +942,16 @@ use std::cell::Cell;
 
 use tropic::coord::codec::put_varint;
 use tropic::core::codec::{
-    decode_granule, decode_record_node, decode_task, encode_alias, encode_granule, encode_record,
-    encode_task, RecordNode, STORE_FORMAT_VERSION, TAG_GRANULE, TAG_INPUT, TAG_RECORD, TAG_TASK,
+    decode_admin_result, decode_granule, decode_inconsistent, decode_record_node, decode_signal,
+    decode_task, decode_twin_report, encode_admin_result, encode_alias, encode_granule,
+    encode_inconsistent, encode_record, encode_signal, encode_task, encode_twin_report, RecordNode,
+    STORE_FORMAT_VERSION, TAG_ADMIN_RESULT, TAG_GRANULE, TAG_INCONSISTENT, TAG_INPUT, TAG_RECORD,
+    TAG_TASK, TAG_TWIN_REPORT,
 };
-use tropic::core::{AbortCode, LogRecord, PhyTask, PhysicalOutcome, Signal, TxnAlias, TxnState};
+use tropic::core::{
+    AbortCode, AdminResult, LogRecord, PhyTask, PhysicalOutcome, Signal, TxnAlias, TxnState,
+};
+use tropic::devices::StateReport;
 
 thread_local! {
     /// Bytes this thread has allocated, for the allocation bound below.
@@ -1263,28 +1266,79 @@ fn bootstrap_granule() -> Vec<u8> {
     encode_granule(spec.build_tree().get(&Path::root()))
 }
 
-/// Runs every store decoder over `bytes`; none may panic, and they
-/// report only whether each decoded.
-fn decode_all(bytes: &[u8]) -> [bool; 4] {
+/// One real payload of each operator-plane kind: a signal, an operator
+/// result, an inconsistent set and a twin report of a host.
+fn operator_payloads() -> [Vec<u8>; 4] {
+    let spec = TopologySpec {
+        compute_hosts: 2,
+        storage_hosts: 1,
+        routers: 1,
+        ..Default::default()
+    };
+    let host = TopologySpec::host_path(0);
+    let result = AdminResult {
+        ok: true,
+        message: "repaired: 2 calls".into(),
+        actions: 2,
+        drifted: 1,
+    };
+    let report = StateReport {
+        mount: host.clone(),
+        state: spec.build_tree().get(&host).unwrap().clone(),
+        down: false,
+        seq: 3,
+        at_ms: 1_500,
+    };
     [
-        decode_record_node(bytes).is_ok(),
-        decode_input(bytes).is_ok(),
-        decode_task(bytes).is_ok(),
-        decode_granule(bytes).is_ok(),
+        encode_signal(Signal::Kill),
+        encode_admin_result(&result),
+        encode_inconsistent([Path::root(), host].iter()),
+        encode_twin_report(&report),
     ]
 }
 
-/// Data dirs from earlier builds hold JSON, which every decoder still
-/// reads behind a leading `{`. A deeply nested one is rejected like any
-/// other malformed payload, on a spawned thread's smaller stack too.
+/// Runs every store decoder over `bytes`; none may panic. Each reports
+/// what it decoded, encoded again, or `None` when it refused the bytes.
+fn decode_all(bytes: &[u8]) -> [Option<Vec<u8>>; 8] {
+    [
+        decode_record_node(bytes).ok().map(|node| match node {
+            RecordNode::Record(rec) => encode_record(&rec),
+            RecordNode::Alias(alias) => encode_alias(&alias),
+        }),
+        decode_input(bytes).ok().map(encode_input),
+        decode_task(bytes).ok().map(|task| encode_task(&task)),
+        decode_granule(bytes)
+            .ok()
+            .map(|g| encode_granule(g.as_ref())),
+        decode_signal(bytes).ok().map(encode_signal),
+        decode_admin_result(bytes)
+            .ok()
+            .map(|r| encode_admin_result(&r)),
+        decode_inconsistent(bytes)
+            .ok()
+            .map(|p| encode_inconsistent(p.iter())),
+        decode_twin_report(bytes)
+            .ok()
+            .map(|r| encode_twin_report(&r)),
+    ]
+}
+
+/// Whether every store decoder refuses `bytes`.
+fn refused_by_all(bytes: &[u8]) -> bool {
+    decode_all(bytes).iter().all(Option::is_none)
+}
+
+/// Builds before the binary layout wrote JSON, which no decoder reads:
+/// a deeply nested one is refused like any other malformed payload, on a
+/// spawned thread's smaller stack too.
 #[test]
 fn store_decoders_reject_deeply_nested_legacy_json() {
     let mut bytes = br#"{"v":1,"msg":"#.to_vec();
     bytes.resize(bytes.len() + 100_000, b'[');
-    let decoded = std::thread::spawn(move || decode_all(&bytes))
+    let refused = std::thread::spawn(move || refused_by_all(&bytes))
         .join()
         .unwrap();
-    assert_eq!(decoded, [false; 4]);
+    assert!(refused);
 }
 
 proptest! {
@@ -1327,6 +1381,32 @@ proptest! {
         prop_assert_eq!(decode_task(&task).expect("decodable").id, id);
     }
 
+    /// The operator plane's payloads round-trip exactly.
+    #[test]
+    fn store_operator_payloads_roundtrip_exactly(
+        kill in flag(),
+        (ok, message, actions, drifted) in (flag(), "[a-z :]{0,24}", 0usize..10_000, 0usize..10_000),
+        paths in prop::collection::vec(path_strategy(), 0..6),
+        (state, down, seq, at_ms) in (node_strategy(2), flag(), 0u64..u64::MAX, 0u64..u64::MAX),
+    ) {
+        let signal = if kill { Signal::Kill } else { Signal::Term };
+        prop_assert_eq!(decode_signal(&encode_signal(signal)).expect("decodable"), signal);
+        let result = AdminResult { ok, message, actions, drifted };
+        let bytes = encode_admin_result(&result);
+        prop_assert_eq!(bytes[0], TAG_ADMIN_RESULT);
+        let back = decode_admin_result(&bytes).expect("decodable");
+        prop_assert_eq!(format!("{back:?}"), format!("{result:?}"));
+        let bytes = encode_inconsistent(paths.iter());
+        prop_assert_eq!(bytes[0], TAG_INCONSISTENT);
+        prop_assert_eq!(decode_inconsistent(&bytes).expect("decodable"), paths.clone());
+        let mount = paths.first().cloned().unwrap_or_else(Path::root);
+        let report = StateReport { mount, state, down, seq, at_ms };
+        let bytes = encode_twin_report(&report);
+        prop_assert_eq!(bytes[0], TAG_TWIN_REPORT);
+        let back = decode_twin_report(&bytes).expect("decodable");
+        prop_assert_eq!(format!("{back:?}"), format!("{report:?}"));
+    }
+
     /// Granules round-trip exactly, a removed object's `None` included.
     #[test]
     fn store_granules_roundtrip_exactly(subtree in prop::option::of(node_strategy(3))) {
@@ -1341,7 +1421,7 @@ proptest! {
     #[test]
     fn store_decoders_never_panic_on_random_bytes(
         junk in prop::collection::vec(0u8..=255, 0..96),
-        tag in 1u8..6,
+        tag in 1u8..10,
     ) {
         decode_all(&junk);
         let mut framed = vec![tag, STORE_FORMAT_VERSION];
@@ -1349,18 +1429,16 @@ proptest! {
         decode_all(&framed);
     }
 
-    /// Flipping one byte of a real record or granule never panics, and
+    /// Flipping one byte of a real payload of each kind never panics, and
     /// what still decodes re-encodes to the bytes it came from.
     #[test]
     fn store_decoders_survive_a_corrupted_byte(at in 0usize..4_096, to in 0u8..=255) {
-        for mut bytes in [encode_record(&spawn_record()), bootstrap_granule()] {
+        let real = [encode_record(&spawn_record()), bootstrap_granule()];
+        for mut bytes in real.into_iter().chain(operator_payloads()) {
             let at = at % bytes.len();
             bytes[at] = to;
-            if let Ok(RecordNode::Record(rec)) = decode_record_node(&bytes) {
-                prop_assert_eq!(encode_record(&rec), bytes.clone());
-            }
-            if let Ok(subtree) = decode_granule(&bytes) {
-                prop_assert_eq!(encode_granule(subtree.as_ref()), bytes.clone());
+            for back in decode_all(&bytes).into_iter().flatten() {
+                prop_assert_eq!(&back, &bytes);
             }
         }
     }
@@ -1383,17 +1461,22 @@ fn truncated_store_payloads_never_decode() {
             decode_record_node(&record[..cut]).is_err(),
             "record cut at {cut}"
         );
-        assert_eq!(
-            decode_all(&record[..cut]),
-            [false; 4],
-            "record cut at {cut}"
-        );
+        assert!(refused_by_all(&record[..cut]), "record cut at {cut}");
     }
     for cut in 0..granule.len() {
         assert!(
             decode_granule(&granule[..cut]).is_err(),
             "granule cut at {cut}"
         );
+    }
+    for (kind, payload) in operator_payloads().iter().enumerate() {
+        assert_eq!(decode_all(payload).iter().flatten().count(), 1);
+        for cut in 0..payload.len() {
+            assert!(
+                refused_by_all(&payload[..cut]),
+                "payload {kind} cut at {cut}"
+            );
+        }
     }
 }
 
@@ -1436,11 +1519,26 @@ fn store_decoders_allocate_nothing_for_claimed_lengths() {
     let mut entity = vec![TAG_GRANULE, STORE_FORMAT_VERSION, 1];
     claim(&mut entity);
     cases.push(entity);
+    // An operator result whose message claims 16 EiB, an inconsistent set
+    // claiming 2^64 paths, and a twin report whose mount claims 2^64
+    // segments.
+    let mut message = vec![TAG_ADMIN_RESULT, STORE_FORMAT_VERSION, 1];
+    claim(&mut message);
+    message.extend_from_slice(b"repaired");
+    cases.push(message);
+    let mut paths = vec![TAG_INCONSISTENT, STORE_FORMAT_VERSION];
+    claim(&mut paths);
+    paths.extend_from_slice(&[1, 1, b'a']);
+    cases.push(paths);
+    let mut mount = vec![TAG_TWIN_REPORT, STORE_FORMAT_VERSION];
+    claim(&mut mount);
+    mount.extend_from_slice(&[1, b'h']);
+    cases.push(mount);
 
     for bytes in &cases {
-        let mut decoded = [true; 4];
-        let bytes_allocated = allocated_by(|| decoded = decode_all(bytes));
-        assert_eq!(decoded, [false; 4], "{bytes:?}");
+        let mut refused = false;
+        let bytes_allocated = allocated_by(|| refused = refused_by_all(bytes));
+        assert!(refused, "{bytes:?}");
         // Error messages and the few items the input really holds: a few
         // hundred bytes, nowhere near the claim.
         assert!(bytes_allocated < 4_096, "{bytes_allocated} B for {bytes:?}");
