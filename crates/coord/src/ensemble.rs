@@ -41,13 +41,23 @@
 //! 3. `end_group` records the fsyncs, fail-stops every acker whose log
 //!    write failed, applies the group in zxid order on the others, and
 //!    acknowledges it only if a quorum of them is left. It hands back the
-//!    snapshots the policy asks for; `write_snapshots` writes them with no
-//!    lock held and `end_snapshots` truncates the WAL they cover.
+//!    snapshots the policy asked for at the group's append;
+//!    `write_snapshots` writes them with no lock held and `end_snapshots`
+//!    truncates the WAL they cover.
 //!
-//! While a group is in flight the replicas' membership must not change, so
-//! callers wait out `Ensemble::group_in_flight` before crashing,
-//! restarting or partitioning replicas. [`Ensemble::submit_group`] runs the
-//! steps back to back.
+//! Up to `PIPELINE_DEPTH` (two) groups may be in flight at once, so one
+//! logs and fsyncs while the previous one's fsync runs. Their ends are
+//! ordered: a group ends only once it is the oldest in flight
+//! (`Ensemble::may_end_group`), so an acker that fail-stops at one group's
+//! end no longer counts toward the next one's quorum. A group that fires
+//! the snapshot policy is a barrier (`Group::is_barrier`): nothing may log
+//! behind it until its snapshots are written and the WAL truncated. A
+//! group begins beside another only when that needs no election and no
+//! heal (`Ensemble::may_begin_group`), and the replicas' membership must
+//! not change while any group is in flight, so callers wait out
+//! `Ensemble::group_in_flight` before crashing, restarting or
+//! partitioning replicas. [`Ensemble::submit_group`] runs the steps back
+//! to back.
 
 use std::io;
 use std::path::Path as StdPath;
@@ -122,16 +132,29 @@ impl Replica {
     }
 }
 
+/// Commit groups that may be in flight at once: one fsyncing while the
+/// next logs and starts its own fsync. On a 2-core guest's ext4 disk, two
+/// threads each appending to and `fdatasync`ing their own file took 33 µs
+/// per fsync against 66 µs one after the other, and three threads took
+/// 38.5 µs, no better. A deeper pipeline would only overlap more modeled
+/// device sleeps, which measures the model and not the disk.
+pub(crate) const PIPELINE_DEPTH: u64 = 2;
+
 /// A commit group between `Ensemble::begin_group` and
 /// `Ensemble::end_group`: logged on every acking replica, applied on none.
 pub(crate) struct Group<'a> {
     ops: &'a [Op],
+    /// Groups begun before this one: groups end in this order.
+    seq: u64,
     first_zxid: u64,
     ackers: Vec<NodeId>,
     /// Ackers whose log write failed: they fail-stop when the group ends.
     failed: Vec<NodeId>,
     /// The fsync each durable acker owes the group.
     syncs: Vec<(NodeId, PendingSync)>,
+    /// Ackers whose snapshot policy fired on this group's append: each
+    /// snapshots once the group is applied.
+    snapshots_due: Vec<NodeId>,
 }
 
 impl Group<'_> {
@@ -139,6 +162,24 @@ impl Group<'_> {
     /// ensemble, so it runs with no lock held.
     pub(crate) fn sync(&mut self) {
         in_parallel(&mut self.syncs, |(_, sync)| sync.run());
+    }
+
+    /// The group's place in the order groups end in.
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Whether the group owes any replica an fsync.
+    pub(crate) fn waits_on_io(&self) -> bool {
+        !self.syncs.is_empty()
+    }
+
+    /// Whether the group ends with snapshots. Such a group is a barrier:
+    /// no later group may log until its snapshots are written and the WAL
+    /// they cover is truncated, or the truncation would delete that
+    /// group's records.
+    pub(crate) fn is_barrier(&self) -> bool {
+        !self.snapshots_due.is_empty()
     }
 }
 
@@ -205,9 +246,9 @@ pub struct EnsembleStats {
     /// Directory fsyncs (renames, new segments, deletions) across all
     /// replicas.
     pub dir_fsyncs: u64,
-    /// Always 0: every replica fsyncs each group before it acks, so no
-    /// commit path waits on a sync window. Kept only because the
-    /// end-to-end benchmark still reports it.
+    /// Commit groups that waited to begin because `PIPELINE_DEPTH` groups
+    /// were already in flight. Always 0 in memory with no modeled write
+    /// latency: such a group holds the committer's turn until it ends.
     pub pipeline_stalls: u64,
     /// Replicas recovered from disk (snapshot + log-suffix replay).
     pub recoveries: u64,
@@ -232,9 +273,10 @@ pub struct Ensemble {
     /// healed *before* the next op applies, so no replica ever holds a
     /// hole below its own `last_zxid`.
     last_committed_zxid: u64,
-    /// A group has begun and not ended (snapshots included): membership
-    /// must not change until it ends.
-    in_flight: bool,
+    /// Commit groups begun and ended (snapshots included); the difference
+    /// is in flight, and membership must not change while it is not zero.
+    groups_begun: u64,
+    groups_ended: u64,
 }
 
 impl Ensemble {
@@ -274,7 +316,8 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             last_committed_zxid: 0,
-            in_flight: false,
+            groups_begun: 0,
+            groups_ended: 0,
         };
         e.stats.elections = 1;
         e
@@ -320,7 +363,8 @@ impl Ensemble {
             counter: 0,
             stats: EnsembleStats::default(),
             last_committed_zxid: max_zxid,
-            in_flight: false,
+            groups_begun: 0,
+            groups_ended: 0,
         };
         e.stats.elections = 1;
         e.stats.recoveries = recoveries;
@@ -370,9 +414,43 @@ impl Ensemble {
     }
 
     /// Whether a commit group has begun and not yet ended. Crashing,
-    /// restarting or partitioning replicas must wait until it has.
+    /// restarting or partitioning replicas must wait until none has.
     pub(crate) fn group_in_flight(&self) -> bool {
-        self.in_flight
+        self.groups_begun > self.groups_ended
+    }
+
+    /// Whether `PIPELINE_DEPTH` groups are in flight, so no other may begin.
+    pub(crate) fn pipeline_full(&self) -> bool {
+        self.groups_begun - self.groups_ended >= PIPELINE_DEPTH
+    }
+
+    /// Whether a group may begin now: always when none is in flight.
+    /// Beside one in flight only when `overlap` allows it, the pipeline has
+    /// room and beginning needs no election and no heal, since membership
+    /// must not change under a group in flight.
+    pub(crate) fn may_begin_group(&self, overlap: bool) -> bool {
+        if !self.group_in_flight() {
+            return true;
+        }
+        let settled = |leader| {
+            let caught_up = |id| self.replica_last_zxid(id) == Some(self.last_committed_zxid);
+            self.reachable_from_leader(leader)
+                .into_iter()
+                .all(caught_up)
+        };
+        overlap
+            && !self.pipeline_full()
+            && self.leader.is_some_and(|l| self.is_alive(l) && settled(l))
+    }
+
+    /// Whether the group `seq` is the oldest in flight, so it may end.
+    pub(crate) fn may_end_group(&self, seq: u64) -> bool {
+        seq == self.groups_ended
+    }
+
+    /// Counts a group that waited to begin behind a full pipeline.
+    pub(crate) fn count_pipeline_stall(&mut self) {
+        self.stats.pipeline_stalls += 1;
     }
 
     /// Sets the modeled per-fsync device latency on every durable replica
@@ -380,7 +458,7 @@ impl Ensemble {
     /// a store at full speed and then measure the commit path against a
     /// realistic device.
     pub fn set_simulated_fsync_latency(&mut self, latency: std::time::Duration) {
-        debug_assert!(!self.in_flight, "fsync latency changed mid-group");
+        debug_assert!(!self.group_in_flight(), "fsync latency changed mid-group");
         for r in &mut self.replicas {
             if let Some(d) = r.durability.as_mut() {
                 d.set_simulated_fsync_latency(latency);
@@ -396,7 +474,10 @@ impl Ensemble {
     /// Durability counters of replica `id` alone (`None` for an in-memory
     /// replica), where [`Ensemble::stats`] sums them.
     #[cfg(test)]
-    fn replica_durability_stats(&self, id: NodeId) -> Option<crate::wal::DurabilityStats> {
+    pub(crate) fn replica_durability_stats(
+        &self,
+        id: NodeId,
+    ) -> Option<crate::wal::DurabilityStats> {
         self.replicas
             .get(id)?
             .durability
@@ -406,7 +487,7 @@ impl Ensemble {
 
     /// Crashes a replica: it stops acking and serving until restarted.
     pub fn crash_replica(&mut self, id: NodeId) {
-        debug_assert!(!self.in_flight, "replica crashed mid-group");
+        debug_assert!(!self.group_in_flight(), "replica crashed mid-group");
         if let Some(r) = self.replicas.get_mut(id) {
             r.alive = false;
         }
@@ -419,7 +500,7 @@ impl Ensemble {
     /// restart may complete a quorum and so elect one; the restarted
     /// replica then catches up from the leader.
     pub fn restart_replica(&mut self, id: NodeId) {
-        debug_assert!(!self.in_flight, "replica restarted mid-group");
+        debug_assert!(!self.group_in_flight(), "replica restarted mid-group");
         let Some(r) = self.replicas.get_mut(id) else {
             return;
         };
@@ -541,16 +622,20 @@ impl Ensemble {
         };
         group.sync();
         let (results, snapshots) = self.end_group(group);
-        self.end_snapshots(write_snapshots(snapshots));
+        if !snapshots.is_empty() {
+            self.end_snapshots(write_snapshots(snapshots));
+        }
         results
     }
 
     /// The log step of a group: elects a leader if need be, picks the
     /// ackers, heals any that lag, assigns the zxids and appends each op's
-    /// WAL record on every durable acker. Nothing is applied. Fails, with
-    /// nothing logged, when no leader reaches a quorum.
+    /// WAL record on every durable acker, noting each whose snapshot policy
+    /// the append fires. Nothing is applied. Fails, with nothing logged,
+    /// when no leader reaches a quorum. The caller checks
+    /// [`Ensemble::may_begin_group`] first.
     pub(crate) fn begin_group<'a>(&mut self, ops: &'a [Op]) -> CoordResult<Group<'a>> {
-        debug_assert!(!self.in_flight, "a group began while another is in flight");
+        debug_assert!(self.may_begin_group(true), "a group began out of turn");
         let leader = self.lead().inspect_err(|e| {
             if matches!(e, CoordError::NoQuorum { .. }) {
                 self.stats.no_quorum += ops.len() as u64;
@@ -584,10 +669,12 @@ impl Ensemble {
         self.counter += ops.len() as u64;
         let mut group = Group {
             ops,
+            seq: self.groups_begun,
             first_zxid,
             ackers,
             failed: Vec::new(),
             syncs: Vec::new(),
+            snapshots_due: Vec::new(),
         };
         // Each record is encoded once and the same bytes are appended on
         // every acker.
@@ -603,28 +690,35 @@ impl Ensemble {
                 continue;
             };
             match r.log(first_zxid, &frames) {
-                Ok(Some(sync)) => group.syncs.push((id, sync)),
-                Ok(None) => {}
+                Ok(sync) => {
+                    group.syncs.extend(sync.map(|sync| (id, sync)));
+                    if r.durability.as_ref().is_some_and(Durability::snapshot_due) {
+                        group.snapshots_due.push(id);
+                    }
+                }
                 Err(_) => group.failed.push(id),
             }
         }
-        self.in_flight = true;
+        self.groups_begun += 1;
         Ok(group)
     }
 
-    /// The apply step of a group, once [`Group::sync`] has run: records
-    /// each acker's fsync, fail-stops the ackers whose log write failed —
-    /// a replica that cannot persist must not ack, or it would report
-    /// durability it does not have — and applies the group in zxid order
-    /// on every other acker. Returns one `(result, events)` per op (see
-    /// [`Ensemble::submit_group`]) and the snapshots the policy asks for,
-    /// which the caller writes with `write_snapshots` and hands to
-    /// `end_snapshots`; without any, the group ends here.
+    /// The apply step of a group, once [`Group::sync`] has run and every
+    /// earlier group has ended: records each acker's fsync, fail-stops the
+    /// ackers whose log write failed — a replica that cannot persist must
+    /// not ack, or it would report durability it does not have — and
+    /// applies the group in zxid order on every other acker. Returns one
+    /// `(result, events)` per op (see [`Ensemble::submit_group`]) and the
+    /// snapshots the policy asked for at the group's append, which the
+    /// caller writes with `write_snapshots` and hands to `end_snapshots`;
+    /// without any, the group ends here.
     pub(crate) fn end_group(
         &mut self,
         group: Group<'_>,
     ) -> (Vec<Applied>, Vec<(NodeId, DueSnapshot)>) {
+        debug_assert!(self.may_end_group(group.seq), "a group ended out of order");
         let (ops, first_zxid, ackers) = (group.ops, group.first_zxid, group.ackers);
+        let snapshots_due = group.snapshots_due;
         let mut failed = group.failed;
         for (id, sync) in group.syncs {
             let durability = self
@@ -660,11 +754,13 @@ impl Ensemble {
             // Every acker applies the same ops to the same state, so any
             // one's results are the group's.
             results.get_or_insert(applied);
-            let due = r
-                .durability
-                .as_ref()
-                .and_then(|d| d.due_snapshot(last_zxid, &r.store));
-            snapshots.extend(due.map(|snap| (r.id, snap)));
+            if snapshots_due.contains(&r.id) {
+                let due = r
+                    .durability
+                    .as_ref()
+                    .map(|d| d.snapshot_of(last_zxid, &r.store));
+                snapshots.extend(due.map(|snap| (r.id, snap)));
+            }
         }
         // The survivors logged the group, so followers must catch up to it
         // whether or not it is acknowledged.
@@ -674,7 +770,9 @@ impl Ensemble {
         // after a restart.
         let acks = ackers.iter().filter(|&&id| self.is_alive(id)).count();
         self.stats.wal_fail_stops += (ackers.len() - acks) as u64;
-        self.in_flight = !snapshots.is_empty();
+        if snapshots.is_empty() {
+            self.groups_ended += 1;
+        }
         if acks < self.quorum() {
             self.stats.no_quorum += ops.len() as u64;
             let needed = self.quorum();
@@ -704,7 +802,7 @@ impl Ensemble {
                 self.stats.wal_fail_stops += 1;
             }
         }
-        self.in_flight = false;
+        self.groups_ended += 1;
     }
 
     /// Reads from the leader's store. Returns an error when no leader holds

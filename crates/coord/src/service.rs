@@ -27,8 +27,12 @@
 //! groups), and its writers are answered only after the apply. So a read
 //! never waits on the log: while a group's fsync is in flight, reads see
 //! the state before it, which is exactly what has been acknowledged.
-//! Writes still serialize through the committer's turn, one group at a
-//! time, so global write throughput stays bounded by the group's log cost.
+//! Groups log one at a time, through the committer's turn, but a group
+//! that waits on I/O hands the turn on once it is logged: the next group
+//! logs and fsyncs beside it, two at most in flight, and each is applied
+//! and answered only after every earlier group has ended. A group that
+//! fires the snapshot policy keeps the turn until its snapshots are
+//! written, and a membership change drains the pipeline first.
 //!
 //! Watches are one-shot notifications, as in ZooKeeper, and registering
 //! one is a set insert: a session re-arming a watch that has not fired yet
@@ -72,10 +76,10 @@ pub struct CoordConfig {
     /// Simulated I/O latency added to every commit group, between its log
     /// and its apply, with the ensemble lock released. Models the ZooKeeper
     /// logging cost the paper identifies as the dominant overhead (§6.1);
-    /// groups serialize behind it through the committer's turn, bounding
-    /// global group throughput at roughly `1 / write_latency`. A lone
-    /// writer pays it on every write; concurrent writers that queue behind
-    /// a group share the next one's. Reads never wait on it.
+    /// two groups may wait it out at once, bounding global group
+    /// throughput at roughly `2 / write_latency`. A lone writer pays it on
+    /// every write; concurrent writers that queue behind a group share the
+    /// next one's. Reads never wait on it.
     pub write_latency: Duration,
     /// On-disk durability root. `None` keeps the ensemble in memory; with a
     /// directory, every replica write-ahead-logs and snapshots under
@@ -256,10 +260,15 @@ impl Drop for Turn<'_> {
 pub(crate) struct ServiceInner {
     ensemble: Mutex<Ensemble>,
     /// Signalled on `ensemble` when a commit group ends while a thread
-    /// waits in `settled_ensemble`.
+    /// waits for one to.
     group_ended: Condvar,
-    /// Threads waiting in `settled_ensemble`; changed only under
-    /// `ensemble`, so a committer that reads it there misses none.
+    /// Threads waiting on `group_ended`: committers waiting to begin or to
+    /// end their group in order, and `settled_ensemble`'s callers.
+    group_waiters: AtomicUsize,
+    /// Threads waiting in `settled_ensemble`. While any does, no group
+    /// begins beside another or hands the committer's turn on early, so
+    /// the pipeline drains. Both counts change only under `ensemble`, so a
+    /// committer that reads them there misses none.
     settle_waiters: AtomicUsize,
     writes: Mutex<WriteQueue>,
     sessions: Mutex<HashMap<u64, Session>>,
@@ -373,71 +382,95 @@ impl ServiceInner {
         }
     }
 
-    /// Holds the committer's turn: commits `own` and everything queued as
+    /// Runs with the committer's turn: commits `own` and everything queued as
     /// one group, answers every queued write, and returns `own`'s result.
     /// The group is logged under the ensemble lock, waits out the modeled
     /// latency and its fsyncs with no lock held, and is applied under the
-    /// lock again; the snapshots it triggers are written with no lock held
-    /// too. The turn is held throughout, so no later group can log behind
-    /// a snapshot and have its records truncated away.
+    /// lock again once every earlier group has ended; the snapshots it
+    /// triggers are written with no lock held too.
+    ///
+    /// A group that waits on I/O hands the turn on as soon as it is
+    /// logged, so the next group logs and starts its fsync while this one's
+    /// runs. A snapshot barrier keeps the turn until its snapshots are
+    /// written, so no later group logs behind a snapshot and has its
+    /// records truncated away; so does every group while a membership
+    /// change waits for the pipeline to drain.
     fn commit_group(&self, own: Op) -> Applied {
-        let _turn = Turn(self);
+        let turn = Turn(self);
         let mut ensemble = self.ensemble.lock();
-        // Taken once the lock is ours, so writes that queued while the
-        // committer waited for it join this group.
+        let mut stalled = false;
+        while !ensemble.may_begin_group(self.settle_waiters.load(Ordering::SeqCst) == 0) {
+            stalled |= ensemble.pipeline_full();
+            self.wait_for_group_end(&mut ensemble);
+        }
+        if stalled {
+            ensemble.count_pipeline_stall();
+        }
+        // Taken once the group may begin, so writes that queued while the
+        // committer waited join it.
         let queued = std::mem::take(&mut self.writes.lock().queued);
         let (mut ops, mut replies) = (vec![own], Vec::with_capacity(queued.len()));
         for w in queued {
             ops.push(w.op);
             replies.push(w.reply);
         }
-        let begun = ensemble.begin_group(&ops);
-        drop(ensemble);
-        let (results, snapshots) = match begun {
-            Ok(mut group) => {
-                // The modeled log I/O is paid once per group, as the log
-                // write it stands for. Groups serialize through the turn,
-                // so it still bounds *global* write throughput, as
-                // ZooKeeper's leader log does.
-                if !self.config.write_latency.is_zero() {
-                    self.clock.sleep(self.config.write_latency);
-                }
-                group.sync();
-                self.ending_group(|ensemble| ensemble.end_group(group))
-            }
-            Err(e) => (fail_all(ops.len(), e), Vec::new()),
+        let mut group = match ensemble.begin_group(&ops) {
+            Ok(group) => group,
+            Err(e) => return answer(fail_all(ops.len(), e), &replies),
         };
-        let mut results = results.into_iter();
-        let mine = results.next();
-        for (reply, applied) in replies.iter().zip(results) {
-            let _ = reply.send(Reply::Done(applied));
+        let waits = !self.config.write_latency.is_zero() || group.waits_on_io();
+        let hand_on =
+            waits && !group.is_barrier() && self.settle_waiters.load(Ordering::SeqCst) == 0;
+        drop(ensemble);
+        let turn = (!hand_on).then_some(turn);
+        // The modeled log I/O is paid once per group, as the log write it
+        // stands for.
+        if !self.config.write_latency.is_zero() {
+            self.clock.sleep(self.config.write_latency);
         }
+        group.sync();
+        let seq = group.seq();
+        let (results, snapshots) = self.ending_group(seq, |ensemble| ensemble.end_group(group));
+        let mine = answer(results, &replies);
         if !snapshots.is_empty() {
             let written = write_snapshots(snapshots);
-            self.ending_group(|ensemble| ensemble.end_snapshots(written));
+            self.ending_group(seq, |ensemble| ensemble.end_snapshots(written));
         }
-        mine.unwrap_or((Err(CoordError::Unavailable), Vec::new()))
+        drop(turn);
+        mine
     }
 
-    /// Runs a step that may end the group in flight, and wakes whoever
-    /// waits for it to end. A wake-up costs a system call, so it is only
-    /// sent when someone waits.
-    fn ending_group<T>(&self, step: impl FnOnce(&mut Ensemble) -> T) -> T {
+    /// Waits, once every earlier group has ended, to run a step that may
+    /// end the group `seq`, and wakes whoever waits for a group to end. A
+    /// wake-up costs a system call, so it is only sent when someone waits.
+    fn ending_group<T>(&self, seq: u64, step: impl FnOnce(&mut Ensemble) -> T) -> T {
         let mut ensemble = self.ensemble.lock();
+        while !ensemble.may_end_group(seq) {
+            self.wait_for_group_end(&mut ensemble);
+        }
         let out = step(&mut ensemble);
-        if !ensemble.group_in_flight() && self.settle_waiters.load(Ordering::SeqCst) > 0 {
+        if self.group_waiters.load(Ordering::SeqCst) > 0 {
             self.group_ended.notify_all();
         }
         out
+    }
+
+    /// Releases the ensemble lock until a commit group ends.
+    fn wait_for_group_end(&self, ensemble: &mut MutexGuard<'_, Ensemble>) {
+        self.group_waiters.fetch_add(1, Ordering::SeqCst);
+        self.group_ended.wait(ensemble);
+        self.group_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// The ensemble, locked once no commit group is in flight: what
     /// changes the replicas' membership waits here. Reads never do.
     fn settled_ensemble(&self) -> MutexGuard<'_, Ensemble> {
         let mut ensemble = self.ensemble.lock();
-        while ensemble.group_in_flight() {
+        if ensemble.group_in_flight() {
             self.settle_waiters.fetch_add(1, Ordering::SeqCst);
-            self.group_ended.wait(&mut ensemble);
+            while ensemble.group_in_flight() {
+                self.wait_for_group_end(&mut ensemble);
+            }
             self.settle_waiters.fetch_sub(1, Ordering::SeqCst);
         }
         ensemble
@@ -465,6 +498,17 @@ impl ServiceInner {
             self.dispatch_events(&events);
         }
     }
+}
+
+/// Sends each queued writer its op's result and returns the committer's
+/// own, the group's first.
+fn answer(results: Vec<Applied>, replies: &[Sender<Reply>]) -> Applied {
+    let mut results = results.into_iter();
+    let mine = results.next();
+    for (reply, applied) in replies.iter().zip(results) {
+        let _ = reply.send(Reply::Done(applied));
+    }
+    mine.unwrap_or((Err(CoordError::Unavailable), Vec::new()))
 }
 
 /// A highly-available coordination service backed by a replica ensemble.
@@ -522,6 +566,7 @@ impl CoordService {
         let inner = Arc::new(ServiceInner {
             ensemble: Mutex::new(ensemble),
             group_ended: Condvar::new(),
+            group_waiters: AtomicUsize::new(0),
             settle_waiters: AtomicUsize::new(0),
             writes: Mutex::new(WriteQueue::default()),
             sessions: Mutex::new(HashMap::new()),
@@ -1714,6 +1759,188 @@ mod tests {
         let after = svc.ensemble_stats();
         assert_eq!(after.committed - before.committed, 100);
         assert_eq!(after.groups - before.groups, 100);
+    }
+
+    /// A durable service with no policy snapshots whose every fsync takes
+    /// `fsync_ms`.
+    fn pipelined_service(tmp: &crate::testutil::TempDir, fsync_ms: u64) -> Arc<CoordService> {
+        let svc = CoordService::start(CoordConfig {
+            session_timeout_ms: 10_000,
+            durability: DurabilityOptions {
+                snapshot_every_ops: 0,
+                snapshot_max_wal_bytes: 0,
+                ..DurabilityOptions::default()
+            },
+            ..durable_config(tmp.path())
+        });
+        svc.set_simulated_fsync_latency(Duration::from_millis(fsync_ms));
+        Arc::new(svc)
+    }
+
+    /// `threads` writers, each creating `writes` persistent nodes; returns
+    /// every acknowledged path.
+    fn concurrent_creates(svc: &Arc<CoordService>, threads: usize, writes: usize) -> Vec<Path> {
+        let writers: Vec<_> = (0..threads)
+            .map(|t| {
+                let svc = Arc::clone(svc);
+                std::thread::spawn(move || {
+                    let c = svc.connect("writer");
+                    let create = |i| {
+                        c.create(
+                            &p(&format!("/t{t}-{i}")),
+                            Bytes::new(),
+                            CreateMode::Persistent,
+                        )
+                    };
+                    (0..writes).map(|i| create(i).unwrap()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_second_group_logs_and_fsyncs_while_the_first_ones_fsync_runs() {
+        let tmp = crate::testutil::TempDir::new("tropic-svc-overlap");
+        let svc = pipelined_service(&tmp, 100);
+        let create = |path: &'static str| {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                let c = svc.connect("writer");
+                c.create(&p(path), Bytes::new(), CreateMode::Persistent)
+                    .unwrap();
+                std::time::Instant::now()
+            })
+        };
+        let a = create("/a");
+        while !svc.inner.ensemble.lock().group_in_flight() {
+            std::thread::yield_now();
+        }
+        // B starts 30 ms into A's 100 ms fsync.
+        std::thread::sleep(Duration::from_millis(30));
+        let b_started = std::time::Instant::now();
+        let b = create("/b");
+        let overlapped = loop {
+            if svc.inner.ensemble.lock().pipeline_full() {
+                break true;
+            }
+            if b.is_finished() {
+                break false;
+            }
+            std::thread::yield_now();
+        };
+        assert!(overlapped, "B's group never began while A's was in flight");
+        let reader = svc.connect("reader");
+        assert!(
+            !reader.exists(&p("/a")).unwrap() && !reader.exists(&p("/b")).unwrap(),
+            "a read mid-flight saw a write that was not acknowledged yet"
+        );
+        let (a_done, b_done) = (a.join().unwrap(), b.join().unwrap());
+        // Serial groups: B waits out the rest of A's group, then its own
+        // 100 ms fsync, so it takes at least both. Pipelined: B's fsync runs
+        // beside A's.
+        let a_rest = a_done.saturating_duration_since(b_started);
+        let b_took = b_done - b_started;
+        assert!(
+            b_took + Duration::from_millis(25) < a_rest + Duration::from_millis(100),
+            "B took {b_took:?} with {a_rest:?} of A's group left when it started"
+        );
+        let czxid = |path| reader.get_data(&p(path)).unwrap().unwrap().1.czxid;
+        assert!(czxid("/b") > czxid("/a"), "B logged behind A");
+    }
+
+    #[test]
+    fn concurrent_writers_across_snapshot_barriers_lose_no_acknowledged_write() {
+        let tmp = crate::testutil::TempDir::new("tropic-svc-barrier");
+        let config = CoordConfig {
+            session_timeout_ms: 10_000,
+            durability: DurabilityOptions {
+                snapshot_every_ops: 8,
+                ..DurabilityOptions::default()
+            },
+            ..durable_config(tmp.path())
+        };
+        let acked = {
+            let svc = Arc::new(CoordService::start(config.clone()));
+            svc.set_simulated_fsync_latency(Duration::from_millis(2));
+            let acked = concurrent_creates(&svc, 4, 25);
+            let stats = svc.ensemble_stats();
+            assert!(stats.snapshots_written >= 3 * 8, "{stats:?}");
+            assert!(stats.pipeline_stalls > 0, "groups never overlapped");
+            acked
+        }; // power loss: every acknowledged write is on disk
+        let svc = CoordService::recover(config);
+        let c = svc.connect("reader");
+        for path in &acked {
+            assert!(c.exists(path).unwrap(), "acked {path} lost");
+        }
+    }
+
+    #[test]
+    fn overlapping_groups_fsync_every_logged_byte_once() {
+        let tmp = crate::testutil::TempDir::new("tropic-svc-sync-bytes");
+        let svc = pipelined_service(&tmp, 1);
+        concurrent_creates(&svc, 4, 20);
+        let ensemble = svc.inner.ensemble.lock();
+        assert!(
+            ensemble.stats().pipeline_stalls > 0,
+            "groups never overlapped"
+        );
+        for id in 0..3 {
+            let s = ensemble.replica_durability_stats(id).unwrap();
+            assert_eq!(s.bytes_fsynced, s.wal_bytes, "replica {id}");
+        }
+    }
+
+    #[test]
+    fn in_memory_groups_never_overlap() {
+        let svc = Arc::new(quick_service());
+        concurrent_creates(&svc, 4, 50);
+        assert_eq!(svc.ensemble_stats().pipeline_stalls, 0);
+    }
+
+    #[test]
+    fn membership_changes_are_not_starved_by_a_full_pipeline() {
+        let tmp = crate::testutil::TempDir::new("tropic-svc-settle");
+        let svc = pipelined_service(&tmp, 1);
+        let writing = Arc::new(AtomicBool::new(true));
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let (svc, writing) = (Arc::clone(&svc), Arc::clone(&writing));
+                std::thread::spawn(move || {
+                    let c = svc.connect("writer");
+                    let mut i = 0;
+                    while writing.load(Ordering::SeqCst) {
+                        let path = p(&format!("/t{t}-{i}"));
+                        c.create(&path, Bytes::new(), CreateMode::Persistent)
+                            .unwrap();
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+        let bounded = |what: &str, change: &dyn Fn()| {
+            std::thread::sleep(Duration::from_millis(30));
+            let started = std::time::Instant::now();
+            change();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+        };
+        bounded("crash_replica", &|| svc.crash_replica(2));
+        bounded("restart_replica", &|| svc.restart_replica(2));
+        bounded("partition", &|| svc.partition(vec![vec![0, 1], vec![2]]));
+        bounded("heal", &|| svc.heal());
+        writing.store(false, Ordering::SeqCst);
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(
+            svc.ensemble_stats().pipeline_stalls > 0,
+            "groups never overlapped"
+        );
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //! handed out as a [`PendingSync`] — a handle on the current segment that
 //! borrows nothing — so the ensemble runs it on every acking replica at
 //! once with no lock held, and records its outcome with
-//! [`Durability::synced`]. A snapshot the policy asks for is handed out the
-//! same way, as a `DueSnapshot`, and recorded with
-//! `Durability::snapshot_written` (see `Ensemble::begin_group`).
+//! [`Durability::synced`]. Two groups' syncs may be in flight at once (see
+//! `crate::ensemble`'s commit groups), so each covers only the bytes no
+//! earlier sync was handed. Whether the snapshot policy fires is read
+//! right after a group's append (`Durability::snapshot_due`); the snapshot
+//! is then handed out the same way, as a `DueSnapshot`, and recorded with
+//! `Durability::snapshot_written`.
 //!
 //! The log is segmented: a segment file is named after the zxid of its
 //! first record and rotated once it exceeds
@@ -395,7 +398,7 @@ impl DueSnapshot {
 /// and counters. Owned by an ensemble replica. A commit group is appended
 /// with [`Durability::append_frame`] before it is applied, made durable
 /// through [`Durability::pending_sync`] and [`Durability::synced`], and may
-/// end with the `Durability::due_snapshot` the policy asks for.
+/// end with the snapshot `Durability::snapshot_due` asks for.
 pub struct Durability {
     dir: PathBuf,
     opts: DurabilityOptions,
@@ -516,16 +519,19 @@ impl Durability {
     }
 
     /// The fsync that makes everything appended so far durable, or `None`
-    /// when nothing is waiting for one.
-    pub fn pending_sync(&self) -> WalResult<Option<PendingSync>> {
+    /// when nothing is waiting for one. It covers only the bytes no earlier
+    /// sync was handed, so two syncs in flight at once never count the
+    /// same bytes twice.
+    pub fn pending_sync(&mut self) -> WalResult<Option<PendingSync>> {
         if self.unsynced_bytes == 0 {
             return Ok(None);
         }
         let file = self.wal.current_file().map_err(wal_io("fsync"))?;
+        let bytes = std::mem::take(&mut self.unsynced_bytes);
         Ok(Some(PendingSync {
             file,
             latency: self.simulated_fsync_latency,
-            bytes: self.unsynced_bytes,
+            bytes,
             outcome: None,
         }))
     }
@@ -539,21 +545,22 @@ impl Durability {
         outcome.map_err(wal_io("fsync"))?;
         self.stats.fsyncs += 1;
         self.stats.bytes_fsynced += sync.bytes;
-        self.unsynced_bytes = self.unsynced_bytes.saturating_sub(sync.bytes);
         Ok(())
     }
 
-    /// The snapshot of `store` at `zxid` that the policy asks for once a
-    /// group is durable, if it asks for one.
-    pub(crate) fn due_snapshot(&self, zxid: u64, store: &Arc<ZnodeStore>) -> Option<DueSnapshot> {
+    /// Whether the policy asks for a snapshot once everything appended so
+    /// far is applied. Read right after a group's append, so the group that
+    /// trips the policy is the one that snapshots, whatever is logged next.
+    pub(crate) fn snapshot_due(&self) -> bool {
         let by_ops = self.opts.snapshot_every_ops > 0
             && self.ops_since_snapshot >= self.opts.snapshot_every_ops;
         let by_bytes = self.opts.snapshot_max_wal_bytes > 0
             && self.wal_bytes_since_snapshot >= self.opts.snapshot_max_wal_bytes;
-        (by_ops || by_bytes).then(|| self.snapshot_of(zxid, store))
+        by_ops || by_bytes
     }
 
-    fn snapshot_of(&self, zxid: u64, store: &Arc<ZnodeStore>) -> DueSnapshot {
+    /// A snapshot of `store` at `zxid`, to be written with no lock held.
+    pub(crate) fn snapshot_of(&self, zxid: u64, store: &Arc<ZnodeStore>) -> DueSnapshot {
         DueSnapshot {
             dir: self.dir.clone(),
             zxid,
@@ -643,7 +650,8 @@ mod tests {
         d.append(zxid, op).unwrap();
         fsync(d);
         Arc::make_mut(store).apply(zxid, op).0.unwrap();
-        if let Some(mut snap) = d.due_snapshot(zxid, store) {
+        if d.snapshot_due() {
+            let mut snap = d.snapshot_of(zxid, store);
             snap.write();
             d.snapshot_written(snap).unwrap();
         }

@@ -286,17 +286,16 @@ impl TxnHandle<'_> {
     }
 
     /// Blocks until the transaction reaches a terminal state, driven by
-    /// coordination watches on the record (no fixed-interval polling).
+    /// coordination watches on the record (no fixed-interval polling), for
+    /// at most 60 seconds; use [`TxnHandle::wait_timeout`] for another
+    /// bound.
     ///
-    /// The bound is the request's deadline when one was set (against the
-    /// platform clock, read with [`TropicClient::ping`]), otherwise 60
-    /// seconds; use [`TxnHandle::wait_timeout`] for an explicit bound.
+    /// A request's deadline bounds its admission, not this wait: a request
+    /// admitted too late still ends `Aborted` with
+    /// [`AbortCode::DeadlineExpired`](crate::AbortCode::DeadlineExpired),
+    /// written by the leader's next round, however long that takes to run.
     pub fn wait(&self) -> Result<TxnOutcome, ApiError> {
-        let timeout = match self.deadline_ms {
-            Some(d) => Duration::from_millis(d.saturating_sub(self.client.ping()?).max(1)),
-            None => DEFAULT_WAIT,
-        };
-        self.wait_timeout(timeout)
+        self.wait_timeout(DEFAULT_WAIT)
     }
 
     /// [`TxnHandle::wait`] with an explicit bound. A zero bound polls: an

@@ -21,6 +21,7 @@ use crate::client::TropicClient;
 use crate::codec::{encode_twin_report, read_record};
 use crate::config::{PlatformConfig, RpcConfig, ServiceDefinition};
 use crate::controller::{Controller, ControllerConfig};
+use crate::error::PlatformError;
 use crate::msg::{decode_input, layout, InputMsg};
 use crate::physical::ExecMode;
 use crate::stats::Metrics;
@@ -539,7 +540,19 @@ fn controller_thread(
             Arc::clone(&clock),
             metrics.clone(),
         );
-        if controller.recover().is_err() {
+        if let Err(e) = controller.recover() {
+            let kind = format!("recovery-failed: {e:?}");
+            metrics.record_event(clock.now_ms(), &cfg.name, &kind);
+            // End this candidacy now, or the retry's would queue behind it
+            // for a whole session timeout. A refused store stays refused,
+            // so it is read again only after a restart.
+            drop((controller, election));
+            client.close();
+            let retry = match e {
+                PlatformError::IncompatibleStore(_) => None,
+                _ => Some(clock.now_ms() + RETRY_MS),
+            };
+            clock.wait(&wake, wake.seen(), retry);
             continue 'outer;
         }
         is_leader.store(true, Ordering::SeqCst);

@@ -219,6 +219,55 @@ fn a_data_dir_with_json_payloads_is_refused_by_name() {
     }
 }
 
+/// A controller whose recovery is refused says so: the platform's event
+/// log names the error, once.
+#[test]
+fn a_refused_recovery_is_reported_as_an_event() {
+    let spec = TopologySpec {
+        compute_hosts: 2,
+        storage_hosts: 1,
+        routers: 0,
+        ..Default::default()
+    };
+    let tmp = TempDir::new("tropic-recovery-failed");
+    let config = durable_platform_config(tmp.path(), DurabilityOptions::default());
+    {
+        let platform = Tropic::start(config.clone(), spec.service(), ExecMode::LogicalOnly);
+        let args = spec.spawn_args("vm1", 0, 1_024);
+        submit_and_wait(&platform.client(), "spawnVM", args, Duration::from_secs(30)).unwrap();
+        platform.shutdown();
+    }
+    {
+        let coord = CoordService::recover(config.coord.clone());
+        let client = coord.connect("earlier-build");
+        client.create_all(&layout::txns()).unwrap();
+        let garbage = &b"not a record"[..];
+        (client.create(&layout::txn(999), garbage, CreateMode::Persistent)).unwrap();
+    }
+    let platform = Tropic::recover(config, spec.service(), ExecMode::LogicalOnly);
+    let started = std::time::Instant::now();
+    let failed = loop {
+        let events = platform.metrics().events();
+        let failed = events
+            .into_iter()
+            .find(|e| e.kind.starts_with("recovery-failed"));
+        if failed.is_some() || started.elapsed() > Duration::from_secs(1) {
+            break failed;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let failed = failed.expect("no recovery-failed event within 1 s");
+    assert!(failed.kind.contains("IncompatibleStore"), "{}", failed.kind);
+    // A refused store stays refused: it is not read again in a loop.
+    std::thread::sleep(Duration::from_millis(200));
+    let events = platform.metrics().events();
+    let refusals = events
+        .iter()
+        .filter(|e| e.kind.starts_with("recovery-failed"));
+    assert_eq!(refusals.count(), 1);
+    platform.shutdown();
+}
+
 #[test]
 fn replica_log_is_bounded_by_snapshot_truncation() {
     let tmp = TempDir::new("tropic-log-bound");
@@ -257,6 +306,52 @@ fn pipelined_ensemble_recovers_every_acknowledged_write() {
         61,
         "all sixty acknowledged creates survive on all replicas"
     );
+    assert!(back.replicas_consistent());
+}
+
+#[test]
+fn pipelined_service_recovers_every_write_acknowledged_to_concurrent_writers() {
+    let tmp = TempDir::new("tropic-pipelined-service");
+    let config = CoordConfig {
+        session_timeout_ms: 10_000,
+        data_dir: Some(tmp.path().to_path_buf()),
+        durability: quick_opts(16),
+        ..CoordConfig::default()
+    };
+    let acked: Vec<Path> = {
+        let svc = Arc::new(CoordService::start(config.clone()));
+        svc.set_simulated_fsync_latency(Duration::from_millis(1));
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let svc = Arc::clone(&svc);
+                std::thread::spawn(move || {
+                    let c = svc.connect("writer");
+                    let create = |i| {
+                        let path = p(&format!("/w{t}-{i}"));
+                        c.create(&path, &b"d"[..], CreateMode::Persistent).unwrap()
+                    };
+                    (0..15).map(create).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let acked = writers.into_iter().flat_map(|w| w.join().unwrap());
+        let acked: Vec<Path> = acked.collect();
+        let stats = svc.ensemble_stats();
+        assert_eq!(stats.committed, 60);
+        assert!(
+            stats.groups < 60,
+            "{} groups for 60 concurrent writes",
+            stats.groups
+        );
+        assert!(stats.pipeline_stalls > 0, "groups never overlapped");
+        assert!(stats.snapshots_written > 0);
+        acked
+    }; // power loss: every acknowledged group is already on disk
+    let mut back = Ensemble::recover(3, tmp.path(), quick_opts(16)).unwrap();
+    for path in &acked {
+        assert!(back.read(|s| s.exists(path)).unwrap(), "acked {path} lost");
+    }
+    assert_eq!(back.read(|s| s.node_count()).unwrap(), 61);
     assert!(back.replicas_consistent());
 }
 

@@ -9,11 +9,11 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use tropic::coord::{write_frame, FrameError, FrameReader, TempDir};
+use tropic::coord::{write_frame, CoordConfig, FrameError, FrameReader, TempDir};
 use tropic::core::rpc::{decode_request, decode_response, encode_request, RpcRequest, RpcResponse};
 use tropic::core::{
-    ApiError, ExecMode, PlatformConfig, Priority, RpcServer, Subscription, Tropic, TropicClient,
-    TxnEvent, TxnRequest, TxnState, WireError,
+    AbortCode, ApiError, ExecMode, PlatformConfig, Priority, RpcServer, Subscription, Tropic,
+    TropicClient, TxnEvent, TxnRequest, TxnState, WireError,
 };
 use tropic::devices::LatencyModel;
 use tropic::model::Path;
@@ -486,6 +486,46 @@ fn one_client_script_agrees_over_both_transports() {
     );
 
     server.stop();
+    platform.shutdown();
+}
+
+/// A deadline bounds admission, not the wait: a request whose deadline
+/// passed while no controller led is refused by the next leader's round,
+/// and `wait()` sees that refusal however late the round runs.
+#[test]
+fn wait_sees_a_deadline_refusal_written_after_the_deadline() {
+    let platform = Tropic::start(
+        PlatformConfig {
+            controllers: 1,
+            workers: 1,
+            coord: CoordConfig {
+                session_timeout_ms: 300,
+                tick_ms: 10,
+                ..CoordConfig::default()
+            },
+            ..Default::default()
+        },
+        spec().service(),
+        ExecMode::LogicalOnly,
+    );
+    let client = platform.client();
+    while client.ping().unwrap() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let past = client.ping().unwrap() - 1;
+    assert!(platform.crash_controller(0));
+    let request = TxnRequest::new("spawnVM").args(spec().spawn_args("late", 0, 256));
+    let late = client.submit_request(request.deadline_at(past)).unwrap();
+    let outcome = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(50));
+            platform.restart_controller(0);
+        });
+        late.wait()
+    });
+    let outcome = outcome.expect("wait outlasts the leaderless stretch");
+    assert_eq!(outcome.state, TxnState::Aborted);
+    assert_eq!(outcome.abort_code, Some(AbortCode::DeadlineExpired));
     platform.shutdown();
 }
 
