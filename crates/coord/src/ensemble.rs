@@ -9,8 +9,18 @@
 //!
 //! Replicas keep no op log. A follower that falls behind — crashed,
 //! partitioned away, diverged or ahead of a new leader — catches up by one
-//! state transfer: it installs a copy of the leader's store, as a Zab
-//! leader may sync any follower by snapshot.
+//! state transfer: it installs the leader's store, as a Zab leader may sync
+//! any follower by snapshot.
+//!
+//! Replicas that have applied the same zxid prefix hold the same state, so
+//! they share one `Arc<ZnodeStore>`: a fresh ensemble starts every replica
+//! on one empty store, a state transfer hands the follower the leader's
+//! `Arc`, and a recovered follower already at the leader's zxid adopts the
+//! leader's store. A group is applied once per distinct store among its
+//! surviving ackers (normally one). A replica that misses the group —
+//! crashed, partitioned away or fail-stopped at it — still holds the
+//! pre-group `Arc`, so the apply copies on write and that replica keeps
+//! exactly its own state at its own `last_zxid`.
 //!
 //! ## Durability
 //!
@@ -39,11 +49,11 @@
 //!    writers have not been answered yet. An in-memory group has nothing
 //!    to fsync.
 //! 3. `end_group` records the fsyncs, fail-stops every acker whose log
-//!    write failed, applies the group in zxid order on the others, and
-//!    acknowledges it only if a quorum of them is left. It hands back the
-//!    snapshots the policy asked for at the group's append;
-//!    `write_snapshots` writes them with no lock held and `end_snapshots`
-//!    truncates the WAL they cover.
+//!    write failed, applies the group in zxid order once per distinct
+//!    store among the others, and acknowledges it only if a quorum of them
+//!    is left. It hands back the snapshots the policy asked for at the
+//!    group's append; `write_snapshots` writes them with no lock held and
+//!    `end_snapshots` truncates the WAL they cover.
 //!
 //! Up to `PIPELINE_DEPTH` (two) groups may be in flight at once, so one
 //! logs and fsyncs while the previous one's fsync runs. Their ends are
@@ -78,19 +88,20 @@ pub(crate) type Applied = (CoordResult<OpResult>, Vec<StoreEvent>);
 struct Replica {
     id: NodeId,
     alive: bool,
-    /// Shared only while a policy snapshot of it is being written, which
-    /// ends before the next group applies.
+    /// Shared with every replica in the same state, and with a policy
+    /// snapshot of it while one is being written, which ends before the
+    /// next group applies.
     store: Arc<ZnodeStore>,
     last_zxid: u64,
     durability: Option<Durability>,
 }
 
 impl Replica {
-    fn new(id: NodeId) -> Self {
+    fn new(id: NodeId, store: Arc<ZnodeStore>) -> Self {
         Replica {
             id,
             alive: true,
-            store: Arc::new(ZnodeStore::new()),
+            store,
             last_zxid: 0,
             durability: None,
         }
@@ -121,8 +132,8 @@ impl Replica {
     /// Adopts a full-state transfer from the leader. Durable replicas
     /// persist the state as a snapshot so a later restart recovers without
     /// the leader.
-    fn install_snapshot(&mut self, store: ZnodeStore, last_zxid: u64) {
-        self.store = Arc::new(store);
+    fn install_snapshot(&mut self, store: Arc<ZnodeStore>, last_zxid: u64) {
+        self.store = store;
         self.last_zxid = last_zxid;
         if let Some(d) = self.durability.as_mut() {
             if d.write_snapshot(last_zxid, &self.store).is_err() {
@@ -284,7 +295,12 @@ impl Ensemble {
     /// sensible quorums) on a fresh simulated network.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "ensemble needs at least one replica");
-        Self::assemble((0..n).map(Replica::new).collect())
+        let empty = Arc::new(ZnodeStore::new());
+        Self::assemble(
+            (0..n)
+                .map(|id| Replica::new(id, Arc::clone(&empty)))
+                .collect(),
+        )
     }
 
     /// Creates a durable ensemble: each replica persists its log and
@@ -297,10 +313,11 @@ impl Ensemble {
         opts: DurabilityOptions,
     ) -> io::Result<Self> {
         assert!(n >= 1, "ensemble needs at least one replica");
+        let empty = Arc::new(ZnodeStore::new());
         let mut replicas = Vec::with_capacity(n);
         for id in 0..n {
             let dir = data_dir.join(replica_dir_name(id));
-            let mut r = Replica::new(id);
+            let mut r = Replica::new(id, Arc::clone(&empty));
             r.durability = Some(Durability::create(&dir, opts.clone())?);
             replicas.push(r);
         }
@@ -326,8 +343,9 @@ impl Ensemble {
     /// Rebuilds an ensemble from `data_dir` after a full shutdown or crash:
     /// every replica loads its latest valid snapshot and silently replays
     /// its write-ahead-log suffix (no watch events fire during replay),
-    /// the replica with the highest zxid leads under a fresh epoch, and
-    /// laggards catch up from it by state transfer.
+    /// the replica with the highest zxid leads under a fresh epoch,
+    /// laggards catch up from it by state transfer, and followers already
+    /// at its zxid adopt its store, so in-sync replicas share one.
     pub fn recover(n: usize, data_dir: &StdPath, opts: DurabilityOptions) -> io::Result<Self> {
         assert!(n >= 1, "ensemble needs at least one replica");
         let mut replicas = Vec::with_capacity(n);
@@ -343,8 +361,7 @@ impl Ensemble {
                 let _ = store.apply(zxid, &op);
                 last_zxid = zxid;
             }
-            let mut r = Replica::new(id);
-            r.store = Arc::new(store);
+            let mut r = Replica::new(id, Arc::new(store));
             r.last_zxid = last_zxid;
             r.durability = Some(durability);
             recoveries += 1;
@@ -510,18 +527,26 @@ impl Ensemble {
         }
     }
 
-    /// Brings `id` to the leader's state: nothing when it is caught up,
-    /// otherwise a transfer of the leader's whole store. That one path
-    /// serves a lagging, a diverged and an ahead-of-leader follower alike.
+    /// Brings `id` to the leader's state: a follower at the leader's zxid
+    /// holds the same state, so it only adopts the leader's store (a
+    /// recovered replica loaded its own copy); any other gets a transfer
+    /// of the leader's store. That one path serves a lagging, a diverged
+    /// and an ahead-of-leader follower alike.
     fn sync_follower(&mut self, leader: NodeId, id: NodeId) {
         let l = &self.replicas[leader];
-        if id == leader || self.replicas[id].last_zxid == l.last_zxid {
+        // The transfer shares the leader's store: the next group applies
+        // once for both, and copies on write only if one of them misses it.
+        let (store, last_zxid) = (Arc::clone(&l.store), l.last_zxid);
+        let f = &mut self.replicas[id];
+        if id == leader || f.last_zxid == last_zxid {
+            debug_assert!(
+                Arc::ptr_eq(&f.store, &store) || *f.store == *store,
+                "replica {id} diverged from the leader at zxid {last_zxid}"
+            );
+            f.store = store;
             return;
         }
-        // A deep copy: a store shared between replicas would be copied
-        // again by the next apply.
-        let (store, last_zxid) = (ZnodeStore::clone(&l.store), l.last_zxid);
-        self.replicas[id].install_snapshot(store, last_zxid);
+        f.install_snapshot(store, last_zxid);
         self.stats.snapshot_syncs += 1;
     }
 
@@ -735,31 +760,55 @@ impl Ensemble {
             }
         }
         let last_zxid = first_zxid + ops.len() as u64 - 1;
+        let survivors: Vec<NodeId> = ackers
+            .iter()
+            .copied()
+            .filter(|&id| self.is_alive(id))
+            .collect();
+        // Take the survivors' references out, one entry per distinct store,
+        // so that a store no other replica holds is applied in place.
+        debug_assert!(
+            (self.replicas.iter())
+                .filter(|r| survivors.contains(&r.id))
+                .all(|r| self.sole_holders(&r.store)),
+            "a snapshot still shares a store: the apply would copy it"
+        );
+        let vacant = Arc::new(ZnodeStore::new());
+        let mut shared: Vec<(Arc<ZnodeStore>, Vec<NodeId>)> = Vec::new();
+        for &id in &survivors {
+            let Some(r) = self.replicas.get_mut(id) else {
+                continue;
+            };
+            let store = std::mem::replace(&mut r.store, Arc::clone(&vacant));
+            match shared.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &store)) {
+                Some((_, ids)) => ids.push(id),
+                None => shared.push((store, vec![id])),
+            }
+        }
+        // Every survivor applies the same ops to the same state, so the
+        // first store's results are the group's. A replica outside the group
+        // (crashed, partitioned away or fail-stopped at it) still holds the
+        // pre-group `Arc`, so `make_mut` copies that store and leaves the
+        // replica at its own `last_zxid`.
         let (mut results, mut snapshots) = (None, Vec::new());
-        for r in self
-            .replicas
-            .iter_mut()
-            .filter(|r| r.alive && ackers.contains(&r.id))
-        {
-            debug_assert_eq!(
-                Arc::strong_count(&r.store),
-                1,
-                "a snapshot still shares replica {}'s store: the apply would copy it",
-                r.id
-            );
-            let store = Arc::make_mut(&mut r.store);
-            let apply = |(op, zxid)| store.apply(zxid, op);
+        for (mut store, ids) in shared {
+            let s = Arc::make_mut(&mut store);
+            let apply = |(op, zxid)| s.apply(zxid, op);
             let applied: Vec<Applied> = ops.iter().zip(first_zxid..).map(apply).collect();
-            r.last_zxid = last_zxid;
-            // Every acker applies the same ops to the same state, so any
-            // one's results are the group's.
             results.get_or_insert(applied);
-            if snapshots_due.contains(&r.id) {
-                let due = r
-                    .durability
-                    .as_ref()
-                    .map(|d| d.snapshot_of(last_zxid, &r.store));
-                snapshots.extend(due.map(|snap| (r.id, snap)));
+            for id in ids {
+                let Some(r) = self.replicas.get_mut(id) else {
+                    continue;
+                };
+                r.store = Arc::clone(&store);
+                r.last_zxid = last_zxid;
+                if snapshots_due.contains(&id) {
+                    let due = r
+                        .durability
+                        .as_ref()
+                        .map(|d| d.snapshot_of(last_zxid, &store));
+                    snapshots.extend(due.map(|snap| (id, snap)));
+                }
             }
         }
         // The survivors logged the group, so followers must catch up to it
@@ -768,7 +817,7 @@ impl Ensemble {
         // Failed replicas are counted after every acker settled, so one
         // failure doesn't hide another's; they heal via snapshot transfer
         // after a restart.
-        let acks = ackers.iter().filter(|&&id| self.is_alive(id)).count();
+        let acks = survivors.len();
         self.stats.wal_fail_stops += (ackers.len() - acks) as u64;
         if snapshots.is_empty() {
             self.groups_ended += 1;
@@ -805,6 +854,16 @@ impl Ensemble {
         self.groups_ended += 1;
     }
 
+    /// Whether only replicas hold `store`: no snapshot of it is still being
+    /// written.
+    fn sole_holders(&self, store: &Arc<ZnodeStore>) -> bool {
+        let sharers = self
+            .replicas
+            .iter()
+            .filter(|r| Arc::ptr_eq(&r.store, store));
+        Arc::strong_count(store) == sharers.count()
+    }
+
     /// Reads from the leader's store. Returns an error when no leader holds
     /// a quorum, whether it has led all along or was just elected.
     pub fn read<T>(&mut self, f: impl FnOnce(&ZnodeStore) -> T) -> CoordResult<T> {
@@ -829,7 +888,7 @@ impl Ensemble {
         self.replicas
             .iter()
             .filter(|r| r.alive && r.last_zxid == reference.last_zxid)
-            .all(|r| r.store == reference.store)
+            .all(|r| Arc::ptr_eq(&r.store, &reference.store) || r.store == reference.store)
     }
 }
 
@@ -1180,8 +1239,118 @@ mod tests {
         for r in &e.replicas {
             let dir = tmp.path().join(replica_dir_name(r.id));
             assert!(crate::wal::recover_dir(&dir).unwrap().ops.is_empty());
-            assert_eq!(Arc::strong_count(&r.store), 1, "replica {}", r.id);
+            // No reference beyond the replicas that share this store: the
+            // snapshots released theirs.
+            let sharers = e
+                .replicas
+                .iter()
+                .filter(|o| Arc::ptr_eq(&o.store, &r.store));
+            assert_eq!(
+                Arc::strong_count(&r.store),
+                sharers.count(),
+                "replica {}",
+                r.id
+            );
         }
+    }
+
+    /// Whether every alive replica holds the leader's very store.
+    fn alive_share_the_leaders_store(e: &Ensemble) -> bool {
+        let leader = &e.replicas[e.leader().unwrap()].store;
+        (e.replicas.iter())
+            .filter(|r| r.alive)
+            .all(|r| Arc::ptr_eq(&r.store, leader))
+    }
+
+    #[test]
+    fn replicas_in_one_state_share_one_store() {
+        let mut e = Ensemble::new(3);
+        assert!(alive_share_the_leaders_store(&e), "a fresh ensemble");
+        let before = Arc::as_ptr(&e.replicas[0].store);
+        for i in 0..5 {
+            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
+        }
+        assert!(alive_share_the_leaders_store(&e), "after writes");
+        assert_eq!(
+            Arc::as_ptr(&e.replicas[0].store),
+            before,
+            "applied in place"
+        );
+        assert_eq!(Arc::strong_count(&e.replicas[0].store), 3);
+        e.crash_replica(2);
+        e.submit(create_op("/while-down")).0.unwrap();
+        e.restart_replica(2);
+        assert!(
+            alive_share_the_leaders_store(&e),
+            "after a restart and sync"
+        );
+
+        let tmp = TempDir::new("tropic-ens-shared-recover");
+        let mut e = Ensemble::with_durability(3, tmp.path(), quick_opts()).unwrap();
+        assert!(
+            alive_share_the_leaders_store(&e),
+            "a fresh durable ensemble"
+        );
+        for i in 0..12 {
+            e.submit(create_op(&format!("/n{i}"))).0.unwrap();
+        }
+        assert!(alive_share_the_leaders_store(&e), "across snapshots");
+        drop(e);
+        let mut e = Ensemble::recover(3, tmp.path(), quick_opts()).unwrap();
+        assert!(alive_share_the_leaders_store(&e), "after recovery");
+        assert_eq!(e.stats().snapshot_syncs, 0, "adopted, not transferred");
+        e.submit(create_op("/after")).0.unwrap();
+        assert!(alive_share_the_leaders_store(&e), "after a recovered write");
+        assert!(e.replicas_consistent());
+    }
+
+    #[test]
+    fn a_replica_outside_a_group_keeps_its_own_state_by_copy_on_write() {
+        let state = |e: &Ensemble, id: NodeId| {
+            let r = &e.replicas[id];
+            (r.store.node_count(), r.last_zxid)
+        };
+        let mut e = Ensemble::new(3);
+        e.submit(create_op("/a")).0.unwrap();
+
+        // Crashed before the group.
+        e.crash_replica(2);
+        let crashed = state(&e, 2);
+        for i in 0..3 {
+            e.submit(create_op(&format!("/c{i}"))).0.unwrap();
+        }
+        assert_eq!(state(&e, 2), crashed, "the crashed replica moved");
+        assert_eq!(state(&e, 0).0, crashed.0 + 3);
+        assert!(Arc::ptr_eq(&e.replicas[0].store, &e.replicas[1].store));
+        assert!(!Arc::ptr_eq(&e.replicas[0].store, &e.replicas[2].store));
+        e.restart_replica(2);
+        assert!(alive_share_the_leaders_store(&e), "after the restart");
+
+        // Partitioned away before the group.
+        e.net().partition(vec![vec![0, 1], vec![2]]);
+        let partitioned = state(&e, 2);
+        e.submit(create_op("/p")).0.unwrap();
+        assert_eq!(state(&e, 2), partitioned, "the partitioned replica moved");
+        e.net().heal();
+        e.submit(create_op("/healed")).0.unwrap();
+        assert!(alive_share_the_leaders_store(&e), "after the heal");
+        assert_eq!(state(&e, 2), state(&e, 0));
+
+        // Fail-stopped at the group: its log write failed.
+        let tmp = TempDir::new("tropic-ens-cow-fail-stop");
+        let opts = DurabilityOptions {
+            segment_max_bytes: 1, // every append opens a new segment file
+            ..DurabilityOptions::default()
+        };
+        let mut e = Ensemble::with_durability(3, tmp.path(), opts).unwrap();
+        e.submit(create_op("/a")).0.unwrap();
+        std::fs::remove_dir_all(tmp.path().join(replica_dir_name(2))).unwrap();
+        let failed = state(&e, 2);
+        e.submit(create_op("/b")).0.unwrap();
+        assert!(!e.replicas[2].alive);
+        assert_eq!(state(&e, 2), failed, "the fail-stopped replica applied");
+        assert_eq!(state(&e, 0), (failed.0 + 1, failed.1 + 1));
+        assert!(e.replicas_consistent());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! picture of the devices, so nothing in `step()` waits on one.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,8 +112,9 @@ pub struct ControllerConfig {
 
 /// The round's write buffer: one scheduling round's record puts, queue
 /// removals, and queue appends, flushed as a single atomic multi. Repeated
-/// puts to the same path coalesce (a record accepted and started in the
-/// same round persists once, already `Started`); within a round the
+/// puts to the same path coalesce. A live record is encoded once, at the
+/// flush, as the round leaves it (a record accepted and started in the same
+/// round persists once, already `Started`); within a round the
 /// controller's in-memory state is authoritative, and a crash before the
 /// flush simply re-runs the round from the pre-round persistent state.
 #[derive(Default)]
@@ -121,6 +122,10 @@ pub(crate) struct RoundBatch {
     ops: Vec<Op>,
     /// Index into `ops` of the coalescible put for a path.
     puts: HashMap<Path, usize>,
+    /// Live records written this round, each with whether it already
+    /// exists in the store; the flush encodes them from the controller's
+    /// records.
+    records: BTreeMap<TxnId, bool>,
 }
 
 impl RoundBatch {
@@ -154,6 +159,19 @@ impl RoundBatch {
         self.ops.push(op);
     }
 
+    /// Notes that live record `id` changed this round. The first note of
+    /// a round picks create vs. set, as `put` does.
+    fn record(&mut self, id: TxnId, exists: bool) {
+        self.records.entry(id).or_insert(exists);
+    }
+
+    /// Buffers a record's last write, which leaves the live set: a create
+    /// when the round admitted it, a set otherwise.
+    fn put_final(&mut self, rec: &TxnRecord) {
+        let exists = self.records.remove(&rec.id).unwrap_or(true);
+        self.put(layout::txn(rec.id), encode_record(rec), exists);
+    }
+
     /// Buffers a deletion of a path this leader exclusively owns.
     pub(crate) fn delete(&mut self, path: Path) {
         self.puts.remove(&path);
@@ -165,7 +183,7 @@ impl RoundBatch {
 
     /// Whether the round has nothing to flush yet.
     pub(crate) fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.ops.is_empty() && self.records.is_empty()
     }
 
     /// Buffers an arbitrary op (sequential queue appends).
@@ -175,6 +193,7 @@ impl RoundBatch {
 
     fn take(&mut self) -> Vec<Op> {
         self.puts.clear();
+        self.records.clear();
         std::mem::take(&mut self.ops)
     }
 }
@@ -457,6 +476,11 @@ impl<'a> Controller<'a> {
     /// leadership and the next leader recovers from the pre-round state, so
     /// the store never exposes a partial round.
     fn flush_round(&mut self) -> Result<(), PlatformError> {
+        for (id, exists) in std::mem::take(&mut self.batch.records) {
+            if let Some(rec) = self.records.get(&id) {
+                self.batch.put(layout::txn(id), encode_record(rec), exists);
+            }
+        }
         let ops = self.batch.take();
         if !ops.is_empty() {
             self.client.multi(ops)?;
@@ -587,7 +611,7 @@ impl<'a> Controller<'a> {
             return Ok(());
         }
         rec.state = TxnState::Accepted;
-        self.persist_record(&rec, false);
+        self.batch.record(id, false);
         let now = self.clock.now_ms();
         if let Some(deadline) = rec.deadline_ms.filter(|&d| now > d) {
             // Expired before admission: abort without ever scheduling.
@@ -783,7 +807,7 @@ impl<'a> Controller<'a> {
                     rec.lsn = Some(self.next_lsn);
                     self.next_lsn += 1;
                     rec.locks = self.locks.locks_of(id);
-                    self.persist_record(&rec, true);
+                    self.batch.record(id, true);
                     self.records.insert(id, rec);
                     self.running.insert(id, self.clock.now_ms());
                     let task = encode_task(&PhyTask { id });
@@ -829,7 +853,7 @@ impl<'a> Controller<'a> {
         (rec.state, rec.error, rec.abort_code) = (state, error, abort_code);
         rec.finished_ms = Some(now);
         self.retention.finalize(&mut rec, now);
-        self.persist_record(&rec, true);
+        self.batch.put_final(&rec);
         // A twin repair's log is physical only: the tree never changed.
         let logged = rec.log.iter().filter(|_| rec.proc_name != TWIN_REPAIR_PROC);
         let objects: BTreeSet<&Path> = logged.map(|r| &r.object).collect();
@@ -1173,13 +1197,6 @@ impl<'a> Controller<'a> {
     // ------------------------------------------------------------------
     // Helpers.
     // ------------------------------------------------------------------
-
-    /// Buffers `rec`'s write: a create in the round that admits it
-    /// (`exists` false), a set in every later one.
-    fn persist_record(&mut self, rec: &TxnRecord, exists: bool) {
-        self.batch
-            .put(layout::txn(rec.id), encode_record(rec), exists);
-    }
 
     /// Buffers `object`'s granule: its subtree as the tree holds it now
     /// (`None` once removed), replacing the granules strictly below it.

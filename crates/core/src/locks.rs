@@ -88,10 +88,13 @@ pub struct LockConflict {
     pub requested: LockMode,
 }
 
-/// The lock table: per-path, per-transaction mode sets.
+/// The lock table: per-path, per-transaction mode sets, indexed by
+/// transaction so releasing or listing one's locks costs only its own.
 #[derive(Debug, Default)]
 pub struct LockManager {
     table: HashMap<Path, HashMap<TxnId, u8>>,
+    /// The paths each transaction holds a lock on, each once.
+    held: HashMap<TxnId, Vec<Path>>,
 }
 
 impl LockManager {
@@ -129,22 +132,27 @@ impl LockManager {
             }
         }
         for (path, mode) in requests {
-            *self
-                .table
-                .entry(path.clone())
-                .or_default()
+            let bits = (self.table.entry(path.clone()).or_default())
                 .entry(txn)
-                .or_insert(0) |= mode.bit();
+                .or_insert(0);
+            if *bits == 0 {
+                self.held.entry(txn).or_default().push(path.clone());
+            }
+            *bits |= mode.bit();
         }
         Ok(())
     }
 
     /// Releases every lock held by `txn`.
     pub fn release_all(&mut self, txn: TxnId) {
-        self.table.retain(|_, holders| {
-            holders.remove(&txn);
-            !holders.is_empty()
-        });
+        for path in self.held.remove(&txn).unwrap_or_default() {
+            if let Some(holders) = self.table.get_mut(&path) {
+                holders.remove(&txn);
+                if holders.is_empty() {
+                    self.table.remove(&path);
+                }
+            }
+        }
     }
 
     /// Returns `true` if `txn` holds `mode` on `path`.
@@ -159,11 +167,9 @@ impl LockManager {
     /// All locks currently held by `txn`, for recovery re-acquisition.
     pub fn locks_of(&self, txn: TxnId) -> Vec<LockRequest> {
         let mut out = Vec::new();
-        for (path, holders) in &self.table {
-            if let Some(&bits) = holders.get(&txn) {
-                for mode in LockMode::from_bits(bits) {
-                    out.push((path.clone(), mode));
-                }
+        for path in self.held.get(&txn).into_iter().flatten() {
+            if let Some(&bits) = self.table.get(path).and_then(|h| h.get(&txn)) {
+                out.extend(LockMode::from_bits(bits).map(|mode| (path.clone(), mode)));
             }
         }
         out
@@ -319,6 +325,56 @@ mod tests {
         assert_eq!(locks.len(), 3);
         assert_eq!(locks[2], (p("/a/b"), LockMode::W));
         assert!(lm.locks_of(99).is_empty());
+    }
+
+    #[test]
+    fn releasing_one_txn_leaves_anothers_locks_and_intentions() {
+        // The whole-table answer the per-transaction index must match.
+        let scan = |lm: &LockManager, txn: TxnId| {
+            let mut out: Vec<LockRequest> = Vec::new();
+            for (path, holders) in &lm.table {
+                if let Some(&bits) = holders.get(&txn) {
+                    out.extend(LockMode::from_bits(bits).map(|m| (path.clone(), m)));
+                }
+            }
+            out.sort_by_key(|(path, mode)| (path.clone(), mode.bit()));
+            out
+        };
+        let sorted = |mut locks: Vec<LockRequest>| {
+            locks.sort_by_key(|(path, mode)| (path.clone(), mode.bit()));
+            locks
+        };
+        let mut lm = LockManager::new();
+        let mut one = with_intentions(&p("/a/b"), LockMode::W);
+        one.extend(with_intentions(&p("/a/c"), LockMode::R));
+        lm.try_acquire(1, &one).unwrap();
+        lm.try_acquire(1, &with_intentions(&p("/a/b"), LockMode::W))
+            .unwrap(); // re-acquired: still one entry per path
+        lm.try_acquire(2, &with_intentions(&p("/a/d"), LockMode::W))
+            .unwrap();
+        lm.try_acquire(2, &with_intentions(&p("/a/c/e"), LockMode::R))
+            .unwrap();
+        for txn in [1, 2] {
+            assert_eq!(sorted(lm.locks_of(txn)), scan(&lm, txn), "txn {txn}");
+        }
+        assert_eq!(lm.locks_of(1).len(), 6, "IW+IR on / and /a, W and R");
+        let two = scan(&lm, 2);
+
+        lm.release_all(1);
+        assert!(lm.locks_of(1).is_empty());
+        assert!(scan(&lm, 1).is_empty());
+        assert_eq!(sorted(lm.locks_of(2)), two);
+        assert_eq!(scan(&lm, 2), two);
+        assert!(lm.holds(2, &p("/a"), LockMode::IW));
+        assert!(lm.holds(2, &p("/a/c"), LockMode::IR));
+        assert!(lm.holds(2, &p("/a/d"), LockMode::W));
+        assert!(!lm.holds(1, &p("/a/b"), LockMode::W));
+        assert!(!lm.table.contains_key(&p("/a/b")), "an emptied path stays");
+        lm.try_acquire(3, &with_intentions(&p("/a/b"), LockMode::W))
+            .unwrap();
+        lm.release_all(2);
+        lm.release_all(3);
+        assert!(lm.is_empty() && lm.held.is_empty());
     }
 
     #[test]
